@@ -1,8 +1,8 @@
 //! `kplock-bench`: the lock-table performance driver behind
 //! `BENCH_*.json` (see README "Benchmark trajectory").
 //!
-//! Sweeps table implementation × threads × shards × resolution arm ×
-//! fault plan × workload across three suites:
+//! Sweeps threads × shards × resolution arm × fault plan × workload
+//! across five suites:
 //!
 //! * `hot_loop` — raw [`kplock_dlm::ShardedTable`] acquire/release
 //!   cycles on real threads (disjoint entities per thread, so on a
@@ -12,7 +12,9 @@
 //!   wound-wait prevention, certificate-driven avoidance, and a lossy
 //!   fault plan;
 //! * `threaded` — the OS-thread runner under timeout, prevention and
-//!   avoidance.
+//!   avoidance;
+//! * `hierarchy`, `delegation` — deterministic lock-request and
+//!   lock-traffic counts, pinned exactly by the gate.
 //!
 //! Each configuration yields one [`BenchRecord`] (throughput,
 //! p50/p99/p999 latency, restarts, probe messages). `--out PATH` writes
@@ -27,7 +29,7 @@
 
 use kplock_bench::record::{self, BenchRecord};
 use kplock_bench::two_site_pair;
-use kplock_dlm::{Bias, FifoTable, LockTable, QueueTable, ShardedTable, TableSpec};
+use kplock_dlm::ShardedTable;
 use kplock_model::{Database, EntityId, LockMode, TxnBuilder, TxnSystem};
 use kplock_sim::{
     run, run_threaded, AvoidPlan, DeadlockDetection, DeadlockResolution, FaultPlan, LatencyModel,
@@ -134,7 +136,6 @@ fn main() {
             r.id, r.throughput_ops_per_s, r.p50_us, r.p99_us, r.p999_us
         );
     }
-    print_contended_ratio(&records);
 
     if let Some(path) = &opts.out {
         std::fs::write(path, record::to_json(mode, &records)).unwrap_or_else(|e| {
@@ -162,61 +163,27 @@ fn main() {
 const X: LockMode = LockMode::Exclusive;
 /// Entities each hot-loop thread cycles over.
 const HOT_ENTS: u32 = 4;
+/// The `table` label of every record that exercises the lock table, and
+/// the table segment of its id — kept from when a second implementation
+/// was swept, so ids still join against the committed baseline.
+const TABLE: &str = "queue";
 
 fn hot_loop_suite(records: &mut Vec<BenchRecord>, scale: &Scale) {
-    let specs = [TableSpec::Fifo, TableSpec::queue()];
-    for spec in specs {
-        for threads in [1usize, 8] {
-            for shards in [4usize, 16] {
-                for contended in [true, false] {
-                    records.push(hot_record(spec, threads, shards, contended, scale));
-                }
+    for threads in [1usize, 8] {
+        for shards in [4usize, 16] {
+            for contended in [true, false] {
+                records.push(hot_record(threads, shards, contended, scale));
             }
         }
     }
-    // The promotion-bias knobs, recorded at the contended sweet spot so
-    // their cost relative to neutral queue promotion stays visible.
-    for spec in [
-        TableSpec::Queue {
-            bias: Bias::ReaderBatch,
-            cohorts: 0,
-        },
-        TableSpec::Queue {
-            bias: Bias::WriterPreference,
-            cohorts: 0,
-        },
-        TableSpec::Queue {
-            bias: Bias::Neutral,
-            cohorts: 4,
-        },
-    ] {
-        records.push(hot_record(spec, 8, 16, true, scale));
-    }
 }
 
-fn hot_record(
-    spec: TableSpec,
-    threads: usize,
-    shards: usize,
-    contended: bool,
-    scale: &Scale,
-) -> BenchRecord {
+fn hot_record(threads: usize, shards: usize, contended: bool, scale: &Scale) -> BenchRecord {
     let rounds = scale.hot_rounds;
     // Best-of-N (see [`Scale::hot_reps`]): keep the fastest repetition.
     let mut best: Option<(u64, Duration, Vec<u64>)> = None;
     for _ in 0..scale.hot_reps {
-        let sample = match spec {
-            TableSpec::Fifo => {
-                hot_loop::<FifoTable<u32>>(threads, shards, contended, rounds, FifoTable::new)
-            }
-            TableSpec::Queue { bias, cohorts } => {
-                hot_loop(threads, shards, contended, rounds, move || {
-                    QueueTable::new()
-                        .with_bias(bias)
-                        .with_topology(cohorts, |o: u32, n| o % n)
-                })
-            }
-        };
+        let sample = hot_loop(threads, shards, contended, rounds);
         if best.as_ref().is_none_or(|(_, e, _)| sample.1 < *e) {
             best = Some(sample);
         }
@@ -230,10 +197,10 @@ fn hot_record(
     let (p50, p99, p999) = percentiles_us(lat_ns);
     let elapsed_ms = elapsed.as_secs_f64() * 1e3;
     BenchRecord {
-        id: format!("hot/{workload}/{}/t{threads}/s{shards}", spec.label()),
+        id: format!("hot/{workload}/{TABLE}/t{threads}/s{shards}"),
         suite: "hot_loop".to_string(),
         workload: workload.to_string(),
-        table: spec.label().to_string(),
+        table: TABLE.to_string(),
         threads: threads as u32,
         shards: shards as u32,
         resolution: "none".to_string(),
@@ -257,14 +224,13 @@ fn hot_record(
 ///
 /// Returns `(ops, measured_elapsed, latency_samples_ns)`; a latency
 /// sample is one full lock/unlock cycle on one entity.
-fn hot_loop<T: LockTable<u32> + Send>(
+fn hot_loop(
     threads: usize,
     shards: usize,
     contended: bool,
     rounds: u64,
-    factory: impl FnMut() -> T,
 ) -> (u64, Duration, Vec<u64>) {
-    let table: ShardedTable<u32, T> = ShardedTable::with_tables(shards, factory);
+    let table: ShardedTable<u32> = ShardedTable::new(shards);
     let warmup = (rounds / 10).max(1);
     let barrier = Barrier::new(threads + 1);
     let ops_per_ent: u64 = if contended { 4 } else { 2 };
@@ -354,39 +320,33 @@ fn sim_suite(records: &mut Vec<BenchRecord>, scale: &Scale) {
         ),
         ("avoid", DeadlockResolution::Avoid),
     ];
-    for spec in [TableSpec::Fifo, TableSpec::queue()] {
-        for (rlabel, resolution) in arms {
-            for (wlabel, steps) in [("pair8", 8usize), ("pair16", 16)] {
-                records.push(sim_record(
-                    spec,
-                    rlabel,
-                    resolution,
-                    wlabel,
-                    steps,
-                    FaultPlan::none(),
-                    "none",
-                    scale,
-                ));
-            }
+    for (rlabel, resolution) in arms {
+        for (wlabel, steps) in [("pair8", 8usize), ("pair16", 16)] {
+            records.push(sim_record(
+                rlabel,
+                resolution,
+                wlabel,
+                steps,
+                FaultPlan::none(),
+                "none",
+                scale,
+            ));
         }
-        // The fault axis: seeded loss/duplication/reordering under the
-        // default periodic detector.
-        records.push(sim_record(
-            spec,
-            "periodic",
-            DeadlockResolution::default(),
-            "pair8",
-            8,
-            FaultPlan::lossy(7, 0.05, 0.02, 0.10),
-            "lossy",
-            scale,
-        ));
     }
+    // The fault axis: seeded loss/duplication/reordering under the
+    // default periodic detector.
+    records.push(sim_record(
+        "periodic",
+        DeadlockResolution::default(),
+        "pair8",
+        8,
+        FaultPlan::lossy(7, 0.05, 0.02, 0.10),
+        "lossy",
+        scale,
+    ));
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sim_record(
-    spec: TableSpec,
     rlabel: &str,
     resolution: DeadlockResolution,
     wlabel: &str,
@@ -405,7 +365,6 @@ fn sim_record(
         let cfg = SimConfig {
             latency: LatencyModel::Fixed(5),
             resolution,
-            table: spec,
             faults: faults.clone(),
             seed: seed + 1,
             avoid: (resolution == DeadlockResolution::Avoid).then(|| AvoidPlan::synthesize(&sys)),
@@ -421,10 +380,10 @@ fn sim_record(
     let elapsed = t0.elapsed();
     let (p50, p99, p999) = percentiles_us(lat_ns);
     BenchRecord {
-        id: format!("sim/{wlabel}/{}/{rlabel}/{flabel}", spec.label()),
+        id: format!("sim/{wlabel}/{TABLE}/{rlabel}/{flabel}"),
         suite: "sim".to_string(),
         workload: wlabel.to_string(),
-        table: spec.label().to_string(),
+        table: TABLE.to_string(),
         threads: 1,
         shards: 1,
         resolution: rlabel.to_string(),
@@ -474,20 +433,15 @@ fn threaded_suite(records: &mut Vec<BenchRecord>, scale: &Scale) {
         ),
         ("avoid", ThreadedResolution::Avoid),
     ];
-    for spec in [TableSpec::Fifo, TableSpec::queue()] {
-        for shards in [4usize, 16] {
-            for (rlabel, resolution) in arms {
-                records.push(threaded_record(
-                    &sys, spec, shards, rlabel, resolution, scale,
-                ));
-            }
+    for shards in [4usize, 16] {
+        for (rlabel, resolution) in arms {
+            records.push(threaded_record(&sys, shards, rlabel, resolution, scale));
         }
     }
 }
 
 fn threaded_record(
     sys: &TxnSystem,
-    spec: TableSpec,
     shards: usize,
     rlabel: &str,
     resolution: ThreadedResolution,
@@ -496,7 +450,6 @@ fn threaded_record(
     let cfg = ThreadedConfig {
         shards,
         resolution,
-        table: spec,
         lock_timeout: Duration::from_millis(5),
         max_backoff: Duration::from_millis(1),
         max_attempts: 1000,
@@ -517,10 +470,10 @@ fn threaded_record(
     let elapsed = t0.elapsed();
     let (p50, p99, p999) = percentiles_us(lat_ns);
     BenchRecord {
-        id: format!("thr/ring4/{}/{rlabel}/s{shards}", spec.label()),
+        id: format!("thr/ring4/{TABLE}/{rlabel}/s{shards}"),
         suite: "threaded".to_string(),
         workload: "ring4".to_string(),
-        table: spec.label().to_string(),
+        table: TABLE.to_string(),
         threads: sys.len() as u32,
         shards: shards as u32,
         resolution: rlabel.to_string(),
@@ -817,30 +770,6 @@ fn percentiles_us(mut lat_ns: Vec<u64>) -> (f64, f64, f64) {
         lat_ns[idx] as f64 / 1e3
     };
     (pick(0.50), pick(0.99), pick(0.999))
-}
-
-/// Prints the headline acceptance ratio: queue vs fifo on the contended
-/// hot loop at the biggest swept configuration.
-fn print_contended_ratio(records: &[BenchRecord]) {
-    let find = |table: &str| {
-        records
-            .iter()
-            .filter(|r| {
-                r.suite == "hot_loop"
-                    && r.workload == "contended"
-                    && r.table == table
-                    && r.threads == 8
-                    && r.shards == 16
-            })
-            .map(|r| r.throughput_ops_per_s)
-            .next()
-    };
-    if let (Some(fifo), Some(queue)) = (find("fifo"), find("queue")) {
-        println!(
-            "contended queue/fifo throughput ratio (t8/s16): {:.2}x",
-            queue / fifo
-        );
-    }
 }
 
 /// The regression gate: joins `current` to the baseline by record id,

@@ -30,7 +30,9 @@ pub struct BenchRecord {
     pub suite: String,
     /// Workload label within the suite.
     pub workload: String,
-    /// Table implementation label ([`kplock_dlm::TableSpec::label`]).
+    /// The suite's second axis: `queue` (the lock table) in the table
+    /// suites, the granularity arm in `hierarchy`, `default` in
+    /// `delegation`.
     pub table: String,
     /// OS threads driving the table (1 for the sim suite).
     pub threads: u32,

@@ -1,13 +1,13 @@
-//! Mode-admission helpers shared by [`crate::FifoTable`] and
-//! [`crate::QueueTable`].
+//! Mode-admission helpers of [`crate::QueueTable`].
 //!
-//! Every "can this request be granted next to those holders?" question in
-//! both tables routes through these two functions, which in turn route
-//! through the **one** compatibility matrix on
-//! [`kplock_model::LockMode`] — so the two implementations cannot drift
-//! from each other or from the matrix. Before the mode lattice this logic
-//! was written out twice as `mode == Shared && holders all Shared`; the
-//! helpers reduce to exactly that on the `S`/`X` fragment.
+//! Every "can this request be granted next to those holders?" question
+//! the table asks — fresh admission, in-place upgrade, promotion, the
+//! auditor's co-holder check — routes through these functions, which in
+//! turn route through the **one** compatibility matrix on
+//! [`kplock_model::LockMode`], so no path can drift from the matrix.
+//! Before the mode lattice this logic was written out as
+//! `mode == Shared && holders all Shared`; the helpers reduce to exactly
+//! that on the `S`/`X` fragment.
 
 use kplock_model::LockMode;
 

@@ -47,7 +47,7 @@ impl<O: Copy + Eq + Ord + Hash> WaitForGraph<O> {
     }
 
     /// Replaces entity `e`'s contribution with `edges` (typically
-    /// `ModeTable::entity_waits_for(e)` after a state change). An empty
+    /// `QueueTable::entity_waits_for(e)` after a state change). An empty
     /// `edges` removes the entity. Returns whether the contribution
     /// actually changed — callers gate their cycle checks on it.
     pub fn update_entity(&mut self, e: EntityId, edges: Vec<(O, O)>) -> bool {

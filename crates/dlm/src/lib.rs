@@ -1,11 +1,13 @@
 //! A sharded reader–writer distributed lock-manager service layer.
 //!
 //! The paper's model — and the simulator's original table — is one
-//! exclusive lock table per site with FIFO queues. This crate generalizes
-//! it along the two axes that dominate real lock-manager throughput:
+//! exclusive lock table per site with FIFO queues. This crate keeps that
+//! one table ([`QueueTable`], its protocol specified in [`table`]) and
+//! generalizes it along the two axes that dominate real lock-manager
+//! throughput:
 //!
-//! * **Modes** ([`kplock_model::LockMode`]): shared/exclusive grants with
-//!   FIFO fairness and in-place upgrade ([`ModeTable`]);
+//! * **Modes** ([`kplock_model::LockMode`]): the `IS`/`IX`/`S`/`SIX`/`X`
+//!   lattice with FIFO fairness and in-place upgrade;
 //! * **Sharding** ([`ShardedTable`]): hash-partitioned tables, one mutex
 //!   per shard, so independent entities never contend, plus batched
 //!   acquire/release that locks each shard once per batch;
@@ -17,7 +19,7 @@
 //! a block occurs, so a deadlock is reported the moment it forms.
 //!
 //! Detection's counterpart is timestamp-ordering **prevention**
-//! ([`prevent`], [`ModeTable::request_with_priority`]): wound-wait,
+//! ([`prevent`], [`QueueTable::request_with_priority`]): wound-wait,
 //! wait-die and no-wait decide at request time — from birth-stamp
 //! priorities, with no graph at all — whether a wait may exist, so no
 //! cycle can ever form and there is nothing left to detect.
@@ -30,14 +32,14 @@
 //! which grants have been handed to a remote cache as *delegated
 //! ownership* (the DLM-side half of client-side lock caching: the hold
 //! stays in the table, release authority moves to the delegate until a
-//! conflicting request revokes it). [`ModeTable::is_waiting`] and
-//! [`ModeTable::release_idempotent`] make duplicated or retransmitted
+//! conflicting request revokes it). [`QueueTable::is_waiting`] and
+//! [`QueueTable::release_idempotent`] make duplicated or retransmitted
 //! request/release messages safe, the table-side half of running over an
 //! unreliable network.
 //!
 //! Exclusive-only, single-shard use reproduces the simulator's original
-//! semantics bit-for-bit — `kplock-sim`'s table is now a thin wrapper over
-//! [`ModeTable`] — while protocol violations surface as typed
+//! semantics bit-for-bit — `kplock-sim`'s table is a thin wrapper over
+//! [`QueueTable`] — while protocol violations surface as typed
 //! [`LockError`]s at this API boundary instead of panics.
 //!
 //! # Example
@@ -78,7 +80,6 @@ mod admission;
 pub mod deadlock;
 pub mod error;
 pub mod lease;
-pub mod lock_table;
 pub mod manager;
 pub mod prevent;
 pub mod queue_table;
@@ -88,9 +89,8 @@ pub mod table;
 pub use deadlock::WaitForGraph;
 pub use error::LockError;
 pub use lease::{DelegationEntry, DelegationLedger, Lease, LeaseTable};
-pub use lock_table::{Bias, LockTable, TableSpec};
 pub use manager::{Aborted, BatchReleased, LockManager, ManagedAcquire, Released};
 pub use prevent::{PreventionOutcome, PreventionScheme, Priority};
 pub use queue_table::QueueTable;
 pub use sharded::ShardedTable;
-pub use table::{Acquire, CancelOutcome, EntityGrants, FifoTable, Grants, ModeTable};
+pub use table::{Acquire, CancelOutcome, EntityGrants, Grants};

@@ -25,7 +25,7 @@
 //!
 //! One subtlety is owed to the FIFO queue: grants *retarget* the remaining
 //! waiters onto new holders, so a wait admitted against today's holders
-//! can face different holders tomorrow. [`ModeTable::request_with_priority`]
+//! can face different holders tomorrow. [`QueueTable::request_with_priority`]
 //! therefore applies the timestamp test against the holders **and** the
 //! queued waiters (who are tomorrow's holders): under Wait-Die a waiter is
 //! admitted only if older than everyone it could ever retarget onto, and
@@ -37,7 +37,7 @@
 //! See `tests/prevention_props.rs` at the workspace root for the
 //! property-based version of that argument.
 //!
-//! [`ModeTable::request_with_priority`]: crate::ModeTable::request_with_priority
+//! [`QueueTable::request_with_priority`]: crate::QueueTable::request_with_priority
 
 /// A prevention priority: smaller is older is stronger. The first
 /// component is a birth timestamp (ticks, a ticket counter, …) that must
@@ -59,13 +59,13 @@ pub enum PreventionScheme {
     NoWait,
 }
 
-/// Outcome of a [`crate::ModeTable::request_with_priority`] call.
+/// Outcome of a [`crate::QueueTable::request_with_priority`] call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PreventionOutcome<O> {
     /// Granted immediately — no conflict, no timestamp consulted.
     Granted,
     /// The wait is permitted by the scheme; the request is queued exactly
-    /// as a plain [`crate::ModeTable::request`] would queue it.
+    /// as a plain [`crate::QueueTable::request`] would queue it.
     Queued,
     /// Wound-Wait admitted the wait but the listed younger owners must be
     /// aborted by the caller (they are *not* removed here: a wound is an

@@ -3,8 +3,7 @@
 //! A single mutex-guarded lock table serializes *every* request, even for
 //! unrelated entities; under multi-core load the mutex, not the lock logic,
 //! becomes the bottleneck. [`ShardedTable`] hash-partitions the entity
-//! space into `n` independent tables (default [`FifoTable`], or any
-//! [`LockTable`] impl), each behind its own
+//! space into `n` independent [`QueueTable`]s, each behind its own
 //! `parking_lot::Mutex`, so requests for entities in different shards never
 //! contend. `crates/bench/benches/dlm.rs` measures the effect (see
 //! ARCHITECTURE.md for numbers).
@@ -16,45 +15,26 @@
 //! entity.
 
 use crate::error::LockError;
-use crate::lock_table::LockTable;
 use crate::prevent::{PreventionOutcome, PreventionScheme, Priority};
-use crate::table::{Acquire, CancelOutcome, EntityGrants, FifoTable, Grants};
+use crate::queue_table::QueueTable;
+use crate::table::{Acquire, CancelOutcome, EntityGrants, Grants};
 use kplock_model::{EntityId, LockMode};
 use parking_lot::{Mutex, MutexGuard};
 use std::hash::Hash;
-use std::marker::PhantomData;
 
 /// A sharded reader–writer lock table: `shards` independent
-/// [`LockTable`] engines, each guarded by its own mutex.
-///
-/// The engine defaults to [`FifoTable`] (so `ShardedTable<O>` keeps its
-/// historical meaning); pass [`crate::QueueTable`] — or anything else
-/// implementing [`LockTable`] — as `T` to swap the data structure under
-/// an unchanged protocol.
+/// [`QueueTable`]s, each guarded by its own mutex.
 #[derive(Debug)]
-pub struct ShardedTable<O, T = FifoTable<O>> {
-    shards: Vec<Mutex<T>>,
-    _owner: PhantomData<fn(O)>,
+pub struct ShardedTable<O> {
+    shards: Vec<Mutex<QueueTable<O>>>,
 }
 
-impl<O: Copy + Eq + Ord + Hash, T: LockTable<O>> ShardedTable<O, T> {
-    /// Creates a table with `shards` partitions (at least 1) of a
-    /// default-constructed engine.
-    pub fn new(shards: usize) -> Self
-    where
-        T: Default,
-    {
-        Self::with_tables(shards, T::default)
-    }
-
-    /// Creates a table with `shards` partitions (at least 1), building
-    /// each shard's engine with `factory` — how configured
-    /// [`crate::QueueTable`]s (bias, topology) are installed per shard.
-    pub fn with_tables(shards: usize, mut factory: impl FnMut() -> T) -> Self {
+impl<O: Copy + Eq + Ord + Hash> ShardedTable<O> {
+    /// Creates a table with `shards` partitions (at least 1).
+    pub fn new(shards: usize) -> Self {
         let n = shards.max(1);
         ShardedTable {
-            shards: (0..n).map(|_| Mutex::new(factory())).collect(),
-            _owner: PhantomData,
+            shards: (0..n).map(|_| Mutex::new(QueueTable::new())).collect(),
         }
     }
 
@@ -74,22 +54,22 @@ impl<O: Copy + Eq + Ord + Hash, T: LockTable<O>> ShardedTable<O, T> {
     /// Locks the shard owning `e` and returns the guard. For callers (like
     /// the real-thread runner) that must compose several table calls with
     /// external bookkeeping atomically.
-    pub fn lock_shard(&self, e: EntityId) -> MutexGuard<'_, T> {
+    pub fn lock_shard(&self, e: EntityId) -> MutexGuard<'_, QueueTable<O>> {
         self.shards[self.shard_index(e)].lock()
     }
 
     /// Locks shard `idx` directly.
-    pub fn lock_shard_index(&self, idx: usize) -> MutexGuard<'_, T> {
+    pub fn lock_shard_index(&self, idx: usize) -> MutexGuard<'_, QueueTable<O>> {
         self.shards[idx].lock()
     }
 
-    /// Requests `mode` on `e` for `o`. See [`FifoTable::request`].
+    /// Requests `mode` on `e` for `o`. See [`QueueTable::request`].
     pub fn acquire(&self, e: EntityId, o: O, mode: LockMode) -> Result<Acquire, LockError> {
-        self.lock_shard(e).acquire(e, o, mode)
+        self.lock_shard(e).request(e, o, mode)
     }
 
     /// Requests `mode` on `e` for `o` under a timestamp-ordering deadlock
-    /// prevention scheme. See [`FifoTable::request_with_priority`]; only
+    /// prevention scheme. See [`QueueTable::request_with_priority`]; only
     /// `e`'s shard is locked — prevention needs no cross-shard state.
     pub fn acquire_with_priority(
         &self,
@@ -100,18 +80,17 @@ impl<O: Copy + Eq + Ord + Hash, T: LockTable<O>> ShardedTable<O, T> {
         prio: impl Fn(O) -> Priority,
     ) -> Result<PreventionOutcome<O>, LockError> {
         self.lock_shard(e)
-            .acquire_with_priority(e, o, mode, scheme, &prio)
+            .request_with_priority(e, o, mode, scheme, prio)
     }
 
     /// Releases `o`'s lock on `e`; returns the grants this unblocked.
-    /// See [`FifoTable::release`].
+    /// See [`QueueTable::release`].
     pub fn release(&self, e: EntityId, o: O) -> Result<Grants<O>, LockError> {
         self.lock_shard(e).release(e, o)
     }
 
     /// Releases `o`'s lock on `e`, appending unblocked grants to `out` —
-    /// the zero-allocation hot path when `T` supports it (see
-    /// [`LockTable::release_into`]).
+    /// the zero-allocation hot path when the caller reuses the buffer.
     pub fn release_into(&self, e: EntityId, o: O, out: &mut Grants<O>) -> Result<(), LockError> {
         self.lock_shard(e).release_into(e, o, out)
     }
@@ -142,7 +121,7 @@ impl<O: Copy + Eq + Ord + Hash, T: LockTable<O>> ShardedTable<O, T> {
             let mut guard = self.shards[shard].lock();
             while i < order.len() && self.shard_index(reqs[order[i]].0) == shard {
                 let (e, mode) = reqs[order[i]];
-                out[order[i]] = Some(guard.acquire(e, o, mode)?);
+                out[order[i]] = Some(guard.request(e, o, mode)?);
                 i += 1;
             }
         }

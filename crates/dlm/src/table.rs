@@ -1,56 +1,32 @@
-//! The mode-aware FIFO lock table (one partition).
+//! The lock table's protocol: what a request, a release and a cancellation
+//! mean, and the result types they report. [`crate::QueueTable`] is the
+//! implementation; this module is the contract its callers rely on, and
+//! its tests exercise the contract rather than the data structure.
 //!
-//! [`FifoTable`] (formerly `ModeTable`; the alias remains) generalizes the
-//! simulator's exclusive-only table to reader–writer locks while keeping
-//! its grant discipline *bit-identical* in the exclusive-only case:
-//! requests queue strictly FIFO (no waiter is ever overtaken by a later
-//! request, so writers never starve), and grants happen inside
-//! [`FifoTable::release`] so the caller can forward them.
-//!
-//! Owner- and entity-keyed queries used to be O(entities) sorted scans;
-//! the table now maintains three reverse indexes — `owned` (per-owner held
-//! entities), `active` (entities with any state) and `contended` (entities
-//! with waiters) — so [`FifoTable::held_by`] is O(held),
-//! [`FifoTable::active_entities`] is a copy, and
-//! [`FifoTable::waits_for`]/[`FifoTable::waits_of`]/
-//! [`FifoTable::cancel_waits`] visit only contended entities. The indexes
-//! are pure acceleration: every result is identical to the scans they
-//! replaced (pinned by a proptest in `tests/properties.rs` and verified
-//! wholesale by [`FifoTable::check_invariants`]).
+//! The table generalizes the paper's exclusive-only per-site table to the
+//! `IS`/`IX`/`S`/`SIX`/`X` mode lattice while keeping its grant discipline
+//! *bit-identical* in the exclusive-only case: requests queue strictly
+//! FIFO (no waiter is ever overtaken by a later request, so writers never
+//! starve), and grants happen inside release so the caller can forward
+//! them.
 //!
 //! # Invariants
 //!
-//! * At most one [`LockMode::Exclusive`] holder per entity, and never
-//!   alongside a shared holder (the S/X compatibility matrix).
+//! * Co-held modes are pairwise compatible under the one matrix on
+//!   [`LockMode`]: at most one [`LockMode::Exclusive`] holder per entity,
+//!   and never alongside any other holder.
 //! * The wait queue is FIFO: a queued request is granted only when it is at
 //!   the front and compatible with the current holders; runs of adjacent
-//!   shared requests are granted together.
-//! * An upgrade (a shared holder requesting exclusive) takes priority over
-//!   the queue but must wait until it is the sole holder. Two concurrent
-//!   upgraders deadlock by construction — that is the caller's problem to
-//!   detect (see [`crate::WaitForGraph`]) and resolve by aborting one.
-//! * Protocol violations return [`LockError`]; nothing panics.
+//!   compatible requests are granted together.
+//! * An upgrade (a holder requesting a stronger mode) takes priority over
+//!   the queue but must wait until its lattice-join target is compatible
+//!   with every other holder — for `S → X`, until it is the sole holder.
+//!   Two concurrent upgraders deadlock by construction — that is the
+//!   caller's problem to detect (see [`crate::WaitForGraph`]) and resolve
+//!   by aborting one.
+//! * Protocol violations return [`crate::LockError`]; nothing panics.
 
-use crate::admission;
-use crate::error::LockError;
-use crate::prevent::{PreventionOutcome, PreventionScheme, Priority};
 use kplock_model::{EntityId, LockMode};
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
-
-/// Inserts `v` into a sorted vector if absent (no-op when present).
-fn sorted_insert<T: Ord + Copy>(vec: &mut Vec<T>, v: T) {
-    if let Err(i) = vec.binary_search(&v) {
-        vec.insert(i, v);
-    }
-}
-
-/// Removes `v` from a sorted vector if present (no-op when absent).
-fn sorted_remove<T: Ord + Copy>(vec: &mut Vec<T>, v: T) {
-    if let Ok(i) = vec.binary_search(&v) {
-        vec.remove(i);
-    }
-}
 
 /// Grants unblocked by one release/cancel at one entity: the granted
 /// owners with their granted modes, in FIFO order.
@@ -68,33 +44,6 @@ pub enum Acquire {
     /// The request was queued; it will appear in a later release's grant
     /// list (or be cancelled).
     Queued,
-}
-
-/// Per-entity lock state.
-#[derive(Clone, Debug)]
-struct LockState<O> {
-    /// Current holders with their modes (one exclusive, or any number
-    /// shared).
-    holders: Vec<(O, LockMode)>,
-    /// Holders waiting to upgrade, with the lattice-join target mode
-    /// each will be granted (for an `S → X` upgrade: `X`).
-    upgrades: Vec<(O, LockMode)>,
-    /// FIFO wait queue.
-    queue: VecDeque<(O, LockMode)>,
-}
-
-impl<O> LockState<O> {
-    fn new() -> Self {
-        LockState {
-            holders: Vec::new(),
-            upgrades: Vec::new(),
-            queue: VecDeque::new(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.holders.is_empty() && self.upgrades.is_empty() && self.queue.is_empty()
-    }
 }
 
 /// Result of cancelling an owner's waits: which entities it stopped waiting
@@ -117,712 +66,15 @@ impl<O> Default for CancelOutcome<O> {
     }
 }
 
-/// A reader–writer FIFO lock table over one partition of the entity space.
-///
-/// `O` is the owner handle (a transaction instance, a session id, …); it
-/// must be cheap to copy and totally ordered so every query can return
-/// deterministic, sorted results.
-#[derive(Clone, Debug)]
-pub struct FifoTable<O> {
-    states: HashMap<EntityId, LockState<O>>,
-    /// Per-owner reverse index: entities the owner holds, ascending.
-    owned: HashMap<O, Vec<EntityId>>,
-    /// Entities with any state, ascending (mirrors `states.keys()`).
-    active: Vec<EntityId>,
-    /// Entities with a nonempty queue or pending upgrade, ascending.
-    contended: Vec<EntityId>,
-}
-
-/// Original name of [`FifoTable`], kept for downstream callers.
-pub type ModeTable<O> = FifoTable<O>;
-
-impl<O> Default for FifoTable<O> {
-    fn default() -> Self {
-        FifoTable {
-            states: HashMap::new(),
-            owned: HashMap::new(),
-            active: Vec::new(),
-            contended: Vec::new(),
-        }
-    }
-}
-
-/// What the shared admission step decided about a request: granted on the
-/// spot (including re-entrant and sole-holder-upgrade grants, already
-/// applied to the state), or forced to wait — as a fresh queued request or
-/// as a pending upgrade by an existing holder.
-enum Admission {
-    Granted {
-        /// True when the grant added a *new* holder entry (as opposed to a
-        /// covered re-request or an in-place upgrade) — the caller must
-        /// mirror it into the `owned` reverse index.
-        newly: bool,
-    },
-    MustWait {
-        /// `Some(target)` when `o` already holds the lock and is upgrading
-        /// to the lattice join `target`: it would join `upgrades`, not the
-        /// queue, and is served ahead of it.
-        upgrade: Option<LockMode>,
-    },
-}
-
-impl<O: Copy + Eq + Ord + Hash> FifoTable<O> {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The admission step shared by [`ModeTable::request`] and
-    /// [`ModeTable::request_with_priority`], so the two paths can never
-    /// diverge on what is grantable: rejects duplicates, grants covered
-    /// re-requests, sole-holder upgrades and compatible fresh requests in
-    /// place, and otherwise reports that the request must wait (without
-    /// enqueueing it — whether and where it waits is the caller's policy).
-    fn try_admit(
-        st: &mut LockState<O>,
-        e: EntityId,
-        o: O,
-        mode: LockMode,
-    ) -> Result<Admission, LockError> {
-        if st.queue.iter().any(|&(w, _)| w == o) || st.upgrades.iter().any(|&(u, _)| u == o) {
-            return Err(LockError::AlreadyQueued { entity: e });
-        }
-        if let Some(held) = st.holders.iter().find(|&&(h, _)| h == o).map(|&(_, m)| m) {
-            if held.covers(mode) {
-                return Ok(Admission::Granted { newly: false });
-            }
-            // Upgrade to the lattice join, in place when the target is
-            // compatible with every *other* holder (for `S → X`: sole
-            // holder; for e.g. `IS → IX` next to `IS` co-holders: always).
-            let target = held.join(mode);
-            if admission::upgrade_admissible(o, target, st.holders.iter().copied()) {
-                for h in st.holders.iter_mut().filter(|h| h.0 == o) {
-                    h.1 = target;
-                }
-                return Ok(Admission::Granted { newly: false });
-            }
-            return Ok(Admission::MustWait {
-                upgrade: Some(target),
-            });
-        }
-        let grantable = if st.holders.is_empty() {
-            st.queue.is_empty()
-        } else {
-            st.upgrades.is_empty()
-                && st.queue.is_empty()
-                && admission::compatible_with_all(mode, st.holders.iter().map(|&(_, m)| m))
-        };
-        if grantable {
-            st.holders.push((o, mode));
-            Ok(Admission::Granted { newly: true })
-        } else {
-            Ok(Admission::MustWait { upgrade: None })
-        }
-    }
-
-    /// Re-syncs the `active`/`contended` indexes for `e` after a mutation,
-    /// pruning the state entirely when it went empty. Must be called after
-    /// every operation that can change `e`'s waiter sets or emptiness.
-    fn sync_entity(&mut self, e: EntityId) {
-        match self.states.get(&e) {
-            Some(st) if !st.is_empty() => {
-                sorted_insert(&mut self.active, e);
-                if st.queue.is_empty() && st.upgrades.is_empty() {
-                    sorted_remove(&mut self.contended, e);
-                } else {
-                    sorted_insert(&mut self.contended, e);
-                }
-            }
-            Some(_) => {
-                self.states.remove(&e);
-                sorted_remove(&mut self.active, e);
-                sorted_remove(&mut self.contended, e);
-            }
-            None => {
-                sorted_remove(&mut self.active, e);
-                sorted_remove(&mut self.contended, e);
-            }
-        }
-    }
-
-    /// Records `o` as holding `e` in the per-owner reverse index
-    /// (idempotent — upgrade grants re-report an existing holder).
-    fn owned_insert(owned: &mut HashMap<O, Vec<EntityId>>, o: O, e: EntityId) {
-        sorted_insert(owned.entry(o).or_default(), e);
-    }
-
-    /// Removes `e` from `o`'s reverse-index entry, dropping the entry when
-    /// it empties so the map does not accumulate dead owners.
-    fn owned_remove(owned: &mut HashMap<O, Vec<EntityId>>, o: O, e: EntityId) {
-        if let Some(v) = owned.get_mut(&o) {
-            sorted_remove(v, e);
-            if v.is_empty() {
-                owned.remove(&o);
-            }
-        }
-    }
-
-    /// Requests `mode` on `e` for `o`.
-    ///
-    /// Re-requesting a mode already covered by the held one returns
-    /// [`Acquire::Granted`] without changing state. A shared holder
-    /// requesting exclusive starts an *upgrade*: granted immediately if it
-    /// is the sole holder, otherwise pending until the other holders
-    /// release (reported as `Queued`).
-    pub fn request(&mut self, e: EntityId, o: O, mode: LockMode) -> Result<Acquire, LockError> {
-        let st = self.states.entry(e).or_insert_with(LockState::new);
-        let out = match Self::try_admit(st, e, o, mode) {
-            Err(err) => {
-                // AlreadyQueued implies waiters exist, so the state cannot
-                // have been freshly created here; still, resync to be safe.
-                self.sync_entity(e);
-                return Err(err);
-            }
-            Ok(Admission::Granted { newly }) => {
-                if newly {
-                    Self::owned_insert(&mut self.owned, o, e);
-                }
-                Acquire::Granted
-            }
-            Ok(Admission::MustWait {
-                upgrade: Some(target),
-            }) => {
-                st.upgrades.push((o, target));
-                Acquire::Queued
-            }
-            Ok(Admission::MustWait { upgrade: None }) => {
-                st.queue.push_back((o, mode));
-                Acquire::Queued
-            }
-        };
-        self.sync_entity(e);
-        Ok(out)
-    }
-
-    /// Requests `mode` on `e` for `o` under a timestamp-ordering deadlock
-    /// *prevention* scheme (see [`crate::prevent`]). Behaves exactly like
-    /// [`ModeTable::request`] when the lock is grantable; when the request
-    /// would have to wait, the scheme decides from priorities alone:
-    ///
-    /// * [`PreventionScheme::NoWait`] — [`PreventionOutcome::Rejected`].
-    /// * [`PreventionScheme::WaitDie`] — queued iff `o` is older than
-    ///   every conflicting owner; otherwise rejected.
-    /// * [`PreventionScheme::WoundWait`] — always queued; every younger
-    ///   conflicting owner is returned as a wound victim the caller must
-    ///   abort ([`PreventionOutcome::Wounded`]).
-    ///
-    /// The conflicting owners a fresh request is tested against are the
-    /// current holders **and** the queued waiters and pending upgraders —
-    /// the waiters are tomorrow's holders under FIFO retargeting, and
-    /// admitting against all of them is what keeps the scheme's no-cycle
-    /// invariant stable for the lifetime of the wait. A contended
-    /// *upgrade* is tested against the other holders and upgraders only:
-    /// [`ModeTable::release`]'s grant step serves a pending upgrade before
-    /// any queue entry, so queued waiters can never become holders ahead
-    /// of it and are not obstacles (treating them as such inflates
-    /// restarts for waits that cannot exist).
-    ///
-    /// `prio` maps any owner at this entity to its [`Priority`] (smaller =
-    /// older); priorities must be distinct per owner and stable across
-    /// restarts. The table stores none of this — prevention is stateless
-    /// local arithmetic, which is the entire point of the schemes.
-    ///
-    /// A sole-holder upgrade is granted in place as usual.
-    pub fn request_with_priority(
-        &mut self,
-        e: EntityId,
-        o: O,
-        mode: LockMode,
-        scheme: PreventionScheme,
-        prio: impl Fn(O) -> Priority,
-    ) -> Result<PreventionOutcome<O>, LockError> {
-        let st = self.states.entry(e).or_insert_with(LockState::new);
-        let upgrade = match Self::try_admit(st, e, o, mode) {
-            Err(err) => {
-                self.sync_entity(e);
-                return Err(err);
-            }
-            Ok(Admission::Granted { newly }) => {
-                if newly {
-                    Self::owned_insert(&mut self.owned, o, e);
-                }
-                self.sync_entity(e);
-                return Ok(PreventionOutcome::Granted);
-            }
-            Ok(Admission::MustWait { upgrade }) => upgrade,
-        };
-        let st = self.states.get_mut(&e).expect("state exists: must-wait");
-        let mut obstacles: Vec<O> = st
-            .holders
-            .iter()
-            .map(|&(h, _)| h)
-            .chain(st.upgrades.iter().map(|&(u, _)| u))
-            .collect();
-        if upgrade.is_none() {
-            // An upgrader only ever waits on the other holders (and
-            // competing upgraders — a genuine upgrade-vs-upgrade cycle);
-            // the queue is served after it, so queued waiters are
-            // obstacles for fresh requests only.
-            obstacles.extend(st.queue.iter().map(|&(w, _)| w));
-        }
-        obstacles.retain(|&x| x != o);
-        obstacles.sort();
-        obstacles.dedup();
-        let mine = prio(o);
-        let admit = |st: &mut LockState<O>| {
-            if let Some(target) = upgrade {
-                st.upgrades.push((o, target));
-            } else {
-                st.queue.push_back((o, mode));
-            }
-        };
-        let outcome = match scheme {
-            PreventionScheme::NoWait => PreventionOutcome::Rejected,
-            PreventionScheme::WaitDie => {
-                if obstacles.iter().all(|&x| mine < prio(x)) {
-                    admit(st);
-                    PreventionOutcome::Queued
-                } else {
-                    PreventionOutcome::Rejected
-                }
-            }
-            PreventionScheme::WoundWait => {
-                let victims: Vec<O> = obstacles.into_iter().filter(|&x| prio(x) > mine).collect();
-                admit(st);
-                if victims.is_empty() {
-                    PreventionOutcome::Queued
-                } else {
-                    PreventionOutcome::Wounded(victims)
-                }
-            }
-        };
-        self.sync_entity(e);
-        Ok(outcome)
-    }
-
-    /// Grants whatever the state now admits: admissible pending upgrades
-    /// first (an upgrade is grantable when its join target is compatible
-    /// with every *other* holder — for `S → X`, when the upgrader is the
-    /// sole holder), then the longest compatible prefix of the FIFO queue.
-    fn promote(st: &mut LockState<O>) -> Grants<O> {
-        let mut out = Vec::new();
-        loop {
-            if let Some(i) = (0..st.upgrades.len()).find(|&i| {
-                let (u, target) = st.upgrades[i];
-                admission::upgrade_admissible(u, target, st.holders.iter().copied())
-            }) {
-                let (u, target) = st.upgrades.remove(i);
-                for h in st.holders.iter_mut().filter(|h| h.0 == u) {
-                    h.1 = target;
-                }
-                out.push((u, target));
-                continue;
-            }
-            let Some(&(w, m)) = st.queue.front() else {
-                break;
-            };
-            let ok = if st.holders.is_empty() {
-                true
-            } else {
-                st.upgrades.is_empty()
-                    && admission::compatible_with_all(m, st.holders.iter().map(|&(_, hm)| hm))
-            };
-            if !ok {
-                break;
-            }
-            st.queue.pop_front();
-            st.holders.push((w, m));
-            out.push((w, m));
-        }
-        out
-    }
-
-    /// Releases `o`'s lock on `e`; returns the grants this unblocked, in
-    /// FIFO order. A pending upgrade by `o` is cancelled alongside.
-    ///
-    /// Returns [`LockError::NotHolder`] if `o` holds no lock on `e` — the
-    /// typed twin of the simulator table's "release by non-holder" panic.
-    pub fn release(&mut self, e: EntityId, o: O) -> Result<Grants<O>, LockError> {
-        let Some(st) = self.states.get_mut(&e) else {
-            return Err(LockError::NotHolder { entity: e });
-        };
-        let before = st.holders.len();
-        st.holders.retain(|&(h, _)| h != o);
-        if st.holders.len() == before {
-            return Err(LockError::NotHolder { entity: e });
-        }
-        st.upgrades.retain(|&(u, _)| u != o);
-        let grants = Self::promote(st);
-        Self::owned_remove(&mut self.owned, o, e);
-        for &(w, _) in &grants {
-            // Idempotent: an upgrade grant re-reports an existing holder.
-            Self::owned_insert(&mut self.owned, w, e);
-        }
-        self.sync_entity(e);
-        Ok(grants)
-    }
-
-    /// The mode `o` holds on `e`, if any.
-    pub fn holds(&self, e: EntityId, o: O) -> Option<LockMode> {
-        self.states
-            .get(&e)?
-            .holders
-            .iter()
-            .find(|&&(h, _)| h == o)
-            .map(|&(_, m)| m)
-    }
-
-    /// Current holders of `e` with their modes (unspecified order).
-    pub fn holders(&self, e: EntityId) -> Vec<(O, LockMode)> {
-        self.states
-            .get(&e)
-            .map(|st| st.holders.clone())
-            .unwrap_or_default()
-    }
-
-    /// Sole exclusive holder of `e`, if the lock is held exclusively.
-    pub fn exclusive_holder(&self, e: EntityId) -> Option<O> {
-        let st = self.states.get(&e)?;
-        match st.holders.as_slice() {
-            [(h, LockMode::Exclusive)] => Some(*h),
-            _ => None,
-        }
-    }
-
-    /// Entities currently held by `o`, ascending — an O(held) copy out of
-    /// the reverse index (previously an O(entities) scan + sort).
-    pub fn held_by(&self, o: O) -> Vec<EntityId> {
-        self.owned.get(&o).cloned().unwrap_or_default()
-    }
-
-    /// Removes `o` from every wait queue and pending-upgrade slot. Grants
-    /// unblocked by the cancellation are performed and reported. Only
-    /// contended entities are visited (previously every entity was
-    /// scanned); the output is unchanged, since an entity with no waiters
-    /// can never contribute a cancellation.
-    pub fn cancel_waits(&mut self, o: O) -> CancelOutcome<O> {
-        let entities: Vec<EntityId> = self.contended.clone();
-        let mut out = CancelOutcome::default();
-        for e in entities {
-            let st = self.states.get_mut(&e).expect("contended index entry");
-            let before = st.queue.len() + st.upgrades.len();
-            st.queue.retain(|&(w, _)| w != o);
-            st.upgrades.retain(|&(u, _)| u != o);
-            if st.queue.len() + st.upgrades.len() == before {
-                continue;
-            }
-            out.cancelled.push(e);
-            let grants = Self::promote(st);
-            for &(w, _) in &grants {
-                Self::owned_insert(&mut self.owned, w, e);
-            }
-            if !grants.is_empty() {
-                out.granted.push((e, grants));
-            }
-            self.sync_entity(e);
-        }
-        out
-    }
-
-    /// Releases everything `o` holds; returns `(entity, grants)` pairs in
-    /// ascending entity order.
-    pub fn release_all(&mut self, o: O) -> EntityGrants<O> {
-        self.held_by(o)
-            .into_iter()
-            .map(|e| {
-                let grants = self.release(e, o).expect("held_by listed the entity");
-                (e, grants)
-            })
-            .collect()
-    }
-
-    /// The waits-for edges `(waiter, holder)` induced by `e` alone:
-    /// queued requests wait on every holder; pending upgraders wait on
-    /// every *other* holder.
-    pub fn entity_waits_for(&self, e: EntityId) -> Vec<(O, O)> {
-        let Some(st) = self.states.get(&e) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for &(w, _) in &st.queue {
-            for &(h, _) in &st.holders {
-                out.push((w, h));
-            }
-        }
-        for &(u, _) in &st.upgrades {
-            for &(h, _) in &st.holders {
-                if h != u {
-                    out.push((u, h));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// All waits-for edges `(waiter, holder)` at this table, ascending.
-    /// Visits only contended entities — entities without waiters
-    /// contribute no edges.
-    pub fn waits_for(&self) -> Vec<(O, O)> {
-        let mut out = Vec::new();
-        for &e in &self.contended {
-            out.extend(self.entity_waits_for(e));
-        }
-        out.sort();
-        out
-    }
-
-    /// The holders `o` waits on at *this* table — `o`'s outgoing wait-for
-    /// edges in the site-local view, ascending and deduplicated. This is
-    /// what a distributed edge-chasing detector asks a site when a probe
-    /// arrives: "is this owner blocked here, and on whom?" — answerable
-    /// from local state alone, with no global wait-for graph.
-    pub fn waits_of(&self, o: O) -> Vec<O> {
-        let mut out = Vec::new();
-        for e in &self.contended {
-            let st = &self.states[e];
-            if st.queue.iter().any(|&(w, _)| w == o) {
-                out.extend(st.holders.iter().map(|&(h, _)| h));
-            } else if st.upgrades.iter().any(|&(u, _)| u == o) {
-                out.extend(st.holders.iter().filter(|&&(h, _)| h != o).map(|&(h, _)| h));
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// True when `o` is waiting at `e` — queued, or a holder with a
-    /// pending upgrade. The duplicate-detection primitive a caller facing
-    /// an unreliable network needs: a *retransmitted* lock request whose
-    /// original is already queued must be recognized and dropped (the
-    /// grant will come through the queue), where [`ModeTable::request`]
-    /// would report it as a protocol error.
-    pub fn is_waiting(&self, e: EntityId, o: O) -> bool {
-        self.states.get(&e).is_some_and(|st| {
-            st.queue.iter().any(|&(w, _)| w == o) || st.upgrades.iter().any(|&(u, _)| u == o)
-        })
-    }
-
-    /// Releases `o`'s lock on `e` if it holds one; a no-op (empty grant
-    /// list) otherwise. The idempotent twin of [`ModeTable::release`] for
-    /// callers whose release messages can be duplicated or retransmitted:
-    /// the first copy releases, every later copy finds no hold and does
-    /// nothing — in particular it can never release a *subsequent*
-    /// holder's lock, because release is keyed by owner.
-    pub fn release_idempotent(&mut self, e: EntityId, o: O) -> Grants<O> {
-        self.release(e, o).unwrap_or_default()
-    }
-
-    /// The owners a re-submitted request by `o` on `e` would be admitted
-    /// against under [`ModeTable::request_with_priority`], ascending and
-    /// deduplicated: holders and pending upgraders always; queued waiters
-    /// only when `o` is *not* itself a pending upgrader — an upgrade is
-    /// served ahead of the queue, so queued waiters are never its
-    /// obstacles (mirroring the admission path's obstacle set exactly).
-    /// A caller re-delivering a wound-wait request whose original wound
-    /// orders may have been lost re-derives its victim set from exactly
-    /// this list — the table stays policy-free, the caller re-applies the
-    /// priority filter.
-    pub fn conflicts_of(&self, e: EntityId, o: O) -> Vec<O> {
-        let Some(st) = self.states.get(&e) else {
-            return Vec::new();
-        };
-        let mut out: Vec<O> = st
-            .holders
-            .iter()
-            .map(|&(h, _)| h)
-            .chain(st.upgrades.iter().map(|&(u, _)| u))
-            .collect();
-        if !st.upgrades.iter().any(|&(u, _)| u == o) {
-            out.extend(st.queue.iter().map(|&(w, _)| w));
-        }
-        out.retain(|&x| x != o);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// Entities with any lock state (held or queued), ascending — a copy
-    /// of the `active` index (previously an O(entities) collect + sort).
-    pub fn active_entities(&self) -> Vec<EntityId> {
-        self.active.clone()
-    }
-
-    /// True when nothing is held or queued anywhere.
-    pub fn is_idle(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// Checks the table's structural invariants (for tests): pairwise
-    /// mode compatibility of all co-held locks (the full IS/IX/S/SIX/X
-    /// matrix — catches `S+IX` and `SIX+SIX` as well as `S+X` and
-    /// double-`X`), upgraders are holders with strictly stronger targets,
-    /// no holder-and-waiter owners.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for (e, st) in &self.states {
-            let modes: Vec<LockMode> = st.holders.iter().map(|&(_, m)| m).collect();
-            if let Some((a, b)) = admission::incompatible_pair(&modes) {
-                return Err(format!("{e}: incompatible co-held modes {a}+{b}"));
-            }
-            for &(u, target) in &st.upgrades {
-                let Some(&(_, held)) = st.holders.iter().find(|&&(h, _)| h == u) else {
-                    return Err(format!("{e}: upgrader is not a holder"));
-                };
-                if held.covers(target) {
-                    return Err(format!(
-                        "{e}: pending upgrade to {target} already covered by held {held}"
-                    ));
-                }
-            }
-            for &(w, _) in &st.queue {
-                if st.holders.iter().any(|&(h, _)| h == w) {
-                    return Err(format!("{e}: owner both holds and waits"));
-                }
-            }
-            if st.is_empty() {
-                return Err(format!("{e}: empty state not pruned"));
-            }
-            if self.active.binary_search(e).is_err() {
-                return Err(format!("{e}: missing from active index"));
-            }
-            let waiting = !st.queue.is_empty() || !st.upgrades.is_empty();
-            if waiting != self.contended.binary_search(e).is_ok() {
-                return Err(format!("{e}: contended index disagrees"));
-            }
-            for &(h, _) in &st.holders {
-                let indexed = self
-                    .owned
-                    .get(&h)
-                    .is_some_and(|v| v.binary_search(e).is_ok());
-                if !indexed {
-                    return Err(format!("{e}: holder missing from owned index"));
-                }
-            }
-        }
-        // No stale index entries: every indexed item must exist in states.
-        if self.active.len() != self.states.len() {
-            return Err(format!(
-                "active index has {} entries, states has {}",
-                self.active.len(),
-                self.states.len()
-            ));
-        }
-        for &e in &self.contended {
-            if !self.states.contains_key(&e) {
-                return Err(format!("{e}: stale contended index entry"));
-            }
-        }
-        for (o, entities) in &self.owned {
-            if entities.is_empty() {
-                return Err("empty owned index entry not pruned".to_string());
-            }
-            if !entities.windows(2).all(|w| w[0] < w[1]) {
-                return Err("owned index entry not strictly ascending".to_string());
-            }
-            for e in entities {
-                let holds = self
-                    .states
-                    .get(e)
-                    .is_some_and(|st| st.holders.iter().any(|&(h, _)| h == *o));
-                if !holds {
-                    return Err(format!("{e}: stale owned index entry"));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<O: Copy + Eq + Ord + Hash> crate::lock_table::LockTable<O> for FifoTable<O> {
-    fn acquire(&mut self, e: EntityId, o: O, mode: LockMode) -> Result<Acquire, LockError> {
-        self.request(e, o, mode)
-    }
-
-    fn acquire_with_priority(
-        &mut self,
-        e: EntityId,
-        o: O,
-        mode: LockMode,
-        scheme: PreventionScheme,
-        prio: &dyn Fn(O) -> Priority,
-    ) -> Result<PreventionOutcome<O>, LockError> {
-        self.request_with_priority(e, o, mode, scheme, prio)
-    }
-
-    fn release_into(&mut self, e: EntityId, o: O, out: &mut Grants<O>) -> Result<(), LockError> {
-        out.extend(self.release(e, o)?);
-        Ok(())
-    }
-
-    fn release(&mut self, e: EntityId, o: O) -> Result<Grants<O>, LockError> {
-        FifoTable::release(self, e, o)
-    }
-
-    fn release_idempotent(&mut self, e: EntityId, o: O) -> Grants<O> {
-        FifoTable::release_idempotent(self, e, o)
-    }
-
-    fn cancel_waits(&mut self, o: O) -> CancelOutcome<O> {
-        FifoTable::cancel_waits(self, o)
-    }
-
-    fn release_all(&mut self, o: O) -> EntityGrants<O> {
-        FifoTable::release_all(self, o)
-    }
-
-    fn holds(&self, e: EntityId, o: O) -> Option<LockMode> {
-        FifoTable::holds(self, e, o)
-    }
-
-    fn holders(&self, e: EntityId) -> Vec<(O, LockMode)> {
-        FifoTable::holders(self, e)
-    }
-
-    fn exclusive_holder(&self, e: EntityId) -> Option<O> {
-        FifoTable::exclusive_holder(self, e)
-    }
-
-    fn held_by(&self, o: O) -> Vec<EntityId> {
-        FifoTable::held_by(self, o)
-    }
-
-    fn waits_for(&self) -> Vec<(O, O)> {
-        FifoTable::waits_for(self)
-    }
-
-    fn entity_waits_for(&self, e: EntityId) -> Vec<(O, O)> {
-        FifoTable::entity_waits_for(self, e)
-    }
-
-    fn waits_of(&self, o: O) -> Vec<O> {
-        FifoTable::waits_of(self, o)
-    }
-
-    fn is_waiting(&self, e: EntityId, o: O) -> bool {
-        FifoTable::is_waiting(self, e, o)
-    }
-
-    fn conflicts_of(&self, e: EntityId, o: O) -> Vec<O> {
-        FifoTable::conflicts_of(self, e, o)
-    }
-
-    fn active_entities(&self) -> Vec<EntityId> {
-        FifoTable::active_entities(self)
-    }
-
-    fn is_idle(&self) -> bool {
-        FifoTable::is_idle(self)
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        FifoTable::check_invariants(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The protocol, exercised through [`QueueTable`]. Tests of the data
+    //! structure itself (arena, indexes, auditor) live next to it.
+
     use super::*;
+    use crate::error::LockError;
+    use crate::prevent::{PreventionOutcome, PreventionScheme, Priority};
+    use crate::QueueTable;
 
     fn x() -> LockMode {
         LockMode::Exclusive
@@ -833,7 +85,7 @@ mod tests {
 
     #[test]
     fn exclusive_fifo_grant_queue_release() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         assert_eq!(t.request(e, 0, x()).unwrap(), Acquire::Granted);
         assert_eq!(t.request(e, 1, x()).unwrap(), Acquire::Queued);
@@ -848,7 +100,7 @@ mod tests {
 
     #[test]
     fn shared_holders_coexist_and_block_writers() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         assert_eq!(t.request(e, 0, s()).unwrap(), Acquire::Granted);
         assert_eq!(t.request(e, 1, s()).unwrap(), Acquire::Granted);
@@ -866,7 +118,7 @@ mod tests {
 
     #[test]
     fn adjacent_readers_granted_together() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request(e, 0, x()).unwrap();
         t.request(e, 1, s()).unwrap();
@@ -879,7 +131,7 @@ mod tests {
 
     #[test]
     fn reentrant_covered_request_is_granted() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request(e, 0, x()).unwrap();
         assert_eq!(t.request(e, 0, s()).unwrap(), Acquire::Granted);
@@ -889,7 +141,7 @@ mod tests {
 
     #[test]
     fn sole_holder_upgrade_is_immediate() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request(e, 0, s()).unwrap();
         assert_eq!(t.request(e, 0, x()).unwrap(), Acquire::Granted);
@@ -899,7 +151,7 @@ mod tests {
 
     #[test]
     fn contended_upgrade_waits_for_other_readers() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request(e, 0, s()).unwrap();
         t.request(e, 1, s()).unwrap();
@@ -915,7 +167,7 @@ mod tests {
 
     #[test]
     fn release_by_non_holder_is_a_typed_error() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         assert_eq!(
             t.release(e, 9).unwrap_err(),
@@ -936,7 +188,7 @@ mod tests {
 
     #[test]
     fn duplicate_queued_request_is_an_error() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request(e, 0, x()).unwrap();
         t.request(e, 1, x()).unwrap();
@@ -948,7 +200,7 @@ mod tests {
 
     #[test]
     fn cancel_waits_unblocks_readers_behind_cancelled_writer() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request(e, 0, s()).unwrap();
         t.request(e, 1, x()).unwrap();
@@ -961,7 +213,7 @@ mod tests {
 
     #[test]
     fn waits_of_is_the_per_owner_local_view() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let (a, b, c) = (EntityId(0), EntityId(1), EntityId(2));
         t.request(a, 0, x()).unwrap();
         t.request(b, 1, x()).unwrap();
@@ -972,7 +224,7 @@ mod tests {
         assert_eq!(t.waits_of(0), vec![]);
         // Shared holders: a waiter waits on all of them, deduplicated
         // against other entities.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         t.request(a, 0, s()).unwrap();
         t.request(a, 1, s()).unwrap();
         t.request(a, 2, x()).unwrap();
@@ -980,7 +232,7 @@ mod tests {
         t.request(b, 2, x()).unwrap();
         assert_eq!(t.waits_of(2), vec![0, 1]);
         // An upgrader waits on the other holders only.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         t.request(a, 0, s()).unwrap();
         t.request(a, 1, s()).unwrap();
         t.request(a, 0, x()).unwrap(); // pending upgrade
@@ -994,7 +246,7 @@ mod tests {
 
     #[test]
     fn no_wait_rejects_any_conflict_without_queueing() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         assert_eq!(
             t.request_with_priority(e, 5, x(), PreventionScheme::NoWait, by_id)
@@ -1009,7 +261,7 @@ mod tests {
         );
         assert!(t.waits_for().is_empty(), "rejected requests leave no state");
         // Shared readers still coexist: no conflict, no rejection.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         t.request_with_priority(e, 1, s(), PreventionScheme::NoWait, by_id)
             .unwrap();
         assert_eq!(
@@ -1021,7 +273,7 @@ mod tests {
 
     #[test]
     fn wait_die_admits_older_rejects_younger() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request_with_priority(e, 5, x(), PreventionScheme::WaitDie, by_id)
             .unwrap();
@@ -1059,7 +311,7 @@ mod tests {
 
     #[test]
     fn wound_wait_wounds_younger_holders_and_waiters() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request_with_priority(e, 2, s(), PreventionScheme::WoundWait, by_id)
             .unwrap();
@@ -1090,7 +342,7 @@ mod tests {
 
     #[test]
     fn prevention_grants_without_conflict_never_consult_priorities() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         let panic_prio = |_: u32| -> Priority { panic!("no conflict, no timestamp") };
         for scheme in [
@@ -1098,7 +350,7 @@ mod tests {
             PreventionScheme::WaitDie,
             PreventionScheme::NoWait,
         ] {
-            let mut fresh: ModeTable<u32> = ModeTable::new();
+            let mut fresh: QueueTable<u32> = QueueTable::new();
             assert_eq!(
                 fresh
                     .request_with_priority(e, 7, x(), scheme, panic_prio)
@@ -1127,7 +379,7 @@ mod tests {
             ),
             (PreventionScheme::WaitDie, PreventionOutcome::Queued),
         ] {
-            let mut t: ModeTable<u32> = ModeTable::new();
+            let mut t: QueueTable<u32> = QueueTable::new();
             let e = EntityId(0);
             t.request_with_priority(e, 2, s(), scheme, by_id).unwrap();
             t.request_with_priority(e, 6, s(), scheme, by_id).unwrap();
@@ -1142,7 +394,7 @@ mod tests {
             );
         }
         // The younger co-holder upgrading under wait-die dies instead.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request_with_priority(e, 2, s(), PreventionScheme::WaitDie, by_id)
             .unwrap();
@@ -1154,7 +406,7 @@ mod tests {
             PreventionOutcome::Rejected
         );
         // A sole holder upgrades in place under any scheme.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         t.request_with_priority(e, 6, s(), PreventionScheme::NoWait, by_id)
             .unwrap();
         assert_eq!(
@@ -1171,7 +423,7 @@ mod tests {
         // *other holder* 6 (promote serves upgrades before the queue), so
         // under wait-die the older queued writer must not count as an
         // obstacle and the upgrade is admitted.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request_with_priority(e, 2, s(), PreventionScheme::WaitDie, by_id)
             .unwrap();
@@ -1193,7 +445,7 @@ mod tests {
         assert_eq!(t.release(e, 2).unwrap(), vec![(1, x())]);
         // Same shape under wound-wait: the upgrader wounds nobody in the
         // queue (it will never wait on them), only younger co-holders.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         t.request_with_priority(e, 2, s(), PreventionScheme::WoundWait, by_id)
             .unwrap();
         t.request_with_priority(e, 6, s(), PreventionScheme::WoundWait, by_id)
@@ -1210,7 +462,7 @@ mod tests {
 
     #[test]
     fn prevention_duplicate_queued_request_is_an_error() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request_with_priority(e, 5, x(), PreventionScheme::WaitDie, by_id)
             .unwrap();
@@ -1232,7 +484,7 @@ mod tests {
         // exactly once (obstacles are deduplicated, not once per role), 2
         // is spared, and 3 waits. Aborting 6 — cancel its upgrade,
         // release its hold — must leave 2 then 3 as the FIFO future.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request_with_priority(e, 2, s(), PreventionScheme::WoundWait, by_id)
             .unwrap();
@@ -1265,7 +517,7 @@ mod tests {
         // older pending upgrader. 2 upgrades first (pending on 6); then 6
         // tries: its obstacles are the other holder 2 *and* upgrader 2 —
         // younger 6 dies rather than completing the cycle.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request_with_priority(e, 2, s(), PreventionScheme::WaitDie, by_id)
             .unwrap();
@@ -1292,7 +544,7 @@ mod tests {
         // Wound-wait upgrade by the *younger* co-holder: it waits on the
         // older co-holder (young → old, admissible) and wounds nobody —
         // in particular not the queued writer it will be served before.
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request_with_priority(e, 2, s(), PreventionScheme::WoundWait, by_id)
             .unwrap();
@@ -1314,7 +566,7 @@ mod tests {
 
     #[test]
     fn is_waiting_sees_queued_and_upgrading_owners() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request(e, 0, s()).unwrap();
         t.request(e, 1, s()).unwrap();
@@ -1328,7 +580,7 @@ mod tests {
 
     #[test]
     fn release_idempotent_tolerates_duplicates_and_spares_new_holders() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         t.request(e, 0, x()).unwrap();
         t.request(e, 1, x()).unwrap();
@@ -1343,7 +595,7 @@ mod tests {
 
     #[test]
     fn conflicts_of_lists_the_admission_obstacle_set() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let e = EntityId(0);
         assert_eq!(t.conflicts_of(e, 9), Vec::<u32>::new());
         t.request(e, 2, s()).unwrap();
@@ -1362,7 +614,7 @@ mod tests {
 
     #[test]
     fn abort_helpers_match_old_table_semantics() {
-        let mut t: ModeTable<u32> = ModeTable::new();
+        let mut t: QueueTable<u32> = QueueTable::new();
         let (a, b) = (EntityId(0), EntityId(1));
         t.request(a, 0, x()).unwrap();
         t.request(b, 0, x()).unwrap();

@@ -188,7 +188,7 @@ proptest! {
             let mut by_scan: HashMap<u32, Vec<EntityId>> = HashMap::new();
             for shard in 0..t.shard_count() {
                 let guard = t.lock_shard_index(shard);
-                for e in kplock_dlm::LockTable::active_entities(&*guard) {
+                for e in guard.active_entities() {
                     for (h, _) in guard.holders(e) {
                         by_scan.entry(h).or_default().push(e);
                     }

@@ -3,7 +3,6 @@
 use crate::fault::{FaultPlan, FaultPlanError};
 pub use kplock_core::AvoidPlan;
 pub use kplock_dlm::PreventionScheme;
-pub use kplock_dlm::{Bias, TableSpec};
 use std::fmt;
 
 /// Network latency model for coordinator ↔ site messages.
@@ -260,12 +259,6 @@ pub struct SimConfig {
     /// run under. A violation is an engine bug and panics with the
     /// offending site and tick.
     pub invariant_audit: bool,
-    /// Which lock-table implementation backs every site (see
-    /// [`kplock_dlm::TableSpec`]). The default, [`TableSpec::Fifo`],
-    /// reproduces the original engine bit for bit; [`TableSpec::Queue`]
-    /// swaps in the arena-allocated queue table with its bias and
-    /// cohort-handoff knobs (grant-order-equivalent when neutral).
-    pub table: TableSpec,
     /// Delegated lock ownership (see [`Delegation`]): `Off` (the default)
     /// reproduces every existing run bit for bit; `On` lets sites hand
     /// coordinators cached grants whose re-acquires and releases are
@@ -356,7 +349,6 @@ impl Default for SimConfig {
             max_time: 10_000_000,
             faults: FaultPlan::none(),
             invariant_audit: false,
-            table: TableSpec::default(),
             delegation: Delegation::default(),
             avoid: None,
         }

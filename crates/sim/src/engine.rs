@@ -24,8 +24,8 @@
 //! recovery rebuilds from surviving leases. Duplicated and retransmitted
 //! messages are safe because every site- and coordinator-side handler is
 //! idempotent (each handler documents its argument; the table side lives
-//! in [`kplock_dlm::ModeTable::is_waiting`] /
-//! [`kplock_dlm::ModeTable::release_idempotent`]). The default
+//! in [`kplock_dlm::QueueTable::is_waiting`] /
+//! [`kplock_dlm::QueueTable::release_idempotent`]). The default
 //! [`crate::fault::FaultPlan::none`] never touches any of it, so clean
 //! runs stay bit-identical to the fault-free engine. All randomness comes
 //! from two seeded RNGs (latency and faults), so runs are reproducible
@@ -305,7 +305,7 @@ pub fn run_with_arrivals(
         cfg,
         rng: StdRng::seed_from_u64(cfg.seed),
         queue: EventQueue::new(),
-        sites: vec![SiteTable::new(cfg.table); sys.db().site_count()],
+        sites: vec![SiteTable::new(); sys.db().site_count()],
         coords: sys
             .txns()
             .iter()
@@ -1734,7 +1734,7 @@ impl Engine<'_> {
                 deferred.retain(|&e, _| sys.db().site_of(e) != site);
             }
         }
-        self.sites[s] = SiteTable::new(self.cfg.table);
+        self.sites[s] = SiteTable::new();
         self.probe_state[s].clear();
         // Sync the detectors to the wiped table: every wait edge this
         // site induced is gone until the waits re-form. Removals cannot

@@ -119,8 +119,8 @@ pub mod replay;
 pub mod threaded;
 
 pub use config::{
-    AvoidPlan, Bias, ConfigError, DeadlockDetection, DeadlockResolution, Delegation, LatencyModel,
-    PreventionScheme, SimConfig, TableSpec, VictimPolicy,
+    AvoidPlan, ConfigError, DeadlockDetection, DeadlockResolution, Delegation, LatencyModel,
+    PreventionScheme, SimConfig, VictimPolicy,
 };
 pub use driver::{draw_arrivals, run_open_loop, ArrivalConfig};
 pub use engine::{run, run_with_arrivals, RunOutcome, SimReport};

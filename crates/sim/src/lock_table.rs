@@ -1,5 +1,5 @@
-//! Per-site lock tables: a thin simulator-facing wrapper over the
-//! `kplock-dlm` [`kplock_dlm::LockTable`] implementations.
+//! Per-site lock tables: a thin simulator-facing wrapper over
+//! [`kplock_dlm::QueueTable`].
 //!
 //! The table logic (modes, FIFO queues, grant-on-release, upgrades) lives
 //! in `kplock-dlm`, where protocol violations are typed
@@ -7,76 +7,23 @@
 //! is internal to the engine, whose message protocol guarantees it never
 //! violates the locking protocol — so here violations are bugs, and the
 //! wrapper turns them back into panics (see [`SiteTable::release`]).
-//!
-//! Which implementation backs a site is chosen by
-//! [`kplock_dlm::TableSpec`] ([`crate::SimConfig::table`]):
-//! [`kplock_dlm::FifoTable`] (the default) or the arena-allocated
-//! [`kplock_dlm::QueueTable`] with its bias / cohort-handoff knobs. With
-//! the default spec the behavior is bit-identical to the original
-//! hand-rolled FIFO table (pinned by `tests/sim_regression.rs` at the
-//! workspace root); a neutral-bias, topology-free `QueueTable` makes the
-//! same grant decisions through a different data structure (pinned by
-//! `tests/table_equivalence.rs`).
+//! Exclusive-only traffic is bit-identical to the original hand-rolled
+//! FIFO table (pinned by `tests/sim_regression.rs` at the workspace root).
 
 use crate::event::Instance;
 use kplock_dlm::{
-    CancelOutcome, FifoTable, LockTable, PreventionOutcome, PreventionScheme, Priority, QueueTable,
-    TableSpec,
+    Acquire, CancelOutcome, PreventionOutcome, PreventionScheme, Priority, QueueTable,
 };
 use kplock_model::{EntityId, LockMode};
 
-/// Owner → cohort for [`TableSpec::Queue`] sites: transactions are
-/// striped across cohorts by index (stable across restarts — an epoch
-/// bump never migrates a transaction's cohort).
-fn txn_cohort(inst: Instance, cohorts: u32) -> u32 {
-    inst.txn.idx() as u32 % cohorts
-}
-
-/// A site's lock table: reader–writer locks, FIFO wait queues, with the
-/// backing implementation chosen by [`TableSpec`].
-#[derive(Clone, Debug)]
-pub struct SiteTable {
-    inner: Inner,
-}
-
-#[derive(Clone, Debug)]
-enum Inner {
-    Fifo(FifoTable<Instance>),
-    Queue(QueueTable<Instance>),
-}
-
-impl Default for SiteTable {
-    fn default() -> Self {
-        Self::new(TableSpec::Fifo)
-    }
-}
+/// A site's lock table: reader–writer locks, FIFO wait queues.
+#[derive(Clone, Debug, Default)]
+pub struct SiteTable(QueueTable<Instance>);
 
 impl SiteTable {
-    /// Creates an empty table backed by the implementation `spec` names.
-    pub fn new(spec: TableSpec) -> Self {
-        let inner = match spec {
-            TableSpec::Fifo => Inner::Fifo(FifoTable::new()),
-            TableSpec::Queue { bias, cohorts } => Inner::Queue(
-                QueueTable::new()
-                    .with_bias(bias)
-                    .with_topology(cohorts, txn_cohort),
-            ),
-        };
-        SiteTable { inner }
-    }
-
-    fn as_dyn(&self) -> &dyn LockTable<Instance> {
-        match &self.inner {
-            Inner::Fifo(t) => t,
-            Inner::Queue(t) => t,
-        }
-    }
-
-    fn as_dyn_mut(&mut self) -> &mut dyn LockTable<Instance> {
-        match &mut self.inner {
-            Inner::Fifo(t) => t,
-            Inner::Queue(t) => t,
-        }
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Requests the lock on `e` in `mode`. Returns `true` if granted
@@ -86,9 +33,9 @@ impl SiteTable {
     /// Panics if `inst` is already queued for `e` (a protocol bug: the
     /// engine never re-requests before the first request resolves).
     pub fn request(&mut self, e: EntityId, inst: Instance, mode: LockMode) -> bool {
-        match self.as_dyn_mut().acquire(e, inst, mode) {
-            Ok(kplock_dlm::Acquire::Granted) => true,
-            Ok(kplock_dlm::Acquire::Queued) => false,
+        match self.0.request(e, inst, mode) {
+            Ok(Acquire::Granted) => true,
+            Ok(Acquire::Queued) => false,
             Err(err) => panic!("{err}"),
         }
     }
@@ -96,7 +43,7 @@ impl SiteTable {
     /// Requests the lock on `e` in `mode` under a timestamp-ordering
     /// prevention scheme; `prio` maps any involved instance to its
     /// priority (the coordinator's birth stamp). See
-    /// [`kplock_dlm::FifoTable::request_with_priority`].
+    /// [`kplock_dlm::QueueTable::request_with_priority`].
     ///
     /// # Panics
     /// Panics if `inst` is already queued for `e` (a protocol bug, as in
@@ -109,10 +56,7 @@ impl SiteTable {
         scheme: PreventionScheme,
         prio: impl Fn(Instance) -> Priority,
     ) -> PreventionOutcome<Instance> {
-        match self
-            .as_dyn_mut()
-            .acquire_with_priority(e, inst, mode, scheme, &prio)
-        {
+        match self.0.request_with_priority(e, inst, mode, scheme, prio) {
             Ok(outcome) => outcome,
             Err(err) => panic!("{err}"),
         }
@@ -124,10 +68,10 @@ impl SiteTable {
     ///
     /// # Panics
     /// Panics if `inst` does not hold the lock (a protocol bug). The
-    /// service-layer twin, [`kplock_dlm::FifoTable::release`], returns
+    /// service-layer twin, [`kplock_dlm::QueueTable::release`], returns
     /// [`kplock_dlm::LockError::NotHolder`] instead.
     pub fn release(&mut self, e: EntityId, inst: Instance) -> Vec<(Instance, LockMode)> {
-        match self.as_dyn_mut().release(e, inst) {
+        match self.0.release(e, inst) {
             Ok(grants) => grants,
             Err(err) => panic!("release by non-holder: {err}"),
         }
@@ -135,48 +79,48 @@ impl SiteTable {
 
     /// The mode `inst` holds on `e`, if any.
     pub fn holds(&self, e: EntityId, inst: Instance) -> Option<LockMode> {
-        self.as_dyn().holds(e, inst)
+        self.0.holds(e, inst)
     }
 
     /// Current sole exclusive holder of `e` (compatibility accessor for
     /// exclusive-only callers).
     pub fn holder(&self, e: EntityId) -> Option<Instance> {
-        self.as_dyn().exclusive_holder(e)
+        self.0.exclusive_holder(e)
     }
 
     /// All holders of `e` with modes.
     pub fn holders(&self, e: EntityId) -> Vec<(Instance, LockMode)> {
-        self.as_dyn().holders(e)
+        self.0.holders(e)
     }
 
     /// Entities currently held by `inst`, ascending.
     pub fn held_by(&self, inst: Instance) -> Vec<EntityId> {
-        self.as_dyn().held_by(inst)
+        self.0.held_by(inst)
     }
 
     /// Removes `inst` from all wait queues (and pending upgrades); returns
     /// the entities it stopped waiting on plus any grants the cancellation
     /// unblocked (possible only with shared modes in play).
     pub fn cancel_waits(&mut self, inst: Instance) -> CancelOutcome<Instance> {
-        self.as_dyn_mut().cancel_waits(inst)
+        self.0.cancel_waits(inst)
     }
 
     /// Releases everything `inst` holds; returns `(entity, grants)` pairs
     /// in ascending entity order.
     pub fn release_all(&mut self, inst: Instance) -> Vec<(EntityId, Vec<(Instance, LockMode)>)> {
-        self.as_dyn_mut().release_all(inst)
+        self.0.release_all(inst)
     }
 
     /// The waits-for edges at this site: `(waiter, holder)` pairs,
     /// ascending.
     pub fn waits_for(&self) -> Vec<(Instance, Instance)> {
-        self.as_dyn().waits_for()
+        self.0.waits_for()
     }
 
     /// The waits-for edges contributed by `e` alone (incremental deadlock
     /// detection reads exactly the entity that changed).
     pub fn entity_waits_for(&self, e: EntityId) -> Vec<(Instance, Instance)> {
-        self.as_dyn().entity_waits_for(e)
+        self.0.entity_waits_for(e)
     }
 
     /// The holders `inst` waits on at this site, ascending and
@@ -184,7 +128,7 @@ impl SiteTable {
     /// needs ("is this instance blocked here, and on whom?"); see
     /// [`crate::probe`].
     pub fn waits_of(&self, inst: Instance) -> Vec<Instance> {
-        self.as_dyn().waits_of(inst)
+        self.0.waits_of(inst)
     }
 
     /// True when `inst` is queued (or upgrade-pending) on `e` — how the
@@ -192,24 +136,24 @@ impl SiteTable {
     /// original is already waiting, where [`SiteTable::request`] would
     /// panic on the duplicate.
     pub fn is_waiting(&self, e: EntityId, inst: Instance) -> bool {
-        self.as_dyn().is_waiting(e, inst)
+        self.0.is_waiting(e, inst)
     }
 
     /// Releases `inst`'s lock on `e` if it holds one, a no-op otherwise —
     /// the duplicated-release-safe twin of [`SiteTable::release`], used
     /// only on fault-injected runs where a release message can legally
-    /// arrive twice (see [`kplock_dlm::FifoTable::release_idempotent`]).
+    /// arrive twice (see [`kplock_dlm::QueueTable::release_idempotent`]).
     pub fn release_idempotent(&mut self, e: EntityId, inst: Instance) -> Vec<(Instance, LockMode)> {
-        self.as_dyn_mut().release_idempotent(e, inst)
+        self.0.release_idempotent(e, inst)
     }
 
     /// The owners a re-submitted request on `e` by `inst` would be
     /// admitted against (holders and upgraders; queued waiters only when
     /// `inst` is not itself a pending upgrader), ascending — what a
     /// retransmitted wound-wait request re-derives its wound victims
-    /// from (see [`kplock_dlm::FifoTable::conflicts_of`]).
+    /// from (see [`kplock_dlm::QueueTable::conflicts_of`]).
     pub fn conflicts_of(&self, e: EntityId, inst: Instance) -> Vec<Instance> {
-        self.as_dyn().conflicts_of(e, inst)
+        self.0.conflicts_of(e, inst)
     }
 
     /// Structural invariant check (S/X exclusion, single exclusive
@@ -217,7 +161,7 @@ impl SiteTable {
     /// from the backing table's `check_invariants` for the
     /// [`crate::SimConfig::invariant_audit`] harness.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.as_dyn().check_invariants()
+        self.0.check_invariants()
     }
 }
 
@@ -235,83 +179,66 @@ mod tests {
 
     const X: LockMode = LockMode::Exclusive;
 
-    fn both() -> [SiteTable; 2] {
-        [
-            SiteTable::new(TableSpec::Fifo),
-            SiteTable::new(TableSpec::queue()),
-        ]
-    }
-
     #[test]
     fn grant_queue_release() {
-        for mut lt in both() {
-            let e = EntityId(0);
-            assert!(lt.request(e, inst(0), X));
-            assert!(!lt.request(e, inst(1), X));
-            assert!(!lt.request(e, inst(2), X));
-            assert_eq!(lt.holder(e), Some(inst(0)));
-            assert_eq!(lt.waits_for(), vec![(inst(1), inst(0)), (inst(2), inst(0))]);
-            // FIFO: 1 gets it next.
-            assert_eq!(lt.release(e, inst(0)), vec![(inst(1), X)]);
-            assert_eq!(lt.holder(e), Some(inst(1)));
-            assert_eq!(lt.release(e, inst(1)), vec![(inst(2), X)]);
-            assert_eq!(lt.release(e, inst(2)), vec![]);
-            assert_eq!(lt.holder(e), None);
-        }
+        let mut lt = SiteTable::new();
+        let e = EntityId(0);
+        assert!(lt.request(e, inst(0), X));
+        assert!(!lt.request(e, inst(1), X));
+        assert!(!lt.request(e, inst(2), X));
+        assert_eq!(lt.holder(e), Some(inst(0)));
+        assert_eq!(lt.waits_for(), vec![(inst(1), inst(0)), (inst(2), inst(0))]);
+        // FIFO: 1 gets it next.
+        assert_eq!(lt.release(e, inst(0)), vec![(inst(1), X)]);
+        assert_eq!(lt.holder(e), Some(inst(1)));
+        assert_eq!(lt.release(e, inst(1)), vec![(inst(2), X)]);
+        assert_eq!(lt.release(e, inst(2)), vec![]);
+        assert_eq!(lt.holder(e), None);
     }
 
     #[test]
     #[should_panic(expected = "release by non-holder")]
     fn release_by_non_holder_panics() {
-        let mut lt = SiteTable::default();
+        let mut lt = SiteTable::new();
         let e = EntityId(0);
         lt.request(e, inst(0), X);
         lt.release(e, inst(1));
     }
 
     #[test]
+    #[should_panic(expected = "duplicate lock request")]
+    fn duplicate_request_panics() {
+        let mut lt = SiteTable::new();
+        let e = EntityId(0);
+        lt.request(e, inst(0), X);
+        lt.request(e, inst(1), X);
+        lt.request(e, inst(1), X);
+    }
+
+    #[test]
     fn abort_helpers() {
-        for mut lt in both() {
-            let (x, y) = (EntityId(0), EntityId(1));
-            lt.request(x, inst(0), X);
-            lt.request(y, inst(0), X);
-            lt.request(x, inst(1), X);
-            assert_eq!(lt.held_by(inst(0)), vec![x, y]);
-            assert_eq!(lt.cancel_waits(inst(1)).cancelled, vec![x]);
-            let released = lt.release_all(inst(0));
-            assert_eq!(released, vec![(x, vec![]), (y, vec![])]);
-            assert!(lt.holder(x).is_none());
-        }
+        let mut lt = SiteTable::new();
+        let (x, y) = (EntityId(0), EntityId(1));
+        lt.request(x, inst(0), X);
+        lt.request(y, inst(0), X);
+        lt.request(x, inst(1), X);
+        assert_eq!(lt.held_by(inst(0)), vec![x, y]);
+        assert_eq!(lt.cancel_waits(inst(1)).cancelled, vec![x]);
+        let released = lt.release_all(inst(0));
+        assert_eq!(released, vec![(x, vec![]), (y, vec![])]);
+        assert!(lt.holder(x).is_none());
     }
 
     #[test]
     fn shared_grants_coexist() {
-        for mut lt in both() {
-            let e = EntityId(0);
-            assert!(lt.request(e, inst(0), LockMode::Shared));
-            assert!(lt.request(e, inst(1), LockMode::Shared));
-            assert!(!lt.request(e, inst(2), X));
-            assert_eq!(lt.holder(e), None, "no sole exclusive holder");
-            assert_eq!(lt.holds(e, inst(1)), Some(LockMode::Shared));
-            lt.release(e, inst(0));
-            assert_eq!(lt.release(e, inst(1)), vec![(inst(2), X)]);
-        }
-    }
-
-    #[test]
-    fn cohort_spec_routes_transactions_by_index() {
-        // Two cohorts: even txn indexes in 0, odd in 1. Holder from
-        // cohort 0 releases with waiters [odd, even] queued; the even
-        // waiter (same cohort as the releaser) is granted first.
-        let mut lt = SiteTable::new(TableSpec::Queue {
-            bias: kplock_dlm::Bias::Neutral,
-            cohorts: 2,
-        });
+        let mut lt = SiteTable::new();
         let e = EntityId(0);
-        assert!(lt.request(e, inst(0), X));
-        assert!(!lt.request(e, inst(1), X));
+        assert!(lt.request(e, inst(0), LockMode::Shared));
+        assert!(lt.request(e, inst(1), LockMode::Shared));
         assert!(!lt.request(e, inst(2), X));
-        assert_eq!(lt.release(e, inst(0)), vec![(inst(2), X)]);
-        assert_eq!(lt.release(e, inst(2)), vec![(inst(1), X)]);
+        assert_eq!(lt.holder(e), None, "no sole exclusive holder");
+        assert_eq!(lt.holds(e, inst(1)), Some(LockMode::Shared));
+        lt.release(e, inst(0));
+        assert_eq!(lt.release(e, inst(1)), vec![(inst(2), X)]);
     }
 }

@@ -17,7 +17,6 @@ use std::fmt;
 
 use kplock_model::{ActionKind, EntityId, ModelError, Schedule, StepId, TxnId, TxnSystem};
 
-use crate::config::TableSpec;
 use crate::event::Instance;
 use crate::history::{audit, Audit, History};
 use crate::lock_table::SiteTable;
@@ -77,11 +76,9 @@ pub struct DeadlockEvidence {
     pub cycle: Vec<TxnId>,
 }
 
-/// One fresh FIFO table per site of `sys`.
+/// One fresh table per site of `sys`.
 fn tables(sys: &TxnSystem) -> Vec<SiteTable> {
-    (0..sys.db().site_count())
-        .map(|_| SiteTable::new(TableSpec::Fifo))
-        .collect()
+    vec![SiteTable::new(); sys.db().site_count()]
 }
 
 /// Drives `schedule` step-by-step through per-site tables, recording a

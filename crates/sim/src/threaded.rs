@@ -3,11 +3,8 @@
 //!
 //! One thread per transaction; locks live in a [`kplock_dlm::ShardedTable`]
 //! (hash-partitioned, one `parking_lot` mutex per shard, so independent
-//! entities never contend on one map) generic over the
-//! [`kplock_dlm::LockTable`] implementation ([`ThreadedConfig::table`]
-//! picks [`kplock_dlm::FifoTable`] or [`kplock_dlm::QueueTable`], each
-//! monomorphized — no virtual dispatch on the lock hot path). Grant
-//! wakeups are *targeted*: each transaction owns a waiter slot (a flag
+//! entities never contend on one map). Grant wakeups are *targeted*:
+//! each transaction owns a waiter slot (a flag
 //! under its own mutex plus a condvar), and whoever performs a grant
 //! notifies exactly the granted transactions' slots with `notify_one` —
 //! no per-shard broadcast, so a release never wakes the whole herd just
@@ -33,10 +30,7 @@ use crate::config::{AvoidPlan, ConfigError};
 use crate::event::Instance;
 use crate::history::History;
 use crate::history::{audit, Audit};
-use kplock_dlm::{
-    Acquire, FifoTable, LockTable, PreventionOutcome, PreventionScheme, Priority, QueueTable,
-    ShardedTable, TableSpec,
-};
+use kplock_dlm::{Acquire, PreventionOutcome, PreventionScheme, Priority, ShardedTable};
 use kplock_model::{ActionKind, EntityId, StepId, TxnId, TxnSystem};
 use parking_lot::{Condvar, Mutex};
 use rand::Rng;
@@ -86,10 +80,6 @@ pub struct ThreadedConfig {
     pub shards: usize,
     /// Deadlock resolution: timeout heuristic (default) or prevention.
     pub resolution: ThreadedResolution,
-    /// Which lock-table implementation backs the shards (see
-    /// [`kplock_dlm::TableSpec`]); each choice is monomorphized into its
-    /// own runner.
-    pub table: TableSpec,
     /// The avoidance certificate, required under
     /// [`ThreadedResolution::Avoid`] (mirrors [`crate::SimConfig::avoid`];
     /// [`run_threaded`] additionally checks it covers exactly the system's
@@ -151,7 +141,6 @@ impl Default for ThreadedConfig {
             max_backoff: Duration::from_millis(5),
             shards: 8,
             resolution: ThreadedResolution::default(),
-            table: TableSpec::default(),
             avoid: None,
             delegation: false,
         }
@@ -188,8 +177,8 @@ struct Waiter {
     cv: Condvar,
 }
 
-struct Shared<T> {
-    table: ShardedTable<Instance, T>,
+struct Shared {
+    table: ShardedTable<Instance>,
     /// One slot per transaction; see [`Waiter`].
     waiters: Vec<Waiter>,
     /// Wound markers, one per transaction (prevention only): `epoch + 1`
@@ -204,7 +193,7 @@ struct Shared<T> {
     events: parking_lot::Mutex<Vec<(u64, TxnId, u32, StepId)>>,
 }
 
-impl<T: LockTable<Instance>> Shared<T> {
+impl Shared {
     /// Records an applied step. Call while holding the shard guard of the
     /// step's entity so the global sequence respects per-entity
     /// grant/release order.
@@ -265,12 +254,6 @@ fn threaded_priority(cfg: &ThreadedConfig, o: Instance) -> Priority {
     }
 }
 
-/// Owner → cohort for [`TableSpec::Queue`] shards: transactions stripe
-/// across cohorts by index, stable across retries.
-fn txn_cohort(inst: Instance, cohorts: u32) -> u32 {
-    inst.txn.idx() as u32 % cohorts
-}
-
 /// Executes the system on real threads.
 ///
 /// Returns [`ConfigError`] if `cfg` fails [`ThreadedConfig::validate`]
@@ -285,24 +268,8 @@ pub fn run_threaded(sys: &TxnSystem, cfg: &ThreadedConfig) -> Result<ThreadedRep
             });
         }
     }
-    match cfg.table {
-        TableSpec::Fifo => run_generic(sys, cfg, FifoTable::new),
-        TableSpec::Queue { bias, cohorts } => run_generic(sys, cfg, move || {
-            QueueTable::new()
-                .with_bias(bias)
-                .with_topology(cohorts, txn_cohort)
-        }),
-    }
-}
-
-/// The monomorphized runner body: one instantiation per table type.
-fn run_generic<T: LockTable<Instance> + Send>(
-    sys: &TxnSystem,
-    cfg: &ThreadedConfig,
-    factory: impl FnMut() -> T,
-) -> Result<ThreadedReport, ConfigError> {
     let shared = Arc::new(Shared {
-        table: ShardedTable::with_tables(cfg.shards, factory),
+        table: ShardedTable::new(cfg.shards),
         waiters: (0..sys.len())
             .map(|_| Waiter {
                 flag: Mutex::new(false),
@@ -353,12 +320,7 @@ fn run_generic<T: LockTable<Instance> + Send>(
 }
 
 /// Runs one transaction to commit; returns `(committed, final_epoch)`.
-fn run_txn<T: LockTable<Instance>>(
-    sys: &TxnSystem,
-    txn: TxnId,
-    shared: &Shared<T>,
-    cfg: &ThreadedConfig,
-) -> (bool, u32) {
+fn run_txn(sys: &TxnSystem, txn: TxnId, shared: &Shared, cfg: &ThreadedConfig) -> (bool, u32) {
     let t = sys.txn(txn);
     let mut rng = rand::thread_rng();
     // Delegated entries retained across attempts: entities still held in
@@ -394,11 +356,7 @@ fn run_txn<T: LockTable<Instance>>(
 /// queued behind it, surrender it otherwise. Granted demanders get the
 /// usual targeted wakeups once the shard guard drops; retention never
 /// broadcasts.
-fn retain_or_release<T: LockTable<Instance>>(
-    shared: &Shared<T>,
-    e: EntityId,
-    inst: Instance,
-) -> bool {
+fn retain_or_release(shared: &Shared, e: EntityId, inst: Instance) -> bool {
     let mut st = shared.table.lock_shard_index(shared.table.shard_index(e));
     if st.holds(e, inst).is_none() {
         return false;
@@ -418,13 +376,7 @@ fn retain_or_release<T: LockTable<Instance>>(
 /// guard, so nobody can slip between). A contested entry — a demand
 /// arrived during backoff — is surrendered instead and each grantee
 /// woken individually, exactly like a release on the normal path.
-fn rekey<T: LockTable<Instance>>(
-    shared: &Shared<T>,
-    cfg: &ThreadedConfig,
-    e: EntityId,
-    from: Instance,
-    to: Instance,
-) -> bool {
+fn rekey(shared: &Shared, cfg: &ThreadedConfig, e: EntityId, from: Instance, to: Instance) -> bool {
     let mut st = shared.table.lock_shard_index(shared.table.shard_index(e));
     let Some(mode) = st.holds(e, from) else {
         return false;
@@ -434,9 +386,9 @@ fn rekey<T: LockTable<Instance>>(
         // The entity is idle, so re-owning it is an instant grant under
         // either admission API: no wait is admitted and nobody wounded.
         let granted = match cfg.admission_scheme() {
-            None => matches!(st.acquire(e, to, mode).expect("protocol"), Acquire::Granted),
+            None => matches!(st.request(e, to, mode).expect("protocol"), Acquire::Granted),
             Some(scheme) => matches!(
-                st.acquire_with_priority(e, to, mode, scheme, &|o| threaded_priority(cfg, o))
+                st.request_with_priority(e, to, mode, scheme, |o| threaded_priority(cfg, o))
                     .expect("protocol"),
                 PreventionOutcome::Granted
             ),
@@ -463,8 +415,8 @@ fn rekey<T: LockTable<Instance>>(
 /// are retained into `cache` (keyed under the dead instance until the
 /// retry re-keys them); everything else — and, with delegation off,
 /// everything — is released with a targeted notify per grantee.
-fn abort_attempt<T: LockTable<Instance>>(
-    shared: &Shared<T>,
+fn abort_attempt(
+    shared: &Shared,
     cfg: &ThreadedConfig,
     inst: Instance,
     held: &mut Vec<EntityId>,
@@ -487,12 +439,12 @@ fn abort_attempt<T: LockTable<Instance>>(
     }
 }
 
-fn attempt<T: LockTable<Instance>>(
+fn attempt(
     db: &kplock_model::Database,
     txn: TxnId,
     epoch: u32,
     t: &kplock_model::Transaction,
-    shared: &Shared<T>,
+    shared: &Shared,
     cfg: &ThreadedConfig,
     cache: &mut Vec<EntityId>,
 ) -> bool {
@@ -561,12 +513,12 @@ fn attempt<T: LockTable<Instance>>(
                 let mut st = shared.table.lock_shard_index(shard);
                 let queued = match cfg.admission_scheme() {
                     None => matches!(
-                        st.acquire(step.entity, inst, step.mode).expect("protocol"),
+                        st.request(step.entity, inst, step.mode).expect("protocol"),
                         Acquire::Queued
                     ),
                     Some(scheme) => {
                         match st
-                            .acquire_with_priority(step.entity, inst, step.mode, scheme, &|o| {
+                            .request_with_priority(step.entity, inst, step.mode, scheme, |o| {
                                 threaded_priority(cfg, o)
                             })
                             .expect("protocol")
@@ -709,28 +661,18 @@ mod tests {
         TxnSystem::new(db, txns)
     }
 
-    /// Both table implementations, for sweeping the same scenario.
-    fn specs() -> [TableSpec; 2] {
-        [TableSpec::Fifo, TableSpec::queue()]
-    }
-
     #[test]
     fn threaded_conflicting_pair_commits_serializably() {
         let s = sys(
             &["Lx Ly x y Ux Uy", "Lx Ly x y Ux Uy"],
             &[("x", 0), ("y", 0)],
         );
-        for table in specs() {
-            let cfg = ThreadedConfig {
-                table,
-                ..Default::default()
-            };
-            for _ in 0..5 {
-                let r = run_threaded(&s, &cfg).unwrap();
-                assert!(r.finished);
-                r.audit.legal.as_ref().unwrap();
-                assert!(r.audit.serializable, "2PL history must be serializable");
-            }
+        let cfg = ThreadedConfig::default();
+        for _ in 0..5 {
+            let r = run_threaded(&s, &cfg).unwrap();
+            assert!(r.finished);
+            r.audit.legal.as_ref().unwrap();
+            assert!(r.audit.serializable, "2PL history must be serializable");
         }
     }
 
@@ -740,16 +682,11 @@ mod tests {
             &["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux"],
             &[("x", 0), ("y", 0)],
         );
-        for table in specs() {
-            let cfg = ThreadedConfig {
-                table,
-                ..Default::default()
-            };
-            let r = run_threaded(&s, &cfg).unwrap();
-            assert!(r.finished, "timeout-abort must break deadlocks");
-            r.audit.legal.as_ref().unwrap();
-            assert!(r.audit.serializable);
-        }
+        let cfg = ThreadedConfig::default();
+        let r = run_threaded(&s, &cfg).unwrap();
+        assert!(r.finished, "timeout-abort must break deadlocks");
+        r.audit.legal.as_ref().unwrap();
+        assert!(r.audit.serializable);
     }
 
     #[test]
@@ -772,17 +709,12 @@ mod tests {
     #[test]
     fn threaded_shared_readers_and_a_writer() {
         let s = sys(&["SLx rx Ux", "SLx rx Ux", "Lx x Ux"], &[("x", 0)]);
-        for table in specs() {
-            let cfg = ThreadedConfig {
-                table,
-                ..Default::default()
-            };
-            for _ in 0..5 {
-                let r = run_threaded(&s, &cfg).unwrap();
-                assert!(r.finished);
-                r.audit.legal.as_ref().unwrap();
-                assert!(r.audit.serializable);
-            }
+        let cfg = ThreadedConfig::default();
+        for _ in 0..5 {
+            let r = run_threaded(&s, &cfg).unwrap();
+            assert!(r.finished);
+            r.audit.legal.as_ref().unwrap();
+            assert!(r.audit.serializable);
         }
     }
 
@@ -795,25 +727,22 @@ mod tests {
             &["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux"],
             &[("x", 0), ("y", 0)],
         );
-        for table in specs() {
-            for scheme in [
-                PreventionScheme::WoundWait,
-                PreventionScheme::WaitDie,
-                PreventionScheme::NoWait,
-            ] {
-                let cfg = ThreadedConfig {
-                    resolution: ThreadedResolution::Prevent(scheme),
-                    lock_timeout: Duration::from_millis(2),
-                    max_attempts: 1000,
-                    table,
-                    ..Default::default()
-                };
-                for _ in 0..5 {
-                    let r = run_threaded(&s, &cfg).unwrap();
-                    assert!(r.finished, "{scheme:?} must not wedge");
-                    r.audit.legal.as_ref().unwrap();
-                    assert!(r.audit.serializable, "{scheme:?}");
-                }
+        for scheme in [
+            PreventionScheme::WoundWait,
+            PreventionScheme::WaitDie,
+            PreventionScheme::NoWait,
+        ] {
+            let cfg = ThreadedConfig {
+                resolution: ThreadedResolution::Prevent(scheme),
+                lock_timeout: Duration::from_millis(2),
+                max_attempts: 1000,
+                ..Default::default()
+            };
+            for _ in 0..5 {
+                let r = run_threaded(&s, &cfg).unwrap();
+                assert!(r.finished, "{scheme:?} must not wedge");
+                r.audit.legal.as_ref().unwrap();
+                assert!(r.audit.serializable, "{scheme:?}");
             }
         }
     }
@@ -910,23 +839,20 @@ mod tests {
         );
         let plan = AvoidPlan::synthesize(&s);
         assert!(plan.fully_certified());
-        for table in specs() {
-            let cfg = ThreadedConfig {
-                resolution: ThreadedResolution::Avoid,
-                avoid: Some(plan.clone()),
-                lock_timeout: Duration::from_millis(2),
-                max_attempts: 1000,
-                table,
-                ..Default::default()
-            };
-            for _ in 0..5 {
-                let r = run_threaded(&s, &cfg).unwrap();
-                assert!(r.finished);
-                assert_eq!(r.aborts, 0, "certified sets never restart");
-                assert!(r.committed_epoch.iter().all(|&e| e == Some(0)));
-                r.audit.legal.as_ref().unwrap();
-                assert!(r.audit.serializable);
-            }
+        let cfg = ThreadedConfig {
+            resolution: ThreadedResolution::Avoid,
+            avoid: Some(plan.clone()),
+            lock_timeout: Duration::from_millis(2),
+            max_attempts: 1000,
+            ..Default::default()
+        };
+        for _ in 0..5 {
+            let r = run_threaded(&s, &cfg).unwrap();
+            assert!(r.finished);
+            assert_eq!(r.aborts, 0, "certified sets never restart");
+            assert!(r.committed_epoch.iter().all(|&e| e == Some(0)));
+            r.audit.legal.as_ref().unwrap();
+            assert!(r.audit.serializable);
         }
     }
 
@@ -1008,26 +934,23 @@ mod tests {
             &["Lq Lx q x x x Uq Ux", "Lp Lx p x x x Up Ux"],
             &[("q", 0), ("p", 0), ("x", 0)],
         );
-        for table in specs() {
-            let cfg = ThreadedConfig {
-                resolution: ThreadedResolution::Prevent(PreventionScheme::NoWait),
-                lock_timeout: Duration::from_millis(2),
-                max_attempts: 1000,
-                delegation: true,
-                table,
-                ..Default::default()
-            };
-            for _ in 0..20 {
-                let r = run_threaded(&s, &cfg).unwrap();
-                assert!(r.finished);
-                r.audit.legal.as_ref().unwrap();
-                assert!(r.audit.serializable);
-                if r.aborts > 0 {
-                    assert!(
-                        r.cache_hits >= 1,
-                        "an abort retained the private entity, so the retry must hit"
-                    );
-                }
+        let cfg = ThreadedConfig {
+            resolution: ThreadedResolution::Prevent(PreventionScheme::NoWait),
+            lock_timeout: Duration::from_millis(2),
+            max_attempts: 1000,
+            delegation: true,
+            ..Default::default()
+        };
+        for _ in 0..20 {
+            let r = run_threaded(&s, &cfg).unwrap();
+            assert!(r.finished);
+            r.audit.legal.as_ref().unwrap();
+            assert!(r.audit.serializable);
+            if r.aborts > 0 {
+                assert!(
+                    r.cache_hits >= 1,
+                    "an abort retained the private entity, so the retry must hit"
+                );
             }
         }
     }
@@ -1047,22 +970,19 @@ mod tests {
             ThreadedResolution::Prevent(PreventionScheme::WoundWait),
             ThreadedResolution::Prevent(PreventionScheme::WaitDie),
         ];
-        for table in specs() {
-            for resolution in resolutions {
-                let cfg = ThreadedConfig {
-                    resolution,
-                    lock_timeout: Duration::from_millis(5),
-                    max_attempts: 1000,
-                    delegation: true,
-                    table,
-                    ..Default::default()
-                };
-                for _ in 0..5 {
-                    let r = run_threaded(&s, &cfg).unwrap();
-                    assert!(r.finished, "{resolution:?} must not wedge under delegation");
-                    r.audit.legal.as_ref().unwrap();
-                    assert!(r.audit.serializable, "{resolution:?}");
-                }
+        for resolution in resolutions {
+            let cfg = ThreadedConfig {
+                resolution,
+                lock_timeout: Duration::from_millis(5),
+                max_attempts: 1000,
+                delegation: true,
+                ..Default::default()
+            };
+            for _ in 0..5 {
+                let r = run_threaded(&s, &cfg).unwrap();
+                assert!(r.finished, "{resolution:?} must not wedge under delegation");
+                r.audit.legal.as_ref().unwrap();
+                assert!(r.audit.serializable, "{resolution:?}");
             }
         }
     }
@@ -1076,32 +996,5 @@ mod tests {
         let r = run_threaded(&s, &ThreadedConfig::default()).unwrap();
         assert!(r.finished);
         assert_eq!(r.cache_hits, 0, "the counter only moves with the knob on");
-    }
-
-    #[test]
-    fn threaded_queue_table_with_cohorts_and_bias_finishes() {
-        let s = sys(
-            &["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux", "SLx rx Ux"],
-            &[("x", 0), ("y", 0)],
-        );
-        for table in [
-            TableSpec::Queue {
-                bias: kplock_dlm::Bias::ReaderBatch,
-                cohorts: 0,
-            },
-            TableSpec::Queue {
-                bias: kplock_dlm::Bias::WriterPreference,
-                cohorts: 2,
-            },
-        ] {
-            let cfg = ThreadedConfig {
-                table,
-                ..Default::default()
-            };
-            let r = run_threaded(&s, &cfg).unwrap();
-            assert!(r.finished);
-            r.audit.legal.as_ref().unwrap();
-            assert!(r.audit.serializable);
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Smoke tests covering the core path of each of the eight `examples/`
+//! Smoke tests covering the core path of each of the seven `examples/`
 //! mains, so the examples cannot silently rot. Each test exercises the same
 //! API sequence as its example (with trimmed iteration counts) and asserts
 //! the example's own invariants; CI additionally executes the example
@@ -11,9 +11,7 @@ use kplock::geometry::{find_separation, render, PlanePicture};
 use kplock::graph::enumerate_dominators;
 use kplock::model::{Database, EntityId, TxnBuilder, TxnId, TxnSystem};
 use kplock::sat::SatResult;
-use kplock::sim::{
-    run, run_threaded, LatencyModel, SimConfig, TableSpec, ThreadedConfig, VictimPolicy,
-};
+use kplock::sim::{run, run_threaded, LatencyModel, SimConfig, ThreadedConfig, VictimPolicy};
 use kplock::workload::{
     fig1, fig2, fig3, fig5, fig8_formula, fig8_reduction, random_pair, random_system,
     WorkloadParams,
@@ -326,70 +324,4 @@ fn exact_check_core_path() {
     let opt = synthesize_optimal(&sys);
     assert!(opt.optimal_count > opt.greedy_count);
     opt.plan.verify(&sys).expect("optimal plan verifies");
-}
-
-/// Core path of `examples/table_bench.rs`: a neutral queue table is a
-/// drop-in for FIFO in the simulator, and every table spec finishes a
-/// serializable run on the threaded runner.
-#[test]
-fn table_bench_core_path() {
-    let sys = random_system(&WorkloadParams {
-        seed: 23,
-        sites: 2,
-        entities_per_site: 2,
-        transactions: 4,
-        steps_per_txn: 6,
-        strategy: LockStrategy::TwoPhaseSync,
-        ..Default::default()
-    });
-
-    let report_for = |table: TableSpec| {
-        let cfg = SimConfig {
-            seed: 7,
-            latency: LatencyModel::Uniform(1, 20),
-            table,
-            ..Default::default()
-        };
-        run(&sys, &cfg).expect("valid config")
-    };
-    let fifo = report_for(TableSpec::Fifo);
-    let queue = report_for(TableSpec::queue());
-    assert_eq!(
-        fifo.metrics, queue.metrics,
-        "a neutral queue table must be indistinguishable from FIFO"
-    );
-    assert_eq!(fifo.committed_epoch, queue.committed_epoch);
-
-    for spec in [
-        TableSpec::Fifo,
-        TableSpec::queue(),
-        TableSpec::Queue {
-            bias: kplock::dlm::Bias::ReaderBatch,
-            cohorts: 0,
-        },
-        TableSpec::Queue {
-            bias: kplock::dlm::Bias::WriterPreference,
-            cohorts: 2,
-        },
-    ] {
-        let cfg = ThreadedConfig {
-            shards: 4,
-            table: spec,
-            ..Default::default()
-        };
-        // Like the lock_manager_sim smoke above: a timeout-based runner can
-        // exhaust its budget on an oversubscribed box, so retry; the audit
-        // must hold on every run.
-        let mut finished = false;
-        for _ in 0..3 {
-            let r = run_threaded(&sys, &cfg).expect("valid config");
-            r.audit.legal.as_ref().expect("legal history");
-            assert!(r.audit.serializable);
-            if r.finished {
-                finished = true;
-                break;
-            }
-        }
-        assert!(finished, "{spec:?} never finished in 3 attempts");
-    }
 }

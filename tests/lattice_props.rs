@@ -1,18 +1,21 @@
 //! Algebraic laws of the multi-granularity mode lattice, and a
-//! differential proof that both lock-table implementations agree on
-//! arbitrary seeded streams over **all five** modes.
+//! differential proof that the lock table and its reference model agree
+//! on arbitrary seeded streams over **all five** modes.
 //!
 //! The lattice (`IS < IX/S < SIX < X`, with `join` the least upper
 //! bound) is small enough to check its laws exhaustively — every
 //! property below quantifies over all 5, 25, or 125 mode combinations
 //! rather than sampling. The table differential is the same
-//! observational-equivalence harness as `tests/table_equivalence.rs`,
-//! widened from S/X to the full mode alphabet so intention and `SIX`
-//! traffic exercises the upgrade-via-join paths in both tables.
+//! observational-equivalence harness as `tests/table_equivalence.rs`
+//! (`tests/reference/`), widened from S/X to the full mode alphabet so
+//! intention and `SIX` traffic exercises the upgrade-via-join paths.
 
-use kplock::dlm::{FifoTable, LockTable, PreventionScheme, QueueTable};
+mod reference;
+
+use kplock::dlm::Acquire;
 use kplock::model::{EntityId, LockMode};
 use proptest::prelude::*;
+use reference::differential::{run_differential, Pair, Shape};
 
 const MODES: [LockMode; 5] = LockMode::ALL;
 
@@ -142,206 +145,47 @@ fn shielding_is_monotone_under_covers() {
 // Full-alphabet table differential.
 // ---------------------------------------------------------------------
 
-const ENTITIES: u32 = 3;
-const OWNERS: u32 = 4;
-
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    Request {
-        e: u32,
-        o: u32,
-        mode: LockMode,
-    },
-    RequestPrio {
-        e: u32,
-        o: u32,
-        mode: LockMode,
-        scheme: PreventionScheme,
-    },
-    Release {
-        e: u32,
-        o: u32,
-    },
-    Cancel {
-        o: u32,
-    },
-    ReleaseAll {
-        o: u32,
-    },
-}
-
-/// Seeded op stream over the full five-mode alphabet; heavier on
-/// requests than releases so upgrade queues actually form.
-fn gen_ops(seed: u64, len: usize) -> Vec<Op> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let schemes = [
-        PreventionScheme::WoundWait,
-        PreventionScheme::WaitDie,
-        PreventionScheme::NoWait,
-    ];
-    (0..len)
-        .map(|_| {
-            let e = rng.gen_range(0..ENTITIES);
-            let o = rng.gen_range(0..OWNERS);
-            let mode = MODES[rng.gen_range(0..5usize)];
-            match rng.gen_range(0u8..10) {
-                0..=3 => Op::Request { e, o, mode },
-                4..=5 => Op::RequestPrio {
-                    e,
-                    o,
-                    mode,
-                    scheme: schemes[rng.gen_range(0..3usize)],
-                },
-                6..=7 => Op::Release { e, o },
-                8 => Op::Cancel { o },
-                _ => Op::ReleaseAll { o },
-            }
-        })
-        .collect()
-}
-
-fn prio(o: u32) -> (u64, u64) {
-    (u64::from(o), 0)
-}
-
-fn assert_same_state(f: &FifoTable<u32>, q: &QueueTable<u32>, ctx: &str) {
-    f.check_invariants()
-        .unwrap_or_else(|e| panic!("fifo invariants after {ctx}: {e}"));
-    q.check_invariants()
-        .unwrap_or_else(|e| panic!("queue invariants after {ctx}: {e}"));
-    let sorted = |mut v: Vec<(u32, u32)>| {
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(
-        sorted(f.waits_for()),
-        sorted(q.waits_for()),
-        "waits_for diverged after {ctx}"
-    );
-    for e in 0..ENTITIES {
-        let e = EntityId(e);
-        let mut hf = f.holders(e);
-        let mut hq = q.holders(e);
-        hf.sort_unstable();
-        hq.sort_unstable();
-        assert_eq!(hf, hq, "holders({e:?}) diverged after {ctx}");
-        for o in 0..OWNERS {
-            assert_eq!(f.holds(e, o), q.holds(e, o), "holds({e:?},{o}) after {ctx}");
-            assert_eq!(
-                f.is_waiting(e, o),
-                q.is_waiting(e, o),
-                "is_waiting({e:?},{o}) after {ctx}"
-            );
-        }
-    }
-}
-
-fn apply_both(f: &mut FifoTable<u32>, q: &mut QueueTable<u32>, op: Op) {
-    match op {
-        Op::Request { e, o, mode } => {
-            let rf = f.request(EntityId(e), o, mode);
-            let rq = q.request(EntityId(e), o, mode);
-            assert_eq!(
-                format!("{rf:?}"),
-                format!("{rq:?}"),
-                "request outcome diverged on {op:?}"
-            );
-        }
-        Op::RequestPrio { e, o, mode, scheme } => {
-            let rf = f.request_with_priority(EntityId(e), o, mode, scheme, prio);
-            let rq = q.request_with_priority(EntityId(e), o, mode, scheme, prio);
-            let norm = |r: Result<kplock::dlm::PreventionOutcome<u32>, _>| match r {
-                Ok(kplock::dlm::PreventionOutcome::Wounded(mut v)) => {
-                    v.sort_unstable();
-                    format!("Wounded({v:?})")
-                }
-                other => format!("{other:?}"),
-            };
-            assert_eq!(norm(rf), norm(rq), "prevention outcome diverged on {op:?}");
-        }
-        Op::Release { e, o } => {
-            let gf = f.release_idempotent(EntityId(e), o);
-            let gq = q.release_idempotent(EntityId(e), o);
-            assert_eq!(gf, gq, "grant order diverged on {op:?}");
-        }
-        Op::Cancel { o } => {
-            let cf = f.cancel_waits(o);
-            let cq = q.cancel_waits(o);
-            assert_eq!(
-                format!("{cf:?}"),
-                format!("{cq:?}"),
-                "cancel outcome diverged on {op:?}"
-            );
-        }
-        Op::ReleaseAll { o } => {
-            let gf = f.release_all(o);
-            let gq = q.release_all(o);
-            assert_eq!(
-                format!("{gf:?}"),
-                format!("{gq:?}"),
-                "release_all grants diverged on {op:?}"
-            );
-        }
-    }
-}
+/// Heavier on requests than releases so upgrade queues actually form.
+const FULL: Shape = Shape {
+    modes: &MODES,
+    entities: 3,
+    owners: 4,
+    requests_in_ten: 4,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Both tables are observationally identical at every step of random
-    /// streams drawn from the full IS/IX/S/SIX/X alphabet — including
-    /// intention-mode pile-ups and SIX upgrades neither saw before the
-    /// lattice refactor.
+    /// The table and the model are observationally identical at every
+    /// step of random streams drawn from the full IS/IX/S/SIX/X alphabet
+    /// — including intention-mode pile-ups and SIX upgrades.
     #[test]
     fn tables_agree_on_full_mode_alphabet(seed in 0u64..u64::MAX, len in 1usize..70) {
-        let ops = gen_ops(seed, len);
-        let mut f: FifoTable<u32> = FifoTable::new();
-        let mut q: QueueTable<u32> = QueueTable::new();
-        for (i, &op) in ops.iter().enumerate() {
-            apply_both(&mut f, &mut q, op);
-            assert_same_state(&f, &q, &format!("op {i} = {op:?}"));
-        }
+        run_differential(seed, len, &FULL);
     }
 }
 
-/// A hand-built upgrade ladder both tables must walk identically:
-/// IS → S → SIX → X on one entity, with a concurrent IS holder forcing
-/// the final step to queue until the reader leaves.
+/// A hand-built upgrade ladder the table and the model must walk
+/// identically: IS → S → SIX → X on one entity, with a concurrent IS
+/// holder forcing the final step to queue until the reader leaves.
 #[test]
 fn upgrade_ladder_is_identical_on_both_tables() {
-    use kplock::dlm::Acquire;
-    let (mut f, mut q): (FifoTable<u32>, QueueTable<u32>) = (FifoTable::new(), QueueTable::new());
+    let mut t = Pair::default();
     let e = EntityId(0);
-    for t in [
-        &mut f as &mut dyn LockTable<u32>,
-        &mut q as &mut dyn LockTable<u32>,
-    ] {
-        assert_eq!(
-            t.acquire(e, 1, LockMode::IntentionShared).unwrap(),
-            Acquire::Granted
-        );
-        assert_eq!(
-            t.acquire(e, 2, LockMode::IntentionShared).unwrap(),
-            Acquire::Granted
-        );
-        // 1 strengthens to S (compatible with 2's IS), then to SIX
-        // (still compatible), then X must wait for 2.
-        assert_eq!(t.acquire(e, 1, LockMode::Shared).unwrap(), Acquire::Granted);
-        assert_eq!(
-            t.acquire(e, 1, LockMode::SharedIntentionExclusive).unwrap(),
-            Acquire::Granted
-        );
-        assert_eq!(t.holds(e, 1), Some(LockMode::SharedIntentionExclusive));
-        assert_eq!(
-            t.acquire(e, 1, LockMode::Exclusive).unwrap(),
-            Acquire::Queued
-        );
-        let grants = t.release(e, 2).unwrap();
-        assert_eq!(grants, vec![(1, LockMode::Exclusive)]);
-        assert_eq!(t.holds(e, 1), Some(LockMode::Exclusive));
-        t.release_all(1);
-        assert!(t.is_idle());
-        t.check_invariants().unwrap();
-    }
+    let is = LockMode::IntentionShared;
+    assert_eq!(t.request(e, 1, is), Ok(Acquire::Granted));
+    assert_eq!(t.request(e, 2, is), Ok(Acquire::Granted));
+    // 1 strengthens to S (compatible with 2's IS), then to SIX (still
+    // compatible), then X must wait for 2.
+    assert_eq!(t.request(e, 1, LockMode::Shared), Ok(Acquire::Granted));
+    let six = LockMode::SharedIntentionExclusive;
+    assert_eq!(t.request(e, 1, six), Ok(Acquire::Granted));
+    assert_eq!(t.table.holds(e, 1), Some(six));
+    assert_eq!(t.request(e, 1, LockMode::Exclusive), Ok(Acquire::Queued));
+    t.assert_same_state(&FULL, "the ladder's top rung queued");
+    assert_eq!(t.release(e, 2), Ok(vec![(1, LockMode::Exclusive)]));
+    assert_eq!(t.table.holds(e, 1), Some(LockMode::Exclusive));
+    t.release_all(1);
+    t.assert_same_state(&FULL, "the ladder released");
+    assert!(t.table.is_idle());
 }

@@ -1,364 +1,30 @@
-//! Differential proof that [`QueueTable`] is a drop-in replacement for
-//! [`FifoTable`]: with a neutral bias the arena-backed queue table must
-//! be *observationally identical* to the map-of-vecs FIFO table — same
-//! acquire outcomes, same grant order on release, same wait-for edges,
-//! same holder sets — under arbitrary operation streams (proptest) and
-//! under the full simulator across all six resolution arms, including a
-//! lossy fault plan with the invariant audit on.
-//!
-//! The bias knobs are exercised for *liveness* only (every waiter is
-//! eventually granted when the table drains); their reordering semantics
-//! are pinned by `crates/dlm`'s own unit tests.
+//! Differential proof that [`QueueTable`](kplock::dlm::QueueTable) — the
+//! arena with its reverse indexes — implements the lock-table protocol:
+//! under arbitrary `S`/`X` operation streams it must be *observationally
+//! identical* to the scan-only reference model in `tests/reference/` —
+//! same acquire outcomes, same grant order on release, same wait-for
+//! edges, same holder sets, after every single step.
 
-use kplock::dlm::{Bias, FifoTable, PreventionScheme, QueueTable, TableSpec};
-use kplock::model::{EntityId, LockMode};
-use kplock::sim::{run, DeadlockDetection, DeadlockResolution, FaultPlan, LatencyModel, SimConfig};
-use kplock::workload::{random_system, WorkloadParams};
-use kplock_core::policy::LockStrategy;
+mod reference;
+
+use kplock::model::LockMode;
 use proptest::prelude::*;
+use reference::differential::{run_differential, Shape};
 
-const ENTITIES: u32 = 4;
-const OWNERS: u32 = 5;
-
-const X: LockMode = LockMode::Exclusive;
-const S: LockMode = LockMode::Shared;
-
-/// One step of a random operation stream, applied to both tables.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    /// Plain FIFO request.
-    Request { e: u32, o: u32, exclusive: bool },
-    /// Prevention-admission request under one of the three schemes.
-    RequestPrio {
-        e: u32,
-        o: u32,
-        exclusive: bool,
-        scheme: PreventionScheme,
-    },
-    /// Idempotent release (no-op when `o` holds nothing on `e`).
-    Release { e: u32, o: u32 },
-    /// Cancel all of `o`'s queued waits.
-    Cancel { o: u32 },
-    /// Release every lock `o` holds, everywhere.
-    ReleaseAll { o: u32 },
-}
-
-/// Expands a proptest-drawn seed into a weighted op stream (the vendored
-/// proptest shim has no combinator strategies, so composition happens
-/// here with an explicitly seeded RNG — still fully reproducible from
-/// the reported `seed`/`len`).
-fn gen_ops(seed: u64, len: usize) -> Vec<Op> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let schemes = [
-        PreventionScheme::WoundWait,
-        PreventionScheme::WaitDie,
-        PreventionScheme::NoWait,
-    ];
-    (0..len)
-        .map(|_| {
-            let e = rng.gen_range(0..ENTITIES);
-            let o = rng.gen_range(0..OWNERS);
-            let exclusive = rng.gen_range(0u8..2) == 1;
-            match rng.gen_range(0u8..10) {
-                0..=2 => Op::Request { e, o, exclusive },
-                3..=4 => Op::RequestPrio {
-                    e,
-                    o,
-                    exclusive,
-                    scheme: schemes[rng.gen_range(0..3usize)],
-                },
-                5..=7 => Op::Release { e, o },
-                8 => Op::Cancel { o },
-                _ => Op::ReleaseAll { o },
-            }
-        })
-        .collect()
-}
-
-/// Lower owner id = older transaction, like the runners' birth order.
-fn prio(o: u32) -> (u64, u64) {
-    (u64::from(o), 0)
-}
-
-/// Every observable the trait exposes must agree, and both tables must
-/// be structurally sound.
-fn assert_same_state(f: &FifoTable<u32>, q: &QueueTable<u32>, ctx: &str) {
-    f.check_invariants()
-        .unwrap_or_else(|e| panic!("fifo invariants after {ctx}: {e}"));
-    q.check_invariants()
-        .unwrap_or_else(|e| panic!("queue invariants after {ctx}: {e}"));
-
-    let sorted = |mut v: Vec<(u32, u32)>| {
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(
-        sorted(f.waits_for()),
-        sorted(q.waits_for()),
-        "waits_for diverged after {ctx}"
-    );
-    let mut af = f.active_entities();
-    let mut aq = q.active_entities();
-    af.sort_unstable_by_key(|e| e.0);
-    aq.sort_unstable_by_key(|e| e.0);
-    assert_eq!(af, aq, "active_entities diverged after {ctx}");
-
-    for o in 0..OWNERS {
-        let mut hf = f.held_by(o);
-        let mut hq = q.held_by(o);
-        hf.sort_unstable_by_key(|e| e.0);
-        hq.sort_unstable_by_key(|e| e.0);
-        assert_eq!(hf, hq, "held_by({o}) diverged after {ctx}");
-        let mut wf = f.waits_of(o);
-        let mut wq = q.waits_of(o);
-        wf.sort_unstable();
-        wq.sort_unstable();
-        assert_eq!(wf, wq, "waits_of({o}) diverged after {ctx}");
-    }
-    for e in 0..ENTITIES {
-        let e = EntityId(e);
-        let mut hf = f.holders(e);
-        let mut hq = q.holders(e);
-        hf.sort_unstable();
-        hq.sort_unstable();
-        assert_eq!(hf, hq, "holders({e:?}) diverged after {ctx}");
-        for o in 0..OWNERS {
-            assert_eq!(f.holds(e, o), q.holds(e, o), "holds({e:?},{o}) after {ctx}");
-            assert_eq!(
-                f.is_waiting(e, o),
-                q.is_waiting(e, o),
-                "is_waiting({e:?},{o}) after {ctx}"
-            );
-        }
-    }
-}
-
-/// Applies one op to both tables and asserts the *results* match too —
-/// including grant order, which neutral bias must preserve exactly.
-fn apply_both(f: &mut FifoTable<u32>, q: &mut QueueTable<u32>, op: Op) {
-    match op {
-        Op::Request { e, o, exclusive } => {
-            let m = if exclusive { X } else { S };
-            let rf = f.request(EntityId(e), o, m);
-            let rq = q.request(EntityId(e), o, m);
-            assert_eq!(
-                format!("{rf:?}"),
-                format!("{rq:?}"),
-                "request outcome diverged on {op:?}"
-            );
-        }
-        Op::RequestPrio {
-            e,
-            o,
-            exclusive,
-            scheme,
-        } => {
-            let m = if exclusive { X } else { S };
-            let rf = f.request_with_priority(EntityId(e), o, m, scheme, prio);
-            let rq = q.request_with_priority(EntityId(e), o, m, scheme, prio);
-            // Wound lists are sets (the caller aborts all of them), so
-            // normalise through sorting before comparing.
-            let norm = |r: Result<kplock::dlm::PreventionOutcome<u32>, _>| match r {
-                Ok(kplock::dlm::PreventionOutcome::Wounded(mut v)) => {
-                    v.sort_unstable();
-                    format!("Wounded({v:?})")
-                }
-                other => format!("{other:?}"),
-            };
-            assert_eq!(norm(rf), norm(rq), "prevention outcome diverged on {op:?}");
-        }
-        Op::Release { e, o } => {
-            let gf = f.release_idempotent(EntityId(e), o);
-            let gq = q.release_idempotent(EntityId(e), o);
-            assert_eq!(gf, gq, "grant order diverged on {op:?}");
-        }
-        Op::Cancel { o } => {
-            let cf = f.cancel_waits(o);
-            let cq = q.cancel_waits(o);
-            assert_eq!(
-                format!("{cf:?}"),
-                format!("{cq:?}"),
-                "cancel outcome diverged on {op:?}"
-            );
-        }
-        Op::ReleaseAll { o } => {
-            let gf = f.release_all(o);
-            let gq = q.release_all(o);
-            assert_eq!(
-                format!("{gf:?}"),
-                format!("{gq:?}"),
-                "release_all grants diverged on {op:?}"
-            );
-        }
-    }
-}
+const SX: Shape = Shape {
+    modes: &[LockMode::Shared, LockMode::Exclusive],
+    entities: 4,
+    owners: 5,
+    requests_in_ten: 3,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The core differential: arbitrary op streams leave both tables in
-    /// indistinguishable states at *every* step, not just at the end.
+    /// The core differential: arbitrary op streams leave the table and
+    /// the model in indistinguishable states at *every* step.
     #[test]
     fn neutral_queue_table_is_observationally_fifo(seed in 0u64..u64::MAX, len in 1usize..60) {
-        let ops = gen_ops(seed, len);
-        let mut f: FifoTable<u32> = FifoTable::new();
-        let mut q: QueueTable<u32> = QueueTable::new();
-        for (i, &op) in ops.iter().enumerate() {
-            apply_both(&mut f, &mut q, op);
-            assert_same_state(&f, &q, &format!("op {i} = {op:?}"));
-        }
+        run_differential(seed, len, &SX);
     }
-}
-
-/// All six resolution arms on a shared fixed workload; the sim must not
-/// be able to tell the tables apart: identical metrics, identical
-/// per-transaction commit epochs, identical outcome.
-#[test]
-fn sim_runs_identically_on_both_tables_across_all_six_arms() {
-    const ARMS: [DeadlockResolution; 6] = [
-        DeadlockResolution::Detect(DeadlockDetection::Periodic),
-        DeadlockResolution::Detect(DeadlockDetection::OnBlock),
-        DeadlockResolution::Detect(DeadlockDetection::Probe),
-        DeadlockResolution::Prevent(PreventionScheme::WoundWait),
-        DeadlockResolution::Prevent(PreventionScheme::WaitDie),
-        DeadlockResolution::Prevent(PreventionScheme::NoWait),
-    ];
-    let sys = random_system(&WorkloadParams {
-        seed: 23,
-        sites: 2,
-        entities_per_site: 2,
-        transactions: 4,
-        steps_per_txn: 6,
-        strategy: LockStrategy::TwoPhaseSync,
-        ..Default::default()
-    });
-    for res in ARMS {
-        let mk = |table| SimConfig {
-            latency: LatencyModel::Uniform(1, 20),
-            seed: 7,
-            resolution: res,
-            table,
-            ..Default::default()
-        };
-        let rf = run(&sys, &mk(TableSpec::Fifo)).unwrap();
-        let rq = run(&sys, &mk(TableSpec::queue())).unwrap();
-        assert_eq!(rf.metrics, rq.metrics, "metrics diverged under {res:?}");
-        assert_eq!(
-            rf.committed_epoch, rq.committed_epoch,
-            "commit epochs diverged under {res:?}"
-        );
-        assert_eq!(rf.outcome, rq.outcome, "outcome diverged under {res:?}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Same equivalence over random seeds and a lossy fault plan, with
-    /// the per-event invariant audit armed on both runs — a divergence
-    /// *or* a structural violation fails at the offending tick.
-    #[test]
-    fn lossy_sim_equivalence_with_invariant_audit(
-        wl_seed in 0u64..500,
-        sim_seed in 0u64..500,
-        arm in 0usize..6,
-    ) {
-        const ARMS: [DeadlockResolution; 6] = [
-            DeadlockResolution::Detect(DeadlockDetection::Periodic),
-            DeadlockResolution::Detect(DeadlockDetection::OnBlock),
-            DeadlockResolution::Detect(DeadlockDetection::Probe),
-            DeadlockResolution::Prevent(PreventionScheme::WoundWait),
-            DeadlockResolution::Prevent(PreventionScheme::WaitDie),
-            DeadlockResolution::Prevent(PreventionScheme::NoWait),
-        ];
-        let sys = random_system(&WorkloadParams {
-            seed: wl_seed,
-            sites: 2,
-            entities_per_site: 2,
-            transactions: 3,
-            steps_per_txn: 5,
-            strategy: LockStrategy::TwoPhaseSync,
-            ..Default::default()
-        });
-        let mk = |table| SimConfig {
-            latency: LatencyModel::Uniform(1, 10),
-            seed: sim_seed,
-            resolution: ARMS[arm],
-            faults: FaultPlan::lossy(sim_seed.wrapping_add(1), 0.05, 0.02, 0.10),
-            invariant_audit: true,
-            table,
-            ..Default::default()
-        };
-        let rf = run(&sys, &mk(TableSpec::Fifo)).unwrap();
-        let rq = run(&sys, &mk(TableSpec::queue())).unwrap();
-        prop_assert_eq!(&rf.metrics, &rq.metrics, "metrics diverged under {:?}", ARMS[arm]);
-        prop_assert_eq!(&rf.committed_epoch, &rq.committed_epoch);
-        prop_assert_eq!(rf.outcome, rq.outcome);
-    }
-}
-
-/// Liveness of the bias arms: whatever order a biased table picks, every
-/// queued waiter must be granted by the time the table drains — no
-/// waiter may be starved *forever* in a finite release sequence.
-#[test]
-fn biased_tables_grant_every_waiter_when_drained() {
-    for bias in [Bias::ReaderBatch, Bias::WriterPreference] {
-        let mut q: QueueTable<u32> = QueueTable::new().with_bias(bias);
-        let e = EntityId(0);
-        assert_eq!(q.request(e, 0, X).unwrap(), kplock::dlm::Acquire::Granted);
-        // A mixed queue: readers on odd ids, writers on even.
-        for o in 1..=6u32 {
-            let m = if o % 2 == 1 { S } else { X };
-            assert_eq!(q.request(e, o, m).unwrap(), kplock::dlm::Acquire::Queued);
-        }
-        let mut granted: Vec<u32> = Vec::new();
-        let mut rounds = 0;
-        while !q.is_idle() {
-            rounds += 1;
-            assert!(rounds < 100, "{bias:?}: table failed to drain");
-            for (o, _) in q.holders(e) {
-                for (newly, _) in q.release_idempotent(e, o) {
-                    granted.push(newly);
-                }
-            }
-        }
-        granted.sort_unstable();
-        assert_eq!(
-            granted,
-            vec![1, 2, 3, 4, 5, 6],
-            "{bias:?}: some waiter was never granted"
-        );
-        q.check_invariants().unwrap();
-    }
-}
-
-/// A scenario crafted so a biased table *would* deviate (readers queued
-/// on both sides of a writer): neutral bias must reproduce FIFO's grant
-/// order exactly, release by release.
-#[test]
-fn neutral_bias_preserves_exact_fifo_grant_order() {
-    let mut f: FifoTable<u32> = FifoTable::new();
-    let mut q: QueueTable<u32> = QueueTable::new(); // Bias::Neutral
-    let e = EntityId(0);
-    // Holder 0 takes X; queue behind it: R1, W2, R3, R4 — ReaderBatch
-    // would batch {1, 3, 4} and WriterPreference would serve 2 first;
-    // FIFO grants 1, then 2, then the compatible prefix {3, 4} together.
-    for (o, exclusive) in [(0, true), (1, false), (2, true), (3, false), (4, false)] {
-        apply_both(&mut f, &mut q, Op::Request { e: 0, o, exclusive });
-    }
-    let seq = [
-        (0, vec![(1, S)]),
-        (1, vec![(2, X)]),
-        (2, vec![(3, S), (4, S)]),
-    ];
-    for (o, want) in seq {
-        let gf = f.release(e, o).unwrap();
-        let gq = q.release(e, o).unwrap();
-        assert_eq!(gf, want, "fifo grant order");
-        assert_eq!(gq, want, "neutral queue table must match FIFO exactly");
-    }
-    assert_eq!(f.release_all(3), q.release_all(3));
-    assert_eq!(f.release_all(4), q.release_all(4));
-    assert!(f.is_idle() && q.is_idle());
 }
