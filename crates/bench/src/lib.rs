@@ -1,8 +1,7 @@
-//! Shared helpers for the benchmark harness.
-//!
-//! Every table/figure of the paper maps to one Criterion bench target (see
-//! `benches/`) plus a row-printing experiment in `src/bin/experiments.rs`;
-//! ARCHITECTURE.md §6 is the index.
+//! The pair workloads behind the `experiments` tables. This crate's two
+//! bins are `experiments` (the paper-style result tables) and
+//! `kplock-analyze` (the exact-decision gate); wall-clock measurement
+//! lives in `benchmark/` at the repository root, not here.
 //!
 //! # Example
 //!
@@ -15,8 +14,6 @@
 //! assert_eq!(sys.len(), 2);
 //! assert_eq!(centralized_pair(7, 6).db().site_count(), 1);
 //! ```
-
-pub mod record;
 
 use kplock_core::policy::LockStrategy;
 use kplock_model::TxnSystem;

@@ -5,8 +5,8 @@
 //! becomes the bottleneck. [`ShardedTable`] hash-partitions the entity
 //! space into `n` independent [`QueueTable`]s, each behind its own
 //! `parking_lot::Mutex`, so requests for entities in different shards never
-//! contend. `crates/bench/benches/dlm.rs` measures the effect (see
-//! ARCHITECTURE.md for numbers).
+//! contend. The `dlm_ops` workload of the repo benchmark measures the
+//! effect (see ARCHITECTURE.md §9).
 //!
 //! Batched entry points ([`ShardedTable::acquire_batch`],
 //! [`ShardedTable::release_batch`]) sort requests by shard and lock each

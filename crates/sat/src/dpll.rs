@@ -13,8 +13,7 @@
 //! * **activity-driven branching** (VSIDS-style, bump on conflict,
 //!   geometric decay) with phase saving;
 //! * **geometric restarts** that keep learned clauses and activities;
-//! * optional **pure-literal elimination**, applied once at the root
-//!   (see [`Solver::with_pure_literals`] and the `dpll` bench).
+//! * **pure-literal elimination**, applied once at the root.
 //!
 //! Everything is deterministic — no randomized tie-breaking — so solver
 //! verdicts, witnesses, and statistics reproduce exactly across runs.
@@ -64,7 +63,6 @@ pub struct Solver<'a> {
     activity: Vec<f64>,
     var_inc: f64,
     phase: Vec<bool>,
-    pure_literal_elimination: bool,
     /// Statistics: number of branching decisions made.
     pub decisions: u64,
     /// Statistics: number of unit propagations performed.
@@ -91,21 +89,9 @@ impl<'a> Solver<'a> {
             activity: vec![0.0; n],
             var_inc: 1.0,
             phase: vec![true; n],
-            pure_literal_elimination: true,
             decisions: 0,
             propagations: 0,
         }
-    }
-
-    /// Enables or disables pure-literal elimination (on by default).
-    ///
-    /// The rule assigns, once at the root, every variable that occurs with
-    /// a single polarity among not-yet-satisfied clauses (such a literal
-    /// can never falsify anything). Exists so the `dpll` criterion bench
-    /// can measure what the rule buys; both settings are complete.
-    pub fn with_pure_literals(mut self, on: bool) -> Self {
-        self.pure_literal_elimination = on;
-        self
     }
 
     fn value(&self, l: Lit) -> Option<bool> {
@@ -351,11 +337,9 @@ impl<'a> Solver<'a> {
         if !self.load() || self.propagate().is_some() {
             return SatResult::Unsat;
         }
-        if self.pure_literal_elimination {
-            self.assign_pure_literals();
-            if self.propagate().is_some() {
-                return SatResult::Unsat;
-            }
+        self.assign_pure_literals();
+        if self.propagate().is_some() {
+            return SatResult::Unsat;
         }
         let mut conflicts_since_restart = 0u64;
         let mut restart_limit = 100u64;
@@ -540,14 +524,6 @@ mod tests {
                 solve(&f).is_sat(),
                 solve_brute_force(&f).is_sat(),
                 "formula {f:?}"
-            );
-            // Pure-literal elimination is an optimization, never a
-            // soundness ingredient: disabling it must not change verdicts.
-            let mut plain = Solver::new(&f).with_pure_literals(false);
-            assert_eq!(
-                plain.solve().is_sat(),
-                solve(&f).is_sat(),
-                "pure-literal toggle changed the verdict on {f:?}"
             );
         }
     }

@@ -69,8 +69,8 @@ pub struct Metrics {
     /// [`Metrics::messages`] (which also counts updates, probes, wounds
     /// and aborts) — this is the quantity delegated ownership
     /// ([`crate::Delegation::On`]) reduces, and the one the D7 table and
-    /// the `BENCH_10` gate compare across modes. Cache-hit operations
-    /// contribute zero here by construction.
+    /// the `tests/sim_regression.rs` pins compare across modes. Cache-hit
+    /// operations contribute zero here by construction.
     pub lock_traffic: u64,
     /// Lock or unlock steps serviced from the coordinator's delegated
     /// cache ([`crate::Delegation::On`]): zero messages crossed the wire

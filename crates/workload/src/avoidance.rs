@@ -10,8 +10,7 @@
 //! into ready-to-run [`AvoidScenario`]s whose plans hit each count
 //! *exactly* (via [`AvoidPlan::synthesize_restricted`], so a fallback
 //! transaction that happens to be certifiable alone is still excluded).
-//! Experiments table D4 and the `avoidance` criterion bench iterate this
-//! family, so the reported numbers and the smoke run cannot drift apart.
+//! Experiments table D4 and the conformance suite iterate this family.
 
 use kplock_model::{Database, TxnBuilder, TxnId, TxnSystem};
 use kplock_sim::{AvoidPlan, DeadlockResolution, SimConfig};

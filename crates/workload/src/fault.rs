@@ -7,9 +7,7 @@
 //! rotated-lock-order shape) with a ladder of [`FaultPlan`]s — clean,
 //! loss-only, duplication-only, loss+dup+reorder, and a crash plan — and
 //! a chosen set of [`DeadlockResolution`] arms, producing one ready-to-run
-//! scenario per (plan, arm) pair. Experiments table D3 and the `fault`
-//! criterion bench both iterate exactly this family, so the simulated
-//! numbers and the wall-clock smoke run can never drift apart.
+//! scenario per (plan, arm) pair.
 
 use crate::scenarios::resolution_sweep;
 use kplock_model::TxnSystem;
@@ -125,9 +123,9 @@ pub const FAULT_ARMS: [(DeadlockResolution, &str); 2] = [
 /// is mostly uncertifiable (every pair conflicts in both orders), so this
 /// arm exercises the certificate *boundary* under faults — certified
 /// transactions must stay deadlock-free while the fallback majority is
-/// wounded across lossy channels. Used by the fault bench and the
-/// conformance suite; [`FAULT_ARMS`] keeps its original pair so existing
-/// sweep shapes are unchanged.
+/// wounded across lossy channels. Used by the conformance suite;
+/// [`FAULT_ARMS`] keeps its original pair so existing sweep shapes are
+/// unchanged.
 pub const FAULT_ARMS_WITH_AVOID: [(DeadlockResolution, &str); 3] = [
     (
         DeadlockResolution::Detect(DeadlockDetection::Probe),
@@ -294,6 +292,25 @@ mod tests {
                 // commit everything before the second one fires.
                 assert!(r.metrics.recoveries >= 1, "{}", sc.name);
             }
+        }
+    }
+
+    #[test]
+    fn avoid_arm_completes_the_clean_and_crash_rungs() {
+        // The completion half of the test above for the third arm, on the
+        // six-entity, four-transaction, three-site system of table D3.
+        for sc in fault_sweep(6, 4, 3, &[], &[(DeadlockResolution::Avoid, "avoid")]) {
+            if sc.plan_name != "clean" && sc.plan_name != "crash" {
+                continue;
+            }
+            let cfg = SimConfig {
+                invariant_audit: true,
+                max_time: 500_000,
+                ..sc.config(5)
+            };
+            let r = run(&sc.system, &cfg).unwrap();
+            assert_eq!(r.outcome, RunOutcome::Completed, "{}", sc.name);
+            assert!(r.audit.serializable, "{}", sc.name);
         }
     }
 }

@@ -78,7 +78,7 @@ fn sync_two_phase_is_always_safe() {
 #[test]
 fn centralized_pairs_match_oracle_too() {
     // One site: the classical case; Theorem 2 degenerates to the
-    // centralized strong-connectivity criterion.
+    // centralized strong-connectivity condition.
     for seed in 0..40 {
         check_agreement(&WorkloadParams {
             seed,

@@ -8,11 +8,16 @@
 //! printed actual values and justify the change in the PR.
 
 use kplock_core::policy::LockStrategy;
+use kplock_model::hierarchy::Granularity;
+use kplock_model::TxnSystem;
 use kplock_sim::{
-    run, Delegation, FaultPlan, LatencyModel, Metrics, PreventionScheme, RunOutcome, SimConfig,
-    SiteCrash, VictimPolicy,
+    run, run_with_arrivals, Delegation, FaultPlan, LatencyModel, Metrics, PreventionScheme,
+    RunOutcome, SimConfig, SiteCrash, VictimPolicy,
 };
-use kplock_workload::{avoid_mix_sweep, fault_plan_ladder, fig5, random_system, WorkloadParams};
+use kplock_workload::{
+    avoid_mix_sweep, fault_plan_ladder, fig5, hierarchy_system, hot_site_sweep, random_system,
+    zipf_sweep, AccessProfile, HierarchyParams, WorkloadParams,
+};
 
 fn metrics(m: &Metrics) -> (usize, usize, u64, u64, usize, u64) {
     (
@@ -294,6 +299,104 @@ fn duplicated_grants_never_extend_leases_under_the_dup_heavy_ladder() {
     }
 }
 
+#[test]
+fn scan_1e5_lock_request_counts_are_pinned() {
+    // Lock requests the sites serve for ten scans over a 100-file ×
+    // 1 000-record catalog, clean and under loss: flat needs one per
+    // record, the hierarchy one escalated file lock per scan. The counts
+    // are machine-independent, so any drift is a change in workload
+    // generation, escalation or admission. (`tests/hierarchy.rs` runs
+    // the same catalog with the invariant audit on and holds the ≥5×
+    // bar; the counts do not depend on the audit.)
+    let p = HierarchyParams {
+        profile: AccessProfile::Scan,
+        files: 100,
+        records_per_file: 1000,
+        sites: 4,
+        transactions: 10,
+        zipf_theta: 0.6,
+        arrival_gap: 50,
+        seed: 3,
+    };
+    let hier16 = Granularity::Hierarchical {
+        escalation_threshold: 16,
+    };
+    for (g, pin) in [
+        (Granularity::Flat, PIN_SCAN_FLAT),
+        (hier16, PIN_SCAN_HIER16),
+    ] {
+        let sc = hierarchy_system(&p, g);
+        let requests = [FaultPlan::none(), FaultPlan::lossy(7, 0.05, 0.02, 0.10)].map(|faults| {
+            let cfg = SimConfig {
+                latency: LatencyModel::Fixed(5),
+                seed: 17,
+                faults,
+                max_time: 20_000_000,
+                ..Default::default()
+            };
+            let r = run_with_arrivals(&sc.system, &cfg, &sc.arrivals).expect("valid config");
+            assert!(r.finished(), "{}", sc.name);
+            r.audit
+                .legal
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{}: illegal schedule: {e}", sc.name));
+            r.metrics.lock_requests
+        });
+        assert_eq!(requests, pin, "{}", sc.name);
+    }
+}
+
+#[test]
+fn delegation_lock_traffic_counts_are_pinned() {
+    // Acquire/release wire traffic of read-heavy skewed workloads (3
+    // sites × 24 entities, 10 sync-2PL transactions × 10 steps, 90 %
+    // reads), summed over sim seeds 0..20, delegation off and on under
+    // both ordering-based preventers. Delegation must keep halving the
+    // traffic on the two headline pairs.
+    let base = WorkloadParams {
+        seed: 42,
+        sites: 3,
+        entities_per_site: 24,
+        transactions: 10,
+        steps_per_txn: 10,
+        read_percent: 90,
+        strategy: LockStrategy::TwoPhaseSync,
+        ..Default::default()
+    };
+    let hot95 = hot_site_sweep(&base, &[95]).pop().expect("one");
+    let zipf09 = zipf_sweep(&base, &[0.9]).pop().expect("one");
+    let traffic = |sys: &TxnSystem, scheme: PreventionScheme| {
+        [Delegation::Off, Delegation::On].map(|delegation| {
+            (0..20u64)
+                .map(|seed| {
+                    let cfg = SimConfig {
+                        seed,
+                        latency: LatencyModel::Fixed(5),
+                        resolution: scheme.into(),
+                        delegation,
+                        max_time: 2_000_000,
+                        ..Default::default()
+                    };
+                    run(sys, &cfg).expect("valid config").metrics.lock_traffic
+                })
+                .sum::<u64>()
+        })
+    };
+    let counts = [
+        traffic(&hot95.system, PreventionScheme::WoundWait),
+        traffic(&hot95.system, PreventionScheme::WaitDie),
+        traffic(&zipf09.system, PreventionScheme::WoundWait),
+        traffic(&zipf09.system, PreventionScheme::WaitDie),
+    ];
+    assert_eq!(counts, PIN_DELEG_TRAFFIC);
+    for [off, on] in [counts[1], counts[2]] {
+        assert!(
+            off >= 2 * on,
+            "delegation must at least halve {off}, got {on}"
+        );
+    }
+}
+
 // Pinned values, captured from the seed engine before the kplock-dlm
 // lock-table refactor (PR 2) and required to survive it unchanged.
 const PIN_RANDOM: (usize, usize, u64, u64, usize, u64) = (4, 1, 122, 875, 1, 402);
@@ -323,3 +426,16 @@ const PIN_DELEGATED: ((usize, usize, u64, u64, usize, u64), (u64, u64, u64, u64)
 // 40-tick lease ttl, per delegation mode.
 const PIN_DUP_LEASES_OFF: (usize, usize) = (2, 4);
 const PIN_DUP_LEASES_ON: (usize, usize) = (2, 4);
+
+// Count pins (PR 9, PR 10; in `BENCH_10.json` until PR 14 moved them
+// here): lock requests of the 10⁵-record scan as [clean, lossy], and
+// lock traffic as [delegation off, on] for hot95 wound-wait, hot95
+// wait-die, zipf09 wound-wait, zipf09 wait-die.
+const PIN_SCAN_FLAT: [u64; 2] = [10_000, 11_752];
+const PIN_SCAN_HIER16: [u64; 2] = [30, 334];
+const PIN_DELEG_TRAFFIC: [[u64; 2]; 4] = [
+    [7_558, 4_068],
+    [11_102, 5_233],
+    [9_300, 4_463],
+    [10_020, 4_961],
+];
