@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run --release -p kplock-bench --bin experiments`
 
-use kplock_bench::{centralized_pair, two_site_pair};
+use kplock_bench::centralized_pair;
 use kplock_core::closure::try_unsafety_via_dominator;
 use kplock_core::policy::LockStrategy;
 use kplock_core::reduction::reduce;
@@ -12,7 +12,7 @@ use kplock_core::{
 };
 use kplock_geometry::{plane_is_safe, PlanePicture};
 use kplock_model::{EntityId, TxnId};
-use kplock_sat::{solve, SatResult};
+use kplock_sat::solve;
 use kplock_sim::{
     run, DeadlockDetection, DeadlockResolution, LatencyModel, PreventionScheme, SimConfig,
     VictimPolicy,
@@ -21,21 +21,6 @@ use kplock_workload::{
     fig1, fig2, fig3, fig5, fig8_formula, random_instance, random_system, resolution_sweep,
     site_count_sweep, unsat_restricted, WorkloadParams,
 };
-use std::time::Instant;
-
-fn time_us<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64() * 1e6)
-}
-
-fn avg_time_us<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() * 1e6 / reps as f64
-}
 
 fn exp_figures() {
     println!("## F1–F5: figure verification\n");
@@ -106,65 +91,38 @@ fn exp_fig8() {
     println!();
 }
 
-fn exp_c1_two_site_scaling() {
-    println!("## C1 (Corollary 1): two-site decision scaling\n");
-    println!("| n steps/txn | decision µs | µs / n² × 10³ |");
-    println!("|---|---|---|");
-    for &n in &[8usize, 16, 32, 64, 128] {
-        let sys = two_site_pair(7, n);
-        let us = avg_time_us(20, || decide_two_site_system(&sys).unwrap());
-        println!("| {n} | {us:.1} | {:.2} |", us * 1000.0 / (n * n) as f64);
-    }
-    println!();
-}
-
 fn exp_c2_centralized() {
     println!("## C2: centralized pair — graph method vs geometric method\n");
-    println!("| n | graph (D + SCC) µs | geometric (Prop. 1) µs | agree |");
-    println!("|---|---|---|---|");
+    println!("| n | agree |");
+    println!("|---|---|");
     for &n in &[8usize, 16, 32, 64] {
         let sys = centralized_pair(11, n);
-        let (gv, _) = time_us(|| decide_total_pair(&sys, TxnId(0), TxnId(1)));
-        let graph_us = avg_time_us(20, || decide_total_pair(&sys, TxnId(0), TxnId(1)));
-        let geo_us = avg_time_us(20, || {
-            let plane = PlanePicture::new(&sys, TxnId(0), TxnId(1)).unwrap();
-            plane_is_safe(&plane)
-        });
+        let gv = decide_total_pair(&sys, TxnId(0), TxnId(1));
         let plane = PlanePicture::new(&sys, TxnId(0), TxnId(1)).unwrap();
         let agree = gv.is_safe() == plane_is_safe(&plane);
-        println!("| {n} | {graph_us:.1} | {geo_us:.1} | {agree} |");
+        println!("| {n} | {agree} |");
     }
     println!();
 }
 
 fn exp_c3_reduction() {
     println!("## C3 (Theorem 3): reduction pipeline scaling\n");
-    println!("| formula | entities | steps/txn | build µs | DPLL µs | SAT | certificate µs |");
-    println!("|---|---|---|---|---|---|---|");
+    println!("| formula | entities | steps/txn | SAT |");
+    println!("|---|---|---|---|");
     for &(vars, clauses) in &[(4usize, 3usize), (6, 5), (8, 7), (12, 10), (16, 14)] {
         let f = random_instance(1, vars, clauses);
-        let (r, build_us) = time_us(|| reduce(&f).unwrap());
-        let dpll_us = avg_time_us(10, || solve(&f));
-        let (sat, cert_us) = match solve(&f) {
-            SatResult::Sat(model) => {
-                let dom = r.dominator_for_assignment(&model);
-                let us = avg_time_us(3, || {
-                    try_unsafety_via_dominator(&r.sys, TxnId(0), TxnId(1), &dom)
-                });
-                (true, format!("{us:.0}"))
-            }
-            SatResult::Unsat => (false, "-".into()),
-        };
+        let r = reduce(&f).unwrap();
         println!(
-            "| {vars}v/{clauses}c | {} | {} | {build_us:.0} | {dpll_us:.1} | {sat} | {cert_us} |",
+            "| {vars}v/{clauses}c | {} | {} | {} |",
             r.sys.db().entity_count(),
-            r.sys.txn(TxnId(0)).len()
+            r.sys.txn(TxnId(0)).len(),
+            solve(&f).is_sat()
         );
     }
     let f = unsat_restricted();
     let r = reduce(&f).unwrap();
     println!(
-        "| unsat_restricted | {} | {} | - | - | false | - |",
+        "| unsat_restricted | {} | {} | false |",
         r.sys.db().entity_count(),
         r.sys.txn(TxnId(0)).len()
     );
@@ -175,30 +133,26 @@ fn exp_c4_jump() {
     println!("## C4: exhaustive oracle vs polynomial test (the complexity jump)\n");
     // Safe (synchronized-2PL) instances force the oracle to exhaust the
     // whole reachable product space; Theorem 2 answers from D alone.
-    println!("| distribution | verdict | oracle states | oracle µs | Thm-1 µs | speedup |");
-    println!("|---|---|---|---|---|---|");
+    println!("| distribution | verdict | oracle states |");
+    println!("|---|---|---|");
     for &sites in &[2usize, 3, 4, 5, 6] {
         let sys = wide_safe_pair(sites);
         let n = sys.txn(TxnId(0)).len();
         let opts = OracleOptions {
             max_states: 50_000_000,
         };
-        let (report, oracle_us) = time_us(|| decide_exhaustive(&sys, &opts));
+        let report = decide_exhaustive(&sys, &opts);
         // The polynomial side: Theorem 1's strong-connectivity test (the
         // instances keep D complete, so it proves safety at any #sites).
-        let poly_us = avg_time_us(50, || {
-            let d = ConflictDigraph::build(&sys, TxnId(0), TxnId(1));
-            assert!(d.is_strongly_connected());
-        });
+        assert!(ConflictDigraph::build(&sys, TxnId(0), TxnId(1)).is_strongly_connected());
         let verdict = match report.outcome {
             OracleOutcome::Safe => "safe",
             OracleOutcome::Unsafe(_) => "unsafe",
             OracleOutcome::Aborted => "aborted",
         };
         println!(
-            "| {sites} sites ({n} steps/txn) | {verdict} | {} | {oracle_us:.0} | {poly_us:.1} | {:.0}x |",
-            report.states_explored,
-            oracle_us / poly_us
+            "| {sites} sites ({n} steps/txn) | {verdict} | {} |",
+            report.states_explored
         );
     }
     println!();
@@ -206,8 +160,8 @@ fn exp_c4_jump() {
 
 fn exp_c5_prop2() {
     println!("## C5 (Proposition 2): k-transaction analysis\n");
-    println!("| k | verdict | pairs checked | cycles checked | µs |");
-    println!("|---|---|---|---|---|");
+    println!("| k | verdict | pairs checked | cycles checked |");
+    println!("|---|---|---|---|");
     for k in [2usize, 3, 4, 5, 6] {
         let sys = random_system(&WorkloadParams {
             seed: 13,
@@ -218,7 +172,7 @@ fn exp_c5_prop2() {
             strategy: LockStrategy::TwoPhaseSync,
             ..Default::default()
         });
-        let (report, us) = time_us(|| proposition2(&sys, &Prop2Options::default()));
+        let report = proposition2(&sys, &Prop2Options::default());
         let verdict = match report.verdict {
             Prop2Verdict::Safe => "safe",
             Prop2Verdict::UnsafePair => "unsafe(pair)",
@@ -226,7 +180,7 @@ fn exp_c5_prop2() {
             Prop2Verdict::Unknown => "unknown",
         };
         println!(
-            "| {k} | {verdict} | {} | {} | {us:.0} |",
+            "| {k} | {verdict} | {} | {} |",
             report.pair_verdicts.len(),
             report.cycle_checks.len()
         );
@@ -722,9 +676,9 @@ fn exp_d5_sat_checker() {
          `synthesize_optimal` certifies all descenders.\n"
     );
     println!(
-        "| family | txns | milestones | oracle | states | t_oracle µs | sat | t_sat µs | clauses | dl(sat) | t_dl µs | greedy | optimal |"
+        "| family | txns | milestones | oracle | states | sat | clauses | dl(sat) | greedy | optimal |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
 
     // (name, system, expect strict greedy<optimal gap).
     let mut families: Vec<(String, kplock_model::TxnSystem, bool)> = Vec::new();
@@ -758,7 +712,7 @@ fn exp_d5_sat_checker() {
 
     let mut gap_seen = false;
     for (name, sys, expect_gap) in &families {
-        let (safety, t_sat) = time_us(|| check_safety(sys).expect("encodable system"));
+        let safety = check_safety(sys).expect("encodable system");
         let sat_verdict = match &safety.verdict {
             SatSafety::Safe => "safe",
             SatSafety::Unsafe(w) => {
@@ -767,13 +721,13 @@ fn exp_d5_sat_checker() {
                 "unsafe"
             }
         };
-        let (dl, t_dl) = time_us(|| check_deadlock(sys).expect("encodable system"));
+        let dl = check_deadlock(sys).expect("encodable system");
         if let Some(prefix) = &dl.deadlock {
             replay_deadlock(sys, prefix).expect("deadlock prefix must replay");
         }
 
-        let (oracle_cell, states_cell, t_oracle_cell) = if sys.len() <= 8 {
-            let (report, t_oracle) = time_us(|| decide_exhaustive(sys, &OracleOptions::default()));
+        let (oracle_cell, states_cell) = if sys.len() <= 8 {
+            let report = decide_exhaustive(sys, &OracleOptions::default());
             let verdict = match report.outcome {
                 OracleOutcome::Safe => {
                     assert_eq!(sat_verdict, "safe", "{name}: SAT disagrees with oracle");
@@ -790,13 +744,9 @@ fn exp_d5_sat_checker() {
                 }
                 OracleOutcome::Aborted => "aborted",
             };
-            (
-                verdict.to_string(),
-                report.states_explored.to_string(),
-                format!("{t_oracle:.0}"),
-            )
+            (verdict.to_string(), report.states_explored.to_string())
         } else {
-            ("—".to_string(), "—".to_string(), "—".to_string())
+            ("—".to_string(), "—".to_string())
         };
 
         let opt = synthesize_optimal(sys);
@@ -816,7 +766,7 @@ fn exp_d5_sat_checker() {
             .map(|t| 2 * t.locked_entities().len())
             .sum::<usize>();
         println!(
-            "| {name} | {} | {milestones} | {oracle_cell} | {states_cell} | {t_oracle_cell} | {sat_verdict} | {t_sat:.0} | {} | {} | {t_dl:.0} | {} | {} |",
+            "| {name} | {} | {milestones} | {oracle_cell} | {states_cell} | {sat_verdict} | {} | {} | {} | {} |",
             sys.len(),
             safety.stats.clauses,
             if dl.deadlock.is_some() { "yes" } else { "no" },
@@ -1233,7 +1183,6 @@ fn main() {
     println!("(regenerate with `cargo run --release -p kplock-bench --bin experiments`)\n");
     exp_figures();
     exp_fig8();
-    exp_c1_two_site_scaling();
     exp_c2_centralized();
     exp_c3_reduction();
     exp_c4_jump();

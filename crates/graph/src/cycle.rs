@@ -164,6 +164,14 @@ mod tests {
     }
 
     #[test]
+    fn find_cycle_lists_the_nodes_in_edge_order() {
+        assert_eq!(find_cycle(&DiGraph::from_edges(1, [(0, 0)])), Some(vec![0]));
+        let ring = DiGraph::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
+        assert_eq!(find_cycle(&ring), Some(vec![0, 1, 2]));
+        assert_eq!(find_cycle(&DiGraph::new(0)), None);
+    }
+
+    #[test]
     fn cap_is_respected() {
         let mut g = DiGraph::new(4);
         for u in 0..4 {

@@ -3,6 +3,8 @@
 use crate::fault::{FaultPlan, FaultPlanError};
 pub use kplock_core::AvoidPlan;
 pub use kplock_dlm::PreventionScheme;
+use kplock_dlm::Priority;
+use kplock_model::{TxnId, TxnSystem};
 use std::fmt;
 
 /// Network latency model for coordinator ↔ site messages.
@@ -212,6 +214,57 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// The admission priority of transaction `txn` — what the lock table's
+/// wound/wait/die arithmetic compares (smaller wins) — given the birth
+/// stamp its runner assigned it: `(arrival, index)` in the simulator,
+/// `(index, 0)` on real threads.
+///
+/// Plain prevention runs (`plan` is `None`) use the stamp unchanged.
+/// Under [`DeadlockResolution::Avoid`] the certificate splits the
+/// population into two classes:
+///
+/// * **certified** transactions all share the top priority `(0, 0)` —
+///   deliberately *not* distinct: wound-wait only wounds a strictly
+///   lower-priority obstacle, so equals never wound each other and
+///   certified transactions simply queue FIFO among themselves (safe by
+///   the plan's lock order, which makes certified-only wait cycles
+///   impossible), while any uncertified obstacle in their way is wounded
+///   and no uncertified requester can ever make a certified holder wait
+///   behind it;
+/// * **uncertified** transactions keep their birth order, uniformly
+///   shifted one later so even a `(0, 0)` fallback ranks strictly below
+///   every certified transaction. The shift preserves the relative order
+///   of all fallback transactions, which is why an empty-certificate
+///   Avoid run is decision-for-decision identical to
+///   `Prevent(WoundWait)`.
+pub(crate) fn admission_priority(
+    plan: Option<&AvoidPlan>,
+    txn: TxnId,
+    birth: Priority,
+) -> Priority {
+    match plan {
+        Some(plan) if plan.is_certified(txn) => (0, 0),
+        Some(_) => (birth.0.saturating_add(1), birth.1),
+        None => birth,
+    }
+}
+
+/// Checks the plan in force, if any, was synthesized from exactly `sys`'s
+/// transactions: its certificate is only meaningful for that set, and
+/// only the run entry points have the system in hand.
+pub(crate) fn check_avoid_plan(
+    plan: Option<&AvoidPlan>,
+    sys: &TxnSystem,
+) -> Result<(), ConfigError> {
+    match plan {
+        Some(plan) if plan.txn_count() != sys.len() => Err(ConfigError::AvoidPlanMismatch {
+            plan_txns: plan.txn_count(),
+            system_txns: sys.len(),
+        }),
+        _ => Ok(()),
+    }
+}
 
 /// Full simulator configuration.
 #[derive(Clone, Debug)]
@@ -477,6 +530,31 @@ mod tests {
             .admission_scheme(),
             Some(PreventionScheme::WaitDie)
         );
+    }
+
+    #[test]
+    fn admission_priority_puts_the_certified_first_and_keeps_fallback_order() {
+        let db = kplock_model::Database::from_spec(&[("x", 0), ("y", 1)]);
+        let txns = (0..3)
+            .map(|i| {
+                let mut b = kplock_model::TxnBuilder::new(&db, format!("T{i}"));
+                b.script("Lx Ly x y Ux Uy").unwrap();
+                b.build().unwrap()
+            })
+            .collect();
+        let sys = TxnSystem::new(db, txns);
+        let plan = AvoidPlan::synthesize_restricted(&sys, &[TxnId(1)]);
+        assert_eq!(plan.certified(), vec![TxnId(1)]);
+        // The simulator's stamp (everyone arriving at tick 0) and the
+        // threaded runner's: T0's birth is (0, 0) under both.
+        let stamps: [fn(usize) -> Priority; 2] = [|t| (0, t as u64), |t| (t as u64, 0)];
+        for stamp in stamps {
+            let prio = |plan, t| admission_priority(plan, TxnId::from_idx(t), stamp(t));
+            assert_eq!(prio(Some(&plan), 1), (0, 0));
+            assert!(prio(Some(&plan), 0) > (0, 0) && prio(Some(&plan), 2) > (0, 0));
+            assert!(prio(Some(&plan), 0) < prio(Some(&plan), 2));
+            assert_eq!(prio(None, 2), stamp(2));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Coordinators (one per transaction) exchange messages with sites over a
 //! latency-modelled network; sites run reader–writer FIFO lock tables
-//! (`kplock-dlm` under a thin wrapper). Deadlocks are either *detected* —
+//! ([`kplock_dlm::QueueTable`]). Deadlocks are either *detected* —
 //! by the periodic global scan (default, the paper-era scheme),
 //! incrementally at block time
 //! ([`crate::config::DeadlockDetection::OnBlock`]), or by distributed
@@ -31,14 +31,18 @@
 //! from two seeded RNGs (latency and faults), so runs are reproducible
 //! either way.
 
-use crate::config::{ConfigError, DeadlockDetection, Delegation, SimConfig};
+use crate::config::{
+    admission_priority, check_avoid_plan, ConfigError, DeadlockDetection, Delegation, SimConfig,
+};
 use crate::event::{DelegatedGrant, EventKind, EventQueue, Instance, Payload, SimTime};
 use crate::fault::FaultPlanError;
 use crate::history::{audit, Audit, History};
-use crate::lock_table::SiteTable;
 use crate::metrics::Metrics;
 use crate::probe::{self, ProbeMsg, SiteProbeState, Stamp};
-use kplock_dlm::{DelegationLedger, Lease, LeaseTable, PreventionOutcome, WaitForGraph};
+use kplock_dlm::{
+    Acquire, DelegationLedger, Lease, LeaseTable, PreventionOutcome, PreventionScheme, Priority,
+    QueueTable, WaitForGraph,
+};
 use kplock_graph::DiGraph;
 use kplock_model::{ActionKind, EntityId, LockMode, SiteId, StepId, TxnId, TxnSystem};
 use rand::rngs::StdRng;
@@ -91,6 +95,11 @@ impl SimReport {
     }
 }
 
+/// One transaction's coordinator: its progress through the current
+/// epoch, its victim-policy stamps, and — all it knows beyond its own
+/// steps — the static catalog of sites it locks at and its half of
+/// delegated ownership.
+#[derive(Default)]
 struct Coordinator {
     epoch: u32,
     done: Vec<bool>,
@@ -103,40 +112,31 @@ struct Coordinator {
     /// transaction keeps its age, or the oldest-victim policy livelocks by
     /// repeatedly killing whichever transaction is about to finish.
     birth: (SimTime, usize),
+    /// Static catalog knowledge ([`DeadlockDetection::Probe`] only; empty
+    /// otherwise): the sites hosting any entity the transaction locks —
+    /// where a probe chasing it might find it blocked. Derived from the
+    /// schema via `Database::site_of`, not from runtime state.
+    lock_sites: Vec<SiteId>,
+    /// The delegated-grant cache (delegation only): the coordinator half
+    /// of decoupled ownership. Keyed by entity — one cached grant per
+    /// entity.
+    cache: HashMap<EntityId, CacheEntry>,
+    /// Revocations that overtook their delegated grant ack on the wire
+    /// (the revoke can draw a shorter latency than the earlier-sent
+    /// grant): remembered here and applied when the ack lands — the entry
+    /// is born `revoke_pending` and drains at the local unlock. Keyed by
+    /// entity, valued by the revoked instance.
+    deferred_revokes: HashMap<EntityId, Instance>,
 }
 
-/// The admission priority of instance `o` — what the lock table's
-/// wound/wait/die arithmetic compares (smaller wins).
-///
-/// Plain prevention runs use the coordinator's birth stamp unchanged.
-/// Under [`crate::DeadlockResolution::Avoid`] the certificate splits the
-/// population into two classes:
-///
-/// * **certified** transactions all share the top priority `(0, 0)` —
-///   deliberately *not* distinct: wound-wait only wounds a strictly
-///   lower-priority obstacle, so equals never wound each other and
-///   certified transactions simply queue FIFO among themselves (safe by
-///   the plan's lock order, which makes certified-only wait cycles
-///   impossible), while any uncertified obstacle in their way is wounded
-///   and no uncertified requester can ever make a certified holder wait
-///   behind it;
-/// * **uncertified** transactions keep their wound-wait birth order,
-///   uniformly shifted one tick later so even a birth-0 fallback ranks
-///   strictly below every certified transaction. The shift preserves the
-///   relative order of all fallback transactions, which is why an
-///   empty-certificate Avoid run is decision-for-decision identical to
-///   `Prevent(WoundWait)`.
-fn admission_priority(
-    cfg: &SimConfig,
-    coords: &[Coordinator],
-    o: Instance,
-) -> kplock_dlm::Priority {
+/// The admission priority of instance `o` ([`admission_priority`] of its
+/// coordinator's birth stamp). A free function so the table can consult
+/// it while mutably borrowed. Owners in a live table are never stale
+/// (aborts scrub synchronously), and birth survives restarts, so the
+/// lookup is always current.
+fn priority_of(cfg: &SimConfig, coords: &[Coordinator], o: Instance) -> Priority {
     let (t, idx) = coords[o.txn.idx()].birth;
-    match cfg.avoid_plan() {
-        Some(plan) if plan.is_certified(o.txn) => (0, 0),
-        Some(_) => (t.saturating_add(1), idx as u64),
-        None => (t, idx as u64),
-    }
+    admission_priority(cfg.avoid_plan(), o.txn, (t, idx as u64))
 }
 
 /// One entry in a coordinator's delegated-grant cache
@@ -162,71 +162,75 @@ struct CacheEntry {
     revoke_pending: bool,
 }
 
+/// A queued lock request, as its site remembers it.
+struct Queued {
+    /// The lock step the eventual grant acknowledges.
+    step: StepId,
+    /// When the wait began.
+    since: SimTime,
+}
+
+/// Everything one site owns. Site-side handlers read and write their own
+/// `Site` and nothing of any other — the local-state boundary the paper's
+/// question is about.
+#[derive(Default)]
+struct Site {
+    /// The lock table. Volatile: a crash replaces it with an empty one.
+    table: QueueTable<Instance>,
+    /// One record per queued request, inserted when the table queues it
+    /// and removed at its grant or its cancellation. Not wiped by a
+    /// crash: a waiter that re-requests after recovery keeps its wait
+    /// clock.
+    queued: HashMap<(Instance, EntityId), Queued>,
+    /// Probe bookkeeping ([`DeadlockDetection::Probe`] only): the
+    /// wait-edges of this site's own entities, to spot new ones.
+    probe: SiteProbeState,
+    /// Mid-outage: deliveries are dropped by the event loop.
+    down: bool,
+    /// Tick of the last crash (lease-survival anchor).
+    crash_at: SimTime,
+    /// Boot epoch, bumped at every crash. Delegated grants carry the
+    /// grant-time boot ([`DelegatedGrant::boot`]); a coordinator refuses
+    /// to cache a grant from an older boot, since the crash cleared the
+    /// ledger (see `on_crash`).
+    boot: u32,
+    /// Lease ledger mirroring grants — the surviving holder state a
+    /// recovery rebuilds from. Maintained only when the plan schedules
+    /// crashes (`track_leases`).
+    leases: LeaseTable<Instance>,
+    /// Delegation ledger (delegation only): which holds have their
+    /// release authority delegated — what a conflicting request consults
+    /// to send revocations, and what a crash walks to clear both sides.
+    delegations: DelegationLedger<Instance>,
+}
+
+/// What no site and no coordinator owns: the scheduler, the two RNGs and
+/// the wire ([`Engine::transmit`]), OnBlock's global graph, and the
+/// run's history and counters.
 struct Engine<'a> {
     sys: &'a TxnSystem,
     cfg: &'a SimConfig,
     rng: StdRng,
+    /// Dedicated fault RNG ([`crate::fault::FaultPlan::seed`]): loss,
+    /// duplication and reorder draws never touch the latency RNG, so
+    /// `FaultPlan::none()` leaves the main stream — and every fixed-seed
+    /// pin — bit-identical.
+    fault_rng: StdRng,
     queue: EventQueue,
-    sites: Vec<SiteTable>,
+    sites: Vec<Site>,
     coords: Vec<Coordinator>,
-    /// Lock step id for a queued lock request.
-    pending_lock_step: HashMap<(Instance, EntityId), StepId>,
-    /// When an instance started waiting for a lock.
-    waiting_since: HashMap<(Instance, EntityId), SimTime>,
     /// Incrementally maintained wait-for graph (only under
     /// [`DeadlockDetection::OnBlock`]; stays empty in periodic and probe
     /// modes).
     wfg: WaitForGraph<Instance>,
     /// Whether `wfg` changed since the last cycle check.
     wfg_dirty: bool,
-    /// Per-site probe bookkeeping ([`DeadlockDetection::Probe`] only):
-    /// each site remembers the wait-edges of *its own* entities to spot
-    /// new ones. There is no cross-site state here by design.
-    probe_state: Vec<SiteProbeState>,
-    /// Static catalog knowledge, per transaction: the sites hosting any
-    /// entity it locks — where a probe chasing that transaction might find
-    /// it blocked. Derived from the schema via `Database::site_of`, not
-    /// from runtime state.
-    lock_sites: Vec<Vec<SiteId>>,
-    /// Dedicated fault RNG ([`crate::fault::FaultPlan::seed`]): loss,
-    /// duplication and reorder draws never touch the latency RNG, so
-    /// `FaultPlan::none()` leaves the main stream — and every fixed-seed
-    /// pin — bit-identical.
-    fault_rng: StdRng,
-    /// Per-site outage flag: deliveries to a down site are dropped.
-    down: Vec<bool>,
-    /// Tick each site last crashed (lease-survival anchor).
-    crash_at: Vec<SimTime>,
-    /// Per-site lease ledgers mirroring grants — the surviving holder
-    /// state a recovery rebuilds from. Maintained only when the plan
-    /// schedules crashes (`track_leases`).
-    leases: Vec<LeaseTable<Instance>>,
     /// Whether leases are being tracked (the plan has crashes).
     track_leases: bool,
     /// Whether delegated lock ownership is on ([`Delegation::On`]).
     /// Every delegation code path is gated on this flag, so `Off` runs
     /// are message-for-message identical to the pre-delegation engine.
     delegation: bool,
-    /// Per-transaction delegated-grant caches (delegation only): the
-    /// coordinator half of decoupled ownership. Keyed by entity — one
-    /// cached grant per entity per coordinator.
-    caches: Vec<HashMap<EntityId, CacheEntry>>,
-    /// Per-site delegation ledgers (delegation only): the owning site's
-    /// record of which holds have their release authority delegated —
-    /// what a conflicting request consults to send revocations, and what
-    /// a crash walks to clear both sides.
-    delegations: Vec<DelegationLedger<Instance>>,
-    /// Revocations that overtook their delegated grant ack on the wire
-    /// (the revoke can draw a shorter latency than the earlier-sent
-    /// grant): remembered per coordinator and applied when the ack
-    /// lands — the entry is born `revoke_pending` and drains at the
-    /// local unlock. Keyed by entity, valued by the revoked instance.
-    deferred_revokes: Vec<HashMap<EntityId, Instance>>,
-    /// Per-site boot epoch, bumped at every crash. Delegated grants carry
-    /// the grant-time boot ([`DelegatedGrant::boot`]); a coordinator
-    /// refuses to cache a grant from an older boot, since the crash
-    /// cleared the site's ledger (see `on_crash`).
-    boot: Vec<u32>,
     /// Steps already recorded in the history, so a duplicated or
     /// retransmitted request re-acknowledges without re-recording.
     /// Consulted only on fault-injected runs.
@@ -273,68 +277,43 @@ pub fn run_with_arrivals(
             ));
         }
     }
-    // Likewise the avoid plan: its certificate is only meaningful for the
-    // transaction set it was synthesized from.
-    if let Some(plan) = cfg.avoid_plan() {
-        if plan.txn_count() != sys.len() {
-            return Err(ConfigError::AvoidPlanMismatch {
-                plan_txns: plan.txn_count(),
-                system_txns: sys.len(),
-            });
-        }
-    }
-    let lock_sites = if cfg.detection() == Some(DeadlockDetection::Probe) {
-        sys.txns()
-            .iter()
-            .map(|t| {
-                let mut v: Vec<SiteId> = t
-                    .locked_entities()
-                    .iter()
-                    .map(|&e| sys.db().site_of(e))
-                    .collect();
-                v.sort_by_key(|s| s.idx());
-                v.dedup();
-                v
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    check_avoid_plan(cfg.avoid_plan(), sys)?;
+    let probing = cfg.detection() == Some(DeadlockDetection::Probe);
     let mut eng = Engine {
         sys,
         cfg,
         rng: StdRng::seed_from_u64(cfg.seed),
+        fault_rng: StdRng::seed_from_u64(cfg.faults.seed),
         queue: EventQueue::new(),
-        sites: vec![SiteTable::new(); sys.db().site_count()],
+        sites: (0..sys.db().site_count())
+            .map(|_| Site::default())
+            .collect(),
         coords: sys
             .txns()
             .iter()
             .enumerate()
-            .map(|(i, t)| Coordinator {
-                epoch: 0,
-                done: vec![false; t.len()],
-                issued: vec![false; t.len()],
-                committed: false,
-                started_at: arrivals[i],
-                birth: (arrivals[i], i),
+            .map(|(i, t)| {
+                let mut lock_sites: Vec<SiteId> = Vec::new();
+                if probing {
+                    let locked = t.locked_entities();
+                    lock_sites.extend(locked.iter().map(|&e| sys.db().site_of(e)));
+                    lock_sites.sort_by_key(|s| s.idx());
+                    lock_sites.dedup();
+                }
+                Coordinator {
+                    done: vec![false; t.len()],
+                    issued: vec![false; t.len()],
+                    started_at: arrivals[i],
+                    birth: (arrivals[i], i),
+                    lock_sites,
+                    ..Coordinator::default()
+                }
             })
             .collect(),
-        pending_lock_step: HashMap::new(),
-        waiting_since: HashMap::new(),
         wfg: WaitForGraph::new(),
         wfg_dirty: false,
-        probe_state: vec![SiteProbeState::new(); sys.db().site_count()],
-        lock_sites,
-        fault_rng: StdRng::seed_from_u64(cfg.faults.seed),
-        down: vec![false; sys.db().site_count()],
-        crash_at: vec![0; sys.db().site_count()],
-        leases: vec![LeaseTable::new(); sys.db().site_count()],
         track_leases: !cfg.faults.crashes.is_empty(),
         delegation: cfg.delegation == Delegation::On,
-        caches: vec![HashMap::new(); sys.len()],
-        delegations: vec![DelegationLedger::new(); sys.db().site_count()],
-        deferred_revokes: vec![HashMap::new(); sys.len()],
-        boot: vec![0; sys.db().site_count()],
         recorded: HashSet::new(),
         history: History::default(),
         metrics: Metrics {
@@ -348,14 +327,7 @@ pub fn run_with_arrivals(
     for (t, &arrival) in arrivals.iter().enumerate() {
         let txn = TxnId::from_idx(t);
         if arrival == 0 {
-            eng.issue_ready(txn);
-            // Late arrivals get their timer from the Restart handler.
-            if cfg.faults.retransmit_after > 0 {
-                eng.queue.push(
-                    cfg.faults.retransmit_after,
-                    EventKind::RetransmitCheck(txn, 0),
-                );
-            }
+            eng.start(txn);
         } else {
             eng.queue.push(arrival, EventKind::Restart(txn));
         }
@@ -388,7 +360,7 @@ pub fn run_with_arrivals(
         }
         match ev {
             EventKind::ToSite(site, payload) => {
-                if eng.down[site.idx()] {
+                if eng.sites[site.idx()].down {
                     // The site is mid-outage: everything landing on it is
                     // lost with the crash (retransmission and the
                     // recovery re-delivery make up for it).
@@ -431,19 +403,7 @@ pub fn run_with_arrivals(
                     );
                 }
             }
-            EventKind::Restart(txn) => {
-                eng.coords[txn.idx()].started_at = eng.now;
-                eng.issue_ready(txn);
-                // Arm the retransmission timer for this (possibly fresh)
-                // epoch; the previous epoch's timer dies on its mismatch.
-                if cfg.faults.retransmit_after > 0 {
-                    let epoch = eng.coords[txn.idx()].epoch;
-                    eng.queue.push(
-                        eng.now + cfg.faults.retransmit_after,
-                        EventKind::RetransmitCheck(txn, epoch),
-                    );
-                }
-            }
+            EventKind::Restart(txn) => eng.start(txn),
             EventKind::SiteCrash(site) => eng.on_crash(site),
             EventKind::SiteRecover(site) => {
                 eng.on_recover(site);
@@ -492,25 +452,12 @@ impl Engine<'_> {
         self.coords.iter().all(|c| c.committed)
     }
 
-    fn latency(&mut self) -> u64 {
-        self.cfg.latency.sample(&mut self.rng)
-    }
-
     fn send_to_site(&mut self, site: SiteId, payload: Payload) {
         self.transmit(EventKind::ToSite(site, payload));
     }
 
     fn send_to_coordinator(&mut self, txn: TxnId, payload: Payload) {
         self.transmit(EventKind::ToCoordinator(txn, payload));
-    }
-
-    /// Site → site wire (probe mode): until probes existed every message
-    /// had a coordinator on one end; detection traffic is the first to
-    /// flow between sites directly, and is metered separately so its
-    /// overhead is visible.
-    fn send_site_to_site(&mut self, to: SiteId, msg: ProbeMsg) {
-        self.metrics.probe_messages += 1;
-        self.transmit(EventKind::ToSite(to, Payload::Probe(msg)));
     }
 
     /// The single wire chokepoint: every message — data traffic, probes,
@@ -541,7 +488,7 @@ impl Engine<'_> {
                 self.metrics.lock_traffic += 1;
             }
         }
-        let at = self.now + self.latency();
+        let at = self.now + self.cfg.latency.sample(&mut self.rng);
         let f = &self.cfg.faults;
         if !f.channel_faults() {
             self.queue.push(at, ev);
@@ -566,6 +513,20 @@ impl Engine<'_> {
         self.queue.push(at, ev);
     }
 
+    /// `txn`'s current epoch begins (an arrival, or the restart after an
+    /// abort): issue its first steps and arm the retransmission timer for
+    /// this epoch — the previous epoch's timer dies on its mismatch.
+    fn start(&mut self, txn: TxnId) {
+        self.coords[txn.idx()].started_at = self.now;
+        self.issue_ready(txn);
+        if self.cfg.faults.retransmit_after > 0 {
+            self.queue.push(
+                self.now + self.cfg.faults.retransmit_after,
+                EventKind::RetransmitCheck(txn, self.coords[txn.idx()].epoch),
+            );
+        }
+    }
+
     /// Issues every step whose predecessors are done and that has not been
     /// issued yet.
     fn issue_ready(&mut self, txn: TxnId) {
@@ -585,47 +546,29 @@ impl Engine<'_> {
     /// Sends (or re-sends — retransmission and recovery re-delivery both
     /// land here) the request for step `v` of `txn`'s current epoch.
     fn send_step(&mut self, txn: TxnId, v: usize) {
-        let inst = Instance {
-            txn,
-            epoch: self.coords[txn.idx()].epoch,
-        };
-        let step = self.sys.txn(txn).step(StepId::from_idx(v));
-        let site = self.sys.db().site_of(step.entity);
+        let inst = self.current(txn);
+        let step = StepId::from_idx(v);
+        let at = self.sys.txn(txn).step(step);
+        let (kind, entity) = (at.kind, at.entity);
         if self.delegation {
             // The delegated fast path: a cached grant services the lock
             // or unlock locally — zero wire messages, no site table
             // consulted, the ack a local-latency self-delivery.
-            let hit = match step.kind {
-                ActionKind::Lock => {
-                    self.try_cached_lock(txn, inst, step.entity, StepId::from_idx(v))
-                }
-                ActionKind::Unlock => {
-                    self.try_cached_unlock(txn, inst, step.entity, StepId::from_idx(v))
-                }
+            let hit = match kind {
+                ActionKind::Lock => self.try_cached_lock(txn, inst, entity, step),
+                ActionKind::Unlock => self.try_cached_unlock(txn, inst, entity, step),
                 ActionKind::Update => false,
             };
             if hit {
                 return;
             }
         }
-        let payload = match step.kind {
-            ActionKind::Lock => Payload::LockRequest {
-                inst,
-                entity: step.entity,
-                step: StepId::from_idx(v),
-            },
-            ActionKind::Update => Payload::UpdateRequest {
-                inst,
-                entity: step.entity,
-                step: StepId::from_idx(v),
-            },
-            ActionKind::Unlock => Payload::UnlockRequest {
-                inst,
-                entity: step.entity,
-                step: StepId::from_idx(v),
-            },
+        let payload = match kind {
+            ActionKind::Lock => Payload::LockRequest { inst, entity, step },
+            ActionKind::Update => Payload::UpdateRequest { inst, entity, step },
+            ActionKind::Unlock => Payload::UnlockRequest { inst, entity, step },
         };
-        self.send_to_site(site, payload);
+        self.send_to_site(self.sys.db().site_of(entity), payload);
     }
 
     /// Services a lock step from the delegated cache if a covering,
@@ -642,7 +585,7 @@ impl Engine<'_> {
         step: StepId,
     ) -> bool {
         let mode = self.sys.txn(txn).step(step).mode;
-        let Some(entry) = self.caches[txn.idx()].get_mut(&entity) else {
+        let Some(entry) = self.coords[txn.idx()].cache.get_mut(&entity) else {
             return false;
         };
         if entry.inst != inst || !entry.mode.covers(mode) {
@@ -655,7 +598,7 @@ impl Engine<'_> {
             // fence. Drop the entry and go remote — a one-way degrade;
             // only an explicit re-grant renews (satellite of the
             // duplicated-grant rule: nothing local slides the clock).
-            self.caches[txn.idx()].remove(&entity);
+            self.coords[txn.idx()].cache.remove(&entity);
             return false;
         }
         entry.in_use = true;
@@ -666,7 +609,7 @@ impl Engine<'_> {
         let delegated = Some(DelegatedGrant {
             mode: cached_mode,
             lease: cached_lease,
-            boot: self.boot[self.sys.db().site_of(entity).idx()],
+            boot: self.sites[self.sys.db().site_of(entity).idx()].boot,
         });
         self.queue.push(
             self.now + self.cfg.local_step_time,
@@ -696,7 +639,7 @@ impl Engine<'_> {
         entity: EntityId,
         step: StepId,
     ) -> bool {
-        let Some(entry) = self.caches[txn.idx()].get_mut(&entity) else {
+        let Some(entry) = self.coords[txn.idx()].cache.get_mut(&entity) else {
             return false;
         };
         if entry.inst != inst {
@@ -705,7 +648,8 @@ impl Engine<'_> {
         if entry.in_use {
             entry.in_use = false;
             if entry.revoke_pending {
-                let entry = self.caches[txn.idx()]
+                let entry = self.coords[txn.idx()]
+                    .cache
                     .remove(&entity)
                     .expect("entry present");
                 // The request stayed local; only the drain ack crossed
@@ -740,7 +684,13 @@ impl Engine<'_> {
     /// abort already cleaned up (see the
     /// `stale_unlock_after_abort_is_ignored` test for the race).
     fn stale(&self, inst: Instance) -> bool {
-        self.coords[inst.txn.idx()].epoch != inst.epoch
+        self.current(inst.txn) != inst
+    }
+
+    /// `txn`'s live instance.
+    fn current(&self, txn: TxnId) -> Instance {
+        let epoch = self.coords[txn.idx()].epoch;
+        Instance { txn, epoch }
     }
 
     /// The victim-policy timestamps of `inst`, as piggybacked on probes.
@@ -761,12 +711,14 @@ impl Engine<'_> {
         match self.cfg.detection() {
             None | Some(DeadlockDetection::Periodic) => {}
             Some(DeadlockDetection::OnBlock) => {
-                let edges = self.sites[site.idx()].entity_waits_for(entity);
+                let edges = self.sites[site.idx()].table.entity_waits_for(entity);
                 self.wfg_dirty |= self.wfg.update_entity(entity, edges);
             }
             Some(DeadlockDetection::Probe) => {
-                let edges = self.sites[site.idx()].entity_waits_for(entity);
-                let fresh = self.probe_state[site.idx()].observe(entity, edges, self.now);
+                let s = &mut self.sites[site.idx()];
+                let fresh = s
+                    .probe
+                    .observe(entity, s.table.entity_waits_for(entity), self.now);
                 for (w, h) in fresh {
                     // Holders and waiters in a live table are never stale
                     // (aborts scrub them synchronously), and the table
@@ -784,14 +736,17 @@ impl Engine<'_> {
 
     /// Delivers a probe to every site where its target might be blocked:
     /// the sites hosting the target's lock set (static catalog knowledge).
-    /// The local site examines it for free; remote sites cost a message.
+    /// The local site examines it for free; remote sites cost a message —
+    /// the only traffic flowing site to site, metered separately so
+    /// detection's overhead is visible.
     fn route_probe(&mut self, from: SiteId, msg: ProbeMsg) {
-        let targets = self.lock_sites[msg.target().txn.idx()].clone();
+        let targets = self.coords[msg.target().txn.idx()].lock_sites.clone();
         for to in targets {
             if to == from {
                 self.on_probe(to, msg.clone());
             } else {
-                self.send_site_to_site(to, msg.clone());
+                self.metrics.probe_messages += 1;
+                self.send_to_site(to, Payload::Probe(msg.clone()));
             }
         }
     }
@@ -803,7 +758,7 @@ impl Engine<'_> {
         if self.stale(msg.initiator()) || self.stale(msg.target()) {
             return;
         }
-        let successors = self.sites[site.idx()].waits_of(msg.target());
+        let successors = self.sites[site.idx()].table.waits_of(msg.target());
         for h in successors {
             // When this site's edge `target → h` appeared, from its own
             // bookkeeping: the cycle is attributed to its *last-formed*
@@ -811,7 +766,8 @@ impl Engine<'_> {
             // over the path. (The edge is always on record here — it was
             // observed the moment it changed — but a probe racing an edge
             // re-formation falls back to now, the conservative choice.)
-            let appeared = self.probe_state[site.idx()]
+            let appeared = self.sites[site.idx()]
+                .probe
                 .appeared_at(msg.target(), h)
                 .unwrap_or(self.now);
             if h == msg.initiator() {
@@ -873,15 +829,10 @@ impl Engine<'_> {
         if !self.track_leases {
             return;
         }
-        let mode = self.sites[site.idx()]
-            .holds(e, inst)
-            .expect("a granted lock is held");
-        self.leases[site.idx()].grant(
-            inst,
-            e,
-            mode,
-            Lease::new(self.now, self.cfg.faults.lease_ttl),
-        );
+        let s = &mut self.sites[site.idx()];
+        let mode = s.table.holds(e, inst).expect("a granted lock is held");
+        let lease = Lease::new(self.now, self.cfg.faults.lease_ttl);
+        s.leases.grant(inst, e, mode, lease);
     }
 
     /// Decides whether a grant of `entity` to `inst` is *delegated*:
@@ -901,26 +852,18 @@ impl Engine<'_> {
         if !self.delegation {
             return None;
         }
-        let s = site.idx();
-        if !self.sites[s].entity_waits_for(entity).is_empty()
-            || self.delegations[s].is_revoking(inst, entity)
-        {
+        let s = &mut self.sites[site.idx()];
+        if !s.table.entity_waits_for(entity).is_empty() || s.delegations.is_revoking(inst, entity) {
             // Contested, or a revocation is still draining: granting
             // plainly keeps exactly one authority over the hold.
             return None;
         }
-        let mode = self.sites[s]
-            .holds(entity, inst)
-            .expect("a granted lock is held");
-        let lease = self.delegations[s].delegate(
-            inst,
-            entity,
-            Lease::new(self.now, self.cfg.faults.lease_ttl),
-        );
+        let mode = s.table.holds(entity, inst).expect("a granted lock is held");
+        let lease = Lease::new(self.now, self.cfg.faults.lease_ttl);
         Some(DelegatedGrant {
             mode,
-            lease,
-            boot: self.boot[s],
+            lease: s.delegations.delegate(inst, entity, lease),
+            boot: s.boot,
         })
     }
 
@@ -934,11 +877,11 @@ impl Engine<'_> {
             return;
         }
         let s = site.idx();
-        for h in self.sites[s].conflicts_of(entity, inst) {
-            if self.delegations[s].start_revoke(h, entity) {
+        for h in self.sites[s].table.conflicts_of(entity, inst) {
+            if self.sites[s].delegations.start_revoke(h, entity) {
                 self.metrics.revocations += 1;
                 self.send_to_coordinator(h.txn, Payload::Revoke { inst: h, entity });
-            } else if self.cfg.faults.any() && self.delegations[s].is_revoking(h, entity) {
+            } else if self.cfg.faults.any() && self.sites[s].delegations.is_revoking(h, entity) {
                 self.send_to_coordinator(h.txn, Payload::Revoke { inst: h, entity });
             }
         }
@@ -955,54 +898,52 @@ impl Engine<'_> {
                 // hierarchical locking exists to shrink (one coarse parent
                 // lock replacing hundreds of per-record requests).
                 self.metrics.lock_requests += 1;
-                let mode = self.sys.txn(inst.txn).step(step).mode;
-                if let Some(scheme) = self.cfg.admission_scheme() {
-                    self.on_prevented_lock_request(site, inst, entity, step, mode, scheme);
+                if self.cfg.faults.any() && self.sites[site.idx()].table.is_waiting(entity, inst) {
+                    self.on_retransmitted_while_queued(site, inst, entity);
                     return;
                 }
-                if self.cfg.faults.any() && self.sites[site.idx()].is_waiting(entity, inst) {
-                    // Retransmitted while queued: the grant will come
-                    // through the queue, so the request itself is a no-op —
-                    // but the retry is evidence the waiter is still stuck,
-                    // and any probe its edge launched may have been lost.
-                    // Forget and re-observe the entity so its live edges
-                    // are chased again (idempotent at the abort: duplicate
-                    // cycle closes collapse on the epoch check).
-                    if self.cfg.detection() == Some(DeadlockDetection::Probe) {
-                        self.probe_state[site.idx()].forget(entity);
-                        self.edges_changed(site, entity);
+                match self.admit(site, inst, entity, step) {
+                    PreventionOutcome::Granted => self.grant(site, inst, entity, step),
+                    PreventionOutcome::Rejected => {
+                        // Wait-die / no-wait: the requester was not queued;
+                        // tell its coordinator to restart it (with its
+                        // original birth stamp, so it ages toward
+                        // invulnerability).
+                        let rejected = Payload::LockRejected { inst, entity, step };
+                        self.send_to_coordinator(inst.txn, rejected);
+                        // The rejected requester will retry after its
+                        // restart backoff; demanding now drains the
+                        // delegated obstacle in the meantime, or the retry
+                        // spins forever against a hold whose owner sees no
+                        // reason to release it.
+                        self.demand(site, inst, entity);
                     }
-                    // Likewise any revocation the original demand sent
-                    // may have been lost: re-demand re-sends it.
-                    self.demand(site, inst, entity);
-                    return;
-                }
-                if self.sites[site.idx()].request(entity, inst, mode) {
-                    self.note_grant(site, inst, entity);
-                    self.record_step(inst, step);
-                    let delegated = self.maybe_delegate(site, inst, entity);
-                    self.send_to_coordinator(
-                        inst.txn,
-                        Payload::LockGranted {
-                            inst,
-                            entity,
-                            step,
-                            delegated,
-                        },
-                    );
-                } else {
-                    self.pending_lock_step.insert((inst, entity), step);
-                    // `or_insert`: on clean runs the key is never live
-                    // twice; under faults a crash-and-re-request must not
-                    // reset the wait clock.
-                    self.waiting_since.entry((inst, entity)).or_insert(self.now);
-                    // OnBlock's cycle check runs in the event loop right
-                    // after this handler returns; Probe launches its
-                    // chase from inside `edges_changed`.
-                    self.edges_changed(site, entity);
-                    // If any obstacle's grant is delegated, its cache
-                    // must drain before this wait can end: revoke it.
-                    self.demand(site, inst, entity);
+                    waits @ (PreventionOutcome::Queued | PreventionOutcome::Wounded(_)) => {
+                        // `or_insert`: on clean runs the key is never live
+                        // twice; under faults a crash-and-re-request must
+                        // not reset the wait clock.
+                        let since = self.now;
+                        let waiting = self.sites[site.idx()].queued.entry((inst, entity));
+                        waiting.or_insert(Queued { step, since }).step = step;
+                        // OnBlock's cycle check runs in the event loop right
+                        // after this handler returns; Probe launches its
+                        // chase from inside `edges_changed`.
+                        self.edges_changed(site, entity);
+                        if let PreventionOutcome::Wounded(victims) = waits {
+                            // The elder waits in the queue like any blocked
+                            // request; the wound orders travel the network
+                            // to the younger owners' coordinators, whose
+                            // aborts will release the entity and grant the
+                            // queue.
+                            for victim in victims {
+                                self.send_to_coordinator(victim.txn, Payload::Wound { victim });
+                            }
+                        }
+                        // If any obstacle's grant is delegated (older
+                        // delegated holders are not wounded), its cache
+                        // must drain before this wait can end: revoke it.
+                        self.demand(site, inst, entity);
+                    }
                 }
             }
             Payload::UpdateRequest { inst, entity, step } => {
@@ -1017,11 +958,13 @@ impl Engine<'_> {
                         // parent — possibly held at another site — shields
                         // it; see `LockMode::shields_child`.
                         self.sites[site.idx()]
+                            .table
                             .holds(entity, inst)
                             .is_some_and(|held| held.covers(mode))
                             || self.sys.db().parent_of(entity).is_some_and(|p| {
                                 let ps = self.sys.db().site_of(p);
                                 self.sites[ps.idx()]
+                                    .table
                                     .holds(p, inst)
                                     .is_some_and(|m| m.shields_child(mode))
                             })
@@ -1040,51 +983,15 @@ impl Engine<'_> {
                     return;
                 }
                 self.record_step(inst, step);
-                // A retransmitted unlock whose original was processed (but
-                // whose ack was lost) finds no hold: release idempotently
-                // — keyed by owner, it can never free a later holder's
-                // lock — and just re-acknowledge.
-                let grants = if self.cfg.faults.any() {
-                    self.sites[site.idx()].release_idempotent(entity, inst)
-                } else {
-                    self.sites[site.idx()].release(entity, inst)
-                };
-                if self.track_leases {
-                    self.leases[site.idx()].release(inst, entity);
-                }
-                if self.delegation {
-                    // A full remote release retires any delegation record
-                    // with the hold: a later re-acquire is a *fresh*
-                    // delegation (fresh lease clock), and a revocation ack
-                    // still in flight must find nothing left to drain.
-                    self.delegations[site.idx()].remove(inst, entity);
-                }
-                self.edges_changed(site, entity);
-                self.send_to_coordinator(inst.txn, Payload::UnlockDone { inst, step });
-                for (n, _) in grants {
-                    self.grant_queued(n, entity);
-                }
+                self.release_hold(site, inst, entity, Some(step));
             }
             Payload::RevokeAck { inst, entity } => {
                 // The drain ack: only an *awaited* revocation releases the
                 // hold. A duplicated or outdated ack (the entry already
                 // drained elsewhere, or a fresh delegation replaced it)
                 // must not release a hold some cache still claims.
-                if !self.delegations[site.idx()].is_revoking(inst, entity) {
-                    return;
-                }
-                self.delegations[site.idx()].remove(inst, entity);
-                let grants = if self.cfg.faults.any() {
-                    self.sites[site.idx()].release_idempotent(entity, inst)
-                } else {
-                    self.sites[site.idx()].release(entity, inst)
-                };
-                if self.track_leases {
-                    self.leases[site.idx()].release(inst, entity);
-                }
-                self.edges_changed(site, entity);
-                for (n, _) in grants {
-                    self.grant_queued(n, entity);
+                if self.sites[site.idx()].delegations.is_revoking(inst, entity) {
+                    self.release_hold(site, inst, entity, None);
                 }
             }
             Payload::Probe(msg) => self.on_probe(site, msg),
@@ -1092,124 +999,69 @@ impl Engine<'_> {
         }
     }
 
-    /// A lock request under an admission scheme — a prevention run, or
-    /// the avoidance arm's wound-wait fallback: the site decides wait /
-    /// wound / die from the requester's and the conflicting owners'
-    /// admission priorities ([`admission_priority`]) — knowledge carried
-    /// on the request and already present in the table's ownership
-    /// records. Nothing global is consulted and no detection state exists
-    /// in this mode.
-    fn on_prevented_lock_request(
+    /// A retransmitted request found its original still queued: the grant
+    /// will come through the queue, so the request itself is a no-op (and
+    /// re-admitting would be a protocol error) — but the retry is evidence
+    /// the waiter is still stuck, and whatever its original sent to get
+    /// unstuck may have been lost on the wire. Each scheme re-sends its
+    /// own; all three are idempotent at the receiving coordinator.
+    fn on_retransmitted_while_queued(&mut self, site: SiteId, inst: Instance, entity: EntityId) {
+        let s = site.idx();
+        if self.cfg.detection() == Some(DeadlockDetection::Probe) {
+            // Forget and re-observe the entity so its live edges are
+            // chased again (duplicate cycle closes collapse on the epoch
+            // check at the abort).
+            self.sites[s].probe.forget(entity);
+            self.edges_changed(site, entity);
+        }
+        if self.cfg.admission_scheme() == Some(PreventionScheme::WoundWait) {
+            // Re-derive the victim set (every *currently* conflicting
+            // owner younger than us) and re-send the wounds; wounds for
+            // moved-on or committed victims are dropped at the coordinator.
+            let mine = priority_of(self.cfg, &self.coords, inst);
+            let mut victims = self.sites[s].table.conflicts_of(entity, inst);
+            victims.retain(|&o| priority_of(self.cfg, &self.coords, o) > mine);
+            for victim in victims {
+                self.send_to_coordinator(victim.txn, Payload::Wound { victim });
+            }
+        }
+        // Re-demand re-sends a still-pending revocation.
+        self.demand(site, inst, entity);
+    }
+
+    /// Submits a lock request to the site's table — the one place a
+    /// request is admitted. Under an admission scheme (a prevention run,
+    /// or the avoidance arm's wound-wait fallback) the table decides wait
+    /// / wound / die from the requester's and the conflicting owners'
+    /// admission priorities — knowledge carried on the request and
+    /// already present in the table's ownership records; nothing global
+    /// is consulted. Under detection every conflict simply queues.
+    fn admit(
         &mut self,
         site: SiteId,
         inst: Instance,
         entity: EntityId,
         step: StepId,
-        mode: kplock_model::LockMode,
-        scheme: kplock_dlm::PreventionScheme,
-    ) {
-        if self.cfg.faults.any() && self.sites[site.idx()].is_waiting(entity, inst) {
-            // Retransmitted while queued. Re-admitting would be a protocol
-            // error, but under wound-wait the original's wound orders may
-            // have been lost on the wire — so re-derive the victim set
-            // (every *currently* conflicting owner younger than us) and
-            // re-send the wounds. Idempotent at the coordinator: wounds
-            // for moved-on or committed victims are dropped there.
-            if scheme == kplock_dlm::PreventionScheme::WoundWait {
-                let mine = admission_priority(self.cfg, &self.coords, inst);
-                let victims: Vec<Instance> = self.sites[site.idx()]
-                    .conflicts_of(entity, inst)
-                    .into_iter()
-                    .filter(|&o| admission_priority(self.cfg, &self.coords, o) > mine)
-                    .collect();
-                for victim in victims {
-                    self.send_to_coordinator(victim.txn, Payload::Wound { victim });
-                }
-            }
-            // And any revocation the original demand sent may have been
-            // lost too: re-demand re-sends it.
-            self.demand(site, inst, entity);
-            return;
-        }
-        // Split borrows: the table mutates while the priority closure
-        // reads coordinator birth stamps. Owners in a live table are never
-        // stale (aborts scrub synchronously), and birth survives restarts,
-        // so the lookup is always current.
-        let coords = &self.coords;
-        let cfg = self.cfg;
-        let table = &mut self.sites[site.idx()];
-        let outcome = table.request_with_priority(entity, inst, mode, scheme, |o: Instance| {
-            admission_priority(cfg, coords, o)
-        });
-        match outcome {
-            PreventionOutcome::Granted => {
-                self.note_grant(site, inst, entity);
-                self.record_step(inst, step);
-                let delegated = self.maybe_delegate(site, inst, entity);
-                self.send_to_coordinator(
-                    inst.txn,
-                    Payload::LockGranted {
-                        inst,
-                        entity,
-                        step,
-                        delegated,
-                    },
-                );
-            }
-            PreventionOutcome::Queued => {
-                self.pending_lock_step.insert((inst, entity), step);
-                self.waiting_since.entry((inst, entity)).or_insert(self.now);
-                self.demand(site, inst, entity);
-            }
-            PreventionOutcome::Wounded(victims) => {
-                // The elder waits in the queue like any blocked request;
-                // the wound orders travel the network to the younger
-                // owners' coordinators, whose aborts will release the
-                // entity and grant the queue.
-                self.pending_lock_step.insert((inst, entity), step);
-                self.waiting_since.entry((inst, entity)).or_insert(self.now);
-                for victim in victims {
-                    self.send_to_coordinator(victim.txn, Payload::Wound { victim });
-                }
-                // Older delegated holders are not wounded; their caches
-                // must still drain for this wait to end.
-                self.demand(site, inst, entity);
-            }
-            PreventionOutcome::Rejected => {
-                // Wait-die / no-wait: the requester was not queued; tell
-                // its coordinator to restart it (with its original birth
-                // stamp, so it ages toward invulnerability).
-                self.send_to_coordinator(inst.txn, Payload::LockRejected { inst, entity, step });
-                // The rejected requester will retry after its restart
-                // backoff; demanding now drains the delegated obstacle
-                // in the meantime, or the retry spins forever against a
-                // hold whose owner sees no reason to release it.
-                self.demand(site, inst, entity);
-            }
+    ) -> PreventionOutcome<Instance> {
+        let mode = self.sys.txn(inst.txn).step(step).mode;
+        let (cfg, coords) = (self.cfg, &self.coords);
+        let table = &mut self.sites[site.idx()].table;
+        const BUG: &str = "the engine never re-requests a queued lock";
+        match cfg.admission_scheme() {
+            None => match table.request(entity, inst, mode).expect(BUG) {
+                Acquire::Granted => PreventionOutcome::Granted,
+                Acquire::Queued => PreventionOutcome::Queued,
+            },
+            Some(scheme) => table
+                .request_with_priority(entity, inst, mode, scheme, |o| priority_of(cfg, coords, o))
+                .expect(BUG),
         }
     }
 
-    /// A queued instance just received the lock on `entity`.
-    fn grant_queued(&mut self, inst: Instance, entity: EntityId) {
-        let step = self
-            .pending_lock_step
-            .remove(&(inst, entity))
-            .expect("queued lock has a pending step");
-        if let Some(since) = self.waiting_since.remove(&(inst, entity)) {
-            self.metrics.lock_wait_ticks += self.now - since;
-        }
-        let site = self.sys.db().site_of(entity);
-        // The grant happens at the site; the wait in the queue means the
-        // instance may have been aborted meanwhile — stale grants release
-        // immediately.
-        if self.stale(inst) {
-            let grants = self.sites[site.idx()].release(entity, inst);
-            self.edges_changed(site, entity);
-            for (n, _) in grants {
-                self.grant_queued(n, entity);
-            }
-            return;
-        }
+    /// `inst` was just granted `entity` at `site`, immediately or from
+    /// the queue: mirror the lease, record the step, decide delegation
+    /// and acknowledge — the one place a grant goes on the wire.
+    fn grant(&mut self, site: SiteId, inst: Instance, entity: EntityId, step: StepId) {
         self.note_grant(site, inst, entity);
         self.record_step(inst, step);
         let delegated = self.maybe_delegate(site, inst, entity);
@@ -1224,16 +1076,67 @@ impl Engine<'_> {
         );
     }
 
+    /// Releases `inst`'s hold on `entity` with everything that rides on
+    /// it: the lease, any delegation record (a later re-acquire is a
+    /// *fresh* delegation with a fresh lease clock, and a revocation ack
+    /// still in flight must find nothing left to drain), the wait edges,
+    /// the unlock acknowledgement if one is owed, and the grants the
+    /// release unblocked, in that order.
+    fn release_hold(
+        &mut self,
+        site: SiteId,
+        inst: Instance,
+        entity: EntityId,
+        ack: Option<StepId>,
+    ) {
+        let s = &mut self.sites[site.idx()];
+        // A retransmitted unlock whose original was processed (but whose
+        // ack was lost) finds no hold: release idempotently — keyed by
+        // owner, it can never free a later holder's lock — and just
+        // re-acknowledge.
+        let grants = if self.cfg.faults.any() {
+            s.table.release_idempotent(entity, inst)
+        } else {
+            s.table
+                .release(entity, inst)
+                .expect("the engine releases only what is held")
+        };
+        s.leases.release(inst, entity);
+        s.delegations.remove(inst, entity);
+        self.edges_changed(site, entity);
+        if let Some(step) = ack {
+            self.send_to_coordinator(inst.txn, Payload::UnlockDone { inst, step });
+        }
+        for (n, _) in grants {
+            self.grant_queued(n, entity);
+        }
+    }
+
+    /// A queued instance just received the lock on `entity`.
+    fn grant_queued(&mut self, inst: Instance, entity: EntityId) {
+        let site = self.sys.db().site_of(entity);
+        let waited = self.sites[site.idx()]
+            .queued
+            .remove(&(inst, entity))
+            .expect("a queued lock has a record");
+        self.metrics.lock_wait_ticks += self.now - waited.since;
+        // The grant happens at the site; the wait in the queue means the
+        // instance may have been aborted meanwhile — stale grants release
+        // immediately.
+        if self.stale(inst) {
+            self.release_hold(site, inst, entity, None);
+        } else {
+            self.grant(site, inst, entity, waited.step);
+        }
+    }
+
     fn on_coordinator(&mut self, txn: TxnId, payload: Payload) {
-        match payload {
+        let (inst, step, granted_entity) = match payload {
             Payload::Abort {
                 victim,
                 members,
                 formed_at,
-            } => {
-                self.on_abort_message(victim, &members, formed_at);
-                return;
-            }
+            } => return self.on_abort_message(victim, &members, formed_at),
             Payload::Wound { victim } => {
                 // A wound order for an instance that already moved on is
                 // dropped: an earlier wound bumped its epoch (`stale`), or
@@ -1256,13 +1159,7 @@ impl Engine<'_> {
                 }
                 return;
             }
-            Payload::Revoke { inst, entity } => {
-                self.on_revoke(txn, inst, entity);
-                return;
-            }
-            _ => {}
-        }
-        let (inst, step, granted_entity) = match payload {
+            Payload::Revoke { inst, entity } => return self.on_revoke(txn, inst, entity),
             Payload::LockGranted {
                 inst,
                 step,
@@ -1318,38 +1215,30 @@ impl Engine<'_> {
         delegated: Option<DelegatedGrant>,
     ) {
         let site = self.sys.db().site_of(entity);
-        let deferred = self.deferred_revokes[txn.idx()].remove(&entity);
+        let boot = self.sites[site.idx()].boot;
+        let c = &mut self.coords[txn.idx()];
+        let deferred = c.deferred_revokes.remove(&entity);
         match delegated {
-            Some(g) if g.boot == self.boot[site.idx()] => {
-                let cache = &mut self.caches[txn.idx()];
-                match cache.get_mut(&entity) {
-                    Some(entry) if entry.inst == inst => {
-                        entry.mode = g.mode;
-                        entry.lease = g.lease;
-                        entry.in_use = true;
-                        // `revoke_pending` is preserved: a refresh must
-                        // not lose a drain the unlock owes the site.
-                        entry.revoke_pending |= deferred == Some(inst);
-                    }
-                    _ => {
-                        cache.insert(
-                            entity,
-                            CacheEntry {
-                                inst,
-                                mode: g.mode,
-                                lease: g.lease,
-                                in_use: true,
-                                revoke_pending: deferred == Some(inst),
-                            },
-                        );
-                    }
-                }
+            Some(g) if g.boot == boot => {
+                // A refresh preserves `revoke_pending`: it must not lose
+                // a drain the unlock owes the site.
+                let owed = c.cache.get(&entity);
+                let revoke_pending = deferred == Some(inst)
+                    || owed.is_some_and(|old| old.inst == inst && old.revoke_pending);
+                let entry = CacheEntry {
+                    inst,
+                    mode: g.mode,
+                    lease: g.lease,
+                    in_use: true,
+                    revoke_pending,
+                };
+                c.cache.insert(entity, entry);
             }
             _ => {
                 // Plain (or pre-crash) grant: nothing is cached, so a
                 // deferred revocation's premise is void too — the remote
                 // unlock will release the hold through its own path.
-                self.caches[txn.idx()].remove(&entity);
+                c.cache.remove(&entity);
             }
         }
     }
@@ -1397,13 +1286,14 @@ impl Engine<'_> {
     /// would release a hold the late-arriving ack then caches.
     fn on_revoke(&mut self, txn: TxnId, inst: Instance, entity: EntityId) {
         let site = self.sys.db().site_of(entity);
-        if let Some(entry) = self.caches[txn.idx()].get_mut(&entity) {
+        let cache = &mut self.coords[txn.idx()].cache;
+        if let Some(entry) = cache.get_mut(&entity) {
             if entry.inst == inst {
                 if entry.in_use {
                     // Mid-use: the drain rides the upcoming local unlock.
                     entry.revoke_pending = true;
                 } else {
-                    self.caches[txn.idx()].remove(&entity);
+                    cache.remove(&entity);
                     self.send_to_site(site, Payload::RevokeAck { inst, entity });
                 }
                 return;
@@ -1420,7 +1310,7 @@ impl Engine<'_> {
             // The revoke overtook the grant ack (a shorter latency draw).
             // Remember it; `note_cached_grant` applies it when the ack
             // lands, so the entry is born draining.
-            self.deferred_revokes[txn.idx()].insert(entity, inst);
+            self.coords[txn.idx()].deferred_revokes.insert(entity, inst);
             return;
         }
         if self.holds_remotely(txn, entity) {
@@ -1464,9 +1354,9 @@ impl Engine<'_> {
     /// detection decision was already made by the probes alone.
     fn audit_probe_abort(&mut self, victim: Instance) {
         let mut wfg: WaitForGraph<Instance> = WaitForGraph::new();
-        for (s, table) in self.sites.iter().enumerate() {
+        for (s, site) in self.sites.iter().enumerate() {
             for e in self.sys.db().entities_at(SiteId::from_idx(s)) {
-                wfg.update_entity(e, table.entity_waits_for(e));
+                wfg.update_entity(e, site.table.entity_waits_for(e));
             }
         }
         let on_cycle = wfg
@@ -1484,7 +1374,7 @@ impl Engine<'_> {
         loop {
             let mut edges: Vec<(Instance, Instance)> = Vec::new();
             for site in &self.sites {
-                edges.extend(site.waits_for());
+                edges.extend(site.table.waits_for());
             }
             if !self.resolve_one_cycle(&edges) {
                 return;
@@ -1524,10 +1414,7 @@ impl Engine<'_> {
         };
         let members: Vec<Instance> = cycle
             .iter()
-            .map(|&t| Instance {
-                txn: TxnId::from_idx(t),
-                epoch: self.coords[t].epoch,
-            })
+            .map(|&t| self.current(TxnId::from_idx(t)))
             .collect();
         let stamps: Vec<Stamp> = members.iter().map(|&m| self.stamp_of(m)).collect();
         let victim = probe::choose_victim(self.cfg.victim_policy, &members, &stamps);
@@ -1535,10 +1422,11 @@ impl Engine<'_> {
         // cycle's members (the cycle cannot predate its youngest edge):
         // ~0 for OnBlock, up to a scan interval here.
         let formation = self
-            .waiting_since
+            .sites
             .iter()
+            .flat_map(|site| &site.queued)
             .filter(|&(&(inst, _), _)| !self.stale(inst) && cycle.contains(&inst.txn.idx()))
-            .map(|(_, &t)| t)
+            .map(|(_, q)| q.since)
             .max();
         if let Some(t0) = formation {
             self.metrics.detection_latency_ticks += self.now - t0;
@@ -1559,10 +1447,7 @@ impl Engine<'_> {
             "aborting committed transaction {txn:?} at tick {}",
             self.now
         );
-        let old = Instance {
-            txn,
-            epoch: self.coords[txn.idx()].epoch,
-        };
+        let old = self.current(txn);
         self.metrics.aborts += 1;
         if self.delegation {
             // Retention: uncontested cached grants survive the restart —
@@ -1572,29 +1457,23 @@ impl Engine<'_> {
             // hot-spot workloads earn their cache hits. Contested or
             // draining entries go down with the epoch.
             self.retain_cache_on_abort(txn, old);
-            for d in &mut self.delegations {
-                d.drop_owner(old);
-            }
-            self.deferred_revokes[txn.idx()].clear();
+            self.coords[txn.idx()].deferred_revokes.clear();
         }
-        if self.track_leases {
-            for leases in &mut self.leases {
-                leases.drop_owner(old);
-            }
-        }
-        // Drop waits and release locks at every site.
+        // Scrub the ledgers, drop waits and release locks at every site.
         for s in 0..self.sites.len() {
             let site_id = SiteId::from_idx(s);
-            let cancelled = self.sites[s].cancel_waits(old);
+            let site = &mut self.sites[s];
+            site.delegations.drop_owner(old);
+            site.leases.drop_owner(old);
+            let cancelled = site.table.cancel_waits(old);
             for &e in &cancelled.cancelled {
-                self.pending_lock_step.remove(&(old, e));
-                self.waiting_since.remove(&(old, e));
+                self.sites[s].queued.remove(&(old, e));
                 self.edges_changed(site_id, e);
             }
             for (entity, grants) in cancelled
                 .granted
                 .into_iter()
-                .chain(self.sites[s].release_all(old))
+                .chain(self.sites[s].table.release_all(old))
             {
                 self.edges_changed(site_id, entity);
                 for (n, _) in grants {
@@ -1630,33 +1509,31 @@ impl Engine<'_> {
             txn,
             epoch: old.epoch + 1,
         };
-        let mut entities: Vec<EntityId> = self.caches[txn.idx()].keys().copied().collect();
+        let cache = &mut self.coords[txn.idx()].cache;
+        let mut entities: Vec<EntityId> = cache.keys().copied().collect();
         entities.sort();
         for e in entities {
-            let entry = self.caches[txn.idx()][&e];
-            let site = self.sys.db().site_of(e);
-            let s = site.idx();
+            let entry = cache.get_mut(&e).expect("entry present");
+            let s = &mut self.sites[self.sys.db().site_of(e).idx()];
             let retain = entry.inst == old
-                && !self.down[s]
+                && !s.down
                 && !entry.revoke_pending
-                && !self.delegations[s].is_revoking(old, e)
-                && self.sites[s].entity_waits_for(e).is_empty()
-                && self.sites[s].holds(e, old).is_some();
+                && !s.delegations.is_revoking(old, e)
+                && s.table.entity_waits_for(e).is_empty()
+                && s.table.holds(e, old).is_some();
             if !retain {
-                self.caches[txn.idx()].remove(&e);
+                cache.remove(&e);
                 continue;
             }
-            let grants = self.sites[s].release(e, old);
+            let grants = s.table.release(e, old).expect("held, checked above");
             debug_assert!(grants.is_empty(), "uncontested releases grant nobody");
-            let granted = self.sites[s].request(e, new, entry.mode);
-            debug_assert!(granted, "re-keyed retention re-grants conflict-free");
-            let _ = (grants, granted);
-            self.delegations[s].rekey(old, new, e);
+            let granted = s.table.request(e, new, entry.mode).expect("new owner");
+            debug_assert_eq!(granted, Acquire::Granted, "re-keying is conflict-free");
+            s.delegations.rekey(old, new, e);
             if self.track_leases {
-                self.leases[s].release(old, e);
-                self.leases[s].grant(new, e, entry.mode, entry.lease);
+                s.leases.release(old, e);
+                s.leases.grant(new, e, entry.mode, entry.lease);
             }
-            let entry = self.caches[txn.idx()].get_mut(&e).expect("entry present");
             entry.inst = new;
             entry.in_use = false;
             entry.revoke_pending = false;
@@ -1680,19 +1557,15 @@ impl Engine<'_> {
     /// holder's committed section is still open.
     fn on_crash(&mut self, site: SiteId) {
         let s = site.idx();
-        self.down[s] = true;
-        self.crash_at[s] = self.now;
-        self.boot[s] = self.boot[s].wrapping_add(1);
+        self.sites[s].down = true;
+        self.sites[s].crash_at = self.now;
+        self.sites[s].boot = self.sites[s].boot.wrapping_add(1);
         if self.delegation {
-            for (inst, e, _lease, revoking) in self.delegations[s].entries() {
-                let _ = revoking;
+            for (inst, e, _lease, _revoking) in self.sites[s].delegations.entries() {
                 let t = inst.txn.idx();
-                let cached = match self.caches[t].get(&e) {
-                    Some(entry) if entry.inst == inst => {
-                        let in_use = entry.in_use;
-                        self.caches[t].remove(&e);
-                        Some(in_use)
-                    }
+                let cache = &mut self.coords[t].cache;
+                let cached = match cache.get(&e) {
+                    Some(entry) if entry.inst == inst => cache.remove(&e).map(|entry| entry.in_use),
                     _ => None,
                 };
                 // Keep the lease exactly when the owner's lock section
@@ -1715,27 +1588,26 @@ impl Engine<'_> {
                             && !self.coords[t].committed
                             && (self.lock_in_flight(inst.txn, e)
                                 || self.holds_remotely(inst.txn, e)
-                                || self.deferred_revokes[t].get(&e) == Some(&inst))
+                                || self.coords[t].deferred_revokes.get(&e) == Some(&inst))
                     }
                 };
                 if !keep_lease && self.track_leases {
-                    self.leases[s].release(inst, e);
+                    self.sites[s].leases.release(inst, e);
                 }
             }
-            self.delegations[s].clear();
+            self.sites[s].delegations.clear();
             // Any stray cache entry over this site's entities dies too
             // (defensive: ledger and cache are kept in sync, but a crash
             // must leave no cache claiming a wiped table).
             let sys = self.sys;
-            for cache in &mut self.caches {
-                cache.retain(|&e, _| sys.db().site_of(e) != site);
-            }
-            for deferred in &mut self.deferred_revokes {
-                deferred.retain(|&e, _| sys.db().site_of(e) != site);
+            for c in &mut self.coords {
+                c.cache.retain(|&e, _| sys.db().site_of(e) != site);
+                c.deferred_revokes
+                    .retain(|&e, _| sys.db().site_of(e) != site);
             }
         }
-        self.sites[s] = SiteTable::new();
-        self.probe_state[s].clear();
+        self.sites[s].table = QueueTable::new();
+        self.sites[s].probe.clear();
         // Sync the detectors to the wiped table: every wait edge this
         // site induced is gone until the waits re-form. Removals cannot
         // create a cycle, so no resolution pass is needed here.
@@ -1763,16 +1635,16 @@ impl Engine<'_> {
     ///    edges launch fresh probes from the site's cleared edge memory.
     fn on_recover(&mut self, site: SiteId) {
         let s = site.idx();
-        if !self.down[s] {
+        if !self.sites[s].down {
             // Defensive only: validation rejects overlapping outages, so
             // every recovery should find its site down.
             return;
         }
-        self.down[s] = false;
+        self.sites[s].down = false;
         self.metrics.recoveries += 1;
-        let crash_at = self.crash_at[s];
-        let ledger = self.leases[s].entries();
-        self.leases[s].clear();
+        let crash_at = self.sites[s].crash_at;
+        let ledger = self.sites[s].leases.entries();
+        self.sites[s].leases.clear();
         let mut expired: Vec<Instance> = Vec::new();
         for (inst, e, mode, lease) in ledger {
             if self.stale(inst) || self.coords[inst.txn.idx()].committed {
@@ -1782,9 +1654,11 @@ impl Engine<'_> {
                 continue;
             }
             if lease.survives_outage(crash_at, self.now) {
-                let granted = self.sites[s].request(e, inst, mode);
-                debug_assert!(granted, "surviving holders rebuild conflict-free");
-                let _ = granted;
+                let granted = self.sites[s]
+                    .table
+                    .request(e, inst, mode)
+                    .expect("a wiped table has no queue to be in");
+                debug_assert_eq!(granted, Acquire::Granted, "the ledger is conflict-free");
                 self.note_grant(site, inst, e);
             } else {
                 self.metrics.leases_expired += 1;
@@ -1848,8 +1722,8 @@ impl Engine<'_> {
     /// every site), deadlock scans and recoveries — so a violation names
     /// the exact tick it first became observable.
     fn audit_tables(&self) {
-        for (s, table) in self.sites.iter().enumerate() {
-            if let Err(e) = table.check_invariants() {
+        for (s, site) in self.sites.iter().enumerate() {
+            if let Err(e) = site.table.check_invariants() {
                 panic!(
                     "lock-table invariant violated at site {s} tick {}: {e}",
                     self.now

@@ -112,7 +112,6 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod history;
-pub mod lock_table;
 pub mod metrics;
 pub mod probe;
 pub mod replay;
@@ -127,7 +126,6 @@ pub use engine::{run, run_with_arrivals, RunOutcome, SimReport};
 pub use event::{DelegatedGrant, EventKind, EventQueue, Instance, Payload, SimTime};
 pub use fault::{FaultPlan, FaultPlanError, SiteCrash};
 pub use history::{audit, Audit, History, HistoryEvent};
-pub use lock_table::SiteTable;
 pub use metrics::Metrics;
 pub use probe::{choose_victim, ProbeMsg, SiteProbeState, Stamp};
 pub use replay::{replay_deadlock, replay_violation, DeadlockEvidence, ReplayError};

@@ -3,7 +3,7 @@
 //!
 //! Under [`crate::DeadlockDetection::Probe`] no process ever sees a global
 //! wait-for graph. Each site knows exactly the wait-for edges its own lock
-//! table induces ([`crate::SiteTable::waits_of`]), and deadlocks are found
+//! table induces ([`kplock_dlm::QueueTable::waits_of`]), and deadlocks are found
 //! by *probe* messages chasing those edges across the latency-modelled
 //! network:
 //!

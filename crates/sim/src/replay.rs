@@ -4,7 +4,7 @@
 //! `kplock_core::sat_check` decides safety and deadlock reachability
 //! symbolically and decodes SAT models into witness schedules. This
 //! module replays those witnesses against the *real* lock-table
-//! machinery — per-site [`SiteTable`]s, [`History`] recording, the
+//! machinery — per-site [`QueueTable`]s, [`History`] recording, the
 //! [`audit`] pass — so an `Unsafe` verdict is backed by an actual
 //! non-serializable committed history and a deadlock verdict by an
 //! actual total stall with a waits-for cycle, structural invariants
@@ -15,11 +15,12 @@
 
 use std::fmt;
 
+use kplock_dlm::{Acquire, QueueTable};
+use kplock_graph::DiGraph;
 use kplock_model::{ActionKind, EntityId, ModelError, Schedule, StepId, TxnId, TxnSystem};
 
 use crate::event::Instance;
 use crate::history::{audit, Audit, History};
-use crate::lock_table::SiteTable;
 
 /// Why a witness failed to replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,18 +77,13 @@ pub struct DeadlockEvidence {
     pub cycle: Vec<TxnId>,
 }
 
-/// One fresh table per site of `sys`.
-fn tables(sys: &TxnSystem) -> Vec<SiteTable> {
-    vec![SiteTable::new(); sys.db().site_count()]
-}
-
 /// Drives `schedule` step-by-step through per-site tables, recording a
 /// history. Every lock must be granted on the spot and every table must
 /// hold its invariants after every step.
 fn drive(
     sys: &TxnSystem,
     schedule: &Schedule,
-    tables: &mut [SiteTable],
+    tables: &mut [QueueTable<Instance>],
     history: &mut History,
 ) -> Result<(), ReplayError> {
     for (time, ss) in schedule.steps().iter().enumerate() {
@@ -100,7 +96,10 @@ fn drive(
         };
         match step.kind {
             ActionKind::Lock => {
-                if !tables[site].request(step.entity, inst, step.mode) {
+                let outcome = tables[site]
+                    .request(step.entity, inst, step.mode)
+                    .expect("a legal schedule never re-requests a queued lock");
+                if outcome == Acquire::Queued {
                     return Err(ReplayError::Blocked {
                         txn: ss.txn,
                         step: ss.step,
@@ -109,7 +108,9 @@ fn drive(
                 }
             }
             ActionKind::Unlock => {
-                tables[site].release(step.entity, inst);
+                tables[site]
+                    .release(step.entity, inst)
+                    .expect("a legal schedule unlocks only what it holds");
             }
             ActionKind::Update => {}
         }
@@ -127,7 +128,7 @@ pub fn replay_violation(sys: &TxnSystem, schedule: &Schedule) -> Result<Audit, R
     schedule
         .validate_complete(sys)
         .map_err(ReplayError::Illegal)?;
-    let mut site_tables = tables(sys);
+    let mut site_tables = vec![QueueTable::new(); sys.db().site_count()];
     let mut history = History::default();
     drive(sys, schedule, &mut site_tables, &mut history)?;
     let committed: Vec<Option<u32>> = vec![Some(0); sys.len()];
@@ -149,7 +150,7 @@ pub fn replay_deadlock(
     prefix: &Schedule,
 ) -> Result<DeadlockEvidence, ReplayError> {
     prefix.validate_prefix(sys).map_err(ReplayError::Illegal)?;
-    let mut site_tables = tables(sys);
+    let mut site_tables = vec![QueueTable::new(); sys.db().site_count()];
     let mut history = History::default();
     drive(sys, prefix, &mut site_tables, &mut history)?;
 
@@ -184,7 +185,10 @@ pub fn replay_deadlock(
                 txn: TxnId::from_idx(i),
                 epoch: 0,
             };
-            if site_tables[site].request(step.entity, inst, step.mode) {
+            let outcome = site_tables[site]
+                .request(step.entity, inst, step.mode)
+                .expect("each frontier lock is requested once");
+            if outcome == Acquire::Granted {
                 return Err(ReplayError::NotStalled(format!(
                     "lock step {s} of T{i} on {} was granted",
                     step.entity
@@ -205,57 +209,17 @@ pub fn replay_deadlock(
     }
 
     // The queued requests induced real wait edges; find a cycle.
-    let mut waits: Vec<Vec<usize>> = vec![Vec::new(); sys.len()];
+    let mut waits = DiGraph::new(sys.len());
     for table in &site_tables {
         for (waiter, holder) in table.waits_for() {
-            waits[waiter.txn.idx()].push(holder.txn.idx());
+            waits.add_edge(waiter.txn.idx(), holder.txn.idx());
         }
     }
-    let cycle = find_cycle(&waits).ok_or(ReplayError::NoWaitCycle)?;
+    let cycle = kplock_graph::find_cycle(&waits).ok_or(ReplayError::NoWaitCycle)?;
     Ok(DeadlockEvidence {
         stalled,
         cycle: cycle.into_iter().map(TxnId::from_idx).collect(),
     })
-}
-
-/// A directed cycle in `adj`, if any, as the list of its nodes in order.
-fn find_cycle(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
-    // Iterative DFS with a path stack; 0 = unvisited, 1 = on path, 2 = done.
-    let n = adj.len();
-    let mut state = vec![0u8; n];
-    let mut path: Vec<usize> = Vec::new();
-    for root in 0..n {
-        if state[root] != 0 {
-            continue;
-        }
-        // (node, next successor index) frames.
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        state[root] = 1;
-        path.push(root);
-        while let Some(&mut (node, ref mut next)) = frames.last_mut() {
-            if *next < adj[node].len() {
-                let succ = adj[node][*next];
-                *next += 1;
-                match state[succ] {
-                    0 => {
-                        state[succ] = 1;
-                        path.push(succ);
-                        frames.push((succ, 0));
-                    }
-                    1 => {
-                        let start = path.iter().position(|&p| p == succ).expect("on path");
-                        return Some(path[start..].to_vec());
-                    }
-                    _ => {}
-                }
-            } else {
-                state[node] = 2;
-                path.pop();
-                frames.pop();
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -320,16 +284,5 @@ mod tests {
             replay_deadlock(&sys, &prefix),
             Err(ReplayError::NotStalled(_))
         ));
-    }
-
-    #[test]
-    fn cycle_finder_sees_self_and_long_cycles() {
-        assert_eq!(find_cycle(&[vec![0]]), Some(vec![0]));
-        assert_eq!(
-            find_cycle(&[vec![1], vec![2], vec![0]]),
-            Some(vec![0, 1, 2])
-        );
-        assert_eq!(find_cycle(&[vec![1], vec![]]), None);
-        assert_eq!(find_cycle(&[]), None);
     }
 }

@@ -26,7 +26,7 @@
 //! phenomena under genuine concurrency; the discrete-event engine in
 //! [`crate::engine`] is the reproducible instrument.
 
-use crate::config::{AvoidPlan, ConfigError};
+use crate::config::{admission_priority, check_avoid_plan, AvoidPlan, ConfigError};
 use crate::event::Instance;
 use crate::history::History;
 use crate::history::{audit, Audit};
@@ -234,24 +234,11 @@ impl Shared {
     }
 }
 
-/// The fixed prevention priority of an owner: its transaction index
-/// (stable across retries — the threaded analogue of a birth stamp).
-fn prio_of(o: Instance) -> Priority {
-    (o.txn.idx() as u64, 0)
-}
-
-/// The admission priority under the configured resolution: the plain
-/// index stamp for prevention; under avoidance, certified transactions
-/// share the all-winning `(0, 0)` (equals never wound each other — they
-/// queue FIFO, safe by the plan's lock order) and uncertified ones keep
-/// their index order shifted one below every certified transaction
-/// (mirrors the simulator's `admission_priority`).
-fn threaded_priority(cfg: &ThreadedConfig, o: Instance) -> Priority {
-    match cfg.avoid_plan() {
-        Some(plan) if plan.is_certified(o.txn) => (0, 0),
-        Some(_) => (o.txn.idx() as u64 + 1, 0),
-        None => prio_of(o),
-    }
+/// The admission priority of an owner: [`admission_priority`] of its
+/// transaction index (stable across retries — the threaded analogue of a
+/// birth stamp).
+fn priority_of(cfg: &ThreadedConfig, o: Instance) -> Priority {
+    admission_priority(cfg.avoid_plan(), o.txn, (o.txn.idx() as u64, 0))
 }
 
 /// Executes the system on real threads.
@@ -260,14 +247,7 @@ fn threaded_priority(cfg: &ThreadedConfig, o: Instance) -> Priority {
 /// (e.g. zero shards), checked up front like [`crate::run`].
 pub fn run_threaded(sys: &TxnSystem, cfg: &ThreadedConfig) -> Result<ThreadedReport, ConfigError> {
     cfg.validate()?;
-    if let Some(plan) = cfg.avoid_plan() {
-        if plan.txn_count() != sys.len() {
-            return Err(ConfigError::AvoidPlanMismatch {
-                plan_txns: plan.txn_count(),
-                system_txns: sys.len(),
-            });
-        }
-    }
+    check_avoid_plan(cfg.avoid_plan(), sys)?;
     let shared = Arc::new(Shared {
         table: ShardedTable::new(cfg.shards),
         waiters: (0..sys.len())
@@ -388,7 +368,7 @@ fn rekey(shared: &Shared, cfg: &ThreadedConfig, e: EntityId, from: Instance, to:
         let granted = match cfg.admission_scheme() {
             None => matches!(st.request(e, to, mode).expect("protocol"), Acquire::Granted),
             Some(scheme) => matches!(
-                st.request_with_priority(e, to, mode, scheme, |o| threaded_priority(cfg, o))
+                st.request_with_priority(e, to, mode, scheme, |o| priority_of(cfg, o))
                     .expect("protocol"),
                 PreventionOutcome::Granted
             ),
@@ -519,7 +499,7 @@ fn attempt(
                     Some(scheme) => {
                         match st
                             .request_with_priority(step.entity, inst, step.mode, scheme, |o| {
-                                threaded_priority(cfg, o)
+                                priority_of(cfg, o)
                             })
                             .expect("protocol")
                         {

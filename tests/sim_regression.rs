@@ -11,8 +11,8 @@ use kplock_core::policy::LockStrategy;
 use kplock_model::hierarchy::Granularity;
 use kplock_model::TxnSystem;
 use kplock_sim::{
-    run, run_with_arrivals, Delegation, FaultPlan, LatencyModel, Metrics, PreventionScheme,
-    RunOutcome, SimConfig, SiteCrash, VictimPolicy,
+    run, run_with_arrivals, DeadlockDetection, DeadlockResolution, Delegation, FaultPlan,
+    LatencyModel, Metrics, PreventionScheme, RunOutcome, SimConfig, SiteCrash, VictimPolicy,
 };
 use kplock_workload::{
     avoid_mix_sweep, fault_plan_ladder, fig5, hierarchy_system, hot_site_sweep, random_system,
@@ -397,6 +397,87 @@ fn delegation_lock_traffic_counts_are_pinned() {
     }
 }
 
+#[test]
+fn fixed_seed_detector_fault_and_lease_paths_are_pinned() {
+    // The PIN_RANDOM workload (one guaranteed deadlock at this seed) on
+    // the arms no pin above reaches: block-time and probe detection,
+    // lossy channels with retransmission under probes and under
+    // wound-wait, and a site crash against a finite lease ttl with
+    // delegation on.
+    let sys = random_system(&WorkloadParams {
+        seed: 21,
+        sites: 3,
+        entities_per_site: 2,
+        transactions: 4,
+        steps_per_txn: 6,
+        strategy: LockStrategy::TwoPhaseSync,
+        ..Default::default()
+    });
+    let clean = FaultPlan::none();
+    let lossy = FaultPlan::lossy(5, 0.15, 0.10, 0.20);
+    let crash = FaultPlan {
+        seed: 11,
+        loss: 0.05,
+        reorder_window: 6,
+        retransmit_after: 80,
+        lease_ttl: 40,
+        crashes: vec![SiteCrash {
+            site: 0,
+            at: 60,
+            down_for: 90,
+        }],
+        ..FaultPlan::none()
+    };
+    let probe = DeadlockResolution::Detect(DeadlockDetection::Probe);
+    let arm = |resolution, faults: &FaultPlan, delegation| SimConfig {
+        latency: LatencyModel::Uniform(1, 20),
+        seed: 7,
+        invariant_audit: true,
+        max_time: 500_000,
+        resolution,
+        faults: faults.clone(),
+        delegation,
+        ..Default::default()
+    };
+    let arms = [
+        arm(DeadlockDetection::OnBlock.into(), &clean, Delegation::Off),
+        arm(probe, &clean, Delegation::Off),
+        arm(probe, &lossy, Delegation::Off),
+        arm(PreventionScheme::WoundWait.into(), &lossy, Delegation::Off),
+        arm(DeadlockResolution::default(), &crash, Delegation::On),
+    ];
+    for (i, (cfg, pin)) in arms.iter().zip(PIN_REWIRED).enumerate() {
+        let r = run(&sys, cfg).expect("valid config");
+        assert_eq!(r.outcome, RunOutcome::Completed, "arm {i}");
+        assert!(r.audit.serializable, "arm {i}");
+        let m = &r.metrics;
+        let mut got = vec![
+            m.committed as u64,
+            m.aborts as u64,
+            m.messages,
+            m.lock_wait_ticks,
+            m.deadlocks_resolved as u64,
+            m.makespan,
+            m.probe_messages,
+            m.detection_latency_ticks,
+            m.lock_requests,
+            m.lock_traffic,
+            m.messages_dropped,
+            m.messages_duplicated,
+            m.leases_expired as u64,
+            m.recoveries as u64,
+            m.cache_hits,
+            m.revocations,
+        ];
+        got.extend(
+            r.committed_epoch
+                .iter()
+                .map(|e| u64::from(e.expect("done"))),
+        );
+        assert_eq!(got, pin, "arm {i}");
+    }
+}
+
 // Pinned values, captured from the seed engine before the kplock-dlm
 // lock-table refactor (PR 2) and required to survive it unchanged.
 const PIN_RANDOM: (usize, usize, u64, u64, usize, u64) = (4, 1, 122, 875, 1, 402);
@@ -438,4 +519,20 @@ const PIN_DELEG_TRAFFIC: [[u64; 2]; 4] = [
     [11_102, 5_233],
     [9_300, 4_463],
     [10_020, 4_961],
+];
+
+// Rewired-path pins (PR 15; literals from a run of the PR 14 engine), one
+// row per arm — on-block, probe, probe+lossy, wound-wait+lossy,
+// crash+lease+delegation: committed, aborts, messages, lock_wait_ticks,
+// deadlocks_resolved, makespan, probe_messages, detection_latency_ticks,
+// lock_requests, lock_traffic, messages_dropped, messages_duplicated,
+// leases_expired, recoveries, cache_hits, revocations, then the four
+// commit epochs.
+#[rustfmt::skip]
+const PIN_REWIRED: [[u64; 20]; 5] = [
+    [4, 3, 132, 860, 3, 515, 0, 1, 26, 82, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2],
+    [4, 3, 208, 787, 3, 497, 66, 51, 27, 84, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2],
+    [4, 3, 438, 4773, 3, 1436, 207, 25, 71, 150, 73, 33, 0, 0, 0, 0, 0, 0, 2, 1],
+    [4, 10, 261, 3752, 0, 1705, 0, 0, 86, 178, 48, 21, 0, 0, 0, 0, 0, 0, 1, 9],
+    [4, 4, 231, 2406, 2, 892, 0, 32, 55, 143, 20, 0, 2, 1, 15, 10, 1, 0, 2, 1],
 ];
