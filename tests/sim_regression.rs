@@ -11,8 +11,9 @@ use kplock_core::policy::LockStrategy;
 use kplock_model::hierarchy::Granularity;
 use kplock_model::TxnSystem;
 use kplock_sim::{
-    run, run_with_arrivals, DeadlockDetection, DeadlockResolution, Delegation, FaultPlan,
-    LatencyModel, Metrics, PreventionScheme, RunOutcome, SimConfig, SiteCrash, VictimPolicy,
+    draw_arrivals, run, run_with_arrivals, ArrivalConfig, DeadlockDetection, DeadlockResolution,
+    Delegation, FaultPlan, LatencyModel, Metrics, PreventionScheme, RunOutcome, SimConfig,
+    SiteCrash, VictimPolicy,
 };
 use kplock_workload::{
     avoid_mix_sweep, fault_plan_ladder, fig5, hierarchy_system, hot_site_sweep, random_system,
@@ -478,6 +479,85 @@ fn fixed_seed_detector_fault_and_lease_paths_are_pinned() {
     }
 }
 
+#[test]
+fn long_transaction_and_open_loop_runs_are_pinned() {
+    // Where step issue and commit detection do the most work: two scans
+    // of 1 000 records each (3 000-step transactions, one ready step at a
+    // time) locked record by record and with one escalated file lock, and
+    // 64 contended transactions arriving open-loop under periodic
+    // detection and wound-wait, where aborts reset a coordinator's
+    // progress mid-flight. Messages and ticks move if any step is issued
+    // in another order (the latency RNG is drawn per send) or any commit
+    // is noticed at another event.
+    let p = HierarchyParams {
+        profile: AccessProfile::Scan,
+        files: 20,
+        records_per_file: 1000,
+        sites: 4,
+        transactions: 2,
+        zipf_theta: 0.6,
+        arrival_gap: 50,
+        seed: 3,
+    };
+    let hier16 = Granularity::Hierarchical {
+        escalation_threshold: 16,
+    };
+    let open = random_system(&WorkloadParams {
+        seed: 29,
+        sites: 4,
+        entities_per_site: 4,
+        transactions: 64,
+        steps_per_txn: 8,
+        strategy: LockStrategy::TwoPhaseSync,
+        ..Default::default()
+    });
+    let arrivals = draw_arrivals(
+        open.len(),
+        &ArrivalConfig {
+            mean_gap: 20,
+            seed: 29,
+        },
+    );
+    let scan = |g| {
+        let sc = hierarchy_system(&p, g);
+        let cfg = SimConfig {
+            latency: LatencyModel::Fixed(5),
+            seed: 17,
+            max_time: 20_000_000,
+            ..Default::default()
+        };
+        run_with_arrivals(&sc.system, &cfg, &sc.arrivals).expect("valid config")
+    };
+    let arrive = |resolution| {
+        let cfg = SimConfig {
+            latency: LatencyModel::Uniform(1, 20),
+            seed: 29,
+            resolution,
+            ..Default::default()
+        };
+        run_with_arrivals(&open, &cfg, &arrivals).expect("valid config")
+    };
+    let runs = [
+        scan(Granularity::Flat),
+        scan(hier16),
+        arrive(DeadlockResolution::default()),
+        arrive(PreventionScheme::WoundWait.into()),
+    ];
+    for (i, (r, (pin, epochs))) in runs.iter().zip(PIN_LONG).enumerate() {
+        assert_eq!(r.outcome, RunOutcome::Completed, "run {i}");
+        assert!(r.audit.serializable, "run {i}");
+        let m = &r.metrics;
+        let got = [
+            m.messages,
+            m.elapsed_ticks,
+            m.lock_requests,
+            m.aborts as u64,
+        ];
+        let got_epochs: Vec<u32> = r.committed_epoch.iter().map(|e| e.expect("done")).collect();
+        assert_eq!((got, &got_epochs[..]), (pin, epochs), "run {i}");
+    }
+}
+
 // Pinned values, captured from the seed engine before the kplock-dlm
 // lock-table refactor (PR 2) and required to survive it unchanged.
 const PIN_RANDOM: (usize, usize, u64, u64, usize, u64) = (4, 1, 122, 875, 1, 402);
@@ -535,4 +615,24 @@ const PIN_REWIRED: [[u64; 20]; 5] = [
     [4, 3, 438, 4773, 3, 1436, 207, 25, 71, 150, 73, 33, 0, 0, 0, 0, 0, 0, 2, 1],
     [4, 10, 261, 3752, 0, 1705, 0, 0, 86, 178, 48, 21, 0, 0, 0, 0, 0, 0, 1, 9],
     [4, 4, 231, 2406, 2, 892, 0, 32, 55, 143, 20, 0, 2, 1, 15, 10, 1, 0, 2, 1],
+];
+
+// Long-transaction and open-loop pins (PR 16; literals from a run of the
+// PR 15 engine), one row per run — flat scan, hier16 scan, 64 arrivals
+// under periodic detection, the same under wound-wait: messages,
+// elapsed_ticks, lock_requests, aborts, then every commit epoch.
+#[rustfmt::skip]
+const PIN_LONG: [([u64; 4], &[u32]); 4] = [
+    ([12000, 30152, 2000, 0], &[0, 0]),
+    ([4024, 10212, 6, 0], &[0, 0]),
+    ([7376, 9695, 3609, 804], &[
+        0, 0, 0, 0, 0, 24, 24, 9, 7, 2, 24, 34, 0, 25, 13, 9, 0, 0, 0, 10, 0, 7, 7, 24, 4, 13, 15,
+        25, 33, 0, 0, 39, 0, 12, 12, 2, 6, 18, 25, 4, 26, 0, 12, 8, 22, 30, 0, 6, 13, 6, 18, 34,
+        26, 23, 32, 10, 19, 6, 2, 9, 23, 16, 11, 25,
+    ]),
+    ([24094, 7590, 9995, 2834], &[
+        0, 0, 1, 0, 1, 5, 5, 6, 8, 8, 11, 12, 13, 15, 17, 18, 18, 20, 20, 22, 25, 25, 27, 28, 29,
+        34, 32, 37, 36, 42, 41, 41, 44, 43, 44, 50, 49, 48, 50, 48, 54, 57, 62, 61, 62, 62, 69, 71,
+        75, 79, 77, 79, 80, 85, 77, 81, 85, 88, 90, 90, 91, 90, 95, 101,
+    ]),
 ];
