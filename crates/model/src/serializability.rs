@@ -39,51 +39,65 @@ use std::collections::HashMap;
 /// conflict with each other — their order is fixed by the child-level
 /// events that produced them. On a flat database every access is direct,
 /// reproducing the original construction exactly.
+///
+/// One pass over the schedule: per entity it keeps, for each transaction
+/// seen there, the set of access kinds (`is_write` × `is_direct`) made so
+/// far, and a new access by `b` adds `a -> b` for every other transaction
+/// `a` with a conflicting earlier kind — O(accesses × transactions on the
+/// entity), the same edge set as comparing every pair of accesses.
 pub fn serialization_graph(sys: &TxnSystem, schedule: &Schedule) -> DiGraph {
-    let k = sys.len();
-    let mut g = DiGraph::new(k);
-    // Per entity, the list of (position, txn, is_write, is_direct) events.
-    let mut accesses: HashMap<EntityId, Vec<(usize, TxnId, bool, bool)>> = HashMap::new();
+    let mut g = DiGraph::new(sys.len());
+    let mut seen: HashMap<EntityId, Vec<(TxnId, u8)>> = HashMap::new();
+    let mut access = |entity: EntityId, b: TxnId, is_write: bool, is_direct: bool| {
+        let txns = seen.entry(entity).or_default();
+        let conflicting = conflicting_kinds(is_write, is_direct);
+        let mut own = None;
+        for (i, &(a, kinds)) in txns.iter().enumerate() {
+            if a == b {
+                own = Some(i);
+            } else if kinds & conflicting != 0 {
+                g.add_edge(a.idx(), b.idx());
+            }
+        }
+        match own {
+            Some(i) => txns[i].1 |= kind_bit(is_write, is_direct),
+            None => txns.push((b, kind_bit(is_write, is_direct))),
+        }
+    };
 
-    for (pos, ss) in schedule.steps().iter().enumerate() {
+    for ss in schedule.steps() {
         let txn = sys.txn(ss.txn);
         let step = txn.step(ss.step);
         let is_access = match step.kind {
             ActionKind::Update => true,
-            ActionKind::Lock => {
-                !step.mode.is_intention() && txn.update_steps(step.entity).is_empty()
-            }
+            ActionKind::Lock => !step.mode.is_intention() && txn.update_run(step.entity).is_empty(),
             ActionKind::Unlock => false,
         };
         if !is_access {
             continue;
         }
-        accesses
-            .entry(step.entity)
-            .or_default()
-            .push((pos, ss.txn, step.mode.is_write(), true));
+        access(step.entity, ss.txn, step.mode.is_write(), true);
         if step.kind == ActionKind::Update {
             if let Some(p) = sys.db().parent_of(step.entity) {
-                accesses
-                    .entry(p)
-                    .or_default()
-                    .push((pos, ss.txn, step.mode.is_write(), false));
-            }
-        }
-    }
-
-    for events in accesses.values() {
-        for i in 0..events.len() {
-            for j in (i + 1)..events.len() {
-                let (a, wa, da) = (events[i].1, events[i].2, events[i].3);
-                let (b, wb, db) = (events[j].1, events[j].2, events[j].3);
-                if a != b && (wa || wb) && (da || db) {
-                    g.add_edge(a.idx(), b.idx());
-                }
+                access(p, ss.txn, step.mode.is_write(), false);
             }
         }
     }
     g
+}
+
+/// The four access kinds as a bit each.
+fn kind_bit(is_write: bool, is_direct: bool) -> u8 {
+    1 << (2 * u8::from(is_write) + u8::from(is_direct))
+}
+
+/// The earlier kinds a new access conflicts with: one of the two must
+/// write and one of the two must be direct.
+fn conflicting_kinds(is_write: bool, is_direct: bool) -> u8 {
+    const ALL: u8 = 0b1111;
+    const WRITES: u8 = 0b1100;
+    const DIRECTS: u8 = 0b1010;
+    (if is_write { ALL } else { WRITES }) & (if is_direct { ALL } else { DIRECTS })
 }
 
 /// True iff the schedule is (conflict-)serializable.
@@ -104,6 +118,9 @@ mod tests {
     use crate::entity::Database;
     use crate::ids::StepId;
     use crate::schedule::ScheduledStep;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn two_txn_sys(scripts: [&str; 2], spec: &[(&str, usize)]) -> TxnSystem {
         let db = Database::from_spec(spec);
@@ -337,6 +354,184 @@ mod tests {
             equivalent_serial_order(&sys, &s).unwrap(),
             vec![TxnId(1), TxnId(0)]
         );
+    }
+
+    /// `Transaction::update_steps` as it was before the update index.
+    fn update_steps_by_filter(t: &crate::txn::Transaction, e: EntityId) -> Vec<StepId> {
+        t.step_ids()
+            .filter(|&s| {
+                let st = t.step(s);
+                st.kind == ActionKind::Update && st.entity == e
+            })
+            .collect()
+    }
+
+    /// The construction `serialization_graph` replaced, kept as the
+    /// oracle: collect every access per entity, then compare every pair.
+    fn pairwise_graph(sys: &TxnSystem, schedule: &Schedule) -> DiGraph {
+        let mut g = DiGraph::new(sys.len());
+        let mut accesses: HashMap<EntityId, Vec<(TxnId, bool, bool)>> = HashMap::new();
+        for ss in schedule.steps() {
+            let txn = sys.txn(ss.txn);
+            let step = txn.step(ss.step);
+            let is_access = match step.kind {
+                ActionKind::Update => true,
+                ActionKind::Lock => {
+                    !step.mode.is_intention() && update_steps_by_filter(txn, step.entity).is_empty()
+                }
+                ActionKind::Unlock => false,
+            };
+            if !is_access {
+                continue;
+            }
+            let entry = (ss.txn, step.mode.is_write(), true);
+            accesses.entry(step.entity).or_default().push(entry);
+            if step.kind == ActionKind::Update {
+                if let Some(p) = sys.db().parent_of(step.entity) {
+                    let entry = (ss.txn, step.mode.is_write(), false);
+                    accesses.entry(p).or_default().push(entry);
+                }
+            }
+        }
+        for events in accesses.values() {
+            for (i, &(a, wa, da)) in events.iter().enumerate() {
+                for &(b, wb, db) in &events[i + 1..] {
+                    if a != b && (wa || wb) && (da || db) {
+                        g.add_edge(a.idx(), b.idx());
+                    }
+                }
+            }
+        }
+        g
+    }
+
+    /// A random system: a flat or two-level database and transactions
+    /// that are chains of lock sections in any of the five modes, each
+    /// with zero (figure-style), one or two reads or writes inside, plus
+    /// the odd update under no lock of its own (shielded by a parent
+    /// lock, or simply ill-formed: the graph is defined either way).
+    fn random_system(rng: &mut StdRng) -> TxnSystem {
+        use crate::action::{LockMode, Step};
+        use crate::ids::SiteId;
+        let mut db = Database::new();
+        let sites = rng.gen_range(1..=3usize);
+        let hierarchical = rng.gen_bool(0.5);
+        for f in 0..rng.gen_range(1..=3usize) {
+            let site = SiteId::from_idx(rng.gen_range(0..sites));
+            let file = db.add_entity(&format!("f{f}"), site);
+            if hierarchical {
+                for r in 0..rng.gen_range(1..=3usize) {
+                    db.add_child(&format!("f{f}/r{r}"), site, file);
+                }
+            }
+        }
+        let entities: Vec<EntityId> = db.entities().collect();
+        let txns = (0..rng.gen_range(1..=5usize))
+            .map(|i| {
+                // One queue of steps per touched entity, then a random
+                // merge of the queues into one chain.
+                let mut sections: Vec<Vec<Step>> = Vec::new();
+                for &e in &entities {
+                    if rng.gen_bool(0.4) {
+                        continue;
+                    }
+                    let mut section = Vec::new();
+                    let locked = rng.gen_bool(0.85);
+                    if locked {
+                        let mode = LockMode::ALL[rng.gen_range(0..LockMode::ALL.len())];
+                        section.push(Step::lock(e).with_mode(mode));
+                    }
+                    for _ in 0..rng.gen_range(0..=2usize) {
+                        section.push(if rng.gen_bool(0.5) {
+                            Step::read(e)
+                        } else {
+                            Step::update(e)
+                        });
+                    }
+                    if locked {
+                        section.push(Step::unlock(e));
+                    }
+                    section.reverse();
+                    sections.push(section);
+                }
+                let mut steps = Vec::new();
+                while !sections.is_empty() {
+                    let q = rng.gen_range(0..sections.len());
+                    steps.extend(sections[q].pop());
+                    if sections[q].is_empty() {
+                        sections.swap_remove(q);
+                    }
+                }
+                let edges: Vec<(StepId, StepId)> = (1..steps.len())
+                    .map(|v| (StepId::from_idx(v - 1), StepId::from_idx(v)))
+                    .collect();
+                crate::txn::Transaction::new(format!("T{i}"), steps, edges).unwrap()
+            })
+            .collect();
+        TxnSystem::new(db, txns)
+    }
+
+    /// A random interleaving of the transactions' chains. With `legal`, a
+    /// step is only appended if the schedule stays legal, and the walk
+    /// stops at a deadlock (a legal, incomplete schedule).
+    fn random_schedule(sys: &TxnSystem, legal: bool, rng: &mut StdRng) -> Schedule {
+        let mut next = vec![0usize; sys.len()];
+        let mut s = Schedule::new(Vec::new());
+        loop {
+            let mut live: Vec<usize> = (0..sys.len())
+                .filter(|&t| next[t] < sys.txns()[t].len())
+                .collect();
+            let mut moved = false;
+            while !live.is_empty() && !moved {
+                let t = live.swap_remove(rng.gen_range(0..live.len()));
+                let mut longer = s.clone();
+                longer.push(TxnId::from_idx(t), StepId::from_idx(next[t]));
+                if !legal || longer.validate_prefix(sys).is_ok() {
+                    s = longer;
+                    next[t] += 1;
+                    moved = true;
+                }
+            }
+            if !moved {
+                return s;
+            }
+        }
+    }
+
+    fn edge_set(g: &DiGraph) -> Vec<(usize, usize)> {
+        let mut edges: Vec<(usize, usize)> = g.edges().collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn one_pass_graph_has_the_pairwise_edges(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sys = random_system(&mut rng);
+            for t in sys.txns() {
+                for e in sys.db().entities() {
+                    prop_assert_eq!(t.update_steps(e), update_steps_by_filter(t, e));
+                }
+            }
+            let legal = random_schedule(&sys, true, &mut rng);
+            legal.validate_prefix(&sys).unwrap();
+            let free = random_schedule(&sys, false, &mut rng);
+            // Incomplete: a prefix. Illegal beyond repair: the whole
+            // interleaving shuffled, so sections open after they close.
+            let prefix = Schedule::new(free.steps()[..rng.gen_range(0..=free.len())].to_vec());
+            let mut shuffled = free.steps().to_vec();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let serial = Schedule::serial(&sys, &sys.txn_ids().collect::<Vec<_>>());
+            for s in [legal, free, prefix, Schedule::new(shuffled), serial] {
+                let g = serialization_graph(&sys, &s);
+                prop_assert_eq!(edge_set(&g), edge_set(&pairwise_graph(&sys, &s)));
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,9 @@ pub struct Transaction {
     /// Lock/unlock step per entity (validated unique).
     lock_of: HashMap<EntityId, StepId>,
     unlock_of: HashMap<EntityId, StepId>,
+    /// Every update step, sorted by (entity, step): `update_steps(e)` is
+    /// one contiguous run.
+    updates: Vec<(EntityId, StepId)>,
 }
 
 impl Transaction {
@@ -59,16 +62,25 @@ impl Transaction {
         let closure = kplock_graph::transitive_closure(&graph);
         let mut lock_of = HashMap::new();
         let mut unlock_of = HashMap::new();
+        let update_count = steps
+            .iter()
+            .filter(|s| s.kind == ActionKind::Update)
+            .count();
+        let mut updates = Vec::with_capacity(update_count);
         for (i, s) in steps.iter().enumerate() {
             let map = match s.kind {
                 ActionKind::Lock => &mut lock_of,
                 ActionKind::Unlock => &mut unlock_of,
-                ActionKind::Update => continue,
+                ActionKind::Update => {
+                    updates.push((s.entity, StepId::from_idx(i)));
+                    continue;
+                }
             };
             if map.insert(s.entity, StepId::from_idx(i)).is_some() {
                 return Err(ModelError::DuplicateLockStep(s.entity));
             }
         }
+        updates.sort_unstable();
         Ok(Transaction {
             name,
             steps,
@@ -76,6 +88,7 @@ impl Transaction {
             closure,
             lock_of,
             unlock_of,
+            updates,
         })
     }
 
@@ -146,14 +159,16 @@ impl Transaction {
         v
     }
 
-    /// All `update e` steps.
+    /// All `update e` steps, in ascending id order.
     pub fn update_steps(&self, e: EntityId) -> Vec<StepId> {
-        self.step_ids()
-            .filter(|&s| {
-                let st = self.step(s);
-                st.kind == ActionKind::Update && st.entity == e
-            })
-            .collect()
+        self.update_run(e).iter().map(|&(_, s)| s).collect()
+    }
+
+    /// The run of the update index holding `e`'s update steps.
+    pub(crate) fn update_run(&self, e: EntityId) -> &[(EntityId, StepId)] {
+        let from = self.updates.partition_point(|&(x, _)| x < e);
+        let to = self.updates.partition_point(|&(x, _)| x <= e);
+        &self.updates[from..to]
     }
 
     /// Entities touched by any step.

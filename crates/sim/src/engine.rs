@@ -39,6 +39,7 @@ use crate::fault::FaultPlanError;
 use crate::history::{audit, Audit, History};
 use crate::metrics::Metrics;
 use crate::probe::{self, ProbeMsg, SiteProbeState, Stamp};
+use crate::progress::Progress;
 use kplock_dlm::{
     Acquire, DelegationLedger, Lease, LeaseTable, PreventionOutcome, PreventionScheme, Priority,
     QueueTable, WaitForGraph,
@@ -99,11 +100,9 @@ impl SimReport {
 /// epoch, its victim-policy stamps, and — all it knows beyond its own
 /// steps — the static catalog of sites it locks at and its half of
 /// delegated ownership.
-#[derive(Default)]
 struct Coordinator {
     epoch: u32,
-    done: Vec<bool>,
-    issued: Vec<bool>,
+    progress: Progress,
     committed: bool,
     /// Last (re)start time (metrics/diagnostics).
     started_at: SimTime,
@@ -219,6 +218,8 @@ struct Engine<'a> {
     queue: EventQueue,
     sites: Vec<Site>,
     coords: Vec<Coordinator>,
+    /// Coordinators yet to commit; zero ends the run.
+    uncommitted: usize,
     /// Incrementally maintained wait-for graph (only under
     /// [`DeadlockDetection::OnBlock`]; stays empty in periodic and probe
     /// modes).
@@ -301,15 +302,18 @@ pub fn run_with_arrivals(
                     lock_sites.dedup();
                 }
                 Coordinator {
-                    done: vec![false; t.len()],
-                    issued: vec![false; t.len()],
+                    epoch: 0,
+                    progress: Progress::new(t),
+                    committed: false,
                     started_at: arrivals[i],
                     birth: (arrivals[i], i),
                     lock_sites,
-                    ..Coordinator::default()
+                    cache: HashMap::new(),
+                    deferred_revokes: HashMap::new(),
                 }
             })
             .collect(),
+        uncommitted: sys.len(),
         wfg: WaitForGraph::new(),
         wfg_dirty: false,
         track_leases: !cfg.faults.crashes.is_empty(),
@@ -449,7 +453,7 @@ pub fn run_with_arrivals(
 
 impl Engine<'_> {
     fn all_committed(&self) -> bool {
-        self.coords.iter().all(|c| c.committed)
+        self.uncommitted == 0
     }
 
     fn send_to_site(&mut self, site: SiteId, payload: Payload) {
@@ -515,10 +519,20 @@ impl Engine<'_> {
 
     /// `txn`'s current epoch begins (an arrival, or the restart after an
     /// abort): issue its first steps and arm the retransmission timer for
-    /// this epoch — the previous epoch's timer dies on its mismatch.
+    /// this epoch — the previous epoch's timer dies on its mismatch. A
+    /// transaction with no steps has nothing to wait for and commits here
+    /// (the `committed` test keeps a restart that outlived its
+    /// transaction's commit — two aborts before the first restart fired —
+    /// from committing it twice).
     fn start(&mut self, txn: TxnId) {
-        self.coords[txn.idx()].started_at = self.now;
-        self.issue_ready(txn);
+        let c = &mut self.coords[txn.idx()];
+        c.started_at = self.now;
+        if c.progress.finished() && !c.committed {
+            return self.commit(txn);
+        }
+        for v in c.progress.start() {
+            self.send_step(txn, v);
+        }
         if self.cfg.faults.retransmit_after > 0 {
             self.queue.push(
                 self.now + self.cfg.faults.retransmit_after,
@@ -527,20 +541,12 @@ impl Engine<'_> {
         }
     }
 
-    /// Issues every step whose predecessors are done and that has not been
-    /// issued yet.
-    fn issue_ready(&mut self, txn: TxnId) {
-        let t = self.sys.txn(txn);
-        let ready: Vec<usize> = (0..t.len())
-            .filter(|&v| {
-                let c = &self.coords[txn.idx()];
-                !c.issued[v] && t.edge_graph().predecessors(v).iter().all(|&p| c.done[p])
-            })
-            .collect();
-        for v in ready {
-            self.coords[txn.idx()].issued[v] = true;
-            self.send_step(txn, v);
-        }
+    /// Every step of `txn`'s current epoch is acknowledged.
+    fn commit(&mut self, txn: TxnId) {
+        self.coords[txn.idx()].committed = true;
+        self.uncommitted -= 1;
+        self.metrics.committed += 1;
+        self.metrics.makespan = self.now;
     }
 
     /// Sends (or re-sends — retransmission and recovery re-delivery both
@@ -797,16 +803,16 @@ impl Engine<'_> {
     }
 
     /// True when this step request is a duplicate of one the coordinator
-    /// has already seen acknowledged (`done[step]`): the first copy was
+    /// has already seen acknowledged ([`Progress::is_done`]): the first copy was
     /// serviced *and* its ack consumed, so nothing remains to do and the
     /// message is dropped whole — modelling per-request sequence numbers.
     /// Without this, a late duplicate `LockRequest` for an entity its
     /// sender already used and released would be a *fresh* request and
     /// ghost-grant a lock nobody will ever release. Consulted only on
     /// fault-injected runs (the clean protocol delivers exactly once);
-    /// callers check `stale` first, so `done` is the current epoch's.
+    /// callers check `stale` first, so the progress is the current epoch's.
     fn already_serviced(&self, inst: Instance, step: StepId) -> bool {
-        self.cfg.faults.any() && self.coords[inst.txn.idx()].done[step.idx()]
+        self.cfg.faults.any() && self.coords[inst.txn.idx()].progress.is_done(step.idx())
     }
 
     /// Records a step in the history exactly once per `(instance, step)`:
@@ -1174,7 +1180,7 @@ impl Engine<'_> {
         if self.stale(inst) {
             return;
         }
-        if self.coords[txn.idx()].done[step.idx()] {
+        if self.coords[txn.idx()].progress.is_done(step.idx()) {
             // A duplicated acknowledgement: the first copy's effects are
             // in. In particular a duplicated *final* ack must not commit
             // (and count) the transaction twice. Unreachable on clean
@@ -1188,15 +1194,14 @@ impl Engine<'_> {
                 self.note_cached_grant(txn, inst, entity, delegated);
             }
         }
-        let c = &mut self.coords[txn.idx()];
-        c.done[step.idx()] = true;
-        if c.done.iter().all(|&d| d) {
-            c.committed = true;
-            self.metrics.committed += 1;
-            self.metrics.makespan = self.now;
-            return;
+        let progress = &mut self.coords[txn.idx()].progress;
+        let ready = progress.ack(self.sys.txn(txn), step.idx());
+        if progress.finished() {
+            return self.commit(txn);
         }
-        self.issue_ready(txn);
+        for v in ready {
+            self.send_step(txn, v);
+        }
     }
 
     /// Maintains the delegated cache from a fresh (non-duplicate,
@@ -1246,12 +1251,9 @@ impl Engine<'_> {
     /// True when `txn`'s *current epoch* has an issued, unacknowledged
     /// lock step on `entity` — a grant ack may be in flight.
     fn lock_in_flight(&self, txn: TxnId, entity: EntityId) -> bool {
-        let c = &self.coords[txn.idx()];
-        let t = self.sys.txn(txn);
-        (0..t.len()).any(|v| {
-            let st = t.step(StepId::from_idx(v));
-            st.kind == ActionKind::Lock && st.entity == entity && c.issued[v] && !c.done[v]
-        })
+        let progress = &self.coords[txn.idx()].progress;
+        let lock = self.sys.txn(txn).lock_step(entity);
+        lock.is_some_and(|s| progress.in_flight(s.idx()))
     }
 
     /// True when `txn`'s current epoch holds `entity` through the
@@ -1259,22 +1261,10 @@ impl Engine<'_> {
     /// not yet. In that state a revocation must not be answered with a
     /// release-granting ack — the remote unlock frees the hold itself.
     fn holds_remotely(&self, txn: TxnId, entity: EntityId) -> bool {
-        let c = &self.coords[txn.idx()];
+        let progress = &self.coords[txn.idx()].progress;
         let t = self.sys.txn(txn);
-        let mut locked = false;
-        let mut unlocked = false;
-        for v in 0..t.len() {
-            let st = t.step(StepId::from_idx(v));
-            if st.entity != entity {
-                continue;
-            }
-            match st.kind {
-                ActionKind::Lock => locked |= c.done[v],
-                ActionKind::Unlock => unlocked |= c.done[v],
-                ActionKind::Update => {}
-            }
-        }
-        locked && !unlocked
+        let acked = |s: Option<StepId>| s.is_some_and(|s| progress.is_done(s.idx()));
+        acked(t.lock_step(entity)) && !acked(t.unlock_step(entity))
     }
 
     /// A revocation reached the delegate's coordinator. Deliberately *no*
@@ -1482,12 +1472,9 @@ impl Engine<'_> {
             }
         }
         // Reset the coordinator for a fresh epoch.
-        let t = self.sys.txn(txn);
         let c = &mut self.coords[txn.idx()];
         c.epoch += 1;
-        c.done = vec![false; t.len()];
-        c.issued = vec![false; t.len()];
-        c.committed = false;
+        c.progress.reset(self.sys.txn(txn));
         // Jittered backoff (seeded, deterministic): without jitter,
         // symmetric workloads can re-collide forever under fixed latencies.
         let jitter = rand::Rng::gen_range(&mut self.rng, 0..=self.cfg.restart_backoff);
@@ -1677,8 +1664,9 @@ impl Engine<'_> {
             if self.coords[t].committed {
                 continue;
             }
-            let pending: Vec<usize> = (0..self.coords[t].done.len())
-                .filter(|&v| self.coords[t].issued[v] && !self.coords[t].done[v])
+            let pending: Vec<usize> = self.coords[t]
+                .progress
+                .pending()
                 .filter(|&v| {
                     let e = self.sys.txn(txn).step(StepId::from_idx(v)).entity;
                     self.sys.db().site_of(e) == site
@@ -1700,9 +1688,7 @@ impl Engine<'_> {
         if c.epoch != epoch || c.committed {
             return;
         }
-        let pending: Vec<usize> = (0..c.done.len())
-            .filter(|&v| c.issued[v] && !c.done[v])
-            .collect();
+        let pending: Vec<usize> = c.progress.pending().collect();
         for v in pending {
             self.send_step(txn, v);
         }
@@ -1786,6 +1772,38 @@ mod tests {
         assert!(r.metrics.aborts >= 1);
         r.audit.legal.as_ref().unwrap();
         assert!(r.audit.serializable, "2PL commits are serializable");
+    }
+
+    #[test]
+    fn empty_transaction_commits_on_arrival() {
+        // Nothing is ever issued or acknowledged for a transaction with
+        // no steps; it used to stay uncommitted until `max_time` under
+        // periodic detection and stall the prevention arms.
+        use crate::config::DeadlockResolution;
+        let db = Database::from_spec(&[("x", 0)]);
+        let mut b = TxnBuilder::new(&db, "T1");
+        b.script("Lx x Ux").unwrap();
+        let t1 = b.build().unwrap();
+        let empty = kplock_model::Transaction::new("T2", vec![], []).unwrap();
+        let sys = TxnSystem::new(db, vec![t1, empty]);
+        for resolution in [
+            DeadlockResolution::default(),
+            PreventionScheme::WoundWait.into(),
+        ] {
+            let cfg = SimConfig {
+                resolution,
+                ..Default::default()
+            };
+            for arrivals in [[0, 0], [3, 700]] {
+                let r = run_with_arrivals(&sys, &cfg, &arrivals).unwrap();
+                assert_eq!(r.outcome, RunOutcome::Completed, "{resolution:?}");
+                assert_eq!(r.metrics.committed, 2);
+                assert_eq!(r.committed_epoch, vec![Some(0), Some(0)]);
+                assert_eq!(r.metrics.makespan, arrivals[1].max(arrivals[0] + 60));
+                r.audit.legal.as_ref().unwrap();
+                assert!(r.audit.serializable);
+            }
+        }
     }
 
     #[test]

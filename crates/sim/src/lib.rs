@@ -114,6 +114,7 @@ pub mod fault;
 pub mod history;
 pub mod metrics;
 pub mod probe;
+mod progress;
 pub mod replay;
 pub mod threaded;
 

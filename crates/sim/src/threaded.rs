@@ -30,10 +30,13 @@ use crate::config::{admission_priority, check_avoid_plan, AvoidPlan, ConfigError
 use crate::event::Instance;
 use crate::history::History;
 use crate::history::{audit, Audit};
+use crate::progress::Progress;
 use kplock_dlm::{Acquire, PreventionOutcome, PreventionScheme, Priority, ShardedTable};
 use kplock_model::{ActionKind, EntityId, StepId, TxnId, TxnSystem};
 use parking_lot::{Condvar, Mutex};
 use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -442,11 +445,13 @@ fn attempt(
         };
         cache.retain(|&e| rekey(shared, cfg, e, old, inst));
     }
-    let mut done = vec![false; t.len()];
+    let mut progress = Progress::new(t);
+    let mut ready: BinaryHeap<Reverse<usize>> = progress.start().into_iter().map(Reverse).collect();
     let mut held: Vec<EntityId> = Vec::new();
 
-    // Execute steps as they become ready (single-threaded within a
-    // transaction; parallel across transactions).
+    // Execute steps as they become ready, lowest step id first
+    // (single-threaded within a transaction; parallel across
+    // transactions).
     loop {
         // A running victim notices its wound at step boundaries; a blocked
         // one is woken through its waiter slot by the wounder.
@@ -454,9 +459,7 @@ fn attempt(
             abort_attempt(shared, cfg, inst, &mut held, cache);
             return false;
         }
-        let Some(v) = (0..t.len())
-            .find(|&v| !done[v] && t.edge_graph().predecessors(v).iter().all(|&p| done[p]))
-        else {
+        let Some(Reverse(v)) = ready.pop() else {
             return true; // all steps done
         };
         let step = t.step(StepId::from_idx(v));
@@ -481,7 +484,7 @@ fn attempt(
                         }
                         drop(st);
                         if cached {
-                            done[v] = true;
+                            ready.extend(progress.ack(t, v).into_iter().map(Reverse));
                             continue;
                         }
                     }
@@ -618,7 +621,7 @@ fn attempt(
                 shared.notify_grants(&grants);
             }
         }
-        done[v] = true;
+        ready.extend(progress.ack(t, v).into_iter().map(Reverse));
     }
 }
 
