@@ -81,7 +81,9 @@ impl<O: Copy + Eq + Ord + Hash> WaitForGraph<O> {
     }
 
     /// Interns owners (sorted, so results are deterministic regardless of
-    /// hash-map iteration order) and builds the [`DiGraph`].
+    /// hash-map iteration order) and builds the [`DiGraph`] — over the
+    /// owners on an edge only, so the graph costs what the waits cost,
+    /// however many owners the tables have seen.
     fn build(&self) -> (Vec<O>, DiGraph) {
         let edges = self.edges();
         let mut owners: Vec<O> = edges.iter().flat_map(|&(w, h)| [w, h]).collect();

@@ -1,9 +1,8 @@
 //! A dense, fixed-capacity bit set.
 //!
-//! Used throughout the workspace for transitive-closure rows, reachability
-//! frontiers and dominator membership. Implemented here rather than pulled
-//! from a crate so that the workspace stays within its offline dependency
-//! set.
+//! Used for dominator membership and as the memo key when counting linear
+//! extensions. Implemented here rather than pulled from a crate so that the
+//! workspace stays within its offline dependency set.
 
 /// A fixed-capacity set of `usize` indices backed by `u64` words.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]

@@ -20,12 +20,14 @@ pub fn find_cycle(g: &DiGraph) -> Option<Vec<usize>> {
     }
     let mut color = vec![Color::White; n];
     let mut parent = vec![usize::MAX; n];
+    // Iterative DFS with explicit frames; one stack serves every root, as
+    // each root's search leaves it empty.
+    let mut frames: Vec<(usize, usize)> = Vec::new();
     for root in 0..n {
         if color[root] != Color::White {
             continue;
         }
-        // Iterative DFS with explicit frames.
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
+        frames.push((root, 0));
         color[root] = Color::Gray;
         while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
             if *pos < g.successors(v).len() {

@@ -1,14 +1,13 @@
 //! A compact directed graph over `0..n` node indices.
 
-use crate::bitset::BitSet;
-
-/// Directed graph with adjacency lists and O(1) duplicate-edge detection.
+/// Directed graph as successor and predecessor lists: O(nodes + edges) to
+/// build and to hold. Both lists keep first-occurrence order, which
+/// [`crate::find_cycle`] and [`crate::topo_sort`] traverse in. Edge
+/// membership scans the shorter of the two lists an edge would sit in.
 #[derive(Clone, Debug, Default)]
 pub struct DiGraph {
     succ: Vec<Vec<usize>>,
     pred: Vec<Vec<usize>>,
-    /// `edge_set[u]` holds the successor set of `u` for O(1) `has_edge`.
-    edge_set: Vec<BitSet>,
     edge_count: usize,
 }
 
@@ -18,7 +17,6 @@ impl DiGraph {
         DiGraph {
             succ: vec![Vec::new(); n],
             pred: vec![Vec::new(); n],
-            edge_set: vec![BitSet::new(n); n],
             edge_count: 0,
         }
     }
@@ -35,19 +33,23 @@ impl DiGraph {
 
     /// Adds edge `u -> v` (self-loops allowed); returns `true` if new.
     pub fn add_edge(&mut self, u: usize, v: usize) -> bool {
-        if self.edge_set[u].contains(v) {
+        if self.has_edge(u, v) {
             return false;
         }
-        self.edge_set[u].insert(v);
         self.succ[u].push(v);
         self.pred[v].push(u);
         self.edge_count += 1;
         true
     }
 
-    /// Edge membership.
+    /// Edge membership, in O(min(out-degree of `u`, in-degree of `v`)).
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.edge_set[u].contains(v)
+        let (succ, pred) = (&self.succ[u], &self.pred[v]);
+        if succ.len() <= pred.len() {
+            succ.contains(&v)
+        } else {
+            pred.contains(&u)
+        }
     }
 
     /// Successors of `u`.
@@ -86,6 +88,10 @@ impl DiGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     #[test]
     fn add_and_query() {
@@ -121,5 +127,48 @@ mod tests {
         let mut es: Vec<_> = g.edges().collect();
         es.sort();
         assert_eq!(es, vec![(0, 1), (0, 2), (2, 3)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The graph against the obvious model, a set of pairs plus
+        /// insertion-ordered lists, on multigraph edge lists with
+        /// duplicates, self-loops and one hub on a third of the edges (so
+        /// membership scans run from both ends).
+        #[test]
+        fn matches_a_set_and_insertion_order_model(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=24usize);
+            let hub = rng.gen_range(0..n);
+            let mut g = DiGraph::new(n);
+            let mut set: HashSet<(usize, usize)> = HashSet::new();
+            let mut succ = vec![Vec::new(); n];
+            let mut pred = vec![Vec::new(); n];
+            for _ in 0..rng.gen_range(0..=4 * n) {
+                let (mut u, mut v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                match rng.gen_range(0..6u32) {
+                    0 => u = hub,
+                    1 => v = hub,
+                    2 => v = u,
+                    _ => {}
+                }
+                let fresh = set.insert((u, v));
+                if fresh {
+                    succ[u].push(v);
+                    pred[v].push(u);
+                }
+                prop_assert_eq!(g.add_edge(u, v), fresh);
+            }
+            prop_assert_eq!(g.edge_count(), set.len());
+            prop_assert_eq!(g.edges().collect::<HashSet<_>>(), set.clone());
+            for u in 0..n {
+                prop_assert_eq!(g.successors(u), succ[u].as_slice());
+                prop_assert_eq!(g.predecessors(u), pred[u].as_slice());
+                for v in 0..n {
+                    prop_assert_eq!(g.has_edge(u, v), set.contains(&(u, v)));
+                }
+            }
+        }
     }
 }

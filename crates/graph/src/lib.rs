@@ -6,8 +6,10 @@
 //! and 2 reduce safety to strong connectivity of the conflict digraph
 //! `D(T1,T2)`), dominators in the paper's Definition-2 sense, priority
 //! topological sorts (the certificate construction of Theorem 2), cycle
-//! enumeration (Proposition 2) and dense bitsets/reachability (transitive
-//! closures of transaction partial orders).
+//! enumeration (Proposition 2), dense bitsets (dominator membership) and
+//! the transitive closure of a transaction's partial order as one flat bit
+//! matrix. A graph costs what its nodes and edges cost; only the closure
+//! is quadratic, and only for whoever asks for it.
 //!
 //! # Example
 //!
@@ -37,6 +39,6 @@ pub use condensation::{condensation, Condensation};
 pub use cycle::{find_cycle, has_cycle, simple_cycles};
 pub use digraph::DiGraph;
 pub use dominator::{enumerate_dominators, find_dominator, is_dominator};
-pub use reach::{has_path, reachable_from, transitive_closure};
+pub use reach::{transitive_closure, Closure};
 pub use scc::{is_strongly_connected, tarjan_scc, Sccs};
 pub use topo::{is_acyclic, is_topological_order, topo_sort, topo_sort_by_key};

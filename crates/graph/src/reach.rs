@@ -1,82 +1,131 @@
-//! Reachability and transitive closure.
+//! Transitive closure of an acyclic graph.
 
-use crate::bitset::BitSet;
 use crate::digraph::DiGraph;
 
-/// Set of nodes reachable from `start` (including `start`).
-pub fn reachable_from(g: &DiGraph, start: usize) -> BitSet {
-    let mut seen = BitSet::new(g.node_count());
-    let mut stack = vec![start];
-    seen.insert(start);
-    while let Some(v) = stack.pop() {
-        for &w in g.successors(v) {
-            if seen.insert(w) {
-                stack.push(w);
-            }
-        }
-    }
-    seen
+/// The reflexive-transitive closure of an acyclic graph as one row-major
+/// bit matrix: `n` rows of `⌈n/64⌉` words in a single allocation, row `a`
+/// holding the nodes reachable from `a` (`a` itself included).
+#[derive(Clone, Debug)]
+pub struct Closure {
+    words: Vec<u64>,
+    n: usize,
 }
 
-/// Full transitive closure as one reachability row per node
-/// (`closure[v].contains(w)` iff there is a path `v -> ... -> w`, `v != w`
-/// included only via a real path; `v` itself is included).
+impl Closure {
+    /// True iff there is a path `a -> ... -> b`, the empty path at `a == b`
+    /// included. False for a `b` that is not a node; panics for an `a`
+    /// that is not one.
+    pub fn reaches(&self, a: usize, b: usize) -> bool {
+        b < self.n && self.words[a * self.n.div_ceil(64) + b / 64] & (1 << (b % 64)) != 0
+    }
+}
+
+/// The closure of `g`, or `None` if `g` has a cycle.
 ///
-/// O(V·E/64) via bitset row unions over a reverse post-order; falls back to
-/// per-node DFS on cyclic graphs.
-pub fn transitive_closure(g: &DiGraph) -> Vec<BitSet> {
+/// O(V·E/64): rows are filled in reverse topological order, each the union
+/// of its successors' finished rows.
+pub fn transitive_closure(g: &DiGraph) -> Option<Closure> {
+    let order = crate::topo::topo_sort(g)?;
     let n = g.node_count();
-    if let Some(order) = crate::topo::topo_sort(g) {
-        // DAG: process in reverse topological order, union successor rows.
-        let mut rows: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for &v in order.iter().rev() {
-            let mut row = BitSet::new(n);
-            row.insert(v);
-            for &w in g.successors(v) {
-                row.union_with(&rows[w]);
+    let stride = n.div_ceil(64);
+    let mut words = vec![0u64; n * stride];
+    for &v in order.iter().rev() {
+        words[v * stride + v / 64] |= 1 << (v % 64);
+        for &w in g.successors(v) {
+            // Acyclic, so `w != v`: the two rows never overlap.
+            let (row_v, row_w) = if v < w {
+                let (lo, hi) = words.split_at_mut(w * stride);
+                (&mut lo[v * stride..][..stride], &hi[..stride])
+            } else {
+                let (lo, hi) = words.split_at_mut(v * stride);
+                (&mut hi[..stride], &lo[w * stride..][..stride])
+            };
+            for (a, b) in row_v.iter_mut().zip(row_w) {
+                *a |= *b;
             }
-            rows[v] = row;
         }
-        rows
-    } else {
-        (0..n).map(|v| reachable_from(g, v)).collect()
     }
-}
-
-/// True iff there is a directed path from `a` to `b` (allows `a == b` only
-/// when a cycle through `a` exists or trivially as self-reach).
-pub fn has_path(g: &DiGraph, a: usize, b: usize) -> bool {
-    reachable_from(g, a).contains(b)
+    Some(Closure { words, n })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Nodes reachable from `start` (itself included) by depth-first
+    /// search: the reference the closure's rows are compared against.
+    fn reachable_from(g: &DiGraph, start: usize) -> Vec<bool> {
+        let mut seen = vec![false; g.node_count()];
+        let mut stack = vec![start];
+        seen[start] = true;
+        while let Some(v) = stack.pop() {
+            for &w in g.successors(v) {
+                if !std::mem::replace(&mut seen[w], true) {
+                    stack.push(w);
+                }
+            }
+        }
+        seen
+    }
+
+    fn assert_matches_dfs(g: &DiGraph) {
+        let tc = transitive_closure(g).expect("acyclic");
+        for v in 0..g.node_count() {
+            let row: Vec<bool> = (0..g.node_count()).map(|w| tc.reaches(v, w)).collect();
+            assert_eq!(row, reachable_from(g, v), "row {v}");
+        }
+    }
 
     #[test]
     fn reachability_on_chain() {
         let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let r = reachable_from(&g, 1);
-        assert_eq!(r.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert!(has_path(&g, 0, 3));
-        assert!(!has_path(&g, 3, 0));
+        let tc = transitive_closure(&g).unwrap();
+        let from_1: Vec<usize> = (0..4).filter(|&w| tc.reaches(1, w)).collect();
+        assert_eq!(from_1, vec![1, 2, 3]);
+        assert!(tc.reaches(0, 3));
+        assert!(!tc.reaches(3, 0));
+        assert!(!tc.reaches(0, 4), "not a node");
     }
 
     #[test]
     fn closure_matches_per_node_dfs() {
-        let g = DiGraph::from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 2), (2, 4)]);
-        let tc = transitive_closure(&g);
-        for (v, row) in tc.iter().enumerate() {
-            let direct = reachable_from(&g, v);
-            assert_eq!(*row, direct, "row {v}");
-        }
+        assert_matches_dfs(&DiGraph::from_edges(
+            5,
+            [(0, 1), (1, 2), (0, 3), (3, 2), (2, 4)],
+        ));
+        assert_matches_dfs(&DiGraph::new(0));
     }
 
     #[test]
     fn closure_on_cyclic_graph() {
         let g = DiGraph::from_edges(3, [(0, 1), (1, 0), (1, 2)]);
-        let tc = transitive_closure(&g);
-        assert!(tc[0].contains(0) && tc[0].contains(1) && tc[0].contains(2));
-        assert!(!tc[2].contains(0));
+        assert!(transitive_closure(&g).is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random dags whose rows span up to four words, under a random
+        /// relabelling so that rows are finished in no index order.
+        #[test]
+        fn closure_matches_dfs_on_random_dags(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=200usize);
+            let mut label: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                label.swap(i, rng.gen_range(0..=i));
+            }
+            let mut g = DiGraph::new(n);
+            for _ in 0..rng.gen_range(0..=3 * n) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    g.add_edge(label[a.min(b)], label[a.max(b)]);
+                }
+            }
+            assert_matches_dfs(&g);
+        }
     }
 }

@@ -4,23 +4,28 @@ use crate::action::{ActionKind, Step};
 use crate::entity::Database;
 use crate::error::ModelError;
 use crate::ids::{EntityId, SiteId, StepId};
-use kplock_graph::{BitSet, DiGraph};
+use kplock_graph::{Closure, DiGraph};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A (locked) transaction: the paper's triple `T = (S, A, e)`.
 ///
 /// Steps are indexed densely by [`StepId`]. The precedence relation is kept
-/// both as the direct edge graph (the dag drawn in the paper's figures) and
-/// as its transitive closure for O(1) `precedes` queries. Construction
-/// guarantees acyclicity; site-totality and locking discipline are checked
-/// by `crate::validate`.
+/// as the direct edge graph (the dag drawn in the paper's figures); its
+/// transitive closure, which makes `precedes` O(1), is quadratic in the
+/// step count and is built by the first [`Transaction::precedes`],
+/// [`Transaction::precedes_eq`] or [`Transaction::concurrent`] and kept
+/// from then on (a clone taken afterwards carries it). Code that walks
+/// direct edges only — step issue, schedule validation, the serialization
+/// graph — never pays for it. Construction guarantees acyclicity;
+/// site-totality and locking discipline are checked by `crate::validate`.
 #[derive(Clone, Debug)]
 pub struct Transaction {
     name: String,
     steps: Vec<Step>,
     graph: DiGraph,
-    /// `closure[s]` = steps reachable from `s` (including `s` itself).
-    closure: Vec<BitSet>,
+    /// Row `s` = steps reachable from `s` (including `s` itself).
+    closure: OnceLock<Closure>,
     /// Lock/unlock step per entity (validated unique).
     lock_of: HashMap<EntityId, StepId>,
     unlock_of: HashMap<EntityId, StepId>,
@@ -59,7 +64,6 @@ impl Transaction {
             let c = kplock_graph::find_cycle(&graph).expect("cycle exists");
             return Err(ModelError::CyclicPrecedence(StepId::from_idx(c[0])));
         }
-        let closure = kplock_graph::transitive_closure(&graph);
         let mut lock_of = HashMap::new();
         let mut unlock_of = HashMap::new();
         let update_count = steps
@@ -85,7 +89,7 @@ impl Transaction {
             name,
             steps,
             graph,
-            closure,
+            closure: OnceLock::new(),
             lock_of,
             unlock_of,
             updates,
@@ -127,14 +131,28 @@ impl Transaction {
         &self.graph
     }
 
+    fn closure(&self) -> &Closure {
+        self.closure.get_or_init(|| {
+            kplock_graph::transitive_closure(&self.graph)
+                .expect("construction proved the precedence acyclic")
+        })
+    }
+
+    /// Whether the transitive closure has been built yet (tests assert
+    /// that the simulator never builds it).
+    #[doc(hidden)]
+    pub fn closure_is_built(&self) -> bool {
+        self.closure.get().is_some()
+    }
+
     /// Strict precedence in the partial order: `a ≺ b`.
     pub fn precedes(&self, a: StepId, b: StepId) -> bool {
-        a != b && self.closure[a.idx()].contains(b.idx())
+        a != b && self.closure().reaches(a.idx(), b.idx())
     }
 
     /// `a ≼ b`: precedes or equal.
     pub fn precedes_eq(&self, a: StepId, b: StepId) -> bool {
-        self.closure[a.idx()].contains(b.idx())
+        self.closure().reaches(a.idx(), b.idx())
     }
 
     /// True if neither `a ≺ b` nor `b ≺ a` (and `a != b`).
@@ -225,34 +243,207 @@ impl Transaction {
 
     /// True iff the partial order is already total.
     pub fn is_total_order(&self) -> bool {
-        let n = self.len();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if self.concurrent(StepId::from_idx(a), StepId::from_idx(b)) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.total_order().is_some()
     }
 
     /// For a total order, the steps in execution order.
     pub fn total_order(&self) -> Option<Vec<StepId>> {
         let order = kplock_graph::topo_sort(&self.graph)?;
-        let ids: Vec<StepId> = order.into_iter().map(StepId::from_idx).collect();
-        // Verify totality: each consecutive pair must be ordered.
-        for w in ids.windows(2) {
-            if !self.precedes(w[0], w[1]) {
-                return None;
-            }
-        }
-        Some(ids)
+        // Total iff consecutive steps are joined by a *direct* edge: a
+        // longer path between them would put a third step strictly
+        // between two neighbours of a topological order. Direct edges
+        // only, so this never builds the closure.
+        order
+            .windows(2)
+            .all(|w| self.graph.has_edge(w[0], w[1]))
+            .then(|| order.into_iter().map(StepId::from_idx).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::TxnSystem;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The threaded runner shares the system across its workers; a
+    /// `OnceCell` or `RefCell` behind the lazy closure would take that
+    /// away.
+    #[test]
+    fn transactions_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Transaction>();
+        assert_send_sync::<TxnSystem>();
+    }
+
+    /// `is_total_order` as it was defined: no two steps concurrent.
+    fn is_total_order_by_closure(t: &Transaction) -> bool {
+        let n = t.len();
+        (0..n)
+            .all(|a| ((a + 1)..n).all(|b| !t.concurrent(StepId::from_idx(a), StepId::from_idx(b))))
+    }
+
+    /// `total_order` as it was defined: the topological sort, if each
+    /// consecutive pair is ordered.
+    fn total_order_by_closure(t: &Transaction) -> Option<Vec<StepId>> {
+        let order = kplock_graph::topo_sort(t.edge_graph())?;
+        let ids: Vec<StepId> = order.into_iter().map(StepId::from_idx).collect();
+        ids.windows(2)
+            .all(|w| t.precedes(w[0], w[1]))
+            .then_some(ids)
+    }
+
+    /// A transaction of `n ≤ 70` update steps (rows of one and two words)
+    /// over a random dag under a random relabelling: chains with and
+    /// without redundant skip edges, chains missing a link, antichains,
+    /// stacked diamonds, per-site chains with cross edges, sparse dags.
+    fn random_dag_txn(rng: &mut StdRng) -> Transaction {
+        let n = rng.gen_range(1..=70usize);
+        let mut label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            label.swap(i, rng.gen_range(0..=i));
+        }
+        // Edges run from lower to higher position, so the graph is a dag.
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let chain = |edges: &mut Vec<(usize, usize)>, nodes: &[usize]| {
+            edges.extend(nodes.windows(2).map(|w| (w[0], w[1])));
+        };
+        let all: Vec<usize> = (0..n).collect();
+        match rng.gen_range(0..6u32) {
+            0 => {
+                chain(&mut edges, &all);
+                for _ in 0..rng.gen_range(0..=n) {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    edges.push((a.min(b), a.max(b)));
+                }
+            }
+            1 => {
+                chain(&mut edges, &all);
+                if n > 1 {
+                    let cut = rng.gen_range(0..n - 1);
+                    edges.remove(cut);
+                    if cut > 0 && rng.gen_bool(0.5) {
+                        edges.push((cut - 1, cut + 1));
+                    }
+                }
+            }
+            2 => {}
+            3 => {
+                let mut at = 0;
+                while at + 1 < n {
+                    let width = rng.gen_range(1..=4usize).min(n - at - 1);
+                    let sink = (at + width + 1).min(n - 1);
+                    for mid in at + 1..=at + width {
+                        edges.push((at, mid));
+                        edges.push((mid, sink));
+                    }
+                    at = sink;
+                }
+            }
+            4 => {
+                let sites = rng.gen_range(1..=4usize);
+                for s in 0..sites {
+                    let at_site: Vec<usize> = (s..n).step_by(sites).collect();
+                    chain(&mut edges, &at_site);
+                }
+                for _ in 0..rng.gen_range(0..=n / 2) {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    edges.push((a.min(b), a.max(b)));
+                }
+            }
+            _ => {
+                for _ in 0..rng.gen_range(0..=2 * n) {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    edges.push((a.min(b), a.max(b)));
+                }
+            }
+        }
+        let steps = (0..n).map(|_| Step::update(EntityId(0))).collect();
+        let edges = edges
+            .into_iter()
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| (StepId::from_idx(label[a]), StepId::from_idx(label[b])));
+        Transaction::new("T", steps, edges).unwrap()
+    }
+
+    /// `reach[a][b]`: a path of direct edges from `a` to `b`, the empty
+    /// one included — by depth-first search over `edge_graph()`.
+    fn reach_by_dfs(t: &Transaction) -> Vec<Vec<bool>> {
+        let g = t.edge_graph();
+        (0..t.len())
+            .map(|start| {
+                let mut seen = vec![false; t.len()];
+                let mut stack = vec![start];
+                seen[start] = true;
+                while let Some(v) = stack.pop() {
+                    for &w in g.successors(v) {
+                        if !std::mem::replace(&mut seen[w], true) {
+                            stack.push(w);
+                        }
+                    }
+                }
+                seen
+            })
+            .collect()
+    }
+
+    fn assert_precedence_is_reachability(t: &Transaction) {
+        let reach = reach_by_dfs(t);
+        for a in t.step_ids() {
+            for b in t.step_ids() {
+                let (ab, ba) = (reach[a.idx()][b.idx()], reach[b.idx()][a.idx()]);
+                assert_eq!(t.precedes_eq(a, b), ab, "{a:?} ≼ {b:?}");
+                assert_eq!(t.precedes(a, b), a != b && ab, "{a:?} ≺ {b:?}");
+                assert_eq!(t.concurrent(a, b), !ab && !ba, "{a:?} ∥ {b:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn totality_from_direct_edges_matches_the_closure(seed in any::<u64>()) {
+            let t = random_dag_txn(&mut StdRng::seed_from_u64(seed));
+            let (total, order) = (t.is_total_order(), t.total_order());
+            prop_assert!(!t.closure_is_built());
+            prop_assert_eq!(total, is_total_order_by_closure(&t));
+            prop_assert_eq!(order, total_order_by_closure(&t));
+        }
+
+        #[test]
+        fn precedes_is_reachability_over_direct_edges(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = random_dag_txn(&mut rng);
+            let cloned_before = t.clone();
+            prop_assert!(!t.closure_is_built());
+            assert_precedence_is_reachability(&t);
+            let cloned_after = t.clone();
+            prop_assert!(t.closure_is_built() && cloned_after.closure_is_built());
+            prop_assert!(!cloned_before.closure_is_built());
+            assert_precedence_is_reachability(&cloned_before);
+            assert_precedence_is_reachability(&cloned_after);
+
+            let reach = reach_by_dfs(&t);
+            for _ in 0..4 {
+                let a = StepId::from_idx(rng.gen_range(0..t.len()));
+                let b = StepId::from_idx(rng.gen_range(0..t.len()));
+                match t.with_precedence(a, b) {
+                    Ok(stronger) => {
+                        prop_assert!(!reach[b.idx()][a.idx()]);
+                        prop_assert!(stronger.precedes(a, b));
+                        assert_precedence_is_reachability(&stronger);
+                    }
+                    Err(e) => {
+                        prop_assert!(reach[b.idx()][a.idx()]);
+                        prop_assert_eq!(e, ModelError::WouldCreateCycle(a, b));
+                    }
+                }
+            }
+        }
+    }
 
     fn two_step_txn() -> Transaction {
         let x = EntityId(0);

@@ -226,6 +226,9 @@ struct Engine<'a> {
     wfg: WaitForGraph<Instance>,
     /// Whether `wfg` changed since the last cycle check.
     wfg_dirty: bool,
+    /// Scratch of [`find_wait_cycle`]: one entry per transaction, all
+    /// [`UNSEEN`] between calls.
+    scan_slot: Vec<usize>,
     /// Whether leases are being tracked (the plan has crashes).
     track_leases: bool,
     /// Whether delegated lock ownership is on ([`Delegation::On`]).
@@ -239,6 +242,51 @@ struct Engine<'a> {
     history: History,
     metrics: Metrics,
     now: SimTime,
+}
+
+/// [`Engine::scan_slot`]'s mark for a transaction no live edge has named.
+const UNSEEN: usize = usize::MAX;
+
+/// One cycle of the transaction-level wait-for graph — the edges whose
+/// two ends are both `live` — as transaction indices, or `None`, without
+/// allocating, when no edge is live.
+///
+/// The graph is built over the transactions that wait or are waited for,
+/// not over all of them: they are numbered in ascending [`TxnId`] and the
+/// edges added in the order received, so `find_cycle` tries the same
+/// roots and successors in the same order, and returns the same cycle, as
+/// on a graph with a node per transaction. `slot` maps a transaction to
+/// its node; it must be all [`UNSEEN`] on entry and is again on return.
+fn find_wait_cycle(
+    edges: &[(Instance, Instance)],
+    live: impl Fn(Instance) -> bool,
+    slot: &mut [usize],
+) -> Option<Vec<usize>> {
+    let live_ends =
+        |&(w, h): &(Instance, Instance)| (live(w) && live(h)).then(|| [w.txn.idx(), h.txn.idx()]);
+    let mut nodes: Vec<usize> = Vec::new();
+    for t in edges.iter().filter_map(live_ends).flatten() {
+        if slot[t] == UNSEEN {
+            slot[t] = 0; // seen; numbered once the nodes are sorted
+            nodes.push(t);
+        }
+    }
+    if nodes.is_empty() {
+        return None;
+    }
+    nodes.sort_unstable();
+    for (node, &t) in nodes.iter().enumerate() {
+        slot[t] = node;
+    }
+    let mut g = DiGraph::new(nodes.len());
+    for [w, h] in edges.iter().filter_map(live_ends) {
+        g.add_edge(slot[w], slot[h]);
+    }
+    for &t in &nodes {
+        slot[t] = UNSEEN;
+    }
+    let cycle = kplock_graph::find_cycle(&g)?;
+    Some(cycle.into_iter().map(|node| nodes[node]).collect())
 }
 
 /// Runs the system to completion (or `max_time`), all transactions
@@ -316,6 +364,7 @@ pub fn run_with_arrivals(
         uncommitted: sys.len(),
         wfg: WaitForGraph::new(),
         wfg_dirty: false,
+        scan_slot: vec![UNSEEN; sys.len()],
         track_leases: !cfg.faults.crashes.is_empty(),
         delegation: cfg.delegation == Delegation::On,
         recorded: HashSet::new(),
@@ -1388,18 +1437,14 @@ impl Engine<'_> {
         }
     }
 
-    /// Builds the transaction-level graph from instance edges (current
-    /// epochs only), aborts one victim if a cycle exists. Returns whether
-    /// it did.
+    /// Looks for a cycle in the transaction-level graph of `edges`
+    /// (current epochs only) and aborts one victim if there is one.
+    /// Returns whether it did.
     fn resolve_one_cycle(&mut self, edges: &[(Instance, Instance)]) -> bool {
-        let k = self.sys.len();
-        let mut g = DiGraph::new(k);
-        for &(w, h) in edges {
-            if !self.stale(w) && !self.stale(h) {
-                g.add_edge(w.txn.idx(), h.txn.idx());
-            }
-        }
-        let Some(cycle) = kplock_graph::find_cycle(&g) else {
+        let mut slot = std::mem::take(&mut self.scan_slot);
+        let cycle = find_wait_cycle(edges, |i| !self.stale(i), &mut slot);
+        self.scan_slot = slot;
+        let Some(cycle) = cycle else {
             return false;
         };
         let members: Vec<Instance> = cycle
@@ -1724,6 +1769,79 @@ mod tests {
     use super::*;
     use crate::config::LatencyModel;
     use kplock_model::{Database, TxnBuilder};
+    use proptest::prelude::*;
+
+    /// The construction [`find_wait_cycle`] replaced, kept as the oracle:
+    /// a node per transaction, every live edge added by transaction index.
+    fn find_wait_cycle_over_all(
+        k: usize,
+        edges: &[(Instance, Instance)],
+        live: impl Fn(Instance) -> bool,
+    ) -> Option<Vec<usize>> {
+        let mut g = DiGraph::new(k);
+        for &(w, h) in edges {
+            if live(w) && live(h) {
+                g.add_edge(w.txn.idx(), h.txn.idx());
+            }
+        }
+        kplock_graph::find_cycle(&g)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random wait-for edge lists over 2–64 transactions: planted
+        /// disjoint rings, random edges, duplicates, and either end of an
+        /// edge stale with a probability that also yields lists with no
+        /// live edge at all.
+        #[test]
+        fn compact_scan_graph_finds_the_full_graphs_cycle(
+            seed in any::<u64>(),
+            k in 2usize..=64,
+            stale_percent in 0u32..=100,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let epochs: Vec<u32> = (0..k).map(|_| rng.gen_range(0..3u32)).collect();
+            let inst = |t: usize, rng: &mut StdRng| Instance {
+                txn: TxnId::from_idx(t),
+                epoch: if rng.gen_range(0..100u32) < stale_percent / 4 {
+                    epochs[t] + 1
+                } else {
+                    epochs[t]
+                },
+            };
+            let mut edges: Vec<(Instance, Instance)> = Vec::new();
+            for _ in 0..rng.gen_range(0..=3u32) {
+                let len = rng.gen_range(1..=k.min(6));
+                let start = rng.gen_range(0..=k - len);
+                for i in 0..len {
+                    let (w, h) = (start + i, start + (i + 1) % len);
+                    edges.push((inst(w, &mut rng), inst(h, &mut rng)));
+                }
+            }
+            for _ in 0..rng.gen_range(0..=2 * k) {
+                let e = (inst(rng.gen_range(0..k), &mut rng), inst(rng.gen_range(0..k), &mut rng));
+                edges.push(e);
+                if rng.gen_bool(0.2) {
+                    edges.push(e);
+                }
+            }
+            for i in (1..edges.len()).rev() {
+                edges.swap(i, rng.gen_range(0..=i));
+            }
+            if stale_percent == 100 {
+                for (w, _) in &mut edges {
+                    w.epoch += 5;
+                }
+            }
+
+            let live = |i: Instance| epochs[i.txn.idx()] == i.epoch;
+            let mut slot = vec![UNSEEN; k];
+            let cycle = find_wait_cycle(&edges, live, &mut slot);
+            prop_assert_eq!(cycle, find_wait_cycle_over_all(k, &edges, live));
+            prop_assert!(slot.iter().all(|&s| s == UNSEEN));
+        }
+    }
 
     fn pair(s1: &str, s2: &str, spec: &[(&str, usize)]) -> TxnSystem {
         let db = Database::from_spec(spec);
