@@ -40,7 +40,7 @@ pub enum OracleOutcome {
     Safe,
     /// A legal, complete, non-serializable schedule (the witness).
     Unsafe(Schedule),
-    /// State cap exceeded.
+    /// State cap or encoding limit exceeded.
     Aborted,
 }
 
@@ -68,15 +68,18 @@ struct State {
 
 /// Exhaustively decides safety of `sys` (any number of transactions/sites).
 ///
-/// # Panics
-/// Panics if some transaction has more than 64 steps or the system has more
-/// than 8 transactions (the state encoding's limits; the oracle is meant for
-/// small ground-truth instances).
+/// The state encoding holds at most 8 transactions of at most 64 steps each
+/// (the oracle is meant for small ground-truth instances); a larger system
+/// is refused as [`OracleOutcome::Aborted`] with no state explored.
 pub fn decide_exhaustive(sys: &TxnSystem, opts: &OracleOptions) -> OracleReport {
     let k = sys.len();
-    assert!(k <= 8, "oracle limited to 8 transactions");
-    for t in sys.txns() {
-        assert!(t.len() <= 64, "oracle limited to 64 steps per transaction");
+    if k > 8 || sys.txns().iter().any(|t| t.len() > 64) {
+        return OracleReport {
+            outcome: OracleOutcome::Aborted,
+            states_explored: 0,
+            deadlock_reachable: false,
+            complete_states: 0,
+        };
     }
 
     // Precompute per-transaction step metadata.

@@ -3,8 +3,10 @@
 
 use kplock::core::policy::LockStrategy;
 use kplock::core::{
-    decide_exhaustive, decide_two_site_system, OracleOptions, OracleOutcome, SafetyVerdict,
+    decide_exhaustive, decide_two_site_system, ConflictDigraph, OracleOptions, OracleOutcome,
+    SafetyVerdict,
 };
+use kplock::model::{Database, TxnBuilder, TxnId, TxnSystem};
 use kplock::workload::{random_pair, WorkloadParams};
 
 fn check_agreement(params: &WorkloadParams) {
@@ -88,6 +90,49 @@ fn centralized_pairs_match_oracle_too() {
             steps_per_txn: 6,
             ..Default::default()
         });
+    }
+}
+
+/// A safe pair whose concurrency grows with distribution: two entities at
+/// site 0 locked in synchronized-2PL fashion (D complete, so safe by
+/// Theorem 1) plus one private entity per transaction at each further
+/// site, each a concurrent per-site chain.
+fn wide_safe_pair(sites: usize) -> TxnSystem {
+    let mut spec: Vec<(String, usize)> = vec![("a".into(), 0), ("b".into(), 0)];
+    for s in 1..sites {
+        spec.push((format!("p{s}"), s)); // private to T1
+        spec.push((format!("q{s}"), s)); // private to T2
+    }
+    let spec_ref: Vec<(&str, usize)> = spec.iter().map(|(n, s)| (n.as_str(), *s)).collect();
+    let db = Database::from_spec(&spec_ref);
+    let mk = |name: &str, private: char| {
+        let mut b = TxnBuilder::new(&db, name);
+        b.script("La Lb a b Ua Ub").unwrap();
+        for s in 1..sites {
+            b.script(&format!("L{private}{s} {private}{s} U{private}{s}"))
+                .unwrap();
+        }
+        b.build().unwrap()
+    };
+    let (t1, t2) = (mk("T1", 'p'), mk("T2", 'q'));
+    TxnSystem::new(db, vec![t1, t2])
+}
+
+#[test]
+fn oracle_states_multiply_with_site_count_while_theorem1_reads_only_d() {
+    // The title question as a count. Theorem 1 proves every one of these
+    // pairs safe from the two-entity digraph D alone, whatever the number
+    // of sites; the oracle has to exhaust the reachable product space,
+    // which each further site multiplies by 16.
+    for (sites, states) in [(2, 432), (3, 6_912), (4, 110_592)] {
+        let sys = wide_safe_pair(sites);
+        assert!(ConflictDigraph::build(&sys, TxnId(0), TxnId(1)).is_strongly_connected());
+        let report = decide_exhaustive(&sys, &OracleOptions::default());
+        assert!(
+            matches!(report.outcome, OracleOutcome::Safe),
+            "{sites} sites"
+        );
+        assert_eq!(report.states_explored, states, "{sites} sites");
     }
 }
 

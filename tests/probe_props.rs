@@ -45,6 +45,7 @@ proptest! {
             ..Default::default()
         };
         let scan = run(&sys, &base).unwrap();
+        prop_assert_ne!(scan.outcome, RunOutcome::Stalled);
         if !scan.finished() {
             return Ok(()); // scan livelocks are not the probe's bug
         }

@@ -1,8 +1,10 @@
 //! Property-based tests (proptest) for the paper's core invariants.
 
 use kplock::core::policy::LockStrategy;
-use kplock::core::{decide_total_pair, ConflictDigraph, SafetyVerdict};
-use kplock::geometry::{plane_is_safe, PlanePicture};
+use kplock::core::{
+    decide_exhaustive, decide_total_pair, ConflictDigraph, OracleOptions, SafetyVerdict,
+};
+use kplock::geometry::{has_deadlock, plane_is_safe, PlanePicture};
 use kplock::model::{linear_extensions, TxnId, TxnSystem};
 use kplock::workload::{random_pair, WorkloadParams};
 use proptest::prelude::*;
@@ -98,6 +100,30 @@ proptest! {
         if let SafetyVerdict::Unsafe(cert) = &graph_verdict {
             prop_assert!(cert.verify(&lin).is_ok());
         }
+    }
+
+    /// For centralized pairs of total orders, the plane has a deadlock
+    /// region exactly when the oracle reaches a stalled state. (The oracle
+    /// searches breadth-first and a stalled state is at least two steps
+    /// short of complete, so an unsafe completion ending the search early
+    /// hides none.)
+    #[test]
+    fn geometric_deadlock_equals_oracle_deadlock(seed in 0u64..500) {
+        let sys = random_pair(&WorkloadParams {
+            seed,
+            strategy: LockStrategy::Minimal,
+            sites: 1,
+            entities_per_site: 2,
+            steps_per_txn: 6,
+            cross_edge_percent: 0,
+            ..Default::default()
+        });
+        if !(sys.txn(TxnId(0)).is_total_order() && sys.txn(TxnId(1)).is_total_order()) {
+            return Ok(());
+        }
+        let plane = PlanePicture::new(&sys, TxnId(0), TxnId(1)).unwrap();
+        let oracle = decide_exhaustive(&sys, &OracleOptions::default());
+        prop_assert_eq!(has_deadlock(&plane), oracle.deadlock_reachable);
     }
 
     /// Theorem 1 soundness on arbitrary (multi-site) pairs: strong

@@ -4,7 +4,10 @@
 
 use kplock::core::closure::try_unsafety_via_dominator;
 use kplock::core::reduction::reduce;
-use kplock::core::{decide_multisite, MultisiteOptions, SafetyVerdict};
+use kplock::core::{
+    decide_exhaustive, decide_multisite, MultisiteOptions, OracleOptions, OracleOutcome,
+    SafetyVerdict,
+};
 use kplock::graph::enumerate_dominators;
 use kplock::model::{EntityId, Level, TxnId};
 use kplock::sat::{solve, to_restricted_form, SatResult};
@@ -107,6 +110,42 @@ fn multisite_procedure_on_reduction_instances() {
             }
         }
     }
+}
+
+#[test]
+fn systems_beyond_the_oracles_encoding_are_refused_not_panicked_on() {
+    // A (12, 10) instance has 396-step transactions, six times what the
+    // oracle's state encoding holds. Its closure attempts are all
+    // inconclusive (the default 4 096 of them take ten seconds, so the cap
+    // is lowered), and the procedure falls through to the oracle, whose
+    // refusal must come back as `Unknown`.
+    let f = random_instance(1, 12, 10);
+    let r = reduce(&f).unwrap();
+    assert!(r.sys.txn(TxnId(0)).len() > 64);
+    let opts = MultisiteOptions {
+        dominator_cap: 64,
+        ..Default::default()
+    };
+    let verdict = decide_multisite(&r.sys, TxnId(0), TxnId(1), &opts);
+    assert!(matches!(verdict, SafetyVerdict::Unknown), "{verdict:?}");
+    let report = decide_exhaustive(&r.sys, &OracleOptions::default());
+    assert!(matches!(report.outcome, OracleOutcome::Aborted));
+    assert_eq!(report.states_explored, 0);
+    assert_eq!(kplock::core::count_schedules(&r.sys, 1_000_000), None);
+
+    // Nine transactions are one more than it holds.
+    let db = kplock::model::Database::from_spec(&[("x", 0)]);
+    let txns = (0..9)
+        .map(|i| {
+            let mut b = kplock::model::TxnBuilder::new(&db, format!("T{i}"));
+            b.script("Lx x Ux").unwrap();
+            b.build().unwrap()
+        })
+        .collect();
+    let nine = kplock::model::TxnSystem::new(db, txns);
+    let report = decide_exhaustive(&nine, &OracleOptions::default());
+    assert!(matches!(report.outcome, OracleOutcome::Aborted));
+    assert_eq!(kplock::core::count_schedules(&nine, 1_000_000), None);
 }
 
 #[test]

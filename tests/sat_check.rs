@@ -1,5 +1,6 @@
 //! The triad property: three independent deciders must agree on every
-//! random small system.
+//! random small system and on every system of the named corpus (the
+//! exact-decision gate).
 //!
 //! * `decide_exhaustive` — the oracle, brute-force interleaving search;
 //! * `check_safety` / `check_deadlock` — the Theorem-3-converse SAT
@@ -19,9 +20,127 @@ use kplock::core::{
     check_deadlock, check_safety, decide_exhaustive, synthesize_optimal, OracleOptions,
     OracleOutcome, SatSafety,
 };
+use kplock::model::{Database, TxnBuilder, TxnSystem};
 use kplock::sim::{replay_deadlock, replay_violation, AvoidPlan};
-use kplock::workload::{random_system, WorkloadParams};
+use kplock::workload::{
+    certified_mix, opposed_mix, random_system, regression_corpus, WorkloadParams,
+};
 use proptest::prelude::*;
+
+/// Holds `sys` to all three deciders at once. `expected_safe` is the
+/// verdict known a priori, where there is one; `expect_gap` demands that
+/// the optimum certify strictly more than greedy.
+fn cross_examine(
+    sys: &TxnSystem,
+    expected_safe: Option<bool>,
+    expect_gap: bool,
+) -> Result<(), TestCaseError> {
+    let safety = check_safety(sys).expect("exclusive-only systems must encode");
+    let deadlock = check_deadlock(sys).expect("exclusive-only systems must encode");
+    if let Some(expected) = expected_safe {
+        prop_assert_eq!(safety.verdict.is_safe(), expected, "pinned expectation");
+    }
+
+    // Every verdict ships replayable evidence.
+    if let SatSafety::Unsafe(witness) = &safety.verdict {
+        let audit = replay_violation(sys, witness)
+            .map_err(|e| TestCaseError::fail(format!("witness must replay: {e}")))?;
+        prop_assert!(audit.legal.is_ok());
+        prop_assert!(!audit.serializable);
+    }
+    if let Some(prefix) = &deadlock.deadlock {
+        let evidence = replay_deadlock(sys, prefix)
+            .map_err(|e| TestCaseError::fail(format!("prefix must replay: {e}")))?;
+        prop_assert!(evidence.cycle.len() >= 2);
+    }
+
+    // Oracle cross-examination, wherever it finishes.
+    let report = decide_exhaustive(sys, &OracleOptions::default());
+    match report.outcome {
+        OracleOutcome::Safe => {
+            prop_assert!(safety.verdict.is_safe(), "oracle safe, SAT unsafe");
+            // A completed Safe exploration also decides deadlock
+            // reachability exactly.
+            prop_assert_eq!(
+                deadlock.deadlock.is_some(),
+                report.deadlock_reachable,
+                "deadlock verdicts disagree"
+            );
+        }
+        OracleOutcome::Unsafe(_) => {
+            prop_assert!(!safety.verdict.is_safe(), "oracle unsafe, SAT safe");
+        }
+        OracleOutcome::Aborted => {}
+    }
+
+    // Greedy is a sufficient condition: a fully-certified plan means
+    // no reachable deadlock and (under sync-2PL) safety; the exact
+    // deciders must not contradict it.
+    let greedy = AvoidPlan::synthesize(sys);
+    prop_assert!(greedy.verify(sys).is_ok());
+    if greedy.fully_certified() {
+        prop_assert!(
+            deadlock.deadlock.is_none(),
+            "certified set reached a deadlock"
+        );
+    }
+
+    // And the iterated-SAT optimum dominates greedy, verifiably.
+    let opt = synthesize_optimal(sys);
+    prop_assert!(opt.optimal_count >= opt.greedy_count);
+    prop_assert_eq!(opt.greedy_count, greedy.certified_count());
+    prop_assert!(opt.plan.verify(sys).is_ok());
+    if expect_gap {
+        prop_assert!(
+            opt.optimal_count > opt.greedy_count,
+            "expected a strict greedy-vs-optimal gap"
+        );
+    }
+    Ok(())
+}
+
+/// `n` copies of "lock x, unlock it, then lock y": unsafe for `n ≥ 2`,
+/// never deadlocked.
+fn early_unlock(n: usize) -> TxnSystem {
+    let db = Database::from_spec(&[("x", 0), ("y", 1)]);
+    let txns = (0..n)
+        .map(|i| {
+            let mut b = TxnBuilder::new(&db, format!("E{i}"));
+            b.script("Lx x Ux Ly y Uy").expect("script");
+            b.build().expect("acyclic")
+        })
+        .collect();
+    TxnSystem::new(db, txns)
+}
+
+/// The exact-decision gate: the named corpus, every system held to its
+/// pinned expectation and to `cross_examine`.
+#[test]
+fn exact_decision_gate_holds_on_the_full_corpus() {
+    let mut cases: Vec<(String, TxnSystem, Option<bool>, bool)> = regression_corpus()
+        .into_iter()
+        .map(|ns| (ns.name.to_string(), ns.sys, ns.expected_safe, false))
+        .collect();
+    // Synchronized 2PL: safe (deadlock-prone, but every complete schedule
+    // serializable), and greedy certifies the lone ascender where the
+    // optimum certifies the `k` descenders.
+    for k in 2..=5 {
+        let name = format!("opposed(1+{k})");
+        cases.push((name, opposed_mix(k, 2), Some(true), true));
+    }
+    for (entities, certified, fallback) in [(3, 1, 2), (3, 0, 3), (4, 2, 2), (4, 0, 4)] {
+        let name = format!("mix(e{entities},c{certified},f{fallback})");
+        let sys = certified_mix(entities, certified, fallback, 2);
+        cases.push((name, sys, Some(true), false));
+    }
+    assert_eq!(cases.len(), 27);
+    // One transaction more than the oracle's encoding holds: the checker
+    // alone decides it.
+    cases.push(("earlyunlock(9)".into(), early_unlock(9), Some(false), false));
+    for (name, sys, expected_safe, expect_gap) in &cases {
+        cross_examine(sys, *expected_safe, *expect_gap).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -55,66 +174,6 @@ proptest! {
             strategy,
             ..Default::default()
         });
-
-        let safety = check_safety(&sys)
-            .expect("exclusive-only generated systems must encode");
-        let deadlock = check_deadlock(&sys)
-            .expect("exclusive-only generated systems must encode");
-
-        // Every verdict ships replayable evidence.
-        if let SatSafety::Unsafe(witness) = &safety.verdict {
-            let audit = replay_violation(&sys, witness)
-                .unwrap_or_else(|e| panic!("seed {seed}: witness must replay: {e}"));
-            prop_assert!(audit.legal.is_ok());
-            prop_assert!(!audit.serializable);
-        }
-        if let Some(prefix) = &deadlock.deadlock {
-            let evidence = replay_deadlock(&sys, prefix)
-                .unwrap_or_else(|e| panic!("seed {seed}: prefix must replay: {e}"));
-            prop_assert!(evidence.cycle.len() >= 2);
-        }
-
-        // Oracle cross-examination (it fully explores these sizes).
-        let report = decide_exhaustive(&sys, &OracleOptions::default());
-        match report.outcome {
-            OracleOutcome::Safe => {
-                prop_assert!(
-                    safety.verdict.is_safe(),
-                    "seed {}: oracle safe, SAT unsafe", seed
-                );
-                // A completed Safe exploration also decides deadlock
-                // reachability exactly.
-                prop_assert_eq!(
-                    deadlock.deadlock.is_some(),
-                    report.deadlock_reachable,
-                    "seed {}: deadlock verdicts disagree", seed
-                );
-            }
-            OracleOutcome::Unsafe(_) => {
-                prop_assert!(
-                    !safety.verdict.is_safe(),
-                    "seed {}: oracle unsafe, SAT safe", seed
-                );
-            }
-            OracleOutcome::Aborted => {}
-        }
-
-        // Greedy is a sufficient condition: a fully-certified plan means
-        // no reachable deadlock and (under sync-2PL) safety; the exact
-        // deciders must not contradict it.
-        let greedy = AvoidPlan::synthesize(&sys);
-        prop_assert!(greedy.verify(&sys).is_ok());
-        if greedy.fully_certified() {
-            prop_assert!(
-                deadlock.deadlock.is_none(),
-                "seed {}: certified set reached a deadlock", seed
-            );
-        }
-
-        // And the iterated-SAT optimum dominates greedy, verifiably.
-        let opt = synthesize_optimal(&sys);
-        prop_assert!(opt.optimal_count >= opt.greedy_count);
-        prop_assert_eq!(opt.greedy_count, greedy.certified_count());
-        prop_assert!(opt.plan.verify(&sys).is_ok());
+        cross_examine(&sys, None, false)?;
     }
 }

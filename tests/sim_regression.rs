@@ -11,14 +11,26 @@ use kplock_core::policy::LockStrategy;
 use kplock_model::hierarchy::Granularity;
 use kplock_model::TxnSystem;
 use kplock_sim::{
-    draw_arrivals, run, run_with_arrivals, ArrivalConfig, DeadlockDetection, DeadlockResolution,
-    Delegation, FaultPlan, LatencyModel, Metrics, PreventionScheme, RunOutcome, SimConfig,
-    SiteCrash, VictimPolicy,
+    draw_arrivals, run, run_with_arrivals, ArrivalConfig, AvoidPlan, DeadlockDetection,
+    DeadlockResolution, Delegation, FaultPlan, LatencyModel, Metrics, PreventionScheme, RunOutcome,
+    SimConfig, SiteCrash, VictimPolicy,
 };
 use kplock_workload::{
     avoid_mix_sweep, fault_plan_ladder, fig5, hierarchy_system, hot_site_sweep, random_system,
-    zipf_sweep, AccessProfile, HierarchyParams, WorkloadParams,
+    resolution_sweep, site_count_sweep, zipf_sweep, AccessProfile, HierarchyParams, WorkloadParams,
 };
+
+/// Column sums of `row(seed)` over seeds `0..seeds`: the integers the
+/// per-run averages in ARCHITECTURE's tables are quotients of.
+fn sum_over<const N: usize>(seeds: u64, row: impl Fn(u64) -> [u64; N]) -> [u64; N] {
+    let mut sums = [0; N];
+    for seed in 0..seeds {
+        for (sum, v) in sums.iter_mut().zip(row(seed)) {
+            *sum += v;
+        }
+    }
+    sums
+}
 
 fn metrics(m: &Metrics) -> (usize, usize, u64, u64, usize, u64) {
     (
@@ -322,12 +334,12 @@ fn scan_1e5_lock_request_counts_are_pinned() {
     let hier16 = Granularity::Hierarchical {
         escalation_threshold: 16,
     };
-    for (g, pin) in [
-        (Granularity::Flat, PIN_SCAN_FLAT),
-        (hier16, PIN_SCAN_HIER16),
+    for (g, pin, wire_pin) in [
+        (Granularity::Flat, PIN_SCAN_FLAT, PIN_SCAN_FLAT_WIRE),
+        (hier16, PIN_SCAN_HIER16, PIN_SCAN_HIER16_WIRE),
     ] {
         let sc = hierarchy_system(&p, g);
-        let requests = [FaultPlan::none(), FaultPlan::lossy(7, 0.05, 0.02, 0.10)].map(|faults| {
+        let runs = [FaultPlan::none(), FaultPlan::lossy(7, 0.05, 0.02, 0.10)].map(|faults| {
             let cfg = SimConfig {
                 latency: LatencyModel::Fixed(5),
                 seed: 17,
@@ -341,9 +353,14 @@ fn scan_1e5_lock_request_counts_are_pinned() {
                 .legal
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{}: illegal schedule: {e}", sc.name));
-            r.metrics.lock_requests
+            assert_eq!(r.metrics.deadlocks_resolved, 0, "{}", sc.name);
+            (
+                r.metrics.lock_requests,
+                [r.metrics.messages, r.metrics.makespan],
+            )
         });
-        assert_eq!(requests, pin, "{}", sc.name);
+        assert_eq!(runs.map(|(requests, _)| requests), pin, "{}", sc.name);
+        assert_eq!(runs.map(|(_, wire)| wire), wire_pin, "{}", sc.name);
     }
 }
 
@@ -366,30 +383,38 @@ fn delegation_lock_traffic_counts_are_pinned() {
     };
     let hot95 = hot_site_sweep(&base, &[95]).pop().expect("one");
     let zipf09 = zipf_sweep(&base, &[0.9]).pop().expect("one");
+    // Per delegation mode: lock traffic, cache hits, revocations, aborts.
     let traffic = |sys: &TxnSystem, scheme: PreventionScheme| {
         [Delegation::Off, Delegation::On].map(|delegation| {
-            (0..20u64)
-                .map(|seed| {
-                    let cfg = SimConfig {
-                        seed,
-                        latency: LatencyModel::Fixed(5),
-                        resolution: scheme.into(),
-                        delegation,
-                        max_time: 2_000_000,
-                        ..Default::default()
-                    };
-                    run(sys, &cfg).expect("valid config").metrics.lock_traffic
-                })
-                .sum::<u64>()
+            sum_over(20, |seed| {
+                let cfg = SimConfig {
+                    seed,
+                    latency: LatencyModel::Fixed(5),
+                    resolution: scheme.into(),
+                    delegation,
+                    max_time: 2_000_000,
+                    ..Default::default()
+                };
+                let r = run(sys, &cfg).expect("valid config");
+                assert_eq!(
+                    r.outcome,
+                    RunOutcome::Completed,
+                    "{scheme:?} {delegation:?}"
+                );
+                let m = &r.metrics;
+                [m.lock_traffic, m.cache_hits, m.revocations, m.aborts as u64]
+            })
         })
     };
-    let counts = [
+    let sums = [
         traffic(&hot95.system, PreventionScheme::WoundWait),
         traffic(&hot95.system, PreventionScheme::WaitDie),
         traffic(&zipf09.system, PreventionScheme::WoundWait),
         traffic(&zipf09.system, PreventionScheme::WaitDie),
     ];
+    let counts = sums.map(|[off, on]| [off[0], on[0]]);
     assert_eq!(counts, PIN_DELEG_TRAFFIC);
+    assert_eq!(sums.map(|[_, on]| [on[1], on[2], on[3]]), PIN_DELEG_CACHE);
     for [off, on] in [counts[1], counts[2]] {
         assert!(
             off >= 2 * on,
@@ -558,6 +583,202 @@ fn long_transaction_and_open_loop_runs_are_pinned() {
     }
 }
 
+#[test]
+fn section_5_detection_cost_by_site_count_is_pinned() {
+    // ARCHITECTURE §5, "What distribution costs, measured": the same data
+    // (6 entities, 5 sync-2PL transactions) spread over 1, 2, 3 and 6
+    // sites under the three detectors at latency 10, summed over sim
+    // seeds 0..60.
+    let base = WorkloadParams {
+        seed: 31,
+        transactions: 5,
+        steps_per_txn: 6,
+        strategy: LockStrategy::TwoPhaseSync,
+        ..Default::default()
+    };
+    let detectors = [
+        DeadlockDetection::Periodic,
+        DeadlockDetection::OnBlock,
+        DeadlockDetection::Probe,
+    ];
+    let sweep = site_count_sweep(&base, 6, &[1, 2, 3, 6]);
+    for (sc, pin) in sweep.iter().zip(PIN_DETECTION_BY_SITES) {
+        let rows = detectors.map(|detection| {
+            sum_over(60, |seed| {
+                let cfg = SimConfig {
+                    seed,
+                    latency: LatencyModel::Fixed(10),
+                    resolution: detection.into(),
+                    ..Default::default()
+                };
+                let r = run(&sc.system, &cfg).expect("valid config");
+                assert_eq!(
+                    r.outcome,
+                    RunOutcome::Completed,
+                    "{} {detection:?}",
+                    sc.name
+                );
+                let m = &r.metrics;
+                [
+                    m.deadlocks_resolved as u64,
+                    m.messages,
+                    m.probe_messages,
+                    m.detection_latency_ticks,
+                ]
+            })
+        });
+        assert_eq!(rows, pin, "{}", sc.name);
+    }
+}
+
+/// The five arms §6 compares, in its table's order.
+const RESOLUTION_ARMS: [DeadlockResolution; 5] = [
+    DeadlockResolution::Detect(DeadlockDetection::Periodic),
+    DeadlockResolution::Detect(DeadlockDetection::Probe),
+    DeadlockResolution::Prevent(PreventionScheme::WoundWait),
+    DeadlockResolution::Prevent(PreventionScheme::WaitDie),
+    DeadlockResolution::Prevent(PreventionScheme::NoWait),
+];
+
+/// `sys` under each of [`RESOLUTION_ARMS`] at a fixed latency: deadlocks,
+/// prevention restarts, probe messages and makespan, summed over sim
+/// seeds 0..40.
+fn resolution_rows(sys: &TxnSystem, latency: u64) -> [[u64; 4]; 5] {
+    RESOLUTION_ARMS.map(|resolution| {
+        sum_over(40, |seed| {
+            let cfg = SimConfig {
+                seed,
+                latency: LatencyModel::Fixed(latency),
+                resolution,
+                ..Default::default()
+            };
+            let r = run(sys, &cfg).expect("valid config");
+            assert_eq!(r.outcome, RunOutcome::Completed, "{resolution:?}");
+            let m = &r.metrics;
+            if matches!(resolution, DeadlockResolution::Prevent(_)) {
+                assert_eq!(m.deadlocks_resolved, 0, "{resolution:?}");
+            }
+            [
+                m.deadlocks_resolved as u64,
+                m.prevention_restarts as u64,
+                m.probe_messages,
+                m.makespan,
+            ]
+        })
+    })
+}
+
+#[test]
+fn section_6_prevention_vs_detection_is_pinned() {
+    // ARCHITECTURE §6, "The trade, measured": the rotated-lock-order
+    // workload (6 entities, 4 sync-2PL transactions) over 1, 2, 3 and 6
+    // sites at latency 10, then the 3-site system at latency 40.
+    let sweep = resolution_sweep(6, 4, &[1, 2, 3, 6]);
+    for (sc, pin) in sweep.iter().zip(PIN_RESOLUTION_BY_SITES) {
+        assert_eq!(resolution_rows(&sc.system, 10), pin, "{}", sc.name);
+    }
+    assert_eq!(
+        resolution_rows(&sweep[2].system, 40),
+        PIN_RESOLUTION_LATENCY_40
+    );
+}
+
+#[test]
+fn section_7_fault_cost_by_loss_rate_is_pinned() {
+    // ARCHITECTURE §7, "What faults cost, measured": the 3-site
+    // rotated-lock-order system of §6 at latency 10 over channels losing
+    // 0, 10 and 30 % of all messages, probes against wound-wait, summed
+    // over fault seeds 0..30 (the sim seed stays at its default). Every
+    // run must complete: that is the table's 30/30 column.
+    let sys = &resolution_sweep(6, 4, &[3])[0].system;
+    let arms = [
+        DeadlockResolution::Detect(DeadlockDetection::Probe),
+        DeadlockResolution::Prevent(PreventionScheme::WoundWait),
+    ];
+    for (loss, pin) in [0.0, 0.1, 0.3].into_iter().zip(PIN_FAULT_COST) {
+        let rows = arms.map(|resolution| {
+            sum_over(30, |seed| {
+                let faults = if loss > 0.0 {
+                    FaultPlan::lossy(seed, loss, 0.0, 0.0)
+                } else {
+                    FaultPlan::none()
+                };
+                let cfg = SimConfig {
+                    latency: LatencyModel::Fixed(10),
+                    resolution,
+                    faults,
+                    max_time: 2_000_000,
+                    ..Default::default()
+                };
+                let r = run(sys, &cfg).expect("valid config");
+                assert_eq!(r.outcome, RunOutcome::Completed, "{loss} {resolution:?}");
+                let m = &r.metrics;
+                [
+                    m.messages_dropped,
+                    m.messages,
+                    m.deadlocks_resolved as u64,
+                    m.detection_latency_ticks,
+                    m.prevention_restarts as u64,
+                    m.makespan,
+                ]
+            })
+        });
+        assert_eq!(rows, pin, "loss {loss}");
+    }
+}
+
+#[test]
+fn section_11_detect_prevent_avoid_is_pinned() {
+    // ARCHITECTURE §11, "The three-way trade, measured": three RNG-free
+    // families (6 entities, 4 transactions, 3 sites) at latency 5 — the
+    // aligned mix certified 4/4, the half-certified mix, and the rotated
+    // orders of §6, of which greedy synthesis certifies one — each under
+    // periodic, probe, wound-wait and the avoidance arm, one run each.
+    let mut families: Vec<(TxnSystem, AvoidPlan)> = avoid_mix_sweep(6, 4, 3, &[4, 2])
+        .into_iter()
+        .map(|sc| (sc.system, sc.plan))
+        .collect();
+    let rotated = resolution_sweep(6, 4, &[3]).pop().expect("one").system;
+    let plan = AvoidPlan::synthesize(&rotated);
+    families.push((rotated, plan));
+    let certified: Vec<usize> = families.iter().map(|(_, p)| p.certified_count()).collect();
+    assert_eq!(certified, [4, 2, 1]);
+
+    let arms = [
+        DeadlockResolution::Detect(DeadlockDetection::Periodic),
+        DeadlockResolution::Detect(DeadlockDetection::Probe),
+        DeadlockResolution::Prevent(PreventionScheme::WoundWait),
+        DeadlockResolution::Avoid,
+    ];
+    for (i, ((sys, plan), pin)) in families.iter().zip(PIN_THREE_WAY).enumerate() {
+        let rows = arms.map(|resolution| {
+            let avoiding = resolution == DeadlockResolution::Avoid;
+            let cfg = SimConfig {
+                latency: LatencyModel::Fixed(5),
+                resolution,
+                avoid: avoiding.then(|| plan.clone()),
+                ..Default::default()
+            };
+            let r = run(sys, &cfg).expect("valid config");
+            assert_eq!(
+                r.outcome,
+                RunOutcome::Completed,
+                "family {i} {resolution:?}"
+            );
+            assert!(r.audit.serializable, "family {i} {resolution:?}");
+            let m = &r.metrics;
+            [
+                m.deadlocks_resolved as u64,
+                m.prevention_restarts as u64,
+                m.messages,
+                m.probe_messages,
+                m.makespan,
+            ]
+        });
+        assert_eq!(rows, pin, "family {i}");
+    }
+}
+
 // Pinned values, captured from the seed engine before the kplock-dlm
 // lock-table refactor (PR 2) and required to survive it unchanged.
 const PIN_RANDOM: (usize, usize, u64, u64, usize, u64) = (4, 1, 122, 875, 1, 402);
@@ -635,4 +856,66 @@ const PIN_LONG: [([u64; 4], &[u32]); 4] = [
         34, 32, 37, 36, 42, 41, 41, 44, 43, 44, 50, 49, 48, 50, 48, 54, 57, 62, 61, 62, 62, 69, 71,
         75, 79, 77, 79, 80, 85, 77, 81, 85, 88, 90, 90, 91, 90, 95, 101,
     ]),
+];
+
+// Table pins (PR 20; literals printed by the PR 18 `experiments` binary,
+// which this PR deletes, with each row's integer sums printed beside its
+// per-run averages).
+
+// §13: [messages, makespan] of the 10⁵-record scan as [clean, lossy], and
+// §14: [cache_hits, revocations, aborts] with delegation on, in
+// `PIN_DELEG_TRAFFIC`'s row order.
+const PIN_SCAN_FLAT_WIRE: [[u64; 2]; 2] = [[60_000, 60_188], [68_134, 113_456]];
+const PIN_SCAN_HIER16_WIRE: [[u64; 2]; 2] = [[20_120, 20_447], [22_798, 37_918]];
+const PIN_DELEG_CACHE: [[u64; 3]; 4] = [
+    [1_992, 220, 88],
+    [3_897, 293, 571],
+    [2_497, 189, 122],
+    [3_064, 224, 265],
+];
+
+// §5: per site count (1, 2, 3, 6) and detector (periodic, on-block,
+// probe), over 60 seeds: deadlocks, messages, probe messages, detection
+// latency ticks.
+#[rustfmt::skip]
+const PIN_DETECTION_BY_SITES: [[[u64; 4]; 3]; 4] = [
+    [[0, 8160, 0, 0], [0, 8160, 0, 0], [0, 8160, 0, 0]],
+    [[120, 8220, 0, 1800], [120, 8100, 0, 0], [120, 9360, 840, 3000]],
+    [[240, 10082, 0, 8400], [240, 9780, 0, 0], [240, 15074, 4574, 4800]],
+    [[0, 8160, 0, 0], [0, 8160, 0, 0], [0, 13740, 5580, 0]],
+];
+
+// §6: per site count (1, 2, 3, 6) and arm (periodic, probe, wound-wait,
+// wait-die, no-wait), over 40 seeds: deadlocks, prevention restarts, probe
+// messages, makespan; then the 3-site system at latency 40.
+#[rustfmt::skip]
+const PIN_RESOLUTION_BY_SITES: [[[u64; 4]; 5]; 4] = [
+    [[440, 0, 0, 87600], [440, 0, 0, 78000], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
+    [[440, 0, 0, 87600], [440, 0, 2019, 83200], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
+    [[440, 0, 0, 87600], [440, 0, 3872, 84400], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
+    [[440, 0, 0, 87600], [440, 0, 10095, 84800], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
+];
+#[rustfmt::skip]
+const PIN_RESOLUTION_LATENCY_40: [[u64; 4]; 5] = [
+    [440, 0, 0, 302400], [440, 0, 3840, 337600], [0, 303, 0, 191320], [0, 2989, 0, 275868], [0, 6621, 0, 462851],
+];
+
+// §7: per loss rate (0, 0.10, 0.30) and arm (probe, wound-wait), over 30
+// fault seeds: messages dropped, messages, deadlocks, detection latency
+// ticks, prevention restarts, makespan.
+#[rustfmt::skip]
+const PIN_FAULT_COST: [[[u64; 6]; 2]; 3] = [
+    [[0, 10440, 330, 8100, 0, 63300], [0, 5220, 0, 0, 210, 35700]],
+    [[1699, 16341, 295, 6395, 0, 118247], [784, 7268, 0, 0, 211, 77396]],
+    [[9187, 30607, 298, 6346, 0, 391724], [3623, 11906, 0, 0, 232, 247530]],
+];
+
+// §11: per family (aligned 4/4, mixed 2/4, rotated 1/4) and arm (periodic,
+// probe, wound-wait, avoid), one run: deadlocks, prevention restarts,
+// messages, probe messages, makespan.
+#[rustfmt::skip]
+const PIN_THREE_WAY: [[[u64; 5]; 4]; 3] = [
+    [[0, 0, 144, 0, 540], [0, 0, 156, 12, 540], [0, 0, 144, 0, 540], [0, 0, 144, 0, 540]],
+    [[7, 0, 213, 0, 945], [7, 0, 276, 56, 910], [0, 5, 166, 0, 580], [0, 5, 166, 0, 580]],
+    [[11, 0, 241, 0, 1145], [11, 0, 352, 100, 1055], [0, 6, 170, 0, 590], [0, 6, 170, 0, 590]],
 ];
