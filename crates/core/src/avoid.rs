@@ -119,9 +119,9 @@ pub struct SiteController {
 ///
 /// Build one with [`AvoidPlan::synthesize`] (greedy maximal certified
 /// set) or [`AvoidPlan::synthesize_restricted`] (certification restricted
-/// to a candidate subset — the knob experiments use to control the
-/// certified fraction, and the way to force an empty certified set for
-/// fallback-equivalence tests).
+/// to a candidate subset — the knob `kplock-workload`'s `avoid_mix_sweep`
+/// uses to control the certified fraction, and the way to force an empty
+/// certified set for fallback-equivalence tests).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AvoidPlan {
     /// Number of declared transactions the plan was synthesized from.

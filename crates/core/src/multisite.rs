@@ -17,7 +17,7 @@ use crate::closure::try_unsafety_via_dominator;
 use crate::conflict_graph::ConflictDigraph;
 use crate::oracle::{decide_exhaustive, OracleOptions, OracleOutcome};
 use kplock_graph::enumerate_dominators;
-use kplock_model::{ActionKind, EntityId, Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
+use kplock_model::{EntityId, Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
 
 /// Options for the multisite procedure.
 #[derive(Clone, Debug)]
@@ -136,31 +136,6 @@ pub fn certificate_from_witness(
     };
     cert.verify(sys).ok()?;
     Some(cert)
-}
-
-/// Sanity helper used in experiments: true iff the pair locks any entity
-/// without updates (figure-style) — affects how accesses are counted.
-pub fn is_figure_style(sys: &TxnSystem, a: TxnId, b: TxnId) -> bool {
-    [a, b].iter().any(|&t| {
-        let txn = sys.txn(t);
-        txn.locked_entities()
-            .iter()
-            .any(|&e| txn.update_steps(e).is_empty())
-    })
-}
-
-/// Marks steps for diagnostics (unused entities etc.).
-pub fn lock_section_spans(sys: &TxnSystem, t: TxnId) -> Vec<(EntityId, StepId, StepId)> {
-    let txn = sys.txn(t);
-    txn.locked_entities()
-        .into_iter()
-        .filter_map(|e| {
-            let l = txn.lock_step(e)?;
-            let u = txn.unlock_step(e)?;
-            debug_assert_eq!(txn.step(l).kind, ActionKind::Lock);
-            Some((e, l, u))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! A conflict-driven DPLL satisfiability solver.
 //!
 //! The search is classic DPLL — unit propagation, branching, backtracking
-//! — hardened with the standard machinery that makes the Theorem-3
-//! experiments' *ordering* encodings tractable (thousands of transitivity
+//! — hardened with the standard machinery that makes `kplock-core`'s
+//! `sat_check` *ordering* encodings tractable (thousands of transitivity
 //! clauses over milestone-pair variables, whose UNSAT proofs blow up a
 //! learning-free solver):
 //!

@@ -1,4 +1,5 @@
-//! CNF satisfiability substrate for the Theorem-3 experiments.
+//! CNF satisfiability substrate for the Theorem-3 reduction and for
+//! `kplock-core`'s exact `sat_check`.
 //!
 //! The paper's coNP-completeness proof reduces *restricted* CNF
 //! satisfiability (≤3 literals per clause, each variable at most twice

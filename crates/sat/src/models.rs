@@ -1,8 +1,8 @@
 //! Model enumeration: all satisfying assignments of a CNF.
 //!
-//! Used by the Theorem-3 experiments to relate satisfying assignments to
-//! desirable dominators of the reduction, and by tests as a second
-//! (exhaustive) satisfiability check.
+//! Used by `tests/figures_deep.rs` to relate the Fig. 8 formula's
+//! satisfying assignments to desirable dominators of its reduction, and by
+//! tests as a second (exhaustive) satisfiability check.
 
 use crate::cnf::{Cnf, Lit, Var};
 use crate::dpll::{solve, SatResult};
@@ -11,8 +11,8 @@ use crate::dpll::{solve, SatResult};
 /// Returns `(models, exhaustive)`.
 ///
 /// Implementation: repeated DPLL with blocking clauses — after each model,
-/// a clause excluding it is added. Simple and adequate for the instance
-/// sizes used in experiments.
+/// a clause excluding it is added. Simple and adequate for formulas the
+/// size of the paper's Fig. 8.
 pub fn all_models(cnf: &Cnf, cap: usize) -> (Vec<Vec<bool>>, bool) {
     let mut work = cnf.clone();
     let mut models = Vec::new();

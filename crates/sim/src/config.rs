@@ -274,8 +274,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Message latency model.
     pub latency: LatencyModel,
-    /// Ticks a site spends applying a step.
-    pub local_step_time: u64,
     /// Interval between global deadlock scans (unused under
     /// [`DeadlockDetection::OnBlock`], [`DeadlockDetection::Probe`] and
     /// every prevention scheme).
@@ -291,8 +289,6 @@ pub struct SimConfig {
     /// god's-eye verification instrument for the test suite — the probe
     /// protocol itself never reads global state, audited or not.
     pub probe_audit: bool,
-    /// Backoff before an aborted instance restarts.
-    pub restart_backoff: u64,
     /// Hard cap on simulated time (guards against livelock).
     pub max_time: u64,
     /// Fault injection: seeded message loss/duplication/reordering and
@@ -393,12 +389,10 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0xC0FFEE,
             latency: LatencyModel::Fixed(10),
-            local_step_time: 1,
             deadlock_scan_interval: 50,
             resolution: DeadlockResolution::default(),
             victim_policy: VictimPolicy::Youngest,
             probe_audit: false,
-            restart_backoff: 25,
             max_time: 10_000_000,
             faults: FaultPlan::none(),
             invariant_audit: false,

@@ -1,15 +1,12 @@
-//! Open-loop workload driver: transactions arriving over time.
+//! Open-loop arrivals: transactions arriving over time.
 //!
 //! Real distributed databases do not start every transaction at the same
-//! instant; the driver draws arrival times from a (seeded) geometric
-//! approximation of a Poisson process and runs the engine with them, so
+//! instant; [`draw_arrivals`] draws arrival times from a (seeded) geometric
+//! approximation of a Poisson process for [`crate::run_with_arrivals`], so
 //! contention becomes a function of offered load rather than an artifact of
 //! simultaneous starts.
 
-use crate::config::{ConfigError, SimConfig};
-use crate::engine::{run_with_arrivals, SimReport};
 use crate::event::SimTime;
-use kplock_model::TxnSystem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,22 +38,12 @@ pub fn draw_arrivals(n: usize, cfg: &ArrivalConfig) -> Vec<SimTime> {
         .collect()
 }
 
-/// Runs the system under the arrival process. Validates `sim` up front
-/// like [`crate::run`].
-pub fn run_open_loop(
-    sys: &TxnSystem,
-    sim: &SimConfig,
-    arrivals: &ArrivalConfig,
-) -> Result<SimReport, ConfigError> {
-    let times = draw_arrivals(sys.len(), arrivals);
-    run_with_arrivals(sys, sim, &times)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LatencyModel;
-    use kplock_model::{Database, TxnBuilder};
+    use crate::config::{LatencyModel, SimConfig};
+    use crate::engine::{run_with_arrivals, SimReport};
+    use kplock_model::{Database, TxnBuilder, TxnSystem};
 
     fn sys() -> TxnSystem {
         let db = Database::from_spec(&[("x", 0), ("y", 1)]);
@@ -68,6 +55,11 @@ mod tests {
             })
             .collect();
         TxnSystem::new(db, txns)
+    }
+
+    fn run_spaced(sys: &TxnSystem, sim: &SimConfig, mean_gap: u64) -> SimReport {
+        let arrivals = draw_arrivals(sys.len(), &ArrivalConfig { mean_gap, seed: 5 });
+        run_with_arrivals(sys, sim, &arrivals).unwrap()
     }
 
     #[test]
@@ -96,18 +88,11 @@ mod tests {
     #[test]
     fn open_loop_run_commits_everything() {
         let sys = sys();
-        let r = run_open_loop(
-            &sys,
-            &SimConfig {
-                latency: LatencyModel::Fixed(3),
-                ..Default::default()
-            },
-            &ArrivalConfig {
-                mean_gap: 40,
-                seed: 5,
-            },
-        )
-        .unwrap();
+        let sim = SimConfig {
+            latency: LatencyModel::Fixed(3),
+            ..Default::default()
+        };
+        let r = run_spaced(&sys, &sim, 40);
         assert!(r.finished());
         assert_eq!(r.metrics.committed, 4);
         r.audit.legal.as_ref().unwrap();
@@ -121,24 +106,8 @@ mod tests {
             latency: LatencyModel::Fixed(3),
             ..Default::default()
         };
-        let burst = run_open_loop(
-            &sys,
-            &sim,
-            &ArrivalConfig {
-                mean_gap: 0,
-                seed: 5,
-            },
-        )
-        .unwrap();
-        let spread = run_open_loop(
-            &sys,
-            &sim,
-            &ArrivalConfig {
-                mean_gap: 500,
-                seed: 5,
-            },
-        )
-        .unwrap();
+        let burst = run_spaced(&sys, &sim, 0);
+        let spread = run_spaced(&sys, &sim, 500);
         assert!(burst.finished() && spread.finished());
         assert!(
             spread.metrics.lock_wait_ticks <= burst.metrics.lock_wait_ticks,

@@ -247,6 +247,14 @@ struct Engine<'a> {
 /// [`Engine::scan_slot`]'s mark for a transaction no live edge has named.
 const UNSEEN: usize = usize::MAX;
 
+/// Ticks a coordinator spends serving a lock or unlock step from its
+/// delegated cache.
+const LOCAL_STEP_TIME: u64 = 1;
+
+/// Backoff before an aborted instance restarts, and the range of the
+/// jitter drawn on top of it.
+const RESTART_BACKOFF: u64 = 25;
+
 /// One cycle of the transaction-level wait-for graph — the edges whose
 /// two ends are both `live` — as transaction indices, or `None`, without
 /// allocating, when no edge is live.
@@ -630,7 +638,7 @@ impl Engine<'_> {
     /// unexpired entry for the current epoch exists: the entry is marked
     /// in-use *synchronously* (so a revocation landing before the local
     /// ack still defers its drain to the unlock), the step recorded, and
-    /// the ack self-delivered after `local_step_time` — two wire messages
+    /// the ack self-delivered after [`LOCAL_STEP_TIME`] — two wire messages
     /// saved. Returns whether the cache hit.
     fn try_cached_lock(
         &mut self,
@@ -667,7 +675,7 @@ impl Engine<'_> {
             boot: self.sites[self.sys.db().site_of(entity).idx()].boot,
         });
         self.queue.push(
-            self.now + self.cfg.local_step_time,
+            self.now + LOCAL_STEP_TIME,
             EventKind::ToCoordinator(
                 txn,
                 Payload::LockGranted {
@@ -725,7 +733,7 @@ impl Engine<'_> {
         self.record_step(inst, step);
         self.metrics.cache_hits += 1;
         self.queue.push(
-            self.now + self.cfg.local_step_time,
+            self.now + LOCAL_STEP_TIME,
             EventKind::ToCoordinator(txn, Payload::UnlockDone { inst, step }),
         );
         true
@@ -1522,11 +1530,9 @@ impl Engine<'_> {
         c.progress.reset(self.sys.txn(txn));
         // Jittered backoff (seeded, deterministic): without jitter,
         // symmetric workloads can re-collide forever under fixed latencies.
-        let jitter = rand::Rng::gen_range(&mut self.rng, 0..=self.cfg.restart_backoff);
-        self.queue.push(
-            self.now + self.cfg.restart_backoff + jitter,
-            EventKind::Restart(txn),
-        );
+        let jitter = rand::Rng::gen_range(&mut self.rng, 0..=RESTART_BACKOFF);
+        self.queue
+            .push(self.now + RESTART_BACKOFF + jitter, EventKind::Restart(txn));
     }
 
     /// The abort-time half of delegated retention: every cache entry of
@@ -1987,15 +1993,14 @@ mod tests {
 
     #[test]
     fn livelock_shaped_run_times_out_rather_than_lying() {
-        // Opposite-order deadlock with zero backoff and a budget that ends
-        // mid-churn: the victim has aborted and one transaction even
-        // committed, but the run is *not* done — the old report was
-        // indistinguishable from a clean completion here (committed count
-        // aside), the outcome now says TimedOut explicitly.
+        // Opposite-order deadlock and a budget that ends mid-churn: the
+        // victim has aborted and one transaction even committed, but the
+        // run is *not* done — the old report was indistinguishable from a
+        // clean completion here (committed count aside), the outcome now
+        // says TimedOut explicitly.
         let sys = pair("Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux", &[("x", 0), ("y", 0)]);
         let cfg = SimConfig {
             latency: LatencyModel::Fixed(5),
-            restart_backoff: 0,
             max_time: 100,
             deadlock_scan_interval: 10,
             ..Default::default()
@@ -2425,7 +2430,6 @@ mod tests {
         let sys = pair("Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux", &[("x", 0), ("y", 0)]);
         let cfg = SimConfig {
             latency: LatencyModel::Fixed(5),
-            restart_backoff: 0,
             max_time: 100,
             deadlock_scan_interval: 10,
             ..Default::default()

@@ -122,7 +122,7 @@ pub use config::{
     AvoidPlan, ConfigError, DeadlockDetection, DeadlockResolution, Delegation, LatencyModel,
     PreventionScheme, SimConfig, VictimPolicy,
 };
-pub use driver::{draw_arrivals, run_open_loop, ArrivalConfig};
+pub use driver::{draw_arrivals, ArrivalConfig};
 pub use engine::{run, run_with_arrivals, RunOutcome, SimReport};
 pub use event::{DelegatedGrant, EventKind, EventQueue, Instance, Payload, SimTime};
 pub use fault::{FaultPlan, FaultPlanError, SiteCrash};

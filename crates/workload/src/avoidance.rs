@@ -10,7 +10,8 @@
 //! into ready-to-run [`AvoidScenario`]s whose plans hit each count
 //! *exactly* (via [`AvoidPlan::synthesize_restricted`], so a fallback
 //! transaction that happens to be certifiable alone is still excluded).
-//! Experiments table D4 and the conformance suite iterate this family.
+//! `tests/sim_regression.rs` (the §11 pins) and the conformance suite
+//! iterate this family.
 
 use kplock_model::{Database, TxnBuilder, TxnId, TxnSystem};
 use kplock_sim::{AvoidPlan, DeadlockResolution, SimConfig};
@@ -113,7 +114,8 @@ pub fn certified_mix(
 /// exactly 1; the optimum drops the lone ascender and certifies all
 /// `descending` mutually-consistent transactions.
 /// `kplock_core::sat_check::synthesize_optimal` finds that optimum, and
-/// experiments table D5 sweeps this family to quantify the gap.
+/// the exact-decision gate in `tests/sat_check.rs` holds the gap strict on
+/// this family.
 ///
 /// Two entities on `sites` sites (1 or 2), synchronized-2PL scripts,
 /// RNG-free; safe but deadlock-prone (opposed lock orders), like the

@@ -53,8 +53,8 @@ impl FaultScenario {
     }
 }
 
-/// The canonical fault-plan ladder swept by experiments table D3 and the
-/// `fault` bench: clean, loss-only at each of `loss_rates`,
+/// The canonical fault-plan ladder swept by [`fault_sweep`] and
+/// `tests/sim_regression.rs`: clean, loss-only at each of `loss_rates`,
 /// duplication-only at `dup_rate`, a mixed plan (loss + dup + reorder at
 /// the first loss rate), and a two-outage crash plan. Retransmission is
 /// on for every faulty plan (lossy channels strand work without it) and

@@ -1,4 +1,5 @@
-//! Multi-site scenario generators for detection-scheme experiments.
+//! Multi-site scenario generators for the detection- and
+//! resolution-scheme pins (`tests/sim_regression.rs`) and suites.
 //!
 //! Distributed deadlock detection only shows its cost when cycles span
 //! sites; these generators sweep the two axes that control that:

@@ -147,7 +147,7 @@ pub fn random_system(p: &WorkloadParams) -> TxnSystem {
     TxnSystem::new(db, txns)
 }
 
-/// Generates a pair (convenience for the pair-safety experiments).
+/// Generates a pair (convenience for the pair-safety suites).
 pub fn random_pair(p: &WorkloadParams) -> TxnSystem {
     let mut p = p.clone();
     p.transactions = 2;
