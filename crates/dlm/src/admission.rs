@@ -39,12 +39,12 @@ pub(crate) fn upgrade_admissible<O: Copy + Eq>(
 /// The first pairwise-incompatible pair of co-held modes, if any — the
 /// full-matrix structural invariant (catches `S+IX`, `SIX+SIX`,
 /// `X+anything`, not just `S+X` and double-`X`).
-pub(crate) fn incompatible_pair(modes: &[LockMode]) -> Option<(LockMode, LockMode)> {
-    for (i, &a) in modes.iter().enumerate() {
-        for &b in &modes[i + 1..] {
-            if !a.compatible_with(b) {
-                return Some((a, b));
-            }
+pub(crate) fn incompatible_pair(
+    mut modes: impl Iterator<Item = LockMode> + Clone,
+) -> Option<(LockMode, LockMode)> {
+    while let Some(a) = modes.next() {
+        if let Some(b) = modes.clone().find(|&b| !a.compatible_with(b)) {
+            return Some((a, b));
         }
     }
     None
@@ -97,19 +97,22 @@ mod tests {
 
     #[test]
     fn incompatible_pair_sees_the_full_matrix() {
-        assert_eq!(incompatible_pair(&[Shared, Shared, IntentionShared]), None);
         assert_eq!(
-            incompatible_pair(&[Shared, IntentionExclusive]),
+            incompatible_pair([Shared, Shared, IntentionShared].into_iter()),
+            None
+        );
+        assert_eq!(
+            incompatible_pair([Shared, IntentionExclusive].into_iter()),
             Some((Shared, IntentionExclusive))
         );
         assert_eq!(
-            incompatible_pair(&[IntentionShared, Exclusive]),
+            incompatible_pair([IntentionShared, Exclusive].into_iter()),
             Some((IntentionShared, Exclusive))
         );
         assert_eq!(
-            incompatible_pair(&[SharedIntentionExclusive, SharedIntentionExclusive]),
+            incompatible_pair([SharedIntentionExclusive, SharedIntentionExclusive].into_iter()),
             Some((SharedIntentionExclusive, SharedIntentionExclusive))
         );
-        assert_eq!(incompatible_pair(&[Exclusive]), None);
+        assert_eq!(incompatible_pair([Exclusive].into_iter()), None);
     }
 }

@@ -269,7 +269,7 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
     }
 
     /// `list`'s nodes front to back, each with its slot id.
-    fn iter(&self, list: List) -> impl Iterator<Item = (u32, &Node<O>)> + '_ {
+    fn iter(&self, list: List) -> impl Iterator<Item = (u32, &Node<O>)> + Clone + '_ {
         let mut id = list.head;
         std::iter::from_fn(move || {
             if id == NIL {
@@ -283,7 +283,7 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
     }
 
     /// `list`'s `(owner, mode)` entries front to back.
-    fn entries(&self, list: List) -> impl Iterator<Item = (O, LockMode)> + '_ {
+    fn entries(&self, list: List) -> impl Iterator<Item = (O, LockMode)> + Clone + '_ {
         self.iter(list).map(|(_, n)| (n.owner, n.mode))
     }
 
@@ -841,59 +841,82 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
         Ok(count)
     }
 
-    /// Structural invariant check, one walk per list: pairwise mode
-    /// compatibility of all co-held locks (the full IS/IX/S/SIX/X matrix —
-    /// catches `S+IX` and `SIX+SIX` as well as `S+X` and double-`X`),
-    /// upgraders are holders with strictly stronger targets, no
-    /// holder-and-waiter owners; arena integrity (links consistent,
-    /// lengths correct, freed nodes never reachable); and the `owned` and
-    /// `contended` indexes exact, with no emptied entry left behind.
+    /// The per-entity half of the audit: everything that can be wrong
+    /// with `e` alone, at a cost of `e`'s own three lists. One walk per
+    /// list (links, tail, length); pairwise mode compatibility of all
+    /// co-held locks (the full IS/IX/S/SIX/X matrix — catches `S+IX` and
+    /// `SIX+SIX` as well as `S+X` and double-`X`); upgraders are holders
+    /// with strictly stronger targets; no owner both holds and waits;
+    /// every holder is in the `owned` index under `e`; and `e` is in
+    /// `contended` exactly when it has waiters (so never, for an entity
+    /// with no state). A caller that knows which entities an operation
+    /// touched checks those and leaves [`QueueTable::check_invariants`],
+    /// which walks the whole table, for the occasional sweep.
+    pub fn check_entity(&self, e: EntityId) -> Result<(), String> {
+        self.audit_entity(e).map(drop)
+    }
+
+    /// [`QueueTable::check_entity`], returning how many arena nodes `e`'s
+    /// lists reach — the sweep's share of the arena partition.
+    fn audit_entity(&self, e: EntityId) -> Result<u32, String> {
+        let st = self.state(e);
+        let waiters = st.is_some_and(|st| st.has_waiters());
+        if waiters != self.contended.binary_search(&e).is_ok() {
+            return Err(format!("{e}: contended index disagrees"));
+        }
+        let Some(st) = st else {
+            return Ok(0);
+        };
+        if st.is_empty() {
+            return Err(format!("{e}: empty state not pruned"));
+        }
+        // The holders first: once their chain is known sound, the two
+        // walks below may search it.
+        let mut reachable = self.walk(e, Part::Holders, st.holders, |n| {
+            let indexed = self.owned.get(&n.owner);
+            if indexed.is_some_and(|v| v.binary_search(&e).is_ok()) {
+                Ok(())
+            } else {
+                Err(format!("{e}: holder missing from owned index"))
+            }
+        })?;
+        let modes = self.entries(st.holders).map(|(_, m)| m);
+        if let Some((a, b)) = admission::incompatible_pair(modes) {
+            return Err(format!("{e}: incompatible co-held modes {a}+{b}"));
+        }
+        reachable += self.walk(e, Part::Upgrades, st.upgrades, |n| {
+            let Some(hid) = self.find_in(st.holders, n.owner) else {
+                return Err(format!("{e}: upgrader is not a holder"));
+            };
+            let mode = self.nodes[hid as usize].mode;
+            if mode.covers(n.mode) {
+                return Err(format!(
+                    "{e}: pending upgrade to {} already covered by held {mode}",
+                    n.mode
+                ));
+            }
+            Ok(())
+        })?;
+        reachable += self.walk(e, Part::Queue, st.queue, |n| {
+            if self.find_in(st.holders, n.owner).is_some() {
+                return Err(format!("{e}: owner both holds and waits"));
+            }
+            Ok(())
+        })?;
+        Ok(reachable)
+    }
+
+    /// Structural invariant check of the whole table:
+    /// [`QueueTable::check_entity`] of every entity with state, plus what
+    /// no single entity can see — arena integrity (the nodes the lists
+    /// reach and the free list partition the arena exactly; the free list
+    /// ends), both indexes strictly ascending, and no stale entry in
+    /// either (a `contended` entity without state, an `owned` entry that
+    /// is empty or names an entity its owner does not hold).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut reachable = 0u32;
-        // This entity's holders, refilled per entity.
-        let mut held: Vec<(O, LockMode)> = Vec::new();
-        let mut modes: Vec<LockMode> = Vec::new();
-        for (&e, &si) in &self.slots {
-            let st = self.estates[si as usize];
-            if st.is_empty() {
-                return Err(format!("{e}: empty state not pruned"));
-            }
-            held.clear();
-            modes.clear();
-            reachable += self.walk(e, Part::Holders, st.holders, |n| {
-                held.push((n.owner, n.mode));
-                modes.push(n.mode);
-                let indexed = self.owned.get(&n.owner);
-                if indexed.is_some_and(|v| v.binary_search(&e).is_ok()) {
-                    Ok(())
-                } else {
-                    Err(format!("{e}: holder missing from owned index"))
-                }
-            })?;
-            if let Some((a, b)) = admission::incompatible_pair(&modes) {
-                return Err(format!("{e}: incompatible co-held modes {a}+{b}"));
-            }
-            reachable += self.walk(e, Part::Upgrades, st.upgrades, |n| {
-                let Some(&(_, mode)) = held.iter().find(|h| h.0 == n.owner) else {
-                    return Err(format!("{e}: upgrader is not a holder"));
-                };
-                if mode.covers(n.mode) {
-                    return Err(format!(
-                        "{e}: pending upgrade to {} already covered by held {mode}",
-                        n.mode
-                    ));
-                }
-                Ok(())
-            })?;
-            reachable += self.walk(e, Part::Queue, st.queue, |n| {
-                if held.iter().any(|h| h.0 == n.owner) {
-                    return Err(format!("{e}: owner both holds and waits"));
-                }
-                Ok(())
-            })?;
-            if st.has_waiters() != self.contended.binary_search(&e).is_ok() {
-                return Err(format!("{e}: contended index disagrees"));
-            }
+        for &e in self.slots.keys() {
+            reachable += self.audit_entity(e)?;
         }
         // Free list + reachable nodes partition the arena exactly.
         let mut free_count = 0u32;
@@ -1136,68 +1159,104 @@ mod tests {
         t
     }
 
-    /// The auditor must catch every corruption it claims to: break one
-    /// field of a sound table and demand the matching complaint.
+    /// The auditor must catch every corruption it claims to — break one
+    /// field of a sound table and demand the matching complaint — and the
+    /// split must be exact: a corruption of one entity (`Some(e)`) fails
+    /// `check_entity(e)` with the sweep's own message and passes every
+    /// other entity's check; a table-global one (`None`) passes every
+    /// entity's check and fails the sweep alone.
     #[test]
     fn auditor_catches_each_corruption() {
         type Corrupt = fn(&mut QueueTable<u32>);
-        let cases: &[(&str, Corrupt)] = &[
-            ("broken prev link in Holders", |t| t.nodes[1].prev = NIL),
+        let cases: &[(&str, Option<u32>, Corrupt)] = &[
+            ("broken prev link in Holders", Some(0), |t| {
+                t.nodes[1].prev = NIL
+            }),
             // A cycle: the second holder points back at the first.
-            ("broken prev link in Holders", |t| t.nodes[1].next = 0),
-            ("tail mismatch in Holders", |t| {
+            ("broken prev link in Holders", Some(0), |t| {
+                t.nodes[1].next = 0
+            }),
+            ("tail mismatch in Holders", Some(0), |t| {
                 t.estates[0].holders.tail = 0
             }),
-            ("length mismatch in Queue", |t| t.estates[0].queue.len = 2),
-            ("incompatible co-held modes S+X", |t| t.nodes[1].mode = X),
-            ("upgrader is not a holder", |t| t.nodes[2].owner = 9),
-            ("already covered by held S", |t| t.nodes[2].mode = S),
-            ("owner both holds and waits", |t| t.nodes[3].owner = 2),
-            ("holder missing from owned index", |t| {
+            ("length mismatch in Queue", Some(0), |t| {
+                t.estates[0].queue.len = 2
+            }),
+            ("incompatible co-held modes S+X", Some(0), |t| {
+                t.nodes[1].mode = X
+            }),
+            ("upgrader is not a holder", Some(0), |t| {
+                t.nodes[2].owner = 9
+            }),
+            ("already covered by held S", Some(0), |t| {
+                t.nodes[2].mode = S
+            }),
+            ("owner both holds and waits", Some(0), |t| {
+                t.nodes[3].owner = 2
+            }),
+            ("holder missing from owned index", Some(0), |t| {
                 t.owned.remove(&2);
             }),
-            ("e1: stale owned index entry", |t| {
-                t.owned.get_mut(&2).unwrap().push(EntityId(1));
+            ("e0: contended index disagrees", Some(0), |t| {
+                t.contended.clear()
             }),
-            ("owned index entry not strictly ascending", |t| {
-                t.owned.get_mut(&4).unwrap().push(EntityId(1));
-            }),
-            ("empty owned index entry not pruned", |t| {
-                t.owned.insert(9, Vec::new());
-            }),
-            ("e0: contended index disagrees", |t| t.contended.clear()),
-            ("e1: contended index disagrees", |t| {
+            ("e1: contended index disagrees", Some(1), |t| {
                 t.contended.push(EntityId(1));
             }),
-            ("e7: stale contended index entry", |t| {
-                t.contended.push(EntityId(7));
-            }),
-            ("contended index not strictly ascending", |t| {
-                t.contended.push(EntityId(0));
-            }),
-            ("e7: empty state not pruned", |t| {
+            ("e7: empty state not pruned", Some(7), |t| {
                 t.estates.push(EState::EMPTY);
                 t.slots.insert(EntityId(7), 2);
             }),
-            ("arena leak: 5 reachable + 0 free != 6 nodes", |t| {
+            // The indexes are keyed by owner and by position, not by
+            // entity: an entry that points at nothing is the sweep's.
+            ("e1: stale owned index entry", None, |t| {
+                t.owned.get_mut(&2).unwrap().push(EntityId(1));
+            }),
+            ("owned index entry not strictly ascending", None, |t| {
+                t.owned.get_mut(&4).unwrap().push(EntityId(1));
+            }),
+            ("empty owned index entry not pruned", None, |t| {
+                t.owned.insert(9, Vec::new());
+            }),
+            ("e7: stale contended index entry", None, |t| {
+                t.contended.push(EntityId(7));
+            }),
+            ("contended index not strictly ascending", None, |t| {
+                t.contended.push(EntityId(0));
+            }),
+            ("arena leak: 5 reachable + 0 free != 6 nodes", None, |t| {
                 t.nodes.push(t.nodes[0]);
             }),
             // The queued node dropped from its list without being freed.
-            ("arena leak: 4 reachable + 0 free != 5 nodes", |t| {
+            ("arena leak: 4 reachable + 0 free != 5 nodes", None, |t| {
                 t.estates[0].queue = List::EMPTY;
             }),
-            ("cycle in node free list", |t| {
+            ("cycle in node free list", None, |t| {
                 t.release(EntityId(1), 4).unwrap();
                 t.nodes[4].next = 4;
             }),
         ];
-        for &(complaint, corrupt) in cases {
+        for &(complaint, entity, corrupt) in cases {
             let mut t = populated();
             corrupt(&mut t);
             let err = t
                 .check_invariants()
                 .expect_err(&format!("auditor missed: {complaint}"));
             assert!(err.contains(complaint), "wanted {complaint:?}, got {err:?}");
+            for e in t.active_entities() {
+                let seen = t.check_entity(e);
+                if entity == Some(e.0) {
+                    assert_eq!(seen, Err(err.clone()), "{complaint}: {e}'s own check");
+                } else {
+                    assert_eq!(seen, Ok(()), "{complaint}: {e} is not the corrupted one");
+                }
+            }
         }
+        // An entity without state has one thing to get wrong, and its own
+        // check sees that too (the sweep calls it a stale entry).
+        let mut t = populated();
+        t.contended.push(EntityId(7));
+        let err = t.check_entity(EntityId(7)).unwrap_err();
+        assert_eq!(err, "e7: contended index disagrees");
     }
 }

@@ -3,7 +3,8 @@
 //! Invariants under random interleavings of acquire/release/abort:
 //!
 //! * never S+X (or X+X) granted on one entity at once — via
-//!   `check_invariants` after every operation;
+//!   `check_invariants` after every operation, and `check_entity` of each
+//!   entity the operation touched beside it;
 //! * no queued waiter is ever lost: every request that queued is either
 //!   granted by a later release or explicitly cancelled, and draining the
 //!   table grants everything that is still pending;
@@ -21,14 +22,15 @@ use std::collections::{HashMap, HashSet, VecDeque};
 const OWNERS: u32 = 6;
 const ENTITIES: u32 = 8;
 
-/// Applies a random operation; returns grants performed.
+/// Applies a random operation; returns the entities it operated on.
 fn random_op(
     rng: &mut StdRng,
     t: &ShardedTable<u32>,
     pending: &mut HashSet<(EntityId, u32)>,
-) -> Result<(), String> {
+) -> Result<Vec<EntityId>, String> {
     let o = rng.gen_range(0..OWNERS);
     let e = EntityId(rng.gen_range(0..ENTITIES));
+    let mut touched = Vec::new();
     match rng.gen_range(0u32..10) {
         // Acquire (weighted toward it so queues actually build up).
         0..=5 => {
@@ -39,8 +41,9 @@ fn random_op(
             };
             // Skip protocol violations the API rejects.
             if pending.contains(&(e, o)) {
-                return Ok(());
+                return Ok(touched);
             }
+            touched.push(e);
             match t.acquire(e, o, mode) {
                 Ok(Acquire::Granted) => {}
                 Ok(Acquire::Queued) => {
@@ -53,6 +56,7 @@ fn random_op(
         // own pending upgrade on that entity, so clear it from `pending`.
         6..=7 => {
             if let Some(&h) = t.held_by(o).first() {
+                touched.push(h);
                 let grants = t.release(h, o).map_err(|err| format!("release: {err}"))?;
                 pending.remove(&(h, o));
                 for (w, _) in grants {
@@ -65,6 +69,7 @@ fn random_op(
         // Abort: cancel waits + release everything.
         _ => {
             let cancelled = t.cancel_waits(o);
+            touched.extend(&cancelled.cancelled);
             for &e in &cancelled.cancelled {
                 if !pending.remove(&(e, o)) {
                     return Err(format!("cancelled wait ({e},{o}) was never pending"));
@@ -78,6 +83,7 @@ fn random_op(
                 }
             }
             for (e, grants) in t.release_all(o) {
+                touched.push(e);
                 pending.remove(&(e, o)); // a pending upgrade dies with the hold
                 for (w, _) in grants {
                     if !pending.remove(&(e, w)) {
@@ -87,7 +93,7 @@ fn random_op(
             }
         }
     }
-    Ok(())
+    Ok(touched)
 }
 
 /// Releases everything until the table is empty; every still-pending
@@ -136,8 +142,15 @@ proptest! {
             let t: ShardedTable<u32> = ShardedTable::new(shards);
             let mut pending = HashSet::new();
             for step in 0..120 {
-                if let Err(e) = random_op(&mut rng, &t, &mut pending) {
-                    prop_assert!(false, "seed {} shards {} step {}: {}", seed, shards, step, e);
+                match random_op(&mut rng, &t, &mut pending) {
+                    Err(e) => prop_assert!(false, "seed {} shards {} step {}: {}", seed, shards, step, e),
+                    // The incremental audit's premise: an operation can
+                    // break only the entities it operated on.
+                    Ok(touched) => for e in touched {
+                        if let Err(err) = t.lock_shard(e).check_entity(e) {
+                            prop_assert!(false, "seed {} shards {} step {}: {}", seed, shards, step, err);
+                        }
+                    },
                 }
                 if let Err(e) = t.check_invariants() {
                     prop_assert!(false, "seed {} shards {} step {}: {}", seed, shards, step, e);

@@ -298,15 +298,22 @@ pub struct SimConfig {
     pub faults: FaultPlan,
     /// Measurement-only (default `false`): after every event that can
     /// mutate a lock table (site events, coordinator events whose aborts
-    /// release locks everywhere, deadlock scans, recoveries), assert
-    /// every site table's structural invariants — full
-    /// compatibility-matrix exclusion over the `IS`/`IX`/`S`/`SIX`/`X`
+    /// release locks everywhere, deadlock scans, recoveries), assert the
+    /// structural invariants of every table entry the event touched —
+    /// full compatibility-matrix exclusion over the `IS`/`IX`/`S`/`SIX`/`X`
     /// lattice (pairwise-incompatible co-held modes such as `S`+`IX`,
     /// `SIX`+`SIX` or `X`+anything, not just `S`/`X` exclusion),
     /// upgraders hold with uncovered targets, no holder-and-waiter
-    /// owners — the safety harness the fault-injection property tests
-    /// run under. A violation is an engine bug and panics with the
-    /// offending site and tick.
+    /// owners, indexes in step — the safety harness the fault-injection
+    /// property tests run under. An event's audit costs what the event
+    /// touched ([`kplock_dlm::QueueTable::check_entity`]); every site's
+    /// whole table ([`kplock_dlm::QueueTable::check_invariants`]) is
+    /// swept after each recovery, every 4 096th audited event and at the
+    /// end of the run — and behind every audit in a debug build. After a
+    /// completed run it also asserts that no site still remembers a
+    /// queued request and, with [`Delegation::Off`], that every table is
+    /// idle. A violation is an engine bug and panics with the offending
+    /// site, entity and tick.
     pub invariant_audit: bool,
     /// Delegated lock ownership (see [`Delegation`]): `Off` (the default)
     /// reproduces every existing run bit for bit; `On` lets sites hand

@@ -177,7 +177,7 @@ struct Site {
     /// The lock table. Volatile: a crash replaces it with an empty one.
     table: QueueTable<Instance>,
     /// One record per queued request, inserted when the table queues it
-    /// and removed at its grant or its cancellation. Not wiped by a
+    /// and removed at its grant or its instance's abort. Not wiped by a
     /// crash: a waiter that re-requests after recovery keeps its wait
     /// clock.
     queued: HashMap<(Instance, EntityId), Queued>,
@@ -241,8 +241,36 @@ struct Engine<'a> {
     recorded: HashSet<(Instance, StepId)>,
     history: History,
     metrics: Metrics,
+    audit: TableAudit,
     now: SimTime,
 }
+
+/// The [`SimConfig::invariant_audit`] harness's own state: which table
+/// entries the event being handled has mutated, and how many events have
+/// been audited.
+struct TableAudit {
+    /// [`SimConfig::invariant_audit`]; nothing below is written when off.
+    on: bool,
+    /// The `(site, entity)` of every table mutation since the last audit,
+    /// with repeats. Drained by [`Engine::audit_touched`].
+    touched: Vec<(SiteId, EntityId)>,
+    /// Events audited so far.
+    events: u64,
+}
+
+impl TableAudit {
+    /// Records that `entity`'s lists in `site`'s table were just mutated.
+    fn touch(&mut self, site: SiteId, entity: EntityId) {
+        if self.on {
+            self.touched.push((site, entity));
+        }
+    }
+}
+
+/// Every this-many audited events the incremental audit is followed by
+/// the whole-table sweep, for what no entity's own check can see (a
+/// leaked arena node, a stale index entry).
+const FULL_SWEEP_EVERY: u64 = 4096;
 
 /// [`Engine::scan_slot`]'s mark for a transaction no live edge has named.
 const UNSEEN: usize = usize::MAX;
@@ -316,6 +344,18 @@ pub fn run_with_arrivals(
     cfg: &SimConfig,
     arrivals: &[SimTime],
 ) -> Result<SimReport, ConfigError> {
+    run_observed(sys, cfg, arrivals, |_| {})
+}
+
+/// [`run_with_arrivals`], calling `after` behind every handled event —
+/// the seam the engine's unit tests look through; the public entry
+/// points pass a no-op that compiles away.
+fn run_observed<'a>(
+    sys: &'a TxnSystem,
+    cfg: &'a SimConfig,
+    arrivals: &[SimTime],
+    mut after: impl FnMut(&mut Engine<'a>),
+) -> Result<SimReport, ConfigError> {
     cfg.validate()?;
     assert_eq!(
         arrivals.len(),
@@ -382,6 +422,11 @@ pub fn run_with_arrivals(
             avoid_fallbacks: cfg.avoid_plan().map_or(0, |p| p.fallback_count()),
             ..Metrics::default()
         },
+        audit: TableAudit {
+            on: cfg.invariant_audit,
+            touched: Vec::new(),
+            events: 0,
+        },
         now: 0,
     };
 
@@ -439,24 +484,18 @@ pub fn run_with_arrivals(
                 if eng.cfg.detection() == Some(DeadlockDetection::OnBlock) && eng.wfg_dirty {
                     eng.resolve_incremental();
                 }
-                if eng.cfg.invariant_audit {
-                    eng.audit_tables();
-                }
+                eng.audit_touched();
             }
             EventKind::ToCoordinator(txn, payload) => {
                 // Coordinator events mutate tables too: a Wound, Abort or
                 // LockRejected triggers an abort whose releases and
                 // cancellations touch every site.
                 eng.on_coordinator(txn, payload);
-                if eng.cfg.invariant_audit {
-                    eng.audit_tables();
-                }
+                eng.audit_touched();
             }
             EventKind::DeadlockScan => {
                 eng.deadlock_scan();
-                if eng.cfg.invariant_audit {
-                    eng.audit_tables();
-                }
+                eng.audit_touched();
                 if !eng.all_committed() {
                     eng.queue.push(
                         eng.now + cfg.deadlock_scan_interval,
@@ -467,13 +506,14 @@ pub fn run_with_arrivals(
             EventKind::Restart(txn) => eng.start(txn),
             EventKind::SiteCrash(site) => eng.on_crash(site),
             EventKind::SiteRecover(site) => {
+                // A rebuilt table is new everywhere at once: no list of
+                // entities stands in for the sweep.
                 eng.on_recover(site);
-                if eng.cfg.invariant_audit {
-                    eng.audit_tables();
-                }
+                eng.audit_sweep();
             }
             EventKind::RetransmitCheck(txn, epoch) => eng.on_retransmit(txn, epoch),
         }
+        after(&mut eng);
     }
 
     let finished = eng.all_committed();
@@ -484,6 +524,7 @@ pub fn run_with_arrivals(
     } else {
         RunOutcome::Stalled
     };
+    eng.audit_end(outcome);
     // Elapsed simulated time: the honest throughput denominator. Equal to
     // the makespan for clean completions; a timed-out run used its whole
     // budget, a stalled one its drain tick.
@@ -966,7 +1007,16 @@ impl Engine<'_> {
                     return;
                 }
                 match self.admit(site, inst, entity, step) {
-                    PreventionOutcome::Granted => self.grant(site, inst, entity, step),
+                    PreventionOutcome::Granted => {
+                        if self.track_leases {
+                            // A waiter whose queue a crash wiped, granted
+                            // at once on its re-request: the record the
+                            // site kept has no grant from the queue left
+                            // to wait for.
+                            self.sites[site.idx()].queued.remove(&(inst, entity));
+                        }
+                        self.grant(site, inst, entity, step)
+                    }
                     PreventionOutcome::Rejected => {
                         // Wait-die / no-wait: the requester was not queued;
                         // tell its coordinator to restart it (with its
@@ -1107,6 +1157,7 @@ impl Engine<'_> {
         step: StepId,
     ) -> PreventionOutcome<Instance> {
         let mode = self.sys.txn(inst.txn).step(step).mode;
+        self.audit.touch(site, entity);
         let (cfg, coords) = (self.cfg, &self.coords);
         let table = &mut self.sites[site.idx()].table;
         const BUG: &str = "the engine never re-requests a queued lock";
@@ -1152,6 +1203,7 @@ impl Engine<'_> {
         entity: EntityId,
         ack: Option<StepId>,
     ) {
+        self.audit.touch(site, entity);
         let s = &mut self.sites[site.idx()];
         // A retransmitted unlock whose original was processed (but whose
         // ack was lost) finds no hold: release idempotently — keyed by
@@ -1508,9 +1560,14 @@ impl Engine<'_> {
             let site = &mut self.sites[s];
             site.delegations.drop_owner(old);
             site.leases.drop_owner(old);
+            // Every record of `old`, not only those of the waits cancelled
+            // below: a crash wipes the table and keeps `queued`, so a
+            // waiter that aborts before it re-requests has a record here
+            // and no wait in the table.
+            site.queued.retain(|&(inst, _), _| inst != old);
             let cancelled = site.table.cancel_waits(old);
             for &e in &cancelled.cancelled {
-                self.sites[s].queued.remove(&(old, e));
+                self.audit.touch(site_id, e);
                 self.edges_changed(site_id, e);
             }
             for (entity, grants) in cancelled
@@ -1518,6 +1575,7 @@ impl Engine<'_> {
                 .into_iter()
                 .chain(self.sites[s].table.release_all(old))
             {
+                self.audit.touch(site_id, entity);
                 self.edges_changed(site_id, entity);
                 for (n, _) in grants {
                     self.grant_queued(n, entity);
@@ -1552,7 +1610,8 @@ impl Engine<'_> {
         entities.sort();
         for e in entities {
             let entry = cache.get_mut(&e).expect("entry present");
-            let s = &mut self.sites[self.sys.db().site_of(e).idx()];
+            let site = self.sys.db().site_of(e);
+            let s = &mut self.sites[site.idx()];
             let retain = entry.inst == old
                 && !s.down
                 && !entry.revoke_pending
@@ -1563,6 +1622,7 @@ impl Engine<'_> {
                 cache.remove(&e);
                 continue;
             }
+            self.audit.touch(site, e);
             let grants = s.table.release(e, old).expect("held, checked above");
             debug_assert!(grants.is_empty(), "uncontested releases grant nobody");
             let granted = s.table.request(e, new, entry.mode).expect("new owner");
@@ -1749,23 +1809,88 @@ impl Engine<'_> {
         );
     }
 
-    /// The [`SimConfig::invariant_audit`] harness: panics if any site's
-    /// table violates its structural invariants (any pairwise-incompatible
-    /// co-held mode pair under the full compatibility matrix — `S`+`X`,
-    /// `S`+`IX`, `X`+anything —, a non-holder upgrader, a pending upgrade
-    /// its holder already covers, an owner both holding and waiting). Run
-    /// after every event that can mutate a table —
-    /// site events, coordinator events (whose aborts release locks at
-    /// every site), deadlock scans and recoveries — so a violation names
-    /// the exact tick it first became observable.
-    fn audit_tables(&self) {
-        for (s, site) in self.sites.iter().enumerate() {
-            if let Err(e) = site.table.check_invariants() {
-                panic!(
-                    "lock-table invariant violated at site {s} tick {}: {e}",
-                    self.now
-                );
+    /// The [`SimConfig::invariant_audit`] harness, run after every event
+    /// that can mutate a table — site events, coordinator events (whose
+    /// aborts release locks at every site) and deadlock scans: panics if
+    /// an entity the event touched violates its table's invariants (any
+    /// pairwise-incompatible co-held mode pair under the full
+    /// compatibility matrix — `S`+`X`, `S`+`IX`, `X`+anything —, a
+    /// non-holder upgrader, a pending upgrade its holder already covers,
+    /// an owner both holding and waiting, an index out of step), so a
+    /// violation names the exact tick it first became observable. An
+    /// event's audit costs what the event touched; the whole-table sweep
+    /// follows every [`FULL_SWEEP_EVERY`]th one — and, in debug builds,
+    /// every one, which is how the test suites hold the touched list to
+    /// having left nothing out.
+    fn audit_touched(&mut self) {
+        if !self.audit.on {
+            return;
+        }
+        for &(site, e) in &self.audit.touched {
+            if let Err(err) = self.sites[site.idx()].table.check_entity(e) {
+                self.violated(site.idx(), &err);
             }
+        }
+        self.audit.touched.clear();
+        self.audit.events += 1;
+        if self.audit.events.is_multiple_of(FULL_SWEEP_EVERY) {
+            self.audit_sweep();
+        } else {
+            debug_assert_eq!(
+                self.sweep(),
+                Ok(()),
+                "tick {}: the sweep sees what the touched entities' checks missed",
+                self.now
+            );
+        }
+    }
+
+    /// The whole-table half of the harness: every site's
+    /// [`QueueTable::check_invariants`], which also answers for anything
+    /// on the touched list.
+    fn audit_sweep(&mut self) {
+        if !self.audit.on {
+            return;
+        }
+        self.audit.touched.clear();
+        if let Err((s, err)) = self.sweep() {
+            self.violated(s, &err);
+        }
+    }
+
+    /// The first site whose table fails its sweep, with the complaint.
+    fn sweep(&self) -> Result<(), (usize, String)> {
+        let check = |(s, site): (usize, &Site)| site.table.check_invariants().map_err(|e| (s, e));
+        self.sites.iter().enumerate().try_for_each(check)
+    }
+
+    fn violated(&self, site: usize, err: &str) -> ! {
+        panic!(
+            "lock-table invariant violated at site {site} tick {}: {err}",
+            self.now
+        );
+    }
+
+    /// The end-of-run audit: one last sweep, and after a completed run
+    /// nothing may be left behind — no site still remembers a queued
+    /// request, and, unless delegated caches keep their collateral
+    /// ([`Delegation::On`]), every table is idle.
+    fn audit_end(&mut self, outcome: RunOutcome) {
+        self.audit_sweep();
+        if !self.audit.on || outcome != RunOutcome::Completed {
+            return;
+        }
+        for (s, site) in self.sites.iter().enumerate() {
+            assert!(
+                site.queued.is_empty(),
+                "site {s} ends a completed run with {} queued-request records",
+                site.queued.len()
+            );
+            assert!(
+                self.delegation || site.table.is_idle(),
+                "site {s} ends a completed run holding {:?}",
+                site.table.active_entities()
+            );
         }
     }
 }
@@ -2921,5 +3046,122 @@ mod tests {
             let r2 = run(&sys, &cfg).unwrap();
             assert_eq!(r.metrics, r2.metrics, "ttl {lease_ttl}");
         }
+    }
+
+    /// A contended two-phase system: `transactions` × `steps_per_txn`
+    /// over 3 sites × 4 entities, half reads.
+    fn hot_system(transactions: usize, steps_per_txn: usize) -> TxnSystem {
+        kplock_workload::random_system(&kplock_workload::WorkloadParams {
+            seed: 21,
+            sites: 3,
+            entities_per_site: 4,
+            transactions,
+            steps_per_txn,
+            read_percent: 50,
+            strategy: kplock_core::policy::LockStrategy::TwoPhaseSync,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn an_aborts_touched_list_names_all_the_victim_held_or_waited_on() {
+        use crate::config::{DeadlockResolution, Delegation};
+        // The incremental audit checks what `abort` says it touched, so
+        // `abort` must say everything. Abort the transaction with the
+        // largest footprint every few events of a contended run, with the
+        // footprint taken from the tables beforehand.
+        let footprint = |eng: &Engine, inst: Instance| -> Vec<(SiteId, EntityId)> {
+            let mut out = Vec::new();
+            for (s, site) in eng.sites.iter().enumerate() {
+                let waited = site.table.active_entities();
+                let waited = waited
+                    .into_iter()
+                    .filter(|&e| site.table.is_waiting(e, inst));
+                let entities = site.table.held_by(inst).into_iter().chain(waited);
+                out.extend(entities.map(|e| (SiteId::from_idx(s), e)));
+            }
+            out
+        };
+        let sys = hot_system(12, 8);
+        let arms = [
+            ("a detector", SimConfig::default()),
+            (
+                "wound-wait",
+                SimConfig {
+                    resolution: DeadlockResolution::Prevent(PreventionScheme::WoundWait),
+                    ..Default::default()
+                },
+            ),
+            (
+                "delegation on",
+                SimConfig {
+                    delegation: Delegation::On,
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (arm, cfg) in arms {
+            let cfg = SimConfig {
+                invariant_audit: true,
+                ..cfg
+            };
+            let (mut events, mut aborts, mut holds, mut waits, mut rekeys) = (0, 0, 0, 0, 0);
+            let report = run_observed(&sys, &cfg, &vec![0; sys.len()], |eng| {
+                events += 1;
+                if events % 7 != 0 || aborts == 40 {
+                    return;
+                }
+                let live = eng.coords.iter().enumerate().filter(|(_, c)| !c.committed);
+                let (old, before) = live
+                    .map(|(t, _)| eng.current(TxnId::from_idx(t)))
+                    .map(|inst| (inst, footprint(eng, inst)))
+                    .max_by_key(|(_, held)| held.len())
+                    .expect("the run has not ended");
+                if before.is_empty() {
+                    return;
+                }
+                let waiting = |&&(site, e): &&(SiteId, EntityId)| {
+                    eng.sites[site.idx()].table.is_waiting(e, old)
+                };
+                waits += before.iter().filter(waiting).count();
+                eng.abort(old.txn);
+                let new = eng.current(old.txn);
+                for &(site, e) in &before {
+                    assert!(
+                        eng.audit.touched.contains(&(site, e)),
+                        "{arm}: abort of {old:?} left {e} at site {} off the touched list",
+                        site.idx()
+                    );
+                    let table = &eng.sites[site.idx()].table;
+                    assert_eq!(table.holds(e, old), None, "{arm}");
+                    assert!(!table.is_waiting(e, old), "{arm}");
+                    rekeys += usize::from(table.holds(e, new).is_some());
+                }
+                eng.audit_touched();
+                aborts += 1;
+                holds += before.len();
+            });
+            assert_eq!(report.unwrap().outcome, RunOutcome::Completed, "{arm}");
+            assert!(aborts >= 10 && waits > 0 && holds > waits, "{arm}");
+            assert_eq!(rekeys > 0, cfg.delegation == Delegation::On, "{arm}");
+        }
+    }
+
+    #[test]
+    fn a_long_audited_run_is_swept_on_the_way_not_only_at_the_end() {
+        // Long enough that the every-`FULL_SWEEP_EVERY`th-event sweep
+        // runs: in an optimised build it is the only sweep before the
+        // end of the run.
+        let sys = hot_system(40, 24);
+        let cfg = SimConfig {
+            invariant_audit: true,
+            ..Default::default()
+        };
+        let mut audited = 0;
+        let report = run_observed(&sys, &cfg, &vec![0; sys.len()], |eng| {
+            audited = eng.audit.events;
+        });
+        assert_eq!(report.unwrap().outcome, RunOutcome::Completed);
+        assert!(audited > FULL_SWEEP_EVERY, "{audited} audited events");
     }
 }

@@ -239,3 +239,96 @@ fn revocation_storm_drains_the_chain_to_completion() {
         assert!(r.audit.serializable, "{resolution:?}");
     }
 }
+
+/// ROADMAP item 1's shape — the `sim_deleg` system (3 sites × 24
+/// entities, 16 transactions × 10 steps, 95 % of steps at one site,
+/// reads 90 % on even seeds and 10 % on odd ones, sync 2PL) with workload
+/// seed = sim seed = fault seed, `lease_ttl` 400, no crash — run with the
+/// audit on, which sees nothing: the site's table and the coordinator's
+/// cache disagree about who holds, and each is internally consistent.
+fn item_1_run(
+    seed: u64,
+    resolution: DeadlockResolution,
+    (loss, duplication, reorder): (f64, f64, f64),
+    delegation: Delegation,
+) -> kplock::sim::SimReport {
+    let sys = random_system(&WorkloadParams {
+        seed,
+        sites: 3,
+        entities_per_site: 24,
+        transactions: 16,
+        steps_per_txn: 10,
+        hot_site_percent: 95,
+        read_percent: if seed.is_multiple_of(2) { 90 } else { 10 },
+        strategy: LockStrategy::TwoPhaseSync,
+        ..Default::default()
+    });
+    let cfg = SimConfig {
+        seed,
+        resolution,
+        delegation,
+        invariant_audit: true,
+        faults: FaultPlan {
+            lease_ttl: 400,
+            ..FaultPlan::lossy(seed, loss, duplication, reorder)
+        },
+        ..Default::default()
+    };
+    let r = run(&sys, &cfg).expect("valid config");
+    assert_eq!(r.outcome, RunOutcome::Completed, "seed {seed}");
+    r
+}
+
+const LOSSY: (f64, f64, f64) = (0.05, 0.02, 0.10);
+const REORDER_ONLY: (f64, f64, f64) = (0.0, 0.0, 0.10);
+
+/// The three pinned reproducers of ROADMAP item 1, shortest first.
+const ITEM_1_PINS: [(u64, DeadlockResolution, (f64, f64, f64)); 3] = [
+    // "step 29: T4 locks e2 already held by T1"
+    (4288, SCHEMES[3], LOSSY),
+    // "step 127: T1 locks e10 already held by T5"
+    (4449, SCHEMES[0], LOSSY),
+    // "step 399: T6 locks e4 already held by T7"
+    (4102, SCHEMES[5], REORDER_ONLY),
+];
+
+fn item_1_pin_is_legal(pin: usize) {
+    let (seed, resolution, rates) = ITEM_1_PINS[pin];
+    let r = item_1_run(seed, resolution, rates, Delegation::On);
+    r.audit
+        .legal
+        .as_ref()
+        .unwrap_or_else(|e| panic!("seed {seed} under {resolution:?}: {e}"));
+}
+
+#[test]
+#[ignore = "ROADMAP item 1: delegation double-grant under reordering"]
+fn item_1_seed_4288_wound_wait_commits_a_legal_schedule() {
+    item_1_pin_is_legal(0);
+}
+
+#[test]
+#[ignore = "ROADMAP item 1: delegation double-grant under reordering"]
+fn item_1_seed_4449_periodic_commits_a_legal_schedule() {
+    item_1_pin_is_legal(1);
+}
+
+#[test]
+#[ignore = "ROADMAP item 1: delegation double-grant under reordering"]
+fn item_1_seed_4102_no_wait_reorder_only_commits_a_legal_schedule() {
+    item_1_pin_is_legal(2);
+}
+
+/// The same three runs with delegation off: the fault plans are not the
+/// culprit.
+#[test]
+fn item_1_pins_are_legal_and_serializable_with_delegation_off() {
+    for (seed, resolution, rates) in ITEM_1_PINS {
+        let r = item_1_run(seed, resolution, rates, Delegation::Off);
+        r.audit
+            .legal
+            .as_ref()
+            .unwrap_or_else(|e| panic!("seed {seed} under {resolution:?}: {e}"));
+        assert!(r.audit.serializable, "seed {seed} under {resolution:?}");
+    }
+}
