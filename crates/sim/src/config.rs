@@ -141,7 +141,8 @@ impl From<PreventionScheme> for DeadlockResolution {
     }
 }
 
-/// A [`SimConfig`] (or [`crate::ThreadedConfig`]) that cannot be run.
+/// A [`SimConfig`] that cannot be run (or, for [`ConfigError::ZeroShards`]
+/// alone, a [`crate::ThreadedConfig`]).
 ///
 /// Returned by [`SimConfig::validate`] and the `run*` entry points, so a
 /// bad configuration fails up front with a typed error instead of
@@ -160,7 +161,8 @@ pub enum ConfigError {
     /// the scan would reschedule itself at the current tick forever and
     /// the event loop would never advance.
     ZeroScanInterval,
-    /// A sharded table with zero shards has nowhere to put any entity.
+    /// [`crate::ThreadedConfig::shards`] is zero: a sharded table with zero
+    /// shards has nowhere to put any entity.
     ZeroShards,
     /// The fault plan is invalid (a rate outside `[0, 1]`, or a crash
     /// scheduled for a site the system does not have).
@@ -217,8 +219,7 @@ impl std::error::Error for ConfigError {}
 
 /// The admission priority of transaction `txn` — what the lock table's
 /// wound/wait/die arithmetic compares (smaller wins) — given the birth
-/// stamp its runner assigned it: `(arrival, index)` in the simulator,
-/// `(index, 0)` on real threads.
+/// stamp the engine assigned it, `(arrival, index)`.
 ///
 /// Plain prevention runs (`plan` is `None`) use the stamp unchanged.
 /// Under [`DeadlockResolution::Avoid`] the certificate splits the
@@ -309,7 +310,10 @@ pub struct SimConfig {
     /// touched ([`kplock_dlm::QueueTable::check_entity`]); every site's
     /// whole table ([`kplock_dlm::QueueTable::check_invariants`]) is
     /// swept after each recovery, every 4 096th audited event and at the
-    /// end of the run — and behind every audit in a debug build. After a
+    /// end of the run — and behind every audit in a debug build. Every
+    /// update reaching a site must be covered there by the updater's own
+    /// lock or a shielding parent lock (a debug build checks this with
+    /// the audit off too). After a
     /// completed run it also asserts that no site still remembers a
     /// queued request and, with [`Delegation::Off`], that every table is
     /// idle. A violation is an engine bug and panics with the offending
@@ -546,16 +550,13 @@ mod tests {
         let sys = TxnSystem::new(db, txns);
         let plan = AvoidPlan::synthesize_restricted(&sys, &[TxnId(1)]);
         assert_eq!(plan.certified(), vec![TxnId(1)]);
-        // The simulator's stamp (everyone arriving at tick 0) and the
-        // threaded runner's: T0's birth is (0, 0) under both.
-        let stamps: [fn(usize) -> Priority; 2] = [|t| (0, t as u64), |t| (t as u64, 0)];
-        for stamp in stamps {
-            let prio = |plan, t| admission_priority(plan, TxnId::from_idx(t), stamp(t));
-            assert_eq!(prio(Some(&plan), 1), (0, 0));
-            assert!(prio(Some(&plan), 0) > (0, 0) && prio(Some(&plan), 2) > (0, 0));
-            assert!(prio(Some(&plan), 0) < prio(Some(&plan), 2));
-            assert_eq!(prio(None, 2), stamp(2));
-        }
+        // Everyone arriving at tick 0: T0's birth is (0, 0).
+        let stamp = |t: usize| -> Priority { (0, t as u64) };
+        let prio = |plan, t| admission_priority(plan, TxnId::from_idx(t), stamp(t));
+        assert_eq!(prio(Some(&plan), 1), (0, 0));
+        assert!(prio(Some(&plan), 0) > (0, 0) && prio(Some(&plan), 2) > (0, 0));
+        assert!(prio(Some(&plan), 0) < prio(Some(&plan), 2));
+        assert_eq!(prio(None, 2), stamp(2));
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //! run's committed history is audited for conflict-serializability
 //! (safe systems never fail the audit; unsafe ones do, for some timings).
 //!
-//! Two runners share the semantics:
+//! Two runners, one protocol:
 //!
-//! * [`engine::run`] — deterministic discrete-event simulation (seeded);
-//! * [`threaded::run_threaded`] — real OS threads over a sharded
-//!   `kplock-dlm` table with timeout-based deadlock breaking, for
-//!   demonstrations under genuine concurrency.
+//! * [`engine::run`] — deterministic discrete-event simulation (seeded),
+//!   and the only place the protocol below is implemented;
+//! * [`threaded::run_threaded`] — a stress harness: real OS threads over
+//!   a sharded `kplock-dlm` table, FIFO requests, lock-wait timeouts that
+//!   abort and retry, the committed history audited like every run's.
 //!
 //! Both sit on the `kplock-dlm` lock tables: reader–writer modes with
-//! FIFO grants (exclusive-only by default, matching the paper). Deadlocks
-//! are resolved along a three-way axis ([`DeadlockResolution`]):
+//! FIFO grants (exclusive-only by default, matching the paper). In the
+//! engine, deadlocks are resolved along a three-way axis
+//! ([`DeadlockResolution`]):
 //!
 //! * **detect** — periodic global scan (default), incrementally at block
 //!   time ([`DeadlockDetection::OnBlock`]), or fully distributed via
@@ -130,4 +132,4 @@ pub use history::{audit, Audit, History, HistoryEvent};
 pub use metrics::Metrics;
 pub use probe::{choose_victim, ProbeMsg, SiteProbeState, Stamp};
 pub use replay::{replay_deadlock, replay_violation, DeadlockEvidence, ReplayError};
-pub use threaded::{run_threaded, ThreadedConfig, ThreadedReport, ThreadedResolution};
+pub use threaded::{run_threaded, ThreadedConfig, ThreadedReport};

@@ -244,8 +244,10 @@ fn revocation_storm_drains_the_chain_to_completion() {
 /// entities, 16 transactions × 10 steps, 95 % of steps at one site,
 /// reads 90 % on even seeds and 10 % on odd ones, sync 2PL) with workload
 /// seed = sim seed = fault seed, `lease_ttl` 400, no crash — run with the
-/// audit on, which sees nothing: the site's table and the coordinator's
-/// cache disagree about who holds, and each is internally consistent.
+/// audit on. The table checks see nothing: the site's table and the
+/// coordinator's cache disagree about who holds, and each is internally
+/// consistent. What the audit does see is the first update the stale
+/// cache lets through to a site that no longer shows the hold.
 fn item_1_run(
     seed: u64,
     resolution: DeadlockResolution,
@@ -282,7 +284,9 @@ fn item_1_run(
 const LOSSY: (f64, f64, f64) = (0.05, 0.02, 0.10);
 const REORDER_ONLY: (f64, f64, f64) = (0.0, 0.0, 0.10);
 
-/// The three pinned reproducers of ROADMAP item 1, shortest first.
+/// The three pinned reproducers of ROADMAP item 1, shortest first, each
+/// with what `validate_complete` says of the history an unaudited release
+/// run commits.
 const ITEM_1_PINS: [(u64, DeadlockResolution, (f64, f64, f64)); 3] = [
     // "step 29: T4 locks e2 already held by T1"
     (4288, SCHEMES[3], LOSSY),
@@ -317,6 +321,20 @@ fn item_1_seed_4449_periodic_commits_a_legal_schedule() {
 #[ignore = "ROADMAP item 1: delegation double-grant under reordering"]
 fn item_1_seed_4102_no_wait_reorder_only_commits_a_legal_schedule() {
     item_1_pin_is_legal(2);
+}
+
+/// ROADMAP item 1(c), first step: the audit stops the shortest pin at the
+/// event — an update reaching a site whose table does not show the
+/// updater holding the entity (site 0, tick 1124, `e2`: the entity the
+/// illegal history double-locks) — identically in debug and `--release`
+/// builds. With the audit off a release run goes on to commit the
+/// illegal history quoted above. Item 1's fix deletes this test and
+/// un-ignores the three pins.
+#[test]
+#[should_panic(expected = "update without a covering lock")]
+fn item_1_seed_4288_wound_wait_is_caught_by_the_audit_at_the_uncovered_update() {
+    let (seed, resolution, rates) = ITEM_1_PINS[0];
+    item_1_run(seed, resolution, rates, Delegation::On);
 }
 
 /// The same three runs with delegation off: the fault plans are not the

@@ -105,7 +105,7 @@ proptest! {
         prop_assert!(projection_respects_site_orders(&sys, &r.audit.schedule));
     }
 
-    /// Deterministic replay: same seed, same audit.
+    /// Deterministic replay: same seed, same audit, same commit epochs.
     #[test]
     fn simulator_replay_is_exact(seed in 0u64..100) {
         let sys = random_pair(&WorkloadParams {
@@ -125,5 +125,6 @@ proptest! {
         let b = run(&sys, &cfg).expect("valid config");
         prop_assert_eq!(a.audit.schedule, b.audit.schedule);
         prop_assert_eq!(a.metrics, b.metrics);
+        prop_assert_eq!(a.committed_epoch, b.committed_epoch);
     }
 }

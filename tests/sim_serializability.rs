@@ -85,23 +85,6 @@ fn fig3_exhibits_anomaly_for_some_timing() {
 }
 
 #[test]
-fn runs_are_reproducible() {
-    let sys = fig1();
-    for seed in [0u64, 17, 99] {
-        let cfg = SimConfig {
-            seed,
-            latency: LatencyModel::Uniform(1, 50),
-            ..Default::default()
-        };
-        let a = run(&sys, &cfg).expect("valid config");
-        let b = run(&sys, &cfg).expect("valid config");
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.audit.serializable, b.audit.serializable);
-        assert_eq!(a.audit.schedule, b.audit.schedule);
-    }
-}
-
-#[test]
 fn victim_policy_ablation_both_terminate() {
     // Deadlock-heavy workload: opposite lock orders.
     let sys = random_pair(&WorkloadParams {
