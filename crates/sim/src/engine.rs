@@ -38,7 +38,7 @@ use crate::event::{DelegatedGrant, EventKind, EventQueue, Instance, Payload, Sim
 use crate::fault::FaultPlanError;
 use crate::history::{audit, Audit, History};
 use crate::metrics::Metrics;
-use crate::probe::{self, ProbeMsg, SiteProbeState, Stamp};
+use crate::probe::{self, ChaseId, Mark, ProbeMsg, SiteProbeState, Stamp};
 use crate::progress::Progress;
 use kplock_dlm::{
     Acquire, DelegationLedger, Lease, LeaseTable, PreventionOutcome, PreventionScheme, Priority,
@@ -243,6 +243,11 @@ struct Engine<'a> {
     metrics: Metrics,
     audit: TableAudit,
     now: SimTime,
+    /// Test seam: abort orders start no re-chase, leaving the marks alone
+    /// to bound *and* to find — the protocol rule 5 of `probe.rs` exists
+    /// to repair. Lets a test show the stall instead of asserting it.
+    #[cfg(test)]
+    marks_alone: bool,
 }
 
 /// The [`SimConfig::invariant_audit`] harness's own state: which table
@@ -428,6 +433,8 @@ fn run_observed<'a>(
             events: 0,
         },
         now: 0,
+        #[cfg(test)]
+        marks_alone: false,
     };
 
     for (t, &arrival) in arrivals.iter().enumerate() {
@@ -645,6 +652,12 @@ impl Engine<'_> {
         self.uncommitted -= 1;
         self.metrics.committed += 1;
         self.metrics.makespan = self.now;
+        if self.cfg.detection() == Some(DeadlockDetection::Probe) {
+            // No search through a committed transaction can close.
+            for site in &mut self.sites {
+                site.probe.end_chases_of(txn);
+            }
+        }
     }
 
     /// Sends (or re-sends — retransmission and recovery re-delivery both
@@ -791,6 +804,13 @@ impl Engine<'_> {
         self.current(inst.txn) != inst
     }
 
+    /// True when `inst` can no longer be deadlocked: it was aborted, or
+    /// its transaction committed (a commit does not bump the epoch, so
+    /// [`Engine::stale`] alone misses it).
+    fn moved_on(&self, inst: Instance) -> bool {
+        self.stale(inst) || self.coords[inst.txn.idx()].committed
+    }
+
     /// `txn`'s live instance.
     fn current(&self, txn: TxnId) -> Instance {
         let epoch = self.coords[txn.idx()].epoch;
@@ -809,8 +829,7 @@ impl Engine<'_> {
     /// Reacts to a change of `entity`'s contribution to the wait-for
     /// relation (no-op under periodic detection and under prevention,
     /// which admits no cycle to ever look for): OnBlock refreshes the
-    /// incremental global graph; Probe diffs the site-local view and
-    /// launches a probe per new edge.
+    /// incremental global graph; Probe chases the new edges.
     fn edges_changed(&mut self, site: SiteId, entity: EntityId) {
         match self.cfg.detection() {
             None | Some(DeadlockDetection::Periodic) => {}
@@ -818,36 +837,63 @@ impl Engine<'_> {
                 let edges = self.sites[site.idx()].table.entity_waits_for(entity);
                 self.wfg_dirty |= self.wfg.update_entity(entity, edges);
             }
-            Some(DeadlockDetection::Probe) => {
-                let s = &mut self.sites[site.idx()];
-                let fresh = s
-                    .probe
-                    .observe(entity, s.table.entity_waits_for(entity), self.now);
-                for (w, h) in fresh {
-                    // Holders and waiters in a live table are never stale
-                    // (aborts scrub them synchronously), and the table
-                    // never records an owner waiting on itself.
-                    let msg = ProbeMsg {
-                        path: vec![w, h],
-                        stamps: vec![self.stamp_of(w), self.stamp_of(h)],
-                        formed_at: self.now,
-                    };
-                    self.route_probe(site, msg);
+            Some(DeadlockDetection::Probe) => self.chase_new_edges(site, entity),
+        }
+    }
+
+    /// Diffs `entity`'s wait-edges against the site's last view of them
+    /// and launches a probe per new edge, one search per waiter. Kept out
+    /// of line: [`Engine::edges_changed`] runs at every grant and release
+    /// under every arm, and its no-op arms should not pay for this one's
+    /// frame (`sim_scan`'s median call reads 2–3 % slower with it inlined).
+    #[inline(never)]
+    fn chase_new_edges(&mut self, site: SiteId, entity: EntityId) {
+        let s = &mut self.sites[site.idx()];
+        let fresh = s
+            .probe
+            .observe(entity, s.table.entity_waits_for(entity), self.now);
+        // The edges come sorted by waiter: one search per waiter covers
+        // all of its new edges.
+        let mut search: Option<(Instance, ChaseId)> = None;
+        for (w, h) in fresh {
+            let s = &mut self.sites[site.idx()];
+            let chase = match search {
+                Some((waiter, chase)) if waiter == w => chase,
+                _ => {
+                    self.metrics.probe_initiations += 1;
+                    ChaseId {
+                        origin: site,
+                        boot: s.boot,
+                        seq: s.probe.next_seq(),
+                        generation: 0,
+                    }
                 }
-            }
+            };
+            search = Some((w, chase));
+            // Holders and waiters in a live table are never stale (aborts
+            // scrub them synchronously), and the table never records an
+            // owner waiting on itself.
+            s.probe.mark(chase, w.txn, h.txn, Mark::Routed);
+            let msg = ProbeMsg {
+                path: vec![(w, self.stamp_of(w)), (h, self.stamp_of(h))],
+                formed_at: self.now,
+                chase,
+            };
+            self.route_probe(Some(site), msg);
         }
     }
 
     /// Delivers a probe to every site where its target might be blocked:
     /// the sites hosting the target's lock set (static catalog knowledge).
-    /// The local site examines it for free; remote sites cost a message —
-    /// the only traffic flowing site to site, metered separately so
-    /// detection's overhead is visible.
-    fn route_probe(&mut self, from: SiteId, msg: ProbeMsg) {
-        let targets = self.coords[msg.target().txn.idx()].lock_sites.clone();
-        for to in targets {
-            if to == from {
-                self.on_probe(to, msg.clone());
+    /// The sending site, if a site sends, examines it for free; every
+    /// other costs a message — metered separately so detection's overhead
+    /// is visible.
+    fn route_probe(&mut self, from: Option<SiteId>, msg: ProbeMsg) {
+        let target = msg.target().txn.idx();
+        for i in 0..self.coords[target].lock_sites.len() {
+            let to = self.coords[target].lock_sites[i];
+            if Some(to) == from {
+                self.on_probe(to, &msg);
             } else {
                 self.metrics.probe_messages += 1;
                 self.send_to_site(to, Payload::Probe(msg.clone()));
@@ -855,14 +901,22 @@ impl Engine<'_> {
         }
     }
 
-    /// A probe arrived at `site`: examine the target's local wait-edges,
-    /// closing the cycle if one points back at the initiator, extending
-    /// the chase otherwise. Reads nothing but this site's table.
-    fn on_probe(&mut self, site: SiteId, msg: ProbeMsg) {
-        if self.stale(msg.initiator()) || self.stale(msg.target()) {
+    /// A probe arrived at `site`: unless this site has examined its
+    /// target for this search before, examine the target's local
+    /// wait-edges, closing the cycle where one points back at the
+    /// initiator and sending the search on along every other whose end
+    /// this site has not sent it to yet. Reads nothing but this site's
+    /// table and probe memory.
+    fn on_probe(&mut self, site: SiteId, msg: &ProbeMsg) {
+        let (w, t) = (msg.initiator(), msg.target());
+        if self.moved_on(w) || self.stale(t) {
             return;
         }
-        let successors = self.sites[site.idx()].table.waits_of(msg.target());
+        let s = &mut self.sites[site.idx()];
+        if !s.probe.mark(msg.chase, w.txn, t.txn, Mark::Examined) {
+            return;
+        }
+        let successors = s.table.waits_of(t);
         for h in successors {
             // When this site's edge `target → h` appeared, from its own
             // bookkeeping: the cycle is attributed to its *last-formed*
@@ -870,32 +924,28 @@ impl Engine<'_> {
             // over the path. (The edge is always on record here — it was
             // observed the moment it changed — but a probe racing an edge
             // re-formation falls back to now, the conservative choice.)
-            let appeared = self.sites[site.idx()]
-                .probe
-                .appeared_at(msg.target(), h)
-                .unwrap_or(self.now);
-            if h == msg.initiator() {
+            let s = &mut self.sites[site.idx()];
+            let appeared = s.probe.appeared_at(t, h).unwrap_or(self.now);
+            if h == w {
                 // The path is a wait-for cycle assembled hop by hop from
                 // site-local views. Every site closing the same cycle
                 // picks the same victim (rotation-invariant policy), so
                 // duplicate detections collapse at the abort.
-                let victim = probe::choose_victim(self.cfg.victim_policy, &msg.path, &msg.stamps);
+                let victim = probe::choose_victim(self.cfg.victim_policy, &msg.path)
+                    .expect("a probe path is never empty");
+                self.metrics.probe_closes += 1;
                 self.send_to_coordinator(
                     victim.txn,
                     Payload::Abort {
                         victim,
-                        members: msg.path.clone(),
+                        members: msg.path.iter().map(|&(m, _)| m).collect(),
                         formed_at: msg.formed_at.max(appeared),
+                        chase: msg.chase,
                     },
                 );
-            } else if msg.path.contains(&h) {
-                // A cycle not through our initiator: whichever member's
-                // edge completed it launched its own probe; dropping this
-                // branch (rather than looping forever) is what bounds
-                // every chase to `#transactions` hops.
-            } else {
+            } else if s.probe.mark(msg.chase, w.txn, h.txn, Mark::Routed) {
                 let next = msg.extend(h, self.stamp_of(h), appeared);
-                self.route_probe(site, next);
+                self.route_probe(Some(site), next);
             }
         }
     }
@@ -1094,7 +1144,7 @@ impl Engine<'_> {
                     self.release_hold(site, inst, entity, None);
                 }
             }
-            Payload::Probe(msg) => self.on_probe(site, msg),
+            Payload::Probe(msg) => self.on_probe(site, &msg),
             _ => unreachable!("coordinator payload at site"),
         }
     }
@@ -1260,7 +1310,8 @@ impl Engine<'_> {
                 victim,
                 members,
                 formed_at,
-            } => return self.on_abort_message(victim, &members, formed_at),
+                chase,
+            } => return self.on_abort_message(victim, &members, formed_at, chase),
             Payload::Wound { victim } => {
                 // A wound order for an instance that already moved on is
                 // dropped: an earlier wound bumped its epoch (`stale`), or
@@ -1438,20 +1489,41 @@ impl Engine<'_> {
     /// cycle travelled the network, so it may have dissolved meanwhile: if
     /// any member was already aborted or committed, that cycle is broken
     /// and the order is dropped — the validation that keeps duplicate and
-    /// outdated detections from over-killing.
-    fn on_abort_message(&mut self, victim: Instance, members: &[Instance], formed_at: SimTime) {
-        if members
-            .iter()
-            .any(|&m| self.stale(m) || self.coords[m.txn.idx()].committed)
-        {
+    /// outdated detections from over-killing. Executed or dropped, the
+    /// order came from a search that followed only the first path to each
+    /// transaction, so if the initiator is still there to be deadlocked
+    /// the search's next generation starts from it (`probe.rs` module
+    /// doc, rule 5).
+    fn on_abort_message(
+        &mut self,
+        victim: Instance,
+        members: &[Instance],
+        formed_at: SimTime,
+        chase: ChaseId,
+    ) {
+        if !members.iter().any(|&m| self.moved_on(m)) {
+            if self.cfg.probe_audit {
+                self.audit_probe_abort(victim);
+            }
+            self.metrics.deadlocks_resolved += 1;
+            self.metrics.detection_latency_ticks += self.now - formed_at;
+            self.abort(victim.txn);
+        }
+        #[cfg(test)]
+        if self.marks_alone {
             return;
         }
-        if self.cfg.probe_audit {
-            self.audit_probe_abort(victim);
+        let Some(&initiator) = members.first() else {
+            return;
+        };
+        if !self.moved_on(initiator) {
+            let again = ProbeMsg {
+                path: vec![(initiator, self.stamp_of(initiator))],
+                formed_at: 0,
+                chase: chase.next_generation(),
+            };
+            self.route_probe(None, again);
         }
-        self.metrics.deadlocks_resolved += 1;
-        self.metrics.detection_latency_ticks += self.now - formed_at;
-        self.abort(victim.txn);
     }
 
     /// Measurement-only cross-check, enabled by [`SimConfig::probe_audit`]
@@ -1516,12 +1588,13 @@ impl Engine<'_> {
         let Some(cycle) = cycle else {
             return false;
         };
-        let members: Vec<Instance> = cycle
+        let members: Vec<(Instance, Stamp)> = cycle
             .iter()
             .map(|&t| self.current(TxnId::from_idx(t)))
+            .map(|m| (m, self.stamp_of(m)))
             .collect();
-        let stamps: Vec<Stamp> = members.iter().map(|&m| self.stamp_of(m)).collect();
-        let victim = probe::choose_victim(self.cfg.victim_policy, &members, &stamps);
+        let victim =
+            probe::choose_victim(self.cfg.victim_policy, &members).expect("a cycle has members");
         // Detection latency, approximated by the youngest wait among the
         // cycle's members (the cycle cannot predate its youngest edge):
         // ~0 for OnBlock, up to a scan interval here.
@@ -1569,6 +1642,7 @@ impl Engine<'_> {
             let site = &mut self.sites[s];
             site.delegations.drop_owner(old);
             site.leases.drop_owner(old);
+            site.probe.end_chases_of(txn);
             // Every record of `old`, not only those of the waits cancelled
             // below: a crash wipes the table and keeps `queued`, so a
             // waiter that aborts before it re-requests has a record here
@@ -2284,6 +2358,91 @@ mod tests {
             }
         }
         assert!(deadlocks > 0, "sweep never provoked a deadlock");
+    }
+
+    /// The smallest deadlock a marked search alone cannot resolve, and the
+    /// reason abort orders re-chase (`probe.rs` module doc, rule 5).
+    ///
+    /// Five transactions, one entity a site. `C` holds `q` and waits for
+    /// `p`, held by `W`; `A` and `B` share a read lock on `m` and both
+    /// queue for `q`; `H` holds `t` and wants `m` for itself, so it waits
+    /// on both readers. All of that is in place by tick 25, and every
+    /// search those edges launch dies at `W`, which waits for nothing.
+    /// `W` then asks for `t` at tick 55, and that one edge closes two
+    /// cycles at once:
+    ///
+    /// ```text
+    ///            ┌─► A ─┐
+    ///   W ─► H ──┤      ├─► C ─► W
+    ///            └─► B ─┘
+    /// ```
+    ///
+    /// The search from `W` reaches `C` twice, at `q`'s site, and sends it
+    /// on once: the second path is a duplicate by the marks, which is what
+    /// bounds the search. One cycle is reported, its victim — the youngest
+    /// member, `A` or `B`, whichever path won — aborts, and the other
+    /// cycle is still there: `W → H → (the other) → C → W`, every edge of
+    /// it older than the search that passed over it. No edge of it is new,
+    /// so nothing ever chases it again: with marks alone the run stalls.
+    /// Enumeration never had this problem — it walked both paths — and it
+    /// is what the re-chase puts back at a bounded price: the victim's
+    /// coordinator, having executed the order, starts the next generation
+    /// of the same search from `W`, which walks what is left, finds the
+    /// second cycle and orders its victim aborted.
+    ///
+    /// Why that is enough in general: a cycle that stays intact has a
+    /// last-formed edge, whose waiter `w` launched a search when it
+    /// appeared. Every member of the cycle is reachable from `w` in that
+    /// search and in every later generation of it, so the member waiting
+    /// on `w` is examined at the site of that wait and each generation
+    /// reports some cycle through `w`. Its order is either executed — a
+    /// real cycle loses a member — or dropped because a path member moved
+    /// on; either way the coordinator that received it launches the next
+    /// generation while `w` is live, and the chain ends only when `w`
+    /// aborts or commits or a generation finds no way back to `w`.
+    #[test]
+    fn one_edge_closing_two_cycles_needs_the_re_chase() {
+        let db = Database::from_spec(&[("p", 0), ("q", 1), ("m", 2), ("t", 3)]);
+        let txn = |name: &str, script: &str| {
+            let mut b = TxnBuilder::new(&db, name);
+            b.script(script).unwrap();
+            b.build().unwrap()
+        };
+        let sys = TxnSystem::new(
+            db.clone(),
+            vec![
+                // Four updates of p keep W busy until every earlier search
+                // has died: its request for t is the last edge by 30 ticks.
+                txn("W", "Lp p p p p Lt t Ut Up"),
+                txn("H", "Lt t Lm m Um Ut"),
+                txn("C", "Lq q Lp p Up Uq"),
+                txn("A", "SLm Lq q Uq Um"),
+                txn("B", "SLm Lq q Uq Um"),
+            ],
+        );
+        let cfg = SimConfig {
+            latency: LatencyModel::Fixed(5),
+            resolution: DeadlockDetection::Probe.into(),
+            probe_audit: true,
+            invariant_audit: true,
+            ..Default::default()
+        };
+        let arrivals = vec![0; sys.len()];
+
+        let alone = run_observed(&sys, &cfg, &arrivals, |eng| eng.marks_alone = true).unwrap();
+        assert_eq!(alone.outcome, RunOutcome::Stalled, "marks alone");
+        assert_eq!(alone.metrics.deadlocks_resolved, 1);
+        assert_eq!(alone.metrics.probe_closes, 1, "one path to C, one close");
+
+        let r = run(&sys, &cfg).unwrap();
+        assert_eq!(r.outcome, RunOutcome::Completed);
+        assert_eq!(r.metrics.committed, 5);
+        assert_eq!(r.metrics.deadlocks_resolved, 2, "one abort per cycle");
+        assert_eq!(r.metrics.phantom_probe_aborts, 0);
+        assert!(r.audit.serializable);
+        // Both A and B restarted once; nobody else did.
+        let epochs: Vec<u32> = r.committed_epoch.iter().map(|e| e.unwrap()).collect();
+        assert_eq!(epochs, [0, 0, 0, 1, 1]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The deterministic event queue.
 
-use crate::probe::ProbeMsg;
+use crate::probe::{ChaseId, ProbeMsg};
 use kplock_dlm::Lease;
 use kplock_model::{EntityId, LockMode, SiteId, StepId, TxnId};
 use std::cmp::Reverse;
@@ -99,7 +99,9 @@ pub enum Payload {
     },
     /// Site → site: a Chandy–Misra–Haas deadlock probe
     /// ([`crate::DeadlockDetection::Probe`] only) — the one message class
-    /// that never involves a coordinator.
+    /// no coordinator ever receives, and the only one a coordinator sends
+    /// that is not about its own transaction (a re-chase after an abort
+    /// order).
     Probe(ProbeMsg),
     /// Site → coordinator: a probe closed a wait-for cycle; the victim's
     /// coordinator must abort it.
@@ -113,6 +115,11 @@ pub enum Payload {
         /// When the cycle formed: the latest appearance tick among its
         /// traversed wait-edges (for detection-latency accounting).
         formed_at: SimTime,
+        /// The search that found the cycle; `members[0]` is its
+        /// initiator. Whatever the coordinator does with the order, it
+        /// searches again from that initiator under this id's next
+        /// generation (`probe.rs` module doc, rule 5).
+        chase: ChaseId,
     },
     /// Site → coordinator ([`crate::DeadlockResolution::Prevent`] only):
     /// the prevention scheme refused the wait (wait-die saw a younger
@@ -243,6 +250,15 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_payload_is_no_bigger_than_before_probes_carried_an_id() {
+        // Every event in the heap carries a `Payload`, under all seven
+        // resolution arms; six of them never send a probe and must not pay
+        // for the one that does. 56 bytes is what it was when a probe held
+        // two vectors and no id.
+        assert!(std::mem::size_of::<Payload>() <= 56);
+    }
 
     #[test]
     fn orders_by_time_then_insertion() {

@@ -130,6 +130,6 @@ pub use event::{DelegatedGrant, EventKind, EventQueue, Instance, Payload, SimTim
 pub use fault::{FaultPlan, FaultPlanError, SiteCrash};
 pub use history::{audit, Audit, History, HistoryEvent};
 pub use metrics::Metrics;
-pub use probe::{choose_victim, ProbeMsg, SiteProbeState, Stamp};
+pub use probe::{choose_victim, ChaseId, Mark, ProbeMsg, SiteProbeState, Stamp};
 pub use replay::{replay_deadlock, replay_violation, DeadlockEvidence, ReplayError};
 pub use threaded::{run_threaded, ThreadedConfig, ThreadedReport};

@@ -26,6 +26,19 @@ pub struct Metrics {
     /// this counter isolates the detection share: coordinator↔site data
     /// traffic is `messages - probe_messages`; do not sum the two.
     pub probe_messages: u64,
+    /// Searches launched by newly appeared wait-edges
+    /// ([`crate::DeadlockDetection::Probe`] only): one per waiter per
+    /// observed change of an entity's edge set. The re-chases an abort
+    /// order starts are further generations of the search that produced
+    /// the order, not counted again — so `probe_messages /
+    /// probe_initiations` is what one new wait costs on the wire, all
+    /// told.
+    pub probe_initiations: u64,
+    /// Cycle closes reported by probes — abort orders sent. Several
+    /// searches close the same cycle and one abort breaks many, so
+    /// `probe_closes / deadlocks_resolved` is how many orders the
+    /// coordinators received per abort they executed.
+    pub probe_closes: u64,
     /// Total ticks between a cycle forming and the victim's abort
     /// executing, summed over resolved deadlocks. Under
     /// [`crate::DeadlockDetection::Probe`] the cycle is attributed to the

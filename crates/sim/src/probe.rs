@@ -12,6 +12,8 @@
 //!    new holder, an abort cancels waits), the site diffs the new edge set
 //!    against what it last saw ([`SiteProbeState`]) and launches one probe
 //!    per *newly appeared* edge `(w, h)`: `path = [w, h]`, initiator `w`.
+//!    The new edges of one waiter are one search: their probes share one
+//!    [`ChaseId`].
 //! 2. **Forwarding.** A probe examining instance `t` must reach the sites
 //!    where `t` might be blocked. Sites know the static catalog — which
 //!    entities a transaction locks and where they live
@@ -25,12 +27,50 @@
 //!    path (same [`crate::VictimPolicy`] as the centralized schemes, using
 //!    the birth timestamps carried in the probe) and sends an abort
 //!    message to the victim's coordinator.
-//! 4. **Termination.** A probe is dropped when its target instance is
-//!    stale (the epoch in the probe no longer matches), or when the next
-//!    hop is already on the path (a cycle not through the initiator: the
-//!    member whose edge completed *that* cycle chases it with its own
-//!    probe). Paths grow strictly, so every chase ends within
-//!    `#transactions` hops.
+//! 4. **Termination.** Every initiation is named by a [`ChaseId`] that is
+//!    never reused, and one id covers all the edges of one waiter that
+//!    appeared in one observation. A probe is dropped when its initiator
+//!    or its target is stale (the epoch in the probe no longer matches) or
+//!    its initiator has committed, and — the bound — when the receiving
+//!    site has already *examined* that target under that id; a site that
+//!    has already *routed* a target under an id does not route it again
+//!    ([`SiteProbeState::mark`]). A chase is therefore a breadth-first
+//!    search: each site examines each transaction at most once and sends
+//!    it onward at most once, so a chase costs at most
+//!    `#transactions × #sites` messages from each site instead of one per
+//!    simple path out of the initiator. The marks cannot go stale: an id
+//!    is `(origin site, boot, sequence number, generation)`, the sequence
+//!    number counts up within a boot and a crash — which wipes the marks
+//!    and the counter alike — bumps the boot, so no later search is ever
+//!    mistaken for one a site remembers; and a site drops an initiator's
+//!    marks when that instance aborts or commits, after which the first
+//!    clause of this rule drops whatever of its chases is still on the
+//!    wire.
+//! 5. **Re-chase on resolution.** The first path to reach a transaction
+//!    wins and later ones are dropped, so one search reports *a* cycle
+//!    through every edge pointing back at its initiator, not every cycle.
+//!    That alone would lose deadlocks. When the last-formed edge `(w, h)`
+//!    closes two cycles at once — `w → h → a → c → w` and
+//!    `w → h → b → c → w` — the search reaches `c` once, say through `a`,
+//!    and orders `a` aborted; the second cycle stays, and no edge of it is
+//!    new, so nothing would ever chase it. Likewise when the one order a
+//!    search produced is dropped at the victim's coordinator because a
+//!    path member has moved on, while another cycle through `w` — the one
+//!    the dropped path shadowed — is intact. So the abort order carries
+//!    its search's id, and the victim's coordinator, whether it executes
+//!    the order or drops it, starts the search again from the initiator
+//!    if that instance is still live and uncommitted: a probe `[w]` under
+//!    the same id at the next *generation*, sent to `w`'s sites. Every
+//!    order of one generation names the same next generation, so their
+//!    re-chases collapse in the marks like any duplicate. Completeness is
+//!    then an induction on generations: a cycle that stays intact is
+//!    reachable from its last-formed edge's initiator `w` in every
+//!    generation, so each generation closes at the member that waits on
+//!    `w` and produces an order; an executed order aborts a member of a
+//!    real cycle and a dropped one means some transaction moved, and
+//!    either way the next generation searches what is left. The chain
+//!    ends when `w` aborts or commits, or when a generation finds no way
+//!    back to `w` — no cycle through `w` exists.
 //!
 //! Compared with the global-view schemes this buys honesty at a price the
 //! metrics now expose: [`crate::Metrics::probe_messages`] counts the extra
@@ -51,7 +91,7 @@
 
 use crate::config::VictimPolicy;
 use crate::event::{Instance, SimTime};
-use kplock_model::EntityId;
+use kplock_model::{EntityId, SiteId, TxnId};
 use std::collections::HashMap;
 
 /// Timing facts about one instance, piggybacked on probes the way real
@@ -66,17 +106,46 @@ pub struct Stamp {
     pub birth: (SimTime, usize),
 }
 
+/// The name of one search for cycles through one waiter, never reused
+/// within a run: what a site's marks are filed under (module doc, rules 4
+/// and 5).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ChaseId {
+    /// The site whose new wait-edge launched the search.
+    pub origin: SiteId,
+    /// That site's boot epoch at the launch. A crash wipes the site's
+    /// sequence counter with the rest of its probe memory; the boot keeps
+    /// the ids of its next life apart from those of the last.
+    pub boot: u32,
+    /// The launch's number within that boot ([`SiteProbeState::next_seq`]).
+    pub seq: u32,
+    /// 0 for the search the edge launched; each re-chase from a victim's
+    /// coordinator searches again under the next one.
+    pub generation: u32,
+}
+
+impl ChaseId {
+    /// The id every abort order of this generation re-chases under.
+    pub fn next_generation(self) -> ChaseId {
+        ChaseId {
+            generation: self.generation + 1,
+            ..self
+        }
+    }
+}
+
 /// A Chandy–Misra–Haas probe in flight between sites.
 ///
 /// `path[0]` is the initiator (the waiter whose new edge launched the
-/// probe); `path.last()` is the instance whose local wait-edges the
-/// receiving site must examine. Instances on the path are distinct.
+/// search); `path.last()` is the instance whose local wait-edges the
+/// receiving site must examine. Each member travels with its [`Stamp`],
+/// for victim selection at the close. A re-chase starts from the path
+/// `[initiator]`; every other path is a chain of wait-edges, each seen by
+/// the site that extended it, and its instances are distinct.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProbeMsg {
     /// The wait-for chain assembled so far, initiator first.
-    pub path: Vec<Instance>,
-    /// One [`Stamp`] per path member, for victim selection at the close.
-    pub stamps: Vec<Stamp>,
+    pub path: Vec<(Instance, Stamp)>,
     /// The latest appearance tick among the wait-edges traversed so far
     /// (each site timestamps its own edges in [`SiteProbeState`]; every
     /// hop maxes the traversed edge's tick in). A cycle cannot predate
@@ -86,73 +155,88 @@ pub struct ProbeMsg {
     /// in flight attributed the whole cycle to its own (earlier) launch
     /// tick and overcounted.
     pub formed_at: SimTime,
+    /// The search this probe belongs to.
+    pub chase: ChaseId,
 }
 
 impl ProbeMsg {
     /// The initiator: the waiter this probe is chasing a cycle back to.
     pub fn initiator(&self) -> Instance {
-        self.path[0]
+        self.path[0].0
     }
 
     /// The instance whose local wait-edges the receiver examines.
     pub fn target(&self) -> Instance {
-        *self.path.last().expect("probe path is never empty")
+        self.path.last().expect("probe path is never empty").0
     }
 
     /// Extends the chase by one hop over an edge that appeared at
     /// `edge_appeared`, keeping [`ProbeMsg::formed_at`] the maximum over
     /// the path's edges.
     pub fn extend(&self, next: Instance, stamp: Stamp, edge_appeared: SimTime) -> ProbeMsg {
-        let mut path = self.path.clone();
-        path.push(next);
-        let mut stamps = self.stamps.clone();
-        stamps.push(stamp);
+        let mut path = Vec::with_capacity(self.path.len() + 1);
+        path.extend_from_slice(&self.path);
+        path.push((next, stamp));
         ProbeMsg {
             path,
-            stamps,
             formed_at: self.formed_at.max(edge_appeared),
+            chase: self.chase,
         }
     }
 }
 
-/// Applies a [`VictimPolicy`] to a cycle's members. Pure and
-/// rotation-invariant: every site closing the same cycle — whatever hop it
-/// entered at — picks the same victim, so duplicate closes collapse onto
-/// one abort. Shared by the probe path and the centralized detectors so
-/// all three schemes kill identically.
-///
-/// # Panics
-/// Panics if `members` is empty or the lengths differ.
-pub fn choose_victim(policy: VictimPolicy, members: &[Instance], stamps: &[Stamp]) -> Instance {
-    assert_eq!(members.len(), stamps.len(), "one stamp per member");
-    let zipped = members.iter().copied().zip(stamps.iter().copied());
-    match policy {
-        VictimPolicy::Youngest => {
-            zipped
-                .max_by_key(|&(_, s)| (s.started_at, s.birth))
-                .expect("cycle nonempty")
-                .0
-        }
-        VictimPolicy::Oldest => {
-            zipped
-                .min_by_key(|&(_, s)| s.birth)
-                .expect("cycle nonempty")
-                .0
-        }
-    }
+/// Applies a [`VictimPolicy`] to a cycle's members, `None` for an empty
+/// cycle. Pure and rotation-invariant: every site closing the same cycle —
+/// whatever hop it entered at — picks the same victim, so duplicate closes
+/// collapse onto one abort. Shared by the probe path and the centralized
+/// detectors so all three schemes kill identically.
+pub fn choose_victim(policy: VictimPolicy, members: &[(Instance, Stamp)]) -> Option<Instance> {
+    let members = members.iter().copied();
+    let victim = match policy {
+        VictimPolicy::Youngest => members.max_by_key(|&(_, s)| (s.started_at, s.birth)),
+        VictimPolicy::Oldest => members.min_by_key(|&(_, s)| s.birth),
+    };
+    victim.map(|(inst, _)| inst)
+}
+
+/// A live wait-edge `(waiter, holder)` with the tick it appeared.
+type StampedEdge = ((Instance, Instance), SimTime);
+
+/// What a site records about a target under one [`ChaseId`]
+/// ([`SiteProbeState::mark`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mark {
+    /// This site has looked up the target's local wait-edges.
+    Examined,
+    /// This site has sent the target on to the sites of its lock set.
+    Routed,
+}
+
+/// One site's marks for one search: two bits per transaction.
+#[derive(Clone, Debug)]
+struct Marks {
+    chase: ChaseId,
+    bits: Vec<u64>,
 }
 
 /// Per-site probe bookkeeping: the wait-edge sets this site last observed
 /// for its own entities — each edge tagged with the tick it appeared — so
 /// edge *appearances* (the probe triggers) and their timestamps (the
 /// detection-latency anchors) come from local diffing, never from any
-/// global view.
-/// A live wait-edge `(waiter, holder)` with the tick it appeared.
-type StampedEdge = ((Instance, Instance), SimTime);
-
+/// global view; and, per search passing through, which transactions the
+/// site has already examined and already routed.
 #[derive(Clone, Debug, Default)]
 pub struct SiteProbeState {
     known: HashMap<EntityId, Vec<StampedEdge>>,
+    /// Every edge in `known` by its ends: one appearance tick per entity
+    /// inducing it. Kept in step by `observe`, `forget` and `clear`.
+    since: HashMap<(Instance, Instance), Vec<SimTime>>,
+    /// The marks of every search this site has seen whose initiator has
+    /// neither aborted nor committed, filed by the initiator's
+    /// transaction index.
+    chases: Vec<Vec<Marks>>,
+    /// Searches launched since the last [`SiteProbeState::clear`].
+    launched: u32,
 }
 
 impl SiteProbeState {
@@ -174,25 +258,37 @@ impl SiteProbeState {
         now: SimTime,
     ) -> Vec<(Instance, Instance)> {
         let old = self.known.remove(&e).unwrap_or_default();
-        let fresh: Vec<(Instance, Instance)> = edges
-            .iter()
-            .copied()
-            .filter(|edge| !old.iter().any(|&(oe, _)| oe == *edge))
+        for &(edge, at) in &old {
+            if !edges.contains(&edge) {
+                self.unindex(edge, at);
+            }
+        }
+        let mut fresh = Vec::new();
+        let stamped: Vec<StampedEdge> = edges
+            .into_iter()
+            .map(|edge| match old.iter().find(|&&(oe, _)| oe == edge) {
+                Some(&(_, at)) => (edge, at),
+                None => {
+                    fresh.push(edge);
+                    self.since.entry(edge).or_default().push(now);
+                    (edge, now)
+                }
+            })
             .collect();
-        if !edges.is_empty() {
-            let stamped = edges
-                .into_iter()
-                .map(|edge| {
-                    let at = old
-                        .iter()
-                        .find(|&&(oe, _)| oe == edge)
-                        .map_or(now, |&(_, t)| t);
-                    (edge, at)
-                })
-                .collect();
+        if !stamped.is_empty() {
             self.known.insert(e, stamped);
         }
         fresh
+    }
+
+    /// Takes one entity's appearance of `edge` at `at` out of the index.
+    fn unindex(&mut self, edge: (Instance, Instance), at: SimTime) {
+        let ticks = self.since.get_mut(&edge).expect("a known edge is indexed");
+        let i = ticks.iter().position(|&t| t == at).expect("with its tick");
+        ticks.swap_remove(i);
+        if ticks.is_empty() {
+            self.since.remove(&edge);
+        }
     }
 
     /// When the wait-edge `(w, h)` appeared at this site, if it is live:
@@ -200,12 +296,7 @@ impl SiteProbeState {
     /// wait has existed since the first of them). This is the site-local
     /// answer a probe needs to attribute a cycle to its last-formed edge.
     pub fn appeared_at(&self, w: Instance, h: Instance) -> Option<SimTime> {
-        self.known
-            .values()
-            .flatten()
-            .filter(|&&(edge, _)| edge == (w, h))
-            .map(|&(_, t)| t)
-            .min()
+        self.since.get(&(w, h))?.iter().copied().min()
     }
 
     /// Forgets the recorded edge set for `e` alone, so the next
@@ -216,20 +307,71 @@ impl SiteProbeState {
     /// launched may have been lost on the wire, so the edge must be
     /// re-chased (see ARCHITECTURE.md §7).
     pub fn forget(&mut self, e: EntityId) {
-        self.known.remove(&e);
+        for (edge, at) in self.known.remove(&e).unwrap_or_default() {
+            self.unindex(edge, at);
+        }
+    }
+
+    /// The number of the next search this site launches, counted from 0
+    /// since the last [`SiteProbeState::clear`]; with the site and its
+    /// boot epoch, a [`ChaseId`] no other search ever carries.
+    pub fn next_seq(&mut self) -> u32 {
+        let seq = self.launched;
+        self.launched += 1;
+        seq
+    }
+
+    /// Records `mark` for `target` under `chase`, a search for cycles
+    /// through `initiator`. Returns whether the mark is new — `false`
+    /// tells the caller this site has done that work for this search
+    /// before and the probe in hand is a duplicate to drop.
+    pub fn mark(&mut self, chase: ChaseId, initiator: TxnId, target: TxnId, mark: Mark) -> bool {
+        if self.chases.len() <= initiator.idx() {
+            self.chases.resize_with(initiator.idx() + 1, Vec::new);
+        }
+        let live = &mut self.chases[initiator.idx()];
+        // The newest search is the likeliest to be asked about.
+        let at = live.iter().rposition(|m| m.chase == chase);
+        let at = at.unwrap_or_else(|| {
+            live.push(Marks {
+                chase,
+                bits: Vec::new(),
+            });
+            live.len() - 1
+        });
+        let bits = &mut live[at].bits;
+        let bit = 2 * target.idx() + usize::from(mark == Mark::Routed);
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        if bits.len() <= word {
+            bits.resize(word + 1, 0);
+        }
+        let new = bits[word] & mask == 0;
+        bits[word] |= mask;
+        new
+    }
+
+    /// Drops the marks of every search through `initiator`: its instance
+    /// aborted or committed, so whatever of those searches is still on the
+    /// wire is dropped on arrival and will never ask.
+    pub fn end_chases_of(&mut self, initiator: TxnId) {
+        if let Some(live) = self.chases.get_mut(initiator.idx()) {
+            live.clear();
+        }
     }
 
     /// Forgets everything (a fresh run — or a site crash wiping the
     /// site's volatile state alongside its lock table).
     pub fn clear(&mut self) {
         self.known.clear();
+        self.since.clear();
+        self.chases.clear();
+        self.launched = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kplock_model::TxnId;
 
     fn inst(t: u32) -> Instance {
         Instance {
@@ -245,12 +387,21 @@ mod tests {
         }
     }
 
+    fn chase(seq: u32) -> ChaseId {
+        ChaseId {
+            origin: SiteId(0),
+            boot: 0,
+            seq,
+            generation: 0,
+        }
+    }
+
     #[test]
     fn probe_accessors_and_extension() {
         let p = ProbeMsg {
-            path: vec![inst(0), inst(1)],
-            stamps: vec![stamp(0, 0), stamp(5, 1)],
+            path: vec![(inst(0), stamp(0, 0)), (inst(1), stamp(5, 1))],
             formed_at: 42,
+            chase: chase(7),
         };
         assert_eq!(p.initiator(), inst(0));
         assert_eq!(p.target(), inst(1));
@@ -259,7 +410,8 @@ mod tests {
         assert_eq!(q.target(), inst(2));
         assert_eq!(q.initiator(), inst(0));
         assert_eq!(q.formed_at, 42);
-        assert_eq!(q.stamps.len(), 3);
+        assert_eq!(q.path.len(), 3);
+        assert_eq!(q.chase, p.chase);
         // …and a *younger* edge advances it: the cycle cannot predate its
         // last-formed edge.
         let r = p.extend(inst(2), stamp(9, 2), 55);
@@ -270,18 +422,20 @@ mod tests {
 
     #[test]
     fn victim_choice_is_rotation_invariant() {
-        let members = [inst(0), inst(1), inst(2)];
-        let stamps = [stamp(10, 0), stamp(30, 1), stamp(20, 2)];
-        let rotate = |k: usize| {
-            let m: Vec<_> = (0..3).map(|i| members[(i + k) % 3]).collect();
-            let s: Vec<_> = (0..3).map(|i| stamps[(i + k) % 3]).collect();
-            (m, s)
-        };
+        let members = [
+            (inst(0), stamp(10, 0)),
+            (inst(1), stamp(30, 1)),
+            (inst(2), stamp(20, 2)),
+        ];
         for k in 0..3 {
-            let (m, s) = rotate(k);
-            assert_eq!(choose_victim(VictimPolicy::Youngest, &m, &s), inst(1));
-            assert_eq!(choose_victim(VictimPolicy::Oldest, &m, &s), inst(0));
+            let mut m = members;
+            m.rotate_left(k);
+            assert_eq!(choose_victim(VictimPolicy::Youngest, &m), Some(inst(1)));
+            assert_eq!(choose_victim(VictimPolicy::Oldest, &m), Some(inst(0)));
         }
+        // No members, no victim — and no panic.
+        assert_eq!(choose_victim(VictimPolicy::Youngest, &[]), None);
+        assert_eq!(choose_victim(VictimPolicy::Oldest, &[]), None);
     }
 
     #[test]
@@ -290,25 +444,57 @@ mod tests {
         // *after* instance 1. Oldest kills by birth (the longest-running
         // transaction), Youngest by the latest restart — so they disagree
         // exactly when a victim has been restarted.
-        let members = [inst(0), inst(1)];
-        let stamps = [
-            Stamp {
-                started_at: 100,
-                birth: (5, 0),
-            },
-            Stamp {
-                started_at: 50,
-                birth: (0, 1),
-            },
-        ];
+        let restarted = Stamp {
+            started_at: 100,
+            birth: (5, 0),
+        };
+        let elder = Stamp {
+            started_at: 50,
+            birth: (0, 1),
+        };
+        let members = [(inst(0), restarted), (inst(1), elder)];
+        assert_eq!(choose_victim(VictimPolicy::Oldest, &members), Some(inst(1)));
         assert_eq!(
-            choose_victim(VictimPolicy::Oldest, &members, &stamps),
-            inst(1)
+            choose_victim(VictimPolicy::Youngest, &members),
+            Some(inst(0))
         );
-        assert_eq!(
-            choose_victim(VictimPolicy::Youngest, &members, &stamps),
-            inst(0)
-        );
+    }
+
+    #[test]
+    fn a_mark_is_new_once_per_search_target_and_kind() {
+        let mut st = SiteProbeState::new();
+        let (w, t) = (TxnId(3), TxnId(70)); // a target past the first word
+        assert!(st.mark(chase(0), w, t, Mark::Examined));
+        assert!(!st.mark(chase(0), w, t, Mark::Examined));
+        // Routing is its own mark, another target its own bit…
+        assert!(st.mark(chase(0), w, t, Mark::Routed));
+        assert!(!st.mark(chase(0), w, t, Mark::Routed));
+        assert!(st.mark(chase(0), w, TxnId(0), Mark::Examined));
+        // …and another search, or the same one a generation on, starts
+        // with none.
+        assert!(st.mark(chase(1), w, t, Mark::Examined));
+        assert!(st.mark(chase(0).next_generation(), w, t, Mark::Examined));
+        assert!(!st.mark(chase(0), w, t, Mark::Examined));
+    }
+
+    #[test]
+    fn marks_end_with_their_initiator_and_ids_restart_only_on_clear() {
+        let mut st = SiteProbeState::new();
+        assert_eq!((st.next_seq(), st.next_seq()), (0, 1));
+        st.mark(chase(0), TxnId(1), TxnId(2), Mark::Examined);
+        st.mark(chase(1), TxnId(4), TxnId(2), Mark::Examined);
+        // The initiator moved on: its searches are forgotten, others' kept
+        // (a transaction nothing was ever filed under is fine too).
+        st.end_chases_of(TxnId(1));
+        st.end_chases_of(TxnId(9));
+        assert!(st.mark(chase(0), TxnId(1), TxnId(2), Mark::Examined));
+        assert!(!st.mark(chase(1), TxnId(4), TxnId(2), Mark::Examined));
+        assert_eq!(st.next_seq(), 2);
+        // A crash wipes marks and counter alike; the engine's boot epoch
+        // is what keeps the next life's ids apart.
+        st.clear();
+        assert!(st.mark(chase(1), TxnId(4), TxnId(2), Mark::Examined));
+        assert_eq!(st.next_seq(), 0);
     }
 
     #[test]

@@ -501,6 +501,10 @@ fn fixed_seed_detector_fault_and_lease_paths_are_pinned() {
                 .map(|e| u64::from(e.expect("done"))),
         );
         assert_eq!(got, pin, "arm {i}");
+        // What the chases cost, from the run's own counters: messages per
+        // initiation and closes per executed abort are ratios of these.
+        let chases = [m.probe_initiations, m.probe_closes];
+        assert_eq!(chases, PIN_CHASES[i], "arm {i}");
     }
 }
 
@@ -829,14 +833,22 @@ const PIN_DELEG_TRAFFIC: [[u64; 2]; 4] = [
 // lock_requests, lock_traffic, messages_dropped, messages_duplicated,
 // leases_expired, recoveries, cache_hits, revocations, then the four
 // commit epochs.
+// The two probe rows are PR 23's: a chase is a marked search with
+// re-chases since then, finds another cycle first and kills another victim.
 #[rustfmt::skip]
 const PIN_REWIRED: [[u64; 20]; 5] = [
     [4, 3, 132, 860, 3, 515, 0, 1, 26, 82, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2],
-    [4, 3, 208, 787, 3, 497, 66, 51, 27, 84, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2],
-    [4, 3, 438, 4773, 3, 1436, 207, 25, 71, 150, 73, 33, 0, 0, 0, 0, 0, 0, 2, 1],
+    [4, 2, 205, 1198, 2, 472, 69, 35, 24, 80, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],
+    [4, 4, 428, 3825, 4, 1635, 200, 58, 72, 149, 72, 32, 0, 0, 0, 0, 0, 0, 3, 1],
     [4, 10, 261, 3752, 0, 1705, 0, 0, 86, 178, 48, 21, 0, 0, 0, 0, 0, 0, 1, 9],
     [4, 4, 231, 2406, 2, 892, 0, 32, 55, 143, 20, 0, 2, 1, 15, 10, 1, 0, 2, 1],
 ];
+
+// Chase-cost pins (PR 23), the same five arms: probe_initiations and
+// probe_closes, beside the probe_messages above. Arm 1 sends 69 messages
+// for 21 searches (3.3 each) and its coordinators receive 4 orders for the
+// 2 aborts they execute; nothing but a probe arm counts anything.
+const PIN_CHASES: [[u64; 2]; 5] = [[0; 2], [21, 4], [79, 8], [0; 2], [0; 2]];
 
 // Long-transaction and open-loop pins (PR 16; literals from a run of the
 // PR 15 engine), one row per run — flat scan, hier16 scan, 64 arrivals
@@ -861,6 +873,9 @@ const PIN_LONG: [([u64; 4], &[u32]); 4] = [
 // Table pins (PR 20; literals printed by the PR 18 `experiments` binary,
 // which this PR deletes, with each row's integer sums printed beside its
 // per-run averages).
+// Every probe row of §§5, 6, 7 and 11 but §6's latency-40 one and §11's
+// aligned family was re-pinned by PR 23 (the marked search); no other row
+// moved.
 
 // §13: [messages, makespan] of the 10⁵-record scan as [clean, lossy], and
 // §14: [cache_hits, revocations, aborts] with delegation on, in
@@ -880,9 +895,9 @@ const PIN_DELEG_CACHE: [[u64; 3]; 4] = [
 #[rustfmt::skip]
 const PIN_DETECTION_BY_SITES: [[[u64; 4]; 3]; 4] = [
     [[0, 8160, 0, 0], [0, 8160, 0, 0], [0, 8160, 0, 0]],
-    [[120, 8220, 0, 1800], [120, 8100, 0, 0], [120, 9360, 840, 3000]],
-    [[240, 10082, 0, 8400], [240, 9780, 0, 0], [240, 15074, 4574, 4800]],
-    [[0, 8160, 0, 0], [0, 8160, 0, 0], [0, 13740, 5580, 0]],
+    [[120, 8220, 0, 1800], [120, 8100, 0, 0], [120, 9540, 1020, 3000]],
+    [[240, 10082, 0, 8400], [240, 9780, 0, 0], [240, 16392, 5892, 4800]],
+    [[0, 8160, 0, 0], [0, 8160, 0, 0], [0, 13620, 5460, 0]],
 ];
 
 // §6: per site count (1, 2, 3, 6) and arm (periodic, probe, wound-wait,
@@ -891,9 +906,9 @@ const PIN_DETECTION_BY_SITES: [[[u64; 4]; 3]; 4] = [
 #[rustfmt::skip]
 const PIN_RESOLUTION_BY_SITES: [[[u64; 4]; 5]; 4] = [
     [[440, 0, 0, 87600], [440, 0, 0, 78000], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
-    [[440, 0, 0, 87600], [440, 0, 2019, 83200], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
-    [[440, 0, 0, 87600], [440, 0, 3872, 84400], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
-    [[440, 0, 0, 87600], [440, 0, 10095, 84800], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
+    [[440, 0, 0, 87600], [440, 0, 2105, 83200], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
+    [[440, 0, 0, 87600], [440, 0, 4002, 84400], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
+    [[440, 0, 0, 87600], [440, 0, 10865, 84800], [0, 248, 0, 47280], [0, 1500, 0, 66681], [0, 1911, 0, 68678]],
 ];
 #[rustfmt::skip]
 const PIN_RESOLUTION_LATENCY_40: [[u64; 4]; 5] = [
@@ -905,9 +920,9 @@ const PIN_RESOLUTION_LATENCY_40: [[u64; 4]; 5] = [
 // ticks, prevention restarts, makespan.
 #[rustfmt::skip]
 const PIN_FAULT_COST: [[[u64; 6]; 2]; 3] = [
-    [[0, 10440, 330, 8100, 0, 63300], [0, 5220, 0, 0, 210, 35700]],
-    [[1699, 16341, 295, 6395, 0, 118247], [784, 7268, 0, 0, 211, 77396]],
-    [[9187, 30607, 298, 6346, 0, 391724], [3623, 11906, 0, 0, 232, 247530]],
+    [[0, 10560, 330, 8100, 0, 63300], [0, 5220, 0, 0, 210, 35700]],
+    [[1737, 16877, 302, 6510, 0, 115764], [784, 7268, 0, 0, 211, 77396]],
+    [[8995, 30024, 294, 6332, 0, 373610], [3623, 11906, 0, 0, 232, 247530]],
 ];
 
 // §11: per family (aligned 4/4, mixed 2/4, rotated 1/4) and arm (periodic,
@@ -916,6 +931,6 @@ const PIN_FAULT_COST: [[[u64; 6]; 2]; 3] = [
 #[rustfmt::skip]
 const PIN_THREE_WAY: [[[u64; 5]; 4]; 3] = [
     [[0, 0, 144, 0, 540], [0, 0, 156, 12, 540], [0, 0, 144, 0, 540], [0, 0, 144, 0, 540]],
-    [[7, 0, 213, 0, 945], [7, 0, 276, 56, 910], [0, 5, 166, 0, 580], [0, 5, 166, 0, 580]],
-    [[11, 0, 241, 0, 1145], [11, 0, 352, 100, 1055], [0, 6, 170, 0, 590], [0, 6, 170, 0, 590]],
+    [[7, 0, 213, 0, 945], [7, 0, 280, 60, 910], [0, 5, 166, 0, 580], [0, 5, 166, 0, 580]],
+    [[11, 0, 241, 0, 1145], [11, 0, 358, 106, 1055], [0, 6, 170, 0, 590], [0, 6, 170, 0, 590]],
 ];
