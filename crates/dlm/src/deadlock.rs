@@ -17,8 +17,7 @@
 //! than reimplementing graph walks here.
 
 use kplock_graph::DiGraph;
-use kplock_model::EntityId;
-use std::collections::HashMap;
+use kplock_model::{EntityId, IdMap};
 use std::hash::Hash;
 
 /// A wait-for graph over owners, maintained incrementally per entity.
@@ -29,13 +28,13 @@ use std::hash::Hash;
 /// the entity whose lock state just changed.
 #[derive(Clone, Debug)]
 pub struct WaitForGraph<O> {
-    per_entity: HashMap<EntityId, Vec<(O, O)>>,
+    per_entity: IdMap<EntityId, Vec<(O, O)>>,
 }
 
 impl<O> Default for WaitForGraph<O> {
     fn default() -> Self {
         WaitForGraph {
-            per_entity: HashMap::new(),
+            per_entity: IdMap::default(),
         }
     }
 }
@@ -89,7 +88,7 @@ impl<O: Copy + Eq + Ord + Hash> WaitForGraph<O> {
         let mut owners: Vec<O> = edges.iter().flat_map(|&(w, h)| [w, h]).collect();
         owners.sort();
         owners.dedup();
-        let index: HashMap<O, usize> = owners.iter().enumerate().map(|(i, &o)| (o, i)).collect();
+        let index: IdMap<O, usize> = owners.iter().enumerate().map(|(i, &o)| (o, i)).collect();
         let mut g = DiGraph::new(owners.len());
         for &(w, h) in &edges {
             if w != h {

@@ -18,8 +18,7 @@
 //! Policy (what to do with an expired holder) stays with the caller,
 //! exactly like [`crate::prevent`] keeps wound delivery with the caller.
 
-use kplock_model::{EntityId, LockMode};
-use std::collections::HashMap;
+use kplock_model::{EntityId, IdMap, LockMode};
 use std::hash::Hash;
 
 /// A lock lease: granted at a tick, valid for `ttl` ticks past the last
@@ -62,13 +61,13 @@ impl Lease {
 /// (lost) lock table.
 #[derive(Clone, Debug)]
 pub struct LeaseTable<O> {
-    grants: HashMap<(O, EntityId), (LockMode, Lease)>,
+    grants: IdMap<(O, EntityId), (LockMode, Lease)>,
 }
 
 impl<O> Default for LeaseTable<O> {
     fn default() -> Self {
         LeaseTable {
-            grants: HashMap::new(),
+            grants: IdMap::default(),
         }
     }
 }
@@ -171,13 +170,13 @@ pub struct DelegationEntry {
 /// drain is the caller's policy.
 #[derive(Clone, Debug)]
 pub struct DelegationLedger<O> {
-    entries: HashMap<(O, EntityId), DelegationEntry>,
+    entries: IdMap<(O, EntityId), DelegationEntry>,
 }
 
 impl<O> Default for DelegationLedger<O> {
     fn default() -> Self {
         DelegationLedger {
-            entries: HashMap::new(),
+            entries: IdMap::default(),
         }
     }
 }

@@ -35,8 +35,7 @@ use crate::admission;
 use crate::error::LockError;
 use crate::prevent::{PreventionOutcome, PreventionScheme, Priority};
 use crate::table::{Acquire, CancelOutcome, EntityGrants, Grants};
-use kplock_model::{EntityId, LockMode};
-use std::collections::HashMap;
+use kplock_model::{EntityId, IdMap, LockMode};
 use std::hash::Hash;
 
 /// Sentinel "null" slot id for intrusive links.
@@ -131,14 +130,14 @@ pub struct QueueTable<O> {
     /// Head of the node free list (`NIL` when empty).
     free: u32,
     /// Entity → estate slot.
-    slots: HashMap<EntityId, u32>,
+    slots: IdMap<EntityId, u32>,
     /// Entity-state arena.
     estates: Vec<EState>,
     /// Recycled estate slots.
     efree: Vec<u32>,
     /// Per-owner reverse index: held entities, ascending. An entry that
     /// empties is removed, so the map holds live owners only.
-    owned: HashMap<O, Vec<EntityId>>,
+    owned: IdMap<O, Vec<EntityId>>,
     /// Buffers of removed `owned` entries, handed to the next new owner:
     /// owner churn recycles them instead of freeing and reallocating.
     spare: Vec<Vec<EntityId>>,
@@ -154,10 +153,10 @@ impl<O> Default for QueueTable<O> {
         QueueTable {
             nodes: Vec::new(),
             free: NIL,
-            slots: HashMap::new(),
+            slots: IdMap::default(),
             estates: Vec::new(),
             efree: Vec::new(),
-            owned: HashMap::new(),
+            owned: IdMap::default(),
             spare: Vec::new(),
             contended: Vec::new(),
             scratch: Vec::new(),
@@ -722,6 +721,13 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
         for w in self.owners(st.queue).chain(self.owners(st.upgrades)) {
             out.extend(self.owners(st.holders).filter(|&h| h != w).map(|h| (w, h)));
         }
+    }
+
+    /// True when any request is queued or upgrade-pending at `e` —
+    /// `!entity_waits_for(e).is_empty()` without building the edge list
+    /// (a waiter always waits on a holder other than itself).
+    pub fn has_waiters(&self, e: EntityId) -> bool {
+        self.state(e).is_some_and(|st| st.has_waiters())
     }
 
     /// The waits-for edges `(waiter, holder)` induced by `e` alone,

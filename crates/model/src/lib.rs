@@ -47,7 +47,7 @@ pub use entity::Database;
 pub use error::ModelError;
 pub use extensions::{count_linear_extensions, linear_extensions, LinearExtensions};
 pub use hierarchy::{child_mode_under, plan_parent, ChildLocks, Granularity, ParentPlan};
-pub use ids::{EntityId, SiteId, StepId, TxnId};
+pub use ids::{EntityId, IdHasher, IdMap, IdSet, SiteId, StepId, TxnId};
 pub use projection::{projection_respects_site_orders, schedule_at_site, txn_site_order};
 pub use schedule::{Schedule, ScheduledStep};
 pub use serializability::{equivalent_serial_order, is_serializable, serialization_graph};

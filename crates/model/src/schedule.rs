@@ -2,9 +2,8 @@
 
 use crate::action::{ActionKind, LockMode};
 use crate::error::ModelError;
-use crate::ids::{StepId, TxnId};
+use crate::ids::{EntityId, IdMap, StepId, TxnId};
 use crate::system::TxnSystem;
-use std::collections::HashMap;
 
 /// One scheduled step: which transaction executed which of its steps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,7 +72,7 @@ impl Schedule {
     pub fn validate_prefix(&self, sys: &TxnSystem) -> Result<(), ModelError> {
         let mut done: Vec<Vec<bool>> = sys.txns().iter().map(|t| vec![false; t.len()]).collect();
         // Lock ownership: entity -> current holders with modes.
-        let mut lock_held: HashMap<crate::ids::EntityId, Vec<(TxnId, LockMode)>> = HashMap::new();
+        let mut lock_held: IdMap<EntityId, Vec<(TxnId, LockMode)>> = IdMap::default();
 
         for (i, ss) in self.steps.iter().enumerate() {
             let t = ss.txn.idx();

@@ -12,11 +12,10 @@
 //! figure-style transactions whose update steps are elided.
 
 use crate::action::ActionKind;
-use crate::ids::{EntityId, TxnId};
+use crate::ids::{EntityId, IdMap, TxnId};
 use crate::schedule::Schedule;
 use crate::system::TxnSystem;
 use kplock_graph::DiGraph;
-use std::collections::HashMap;
 
 /// Builds the serialization graph of a (complete, legal) schedule: one node
 /// per transaction, an edge `Ti -> Tj` iff some access of an entity by `Ti`
@@ -47,7 +46,7 @@ use std::collections::HashMap;
 /// entity), the same edge set as comparing every pair of accesses.
 pub fn serialization_graph(sys: &TxnSystem, schedule: &Schedule) -> DiGraph {
     let mut g = DiGraph::new(sys.len());
-    let mut seen: HashMap<EntityId, Vec<(TxnId, u8)>> = HashMap::new();
+    let mut seen: IdMap<EntityId, Vec<(TxnId, u8)>> = IdMap::default();
     let mut access = |entity: EntityId, b: TxnId, is_write: bool, is_direct: bool| {
         let txns = seen.entry(entity).or_default();
         let conflicting = conflicting_kinds(is_write, is_direct);
@@ -121,6 +120,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     fn two_txn_sys(scripts: [&str; 2], spec: &[(&str, usize)]) -> TxnSystem {
         let db = Database::from_spec(spec);

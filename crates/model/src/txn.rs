@@ -3,9 +3,8 @@
 use crate::action::{ActionKind, Step};
 use crate::entity::Database;
 use crate::error::ModelError;
-use crate::ids::{EntityId, SiteId, StepId};
+use crate::ids::{EntityId, IdMap, SiteId, StepId};
 use kplock_graph::{Closure, DiGraph};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// A (locked) transaction: the paper's triple `T = (S, A, e)`.
@@ -27,8 +26,8 @@ pub struct Transaction {
     /// Row `s` = steps reachable from `s` (including `s` itself).
     closure: OnceLock<Closure>,
     /// Lock/unlock step per entity (validated unique).
-    lock_of: HashMap<EntityId, StepId>,
-    unlock_of: HashMap<EntityId, StepId>,
+    lock_of: IdMap<EntityId, StepId>,
+    unlock_of: IdMap<EntityId, StepId>,
     /// Every update step, sorted by (entity, step): `update_steps(e)` is
     /// one contiguous run.
     updates: Vec<(EntityId, StepId)>,
@@ -64,8 +63,8 @@ impl Transaction {
             let c = kplock_graph::find_cycle(&graph).expect("cycle exists");
             return Err(ModelError::CyclicPrecedence(StepId::from_idx(c[0])));
         }
-        let mut lock_of = HashMap::new();
-        let mut unlock_of = HashMap::new();
+        let mut lock_of = IdMap::default();
+        let mut unlock_of = IdMap::default();
         let update_count = steps
             .iter()
             .filter(|s| s.kind == ActionKind::Update)

@@ -45,10 +45,11 @@ use kplock_dlm::{
     QueueTable, WaitForGraph,
 };
 use kplock_graph::DiGraph;
-use kplock_model::{ActionKind, EntityId, LockMode, SiteId, StepId, TxnId, TxnSystem};
+use kplock_model::{
+    ActionKind, EntityId, IdMap, IdSet, LockMode, SiteId, StepId, TxnId, TxnSystem,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
 
 /// How a run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,13 +120,13 @@ struct Coordinator {
     /// The delegated-grant cache (delegation only): the coordinator half
     /// of decoupled ownership. Keyed by entity — one cached grant per
     /// entity.
-    cache: HashMap<EntityId, CacheEntry>,
+    cache: IdMap<EntityId, CacheEntry>,
     /// Revocations that overtook their delegated grant ack on the wire
     /// (the revoke can draw a shorter latency than the earlier-sent
     /// grant): remembered here and applied when the ack lands — the entry
     /// is born `revoke_pending` and drains at the local unlock. Keyed by
     /// entity, valued by the revoked instance.
-    deferred_revokes: HashMap<EntityId, Instance>,
+    deferred_revokes: IdMap<EntityId, Instance>,
 }
 
 /// The admission priority of instance `o` ([`admission_priority`] of its
@@ -180,7 +181,7 @@ struct Site {
     /// and removed at its grant or its instance's abort. Not wiped by a
     /// crash: a waiter that re-requests after recovery keeps its wait
     /// clock.
-    queued: HashMap<(Instance, EntityId), Queued>,
+    queued: IdMap<(Instance, EntityId), Queued>,
     /// Probe bookkeeping ([`DeadlockDetection::Probe`] only): the
     /// wait-edges of this site's own entities, to spot new ones.
     probe: SiteProbeState,
@@ -203,9 +204,10 @@ struct Site {
     delegations: DelegationLedger<Instance>,
 }
 
-/// What no site and no coordinator owns: the scheduler, the two RNGs and
-/// the wire ([`Engine::transmit`]), OnBlock's global graph, and the
-/// run's history and counters.
+/// What no site and no coordinator owns: the scheduler (a calendar of
+/// per-tick FIFO buckets, [`EventQueue`]), the two RNGs and the wire
+/// ([`Engine::transmit`]), OnBlock's global graph, and the run's history
+/// and counters.
 struct Engine<'a> {
     sys: &'a TxnSystem,
     cfg: &'a SimConfig,
@@ -229,6 +231,9 @@ struct Engine<'a> {
     /// Scratch of [`find_wait_cycle`]: one entry per transaction, all
     /// [`UNSEEN`] between calls.
     scan_slot: Vec<usize>,
+    /// Scratch for the steps a [`Progress::start`] or [`Progress::ack`]
+    /// makes ready: empty between events, its buffer kept.
+    ready: Vec<usize>,
     /// Whether leases are being tracked (the plan has crashes).
     track_leases: bool,
     /// Whether delegated lock ownership is on ([`Delegation::On`]).
@@ -238,7 +243,7 @@ struct Engine<'a> {
     /// Steps already recorded in the history, so a duplicated or
     /// retransmitted request re-acknowledges without re-recording.
     /// Consulted only on fault-injected runs.
-    recorded: HashSet<(Instance, StepId)>,
+    recorded: IdSet<(Instance, StepId)>,
     history: History,
     metrics: Metrics,
     audit: TableAudit,
@@ -409,8 +414,8 @@ fn run_observed<'a>(
                     started_at: arrivals[i],
                     birth: (arrivals[i], i),
                     lock_sites,
-                    cache: HashMap::new(),
-                    deferred_revokes: HashMap::new(),
+                    cache: IdMap::default(),
+                    deferred_revokes: IdMap::default(),
                 }
             })
             .collect(),
@@ -418,9 +423,10 @@ fn run_observed<'a>(
         wfg: WaitForGraph::new(),
         wfg_dirty: false,
         scan_slot: vec![UNSEEN; sys.len()],
+        ready: Vec::new(),
         track_leases: !cfg.faults.crashes.is_empty(),
         delegation: cfg.delegation == Delegation::On,
-        recorded: HashSet::new(),
+        recorded: IdSet::default(),
         history: History::default(),
         metrics: Metrics {
             avoid_certified: cfg.avoid_plan().map_or(0, |p| p.certified_count()),
@@ -635,9 +641,9 @@ impl Engine<'_> {
         if c.progress.finished() && !c.committed {
             return self.commit(txn);
         }
-        for v in c.progress.start() {
-            self.send_step(txn, v);
-        }
+        let mut ready = std::mem::take(&mut self.ready);
+        c.progress.start(&mut ready);
+        self.send_steps(txn, ready);
         if self.cfg.faults.retransmit_after > 0 {
             self.queue.push(
                 self.now + self.cfg.faults.retransmit_after,
@@ -658,6 +664,15 @@ impl Engine<'_> {
                 site.probe.end_chases_of(txn);
             }
         }
+    }
+
+    /// Sends the steps of `txn` that [`Progress`] just made ready, in the
+    /// order given, and hands the emptied buffer back to [`Engine::ready`].
+    fn send_steps(&mut self, txn: TxnId, mut ready: Vec<usize>) {
+        for v in ready.drain(..) {
+            self.send_step(txn, v);
+        }
+        self.ready = ready;
     }
 
     /// Sends (or re-sends — retransmission and recovery re-delivery both
@@ -1007,7 +1022,7 @@ impl Engine<'_> {
             return None;
         }
         let s = &mut self.sites[site.idx()];
-        if !s.table.entity_waits_for(entity).is_empty() || s.delegations.is_revoking(inst, entity) {
+        if s.table.has_waiters(entity) || s.delegations.is_revoking(inst, entity) {
             // Contested, or a revocation is still draining: granting
             // plainly keeps exactly one authority over the hold.
             return None;
@@ -1364,13 +1379,13 @@ impl Engine<'_> {
             }
         }
         let progress = &mut self.coords[txn.idx()].progress;
-        let ready = progress.ack(self.sys.txn(txn), step.idx());
+        let mut ready = std::mem::take(&mut self.ready);
+        progress.ack(self.sys.txn(txn), step.idx(), &mut ready);
         if progress.finished() {
+            self.ready = ready; // empty: the last step has no successor
             return self.commit(txn);
         }
-        for v in ready {
-            self.send_step(txn, v);
-        }
+        self.send_steps(txn, ready);
     }
 
     /// Maintains the delegated cache from a fresh (non-duplicate,
@@ -1699,7 +1714,7 @@ impl Engine<'_> {
                 && !s.down
                 && !entry.revoke_pending
                 && !s.delegations.is_revoking(old, e)
-                && s.table.entity_waits_for(e).is_empty()
+                && !s.table.has_waiters(e)
                 && s.table.holds(e, old).is_some();
             if !retain {
                 cache.remove(&e);

@@ -91,8 +91,7 @@
 
 use crate::config::VictimPolicy;
 use crate::event::{Instance, SimTime};
-use kplock_model::{EntityId, SiteId, TxnId};
-use std::collections::HashMap;
+use kplock_model::{EntityId, IdMap, SiteId, TxnId};
 
 /// Timing facts about one instance, piggybacked on probes the way real
 /// edge-chasing protocols carry priorities, so the cycle-closing site can
@@ -227,10 +226,10 @@ struct Marks {
 /// site has already examined and already routed.
 #[derive(Clone, Debug, Default)]
 pub struct SiteProbeState {
-    known: HashMap<EntityId, Vec<StampedEdge>>,
+    known: IdMap<EntityId, Vec<StampedEdge>>,
     /// Every edge in `known` by its ends: one appearance tick per entity
     /// inducing it. Kept in step by `observe`, `forget` and `clear`.
-    since: HashMap<(Instance, Instance), Vec<SimTime>>,
+    since: IdMap<(Instance, Instance), Vec<SimTime>>,
     /// The marks of every search this site has seen whose initiator has
     /// neither aborted nor committed, filed by the initiator's
     /// transaction index.

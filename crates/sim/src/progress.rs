@@ -42,30 +42,31 @@ impl Progress {
         self.left = t.len();
     }
 
-    /// Marks issued and returns, in ascending order, every unissued step
-    /// with no unacknowledged predecessor — the sources of a new epoch.
-    /// The one O(steps) pass of an epoch.
-    pub(crate) fn start(&mut self) -> Vec<usize> {
-        let ready: Vec<usize> = (0..self.done.len())
-            .filter(|&v| !self.issued[v] && self.waiting_on[v] == 0)
-            .collect();
-        for &v in &ready {
-            self.issued[v] = true;
+    /// Marks issued and appends to `ready`, in ascending order, every
+    /// unissued step with no unacknowledged predecessor — the sources of a
+    /// new epoch. The one O(steps) pass of an epoch.
+    pub(crate) fn start(&mut self, ready: &mut Vec<usize>) {
+        for v in 0..self.done.len() {
+            if !self.issued[v] && self.waiting_on[v] == 0 {
+                self.issued[v] = true;
+                ready.push(v);
+            }
         }
-        ready
     }
 
-    /// Acknowledges `step` and marks issued and returns, in ascending
-    /// order, the successors it was the last unacknowledged predecessor
-    /// of. A duplicate acknowledgement changes nothing and returns
-    /// nothing. The order is part of the contract: the engine sends in it,
-    /// and each send draws from the latency RNG.
-    pub(crate) fn ack(&mut self, t: &Transaction, step: usize) -> Vec<usize> {
+    /// Acknowledges `step` and marks issued and appends to `ready`, in
+    /// ascending order, the successors it was the last unacknowledged
+    /// predecessor of. A duplicate acknowledgement changes nothing and
+    /// appends nothing. The order is part of the contract: the engine
+    /// sends in it, and each send draws from the latency RNG. The buffer
+    /// is the caller's, so a chain-shaped transaction's step costs no
+    /// allocation; what it held on entry is left as it was.
+    pub(crate) fn ack(&mut self, t: &Transaction, step: usize, ready: &mut Vec<usize>) {
         if std::mem::replace(&mut self.done[step], true) {
-            return Vec::new();
+            return;
         }
         self.left -= 1;
-        let mut ready = Vec::new();
+        let from = ready.len();
         for &s in t.edge_graph().successors(step) {
             self.waiting_on[s] -= 1;
             if self.waiting_on[s] == 0 {
@@ -73,8 +74,7 @@ impl Progress {
                 ready.push(s);
             }
         }
-        ready.sort_unstable();
-        ready
+        ready[from..].sort_unstable();
     }
 
     /// True once `step` is acknowledged in this epoch.
@@ -193,6 +193,23 @@ mod tests {
         Transaction::new("T", steps, edges).expect("forward edges are acyclic")
     }
 
+    /// What `start` appends, behind a sentinel it must leave alone.
+    fn start(p: &mut Progress) -> Vec<usize> {
+        let mut ready = vec![usize::MAX];
+        p.start(&mut ready);
+        assert_eq!(ready[0], usize::MAX);
+        ready.split_off(1)
+    }
+
+    /// What `ack` appends, behind a sentinel it must leave alone (and must
+    /// not sort into its own steps).
+    fn ack(p: &mut Progress, t: &Transaction, step: usize) -> Vec<usize> {
+        let mut ready = vec![usize::MAX];
+        p.ack(t, step, &mut ready);
+        assert_eq!(ready[0], usize::MAX);
+        ready.split_off(1)
+    }
+
     fn assert_in_step(p: &Progress, scan: &Scan, t: &Transaction) {
         assert_eq!(p.left, scan.done.iter().filter(|&&d| !d).count());
         assert_eq!(p.finished(), scan.done.iter().all(|&d| d));
@@ -216,7 +233,7 @@ mod tests {
             let t = dag(shape, n, &mut rng);
             let mut p = Progress::new(&t);
             let mut scan = Scan::new(n);
-            prop_assert_eq!(p.start(), scan.issue_ready(&t));
+            prop_assert_eq!(start(&mut p), scan.issue_ready(&t));
             assert_in_step(&p, &scan, &t);
             let mut resets = 0;
             while !p.finished() {
@@ -228,17 +245,17 @@ mod tests {
                         resets += 1;
                         p.reset(&t);
                         scan = Scan::new(n);
-                        prop_assert_eq!(p.start(), scan.issue_ready(&t));
+                        prop_assert_eq!(start(&mut p), scan.issue_ready(&t));
                     }
                     1 if !acked.is_empty() => {
                         let v = acked[rng.gen_range(0..acked.len())];
-                        prop_assert_eq!(p.ack(&t, v), Vec::<usize>::new());
+                        prop_assert_eq!(ack(&mut p, &t, v), Vec::<usize>::new());
                     }
-                    2 => prop_assert_eq!(p.start(), Vec::<usize>::new()),
+                    2 => prop_assert_eq!(start(&mut p), Vec::<usize>::new()),
                     _ => {
                         let v = in_flight[rng.gen_range(0..in_flight.len())];
                         scan.done[v] = true;
-                        prop_assert_eq!(p.ack(&t, v), scan.issue_ready(&t));
+                        prop_assert_eq!(ack(&mut p, &t, v), scan.issue_ready(&t));
                     }
                 }
                 assert_in_step(&p, &scan, &t);

@@ -191,8 +191,11 @@ pub fn run_threaded(sys: &TxnSystem, cfg: &ThreadedConfig) -> Result<ThreadedRep
 fn run_txn(sys: &TxnSystem, txn: TxnId, shared: &Shared, cfg: &ThreadedConfig) -> (bool, u32) {
     let t = sys.txn(txn);
     let mut rng = rand::thread_rng();
+    // Scratch for the steps an acknowledgement makes ready, kept across
+    // this worker's steps and attempts.
+    let mut newly_ready = Vec::new();
     for epoch in 0..cfg.max_attempts {
-        if attempt(sys.db(), txn, epoch, t, shared, cfg) {
+        if attempt(sys.db(), txn, epoch, t, shared, cfg, &mut newly_ready) {
             return (true, epoch);
         }
         // Aborted: back off and retry.
@@ -210,10 +213,12 @@ fn attempt(
     t: &kplock_model::Transaction,
     shared: &Shared,
     cfg: &ThreadedConfig,
+    newly_ready: &mut Vec<usize>,
 ) -> bool {
     let inst = Instance { txn, epoch };
     let mut progress = Progress::new(t);
-    let mut ready: BinaryHeap<Reverse<usize>> = progress.start().into_iter().map(Reverse).collect();
+    progress.start(newly_ready);
+    let mut ready: BinaryHeap<Reverse<usize>> = newly_ready.drain(..).map(Reverse).collect();
 
     // Execute steps as they become ready, lowest step id first
     // (single-threaded within a transaction; parallel across
@@ -312,7 +317,8 @@ fn attempt(
                 shared.notify_grants(&grants);
             }
         }
-        ready.extend(progress.ack(t, v).into_iter().map(Reverse));
+        progress.ack(t, v, newly_ready);
+        ready.extend(newly_ready.drain(..).map(Reverse));
     }
 }
 

@@ -174,6 +174,11 @@ impl Pair {
                 t.entity_waits_for(e),
                 "edges({e}) after {ctx}"
             );
+            assert_eq!(
+                t.has_waiters(e),
+                !m.entity_waits_for(e).is_empty(),
+                "has_waiters({e}) after {ctx}"
+            );
             for o in 0..shape.owners {
                 assert_eq!(m.holds(e, o), t.holds(e, o), "holds({e},{o}) after {ctx}");
                 assert_eq!(
