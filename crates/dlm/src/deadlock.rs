@@ -1,15 +1,13 @@
-//! Incremental wait-for-graph deadlock detection.
+//! Incremental wait-for-graph deadlock detection for [`crate::LockManager`].
 //!
-//! The simulator's engine scans all sites periodically, rebuilding the full
-//! waits-for relation every `deadlock_scan_interval` ticks; a cycle can
-//! therefore sit undetected for up to a full interval. [`WaitForGraph`]
-//! instead keeps the relation *materialized*, updated per entity as
-//! requests block, grant, release or cancel. Two events can close a
-//! cycle: a request *blocking* (adding edges from the requester), and a
-//! release *granting* (the entity's remaining waiters retarget onto the
-//! new holder) — so detection must run after both, which is exactly what
-//! [`crate::LockManager`] and the simulator's on-block mode do; every
-//! deadlock is then found at the moment it forms.
+//! [`WaitForGraph`] keeps the waits-for relation *materialized*, updated
+//! per entity as requests block, grant, release or cancel. Two events can
+//! close a cycle: a request *blocking* (adding edges from the requester),
+//! and a release *granting* (the entity's remaining waiters retarget onto
+//! the new holder) — so detection must run after both, which is exactly
+//! what [`crate::LockManager`] does; every deadlock is then found at the
+//! moment it forms. (The simulator keeps no such mirror: its site tables
+//! are its one record of who waits, and its detectors scan them.)
 //!
 //! Cycle search and strongly-connected-component analysis reuse
 //! `kplock-graph` ([`kplock_graph::find_cycle`], [`kplock_graph::tarjan_scc`])
@@ -48,7 +46,7 @@ impl<O: Copy + Eq + Ord + Hash> WaitForGraph<O> {
     /// Replaces entity `e`'s contribution with `edges` (typically
     /// `QueueTable::entity_waits_for(e)` after a state change). An empty
     /// `edges` removes the entity. Returns whether the contribution
-    /// actually changed — callers gate their cycle checks on it.
+    /// actually changed.
     pub fn update_entity(&mut self, e: EntityId, edges: Vec<(O, O)>) -> bool {
         if edges.is_empty() {
             self.per_entity.remove(&e).is_some()
@@ -60,23 +58,13 @@ impl<O: Copy + Eq + Ord + Hash> WaitForGraph<O> {
         }
     }
 
-    /// Forgets everything.
-    pub fn clear(&mut self) {
-        self.per_entity.clear();
-    }
-
     /// All edges `(waiter, holder)`, ascending and deduplicated (two
     /// entities may induce the same owner pair).
-    pub fn edges(&self) -> Vec<(O, O)> {
+    fn edges(&self) -> Vec<(O, O)> {
         let mut out: Vec<(O, O)> = self.per_entity.values().flatten().copied().collect();
         out.sort();
         out.dedup();
         out
-    }
-
-    /// True when no one waits on anyone.
-    pub fn is_empty(&self) -> bool {
-        self.per_entity.is_empty()
     }
 
     /// Interns owners (sorted, so results are deterministic regardless of

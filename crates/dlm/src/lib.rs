@@ -32,7 +32,8 @@
 //! which grants have been handed to a remote cache as *delegated
 //! ownership* (the DLM-side half of client-side lock caching: the hold
 //! stays in the table, release authority moves to the delegate until a
-//! conflicting request revokes it). [`QueueTable::is_waiting`] and
+//! conflicting request revokes it). The table's
+//! [`LockError::AlreadyQueued`] refusal and
 //! [`QueueTable::release_idempotent`] make duplicated or retransmitted
 //! request/release messages safe, the table-side half of running over an
 //! unreliable network.

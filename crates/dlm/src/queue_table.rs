@@ -746,11 +746,19 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
     /// contribute no edges.
     pub fn waits_for(&self) -> Vec<(O, O)> {
         let mut out = Vec::new();
-        for st in self.contended_states() {
-            self.edges_into(st, &mut out);
-        }
-        out.sort();
+        self.waits_for_into(&mut out);
         out
+    }
+
+    /// [`QueueTable::waits_for`], appended to `out` (which is *not*
+    /// cleared first): a caller gathering every table's edges fills one
+    /// buffer.
+    pub fn waits_for_into(&self, out: &mut Vec<(O, O)>) {
+        let from = out.len();
+        for st in self.contended_states() {
+            self.edges_into(st, out);
+        }
+        out[from..].sort();
     }
 
     /// The holders `o` waits on at *this* table — `o`'s outgoing wait-for
@@ -771,11 +779,11 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
     }
 
     /// True when `o` is waiting at `e` — queued, or a holder with a
-    /// pending upgrade. The duplicate-detection primitive a caller facing
-    /// an unreliable network needs: a *retransmitted* lock request whose
-    /// original is already queued must be recognized and dropped (the
-    /// grant will come through the queue), where [`QueueTable::request`]
-    /// would report it as a protocol error.
+    /// pending upgrade: exactly the owners whose further request on `e`
+    /// [`QueueTable::request`] refuses with [`LockError::AlreadyQueued`],
+    /// which is how a caller facing an unreliable network recognizes a
+    /// *retransmitted* lock request whose original is still queued (the
+    /// grant will come through the queue).
     pub fn is_waiting(&self, e: EntityId, o: O) -> bool {
         self.state(e).is_some_and(|st| self.waits_in(st, o))
     }

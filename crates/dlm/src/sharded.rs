@@ -211,7 +211,7 @@ impl<O: Copy + Eq + Ord + Hash> ShardedTable<O> {
     pub fn waits_for(&self) -> Vec<(O, O)> {
         let mut out = Vec::new();
         for s in &self.shards {
-            out.extend(s.lock().waits_for());
+            s.lock().waits_for_into(&mut out);
         }
         out.sort();
         out

@@ -70,10 +70,11 @@ pub enum DeadlockDetection {
     /// undetected for up to a full interval.
     #[default]
     Periodic,
-    /// Incremental: a wait-for graph ([`kplock_dlm::WaitForGraph`]) is
-    /// maintained per entity as requests block/grant/release, and checked
-    /// exactly when a request blocks — deadlocks are resolved the instant
-    /// they form, with no scan latency.
+    /// At event time: the periodic scan's search over the site tables'
+    /// wait-for edges runs after every site event that leaves an entity
+    /// with waiters — a request blocking, or a release or cancel granting
+    /// and so retargeting the remaining waiters — so deadlocks are
+    /// resolved the instant they form, with no scan latency.
     ///
     /// Like `Periodic`, this consults a *global* view no real site could
     /// see; it models an idealized centralized detector.
@@ -284,12 +285,6 @@ pub struct SimConfig {
     pub resolution: DeadlockResolution,
     /// Victim selection policy.
     pub victim_policy: VictimPolicy,
-    /// Measurement-only (default `false`): cross-check every probe-ordered
-    /// abort against the instantaneous union of site tables and count the
-    /// misses in [`crate::Metrics::phantom_probe_aborts`]. The check is a
-    /// god's-eye verification instrument for the test suite — the probe
-    /// protocol itself never reads global state, audited or not.
-    pub probe_audit: bool,
     /// Hard cap on simulated time (guards against livelock).
     pub max_time: u64,
     /// Fault injection: seeded message loss/duplication/reordering and
@@ -318,6 +313,13 @@ pub struct SimConfig {
     /// queued request and, with [`Delegation::Off`], that every table is
     /// idle. A violation is an engine bug and panics with the offending
     /// site, entity and tick.
+    ///
+    /// Under [`DeadlockDetection::Probe`] the harness also cross-checks
+    /// every probe-ordered abort against the instantaneous union of the
+    /// site tables and counts the victims on no cycle in
+    /// [`crate::Metrics::phantom_probe_aborts`] — a count, not a panic:
+    /// the check is a god's-eye instrument, and the probe protocol itself
+    /// never reads global state, audited or not.
     pub invariant_audit: bool,
     /// Delegated lock ownership (see [`Delegation`]): `Off` (the default)
     /// reproduces every existing run bit for bit; `On` lets sites hand
@@ -340,17 +342,6 @@ impl SimConfig {
         match self.resolution {
             DeadlockResolution::Detect(d) => Some(d),
             DeadlockResolution::Prevent(_) | DeadlockResolution::Avoid => None,
-        }
-    }
-
-    /// The prevention scheme in force, if any. `None` under `Avoid`: the
-    /// avoidance arm's wound-wait *fallback* is reported by
-    /// [`SimConfig::admission_scheme`] instead, so code keying on "is
-    /// this a pure prevention run" stays accurate.
-    pub fn prevention(&self) -> Option<PreventionScheme> {
-        match self.resolution {
-            DeadlockResolution::Detect(_) | DeadlockResolution::Avoid => None,
-            DeadlockResolution::Prevent(p) => Some(p),
         }
     }
 
@@ -403,7 +394,6 @@ impl Default for SimConfig {
             deadlock_scan_interval: 50,
             resolution: DeadlockResolution::default(),
             victim_policy: VictimPolicy::Youngest,
-            probe_audit: false,
             max_time: 10_000_000,
             faults: FaultPlan::none(),
             invariant_audit: false,
@@ -469,13 +459,13 @@ mod tests {
         let cfg = SimConfig::default();
         assert_eq!(cfg.resolution, DeadlockResolution::default());
         assert_eq!(cfg.detection(), Some(DeadlockDetection::Periodic));
-        assert_eq!(cfg.prevention(), None);
+        assert_eq!(cfg.admission_scheme(), None);
         let cfg = SimConfig {
             resolution: PreventionScheme::WoundWait.into(),
             ..Default::default()
         };
         assert_eq!(cfg.detection(), None);
-        assert_eq!(cfg.prevention(), Some(PreventionScheme::WoundWait));
+        assert_eq!(cfg.admission_scheme(), Some(PreventionScheme::WoundWait));
         assert_eq!(
             DeadlockResolution::from(DeadlockDetection::Probe),
             DeadlockResolution::Detect(DeadlockDetection::Probe)
@@ -517,7 +507,6 @@ mod tests {
         };
         cfg.validate().unwrap();
         assert_eq!(cfg.detection(), None);
-        assert_eq!(cfg.prevention(), None);
         assert_eq!(cfg.admission_scheme(), Some(PreventionScheme::WoundWait));
         assert!(cfg.avoid_plan().is_some());
         // A plan supplied under a non-Avoid resolution is inert.

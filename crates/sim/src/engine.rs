@@ -2,9 +2,10 @@
 //!
 //! Coordinators (one per transaction) exchange messages with sites over a
 //! latency-modelled network; sites run reader–writer FIFO lock tables
-//! ([`kplock_dlm::QueueTable`]). Deadlocks are either *detected* —
-//! by the periodic global scan (default, the paper-era scheme),
-//! incrementally at block time
+//! ([`kplock_dlm::QueueTable`]), which are the engine's one record of who
+//! waits for whom. Deadlocks are either *detected* — by a global scan of
+//! those tables, on a timer (default, the paper-era scheme) or after
+//! every site event that leaves a waiter behind
 //! ([`crate::config::DeadlockDetection::OnBlock`]), or by distributed
 //! Chandy–Misra–Haas probes travelling site-to-site
 //! ([`crate::config::DeadlockDetection::Probe`], see [`crate::probe`]) —
@@ -24,7 +25,7 @@
 //! recovery rebuilds from surviving leases. Duplicated and retransmitted
 //! messages are safe because every site- and coordinator-side handler is
 //! idempotent (each handler documents its argument; the table side lives
-//! in [`kplock_dlm::QueueTable::is_waiting`] /
+//! in its [`kplock_dlm::LockError::AlreadyQueued`] refusal and
 //! [`kplock_dlm::QueueTable::release_idempotent`]). The default
 //! [`crate::fault::FaultPlan::none`] never touches any of it, so clean
 //! runs stay bit-identical to the fault-free engine. All randomness comes
@@ -41,13 +42,11 @@ use crate::metrics::Metrics;
 use crate::probe::{self, ChaseId, Mark, ProbeMsg, SiteProbeState, Stamp};
 use crate::progress::Progress;
 use kplock_dlm::{
-    Acquire, DelegationLedger, Lease, LeaseTable, PreventionOutcome, PreventionScheme, Priority,
-    QueueTable, WaitForGraph,
+    Acquire, DelegationLedger, Lease, LeaseTable, LockError, PreventionOutcome, PreventionScheme,
+    Priority, QueueTable,
 };
 use kplock_graph::DiGraph;
-use kplock_model::{
-    ActionKind, EntityId, IdMap, IdSet, LockMode, SiteId, StepId, TxnId, TxnSystem,
-};
+use kplock_model::{ActionKind, EntityId, IdMap, LockMode, SiteId, StepId, TxnId, TxnSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -162,14 +161,6 @@ struct CacheEntry {
     revoke_pending: bool,
 }
 
-/// A queued lock request, as its site remembers it.
-struct Queued {
-    /// The lock step the eventual grant acknowledges.
-    step: StepId,
-    /// When the wait began.
-    since: SimTime,
-}
-
 /// Everything one site owns. Site-side handlers read and write their own
 /// `Site` and nothing of any other — the local-state boundary the paper's
 /// question is about.
@@ -177,11 +168,12 @@ struct Queued {
 struct Site {
     /// The lock table. Volatile: a crash replaces it with an empty one.
     table: QueueTable<Instance>,
-    /// One record per queued request, inserted when the table queues it
-    /// and removed at its grant or its instance's abort. Not wiped by a
-    /// crash: a waiter that re-requests after recovery keeps its wait
-    /// clock.
-    queued: IdMap<(Instance, EntityId), Queued>,
+    /// When each queued request began to wait, inserted when the table
+    /// queues it and removed at its grant or its instance's abort. Not
+    /// wiped by a crash: a waiter that re-requests after recovery keeps
+    /// its wait clock. (The step the grant acknowledges is the
+    /// transaction's one lock step on the entity.)
+    queued: IdMap<(Instance, EntityId), SimTime>,
     /// Probe bookkeeping ([`DeadlockDetection::Probe`] only): the
     /// wait-edges of this site's own entities, to spot new ones.
     probe: SiteProbeState,
@@ -206,8 +198,7 @@ struct Site {
 
 /// What no site and no coordinator owns: the scheduler (a calendar of
 /// per-tick FIFO buckets, [`EventQueue`]), the two RNGs and the wire
-/// ([`Engine::transmit`]), OnBlock's global graph, and the run's history
-/// and counters.
+/// ([`Engine::transmit`]), and the run's history and counters.
 struct Engine<'a> {
     sys: &'a TxnSystem,
     cfg: &'a SimConfig,
@@ -222,12 +213,10 @@ struct Engine<'a> {
     coords: Vec<Coordinator>,
     /// Coordinators yet to commit; zero ends the run.
     uncommitted: usize,
-    /// Incrementally maintained wait-for graph (only under
-    /// [`DeadlockDetection::OnBlock`]; stays empty in periodic and probe
-    /// modes).
-    wfg: WaitForGraph<Instance>,
-    /// Whether `wfg` changed since the last cycle check.
-    wfg_dirty: bool,
+    /// [`DeadlockDetection::OnBlock`]'s trigger: an entity was left with
+    /// waiters since the last [`Engine::deadlock_scan`] (a change leaving
+    /// none only removes edges, and cannot close a cycle).
+    scan_due: bool,
     /// Scratch of [`find_wait_cycle`]: one entry per transaction, all
     /// [`UNSEEN`] between calls.
     scan_slot: Vec<usize>,
@@ -240,10 +229,6 @@ struct Engine<'a> {
     /// Every delegation code path is gated on this flag, so `Off` runs
     /// are message-for-message identical to the pre-delegation engine.
     delegation: bool,
-    /// Steps already recorded in the history, so a duplicated or
-    /// retransmitted request re-acknowledges without re-recording.
-    /// Consulted only on fault-injected runs.
-    recorded: IdSet<(Instance, StepId)>,
     history: History,
     metrics: Metrics,
     audit: TableAudit,
@@ -283,7 +268,7 @@ impl TableAudit {
 const FULL_SWEEP_EVERY: u64 = 4096;
 
 /// [`Engine::scan_slot`]'s mark for a transaction no live edge has named.
-const UNSEEN: usize = usize::MAX;
+pub(crate) const UNSEEN: usize = usize::MAX;
 
 /// Ticks a coordinator spends serving a lock or unlock step from its
 /// delegated cache.
@@ -295,7 +280,8 @@ const RESTART_BACKOFF: u64 = 25;
 
 /// One cycle of the transaction-level wait-for graph — the edges whose
 /// two ends are both `live` — as transaction indices, or `None`, without
-/// allocating, when no edge is live.
+/// allocating, when no edge is live. Both global detectors and
+/// [`crate::replay::replay_deadlock`] ask this of the site tables' edges.
 ///
 /// The graph is built over the transactions that wait or are waited for,
 /// not over all of them: they are numbered in ascending [`TxnId`] and the
@@ -303,11 +289,23 @@ const RESTART_BACKOFF: u64 = 25;
 /// roots and successors in the same order, and returns the same cycle, as
 /// on a graph with a node per transaction. `slot` maps a transaction to
 /// its node; it must be all [`UNSEEN`] on entry and is again on return.
-fn find_wait_cycle(
+pub(crate) fn find_wait_cycle(
     edges: &[(Instance, Instance)],
     live: impl Fn(Instance) -> bool,
     slot: &mut [usize],
 ) -> Option<Vec<usize>> {
+    let (nodes, g) = wait_graph(edges, live, slot)?;
+    let cycle = kplock_graph::find_cycle(&g)?;
+    Some(cycle.into_iter().map(|node| nodes[node]).collect())
+}
+
+/// [`find_wait_cycle`]'s graph: the transactions on a live edge,
+/// ascending, and the graph over their positions in that list.
+fn wait_graph(
+    edges: &[(Instance, Instance)],
+    live: impl Fn(Instance) -> bool,
+    slot: &mut [usize],
+) -> Option<(Vec<usize>, DiGraph)> {
     let live_ends =
         |&(w, h): &(Instance, Instance)| (live(w) && live(h)).then(|| [w.txn.idx(), h.txn.idx()]);
     let mut nodes: Vec<usize> = Vec::new();
@@ -331,8 +329,7 @@ fn find_wait_cycle(
     for &t in &nodes {
         slot[t] = UNSEEN;
     }
-    let cycle = kplock_graph::find_cycle(&g)?;
-    Some(cycle.into_iter().map(|node| nodes[node]).collect())
+    Some((nodes, g))
 }
 
 /// Runs the system to completion (or `max_time`), all transactions
@@ -420,13 +417,11 @@ fn run_observed<'a>(
             })
             .collect(),
         uncommitted: sys.len(),
-        wfg: WaitForGraph::new(),
-        wfg_dirty: false,
+        scan_due: false,
         scan_slot: vec![UNSEEN; sys.len()],
         ready: Vec::new(),
         track_leases: !cfg.faults.crashes.is_empty(),
         delegation: cfg.delegation == Delegation::On,
-        recorded: IdSet::default(),
         history: History::default(),
         metrics: Metrics {
             avoid_certified: cfg.avoid_plan().map_or(0, |p| p.certified_count()),
@@ -491,11 +486,12 @@ fn run_observed<'a>(
                 // resolution below, whose aborts release locks at *every*
                 // site. A cycle can form not just when a request blocks
                 // but also when a release *grants*: remaining waiters
-                // retarget onto the new holder. Check after any site event
-                // that changed the graph, so no formation path is missed
-                // (and update-only events stay O(1)).
-                if eng.cfg.detection() == Some(DeadlockDetection::OnBlock) && eng.wfg_dirty {
-                    eng.resolve_incremental();
+                // retarget onto the new holder. OnBlock scans after any
+                // site event that left an entity with waiters, so no
+                // formation path is missed (and update-only events stay
+                // O(1)).
+                if eng.scan_due {
+                    eng.deadlock_scan();
                 }
                 eng.audit_touched();
             }
@@ -843,14 +839,13 @@ impl Engine<'_> {
 
     /// Reacts to a change of `entity`'s contribution to the wait-for
     /// relation (no-op under periodic detection and under prevention,
-    /// which admits no cycle to ever look for): OnBlock refreshes the
-    /// incremental global graph; Probe chases the new edges.
+    /// which admits no cycle to ever look for): OnBlock schedules a scan
+    /// if the entity is left with waiters; Probe chases the new edges.
     fn edges_changed(&mut self, site: SiteId, entity: EntityId) {
         match self.cfg.detection() {
             None | Some(DeadlockDetection::Periodic) => {}
             Some(DeadlockDetection::OnBlock) => {
-                let edges = self.sites[site.idx()].table.entity_waits_for(entity);
-                self.wfg_dirty |= self.wfg.update_entity(entity, edges);
+                self.scan_due |= self.sites[site.idx()].table.has_waiters(entity);
             }
             Some(DeadlockDetection::Probe) => self.chase_new_edges(site, entity),
         }
@@ -971,23 +966,25 @@ impl Engine<'_> {
     /// message is dropped whole — modelling per-request sequence numbers.
     /// Without this, a late duplicate `LockRequest` for an entity its
     /// sender already used and released would be a *fresh* request and
-    /// ghost-grant a lock nobody will ever release. Consulted only on
-    /// fault-injected runs (the clean protocol delivers exactly once);
-    /// callers check `stale` first, so the progress is the current epoch's.
+    /// ghost-grant a lock nobody will ever release. Never true on a clean
+    /// run, which delivers exactly once; callers check `stale` first, so
+    /// the progress is the current epoch's.
     fn already_serviced(&self, inst: Instance, step: StepId) -> bool {
-        self.cfg.faults.any() && self.coords[inst.txn.idx()].progress.is_done(step.idx())
+        self.coords[inst.txn.idx()].progress.is_done(step.idx())
     }
 
-    /// Records a step in the history exactly once per `(instance, step)`:
-    /// a retransmitted or duplicated request whose original was already
-    /// recorded re-acknowledges without re-recording (a double record
-    /// would corrupt the audit's schedule). The dedup set is consulted
-    /// only on fault-injected runs.
+    /// Records a step in the history exactly once per epoch
+    /// ([`Progress::record`]): a retransmitted or duplicated request whose
+    /// original was already recorded re-acknowledges without re-recording
+    /// (a double record would corrupt the audit's schedule). Callers check
+    /// `stale` first or build `inst` from `current`, so `inst` is the live
+    /// epoch.
     fn record_step(&mut self, inst: Instance, step: StepId) {
-        if self.cfg.faults.any() && !self.recorded.insert((inst, step)) {
-            return;
+        if self.coords[inst.txn.idx()].progress.record(step.idx()) {
+            self.history.record(self.now, inst, step);
+        } else {
+            assert!(self.cfg.faults.any(), "{inst:?}: {step} recorded twice");
         }
-        self.history.record(self.now, inst, step);
     }
 
     /// Mirrors a grant into the site's lease ledger (crash plans only):
@@ -1067,11 +1064,11 @@ impl Engine<'_> {
                 // hierarchical locking exists to shrink (one coarse parent
                 // lock replacing hundreds of per-record requests).
                 self.metrics.lock_requests += 1;
-                if self.cfg.faults.any() && self.sites[site.idx()].table.is_waiting(entity, inst) {
+                let Some(outcome) = self.admit(site, inst, entity, step) else {
                     self.on_retransmitted_while_queued(site, inst, entity);
                     return;
-                }
-                match self.admit(site, inst, entity, step) {
+                };
+                match outcome {
                     PreventionOutcome::Granted => {
                         if self.track_leases {
                             // A waiter whose queue a crash wiped, granted
@@ -1100,9 +1097,8 @@ impl Engine<'_> {
                         // `or_insert`: on clean runs the key is never live
                         // twice; under faults a crash-and-re-request must
                         // not reset the wait clock.
-                        let since = self.now;
                         let waiting = self.sites[site.idx()].queued.entry((inst, entity));
-                        waiting.or_insert(Queued { step, since }).step = step;
+                        waiting.or_insert(self.now);
                         // OnBlock's cycle check runs in the event loop right
                         // after this handler returns; Probe launches its
                         // chase from inside `edges_changed`.
@@ -1186,9 +1182,9 @@ impl Engine<'_> {
             })
     }
 
-    /// A retransmitted request found its original still queued: the grant
-    /// will come through the queue, so the request itself is a no-op (and
-    /// re-admitting would be a protocol error) — but the retry is evidence
+    /// A retransmitted request found its original still queued (the table
+    /// refused it, [`Engine::admit`]): the grant will come through the
+    /// queue, so the request itself is a no-op — but the retry is evidence
     /// the waiter is still stuck, and whatever its original sent to get
     /// unstuck may have been lost on the wire. Each scheme re-sends its
     /// own; all three are idempotent at the receiving coordinator.
@@ -1222,27 +1218,32 @@ impl Engine<'_> {
     /// / wound / die from the requester's and the conflicting owners'
     /// admission priorities — knowledge carried on the request and
     /// already present in the table's ownership records; nothing global
-    /// is consulted. Under detection every conflict simply queues.
+    /// is consulted. Under detection every conflict simply queues. `None`
+    /// when the table refuses a retransmission whose original still waits
+    /// ([`LockError::AlreadyQueued`], raised before any priority arithmetic).
     fn admit(
         &mut self,
         site: SiteId,
         inst: Instance,
         entity: EntityId,
         step: StepId,
-    ) -> PreventionOutcome<Instance> {
+    ) -> Option<PreventionOutcome<Instance>> {
         let mode = self.sys.txn(inst.txn).step(step).mode;
         self.audit.touch(site, entity);
         let (cfg, coords) = (self.cfg, &self.coords);
         let table = &mut self.sites[site.idx()].table;
-        const BUG: &str = "the engine never re-requests a queued lock";
-        match cfg.admission_scheme() {
-            None => match table.request(entity, inst, mode).expect(BUG) {
+        let admitted = match cfg.admission_scheme() {
+            None => table.request(entity, inst, mode).map(|a| match a {
                 Acquire::Granted => PreventionOutcome::Granted,
                 Acquire::Queued => PreventionOutcome::Queued,
-            },
+            }),
             Some(scheme) => table
-                .request_with_priority(entity, inst, mode, scheme, |o| priority_of(cfg, coords, o))
-                .expect(BUG),
+                .request_with_priority(entity, inst, mode, scheme, |o| priority_of(cfg, coords, o)),
+        };
+        match admitted {
+            Ok(outcome) => Some(outcome),
+            Err(LockError::AlreadyQueued { .. }) if cfg.faults.any() => None,
+            Err(err) => panic!("the engine never re-requests a queued lock: {err}"),
         }
     }
 
@@ -1304,18 +1305,23 @@ impl Engine<'_> {
     /// A queued instance just received the lock on `entity`.
     fn grant_queued(&mut self, inst: Instance, entity: EntityId) {
         let site = self.sys.db().site_of(entity);
-        let waited = self.sites[site.idx()]
+        let since = self.sites[site.idx()]
             .queued
             .remove(&(inst, entity))
             .expect("a queued lock has a record");
-        self.metrics.lock_wait_ticks += self.now - waited.since;
+        self.metrics.lock_wait_ticks += self.now - since;
         // The grant happens at the site; the wait in the queue means the
         // instance may have been aborted meanwhile — stale grants release
         // immediately.
         if self.stale(inst) {
             self.release_hold(site, inst, entity, None);
         } else {
-            self.grant(site, inst, entity, waited.step);
+            let step = self
+                .sys
+                .txn(inst.txn)
+                .lock_step(entity)
+                .expect("it queued one");
+            self.grant(site, inst, entity, step);
         }
     }
 
@@ -1517,7 +1523,7 @@ impl Engine<'_> {
         chase: ChaseId,
     ) {
         if !members.iter().any(|&m| self.moved_on(m)) {
-            if self.cfg.probe_audit {
+            if self.audit.on {
                 self.audit_probe_abort(victim);
             }
             self.metrics.deadlocks_resolved += 1;
@@ -1541,52 +1547,49 @@ impl Engine<'_> {
         }
     }
 
-    /// Measurement-only cross-check, enabled by [`SimConfig::probe_audit`]
-    /// (off by default): was the victim really on a wait-for cycle at the
-    /// instant its abort executed? This consults the union of the site
-    /// tables — a god's-eye view the protocol itself never has — purely to
-    /// *count* phantom kills in [`Metrics::phantom_probe_aborts`]; the
-    /// detection decision was already made by the probes alone.
+    /// Part of the [`SimConfig::invariant_audit`] harness: was the probe
+    /// victim really on a wait-for cycle — in a nontrivial strongly
+    /// connected component of the site tables' edges — at the instant its
+    /// abort executed? A god's-eye view the protocol itself never has,
+    /// read purely to *count* phantom kills in
+    /// [`Metrics::phantom_probe_aborts`].
     fn audit_probe_abort(&mut self, victim: Instance) {
-        let mut wfg: WaitForGraph<Instance> = WaitForGraph::new();
-        for (s, site) in self.sites.iter().enumerate() {
-            for e in self.sys.db().entities_at(SiteId::from_idx(s)) {
-                wfg.update_entity(e, site.table.entity_waits_for(e));
-            }
-        }
-        let on_cycle = wfg
-            .deadlocked_groups()
-            .iter()
-            .any(|grp| grp.contains(&victim));
+        let edges = self.wait_edges();
+        let mut slot = std::mem::take(&mut self.scan_slot);
+        let graph = wait_graph(&edges, |i| !self.stale(i), &mut slot);
+        self.scan_slot = slot;
+        let on_cycle = graph.is_some_and(|(nodes, g)| {
+            let sccs = kplock_graph::tarjan_scc(&g);
+            let v = nodes.binary_search(&victim.txn.idx());
+            v.is_ok_and(|v| sccs.members[sccs.comp[v]].len() > 1)
+        });
         if !on_cycle {
             self.metrics.phantom_probe_aborts += 1;
         }
     }
 
-    /// Global deadlock scan (periodic mode): waits-for cycle detection +
-    /// victim abort, repeated until no cycle remains.
-    fn deadlock_scan(&mut self) {
-        loop {
-            let mut edges: Vec<(Instance, Instance)> = Vec::new();
-            for site in &self.sites {
-                edges.extend(site.table.waits_for());
-            }
-            if !self.resolve_one_cycle(&edges) {
-                return;
-            }
+    /// Every site table's wait-for edges, site by site.
+    fn wait_edges(&self) -> Vec<(Instance, Instance)> {
+        let mut edges = Vec::new();
+        for site in &self.sites {
+            site.table.waits_for_into(&mut edges);
         }
+        edges
     }
 
-    /// OnBlock mode: detects and resolves cycles from the incrementally
-    /// maintained graph, repeating until none remain (an abort's releases
-    /// retarget edges and could expose another cycle).
-    fn resolve_incremental(&mut self) {
+    /// The scan both global detectors run — Periodic on its timer, over
+    /// the site tables' edges site by site; OnBlock when `scan_due`, over
+    /// them sorted and deduplicated: find a cycle and abort its victim,
+    /// until none remains (an abort's grants retarget waiters).
+    fn deadlock_scan(&mut self) {
+        let on_block = self.cfg.detection() == Some(DeadlockDetection::OnBlock);
         loop {
-            self.wfg_dirty = false;
-            if self.wfg.is_empty() {
-                return;
+            self.scan_due = false;
+            let mut edges = self.wait_edges();
+            if on_block {
+                edges.sort(); // merges the sites' ascending runs
+                edges.dedup();
             }
-            let edges = self.wfg.edges();
             if !self.resolve_one_cycle(&edges) {
                 return;
             }
@@ -1612,13 +1615,13 @@ impl Engine<'_> {
             probe::choose_victim(self.cfg.victim_policy, &members).expect("a cycle has members");
         // Detection latency, approximated by the youngest wait among the
         // cycle's members (the cycle cannot predate its youngest edge):
-        // ~0 for OnBlock, up to a scan interval here.
+        // ~0 for OnBlock, up to a scan interval for Periodic.
         let formation = self
             .sites
             .iter()
             .flat_map(|site| &site.queued)
             .filter(|&(&(inst, _), _)| !self.stale(inst) && cycle.contains(&inst.txn.idx()))
-            .map(|(_, q)| q.since)
+            .map(|(_, &since)| since)
             .max();
         if let Some(t0) = formation {
             self.metrics.detection_latency_ticks += self.now - t0;
@@ -1802,15 +1805,11 @@ impl Engine<'_> {
                     .retain(|&e, _| sys.db().site_of(e) != site);
             }
         }
+        // Every wait edge this site induced goes with its table, and its
+        // probe memory with them. Removals cannot create a cycle, so no
+        // detector has anything to do here.
         self.sites[s].table = QueueTable::new();
         self.sites[s].probe.clear();
-        // Sync the detectors to the wiped table: every wait edge this
-        // site induced is gone until the waits re-form. Removals cannot
-        // create a cycle, so no resolution pass is needed here.
-        let entities: Vec<EntityId> = self.sys.db().entities_at(site).collect();
-        for e in entities {
-            self.edges_changed(site, e);
-        }
     }
 
     /// The outage ends. Recovery is three steps, in order:
@@ -2270,7 +2269,7 @@ mod tests {
         let sys = pair("Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux", &[("x", 0), ("y", 1)]);
         let base = SimConfig {
             latency: LatencyModel::Fixed(5),
-            probe_audit: true,
+            invariant_audit: true,
             ..Default::default()
         };
         let probe = SimConfig {
@@ -2318,7 +2317,7 @@ mod tests {
         let cfg = SimConfig {
             latency: LatencyModel::Fixed(5),
             resolution: DeadlockDetection::Probe.into(),
-            probe_audit: true,
+            invariant_audit: true,
             ..Default::default()
         };
         let r = run(&sys, &cfg).unwrap();
@@ -2438,7 +2437,6 @@ mod tests {
         let cfg = SimConfig {
             latency: LatencyModel::Fixed(5),
             resolution: DeadlockDetection::Probe.into(),
-            probe_audit: true,
             invariant_audit: true,
             ..Default::default()
         };
@@ -3332,5 +3330,136 @@ mod tests {
         });
         assert_eq!(report.unwrap().outcome, RunOutcome::Completed);
         assert!(audited > FULL_SWEEP_EVERY, "{audited} audited events");
+    }
+
+    /// OnBlock's trigger is sound: behind every event that leaves
+    /// `scan_due` clear, the site tables hold no live cycle — so no change
+    /// that closes one, a grant retargeting waiters included, goes
+    /// unflagged. Clean contended runs on a few latency seeds, and one
+    /// under loss, duplication, reordering and a site crash.
+    #[test]
+    fn a_clear_scan_trigger_leaves_no_cycle_in_the_tables() {
+        use crate::fault::{FaultPlan, SiteCrash};
+        let sys = hot_system(24, 8);
+        let clean = |seed| SimConfig {
+            seed,
+            latency: LatencyModel::Uniform(2, 8),
+            resolution: DeadlockDetection::OnBlock.into(),
+            ..Default::default()
+        };
+        let mut cfgs: Vec<SimConfig> = (0..4).map(clean).collect();
+        cfgs.push(SimConfig {
+            faults: FaultPlan {
+                crashes: vec![SiteCrash {
+                    site: 1,
+                    at: 150,
+                    down_for: 60,
+                }],
+                ..FaultPlan::lossy(3, 0.05, 0.02, 0.10)
+            },
+            max_time: 500_000,
+            ..clean(4)
+        });
+        for cfg in &cfgs {
+            let mut checked = 0;
+            let report = run_observed(&sys, cfg, &vec![0; sys.len()], |eng| {
+                if eng.scan_due {
+                    return;
+                }
+                checked += 1;
+                let mut slot = vec![UNSEEN; eng.sys.len()];
+                let cycle = find_wait_cycle(&eng.wait_edges(), |i| !eng.stale(i), &mut slot);
+                assert_eq!(cycle, None, "seed {}: tick {}", cfg.seed, eng.now);
+            })
+            .unwrap();
+            assert_eq!(report.outcome, RunOutcome::Completed, "seed {}", cfg.seed);
+            assert!(report.metrics.deadlocks_resolved > 0, "seed {}", cfg.seed);
+            assert!(checked > 0);
+        }
+        assert!(cfgs[4].faults.any());
+    }
+
+    /// The engine twin of `LockManager`'s
+    /// `release_that_retargets_waiters_reports_the_cycle`: a cycle closed
+    /// by a release's grant, with no request blocking at the closing
+    /// event. `W` holds `y` (site 1), `A` holds `x` (site 0), and `D`, one
+    /// chain a site, queues on both by tick 5. At tick 45 `W` queues on `x` behind `D`
+    /// (`W → A`: no cycle yet), then `A`'s unlock of `x` arrives and grants
+    /// it to `D`, retargeting `W` onto `D` while `D` still waits for `W`'s
+    /// `y`. OnBlock resolves it in that event: zero detection latency.
+    #[test]
+    fn a_cycle_closed_by_a_grant_is_resolved_in_the_tick_it_forms() {
+        let db = Database::from_spec(&[("x", 0), ("y", 1)]);
+        let txn = |name: &str, chains: &[&str]| {
+            let mut b = TxnBuilder::new(&db, name);
+            for chain in chains {
+                b.script(chain).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let sys = TxnSystem::new(
+            db.clone(),
+            vec![
+                txn("W", &["Ly y y y Lx x Uy Ux"]),
+                txn("A", &["Lx x x x Ux"]),
+                txn("D", &["Lx x Ux", "Ly y Uy"]),
+            ],
+        );
+        let periodic = SimConfig {
+            latency: LatencyModel::Fixed(5),
+            ..Default::default()
+        };
+        let on_block = SimConfig {
+            resolution: DeadlockDetection::OnBlock.into(),
+            ..periodic.clone()
+        };
+        let r = run(&sys, &on_block).unwrap();
+        assert_eq!(r.outcome, RunOutcome::Completed);
+        assert_eq!(r.metrics.deadlocks_resolved, 1);
+        assert_eq!(r.metrics.detection_latency_ticks, 0);
+        assert!(r.audit.serializable);
+        // The same cycle sits for part of a scan interval under Periodic.
+        let r = run(&sys, &periodic).unwrap();
+        assert_eq!(r.metrics.deadlocks_resolved, 1);
+        assert!(r.metrics.detection_latency_ticks > 0);
+    }
+
+    /// The phantom-kill count is all `invariant_audit` adds to a probe
+    /// run's metrics: on the `sim_hot`-shaped input ROADMAP item 6 names,
+    /// where the audit counts phantom kills, every other counter and the
+    /// committed epochs match the unaudited run.
+    #[test]
+    fn the_phantom_count_is_all_the_audit_changes_in_a_probe_run() {
+        let sys = kplock_workload::random_system(&kplock_workload::WorkloadParams {
+            seed: 11006,
+            sites: 4,
+            entities_per_site: 8,
+            transactions: 24,
+            steps_per_txn: 8,
+            zipf_theta: 0.6,
+            read_percent: 50,
+            strategy: kplock_core::policy::LockStrategy::TwoPhaseSync,
+            ..Default::default()
+        });
+        let off = SimConfig {
+            seed: 11006,
+            latency: LatencyModel::Uniform(2, 8),
+            resolution: DeadlockDetection::Probe.into(),
+            ..Default::default()
+        };
+        let on = SimConfig {
+            invariant_audit: true,
+            ..off.clone()
+        };
+        let (off, on) = (run(&sys, &off).unwrap(), run(&sys, &on).unwrap());
+        assert_eq!(on.outcome, RunOutcome::Completed);
+        assert!(on.metrics.phantom_probe_aborts > 0);
+        assert_eq!(off.metrics.phantom_probe_aborts, 0);
+        let unaudited = Metrics {
+            phantom_probe_aborts: 0,
+            ..on.metrics.clone()
+        };
+        assert_eq!(unaudited, off.metrics);
+        assert_eq!(on.committed_epoch, off.committed_epoch);
     }
 }

@@ -21,8 +21,9 @@
 //! engine, deadlocks are resolved along a three-way axis
 //! ([`DeadlockResolution`]):
 //!
-//! * **detect** — periodic global scan (default), incrementally at block
-//!   time ([`DeadlockDetection::OnBlock`]), or fully distributed via
+//! * **detect** — a global scan of the site tables, periodic (default) or
+//!   after every site event that leaves a waiter
+//!   ([`DeadlockDetection::OnBlock`]), or fully distributed via
 //!   Chandy–Misra–Haas probe messages ([`DeadlockDetection::Probe`], see
 //!   [`probe`]) — the only scheme where detection itself pays network
 //!   costs, metered in [`Metrics::probe_messages`] and

@@ -63,8 +63,8 @@ pub struct Metrics {
     pub prevention_restarts: usize,
     /// Probe-ordered aborts whose victim was no longer on any wait-for
     /// cycle when the abort executed. Only populated when
-    /// [`crate::SimConfig::probe_audit`] is on; see that flag for why this
-    /// is measurement, not protocol.
+    /// [`crate::SimConfig::invariant_audit`] is on; see that flag for why
+    /// this is measurement, not protocol.
     pub phantom_probe_aborts: usize,
     /// Wire messages that never arrived: dropped by seeded loss
     /// ([`crate::fault::FaultPlan::loss`]) or addressed to a site that

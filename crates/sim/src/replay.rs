@@ -16,9 +16,9 @@
 use std::fmt;
 
 use kplock_dlm::{Acquire, QueueTable};
-use kplock_graph::DiGraph;
 use kplock_model::{ActionKind, EntityId, ModelError, Schedule, StepId, TxnId, TxnSystem};
 
+use crate::engine::{find_wait_cycle, UNSEEN};
 use crate::event::Instance;
 use crate::history::{audit, Audit, History};
 
@@ -209,13 +209,9 @@ pub fn replay_deadlock(
     }
 
     // The queued requests induced real wait edges; find a cycle.
-    let mut waits = DiGraph::new(sys.len());
-    for table in &site_tables {
-        for (waiter, holder) in table.waits_for() {
-            waits.add_edge(waiter.txn.idx(), holder.txn.idx());
-        }
-    }
-    let cycle = kplock_graph::find_cycle(&waits).ok_or(ReplayError::NoWaitCycle)?;
+    let edges: Vec<(Instance, Instance)> = site_tables.iter().flat_map(|t| t.waits_for()).collect();
+    let mut slot = vec![UNSEEN; sys.len()];
+    let cycle = find_wait_cycle(&edges, |_| true, &mut slot).ok_or(ReplayError::NoWaitCycle)?;
     Ok(DeadlockEvidence {
         stalled,
         cycle: cycle.into_iter().map(TxnId::from_idx).collect(),

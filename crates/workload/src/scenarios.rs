@@ -365,7 +365,7 @@ mod tests {
                 let cfg = SimConfig {
                     latency: LatencyModel::Fixed(5),
                     resolution: detection.into(),
-                    probe_audit: true,
+                    invariant_audit: true,
                     ..Default::default()
                 };
                 let r = run(&sc.system, &cfg).unwrap();

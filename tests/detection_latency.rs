@@ -36,7 +36,7 @@ fn probe_cfg() -> SimConfig {
     SimConfig {
         latency: LatencyModel::Fixed(5),
         resolution: DeadlockDetection::Probe.into(),
-        probe_audit: true,
+        invariant_audit: true,
         ..Default::default()
     }
 }

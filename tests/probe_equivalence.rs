@@ -5,9 +5,10 @@
 //! periodic scan reads a god's-eye wait-for graph. On the pinned regression
 //! workloads both must resolve every deadlock — same committed outcome,
 //! same aborted transactions where the cycle is deterministic — with the
-//! probes paying the message/latency costs the scan never sees. The
-//! `probe_audit` cross-check (measurement-only) confirms no victim was
-//! killed off-cycle.
+//! probes paying the message/latency costs the scan never sees. Both run
+//! under `invariant_audit`, whose phantom-kill count (a cross-check of
+//! every probe abort against the site tables, measurement-only) confirms
+//! no victim was killed off-cycle.
 
 use kplock::core::policy::LockStrategy;
 use kplock::sim::{run, DeadlockDetection, LatencyModel, SimConfig, SimReport, VictimPolicy};
@@ -16,7 +17,7 @@ use kplock::workload::{fig5, random_system, site_count_sweep, WorkloadParams};
 fn with_detection(cfg: &SimConfig, detection: DeadlockDetection) -> SimConfig {
     SimConfig {
         resolution: detection.into(),
-        probe_audit: true,
+        invariant_audit: true,
         ..cfg.clone()
     }
 }

@@ -8,7 +8,8 @@
 //!   found by probes: whenever the periodic-scan run completes, the probe
 //!   run completes too (an unfound cycle would stall or time out);
 //! * **soundness** — probes never abort a non-cycle member: the
-//!   measurement-only `probe_audit` cross-check counts zero phantom kills.
+//!   `invariant_audit` harness's measurement-only cross-check counts zero
+//!   phantom kills.
 //!
 //! And at the benchmark's `sim_hot` shape and beyond, where a search is
 //! bounded by its marks and completed by its re-chases (`probe.rs` module
@@ -52,7 +53,7 @@ fn hot_run(seed: u64, transactions: usize) -> kplock::sim::SimReport {
         seed,
         latency: LatencyModel::Uniform(2, 8),
         resolution: DeadlockDetection::Probe.into(),
-        probe_audit: true,
+        invariant_audit: true,
         ..Default::default()
     };
     let r = run(&sys, &cfg).unwrap();
@@ -142,7 +143,7 @@ proptest! {
         }
         let probe_cfg = SimConfig {
             resolution: DeadlockDetection::Probe.into(),
-            probe_audit: true,
+            invariant_audit: true,
             ..base
         };
         let probe = run(&sys, &probe_cfg).unwrap();
@@ -186,7 +187,7 @@ proptest! {
         let cfg = SimConfig {
             latency: LatencyModel::Fixed(5),
             resolution: DeadlockDetection::Probe.into(),
-            probe_audit: true,
+            invariant_audit: true,
             ..Default::default()
         };
         let r = run(&sys, &cfg).unwrap();
