@@ -148,7 +148,7 @@ pub fn count_schedules(sys: &TxnSystem, max_states: usize) -> Option<ScheduleCou
                 // Serialization-graph update for access steps.
                 let is_access = match step.kind {
                     ActionKind::Update => true,
-                    ActionKind::Lock => t.update_steps(step.entity).is_empty(),
+                    ActionKind::Lock => !t.has_update(step.entity),
                     ActionKind::Unlock => false,
                 };
                 let mut next_sg = sg;
@@ -163,8 +163,7 @@ pub fn count_schedules(sys: &TxnSystem, max_states: usize) -> Option<ScheduleCou
                             let st = tj.step(s);
                             st.entity == step.entity
                                 && (st.kind == ActionKind::Update
-                                    || (st.kind == ActionKind::Lock
-                                        && tj.update_steps(st.entity).is_empty()))
+                                    || (st.kind == ActionKind::Lock && !tj.has_update(st.entity)))
                                 && done[j] & (1 << s.idx()) != 0
                         });
                         if accessed {

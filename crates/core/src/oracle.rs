@@ -98,7 +98,7 @@ pub fn decide_exhaustive(sys: &TxnSystem, opts: &OracleOptions) -> OracleReport 
                     let s = t.step(StepId::from_idx(v));
                     let is_access = match s.kind {
                         ActionKind::Update => true,
-                        ActionKind::Lock => t.update_steps(s.entity).is_empty(),
+                        ActionKind::Lock => !t.has_update(s.entity),
                         ActionKind::Unlock => false,
                     };
                     let mut preds_mask = 0u64;

@@ -50,7 +50,9 @@ pub use hierarchy::{child_mode_under, plan_parent, ChildLocks, Granularity, Pare
 pub use ids::{EntityId, IdHasher, IdMap, IdSet, SiteId, StepId, TxnId};
 pub use projection::{projection_respects_site_orders, schedule_at_site, txn_site_order};
 pub use schedule::{Schedule, ScheduledStep};
-pub use serializability::{equivalent_serial_order, is_serializable, serialization_graph};
+pub use serializability::{
+    equivalent_serial_order, is_serializable, serialization_graph, step_accesses, AccessKind,
+};
 pub use system::TxnSystem;
 pub use txn::Transaction;
 pub use validate::{validate, Level};

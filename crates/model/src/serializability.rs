@@ -12,9 +12,11 @@
 //! figure-style transactions whose update steps are elided.
 
 use crate::action::ActionKind;
-use crate::ids::{EntityId, IdMap, TxnId};
+use crate::entity::Database;
+use crate::ids::{EntityId, IdMap, StepId, TxnId};
 use crate::schedule::Schedule;
 use crate::system::TxnSystem;
+use crate::txn::Transaction;
 use kplock_graph::DiGraph;
 
 /// Builds the serialization graph of a (complete, legal) schedule: one node
@@ -47,56 +49,93 @@ use kplock_graph::DiGraph;
 pub fn serialization_graph(sys: &TxnSystem, schedule: &Schedule) -> DiGraph {
     let mut g = DiGraph::new(sys.len());
     let mut seen: IdMap<EntityId, Vec<(TxnId, u8)>> = IdMap::default();
-    let mut access = |entity: EntityId, b: TxnId, is_write: bool, is_direct: bool| {
-        let txns = seen.entry(entity).or_default();
-        let conflicting = conflicting_kinds(is_write, is_direct);
-        let mut own = None;
-        for (i, &(a, kinds)) in txns.iter().enumerate() {
-            if a == b {
-                own = Some(i);
-            } else if kinds & conflicting != 0 {
-                g.add_edge(a.idx(), b.idx());
-            }
-        }
-        match own {
-            Some(i) => txns[i].1 |= kind_bit(is_write, is_direct),
-            None => txns.push((b, kind_bit(is_write, is_direct))),
-        }
-    };
-
     for ss in schedule.steps() {
-        let txn = sys.txn(ss.txn);
-        let step = txn.step(ss.step);
-        let is_access = match step.kind {
-            ActionKind::Update => true,
-            ActionKind::Lock => !step.mode.is_intention() && txn.update_run(step.entity).is_empty(),
-            ActionKind::Unlock => false,
-        };
-        if !is_access {
-            continue;
-        }
-        access(step.entity, ss.txn, step.mode.is_write(), true);
-        if step.kind == ActionKind::Update {
-            if let Some(p) = sys.db().parent_of(step.entity) {
-                access(p, ss.txn, step.mode.is_write(), false);
+        let b = ss.txn;
+        for access in step_accesses(sys.db(), sys.txn(b), ss.step) {
+            let Some((entity, kind)) = access else {
+                continue;
+            };
+            let txns = seen.entry(entity).or_default();
+            let mut own = None;
+            for (i, &(a, kinds)) in txns.iter().enumerate() {
+                if a == b {
+                    own = Some(i);
+                } else if kinds & kind.conflicting() != 0 {
+                    g.add_edge(a.idx(), b.idx());
+                }
+            }
+            match own {
+                Some(i) => txns[i].1 |= kind.bit(),
+                None => txns.push((b, kind.bit())),
             }
         }
     }
     g
 }
 
-/// The four access kinds as a bit each.
-fn kind_bit(is_write: bool, is_direct: bool) -> u8 {
-    1 << (2 * u8::from(is_write) + u8::from(is_direct))
-}
+/// One of the four kinds of access [`serialization_graph`] tells apart —
+/// whether it writes × whether it is direct — as one bit of a 4-bit set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AccessKind(u8);
 
-/// The earlier kinds a new access conflicts with: one of the two must
-/// write and one of the two must be direct.
-fn conflicting_kinds(is_write: bool, is_direct: bool) -> u8 {
-    const ALL: u8 = 0b1111;
+impl AccessKind {
+    /// A direct write: the one kind that conflicts with every kind,
+    /// itself included.
+    pub const DIRECT_WRITE: AccessKind = AccessKind(0b1000);
+
     const WRITES: u8 = 0b1100;
     const DIRECTS: u8 = 0b1010;
-    (if is_write { ALL } else { WRITES }) & (if is_direct { ALL } else { DIRECTS })
+
+    /// The kind of an access that writes or only reads, of its own entity
+    /// or (indirectly) through a child.
+    pub fn new(is_write: bool, is_direct: bool) -> AccessKind {
+        AccessKind(1 << (2 * u8::from(is_write) + u8::from(is_direct)))
+    }
+
+    /// This kind's bit.
+    pub fn bit(self) -> u8 {
+        self.0
+    }
+
+    /// This kind's place among the four, `0..4`: its bit is `1 << index`.
+    pub const fn index(self) -> usize {
+        self.0.trailing_zeros() as usize
+    }
+
+    /// The set of kinds this one conflicts with: one of the two must
+    /// write and one of the two must be direct. The relation is
+    /// symmetric.
+    pub fn conflicting(self) -> u8 {
+        let writes = self.0 & Self::WRITES != 0;
+        let direct = self.0 & Self::DIRECTS != 0;
+        (if writes { 0b1111 } else { Self::WRITES }) & (if direct { 0b1111 } else { Self::DIRECTS })
+    }
+}
+
+/// The accesses step `s` of `t` makes, as [`serialization_graph`] counts
+/// them: an update accesses its entity directly and, on a hierarchical
+/// database, its parent indirectly; a lock step in a non-intention mode
+/// is one direct access of its entity when `t` never updates that entity
+/// ([`crate::Transaction::has_update`]); an unlock accesses nothing. At
+/// most two, so no allocation.
+pub fn step_accesses(
+    db: &Database,
+    t: &Transaction,
+    s: StepId,
+) -> [Option<(EntityId, AccessKind)>; 2] {
+    let step = t.step(s);
+    let write = step.mode.is_write();
+    match step.kind {
+        ActionKind::Update => [
+            Some((step.entity, AccessKind::new(write, true))),
+            db.parent_of(step.entity)
+                .map(|p| (p, AccessKind::new(write, false))),
+        ],
+        ActionKind::Lock if !step.mode.is_intention() && !t.has_update(step.entity) => {
+            [Some((step.entity, AccessKind::new(write, true))), None]
+        }
+        ActionKind::Lock | ActionKind::Unlock => [None, None],
+    }
 }
 
 /// True iff the schedule is (conflict-)serializable.
@@ -514,6 +553,7 @@ mod tests {
             for t in sys.txns() {
                 for e in sys.db().entities() {
                     prop_assert_eq!(t.update_steps(e), update_steps_by_filter(t, e));
+                    prop_assert_eq!(t.has_update(e), !update_steps_by_filter(t, e).is_empty());
                 }
             }
             let legal = random_schedule(&sys, true, &mut rng);

@@ -178,14 +178,18 @@ impl Transaction {
 
     /// All `update e` steps, in ascending id order.
     pub fn update_steps(&self, e: EntityId) -> Vec<StepId> {
-        self.update_run(e).iter().map(|&(_, s)| s).collect()
-    }
-
-    /// The run of the update index holding `e`'s update steps.
-    pub(crate) fn update_run(&self, e: EntityId) -> &[(EntityId, StepId)] {
         let from = self.updates.partition_point(|&(x, _)| x < e);
         let to = self.updates.partition_point(|&(x, _)| x <= e);
-        &self.updates[from..to]
+        self.updates[from..to].iter().map(|&(_, s)| s).collect()
+    }
+
+    /// True if some step updates `e`: one binary search in the update
+    /// index, no allocation. "Locks `e` but never updates it" — a lock
+    /// section that counts as an access of its own — is
+    /// `!has_update(e)`.
+    pub fn has_update(&self, e: EntityId) -> bool {
+        let at = self.updates.partition_point(|&(x, _)| x < e);
+        self.updates.get(at).is_some_and(|&(x, _)| x == e)
     }
 
     /// Entities touched by any step.

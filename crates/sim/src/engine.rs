@@ -72,10 +72,10 @@ pub struct SimReport {
     /// Serializability audit of the committed schedule.
     pub audit: Audit,
     /// Epoch at which each transaction committed, `None` for transactions
-    /// still in flight when the run ended (timeout/stall) — exactly what
-    /// the audit consumed, so an unfinished transaction's in-flight epoch
-    /// can never be mistaken for a commit claim (the threaded runner's
-    /// report follows the same shape).
+    /// still in flight when the run ended (timeout/stall) — exactly the
+    /// commits the audit was told of, so an unfinished transaction's
+    /// in-flight epoch can never be mistaken for a commit claim (the
+    /// threaded runner's report follows the same shape).
     pub committed_epoch: Vec<Option<u32>>,
     /// How the run ended — distinguishes a clean completion from a
     /// [`SimConfig::max_time`] timeout or a stall. The single source of
@@ -93,6 +93,26 @@ impl SimReport {
     /// True when the run was cut off by [`SimConfig::max_time`].
     pub fn timed_out(&self) -> bool {
         self.outcome == RunOutcome::TimedOut
+    }
+
+    /// The stall check every engine property test makes: panics if the
+    /// run of `cfg` stalled — drained its events with transactions
+    /// uncommitted and time to spare, an undetected deadlock or a lost
+    /// message nobody re-sent — naming both seeds and the whole
+    /// configuration. `context` names what `cfg` does not, such as the
+    /// workload seed.
+    #[track_caller]
+    pub fn assert_not_stalled(&self, cfg: &SimConfig, context: impl std::fmt::Display) {
+        assert!(
+            self.outcome != RunOutcome::Stalled,
+            "{context}: stalled at tick {} with {} of {} transactions committed \
+             (seed {}, fault seed {}) under {cfg:?}",
+            self.metrics.elapsed_ticks,
+            self.metrics.committed,
+            self.committed_epoch.len(),
+            cfg.seed,
+            cfg.faults.seed,
+        );
     }
 }
 
@@ -229,7 +249,7 @@ struct Engine<'a> {
     /// Every delegation code path is gated on this flag, so `Off` runs
     /// are message-for-message identical to the pre-delegation engine.
     delegation: bool,
-    history: History,
+    history: History<'a>,
     metrics: Metrics,
     audit: TableAudit,
     now: SimTime,
@@ -422,7 +442,7 @@ fn run_observed<'a>(
         ready: Vec::new(),
         track_leases: !cfg.faults.crashes.is_empty(),
         delegation: cfg.delegation == Delegation::On,
-        history: History::default(),
+        history: History::new(sys),
         metrics: Metrics {
             avoid_certified: cfg.avoid_plan().map_or(0, |p| p.certified_count()),
             avoid_fallbacks: cfg.avoid_plan().map_or(0, |p| p.fallback_count()),
@@ -542,14 +562,15 @@ fn run_observed<'a>(
         RunOutcome::TimedOut => cfg.max_time,
         RunOutcome::Stalled => eng.now,
     };
-    // Only actually-committed epochs participate in the audit; an
-    // unfinished transaction's in-flight epoch is skipped explicitly.
+    // The history was told of every commit and abort as it happened, so
+    // the audit reads its verdict; an unfinished transaction's in-flight
+    // epoch is in neither it nor the report.
     let committed_epoch: Vec<Option<u32>> = eng
         .coords
         .iter()
         .map(|c| c.committed.then_some(c.epoch))
         .collect();
-    let audit = audit(sys, &eng.history, &committed_epoch);
+    let audit = audit(&eng.history);
     Ok(SimReport {
         metrics: eng.metrics,
         audit,
@@ -650,6 +671,7 @@ impl Engine<'_> {
 
     /// Every step of `txn`'s current epoch is acknowledged.
     fn commit(&mut self, txn: TxnId) {
+        self.history.commit(self.current(txn));
         self.coords[txn.idx()].committed = true;
         self.uncommitted -= 1;
         self.metrics.committed += 1;
@@ -1644,6 +1666,7 @@ impl Engine<'_> {
         );
         let old = self.current(txn);
         self.metrics.aborts += 1;
+        self.history.abort(old);
         if self.delegation {
             // Retention: uncontested cached grants survive the restart —
             // re-keyed to the successor epoch at the table, ledger, lease

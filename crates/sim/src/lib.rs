@@ -5,8 +5,11 @@
 //! transaction's partial order, per-site lock managers grant exclusive
 //! locks FIFO, messages cross a latency-modelled network, deadlocks are
 //! detected globally and resolved by victim abort + restart, and every
-//! run's committed history is audited for conflict-serializability
-//! (safe systems never fail the audit; unsafe ones do, for some timings).
+//! run's committed history is audited for legality and
+//! conflict-serializability as it is recorded ([`History`]: a shadow lock
+//! table over the recorded steps, and a serialization graph grown at each
+//! commit) — safe systems never fail the audit; unsafe ones do, for some
+//! timings.
 //!
 //! Two runners, one protocol:
 //!

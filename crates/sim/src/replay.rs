@@ -4,9 +4,9 @@
 //! `kplock_core::sat_check` decides safety and deadlock reachability
 //! symbolically and decodes SAT models into witness schedules. This
 //! module replays those witnesses against the *real* lock-table
-//! machinery — per-site [`QueueTable`]s, [`History`] recording, the
-//! [`audit`] pass — so an `Unsafe` verdict is backed by an actual
-//! non-serializable committed history and a deadlock verdict by an
+//! machinery — per-site [`QueueTable`]s, and the [`History`] that audits
+//! every run as it is recorded — so an `Unsafe` verdict is backed by an
+//! actual non-serializable committed history and a deadlock verdict by an
 //! actual total stall with a waits-for cycle, structural invariants
 //! checked after every step (the static analogue of
 //! [`crate::SimConfig::invariant_audit`]). Nothing here is random or
@@ -77,14 +77,15 @@ pub struct DeadlockEvidence {
     pub cycle: Vec<TxnId>,
 }
 
-/// Drives `schedule` step-by-step through per-site tables, recording a
-/// history. Every lock must be granted on the spot and every table must
-/// hold its invariants after every step.
+/// Drives `schedule` step-by-step through per-site tables, recording
+/// each step in `history` (if given) before the tables see it. Every lock
+/// must be granted on the spot and every table must hold its invariants
+/// after every step; the first refusal ends the drive.
 fn drive(
     sys: &TxnSystem,
     schedule: &Schedule,
     tables: &mut [QueueTable<Instance>],
-    history: &mut History,
+    mut history: Option<&mut History<'_>>,
 ) -> Result<(), ReplayError> {
     for (time, ss) in schedule.steps().iter().enumerate() {
         let t = sys.txn(ss.txn);
@@ -94,12 +95,13 @@ fn drive(
             txn: ss.txn,
             epoch: 0,
         };
+        if let Some(history) = history.as_deref_mut() {
+            history.record(time as u64, inst, ss.step);
+        }
         match step.kind {
             ActionKind::Lock => {
-                let outcome = tables[site]
-                    .request(step.entity, inst, step.mode)
-                    .expect("a legal schedule never re-requests a queued lock");
-                if outcome == Acquire::Queued {
+                let outcome = tables[site].request(step.entity, inst, step.mode);
+                if outcome != Ok(Acquire::Granted) {
                     return Err(ReplayError::Blocked {
                         txn: ss.txn,
                         step: ss.step,
@@ -110,11 +112,10 @@ fn drive(
             ActionKind::Unlock => {
                 tables[site]
                     .release(step.entity, inst)
-                    .expect("a legal schedule unlocks only what it holds");
+                    .map_err(|e| ReplayError::Invariant(e.to_string()))?;
             }
             ActionKind::Update => {}
         }
-        history.record(time as u64, inst, ss.step);
         tables[site]
             .check_invariants()
             .map_err(ReplayError::Invariant)?;
@@ -122,20 +123,23 @@ fn drive(
     Ok(())
 }
 
-/// Replays a complete unsafety witness and audits the committed history;
-/// succeeds only if the history is legal and **non**-serializable.
+/// Replays a complete unsafety witness and audits the committed history
+/// — every transaction commits its one epoch; succeeds only if the
+/// history is legal and **non**-serializable. An illegal witness is
+/// reported as the audit names it, at its first illegal step, whatever
+/// the tables made of it.
 pub fn replay_violation(sys: &TxnSystem, schedule: &Schedule) -> Result<Audit, ReplayError> {
-    schedule
-        .validate_complete(sys)
-        .map_err(ReplayError::Illegal)?;
     let mut site_tables = vec![QueueTable::new(); sys.db().site_count()];
-    let mut history = History::default();
-    drive(sys, schedule, &mut site_tables, &mut history)?;
-    let committed: Vec<Option<u32>> = vec![Some(0); sys.len()];
-    let report = audit(sys, &history, &committed);
+    let mut history = History::new(sys);
+    let driven = drive(sys, schedule, &mut site_tables, Some(&mut history));
+    for txn in sys.txn_ids() {
+        history.commit(Instance { txn, epoch: 0 });
+    }
+    let report = audit(&history);
     if let Err(e) = &report.legal {
         return Err(ReplayError::Illegal(e.clone()));
     }
+    driven?;
     if report.serializable {
         return Err(ReplayError::Serializable);
     }
@@ -151,8 +155,7 @@ pub fn replay_deadlock(
 ) -> Result<DeadlockEvidence, ReplayError> {
     prefix.validate_prefix(sys).map_err(ReplayError::Illegal)?;
     let mut site_tables = vec![QueueTable::new(); sys.db().site_count()];
-    let mut history = History::default();
-    drive(sys, prefix, &mut site_tables, &mut history)?;
+    drive(sys, prefix, &mut site_tables, None)?;
 
     let mut done: Vec<Vec<bool>> = sys.txns().iter().map(|t| vec![false; t.len()]).collect();
     for ss in prefix.steps() {
@@ -266,6 +269,29 @@ mod tests {
             replay_violation(&sys, &serial),
             Err(ReplayError::Serializable)
         ));
+    }
+
+    #[test]
+    fn an_illegal_witness_is_named_at_its_event() {
+        let sys = sys_of(&["Lx x Ux", "Lx x Ux"]);
+        let steps = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)];
+        let witness = Schedule::new(
+            steps
+                .iter()
+                .map(|&(t, s)| ScheduledStep {
+                    txn: TxnId(t),
+                    step: StepId(s),
+                })
+                .collect(),
+        );
+        match replay_violation(&sys, &witness) {
+            Err(ReplayError::Illegal(e)) => assert!(
+                e.to_string()
+                    .contains("tick 1: T1 (epoch 0) locks e0 already held by T0 (epoch 0)"),
+                "{e}"
+            ),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -164,23 +164,30 @@ pub fn run_threaded(sys: &TxnSystem, cfg: &ThreadedConfig) -> Result<ThreadedRep
             .collect()
     });
 
-    // Rebuild a History from the event log.
-    let mut history = History::default();
+    // Rebuild a History from the event log: each attempt's first step
+    // retires the transaction's previous attempt as aborted. Unfinished
+    // transactions commit at no epoch; the audit sees no commit of them
+    // instead of receiving `max_attempts` as a phantom epoch.
+    let mut history = History::new(sys);
     let mut events = shared.events.lock().clone();
     events.sort_by_key(|&(seq, ..)| seq);
     for (_, txn, epoch, step) in events {
         history.record(0, Instance { txn, epoch }, step);
     }
-    // Unfinished transactions commit at no epoch; the audit skips them
-    // explicitly instead of receiving `max_attempts` as a phantom epoch.
     let committed_epoch: Vec<Option<u32>> = results
         .iter()
         .map(|&(ok, e)| if ok { Some(e) } else { None })
         .collect();
+    for (t, &epoch) in committed_epoch.iter().enumerate() {
+        if let Some(epoch) = epoch {
+            let txn = TxnId::from_idx(t);
+            history.commit(Instance { txn, epoch });
+        }
+    }
     let finished = results.iter().all(|&(ok, _)| ok);
     let aborts: usize = results.iter().map(|&(_, e)| e as usize).sum();
     Ok(ThreadedReport {
-        audit: audit(sys, &history, &committed_epoch),
+        audit: audit(&history),
         aborts,
         finished,
         committed_epoch,

@@ -1,8 +1,9 @@
-//! The simulator walks a transaction's direct edges only — step issue,
-//! schedule validation and the serialization graph ask for successors and
-//! predecessors — so a run, its end-of-run audit included, must leave the
-//! quadratic transitive closure of every transaction unbuilt. Only an
-//! `AvoidPlan`, synthesized before the run, asks `precedes`.
+//! The simulator walks a transaction's direct edges only — step issue and
+//! the history's online audit ask for successors and predecessors, and
+//! the audit's serialization order is over transactions — so a run, its
+//! audit included, must leave the quadratic transitive closure of every
+//! transaction unbuilt. Only an `AvoidPlan`, synthesized before the run,
+//! asks `precedes`.
 
 use kplock_core::policy::LockStrategy;
 use kplock_model::{Granularity, TxnSystem};

@@ -77,6 +77,7 @@ proptest! {
             ..Default::default()
         };
         let r = run(&sub, &cfg).unwrap();
+        r.assert_not_stalled(&cfg, format_args!("workload seed {seed}"));
         prop_assert_eq!(
             r.outcome,
             RunOutcome::Completed,
@@ -118,6 +119,7 @@ proptest! {
             ..Default::default()
         };
         let r = run(&sys, &cfg).unwrap();
+        r.assert_not_stalled(&cfg, format_args!("workload seed {seed}"));
         prop_assert_eq!(
             r.outcome,
             RunOutcome::Completed,

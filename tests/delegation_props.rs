@@ -49,35 +49,23 @@ fn system(seed: u64, sites: usize, txns: usize, read_percent: u32) -> TxnSystem 
 fn check_pair(sys: &TxnSystem, base: &SimConfig, tag: &str) -> Result<(), TestCaseError> {
     // `run` panics on any invariant violation (the audit is on) or on an
     // abort of a committed transaction — both are the harness firing.
-    let off = run(
-        sys,
-        &SimConfig {
-            delegation: Delegation::Off,
-            ..base.clone()
-        },
-    )
-    .expect("valid config");
-    let on = run(
-        sys,
-        &SimConfig {
-            delegation: Delegation::On,
-            ..base.clone()
-        },
-    )
-    .expect("valid config");
-    for (mode, r) in [("off", &off), ("on", &on)] {
+    let off_cfg = SimConfig {
+        delegation: Delegation::Off,
+        ..base.clone()
+    };
+    let on_cfg = SimConfig {
+        delegation: Delegation::On,
+        ..base.clone()
+    };
+    let off = run(sys, &off_cfg).expect("valid config");
+    let on = run(sys, &on_cfg).expect("valid config");
+    for (mode, r, cfg) in [("off", &off, &off_cfg), ("on", &on, &on_cfg)] {
         prop_assert!(
             r.metrics.committed <= sys.len(),
             "{tag} [{mode}]: a transaction committed twice"
         );
         if base.faults.retransmit_after > 0 {
-            prop_assert_ne!(
-                r.outcome,
-                RunOutcome::Stalled,
-                "{} [{}]: stalled with retransmission on",
-                tag,
-                mode
-            );
+            r.assert_not_stalled(cfg, format_args!("{tag} [{mode}]"));
         }
         if r.outcome == RunOutcome::Completed {
             prop_assert_eq!(r.metrics.committed, sys.len(), "{} [{}]", tag, mode);
@@ -285,14 +273,15 @@ const LOSSY: (f64, f64, f64) = (0.05, 0.02, 0.10);
 const REORDER_ONLY: (f64, f64, f64) = (0.0, 0.0, 0.10);
 
 /// The three pinned reproducers of ROADMAP item 1, shortest first, each
-/// with what `validate_complete` says of the history an unaudited release
-/// run commits.
+/// with what the history's online audit says of the history an unaudited
+/// release run commits: the tick of the recorded lock step that
+/// double-locks, both instances and the entity.
 const ITEM_1_PINS: [(u64, DeadlockResolution, (f64, f64, f64)); 3] = [
-    // "step 29: T4 locks e2 already held by T1"
+    // "tick 602: T4 (epoch 3) locks e2 already held by T1 (epoch 2)"
     (4288, SCHEMES[3], LOSSY),
-    // "step 127: T1 locks e10 already held by T5"
+    // "tick 2092: T1 (epoch 0) locks e10 already held by T5 (epoch 2)"
     (4449, SCHEMES[0], LOSSY),
-    // "step 399: T6 locks e4 already held by T7"
+    // "tick 2499: T6 (epoch 37) locks e4 already held by T7 (epoch 29)"
     (4102, SCHEMES[5], REORDER_ONLY),
 ];
 

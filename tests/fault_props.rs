@@ -64,12 +64,8 @@ fn check_run(
         "{tag}: a transaction committed twice"
     );
     if cfg.faults.retransmit_after > 0 {
-        prop_assert_ne!(
-            r.outcome,
-            RunOutcome::Stalled,
-            "{}: stalled with retransmission on — a lost message was never retried",
-            tag
-        );
+        // A stall with retransmission on: a lost message was never retried.
+        r.assert_not_stalled(cfg, tag);
     }
     if r.outcome == RunOutcome::Completed {
         prop_assert_eq!(r.metrics.committed, sys.len(), "{}", tag);

@@ -63,12 +63,8 @@ proptest! {
             ..Default::default()
         };
         let r = run(&sys, &cfg).unwrap();
-        prop_assert_ne!(
-            r.outcome,
-            RunOutcome::Stalled,
-            "a stall is an unbroken cycle — impossible under {:?} (seed {}, sim {})",
-            scheme, seed, sim_seed
-        );
+        // A stall is an unbroken cycle: impossible under prevention.
+        r.assert_not_stalled(&cfg, format_args!("workload seed {seed}"));
         prop_assert_eq!(r.metrics.deadlocks_resolved, 0, "{:?} has no detector", scheme);
         prop_assert_eq!(r.metrics.probe_messages, 0);
         prop_assert_eq!(r.metrics.detection_latency_ticks, 0);
@@ -117,7 +113,7 @@ proptest! {
             ..Default::default()
         };
         let r = run(&sys, &cfg).unwrap();
-        prop_assert_ne!(r.outcome, RunOutcome::Stalled);
+        r.assert_not_stalled(&cfg, format_args!("workload seed {seed}, hot {hot}"));
         prop_assert_eq!(r.metrics.deadlocks_resolved, 0);
         if scheme != PreventionScheme::NoWait {
             prop_assert_eq!(r.outcome, RunOutcome::Completed);

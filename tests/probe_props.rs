@@ -57,6 +57,7 @@ fn hot_run(seed: u64, transactions: usize) -> kplock::sim::SimReport {
         ..Default::default()
     };
     let r = run(&sys, &cfg).unwrap();
+    r.assert_not_stalled(&cfg, format_args!("workload seed {seed}"));
     assert_eq!(r.outcome, RunOutcome::Completed, "seed {seed}");
     assert_eq!(r.metrics.committed, transactions, "seed {seed}");
     assert!(r.audit.serializable, "seed {seed}");
@@ -137,7 +138,7 @@ proptest! {
             ..Default::default()
         };
         let scan = run(&sys, &base).unwrap();
-        prop_assert_ne!(scan.outcome, RunOutcome::Stalled);
+        scan.assert_not_stalled(&base, format_args!("workload seed {seed}"));
         if !scan.finished() {
             return Ok(()); // scan livelocks are not the probe's bug
         }
@@ -147,6 +148,7 @@ proptest! {
             ..base
         };
         let probe = run(&sys, &probe_cfg).unwrap();
+        probe.assert_not_stalled(&probe_cfg, format_args!("workload seed {seed}"));
         prop_assert_eq!(
             probe.outcome,
             RunOutcome::Completed,
@@ -191,6 +193,7 @@ proptest! {
             ..Default::default()
         };
         let r = run(&sys, &cfg).unwrap();
+        r.assert_not_stalled(&cfg, format_args!("workload seed {seed}, hot {hot}"));
         prop_assert_eq!(r.outcome, RunOutcome::Completed);
         prop_assert!(r.audit.serializable);
         prop_assert_eq!(r.metrics.phantom_probe_aborts, 0);

@@ -92,14 +92,13 @@ proptest! {
             steps_per_txn: 4,
             ..Default::default()
         });
-        let r = run(
-            &sys,
-            &SimConfig {
-                seed: sim_seed,
-                latency: LatencyModel::Uniform(1, 15),
-                ..Default::default()
-            },
-        ).expect("valid config");
+        let cfg = SimConfig {
+            seed: sim_seed,
+            latency: LatencyModel::Uniform(1, 15),
+            ..Default::default()
+        };
+        let r = run(&sys, &cfg).expect("valid config");
+        r.assert_not_stalled(&cfg, format_args!("workload seed {seed}"));
         prop_assert!(r.finished(), "runs must finish");
         prop_assert!(r.audit.legal.is_ok(), "{:?}", r.audit.legal);
         prop_assert!(projection_respects_site_orders(&sys, &r.audit.schedule));
@@ -122,6 +121,7 @@ proptest! {
             ..Default::default()
         };
         let a = run(&sys, &cfg).expect("valid config");
+        a.assert_not_stalled(&cfg, format_args!("workload seed {seed}"));
         let b = run(&sys, &cfg).expect("valid config");
         prop_assert_eq!(a.audit.schedule, b.audit.schedule);
         prop_assert_eq!(a.metrics, b.metrics);

@@ -7,7 +7,7 @@
 
 use kplock::core::policy::LockStrategy;
 use kplock::core::{analyze_pair, SafetyVerdict};
-use kplock::sim::{run, LatencyModel, RunOutcome, SimConfig, VictimPolicy};
+use kplock::sim::{run, LatencyModel, SimConfig, VictimPolicy};
 use kplock::workload::{fig1, fig3, random_pair, WorkloadParams};
 
 #[test]
@@ -56,7 +56,7 @@ fn fig1_exhibits_anomaly_for_some_timing() {
             ..Default::default()
         };
         let r = run(&sys, &cfg).expect("valid config");
-        assert_ne!(r.outcome, RunOutcome::Stalled, "seed {seed}");
+        r.assert_not_stalled(&cfg, "Fig. 1");
         r.finished() && !r.audit.serializable
     });
     assert!(
@@ -75,7 +75,7 @@ fn fig3_exhibits_anomaly_for_some_timing() {
             ..Default::default()
         };
         let r = run(&sys, &cfg).expect("valid config");
-        assert_ne!(r.outcome, RunOutcome::Stalled, "seed {seed}");
+        r.assert_not_stalled(&cfg, "Fig. 3");
         r.finished() && !r.audit.serializable
     });
     assert!(
