@@ -12,11 +12,12 @@
 //!   per shard, so independent entities never contend, plus batched
 //!   acquire/release that locks each shard once per batch;
 //!
-//! and replaces the engine's periodic global deadlock scan with
-//! **incremental wait-for-graph detection** ([`WaitForGraph`],
+//! and offers **incremental wait-for-graph detection** ([`WaitForGraph`],
 //! [`LockManager`]) built on `kplock-graph`'s cycle/SCC machinery: the
 //! graph is updated per entity as requests block and checked exactly when
-//! a block occurs, so a deadlock is reported the moment it forms.
+//! a block occurs, so a deadlock is reported the moment it forms. (The
+//! simulator does not use it: its detectors scan the site tables' own
+//! wait-for edges, [`QueueTable::waits_for_into`].)
 //!
 //! Detection's counterpart is timestamp-ordering **prevention**
 //! ([`prevent`], [`QueueTable::request_with_priority`]): wound-wait,

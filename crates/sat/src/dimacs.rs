@@ -11,6 +11,9 @@ pub enum DimacsError {
     BadToken(String),
     /// A literal references a variable beyond the declared count.
     VarOutOfRange(i64),
+    /// The header declares more variables than a [`Var`] can number
+    /// (above `u32::MAX`).
+    TooManyVars(usize),
 }
 
 impl std::fmt::Display for DimacsError {
@@ -19,6 +22,7 @@ impl std::fmt::Display for DimacsError {
             DimacsError::BadHeader => write!(f, "missing or malformed DIMACS header"),
             DimacsError::BadToken(t) => write!(f, "bad token {t:?}"),
             DimacsError::VarOutOfRange(v) => write!(f, "literal {v} out of declared range"),
+            DimacsError::TooManyVars(n) => write!(f, "{n} variables exceed the u32 range"),
         }
     }
 }
@@ -41,6 +45,9 @@ pub fn parse(text: &str) -> Result<Cnf, DimacsError> {
                 return Err(DimacsError::BadHeader);
             }
             let nv: usize = parts[1].parse().map_err(|_| DimacsError::BadHeader)?;
+            if nv > u32::MAX as usize {
+                return Err(DimacsError::TooManyVars(nv));
+            }
             num_vars = Some(nv);
             cnf = Cnf::new(nv);
             continue;

@@ -1,4 +1,4 @@
-//! The discrete-event simulation engine.
+//! The discrete-event simulation engine: the driver of the protocol.
 //!
 //! Coordinators (one per transaction) exchange messages with sites over a
 //! latency-modelled network; sites run reader–writer FIFO lock tables
@@ -18,6 +18,12 @@
 //! releases its locks and restarts after a backoff, keeping its birth
 //! stamp.
 //!
+//! The handlers live with the state they own, in `site.rs` and
+//! `coordinator.rs`, and share one `World`. This module is the driver:
+//! the event loop, the wire, the two global detectors, the invariant
+//! audit, and the effects that reach every site in one tick — an abort,
+//! a commit and a recovery's re-delivery — delivered in order.
+//!
 //! Every wire message additionally crosses the fault-injection chokepoint
 //! ([`crate::fault::FaultPlan`]): seeded loss, duplication and reordering
 //! apply uniformly to data traffic, probes, abort orders, wounds and
@@ -32,21 +38,16 @@
 //! from two seeded RNGs (latency and faults), so runs are reproducible
 //! either way.
 
-use crate::config::{
-    admission_priority, check_avoid_plan, ConfigError, DeadlockDetection, Delegation, SimConfig,
-};
-use crate::event::{DelegatedGrant, EventKind, EventQueue, Instance, Payload, SimTime};
+use crate::config::{check_avoid_plan, ConfigError, DeadlockDetection, Delegation, SimConfig};
+use crate::coordinator::{Coordinator, Fate};
+use crate::event::{EventKind, EventQueue, Instance, Payload, SimTime};
 use crate::fault::FaultPlanError;
 use crate::history::{audit, Audit, History};
 use crate::metrics::Metrics;
-use crate::probe::{self, ChaseId, Mark, ProbeMsg, SiteProbeState, Stamp};
-use crate::progress::Progress;
-use kplock_dlm::{
-    Acquire, DelegationLedger, Lease, LeaseTable, LockError, PreventionOutcome, PreventionScheme,
-    Priority, QueueTable,
-};
+use crate::probe::{self, ProbeMsg, Stamp};
+use crate::site::Site;
 use kplock_graph::DiGraph;
-use kplock_model::{ActionKind, EntityId, IdMap, LockMode, SiteId, StepId, TxnId, TxnSystem};
+use kplock_model::{EntityId, SiteId, StepId, TxnId, TxnSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -116,170 +117,160 @@ impl SimReport {
     }
 }
 
-/// One transaction's coordinator: its progress through the current
-/// epoch, its victim-policy stamps, and — all it knows beyond its own
-/// steps — the static catalog of sites it locks at and its half of
-/// delegated ownership.
-struct Coordinator {
-    epoch: u32,
-    progress: Progress,
-    committed: bool,
-    /// Last (re)start time (metrics/diagnostics).
-    started_at: SimTime,
-    /// Original start time; survives restarts. Victim selection uses this
-    /// timestamp, following Rosenkrantz, Stearns & Lewis: an aborted
-    /// transaction keeps its age, or the oldest-victim policy livelocks by
-    /// repeatedly killing whichever transaction is about to finish.
-    birth: (SimTime, usize),
-    /// Static catalog knowledge ([`DeadlockDetection::Probe`] only; empty
-    /// otherwise): the sites hosting any entity the transaction locks —
-    /// where a probe chasing it might find it blocked. Derived from the
-    /// schema via `Database::site_of`, not from runtime state.
-    lock_sites: Vec<SiteId>,
-    /// The delegated-grant cache (delegation only): the coordinator half
-    /// of decoupled ownership. Keyed by entity — one cached grant per
-    /// entity.
-    cache: IdMap<EntityId, CacheEntry>,
-    /// Revocations that overtook their delegated grant ack on the wire
-    /// (the revoke can draw a shorter latency than the earlier-sent
-    /// grant): remembered here and applied when the ack lands — the entry
-    /// is born `revoke_pending` and drains at the local unlock. Keyed by
-    /// entity, valued by the revoked instance.
-    deferred_revokes: IdMap<EntityId, Instance>,
-}
-
-/// The admission priority of instance `o` ([`admission_priority`] of its
-/// coordinator's birth stamp). A free function so the table can consult
-/// it while mutably borrowed. Owners in a live table are never stale
-/// (aborts scrub synchronously), and birth survives restarts, so the
-/// lookup is always current.
-fn priority_of(cfg: &SimConfig, coords: &[Coordinator], o: Instance) -> Priority {
-    let (t, idx) = coords[o.txn.idx()].birth;
-    admission_priority(cfg.avoid_plan(), o.txn, (t, idx as u64))
-}
-
-/// One entry in a coordinator's delegated-grant cache
-/// ([`Delegation::On`] only): a cached grant on one entity, serviced
-/// locally until revoked. The site-side hold stays in the owner's table
-/// (the cache's collateral); this entry is the *release authority*.
-#[derive(Clone, Copy, Debug)]
-struct CacheEntry {
-    /// The instance the grant (and the site-side hold) belongs to; abort
-    /// retention re-keys it alongside the site's ledger and table.
-    inst: Instance,
-    /// The delegated mode — local re-acquires must be covered by it.
-    mode: LockMode,
-    /// The delegation's fence; an expired entry must not be trusted
-    /// (the coordinator drops it and goes remote).
-    lease: Lease,
-    /// A lock step is live on the entity (locked locally or remotely,
-    /// matching unlock not yet serviced). An in-use entry defers its
-    /// revocation drain to the unlock.
-    in_use: bool,
-    /// A revocation arrived mid-use; the drain (entry removal +
-    /// [`Payload::RevokeAck`]) rides the upcoming local unlock.
-    revoke_pending: bool,
-}
-
-/// Everything one site owns. Site-side handlers read and write their own
-/// `Site` and nothing of any other — the local-state boundary the paper's
-/// question is about.
-#[derive(Default)]
-struct Site {
-    /// The lock table. Volatile: a crash replaces it with an empty one.
-    table: QueueTable<Instance>,
-    /// When each queued request began to wait, inserted when the table
-    /// queues it and removed at its grant or its instance's abort. Not
-    /// wiped by a crash: a waiter that re-requests after recovery keeps
-    /// its wait clock. (The step the grant acknowledges is the
-    /// transaction's one lock step on the entity.)
-    queued: IdMap<(Instance, EntityId), SimTime>,
-    /// Probe bookkeeping ([`DeadlockDetection::Probe`] only): the
-    /// wait-edges of this site's own entities, to spot new ones.
-    probe: SiteProbeState,
-    /// Mid-outage: deliveries are dropped by the event loop.
-    down: bool,
-    /// Tick of the last crash (lease-survival anchor).
-    crash_at: SimTime,
-    /// Boot epoch, bumped at every crash. Delegated grants carry the
-    /// grant-time boot ([`DelegatedGrant::boot`]); a coordinator refuses
-    /// to cache a grant from an older boot, since the crash cleared the
-    /// ledger (see `on_crash`).
-    boot: u32,
-    /// Lease ledger mirroring grants — the surviving holder state a
-    /// recovery rebuilds from. Maintained only when the plan schedules
-    /// crashes (`track_leases`).
-    leases: LeaseTable<Instance>,
-    /// Delegation ledger (delegation only): which holds have their
-    /// release authority delegated — what a conflicting request consults
-    /// to send revocations, and what a crash walks to clear both sides.
-    delegations: DelegationLedger<Instance>,
-}
-
-/// What no site and no coordinator owns: the scheduler (a calendar of
-/// per-tick FIFO buckets, [`EventQueue`]), the two RNGs and the wire
-/// ([`Engine::transmit`]), and the run's history and counters.
-struct Engine<'a> {
-    sys: &'a TxnSystem,
-    cfg: &'a SimConfig,
-    rng: StdRng,
+/// What every handler may touch beside the state it owns: the clock, the
+/// RNGs, the calendar ([`EventQueue`]) and the wire into it, the history,
+/// the counters, the audit's touched list and OnBlock's trigger.
+pub(crate) struct World<'a> {
+    pub(crate) sys: &'a TxnSystem,
+    pub(crate) cfg: &'a SimConfig,
+    pub(crate) now: SimTime,
+    /// The latency RNG, which also draws restart backoffs.
+    pub(crate) rng: StdRng,
     /// Dedicated fault RNG ([`crate::fault::FaultPlan::seed`]): loss,
     /// duplication and reorder draws never touch the latency RNG, so
     /// `FaultPlan::none()` leaves the main stream — and every fixed-seed
     /// pin — bit-identical.
     fault_rng: StdRng,
-    queue: EventQueue,
-    sites: Vec<Site>,
-    coords: Vec<Coordinator>,
-    /// Coordinators yet to commit; zero ends the run.
-    uncommitted: usize,
+    pub(crate) queue: EventQueue,
+    pub(crate) history: History<'a>,
+    pub(crate) metrics: Metrics,
+    /// The `(site, entity)` of every table mutation since the last audit
+    /// ([`SimConfig::invariant_audit`] only), with repeats.
+    pub(crate) touched: Vec<(SiteId, EntityId)>,
     /// [`DeadlockDetection::OnBlock`]'s trigger: an entity was left with
     /// waiters since the last [`Engine::deadlock_scan`] (a change leaving
     /// none only removes edges, and cannot close a cycle).
-    scan_due: bool,
+    pub(crate) scan_due: bool,
+    /// Scratch for the steps a coordinator makes ready, empty between
+    /// events.
+    pub(crate) ready: Vec<usize>,
+    /// Whether sites keep lease ledgers (the plan has crashes).
+    pub(crate) track_leases: bool,
+    /// Whether delegated lock ownership is on: every delegation path is
+    /// gated on this, so `Off` runs never touch it.
+    pub(crate) delegation: bool,
+}
+
+impl<'a> World<'a> {
+    /// The world of a run of `sys` under `cfg`, at tick 0.
+    pub(crate) fn new(sys: &'a TxnSystem, cfg: &'a SimConfig) -> Self {
+        World {
+            sys,
+            cfg,
+            now: 0,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            fault_rng: StdRng::seed_from_u64(cfg.faults.seed),
+            queue: EventQueue::new(),
+            history: History::new(sys),
+            metrics: Metrics {
+                avoid_certified: cfg.avoid_plan().map_or(0, |p| p.certified_count()),
+                avoid_fallbacks: cfg.avoid_plan().map_or(0, |p| p.fallback_count()),
+                ..Metrics::default()
+            },
+            touched: Vec::new(),
+            scan_due: false,
+            ready: Vec::new(),
+            track_leases: !cfg.faults.crashes.is_empty(),
+            delegation: cfg.delegation == Delegation::On,
+        }
+    }
+
+    /// The single wire chokepoint: every message — data traffic, probes,
+    /// abort orders, wounds, rejections — is counted, latency-stamped from
+    /// the main RNG, and then run through the fault plan's channel model.
+    /// Loss swallows the delivery; reorder delays it by an extra jitter so
+    /// later sends can overtake it; duplication schedules a second copy
+    /// strictly after the first. All fault draws come from the dedicated
+    /// fault RNG, so a plan with no channel faults never perturbs the
+    /// latency stream and the clean path is bit-identical to the
+    /// fault-free engine.
+    pub(crate) fn transmit(&mut self, ev: EventKind) {
+        self.metrics.messages += 1;
+        // Acquire/release traffic, metered separately: the quantity
+        // delegated ownership reduces (pure counting — no RNG draw and
+        // no flow change, so fixed-seed pins are untouched).
+        if let EventKind::ToSite(_, p) | EventKind::ToCoordinator(_, p) = &ev {
+            if matches!(
+                p,
+                Payload::LockRequest { .. }
+                    | Payload::LockGranted { .. }
+                    | Payload::LockRejected { .. }
+                    | Payload::UnlockRequest { .. }
+                    | Payload::UnlockDone { .. }
+                    | Payload::Revoke { .. }
+                    | Payload::RevokeAck { .. }
+            ) {
+                self.metrics.lock_traffic += 1;
+            }
+        }
+        let at = self.now + self.cfg.latency.sample(&mut self.rng);
+        let f = &self.cfg.faults;
+        if !f.channel_faults() {
+            self.queue.push(at, ev);
+            return;
+        }
+        let (loss, dup, reorder) = (f.loss, f.duplication, f.reorder);
+        let window = f.reorder_window.max(1);
+        if loss > 0.0 && self.fault_rng.gen_bool(loss) {
+            self.metrics.messages_dropped += 1;
+            return;
+        }
+        let at = if reorder > 0.0 && self.fault_rng.gen_bool(reorder) {
+            at + self.fault_rng.gen_range(1..=window)
+        } else {
+            at
+        };
+        if dup > 0.0 && self.fault_rng.gen_bool(dup) {
+            self.metrics.messages_duplicated += 1;
+            let lag = 1 + self.fault_rng.gen_range(0..=window);
+            self.queue.push(at + lag, ev.clone());
+        }
+        self.queue.push(at, ev);
+    }
+
+    /// Sends a probe to site `to`, metered apart from other traffic.
+    pub(crate) fn send_probe(&mut self, to: SiteId, msg: ProbeMsg) {
+        self.metrics.probe_messages += 1;
+        self.transmit(EventKind::ToSite(to, Payload::Probe(msg)));
+    }
+
+    /// Records that `entity`'s lists in `site`'s table were just mutated.
+    pub(crate) fn touch(&mut self, site: SiteId, entity: EntityId) {
+        if self.cfg.invariant_audit {
+            self.touched.push((site, entity));
+        }
+    }
+
+    /// Records a step of the live instance `inst` exactly once per epoch
+    /// ([`History::recorded`]): a retransmitted or duplicated request
+    /// re-acknowledges without re-recording.
+    pub(crate) fn record_step(&mut self, inst: Instance, step: StepId) {
+        if self.history.recorded(inst, step) {
+            assert!(self.cfg.faults.any(), "{inst:?}: {step} recorded twice");
+        } else {
+            self.history.record(self.now, inst, step);
+        }
+    }
+}
+
+/// The sites, the coordinators, the [`World`] they share, and the run's
+/// own bookkeeping.
+struct Engine<'a> {
+    sites: Vec<Site>,
+    coords: Vec<Coordinator>,
+    world: World<'a>,
+    /// Coordinators yet to commit; zero ends the run.
+    uncommitted: usize,
     /// Scratch of [`find_wait_cycle`]: one entry per transaction, all
     /// [`UNSEEN`] between calls.
     scan_slot: Vec<usize>,
-    /// Scratch for the steps a [`Progress::start`] or [`Progress::ack`]
-    /// makes ready: empty between events, its buffer kept.
-    ready: Vec<usize>,
-    /// Whether leases are being tracked (the plan has crashes).
-    track_leases: bool,
-    /// Whether delegated lock ownership is on ([`Delegation::On`]).
-    /// Every delegation code path is gated on this flag, so `Off` runs
-    /// are message-for-message identical to the pre-delegation engine.
-    delegation: bool,
-    history: History<'a>,
-    metrics: Metrics,
-    audit: TableAudit,
-    now: SimTime,
+    /// Events the [`SimConfig::invariant_audit`] harness has audited.
+    audited: u64,
     /// Test seam: abort orders start no re-chase, leaving the marks alone
     /// to bound *and* to find — the protocol rule 5 of `probe.rs` exists
     /// to repair. Lets a test show the stall instead of asserting it.
     #[cfg(test)]
     marks_alone: bool,
-}
-
-/// The [`SimConfig::invariant_audit`] harness's own state: which table
-/// entries the event being handled has mutated, and how many events have
-/// been audited.
-struct TableAudit {
-    /// [`SimConfig::invariant_audit`]; nothing below is written when off.
-    on: bool,
-    /// The `(site, entity)` of every table mutation since the last audit,
-    /// with repeats. Drained by [`Engine::audit_touched`].
-    touched: Vec<(SiteId, EntityId)>,
-    /// Events audited so far.
-    events: u64,
-}
-
-impl TableAudit {
-    /// Records that `entity`'s lists in `site`'s table were just mutated.
-    fn touch(&mut self, site: SiteId, entity: EntityId) {
-        if self.on {
-            self.touched.push((site, entity));
-        }
-    }
 }
 
 /// Every this-many audited events the incremental audit is followed by
@@ -289,14 +280,6 @@ const FULL_SWEEP_EVERY: u64 = 4096;
 
 /// [`Engine::scan_slot`]'s mark for a transaction no live edge has named.
 pub(crate) const UNSEEN: usize = usize::MAX;
-
-/// Ticks a coordinator spends serving a lock or unlock step from its
-/// delegated cache.
-const LOCAL_STEP_TIME: u64 = 1;
-
-/// Backoff before an aborted instance restarts, and the range of the
-/// jitter drawn on top of it.
-const RESTART_BACKOFF: u64 = 25;
 
 /// One cycle of the transaction-level wait-for graph — the edges whose
 /// two ends are both `live` — as transaction indices, or `None`, without
@@ -403,57 +386,18 @@ fn run_observed<'a>(
     }
     check_avoid_plan(cfg.avoid_plan(), sys)?;
     let probing = cfg.detection() == Some(DeadlockDetection::Probe);
+    let coordinator = |(t, &arrival): (usize, &SimTime)| {
+        Coordinator::new(sys, TxnId::from_idx(t), arrival, probing)
+    };
     let mut eng = Engine {
-        sys,
-        cfg,
-        rng: StdRng::seed_from_u64(cfg.seed),
-        fault_rng: StdRng::seed_from_u64(cfg.faults.seed),
-        queue: EventQueue::new(),
         sites: (0..sys.db().site_count())
-            .map(|_| Site::default())
+            .map(|s| Site::new(SiteId::from_idx(s)))
             .collect(),
-        coords: sys
-            .txns()
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let mut lock_sites: Vec<SiteId> = Vec::new();
-                if probing {
-                    let locked = t.locked_entities();
-                    lock_sites.extend(locked.iter().map(|&e| sys.db().site_of(e)));
-                    lock_sites.sort_by_key(|s| s.idx());
-                    lock_sites.dedup();
-                }
-                Coordinator {
-                    epoch: 0,
-                    progress: Progress::new(t),
-                    committed: false,
-                    started_at: arrivals[i],
-                    birth: (arrivals[i], i),
-                    lock_sites,
-                    cache: IdMap::default(),
-                    deferred_revokes: IdMap::default(),
-                }
-            })
-            .collect(),
+        coords: arrivals.iter().enumerate().map(coordinator).collect(),
+        world: World::new(sys, cfg),
         uncommitted: sys.len(),
-        scan_due: false,
         scan_slot: vec![UNSEEN; sys.len()],
-        ready: Vec::new(),
-        track_leases: !cfg.faults.crashes.is_empty(),
-        delegation: cfg.delegation == Delegation::On,
-        history: History::new(sys),
-        metrics: Metrics {
-            avoid_certified: cfg.avoid_plan().map_or(0, |p| p.certified_count()),
-            avoid_fallbacks: cfg.avoid_plan().map_or(0, |p| p.fallback_count()),
-            ..Metrics::default()
-        },
-        audit: TableAudit {
-            on: cfg.invariant_audit,
-            touched: Vec::new(),
-            events: 0,
-        },
-        now: 0,
+        audited: 0,
         #[cfg(test)]
         marks_alone: false,
     };
@@ -463,29 +407,27 @@ fn run_observed<'a>(
         if arrival == 0 {
             eng.start(txn);
         } else {
-            eng.queue.push(arrival, EventKind::Restart(txn));
+            eng.world.queue.push(arrival, EventKind::Restart(txn));
         }
     }
     if cfg.detection() == Some(DeadlockDetection::Periodic) {
-        eng.queue
-            .push(cfg.deadlock_scan_interval, EventKind::DeadlockScan);
+        let first = cfg.deadlock_scan_interval;
+        eng.world.queue.push(first, EventKind::DeadlockScan);
     }
     for c in &cfg.faults.crashes {
         let site = SiteId::from_idx(c.site);
-        eng.queue.push(c.at, EventKind::SiteCrash(site));
+        eng.world.queue.push(c.at, EventKind::SiteCrash(site));
         // A zero-length outage recovers in the same tick, after the crash
         // (insertion order breaks the tie): a crash-restart the network
         // never sees, but the volatile table is gone all the same.
-        eng.queue.push(
-            c.at.saturating_add(c.down_for),
-            EventKind::SiteRecover(site),
-        );
+        let back = c.at.saturating_add(c.down_for);
+        eng.world.queue.push(back, EventKind::SiteRecover(site));
     }
 
     let mut timed_out = false;
-    while let Some((t, ev)) = eng.queue.pop() {
-        eng.now = t;
-        if eng.now > cfg.max_time {
+    while let Some((t, ev)) = eng.world.queue.pop() {
+        eng.world.now = t;
+        if t > cfg.max_time {
             timed_out = true;
             break;
         }
@@ -498,7 +440,7 @@ fn run_observed<'a>(
                     // The site is mid-outage: everything landing on it is
                     // lost with the crash (retransmission and the
                     // recovery re-delivery make up for it).
-                    eng.metrics.messages_dropped += 1;
+                    eng.world.metrics.messages_dropped += 1;
                     continue;
                 }
                 eng.on_site(site, payload);
@@ -510,7 +452,7 @@ fn run_observed<'a>(
                 // site event that left an entity with waiters, so no
                 // formation path is missed (and update-only events stay
                 // O(1)).
-                if eng.scan_due {
+                if eng.world.scan_due {
                     eng.deadlock_scan();
                 }
                 eng.audit_touched();
@@ -526,10 +468,8 @@ fn run_observed<'a>(
                 eng.deadlock_scan();
                 eng.audit_touched();
                 if !eng.all_committed() {
-                    eng.queue.push(
-                        eng.now + cfg.deadlock_scan_interval,
-                        EventKind::DeadlockScan,
-                    );
+                    let next = t + cfg.deadlock_scan_interval;
+                    eng.world.queue.push(next, EventKind::DeadlockScan);
                 }
             }
             EventKind::Restart(txn) => eng.start(txn),
@@ -540,7 +480,9 @@ fn run_observed<'a>(
                 eng.on_recover(site);
                 eng.audit_sweep();
             }
-            EventKind::RetransmitCheck(txn, epoch) => eng.on_retransmit(txn, epoch),
+            EventKind::RetransmitCheck(txn, epoch) => {
+                eng.coords[txn.idx()].on_retransmit(&mut eng.world, epoch)
+            }
         }
         after(&mut eng);
     }
@@ -557,10 +499,11 @@ fn run_observed<'a>(
     // Elapsed simulated time: the honest throughput denominator. Equal to
     // the makespan for clean completions; a timed-out run used its whole
     // budget, a stalled one its drain tick.
-    eng.metrics.elapsed_ticks = match outcome {
-        RunOutcome::Completed => eng.metrics.makespan,
+    let metrics = &mut eng.world.metrics;
+    metrics.elapsed_ticks = match outcome {
+        RunOutcome::Completed => metrics.makespan,
         RunOutcome::TimedOut => cfg.max_time,
-        RunOutcome::Stalled => eng.now,
+        RunOutcome::Stalled => eng.world.now,
     };
     // The history was told of every commit and abort as it happened, so
     // the audit reads its verdict; an unfinished transaction's in-flight
@@ -568,12 +511,11 @@ fn run_observed<'a>(
     let committed_epoch: Vec<Option<u32>> = eng
         .coords
         .iter()
-        .map(|c| c.committed.then_some(c.epoch))
+        .map(|c| c.committed.then_some(c.current().epoch))
         .collect();
-    let audit = audit(&eng.history);
     Ok(SimReport {
-        metrics: eng.metrics,
-        audit,
+        audit: audit(&eng.world.history),
+        metrics: eng.world.metrics,
         committed_epoch,
         outcome,
     })
@@ -584,602 +526,69 @@ impl Engine<'_> {
         self.uncommitted == 0
     }
 
-    fn send_to_site(&mut self, site: SiteId, payload: Payload) {
-        self.transmit(EventKind::ToSite(site, payload));
-    }
-
-    fn send_to_coordinator(&mut self, txn: TxnId, payload: Payload) {
-        self.transmit(EventKind::ToCoordinator(txn, payload));
-    }
-
-    /// The single wire chokepoint: every message — data traffic, probes,
-    /// abort orders, wounds, rejections — is counted, latency-stamped from
-    /// the main RNG, and then run through the fault plan's channel model.
-    /// Loss swallows the delivery; reorder delays it by an extra jitter so
-    /// later sends can overtake it; duplication schedules a second copy
-    /// strictly after the first. All fault draws come from the dedicated
-    /// fault RNG, so a plan with no channel faults never perturbs the
-    /// latency stream and the clean path is bit-identical to the
-    /// fault-free engine.
-    fn transmit(&mut self, ev: EventKind) {
-        self.metrics.messages += 1;
-        // Acquire/release traffic, metered separately: the quantity
-        // delegated ownership reduces (pure counting — no RNG draw and
-        // no flow change, so fixed-seed pins are untouched).
-        if let EventKind::ToSite(_, p) | EventKind::ToCoordinator(_, p) = &ev {
-            if matches!(
-                p,
-                Payload::LockRequest { .. }
-                    | Payload::LockGranted { .. }
-                    | Payload::LockRejected { .. }
-                    | Payload::UnlockRequest { .. }
-                    | Payload::UnlockDone { .. }
-                    | Payload::Revoke { .. }
-                    | Payload::RevokeAck { .. }
-            ) {
-                self.metrics.lock_traffic += 1;
-            }
-        }
-        let at = self.now + self.cfg.latency.sample(&mut self.rng);
-        let f = &self.cfg.faults;
-        if !f.channel_faults() {
-            self.queue.push(at, ev);
-            return;
-        }
-        let (loss, dup, reorder) = (f.loss, f.duplication, f.reorder);
-        let window = f.reorder_window.max(1);
-        if loss > 0.0 && self.fault_rng.gen_bool(loss) {
-            self.metrics.messages_dropped += 1;
-            return;
-        }
-        let at = if reorder > 0.0 && self.fault_rng.gen_bool(reorder) {
-            at + self.fault_rng.gen_range(1..=window)
-        } else {
-            at
-        };
-        if dup > 0.0 && self.fault_rng.gen_bool(dup) {
-            self.metrics.messages_duplicated += 1;
-            let lag = 1 + self.fault_rng.gen_range(0..=window);
-            self.queue.push(at + lag, ev.clone());
-        }
-        self.queue.push(at, ev);
-    }
-
-    /// `txn`'s current epoch begins (an arrival, or the restart after an
-    /// abort): issue its first steps and arm the retransmission timer for
-    /// this epoch — the previous epoch's timer dies on its mismatch. A
-    /// transaction with no steps has nothing to wait for and commits here
-    /// (the `committed` test keeps a restart that outlived its
-    /// transaction's commit — two aborts before the first restart fired —
-    /// from committing it twice).
-    fn start(&mut self, txn: TxnId) {
-        let c = &mut self.coords[txn.idx()];
-        c.started_at = self.now;
-        if c.progress.finished() && !c.committed {
-            return self.commit(txn);
-        }
-        let mut ready = std::mem::take(&mut self.ready);
-        c.progress.start(&mut ready);
-        self.send_steps(txn, ready);
-        if self.cfg.faults.retransmit_after > 0 {
-            self.queue.push(
-                self.now + self.cfg.faults.retransmit_after,
-                EventKind::RetransmitCheck(txn, self.coords[txn.idx()].epoch),
-            );
-        }
-    }
-
-    /// Every step of `txn`'s current epoch is acknowledged.
-    fn commit(&mut self, txn: TxnId) {
-        self.history.commit(self.current(txn));
-        self.coords[txn.idx()].committed = true;
-        self.uncommitted -= 1;
-        self.metrics.committed += 1;
-        self.metrics.makespan = self.now;
-        if self.cfg.detection() == Some(DeadlockDetection::Probe) {
-            // No search through a committed transaction can close.
-            for site in &mut self.sites {
-                site.probe.end_chases_of(txn);
-            }
-        }
-    }
-
-    /// Sends the steps of `txn` that [`Progress`] just made ready, in the
-    /// order given, and hands the emptied buffer back to [`Engine::ready`].
-    fn send_steps(&mut self, txn: TxnId, mut ready: Vec<usize>) {
-        for v in ready.drain(..) {
-            self.send_step(txn, v);
-        }
-        self.ready = ready;
-    }
-
-    /// Sends (or re-sends — retransmission and recovery re-delivery both
-    /// land here) the request for step `v` of `txn`'s current epoch.
-    fn send_step(&mut self, txn: TxnId, v: usize) {
-        let inst = self.current(txn);
-        let step = StepId::from_idx(v);
-        let at = self.sys.txn(txn).step(step);
-        let (kind, entity) = (at.kind, at.entity);
-        if self.delegation {
-            // The delegated fast path: a cached grant services the lock
-            // or unlock locally — zero wire messages, no site table
-            // consulted, the ack a local-latency self-delivery.
-            let hit = match kind {
-                ActionKind::Lock => self.try_cached_lock(txn, inst, entity, step),
-                ActionKind::Unlock => self.try_cached_unlock(txn, inst, entity, step),
-                ActionKind::Update => false,
-            };
-            if hit {
-                return;
-            }
-        }
-        let payload = match kind {
-            ActionKind::Lock => Payload::LockRequest { inst, entity, step },
-            ActionKind::Update => Payload::UpdateRequest { inst, entity, step },
-            ActionKind::Unlock => Payload::UnlockRequest { inst, entity, step },
-        };
-        self.send_to_site(self.sys.db().site_of(entity), payload);
-    }
-
-    /// Services a lock step from the delegated cache if a covering,
-    /// unexpired entry for the current epoch exists: the entry is marked
-    /// in-use *synchronously* (so a revocation landing before the local
-    /// ack still defers its drain to the unlock), the step recorded, and
-    /// the ack self-delivered after [`LOCAL_STEP_TIME`] — two wire messages
-    /// saved. Returns whether the cache hit.
-    fn try_cached_lock(
-        &mut self,
-        txn: TxnId,
-        inst: Instance,
-        entity: EntityId,
-        step: StepId,
-    ) -> bool {
-        let mode = self.sys.txn(txn).step(step).mode;
-        let Some(entry) = self.coords[txn.idx()].cache.get_mut(&entity) else {
-            return false;
-        };
-        if entry.inst != inst || !entry.mode.covers(mode) {
-            // A stray epoch, or an upgrade the cached mode cannot cover:
-            // go remote (the site re-grants idempotently if we hold).
-            return false;
-        }
-        if entry.lease.ttl != 0 && self.now > entry.lease.granted_at + entry.lease.ttl {
-            // The lease lapsed: a cache must not be trusted past its
-            // fence. Drop the entry and go remote — a one-way degrade;
-            // only an explicit re-grant renews (satellite of the
-            // duplicated-grant rule: nothing local slides the clock).
-            self.coords[txn.idx()].cache.remove(&entity);
-            return false;
-        }
-        entry.in_use = true;
-        let (cached_mode, cached_lease) = (entry.mode, entry.lease);
-        self.record_step(inst, step);
-        self.metrics.cache_hits += 1;
-        self.metrics.messages_saved += 2;
-        let delegated = Some(DelegatedGrant {
-            mode: cached_mode,
-            lease: cached_lease,
-            boot: self.sites[self.sys.db().site_of(entity).idx()].boot,
-        });
-        self.queue.push(
-            self.now + LOCAL_STEP_TIME,
-            EventKind::ToCoordinator(
-                txn,
-                Payload::LockGranted {
-                    inst,
-                    entity,
-                    step,
-                    delegated,
-                },
-            ),
-        );
-        true
-    }
-
-    /// Services an unlock step from the delegated cache: the entry goes
-    /// idle (or, with a revocation pending, drains — removal plus a
-    /// [`Payload::RevokeAck`] so the owner releases the hold), the step
-    /// is recorded, and the ack self-delivered. A duplicate of an
-    /// already-serviced local unlock just re-acknowledges. Returns
-    /// whether the cache serviced the step.
-    fn try_cached_unlock(
-        &mut self,
-        txn: TxnId,
-        inst: Instance,
-        entity: EntityId,
-        step: StepId,
-    ) -> bool {
-        let Some(entry) = self.coords[txn.idx()].cache.get_mut(&entity) else {
-            return false;
-        };
-        if entry.inst != inst {
-            return false;
-        }
-        if entry.in_use {
-            entry.in_use = false;
-            if entry.revoke_pending {
-                let entry = self.coords[txn.idx()]
-                    .cache
-                    .remove(&entity)
-                    .expect("entry present");
-                // The request stayed local; only the drain ack crossed
-                // the wire (and it doubles as the release).
-                self.metrics.messages_saved += 1;
-                let site = self.sys.db().site_of(entity);
-                self.send_to_site(
-                    site,
-                    Payload::RevokeAck {
-                        inst: entry.inst,
-                        entity,
-                    },
-                );
-            } else {
-                self.metrics.messages_saved += 2;
-            }
-        }
-        self.record_step(inst, step);
-        self.metrics.cache_hits += 1;
-        self.queue.push(
-            self.now + LOCAL_STEP_TIME,
-            EventKind::ToCoordinator(txn, Payload::UnlockDone { inst, step }),
-        );
-        true
-    }
-
-    /// True when `inst` belongs to an epoch that has been aborted: its
-    /// coordinator has already moved on. Every message handler checks this
-    /// first — messages from dead epochs (a release still in flight when
-    /// its sender was chosen as a deadlock victim, a probe chasing an
-    /// aborted instance) must be ignored, or they would corrupt state the
-    /// abort already cleaned up (see the
-    /// `stale_unlock_after_abort_is_ignored` test for the race).
+    /// True when `inst`'s epoch has been aborted ([`Coordinator::stale`]).
     fn stale(&self, inst: Instance) -> bool {
-        self.current(inst.txn) != inst
+        self.coords[inst.txn.idx()].stale(inst)
     }
 
-    /// True when `inst` can no longer be deadlocked: it was aborted, or
-    /// its transaction committed (a commit does not bump the epoch, so
-    /// [`Engine::stale`] alone misses it).
-    fn moved_on(&self, inst: Instance) -> bool {
-        self.stale(inst) || self.coords[inst.txn.idx()].committed
+    fn start(&mut self, txn: TxnId) {
+        let fate = self.coords[txn.idx()].start(&mut self.world);
+        self.settle(txn, fate);
     }
 
-    /// `txn`'s live instance.
-    fn current(&self, txn: TxnId) -> Instance {
-        let epoch = self.coords[txn.idx()].epoch;
-        Instance { txn, epoch }
-    }
-
-    /// The victim-policy timestamps of `inst`, as piggybacked on probes.
-    fn stamp_of(&self, inst: Instance) -> Stamp {
-        let c = &self.coords[inst.txn.idx()];
-        Stamp {
-            started_at: c.started_at,
-            birth: c.birth,
-        }
-    }
-
-    /// Reacts to a change of `entity`'s contribution to the wait-for
-    /// relation (no-op under periodic detection and under prevention,
-    /// which admits no cycle to ever look for): OnBlock schedules a scan
-    /// if the entity is left with waiters; Probe chases the new edges.
-    fn edges_changed(&mut self, site: SiteId, entity: EntityId) {
-        match self.cfg.detection() {
-            None | Some(DeadlockDetection::Periodic) => {}
-            Some(DeadlockDetection::OnBlock) => {
-                self.scan_due |= self.sites[site.idx()].table.has_waiters(entity);
-            }
-            Some(DeadlockDetection::Probe) => self.chase_new_edges(site, entity),
-        }
-    }
-
-    /// Diffs `entity`'s wait-edges against the site's last view of them
-    /// and launches a probe per new edge, one search per waiter. Kept out
-    /// of line: [`Engine::edges_changed`] runs at every grant and release
-    /// under every arm, and its no-op arms should not pay for this one's
-    /// frame (`sim_scan`'s median call reads 2–3 % slower with it inlined).
-    #[inline(never)]
-    fn chase_new_edges(&mut self, site: SiteId, entity: EntityId) {
-        let s = &mut self.sites[site.idx()];
-        let fresh = s
-            .probe
-            .observe(entity, s.table.entity_waits_for(entity), self.now);
-        // The edges come sorted by waiter: one search per waiter covers
-        // all of its new edges.
-        let mut search: Option<(Instance, ChaseId)> = None;
-        for (w, h) in fresh {
-            let s = &mut self.sites[site.idx()];
-            let chase = match search {
-                Some((waiter, chase)) if waiter == w => chase,
-                _ => {
-                    self.metrics.probe_initiations += 1;
-                    ChaseId {
-                        origin: site,
-                        boot: s.boot,
-                        seq: s.probe.next_seq(),
-                        generation: 0,
+    /// Carries out what a coordinator's handler left to the driver: a
+    /// commit, which ends every probe search through `txn`, or an abort.
+    fn settle(&mut self, txn: TxnId, fate: Fate) {
+        match fate {
+            Fate::Running => {}
+            Fate::Committed => {
+                self.uncommitted -= 1;
+                if self.world.cfg.detection() == Some(DeadlockDetection::Probe) {
+                    for site in &mut self.sites {
+                        site.end_chases_of(txn);
                     }
                 }
-            };
-            search = Some((w, chase));
-            // Holders and waiters in a live table are never stale (aborts
-            // scrub them synchronously), and the table never records an
-            // owner waiting on itself.
-            s.probe.mark(chase, w.txn, h.txn, Mark::Routed);
-            let msg = ProbeMsg {
-                path: vec![(w, self.stamp_of(w)), (h, self.stamp_of(h))],
-                formed_at: self.now,
-                chase,
-            };
-            self.route_probe(Some(site), msg);
-        }
-    }
-
-    /// Delivers a probe to every site where its target might be blocked:
-    /// the sites hosting the target's lock set (static catalog knowledge).
-    /// The sending site, if a site sends, examines it for free; every
-    /// other costs a message — metered separately so detection's overhead
-    /// is visible.
-    fn route_probe(&mut self, from: Option<SiteId>, msg: ProbeMsg) {
-        let target = msg.target().txn.idx();
-        for i in 0..self.coords[target].lock_sites.len() {
-            let to = self.coords[target].lock_sites[i];
-            if Some(to) == from {
-                self.on_probe(to, &msg);
-            } else {
-                self.metrics.probe_messages += 1;
-                self.send_to_site(to, Payload::Probe(msg.clone()));
             }
+            Fate::Aborts => self.abort(txn),
         }
     }
 
-    /// A probe arrived at `site`: unless this site has examined its
-    /// target for this search before, examine the target's local
-    /// wait-edges, closing the cycle where one points back at the
-    /// initiator and sending the search on along every other whose end
-    /// this site has not sent it to yet. Reads nothing but this site's
-    /// table and probe memory.
-    fn on_probe(&mut self, site: SiteId, msg: &ProbeMsg) {
-        let (w, t) = (msg.initiator(), msg.target());
-        if self.moved_on(w) || self.stale(t) {
-            return;
+    /// Aborts `txn`'s live instance: the coordinator retires it, every
+    /// site releases it in site order, and the coordinator backs off.
+    fn abort(&mut self, txn: TxnId) {
+        let old = self.coords[txn.idx()].abort(&mut self.world);
+        if self.world.delegation {
+            // Retention: uncontested cached grants are re-keyed to the
+            // successor epoch, synchronously, so the restart re-acquires
+            // them for free — where restart-heavy hot-spot workloads earn
+            // their cache hits. (A zero-latency read of remote sites'
+            // queues: ARCHITECTURE §2.3.)
+            let (sites, world) = (&mut self.sites, &mut self.world);
+            self.coords[txn.idx()].retain_cache(old, |e, mode, lease| {
+                let site = &mut sites[world.sys.db().site_of(e).idx()];
+                site.rekey(world, old, e, mode, lease)
+            });
         }
-        let s = &mut self.sites[site.idx()];
-        if !s.probe.mark(msg.chase, w.txn, t.txn, Mark::Examined) {
-            return;
+        for site in &mut self.sites {
+            site.release_all(&mut self.world, &self.coords, old);
         }
-        let successors = s.table.waits_of(t);
-        for h in successors {
-            // When this site's edge `target → h` appeared, from its own
-            // bookkeeping: the cycle is attributed to its *last-formed*
-            // edge, so the formation tick carried onward is the maximum
-            // over the path. (The edge is always on record here — it was
-            // observed the moment it changed — but a probe racing an edge
-            // re-formation falls back to now, the conservative choice.)
-            let s = &mut self.sites[site.idx()];
-            let appeared = s.probe.appeared_at(t, h).unwrap_or(self.now);
-            if h == w {
-                // The path is a wait-for cycle assembled hop by hop from
-                // site-local views. Every site closing the same cycle
-                // picks the same victim (rotation-invariant policy), so
-                // duplicate detections collapse at the abort.
-                let victim = probe::choose_victim(self.cfg.victim_policy, &msg.path)
-                    .expect("a probe path is never empty");
-                self.metrics.probe_closes += 1;
-                self.send_to_coordinator(
-                    victim.txn,
-                    Payload::Abort {
-                        victim,
-                        members: msg.path.iter().map(|&(m, _)| m).collect(),
-                        formed_at: msg.formed_at.max(appeared),
-                        chase: msg.chase,
-                    },
-                );
-            } else if s.probe.mark(msg.chase, w.txn, h.txn, Mark::Routed) {
-                let next = msg.extend(h, self.stamp_of(h), appeared);
-                self.route_probe(Some(site), next);
-            }
-        }
+        self.coords[txn.idx()].back_off(&mut self.world);
     }
 
-    /// True when this step request is a duplicate of one the coordinator
-    /// has already seen acknowledged ([`Progress::is_done`]): the first copy was
-    /// serviced *and* its ack consumed, so nothing remains to do and the
-    /// message is dropped whole — modelling per-request sequence numbers.
-    /// Without this, a late duplicate `LockRequest` for an entity its
-    /// sender already used and released would be a *fresh* request and
-    /// ghost-grant a lock nobody will ever release. Never true on a clean
-    /// run, which delivers exactly once; callers check `stale` first, so
-    /// the progress is the current epoch's.
-    fn already_serviced(&self, inst: Instance, step: StepId) -> bool {
-        self.coords[inst.txn.idx()].progress.is_done(step.idx())
-    }
-
-    /// Records a step in the history exactly once per epoch
-    /// ([`Progress::record`]): a retransmitted or duplicated request whose
-    /// original was already recorded re-acknowledges without re-recording
-    /// (a double record would corrupt the audit's schedule). Callers check
-    /// `stale` first or build `inst` from `current`, so `inst` is the live
-    /// epoch.
-    fn record_step(&mut self, inst: Instance, step: StepId) {
-        if self.coords[inst.txn.idx()].progress.record(step.idx()) {
-            self.history.record(self.now, inst, step);
-        } else {
-            assert!(self.cfg.faults.any(), "{inst:?}: {step} recorded twice");
-        }
-    }
-
-    /// Mirrors a grant into the site's lease ledger (crash plans only):
-    /// the lease is stamped now with the plan's ttl, and the *held* mode
-    /// is recorded (a covered re-request must not downgrade an exclusive
-    /// lease to shared).
-    fn note_grant(&mut self, site: SiteId, inst: Instance, e: EntityId) {
-        if !self.track_leases {
-            return;
-        }
-        let s = &mut self.sites[site.idx()];
-        let mode = s.table.holds(e, inst).expect("a granted lock is held");
-        let lease = Lease::new(self.now, self.cfg.faults.lease_ttl);
-        s.leases.grant(inst, e, mode, lease);
-    }
-
-    /// Decides whether a grant of `entity` to `inst` is *delegated*:
-    /// uncontested entities (no waiter, no pending upgrade) hand their
-    /// release authority to the coordinator under a lease; contested or
-    /// mid-revocation grants stay plain, so the waiters' demand keeps its
-    /// ordinary remote path. A re-grant of an existing delegation (a
-    /// duplicated or retransmitted request) re-advertises the **original**
-    /// lease clock. Called at every grant site that sends a
-    /// [`Payload::LockGranted`].
-    fn maybe_delegate(
-        &mut self,
-        site: SiteId,
-        inst: Instance,
-        entity: EntityId,
-    ) -> Option<DelegatedGrant> {
-        if !self.delegation {
-            return None;
-        }
-        let s = &mut self.sites[site.idx()];
-        if s.table.has_waiters(entity) || s.delegations.is_revoking(inst, entity) {
-            // Contested, or a revocation is still draining: granting
-            // plainly keeps exactly one authority over the hold.
-            return None;
-        }
-        let mode = s.table.holds(entity, inst).expect("a granted lock is held");
-        let lease = Lease::new(self.now, self.cfg.faults.lease_ttl);
-        Some(DelegatedGrant {
-            mode,
-            lease: s.delegations.delegate(inst, entity, lease),
-            boot: s.boot,
-        })
-    }
-
-    /// A conflicting request by `inst` demands `entity`: revoke every
-    /// delegated hold standing in its way. The first demand sends the
-    /// revocation; under faults, later demands (the requester's own
-    /// retransmissions) re-send a still-pending one — revocation's
-    /// loss recovery rides the demander's timer, like wound re-derivation.
-    fn demand(&mut self, site: SiteId, inst: Instance, entity: EntityId) {
-        if !self.delegation {
-            return;
-        }
-        let s = site.idx();
-        for h in self.sites[s].table.conflicts_of(entity, inst) {
-            if self.sites[s].delegations.start_revoke(h, entity) {
-                self.metrics.revocations += 1;
-                self.send_to_coordinator(h.txn, Payload::Revoke { inst: h, entity });
-            } else if self.cfg.faults.any() && self.sites[s].delegations.is_revoking(h, entity) {
-                self.send_to_coordinator(h.txn, Payload::Revoke { inst: h, entity });
-            }
-        }
-    }
-
+    /// Delivers a message to an up site, holding an update to
+    /// [`Engine::update_is_covered`] first under the audit.
     fn on_site(&mut self, site: SiteId, payload: Payload) {
-        match payload {
-            Payload::LockRequest { inst, entity, step } => {
-                if self.stale(inst) || self.already_serviced(inst, step) {
-                    return;
-                }
-                // Every live lock request a site services — the work a
-                // lock manager actually performs, and the quantity
-                // hierarchical locking exists to shrink (one coarse parent
-                // lock replacing hundreds of per-record requests).
-                self.metrics.lock_requests += 1;
-                let Some(outcome) = self.admit(site, inst, entity, step) else {
-                    self.on_retransmitted_while_queued(site, inst, entity);
-                    return;
-                };
-                match outcome {
-                    PreventionOutcome::Granted => {
-                        if self.track_leases {
-                            // A waiter whose queue a crash wiped, granted
-                            // at once on its re-request: the record the
-                            // site kept has no grant from the queue left
-                            // to wait for.
-                            self.sites[site.idx()].queued.remove(&(inst, entity));
-                        }
-                        self.grant(site, inst, entity, step)
-                    }
-                    PreventionOutcome::Rejected => {
-                        // Wait-die / no-wait: the requester was not queued;
-                        // tell its coordinator to restart it (with its
-                        // original birth stamp, so it ages toward
-                        // invulnerability).
-                        let rejected = Payload::LockRejected { inst, entity, step };
-                        self.send_to_coordinator(inst.txn, rejected);
-                        // The rejected requester will retry after its
-                        // restart backoff; demanding now drains the
-                        // delegated obstacle in the meantime, or the retry
-                        // spins forever against a hold whose owner sees no
-                        // reason to release it.
-                        self.demand(site, inst, entity);
-                    }
-                    waits @ (PreventionOutcome::Queued | PreventionOutcome::Wounded(_)) => {
-                        // `or_insert`: on clean runs the key is never live
-                        // twice; under faults a crash-and-re-request must
-                        // not reset the wait clock.
-                        let waiting = self.sites[site.idx()].queued.entry((inst, entity));
-                        waiting.or_insert(self.now);
-                        // OnBlock's cycle check runs in the event loop right
-                        // after this handler returns; Probe launches its
-                        // chase from inside `edges_changed`.
-                        self.edges_changed(site, entity);
-                        if let PreventionOutcome::Wounded(victims) = waits {
-                            // The elder waits in the queue like any blocked
-                            // request; the wound orders travel the network
-                            // to the younger owners' coordinators, whose
-                            // aborts will release the entity and grant the
-                            // queue.
-                            for victim in victims {
-                                self.send_to_coordinator(victim.txn, Payload::Wound { victim });
-                            }
-                        }
-                        // If any obstacle's grant is delegated (older
-                        // delegated holders are not wounded), its cache
-                        // must drain before this wait can end: revoke it.
-                        self.demand(site, inst, entity);
-                    }
-                }
+        if let Payload::UpdateRequest { inst, entity, step } = payload {
+            if (self.world.cfg.invariant_audit || cfg!(debug_assertions))
+                && self.coords[inst.txn.idx()].awaits(inst, step)
+                && !self.update_is_covered(site, inst, entity, step)
+            {
+                let err = format!("{entity}: update without a covering lock or parent shield");
+                self.violated(site.idx(), &err);
             }
-            Payload::UpdateRequest { inst, entity, step } => {
-                if self.stale(inst) || self.already_serviced(inst, step) {
-                    return;
-                }
-                if (self.audit.on || cfg!(debug_assertions))
-                    && !self.update_is_covered(site, inst, entity, step)
-                {
-                    self.violated(
-                        site.idx(),
-                        &format!("{entity}: update without a covering lock or parent shield"),
-                    );
-                }
-                self.record_step(inst, step);
-                self.send_to_coordinator(inst.txn, Payload::UpdateDone { inst, step });
-            }
-            Payload::UnlockRequest { inst, entity, step } => {
-                if self.stale(inst) || self.already_serviced(inst, step) {
-                    // Stale: the sender was aborted while this release was
-                    // in flight; the abort already freed its locks, and
-                    // `inst` may no longer hold `entity` (or someone else
-                    // may). Processing it would panic in the lock table.
-                    return;
-                }
-                self.record_step(inst, step);
-                self.release_hold(site, inst, entity, Some(step));
-            }
-            Payload::RevokeAck { inst, entity } => {
-                // The drain ack: only an *awaited* revocation releases the
-                // hold. A duplicated or outdated ack (the entry already
-                // drained elsewhere, or a fresh delegation replaced it)
-                // must not release a hold some cache still claims.
-                if self.sites[site.idx()].delegations.is_revoking(inst, entity) {
-                    self.release_hold(site, inst, entity, None);
-                }
-            }
-            Payload::Probe(msg) => self.on_probe(site, &msg),
-            _ => unreachable!("coordinator payload at site"),
         }
+        let s = &mut self.sites[site.idx()];
+        s.on_message(&mut self.world, &self.coords, &payload);
     }
 
     /// Whether `inst` may perform the update `step` on `entity` at `site`:
@@ -1196,360 +605,63 @@ impl Engine<'_> {
         entity: EntityId,
         step: StepId,
     ) -> bool {
-        let mode = self.sys.txn(inst.txn).step(step).mode;
+        let db = self.world.sys.db();
+        let mode = self.world.sys.txn(inst.txn).step(step).mode;
         let holds = |s: SiteId, e| self.sites[s.idx()].table.holds(e, inst);
         holds(site, entity).is_some_and(|held| held.covers(mode))
-            || self.sys.db().parent_of(entity).is_some_and(|p| {
-                holds(self.sys.db().site_of(p), p).is_some_and(|m| m.shields_child(mode))
-            })
+            || db
+                .parent_of(entity)
+                .is_some_and(|p| holds(db.site_of(p), p).is_some_and(|m| m.shields_child(mode)))
     }
 
-    /// A retransmitted request found its original still queued (the table
-    /// refused it, [`Engine::admit`]): the grant will come through the
-    /// queue, so the request itself is a no-op — but the retry is evidence
-    /// the waiter is still stuck, and whatever its original sent to get
-    /// unstuck may have been lost on the wire. Each scheme re-sends its
-    /// own; all three are idempotent at the receiving coordinator.
-    fn on_retransmitted_while_queued(&mut self, site: SiteId, inst: Instance, entity: EntityId) {
-        let s = site.idx();
-        if self.cfg.detection() == Some(DeadlockDetection::Probe) {
-            // Forget and re-observe the entity so its live edges are
-            // chased again (duplicate cycle closes collapse on the epoch
-            // check at the abort).
-            self.sites[s].probe.forget(entity);
-            self.edges_changed(site, entity);
+    /// Delivers a message to `txn`'s coordinator. An abort order is the
+    /// driver's: its validation reads the other members' coordinators. A
+    /// delegated grant from a boot its site has since left behind (the
+    /// crash wiped the ledger while the ack flew) arrives plain.
+    fn on_coordinator(&mut self, txn: TxnId, mut payload: Payload) {
+        if let Payload::Abort {
+            victim,
+            members,
+            formed_at,
+            chase,
+        } = payload
+        {
+            return self.on_abort_message(victim, &members, formed_at, chase);
         }
-        if self.cfg.admission_scheme() == Some(PreventionScheme::WoundWait) {
-            // Re-derive the victim set (every *currently* conflicting
-            // owner younger than us) and re-send the wounds; wounds for
-            // moved-on or committed victims are dropped at the coordinator.
-            let mine = priority_of(self.cfg, &self.coords, inst);
-            let mut victims = self.sites[s].table.conflicts_of(entity, inst);
-            victims.retain(|&o| priority_of(self.cfg, &self.coords, o) > mine);
-            for victim in victims {
-                self.send_to_coordinator(victim.txn, Payload::Wound { victim });
+        if let Payload::LockGranted {
+            entity, delegated, ..
+        } = &mut payload
+        {
+            let boot = |e: EntityId| self.sites[self.world.sys.db().site_of(e).idx()].boot;
+            if delegated.is_some_and(|g| g.boot != boot(*entity)) {
+                *delegated = None;
             }
         }
-        // Re-demand re-sends a still-pending revocation.
-        self.demand(site, inst, entity);
+        let fate = self.coords[txn.idx()].on_message(&mut self.world, &payload);
+        self.settle(txn, fate);
     }
 
-    /// Submits a lock request to the site's table — the one place a
-    /// request is admitted. Under an admission scheme (a prevention run,
-    /// or the avoidance arm's wound-wait fallback) the table decides wait
-    /// / wound / die from the requester's and the conflicting owners'
-    /// admission priorities — knowledge carried on the request and
-    /// already present in the table's ownership records; nothing global
-    /// is consulted. Under detection every conflict simply queues. `None`
-    /// when the table refuses a retransmission whose original still waits
-    /// ([`LockError::AlreadyQueued`], raised before any priority arithmetic).
-    fn admit(
-        &mut self,
-        site: SiteId,
-        inst: Instance,
-        entity: EntityId,
-        step: StepId,
-    ) -> Option<PreventionOutcome<Instance>> {
-        let mode = self.sys.txn(inst.txn).step(step).mode;
-        self.audit.touch(site, entity);
-        let (cfg, coords) = (self.cfg, &self.coords);
-        let table = &mut self.sites[site.idx()].table;
-        let admitted = match cfg.admission_scheme() {
-            None => table.request(entity, inst, mode).map(|a| match a {
-                Acquire::Granted => PreventionOutcome::Granted,
-                Acquire::Queued => PreventionOutcome::Queued,
-            }),
-            Some(scheme) => table
-                .request_with_priority(entity, inst, mode, scheme, |o| priority_of(cfg, coords, o)),
-        };
-        match admitted {
-            Ok(outcome) => Some(outcome),
-            Err(LockError::AlreadyQueued { .. }) if cfg.faults.any() => None,
-            Err(err) => panic!("the engine never re-requests a queued lock: {err}"),
-        }
-    }
-
-    /// `inst` was just granted `entity` at `site`, immediately or from
-    /// the queue: mirror the lease, record the step, decide delegation
-    /// and acknowledge — the one place a grant goes on the wire.
-    fn grant(&mut self, site: SiteId, inst: Instance, entity: EntityId, step: StepId) {
-        self.note_grant(site, inst, entity);
-        self.record_step(inst, step);
-        let delegated = self.maybe_delegate(site, inst, entity);
-        self.send_to_coordinator(
-            inst.txn,
-            Payload::LockGranted {
-                inst,
-                entity,
-                step,
-                delegated,
-            },
-        );
-    }
-
-    /// Releases `inst`'s hold on `entity` with everything that rides on
-    /// it: the lease, any delegation record (a later re-acquire is a
-    /// *fresh* delegation with a fresh lease clock, and a revocation ack
-    /// still in flight must find nothing left to drain), the wait edges,
-    /// the unlock acknowledgement if one is owed, and the grants the
-    /// release unblocked, in that order.
-    fn release_hold(
-        &mut self,
-        site: SiteId,
-        inst: Instance,
-        entity: EntityId,
-        ack: Option<StepId>,
-    ) {
-        self.audit.touch(site, entity);
-        let s = &mut self.sites[site.idx()];
-        // A retransmitted unlock whose original was processed (but whose
-        // ack was lost) finds no hold: release idempotently — keyed by
-        // owner, it can never free a later holder's lock — and just
-        // re-acknowledge.
-        let grants = if self.cfg.faults.any() {
-            s.table.release_idempotent(entity, inst)
-        } else {
-            s.table
-                .release(entity, inst)
-                .expect("the engine releases only what is held")
-        };
-        s.leases.release(inst, entity);
-        s.delegations.remove(inst, entity);
-        self.edges_changed(site, entity);
-        if let Some(step) = ack {
-            self.send_to_coordinator(inst.txn, Payload::UnlockDone { inst, step });
-        }
-        for (n, _) in grants {
-            self.grant_queued(n, entity);
-        }
-    }
-
-    /// A queued instance just received the lock on `entity`.
-    fn grant_queued(&mut self, inst: Instance, entity: EntityId) {
-        let site = self.sys.db().site_of(entity);
-        let since = self.sites[site.idx()]
-            .queued
-            .remove(&(inst, entity))
-            .expect("a queued lock has a record");
-        self.metrics.lock_wait_ticks += self.now - since;
-        // The grant happens at the site; the wait in the queue means the
-        // instance may have been aborted meanwhile — stale grants release
-        // immediately.
-        if self.stale(inst) {
-            self.release_hold(site, inst, entity, None);
-        } else {
-            let step = self
-                .sys
-                .txn(inst.txn)
-                .lock_step(entity)
-                .expect("it queued one");
-            self.grant(site, inst, entity, step);
-        }
-    }
-
-    fn on_coordinator(&mut self, txn: TxnId, payload: Payload) {
-        let (inst, step, granted_entity) = match payload {
-            Payload::Abort {
-                victim,
-                members,
-                formed_at,
-                chase,
-            } => return self.on_abort_message(victim, &members, formed_at, chase),
-            Payload::Wound { victim } => {
-                // A wound order for an instance that already moved on is
-                // dropped: an earlier wound bumped its epoch (`stale`), or
-                // it *committed* while the order was in flight — a commit
-                // does not bump the epoch, so it needs its own check, like
-                // the probe path's member validation. Either way the wait
-                // the wound protected has dissolved (the victim's unlocks
-                // grant the elder), and aborting here would re-run a
-                // finished transaction.
-                if !self.stale(victim) && !self.coords[victim.txn.idx()].committed {
-                    self.metrics.prevention_restarts += 1;
-                    self.abort(victim.txn);
-                }
-                return;
-            }
-            Payload::LockRejected { inst, .. } => {
-                if !self.stale(inst) {
-                    self.metrics.prevention_restarts += 1;
-                    self.abort(inst.txn);
-                }
-                return;
-            }
-            Payload::Revoke { inst, entity } => return self.on_revoke(txn, inst, entity),
-            Payload::LockGranted {
-                inst,
-                step,
-                entity,
-                delegated,
-            } => (inst, step, Some((entity, delegated))),
-            Payload::UpdateDone { inst, step } | Payload::UnlockDone { inst, step } => {
-                (inst, step, None)
-            }
-            _ => unreachable!("site payload at coordinator"),
-        };
-        if self.stale(inst) {
-            return;
-        }
-        if self.coords[txn.idx()].progress.is_done(step.idx()) {
-            // A duplicated acknowledgement: the first copy's effects are
-            // in. In particular a duplicated *final* ack must not commit
-            // (and count) the transaction twice. Unreachable on clean
-            // runs, where every ack is delivered exactly once. Checked
-            // *before* the cache upkeep below: a duplicated delegated
-            // grant must not resurrect an entry a revocation drained.
-            return;
-        }
-        if self.delegation {
-            if let Some((entity, delegated)) = granted_entity {
-                self.note_cached_grant(txn, inst, entity, delegated);
-            }
-        }
-        let progress = &mut self.coords[txn.idx()].progress;
-        let mut ready = std::mem::take(&mut self.ready);
-        progress.ack(self.sys.txn(txn), step.idx(), &mut ready);
-        if progress.finished() {
-            self.ready = ready; // empty: the last step has no successor
-            return self.commit(txn);
-        }
-        self.send_steps(txn, ready);
-    }
-
-    /// Maintains the delegated cache from a fresh (non-duplicate,
-    /// current-epoch) lock acknowledgement. A delegated grant from the
-    /// site's **current** boot is cached (or refreshed — preserving any
-    /// pending revocation); a plain grant, or a delegated one from an
-    /// older boot (the site crashed while the ack flew, wiping its
-    /// ledger), clears the slot — that entity's lifecycle is remote. A
-    /// revocation that overtook this ack on the wire is applied now: the
-    /// entry is born draining.
-    fn note_cached_grant(
-        &mut self,
-        txn: TxnId,
-        inst: Instance,
-        entity: EntityId,
-        delegated: Option<DelegatedGrant>,
-    ) {
-        let site = self.sys.db().site_of(entity);
-        let boot = self.sites[site.idx()].boot;
-        let c = &mut self.coords[txn.idx()];
-        let deferred = c.deferred_revokes.remove(&entity);
-        match delegated {
-            Some(g) if g.boot == boot => {
-                // A refresh preserves `revoke_pending`: it must not lose
-                // a drain the unlock owes the site.
-                let owed = c.cache.get(&entity);
-                let revoke_pending = deferred == Some(inst)
-                    || owed.is_some_and(|old| old.inst == inst && old.revoke_pending);
-                let entry = CacheEntry {
-                    inst,
-                    mode: g.mode,
-                    lease: g.lease,
-                    in_use: true,
-                    revoke_pending,
-                };
-                c.cache.insert(entity, entry);
-            }
-            _ => {
-                // Plain (or pre-crash) grant: nothing is cached, so a
-                // deferred revocation's premise is void too — the remote
-                // unlock will release the hold through its own path.
-                c.cache.remove(&entity);
-            }
-        }
-    }
-
-    /// True when `txn`'s *current epoch* has an issued, unacknowledged
-    /// lock step on `entity` — a grant ack may be in flight.
-    fn lock_in_flight(&self, txn: TxnId, entity: EntityId) -> bool {
-        let progress = &self.coords[txn.idx()].progress;
-        let lock = self.sys.txn(txn).lock_step(entity);
-        lock.is_some_and(|s| progress.in_flight(s.idx()))
-    }
-
-    /// True when `txn`'s current epoch holds `entity` through the
-    /// *remote* protocol: a lock step acknowledged, the matching unlock
-    /// not yet. In that state a revocation must not be answered with a
-    /// release-granting ack — the remote unlock frees the hold itself.
-    fn holds_remotely(&self, txn: TxnId, entity: EntityId) -> bool {
-        let progress = &self.coords[txn.idx()].progress;
-        let t = self.sys.txn(txn);
-        let acked = |s: Option<StepId>| s.is_some_and(|s| progress.is_done(s.idx()));
-        acked(t.lock_step(entity)) && !acked(t.unlock_step(entity))
-    }
-
-    /// A revocation reached the delegate's coordinator. Deliberately *no*
-    /// stale-epoch or commit guard on the cache lookup: revocation
-    /// targets the cache slot, which outlives epochs (abort retention
-    /// re-keys it) and commits (an idle entry is residue that must still
-    /// drain). The subtle arm is a revoke that **overtook its own grant
-    /// ack** on the wire — answered by deferring, not acking, or the site
-    /// would release a hold the late-arriving ack then caches.
-    fn on_revoke(&mut self, txn: TxnId, inst: Instance, entity: EntityId) {
-        let site = self.sys.db().site_of(entity);
-        let cache = &mut self.coords[txn.idx()].cache;
-        if let Some(entry) = cache.get_mut(&entity) {
-            if entry.inst == inst {
-                if entry.in_use {
-                    // Mid-use: the drain rides the upcoming local unlock.
-                    entry.revoke_pending = true;
-                } else {
-                    cache.remove(&entity);
-                    self.send_to_site(site, Payload::RevokeAck { inst, entity });
-                }
-                return;
-            }
-        }
-        if self.stale(inst) {
-            // An old epoch's revocation: its cache died with the abort
-            // (or was re-keyed past it). Ack idempotently — the site
-            // ignores acks for revocations it is not awaiting.
-            self.send_to_site(site, Payload::RevokeAck { inst, entity });
-            return;
-        }
-        if self.lock_in_flight(txn, entity) {
-            // The revoke overtook the grant ack (a shorter latency draw).
-            // Remember it; `note_cached_grant` applies it when the ack
-            // lands, so the entry is born draining.
-            self.coords[txn.idx()].deferred_revokes.insert(entity, inst);
-            return;
-        }
-        if self.holds_remotely(txn, entity) {
-            // Nothing cached and the hold's lifecycle is remote (e.g. a
-            // plain re-grant superseded the delegation): the remote
-            // unlock releases it; acking here would free a lock still in
-            // use. Under faults the demander re-sends until the unlock
-            // retires the ledger entry.
-            return;
-        }
-        // Nothing cached, nothing in flight, nothing held: a duplicated
-        // revoke whose drain already completed. Ack idempotently.
-        self.send_to_site(site, Payload::RevokeAck { inst, entity });
-    }
-
-    /// A probe-detected abort order reached the victim's coordinator. The
-    /// cycle travelled the network, so it may have dissolved meanwhile: if
-    /// any member was already aborted or committed, that cycle is broken
-    /// and the order is dropped — the validation that keeps duplicate and
-    /// outdated detections from over-killing. Executed or dropped, the
-    /// order came from a search that followed only the first path to each
-    /// transaction, so if the initiator is still there to be deadlocked
-    /// the search's next generation starts from it (`probe.rs` module
-    /// doc, rule 5).
+    /// A probe-detected abort order reached the victim's coordinator. If
+    /// any member already moved on, the cycle is broken and the order is
+    /// dropped — what keeps duplicate and outdated detections from
+    /// over-killing. Executed or dropped, the order came from a search
+    /// that followed only the first path to each transaction, so the
+    /// search's next generation starts from a live initiator (`probe.rs`
+    /// module doc, rule 5).
     fn on_abort_message(
         &mut self,
         victim: Instance,
         members: &[Instance],
         formed_at: SimTime,
-        chase: ChaseId,
+        chase: probe::ChaseId,
     ) {
-        if !members.iter().any(|&m| self.moved_on(m)) {
-            if self.audit.on {
+        let moved_on = |m: Instance| self.coords[m.txn.idx()].moved_on(m);
+        if !members.iter().any(|&m| moved_on(m)) {
+            if self.world.cfg.invariant_audit {
                 self.audit_probe_abort(victim);
             }
-            self.metrics.deadlocks_resolved += 1;
-            self.metrics.detection_latency_ticks += self.now - formed_at;
+            self.world.metrics.deadlocks_resolved += 1;
+            self.world.metrics.detection_latency_ticks += self.world.now - formed_at;
             self.abort(victim.txn);
         }
         #[cfg(test)]
@@ -1559,13 +671,16 @@ impl Engine<'_> {
         let Some(&initiator) = members.first() else {
             return;
         };
-        if !self.moved_on(initiator) {
+        let c = &self.coords[initiator.txn.idx()];
+        if !c.moved_on(initiator) {
             let again = ProbeMsg {
-                path: vec![(initiator, self.stamp_of(initiator))],
+                path: vec![(initiator, c.stamp())],
                 formed_at: 0,
                 chase: chase.next_generation(),
             };
-            self.route_probe(None, again);
+            for &to in &c.lock_sites {
+                self.world.send_probe(to, again.clone());
+            }
         }
     }
 
@@ -1586,7 +701,7 @@ impl Engine<'_> {
             v.is_ok_and(|v| sccs.members[sccs.comp[v]].len() > 1)
         });
         if !on_cycle {
-            self.metrics.phantom_probe_aborts += 1;
+            self.world.metrics.phantom_probe_aborts += 1;
         }
     }
 
@@ -1604,9 +719,9 @@ impl Engine<'_> {
     /// them sorted and deduplicated: find a cycle and abort its victim,
     /// until none remains (an abort's grants retarget waiters).
     fn deadlock_scan(&mut self) {
-        let on_block = self.cfg.detection() == Some(DeadlockDetection::OnBlock);
+        let on_block = self.world.cfg.detection() == Some(DeadlockDetection::OnBlock);
         loop {
-            self.scan_due = false;
+            self.world.scan_due = false;
             let mut edges = self.wait_edges();
             if on_block {
                 edges.sort(); // merges the sites' ascending runs
@@ -1630,11 +745,11 @@ impl Engine<'_> {
         };
         let members: Vec<(Instance, Stamp)> = cycle
             .iter()
-            .map(|&t| self.current(TxnId::from_idx(t)))
-            .map(|m| (m, self.stamp_of(m)))
+            .map(|&t| &self.coords[t])
+            .map(|c| (c.current(), c.stamp()))
             .collect();
-        let victim =
-            probe::choose_victim(self.cfg.victim_policy, &members).expect("a cycle has members");
+        let policy = self.world.cfg.victim_policy;
+        let victim = probe::choose_victim(policy, &members).expect("a cycle has members");
         // Detection latency, approximated by the youngest wait among the
         // cycle's members (the cycle cannot predate its youngest edge):
         // ~0 for OnBlock, up to a scan interval for Periodic.
@@ -1646,287 +761,50 @@ impl Engine<'_> {
             .map(|(_, &since)| since)
             .max();
         if let Some(t0) = formation {
-            self.metrics.detection_latency_ticks += self.now - t0;
+            self.world.metrics.detection_latency_ticks += self.world.now - t0;
         }
-        self.metrics.deadlocks_resolved += 1;
+        self.world.metrics.deadlocks_resolved += 1;
         self.abort(victim.txn);
         true
     }
 
-    fn abort(&mut self, txn: TxnId) {
-        // The safety net every resolution path already guards (epoch
-        // checks, member validation, commit checks): a committed
-        // transaction must never be aborted — not by a probe, a wound, a
-        // rejection, a scan, or a lease expiry. Violations are engine
-        // bugs; the fault-injection property tests run straight into this.
-        assert!(
-            !self.coords[txn.idx()].committed,
-            "aborting committed transaction {txn:?} at tick {}",
-            self.now
-        );
-        let old = self.current(txn);
-        self.metrics.aborts += 1;
-        self.history.abort(old);
-        if self.delegation {
-            // Retention: uncontested cached grants survive the restart —
-            // re-keyed to the successor epoch at the table, ledger, lease
-            // and cache, all synchronously — so the restarted epoch
-            // re-acquires them for free. This is where restart-heavy
-            // hot-spot workloads earn their cache hits. Contested or
-            // draining entries go down with the epoch.
-            self.retain_cache_on_abort(txn, old);
-            self.coords[txn.idx()].deferred_revokes.clear();
-        }
-        // Scrub the ledgers, drop waits and release locks at every site.
-        for s in 0..self.sites.len() {
-            let site_id = SiteId::from_idx(s);
-            let site = &mut self.sites[s];
-            site.delegations.drop_owner(old);
-            site.leases.drop_owner(old);
-            site.probe.end_chases_of(txn);
-            // Every record of `old`, not only those of the waits cancelled
-            // below: a crash wipes the table and keeps `queued`, so a
-            // waiter that aborts before it re-requests has a record here
-            // and no wait in the table.
-            site.queued.retain(|&(inst, _), _| inst != old);
-            let cancelled = site.table.cancel_waits(old);
-            for &e in &cancelled.cancelled {
-                self.audit.touch(site_id, e);
-                self.edges_changed(site_id, e);
-            }
-            for (entity, grants) in cancelled
-                .granted
-                .into_iter()
-                .chain(self.sites[s].table.release_all(old))
-            {
-                self.audit.touch(site_id, entity);
-                self.edges_changed(site_id, entity);
-                for (n, _) in grants {
-                    self.grant_queued(n, entity);
-                }
-            }
-        }
-        // Reset the coordinator for a fresh epoch.
-        let c = &mut self.coords[txn.idx()];
-        c.epoch += 1;
-        c.progress.reset(self.sys.txn(txn));
-        // Jittered backoff (seeded, deterministic): without jitter,
-        // symmetric workloads can re-collide forever under fixed latencies.
-        let jitter = rand::Rng::gen_range(&mut self.rng, 0..=RESTART_BACKOFF);
-        self.queue
-            .push(self.now + RESTART_BACKOFF + jitter, EventKind::Restart(txn));
-    }
-
-    /// The abort-time half of delegated retention: every cache entry of
-    /// `old` over an entity that is uncontested (no waiter), not mid-
-    /// revocation, and whose site is up, is re-keyed — table hold, ledger
-    /// entry, lease and cache entry all move to the successor epoch in
-    /// one synchronous step, preserving the lease clock. Everything else
-    /// is dropped from the cache (the generic abort path below releases
-    /// the holds and scrubs the ledger).
-    fn retain_cache_on_abort(&mut self, txn: TxnId, old: Instance) {
-        let new = Instance {
-            txn,
-            epoch: old.epoch + 1,
-        };
-        let cache = &mut self.coords[txn.idx()].cache;
-        let mut entities: Vec<EntityId> = cache.keys().copied().collect();
-        entities.sort();
-        for e in entities {
-            let entry = cache.get_mut(&e).expect("entry present");
-            let site = self.sys.db().site_of(e);
-            let s = &mut self.sites[site.idx()];
-            let retain = entry.inst == old
-                && !s.down
-                && !entry.revoke_pending
-                && !s.delegations.is_revoking(old, e)
-                && !s.table.has_waiters(e)
-                && s.table.holds(e, old).is_some();
-            if !retain {
-                cache.remove(&e);
-                continue;
-            }
-            self.audit.touch(site, e);
-            let grants = s.table.release(e, old).expect("held, checked above");
-            debug_assert!(grants.is_empty(), "uncontested releases grant nobody");
-            let granted = s.table.request(e, new, entry.mode).expect("new owner");
-            debug_assert_eq!(granted, Acquire::Granted, "re-keying is conflict-free");
-            s.delegations.rekey(old, new, e);
-            if self.track_leases {
-                s.leases.release(old, e);
-                s.leases.grant(new, e, entry.mode, entry.lease);
-            }
-            entry.inst = new;
-            entry.in_use = false;
-            entry.revoke_pending = false;
-        }
-    }
-
-    /// A scheduled outage begins: the site's volatile state — lock table
-    /// and probe memory — is wiped, and until recovery every delivery to
-    /// it is dropped by the event loop. The lease ledger survives (it
-    /// models durable grant records / client-held leases), anchoring
-    /// recovery — except for delegated *cache residue*, which the crash
-    /// clears on **both** sides: the coordinator cache entries die here
-    /// (the site that backed them lost its ledger), and delegations whose
-    /// owner already recorded its unlock — idle entries and completed
-    /// drains — release their leases, so recovery cannot rebuild a hold
-    /// that only a dead cache claimed and that nobody would ever release.
-    /// Delegations whose lock section may still be open (mid-use, grant
-    /// ack in flight, lifecycle gone remote) keep their lease and rebuild
-    /// as plain holds, or expire and abort their owner — never silently
-    /// vanish, which would let recovery re-grant an entity whose first
-    /// holder's committed section is still open.
+    /// A scheduled outage begins ([`Site::crash`]), clearing delegated
+    /// cache residue on **both** sides.
     fn on_crash(&mut self, site: SiteId) {
-        let s = site.idx();
-        self.sites[s].down = true;
-        self.sites[s].crash_at = self.now;
-        self.sites[s].boot = self.sites[s].boot.wrapping_add(1);
-        if self.delegation {
-            for (inst, e, _lease, _revoking) in self.sites[s].delegations.entries() {
-                let t = inst.txn.idx();
-                let cache = &mut self.coords[t].cache;
-                let cached = match cache.get(&e) {
-                    Some(entry) if entry.inst == inst => cache.remove(&e).map(|entry| entry.in_use),
-                    _ => None,
-                };
-                // Keep the lease exactly when the owner's lock section
-                // may still be *open* at its coordinator — the lock was
-                // granted (and recorded) here, and no unlock has been
-                // recorded for it yet. Recovery then rebuilds the hold or
-                // aborts the expired owner, either way keeping the
-                // committed history exclusive. The section is open when
-                // the cached entry is mid-use, when the grant ack (or a
-                // deferred revocation) is still in flight — a *lost* ack
-                // still granted here — or when a plain re-grant moved the
-                // hold's lifecycle remote. It is closed (release the
-                // lease, nobody will ever unlock at this table) only for
-                // idle residue and completed drains whose ack died with
-                // the site: there the unlock is already on record.
-                let keep_lease = match cached {
-                    Some(in_use) => in_use,
-                    None => {
-                        !self.stale(inst)
-                            && !self.coords[t].committed
-                            && (self.lock_in_flight(inst.txn, e)
-                                || self.holds_remotely(inst.txn, e)
-                                || self.coords[t].deferred_revokes.get(&e) == Some(&inst))
-                    }
-                };
-                if !keep_lease && self.track_leases {
-                    self.sites[s].leases.release(inst, e);
-                }
-            }
-            self.sites[s].delegations.clear();
-            // Any stray cache entry over this site's entities dies too
-            // (defensive: ledger and cache are kept in sync, but a crash
-            // must leave no cache claiming a wiped table).
-            let sys = self.sys;
-            for c in &mut self.coords {
-                c.cache.retain(|&e, _| sys.db().site_of(e) != site);
-                c.deferred_revokes
-                    .retain(|&e, _| sys.db().site_of(e) != site);
+        let (coords, world) = (&mut self.coords, &self.world);
+        let sys = world.sys;
+        self.sites[site.idx()].crash(world, |inst, e| {
+            coords[inst.txn.idx()].on_delegating_site_crash(sys.txn(inst.txn), inst, e)
+        });
+        if world.delegation {
+            for c in coords {
+                c.forget_site(sys, site);
             }
         }
-        // Every wait edge this site induced goes with its table, and its
-        // probe memory with them. Removals cannot create a cycle, so no
-        // detector has anything to do here.
-        self.sites[s].table = QueueTable::new();
-        self.sites[s].probe.clear();
     }
 
-    /// The outage ends. Recovery is three steps, in order:
-    ///
-    /// 1. **Rebuild** the lock table from the lease ledger: every live,
-    ///    current-epoch holder whose [`Lease`] survived the outage is
-    ///    re-granted its lock (conflict-free by construction — the ledger
-    ///    mirrors a consistent holder set).
-    /// 2. **Expire** the rest: a holder whose lease lapsed has lost a
-    ///    lock it thinks it holds; running it further would update
-    ///    without a covering lock, so it is aborted (counted in
-    ///    [`Metrics::leases_expired`]) and restarts with its birth stamp.
-    /// 3. **Re-deliver**: every coordinator re-sends its
-    ///    issued-but-unacknowledged requests targeting this site — the
-    ///    retransmission a real client performs when its server comes
-    ///    back, compressed into the recovery tick. Blocked requests
-    ///    re-queue, wait edges re-form, and (under Probe) the re-formed
-    ///    edges launch fresh probes from the site's cleared edge memory.
+    /// The outage ends: the site **rebuilds** its table from the lease
+    /// ledger ([`Site::recover`]), the holders whose lease lapsed are
+    /// **aborted**, and every uncommitted coordinator **re-delivers** its
+    /// unacknowledged requests to the site ([`Coordinator::resend`]), so
+    /// blocked requests re-queue and their edges re-form.
     fn on_recover(&mut self, site: SiteId) {
-        let s = site.idx();
-        if !self.sites[s].down {
+        if !self.sites[site.idx()].down {
             // Defensive only: validation rejects overlapping outages, so
             // every recovery should find its site down.
             return;
         }
-        self.sites[s].down = false;
-        self.metrics.recoveries += 1;
-        let crash_at = self.sites[s].crash_at;
-        let ledger = self.sites[s].leases.entries();
-        self.sites[s].leases.clear();
-        let mut expired: Vec<Instance> = Vec::new();
-        for (inst, e, mode, lease) in ledger {
-            if self.stale(inst) || self.coords[inst.txn.idx()].committed {
-                // The owner moved on while the site was down (aborted
-                // elsewhere, or committed after its release was already
-                // processed here pre-crash); its lease is garbage.
-                continue;
-            }
-            if lease.survives_outage(crash_at, self.now) {
-                let granted = self.sites[s]
-                    .table
-                    .request(e, inst, mode)
-                    .expect("a wiped table has no queue to be in");
-                debug_assert_eq!(granted, Acquire::Granted, "the ledger is conflict-free");
-                self.note_grant(site, inst, e);
-            } else {
-                self.metrics.leases_expired += 1;
-                expired.push(inst);
-            }
-        }
-        expired.sort();
-        expired.dedup();
+        let expired = self.sites[site.idx()].recover(&mut self.world, &self.coords);
         for inst in expired {
             if !self.stale(inst) {
                 self.abort(inst.txn);
             }
         }
-        for t in 0..self.sys.len() {
-            let txn = TxnId::from_idx(t);
-            if self.coords[t].committed {
-                continue;
-            }
-            let pending: Vec<usize> = self.coords[t]
-                .progress
-                .pending()
-                .filter(|&v| {
-                    let e = self.sys.txn(txn).step(StepId::from_idx(v)).entity;
-                    self.sys.db().site_of(e) == site
-                })
-                .collect();
-            for v in pending {
-                self.send_step(txn, v);
+        for c in &mut self.coords {
+            if !c.committed {
+                c.resend(&mut self.world, Some(site));
             }
         }
-    }
-
-    /// The coordinator retransmission timer fired: if the tagged epoch is
-    /// still current and uncommitted, re-send every
-    /// issued-but-unacknowledged step request (sites handle the
-    /// duplicates idempotently) and re-arm. A stale epoch's timer dies
-    /// here; the Restart handler armed a new one for the successor.
-    fn on_retransmit(&mut self, txn: TxnId, epoch: u32) {
-        let c = &self.coords[txn.idx()];
-        if c.epoch != epoch || c.committed {
-            return;
-        }
-        let pending: Vec<usize> = c.progress.pending().collect();
-        for v in pending {
-            self.send_step(txn, v);
-        }
-        self.queue.push(
-            self.now + self.cfg.faults.retransmit_after,
-            EventKind::RetransmitCheck(txn, epoch),
-        );
     }
 
     /// The [`SimConfig::invariant_audit`] harness, run after every event
@@ -1943,36 +821,36 @@ impl Engine<'_> {
     /// every one, which is how the test suites hold the touched list to
     /// having left nothing out.
     fn audit_touched(&mut self) {
-        if !self.audit.on {
+        if !self.world.cfg.invariant_audit {
             return;
         }
-        for &(site, e) in &self.audit.touched {
+        for &(site, e) in &self.world.touched {
             if let Err(err) = self.sites[site.idx()].table.check_entity(e) {
                 self.violated(site.idx(), &err);
             }
         }
-        self.audit.touched.clear();
-        self.audit.events += 1;
-        if self.audit.events.is_multiple_of(FULL_SWEEP_EVERY) {
+        self.world.touched.clear();
+        self.audited += 1;
+        if self.audited.is_multiple_of(FULL_SWEEP_EVERY) {
             self.audit_sweep();
         } else {
             debug_assert_eq!(
                 self.sweep(),
                 Ok(()),
                 "tick {}: the sweep sees what the touched entities' checks missed",
-                self.now
+                self.world.now
             );
         }
     }
 
     /// The whole-table half of the harness: every site's
-    /// [`QueueTable::check_invariants`], which also answers for anything
-    /// on the touched list.
+    /// [`kplock_dlm::QueueTable::check_invariants`], which also answers
+    /// for anything on the touched list.
     fn audit_sweep(&mut self) {
-        if !self.audit.on {
+        if !self.world.cfg.invariant_audit {
             return;
         }
-        self.audit.touched.clear();
+        self.world.touched.clear();
         if let Err((s, err)) = self.sweep() {
             self.violated(s, &err);
         }
@@ -1987,7 +865,7 @@ impl Engine<'_> {
     fn violated(&self, site: usize, err: &str) -> ! {
         panic!(
             "lock-table invariant violated at site {site} tick {}: {err}",
-            self.now
+            self.world.now
         );
     }
 
@@ -1997,7 +875,7 @@ impl Engine<'_> {
     /// ([`Delegation::On`]), every table is idle.
     fn audit_end(&mut self, outcome: RunOutcome) {
         self.audit_sweep();
-        if !self.audit.on || outcome != RunOutcome::Completed {
+        if !self.world.cfg.invariant_audit || outcome != RunOutcome::Completed {
             return;
         }
         for (s, site) in self.sites.iter().enumerate() {
@@ -2007,7 +885,7 @@ impl Engine<'_> {
                 site.queued.len()
             );
             assert!(
-                self.delegation || site.table.is_idle(),
+                self.world.delegation || site.table.is_idle(),
                 "site {s} ends a completed run holding {:?}",
                 site.table.active_entities()
             );
@@ -2018,7 +896,7 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LatencyModel;
+    use crate::config::{LatencyModel, PreventionScheme};
     use kplock_model::{Database, TxnBuilder};
     use proptest::prelude::*;
 
@@ -3301,9 +2179,9 @@ mod tests {
                 if events % 7 != 0 || aborts == 40 {
                     return;
                 }
-                let live = eng.coords.iter().enumerate().filter(|(_, c)| !c.committed);
+                let live = eng.coords.iter().filter(|c| !c.committed);
                 let (old, before) = live
-                    .map(|(t, _)| eng.current(TxnId::from_idx(t)))
+                    .map(|c| c.current())
                     .map(|inst| (inst, footprint(eng, inst)))
                     .max_by_key(|(_, held)| held.len())
                     .expect("the run has not ended");
@@ -3315,10 +2193,10 @@ mod tests {
                 };
                 waits += before.iter().filter(waiting).count();
                 eng.abort(old.txn);
-                let new = eng.current(old.txn);
+                let new = eng.coords[old.txn.idx()].current();
                 for &(site, e) in &before {
                     assert!(
-                        eng.audit.touched.contains(&(site, e)),
+                        eng.world.touched.contains(&(site, e)),
                         "{arm}: abort of {old:?} left {e} at site {} off the touched list",
                         site.idx()
                     );
@@ -3349,7 +2227,7 @@ mod tests {
         };
         let mut audited = 0;
         let report = run_observed(&sys, &cfg, &vec![0; sys.len()], |eng| {
-            audited = eng.audit.events;
+            audited = eng.audited;
         });
         assert_eq!(report.unwrap().outcome, RunOutcome::Completed);
         assert!(audited > FULL_SWEEP_EVERY, "{audited} audited events");
@@ -3386,13 +2264,13 @@ mod tests {
         for cfg in &cfgs {
             let mut checked = 0;
             let report = run_observed(&sys, cfg, &vec![0; sys.len()], |eng| {
-                if eng.scan_due {
+                if eng.world.scan_due {
                     return;
                 }
                 checked += 1;
-                let mut slot = vec![UNSEEN; eng.sys.len()];
+                let mut slot = vec![UNSEEN; eng.coords.len()];
                 let cycle = find_wait_cycle(&eng.wait_edges(), |i| !eng.stale(i), &mut slot);
-                assert_eq!(cycle, None, "seed {}: tick {}", cfg.seed, eng.now);
+                assert_eq!(cycle, None, "seed {}: tick {}", cfg.seed, eng.world.now);
             })
             .unwrap();
             assert_eq!(report.outcome, RunOutcome::Completed, "seed {}", cfg.seed);

@@ -407,6 +407,14 @@ impl<'a> History<'a> {
         }
     }
 
+    /// Whether `inst` has recorded `step`: the done-bit of the instance
+    /// the audit follows, which an abort clears. A runner asks this to
+    /// record a step once per epoch however often its request arrives.
+    pub fn recorded(&self, inst: Instance, step: StepId) -> bool {
+        let t = inst.txn.idx();
+        self.slots[t].epoch == inst.epoch && self.is_done(t, step.idx())
+    }
+
     /// All events in application order.
     pub fn events(&self) -> &[HistoryEvent] {
         &self.events

@@ -113,6 +113,7 @@
 //! ```
 
 pub mod config;
+mod coordinator;
 pub mod driver;
 pub mod engine;
 pub mod event;
@@ -122,6 +123,7 @@ pub mod metrics;
 pub mod probe;
 mod progress;
 pub mod replay;
+mod site;
 pub mod threaded;
 
 pub use config::{

@@ -13,8 +13,6 @@ use kplock_model::Transaction;
 pub(crate) struct Progress {
     done: Vec<bool>,
     issued: Vec<bool>,
-    /// Per step, whether the engine has put it in the run's history.
-    recorded: Vec<bool>,
     /// Per step, its direct predecessors not yet acknowledged.
     waiting_on: Vec<usize>,
     /// Steps not yet acknowledged; zero is the commit test.
@@ -27,7 +25,6 @@ impl Progress {
         let mut p = Progress {
             done: vec![false; t.len()],
             issued: vec![false; t.len()],
-            recorded: vec![false; t.len()],
             waiting_on: vec![0; t.len()],
             left: 0,
         };
@@ -39,7 +36,6 @@ impl Progress {
     pub(crate) fn reset(&mut self, t: &Transaction) {
         self.done.fill(false);
         self.issued.fill(false);
-        self.recorded.fill(false);
         for (v, w) in self.waiting_on.iter_mut().enumerate() {
             *w = t.edge_graph().predecessors(v).len();
         }
@@ -84,12 +80,6 @@ impl Progress {
     /// True once `step` is acknowledged in this epoch.
     pub(crate) fn is_done(&self, step: usize) -> bool {
         self.done[step]
-    }
-
-    /// Marks `step` recorded in this epoch's history; false when it
-    /// already was (a duplicated or retransmitted request).
-    pub(crate) fn record(&mut self, step: usize) -> bool {
-        !std::mem::replace(&mut self.recorded[step], true)
     }
 
     /// True while `step` is issued and unacknowledged.

@@ -61,6 +61,12 @@ fn parser_rejects_malformed_input() {
         parse("p cnf 2 1\n-3 0"),
         Err(DimacsError::VarOutOfRange(-3))
     );
+    // A variable count no `Var` can number: the literal used to wrap to
+    // `x1` and parse as a unit clause on it.
+    assert_eq!(
+        parse("p cnf 4294967297 1\n4294967297 0\n"),
+        Err(DimacsError::TooManyVars(4_294_967_297))
+    );
 }
 
 #[test]
