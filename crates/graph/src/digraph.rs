@@ -4,26 +4,99 @@
 /// build and to hold. Both lists keep first-occurrence order, which
 /// [`crate::find_cycle`] and [`crate::topo_sort`] traverse in. Edge
 /// membership scans the shorter of the two lists an edge would sit in.
+///
+/// Each direction is one row table over one pool of targets, so a graph
+/// is four buffers however many nodes it has. A row with room takes a new
+/// edge in place, the row at the end of the pool grows in place, and any
+/// other full row moves to the end with twice its capacity, leaving a
+/// hole behind. [`DiGraph::shrink_to_fit`] rewrites both pools without
+/// holes, rows side by side in node order: the compressed-row layout.
 #[derive(Clone, Debug, Default)]
 pub struct DiGraph {
-    succ: Vec<Vec<usize>>,
-    pred: Vec<Vec<usize>>,
+    succ: Rows,
+    pred: Rows,
     edge_count: usize,
+}
+
+/// One adjacency direction: row `u` is `pool[start..start + len]`, with
+/// `pool[start + len..start + cap]` reserved for it.
+#[derive(Clone, Debug, Default)]
+struct Rows {
+    rows: Vec<Row>,
+    pool: Vec<usize>,
+}
+
+#[derive(Clone, Copy, Debug, Default)]
+struct Row {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// A pool offset as a row field.
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("a DiGraph direction holds fewer than 2^32 edge slots")
+}
+
+impl Rows {
+    fn new(n: usize) -> Self {
+        Rows {
+            rows: vec![Row::default(); n],
+            pool: Vec::new(),
+        }
+    }
+
+    fn get(&self, u: usize) -> &[usize] {
+        let Row { start, len, .. } = self.rows[u];
+        let start = start as usize;
+        &self.pool[start..start + len as usize]
+    }
+
+    fn push(&mut self, u: usize, v: usize) {
+        let row = &mut self.rows[u];
+        let (start, len, cap) = (row.start as usize, row.len as usize, row.cap as usize);
+        if len < cap {
+            self.pool[start + len] = v;
+        } else if start + cap == self.pool.len() {
+            self.pool.push(v);
+            row.cap = offset(cap + 1);
+        } else {
+            let to = self.pool.len();
+            let cap = (2 * len).max(1);
+            self.pool.extend_from_within(start..start + len);
+            self.pool.push(v);
+            self.pool.resize(to + cap, 0);
+            row.start = offset(to);
+            row.cap = offset(cap);
+        }
+        row.len += 1;
+    }
+
+    fn shrink_to_fit(&mut self) {
+        let mut pool = Vec::with_capacity(self.rows.iter().map(|r| r.len as usize).sum());
+        for row in &mut self.rows {
+            let start = row.start as usize;
+            row.start = offset(pool.len());
+            row.cap = row.len;
+            pool.extend_from_slice(&self.pool[start..][..row.len as usize]);
+        }
+        self.pool = pool;
+    }
 }
 
 impl DiGraph {
     /// Creates a graph with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
         DiGraph {
-            succ: vec![Vec::new(); n],
-            pred: vec![Vec::new(); n],
+            succ: Rows::new(n),
+            pred: Rows::new(n),
             edge_count: 0,
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.succ.len()
+        self.succ.rows.len()
     }
 
     /// Number of edges.
@@ -36,15 +109,15 @@ impl DiGraph {
         if self.has_edge(u, v) {
             return false;
         }
-        self.succ[u].push(v);
-        self.pred[v].push(u);
+        self.succ.push(u, v);
+        self.pred.push(v, u);
         self.edge_count += 1;
         true
     }
 
     /// Edge membership, in O(min(out-degree of `u`, in-degree of `v`)).
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        let (succ, pred) = (&self.succ[u], &self.pred[v]);
+        let (succ, pred) = (self.successors(u), self.predecessors(v));
         if succ.len() <= pred.len() {
             succ.contains(&v)
         } else {
@@ -54,20 +127,26 @@ impl DiGraph {
 
     /// Successors of `u`.
     pub fn successors(&self, u: usize) -> &[usize] {
-        &self.succ[u]
+        self.succ.get(u)
     }
 
     /// Predecessors of `u`.
     pub fn predecessors(&self, u: usize) -> &[usize] {
-        &self.pred[u]
+        self.pred.get(u)
+    }
+
+    /// Rewrites both directions with no spare room: each pool holds
+    /// exactly [`DiGraph::edge_count`] targets, rows side by side in node
+    /// order. Lists and their order are unchanged, and edges may still be
+    /// added afterwards. For a graph that is built once and then walked.
+    pub fn shrink_to_fit(&mut self) {
+        self.succ.shrink_to_fit();
+        self.pred.shrink_to_fit();
     }
 
     /// All edges as `(u, v)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.succ
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v)))
+        (0..self.node_count()).flat_map(move |u| self.successors(u).iter().map(move |&v| (u, v)))
     }
 
     /// Builds a graph from an edge list.
@@ -129,13 +208,49 @@ mod tests {
         assert_eq!(es, vec![(0, 1), (0, 2), (2, 3)]);
     }
 
+    /// Each pool holds exactly its edges, in node order.
+    fn assert_compact(g: &DiGraph) {
+        for rows in [&g.succ, &g.pred] {
+            assert_eq!(rows.pool.len(), g.edge_count());
+            let mut at = 0;
+            for row in &rows.rows {
+                assert_eq!((row.start as usize, row.cap), (at, row.len));
+                at += row.len as usize;
+            }
+        }
+    }
+
+    #[test]
+    fn shrink_to_fit_leaves_each_pool_exactly_its_edges() {
+        // Rows 0 and 2 alternate, so each moves past the other and leaves
+        // holes; node 1 has no edges and node 3 only incoming ones.
+        let mut g = DiGraph::from_edges(4, [(0, 1), (2, 0), (0, 2), (2, 3), (0, 3), (2, 1)]);
+        assert!(g.succ.pool.len() > g.edge_count());
+        g.shrink_to_fit();
+        assert_compact(&g);
+        assert_eq!(g.successors(0), &[1, 2, 3]);
+        assert_eq!(g.successors(2), &[0, 3, 1]);
+        assert_eq!(g.predecessors(3), &[2, 0]);
+        assert!(g.successors(1).is_empty() && g.successors(3).is_empty());
+        assert_eq!(g.edge_count(), 6);
+        g.shrink_to_fit();
+        assert_compact(&g);
+        let mut empty = DiGraph::new(5);
+        empty.shrink_to_fit();
+        assert_compact(&empty);
+        assert_eq!(empty.node_count(), 5);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The graph against the obvious model, a set of pairs plus
         /// insertion-ordered lists, on multigraph edge lists with
         /// duplicates, self-loops and one hub on a third of the edges (so
-        /// membership scans run from both ends).
+        /// membership scans run from both ends). At random points the
+        /// graph is compacted, and sometimes replaced by a clone of the
+        /// compacted graph that later edges go to (how
+        /// `Transaction::with_precedence` strengthens an order).
         #[test]
         fn matches_a_set_and_insertion_order_model(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -146,6 +261,17 @@ mod tests {
             let mut succ = vec![Vec::new(); n];
             let mut pred = vec![Vec::new(); n];
             for _ in 0..rng.gen_range(0..=4 * n) {
+                match rng.gen_range(0..16u32) {
+                    0 => {
+                        g.shrink_to_fit();
+                        assert_compact(&g);
+                    }
+                    1 => {
+                        g.shrink_to_fit();
+                        g = g.clone();
+                    }
+                    _ => {}
+                }
                 let (mut u, mut v) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 match rng.gen_range(0..6u32) {
                     0 => u = hub,
@@ -159,6 +285,10 @@ mod tests {
                     pred[v].push(u);
                 }
                 prop_assert_eq!(g.add_edge(u, v), fresh);
+            }
+            if rng.gen_bool(0.5) {
+                g.shrink_to_fit();
+                assert_compact(&g);
             }
             prop_assert_eq!(g.edge_count(), set.len());
             prop_assert_eq!(g.edges().collect::<HashSet<_>>(), set.clone());

@@ -16,7 +16,9 @@ use std::sync::OnceLock;
 /// [`Transaction::precedes_eq`] or [`Transaction::concurrent`] and kept
 /// from then on (a clone taken afterwards carries it). Code that walks
 /// direct edges only — step issue, schedule validation, the serialization
-/// graph — never pays for it. Construction guarantees acyclicity;
+/// graph — never pays for it; construction compacts the edge graph
+/// ([`DiGraph::shrink_to_fit`]) so those walks read rows that sit side
+/// by side in step order. Construction guarantees acyclicity;
 /// site-totality and locking discipline are checked by `crate::validate`.
 #[derive(Clone, Debug)]
 pub struct Transaction {
@@ -57,12 +59,15 @@ impl Transaction {
         Self::from_graph(name.into(), steps, graph)
     }
 
-    fn from_graph(name: String, steps: Vec<Step>, graph: DiGraph) -> Result<Self, ModelError> {
+    fn from_graph(name: String, steps: Vec<Step>, mut graph: DiGraph) -> Result<Self, ModelError> {
         if kplock_graph::topo_sort(&graph).is_none() {
             // Find a node on a cycle for the error message.
             let c = kplock_graph::find_cycle(&graph).expect("cycle exists");
             return Err(ModelError::CyclicPrecedence(StepId::from_idx(c[0])));
         }
+        // Step issue and the history audit walk these rows on every step:
+        // side by side in step order, with no spare room.
+        graph.shrink_to_fit();
         let mut lock_of = IdMap::default();
         let mut unlock_of = IdMap::default();
         let update_count = steps

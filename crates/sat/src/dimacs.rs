@@ -14,6 +14,9 @@ pub enum DimacsError {
     /// The header declares more variables than a [`Var`] can number
     /// (above `u32::MAX`).
     TooManyVars(usize),
+    /// A second `p` line. The text is one formula: a second header would
+    /// either drop the clauses before it or shrink the range they use.
+    DuplicateHeader,
 }
 
 impl std::fmt::Display for DimacsError {
@@ -23,6 +26,7 @@ impl std::fmt::Display for DimacsError {
             DimacsError::BadToken(t) => write!(f, "bad token {t:?}"),
             DimacsError::VarOutOfRange(v) => write!(f, "literal {v} out of declared range"),
             DimacsError::TooManyVars(n) => write!(f, "{n} variables exceed the u32 range"),
+            DimacsError::DuplicateHeader => write!(f, "a second DIMACS header"),
         }
     }
 }
@@ -40,6 +44,9 @@ pub fn parse(text: &str) -> Result<Cnf, DimacsError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix('p') {
+            if num_vars.is_some() {
+                return Err(DimacsError::DuplicateHeader);
+            }
             let parts: Vec<&str> = rest.split_whitespace().collect();
             if parts.len() != 3 || parts[0] != "cnf" {
                 return Err(DimacsError::BadHeader);

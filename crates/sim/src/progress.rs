@@ -9,12 +9,19 @@
 
 use kplock_model::Transaction;
 
-/// Per-step state of one epoch plus the two counters derived from it.
+/// A step's state bit: acknowledged in this epoch.
+const DONE: u32 = 1 << 31;
+/// A step's state bit: sent in this epoch.
+const ISSUED: u32 = 1 << 30;
+/// A step's state bits below the two flags: its direct predecessors not
+/// yet acknowledged.
+const WAITING: u32 = ISSUED - 1;
+
+/// Per-step state of one epoch plus the count of steps left.
 pub(crate) struct Progress {
-    done: Vec<bool>,
-    issued: Vec<bool>,
-    /// Per step, its direct predecessors not yet acknowledged.
-    waiting_on: Vec<usize>,
+    /// One word per step: [`DONE`], [`ISSUED`] and, under [`WAITING`],
+    /// the count of direct predecessors not yet acknowledged.
+    state: Vec<u32>,
     /// Steps not yet acknowledged; zero is the commit test.
     left: usize,
 }
@@ -23,21 +30,19 @@ impl Progress {
     /// A fresh epoch of `t`: nothing issued, nothing acknowledged.
     pub(crate) fn new(t: &Transaction) -> Self {
         let mut p = Progress {
-            done: vec![false; t.len()],
-            issued: vec![false; t.len()],
-            waiting_on: vec![0; t.len()],
+            state: vec![0; t.len()],
             left: 0,
         };
         p.reset(t);
         p
     }
 
-    /// Back to a fresh epoch (the abort path), reusing the buffers.
+    /// Back to a fresh epoch (the abort path), reusing the buffer.
     pub(crate) fn reset(&mut self, t: &Transaction) {
-        self.done.fill(false);
-        self.issued.fill(false);
-        for (v, w) in self.waiting_on.iter_mut().enumerate() {
-            *w = t.edge_graph().predecessors(v).len();
+        for (v, w) in self.state.iter_mut().enumerate() {
+            let preds = t.edge_graph().predecessors(v).len();
+            debug_assert!(preds <= WAITING as usize, "step {v}: {preds} predecessors");
+            *w = preds as u32;
         }
         self.left = t.len();
     }
@@ -46,9 +51,9 @@ impl Progress {
     /// unissued step with no unacknowledged predecessor — the sources of a
     /// new epoch. The one O(steps) pass of an epoch.
     pub(crate) fn start(&mut self, ready: &mut Vec<usize>) {
-        for v in 0..self.done.len() {
-            if !self.issued[v] && self.waiting_on[v] == 0 {
-                self.issued[v] = true;
+        for (v, w) in self.state.iter_mut().enumerate() {
+            if *w & (ISSUED | WAITING) == 0 {
+                *w |= ISSUED;
                 ready.push(v);
             }
         }
@@ -62,15 +67,20 @@ impl Progress {
     /// is the caller's, so a chain-shaped transaction's step costs no
     /// allocation; what it held on entry is left as it was.
     pub(crate) fn ack(&mut self, t: &Transaction, step: usize, ready: &mut Vec<usize>) {
-        if std::mem::replace(&mut self.done[step], true) {
+        let w = &mut self.state[step];
+        if *w & DONE != 0 {
             return;
         }
+        *w |= DONE;
         self.left -= 1;
         let from = ready.len();
         for &s in t.edge_graph().successors(step) {
-            self.waiting_on[s] -= 1;
-            if self.waiting_on[s] == 0 {
-                self.issued[s] = true;
+            let w = &mut self.state[s];
+            // In release a count at zero would borrow from ISSUED.
+            debug_assert!(*w & WAITING != 0, "step {s}: waiting count underflows");
+            *w -= 1;
+            if *w & WAITING == 0 {
+                *w |= ISSUED;
                 ready.push(s);
             }
         }
@@ -79,17 +89,17 @@ impl Progress {
 
     /// True once `step` is acknowledged in this epoch.
     pub(crate) fn is_done(&self, step: usize) -> bool {
-        self.done[step]
+        self.state[step] & DONE != 0
     }
 
     /// True while `step` is issued and unacknowledged.
     pub(crate) fn in_flight(&self, step: usize) -> bool {
-        self.issued[step] && !self.done[step]
+        self.state[step] & (DONE | ISSUED) == ISSUED
     }
 
     /// Every in-flight step, ascending: what a retransmission re-sends.
     pub(crate) fn pending(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.done.len()).filter(|&v| self.in_flight(v))
+        (0..self.state.len()).filter(|&v| self.in_flight(v))
     }
 
     /// True once every step is acknowledged.
@@ -218,10 +228,29 @@ mod tests {
             assert_eq!(p.in_flight(v), scan.issued[v] && !scan.done[v]);
             let undone = |&&u: &&usize| !scan.done[u];
             let waiting = t.edge_graph().predecessors(v).iter().filter(undone).count();
-            assert_eq!(p.waiting_on[v], waiting, "step {v}");
+            // The whole word: both flags and the count, nothing else.
+            let flag = |on: bool, bit: u32| if on { bit } else { 0 };
+            let word = flag(scan.done[v], DONE) | flag(scan.issued[v], ISSUED) | waiting as u32;
+            assert_eq!(p.state[v], word, "step {v}");
         }
         let pending: Vec<usize> = p.pending().collect();
         assert!(pending.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Acknowledging against a transaction with more edges than the one
+    /// the epoch was counted from takes a count below zero. A debug build
+    /// stops there instead of setting the issued bit by borrow.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "step 1: waiting count underflows")]
+    fn a_count_below_zero_is_caught_in_debug_builds() {
+        let two = |edges: &[(StepId, StepId)]| {
+            let steps = vec![Step::update(EntityId(0)), Step::update(EntityId(1))];
+            Transaction::new("T", steps, edges.iter().copied()).expect("acyclic")
+        };
+        let mut p = Progress::new(&two(&[]));
+        start(&mut p);
+        ack(&mut p, &two(&[(StepId(0), StepId(1))]), 0);
     }
 
     proptest! {

@@ -67,6 +67,17 @@ fn parser_rejects_malformed_input() {
         parse("p cnf 4294967297 1\n4294967297 0\n"),
         Err(DimacsError::TooManyVars(4_294_967_297))
     );
+    // A second header. This one shrank the formula under a clause that
+    // still held `x3`, which panicked in `Cnf::add_clause`.
+    assert_eq!(
+        parse("p cnf 3 1\n3\np cnf 2 1\n0\n"),
+        Err(DimacsError::DuplicateHeader)
+    );
+    // And this one silently dropped the clause before it.
+    assert_eq!(
+        parse("p cnf 2 2\n1 0\np cnf 2 1\n2 0\n"),
+        Err(DimacsError::DuplicateHeader)
+    );
 }
 
 #[test]
