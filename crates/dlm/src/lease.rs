@@ -238,23 +238,8 @@ impl<O: Copy + Eq + Ord + Hash> DelegationLedger<O> {
         self.entries.remove(&(o, e)).is_some()
     }
 
-    /// Re-keys `o`'s delegation on `e` to `new` (the delegate restarted
-    /// and kept its uncontested cache across the epoch bump), preserving
-    /// the lease. Returns whether an entry moved; revoking entries are
-    /// the caller's responsibility to drain, not re-key.
-    pub fn rekey(&mut self, o: O, new: O, e: EntityId) -> bool {
-        match self.entries.remove(&(o, e)) {
-            Some(d) => {
-                debug_assert!(!d.revoking, "revoking delegations drain, not re-key");
-                self.entries.insert((new, e), d);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops every delegation held by `o` (the delegate aborted without
-    /// retention, or a crash scrubbed it).
+    /// Drops every delegation held by `o` (the delegate aborted, or a
+    /// crash scrubbed it).
     pub fn drop_owner(&mut self, o: O) {
         self.entries.retain(|&(h, _), _| h != o);
     }
@@ -412,20 +397,5 @@ mod tests {
         assert_eq!(d.len(), 1);
         d.clear();
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn delegation_rekey_preserves_the_lease() {
-        // The abort-retention path: the delegate restarts (epoch bump)
-        // and keeps its uncontested cache; the ledger follows the new
-        // owner key without touching the lease clock.
-        let mut d: DelegationLedger<u32> = DelegationLedger::new();
-        let a = EntityId(0);
-        d.delegate(1, a, Lease::new(5, 50));
-        assert!(d.rekey(1, 2, a));
-        assert!(!d.is_delegated(1, a));
-        assert!(d.is_delegated(2, a));
-        assert_eq!(d.delegate(2, a, Lease::new(99, 50)), Lease::new(5, 50));
-        assert!(!d.rekey(1, 3, a), "old key is gone");
     }
 }

@@ -33,23 +33,26 @@ impl LatencyModel {
 /// a coordinator a *cached grant*?
 ///
 /// With delegation on, a site granting an uncontested lock also hands the
-/// coordinator release authority under a [`kplock_dlm::Lease`]: the
-/// coordinator's later re-acquires and releases of that entity are local
-/// cache operations costing **zero messages**
+/// coordinator release authority: the coordinator serves the matching
+/// unlock from its cache at **zero messages**
 /// ([`crate::Metrics::cache_hits`], [`crate::Metrics::messages_saved`]),
-/// until another transaction demands the entity and the owning site sends
-/// an epoch-validated revocation ([`crate::Metrics::revocations`]) that
-/// drains the cache entry back. `Off` (the default) changes no message
-/// flow and draws no randomness, so every fixed-seed pin stays
-/// bit-identical — the same guarded-knob contract every other axis keeps.
+/// and the site keeps the hold until another transaction demands the
+/// entity and it sends an epoch-validated revocation
+/// ([`crate::Metrics::revocations`]) that drains the cache entry back. An
+/// abort does what it does with delegation off: every site releases the
+/// instance's holds, delegated ones included, and the coordinator drops
+/// its cache. `Off` (the default) changes no message flow and draws no
+/// randomness, so every fixed-seed pin stays bit-identical — the same
+/// guarded-knob contract every other axis keeps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Delegation {
     /// Every acquire and release pays the round-trip to the owning site —
     /// the paper's model, and the engine's original behavior bit for bit.
     #[default]
     Off,
-    /// Uncontested grants are delegated; re-acquires and releases of a
-    /// cached entity are local until a conflicting request revokes it.
+    /// Uncontested grants are delegated; their unlocks are served from
+    /// the coordinator's cache, and the site's hold lasts until a
+    /// conflicting request revokes it or its holder aborts.
     On,
 }
 
@@ -323,8 +326,7 @@ pub struct SimConfig {
     pub invariant_audit: bool,
     /// Delegated lock ownership (see [`Delegation`]): `Off` (the default)
     /// reproduces every existing run bit for bit; `On` lets sites hand
-    /// coordinators cached grants whose re-acquires and releases are
-    /// message-free until revoked.
+    /// coordinators cached grants whose unlocks are message-free.
     pub delegation: Delegation,
     /// The avoidance certificate, required (and only consulted) under
     /// [`DeadlockResolution::Avoid`]: synthesize one from the declared

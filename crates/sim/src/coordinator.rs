@@ -6,18 +6,18 @@
 
 use crate::config::admission_priority;
 use crate::engine::World;
-use crate::event::{DelegatedGrant, EventKind, Instance, Payload, SimTime};
+use crate::event::{EventKind, Instance, Payload, SimTime};
 use crate::probe::Stamp;
 use crate::progress::Progress;
 use crate::SimConfig;
-use kplock_dlm::{Lease, Priority};
+use kplock_dlm::Priority;
 use kplock_model::{
-    ActionKind, EntityId, IdMap, LockMode, SiteId, Step, StepId, Transaction, TxnId, TxnSystem,
+    ActionKind, EntityId, IdMap, IdSet, SiteId, Step, StepId, Transaction, TxnId, TxnSystem,
 };
 use rand::Rng;
 
-/// Ticks a coordinator spends serving a lock or unlock step from its
-/// delegated cache.
+/// Ticks a coordinator spends serving an unlock step from its delegated
+/// cache.
 const LOCAL_STEP_TIME: u64 = 1;
 
 /// Backoff before an aborted instance restarts, and the range of the
@@ -45,36 +45,27 @@ pub(crate) struct Coordinator {
     /// transaction locks — where a probe chasing it might find it blocked.
     pub(crate) lock_sites: Vec<SiteId>,
     /// The delegated-grant cache (delegation only): the coordinator half
-    /// of decoupled ownership, one cached grant per entity.
+    /// of decoupled ownership, one entry per entity whose delegated grant
+    /// the current instance holds. An abort drops it whole, so every
+    /// entry belongs to the current instance.
     cache: IdMap<EntityId, CacheEntry>,
     /// Revocations that overtook their delegated grant ack on the wire
     /// (the revoke can draw a shorter latency than the earlier-sent
     /// grant), by entity: applied when the ack lands, so the entry is born
-    /// `revoke_pending` and drains at the local unlock.
-    deferred_revokes: IdMap<EntityId, Instance>,
+    /// `revoke_pending` and drains at the local unlock. Dropped at an
+    /// abort with the cache.
+    deferred_revokes: IdSet<EntityId>,
 }
 
 /// One entry in a coordinator's delegated-grant cache
-/// ([`crate::Delegation::On`] only): a cached grant on one entity,
-/// serviced locally until revoked. The site-side hold stays in the
-/// owner's table (the cache's collateral); this entry is the *release
-/// authority*.
+/// ([`crate::Delegation::On`] only): a delegated grant on one entity,
+/// whose unlock is served locally. The site-side hold stays in the
+/// owner's table until revoked (the cache's collateral); this entry is
+/// the *release authority*.
 #[derive(Clone, Copy, Debug)]
 struct CacheEntry {
-    /// The instance the grant (and the site-side hold) belongs to; abort
-    /// retention re-keys it alongside the site's ledger and table.
-    inst: Instance,
-    /// The delegated mode — local re-acquires must be covered by it.
-    mode: LockMode,
-    /// The delegation's fence; an expired entry must not be trusted
-    /// (the coordinator drops it and goes remote).
-    lease: Lease,
-    /// The granting site's boot. A crash of that site purges the entry,
-    /// so this stays the site's boot for as long as the entry lives.
-    boot: u32,
-    /// A lock step is live on the entity (locked locally or remotely,
-    /// matching unlock not yet serviced). An in-use entry defers its
-    /// revocation drain to the unlock.
+    /// The lock section is open: its unlock not yet served. An in-use
+    /// entry defers its revocation drain to the unlock.
     in_use: bool,
     /// A revocation arrived mid-use; the drain (entry removal +
     /// [`Payload::RevokeAck`]) rides the upcoming local unlock.
@@ -112,7 +103,7 @@ impl Coordinator {
             birth: (arrival, txn.idx()),
             lock_sites,
             cache: IdMap::default(),
-            deferred_revokes: IdMap::default(),
+            deferred_revokes: IdSet::default(),
         }
     }
 
@@ -208,9 +199,13 @@ impl Coordinator {
         let inst = self.current();
         let step = StepId::from_idx(v);
         let Step { kind, entity, .. } = world.sys.txn(self.txn).step(step);
-        // The delegated fast path: a cached grant services the lock or
-        // unlock locally — zero wire messages, no site table consulted.
-        if world.delegation && self.serve_from_cache(world, inst, step) {
+        // The delegated fast path: a cached grant serves the unlock
+        // locally — zero wire messages, no site table consulted. A lock
+        // step never finds an entry: its own grant creates it.
+        if world.delegation
+            && kind == ActionKind::Unlock
+            && self.unlock_from_cache(world, inst, entity, step)
+        {
             return;
         }
         let payload = match kind {
@@ -221,69 +216,41 @@ impl Coordinator {
         world.transmit(EventKind::ToSite(world.sys.db().site_of(entity), payload));
     }
 
-    /// Serves a lock or unlock step from the cache entry of the current
-    /// epoch over its entity, if there is one that may: the step is
-    /// recorded and its ack self-delivered after [`LOCAL_STEP_TIME`].
-    ///
-    /// A lock needs an unexpired entry covering its mode, and marks it
-    /// in-use *synchronously*, so a revocation landing before the local
-    /// ack still defers its drain to the unlock; a lapsed lease drops the
-    /// entry — a one-way degrade, as nothing local slides the clock. An
-    /// unlock leaves the entry idle or, with a revocation pending, drains
-    /// it: removal plus a [`Payload::RevokeAck`] that releases the hold.
-    /// A duplicate of a served unlock just re-acknowledges.
-    fn serve_from_cache(&mut self, world: &mut World, inst: Instance, step: StepId) -> bool {
-        let Step { kind, entity, mode } = world.sys.txn(self.txn).step(step);
+    /// Serves the unlock `step` of `entity` from the cache, if it holds an
+    /// entry over the entity: the step is recorded and its ack
+    /// self-delivered after [`LOCAL_STEP_TIME`]. The entry is left idle
+    /// or, with a revocation pending, drained: removal plus a
+    /// [`Payload::RevokeAck`] that releases the hold. A duplicate of a
+    /// served unlock just re-acknowledges.
+    fn unlock_from_cache(
+        &mut self,
+        world: &mut World,
+        inst: Instance,
+        entity: EntityId,
+        step: StepId,
+    ) -> bool {
         let Some(entry) = self.cache.get_mut(&entity) else {
             return false;
         };
-        if entry.inst != inst {
-            return false;
+        if !std::mem::take(&mut entry.in_use) {
+            // A duplicate: nothing saved twice.
+        } else if entry.revoke_pending {
+            self.cache.remove(&entity);
+            // Only the drain ack crosses the wire (and it doubles as the
+            // release).
+            world.metrics.messages_saved += 1;
+            let drained = Payload::RevokeAck { inst, entity };
+            world.transmit(EventKind::ToSite(world.sys.db().site_of(entity), drained));
+        } else {
+            world.metrics.messages_saved += 2;
         }
-        let ack = match kind {
-            ActionKind::Update => return false,
-            // An upgrade the cached mode cannot cover goes remote (the
-            // site re-grants idempotently if we hold).
-            ActionKind::Lock if !entry.mode.covers(mode) => return false,
-            ActionKind::Lock => {
-                let lease = entry.lease;
-                if lease.ttl != 0 && world.now > lease.granted_at + lease.ttl {
-                    self.cache.remove(&entity);
-                    return false;
-                }
-                entry.in_use = true;
-                world.metrics.messages_saved += 2;
-                let (mode, boot) = (entry.mode, entry.boot);
-                let delegated = Some(DelegatedGrant { mode, lease, boot });
-                Payload::LockGranted {
-                    inst,
-                    entity,
-                    step,
-                    delegated,
-                }
-            }
-            ActionKind::Unlock => {
-                if !std::mem::take(&mut entry.in_use) {
-                    // A duplicate: nothing saved twice.
-                } else if entry.revoke_pending {
-                    self.cache.remove(&entity);
-                    // Only the drain ack crosses the wire (and it doubles
-                    // as the release).
-                    world.metrics.messages_saved += 1;
-                    let drained = Payload::RevokeAck { inst, entity };
-                    world.transmit(EventKind::ToSite(world.sys.db().site_of(entity), drained));
-                } else {
-                    world.metrics.messages_saved += 2;
-                }
-                Payload::UnlockDone { inst, step }
-            }
-        };
         world.record_step(inst, step);
         world.metrics.cache_hits += 1;
         let at = world.now + LOCAL_STEP_TIME;
+        let done = Payload::UnlockDone { inst, step };
         world
             .queue
-            .push(at, EventKind::ToCoordinator(self.txn, ack));
+            .push(at, EventKind::ToCoordinator(self.txn, done));
         true
     }
 
@@ -311,7 +278,7 @@ impl Coordinator {
                 step,
                 entity,
                 delegated,
-            } => (inst, step, Some((entity, delegated))),
+            } => (inst, step, Some((entity, delegated.is_some()))),
             Payload::UpdateDone { inst, step } | Payload::UnlockDone { inst, step } => {
                 (inst, step, None)
             }
@@ -325,7 +292,7 @@ impl Coordinator {
             return Fate::Running;
         }
         if let (true, Some((entity, delegated))) = (world.delegation, granted_entity) {
-            self.note_cached_grant(inst, entity, delegated);
+            self.note_cached_grant(entity, delegated);
         }
         let mut ready = std::mem::take(&mut world.ready);
         let t = world.sys.txn(self.txn);
@@ -338,31 +305,21 @@ impl Coordinator {
         Fate::Running
     }
 
-    /// Maintains the cache from a fresh lock acknowledgement: a delegated
-    /// grant is cached (or refreshed, keeping a pending revocation: the
-    /// unlock still owes the site its drain); a plain grant clears the
-    /// slot — that entity's lifecycle is remote, and a deferred
-    /// revocation's premise is void. (A delegated grant from a boot its
-    /// site has since left behind arrives plain: the driver fences it.) A
-    /// revocation that overtook this ack is applied now.
-    fn note_cached_grant(&mut self, inst: Instance, e: EntityId, g: Option<DelegatedGrant>) {
-        let deferred = self.deferred_revokes.remove(&e);
-        let Some(g) = g else {
-            self.cache.remove(&e);
-            return;
-        };
-        let owed = self.cache.get(&e);
-        let revoke_pending = deferred == Some(inst)
-            || owed.is_some_and(|old| old.inst == inst && old.revoke_pending);
-        let entry = CacheEntry {
-            inst,
-            mode: g.mode,
-            lease: g.lease,
-            boot: g.boot,
-            in_use: true,
-            revoke_pending,
-        };
-        self.cache.insert(e, entry);
+    /// Maintains the cache from a fresh acknowledgement of the lock on
+    /// `e`: a delegated grant is cached, in use, and a revocation that
+    /// overtook the ack is applied to it; after a plain grant the entity's
+    /// lifecycle is remote, and a deferred revocation's premise is void.
+    /// (A delegated grant from a boot its site has since left behind
+    /// arrives plain: the driver fences it.)
+    fn note_cached_grant(&mut self, e: EntityId, delegated: bool) {
+        let revoke_pending = self.deferred_revokes.remove(&e);
+        if delegated {
+            let entry = CacheEntry {
+                in_use: true,
+                revoke_pending,
+            };
+            self.cache.insert(e, entry);
+        }
     }
 
     /// True when the current epoch has an issued, unacknowledged lock
@@ -379,36 +336,31 @@ impl Coordinator {
         acked(t.lock_step(e)) && !acked(t.unlock_step(e))
     }
 
-    /// A revocation reached the delegate's coordinator. Deliberately *no*
-    /// stale-epoch or commit guard on the cache lookup: revocation
-    /// targets the cache slot, which outlives epochs (abort retention
-    /// re-keys it) and commits (an idle entry is residue that must still
-    /// drain). The subtle arm is a revoke that **overtook its own grant
-    /// ack** on the wire — answered by deferring, not acking, or the site
-    /// would release a hold the late-arriving ack then caches.
+    /// A revocation reached the delegate's coordinator. An old epoch's is
+    /// dropped: its cache died with the abort, and every site dropped the
+    /// epoch's delegations in the same tick, so none awaits an ack. There
+    /// is no commit guard: an idle entry a commit left behind is residue
+    /// that must still drain. The subtle arm is a revoke that **overtook
+    /// its own grant ack** on the wire — answered by deferring, not acking,
+    /// or the site would release a hold the late-arriving ack then caches.
     fn on_revoke(&mut self, world: &mut World, inst: Instance, entity: EntityId) {
+        if self.stale(inst) {
+            return;
+        }
         let site = world.sys.db().site_of(entity);
         let ack = EventKind::ToSite(site, Payload::RevokeAck { inst, entity });
         let t = world.sys.txn(self.txn);
         if let Some(entry) = self.cache.get_mut(&entity) {
-            if entry.inst == inst {
-                if entry.in_use {
-                    // Mid-use: the drain rides the upcoming local unlock.
-                    entry.revoke_pending = true;
-                } else {
-                    self.cache.remove(&entity);
-                    world.transmit(ack);
-                }
-                return;
+            if entry.in_use {
+                // Mid-use: the drain rides the upcoming local unlock.
+                entry.revoke_pending = true;
+            } else {
+                self.cache.remove(&entity);
+                world.transmit(ack);
             }
-        }
-        if self.stale(inst) {
-            // An old epoch's: its cache died with the abort (or was
-            // re-keyed past it). The site ignores acks it does not await.
-            world.transmit(ack);
         } else if self.lock_in_flight(t, entity) {
             // The revoke overtook the grant ack: the ack applies it.
-            self.deferred_revokes.insert(entity, inst);
+            self.deferred_revokes.insert(entity);
         } else if !self.holds_remotely(t, entity) {
             // Nothing cached, in flight or held: a duplicated revoke whose
             // drain already completed. (Held remotely — a plain re-grant
@@ -448,7 +400,9 @@ impl Coordinator {
     }
 
     /// The coordinator's half of an abort, before the sites release the
-    /// instance: counts it, tells the history, and returns it.
+    /// instance: counts it, tells the history, drops the whole cache and
+    /// every deferred revocation (each site drops the instance's
+    /// delegations in the same tick), and returns it.
     pub(crate) fn abort(&mut self, world: &mut World) -> Instance {
         // Every resolution path guards this (epoch checks, member
         // validation, commit checks); a violation is an engine bug.
@@ -459,6 +413,8 @@ impl Coordinator {
         );
         world.metrics.aborts += 1;
         world.history.abort(self.current());
+        self.cache.clear();
+        self.deferred_revokes.clear();
         self.current()
     }
 
@@ -466,33 +422,16 @@ impl Coordinator {
     /// instance: a fresh epoch, restarted after a jittered backoff (seeded;
     /// without jitter, symmetric workloads can re-collide forever).
     pub(crate) fn back_off(&mut self, world: &mut World) {
-        self.deferred_revokes.clear();
         self.epoch += 1;
         self.progress.reset(world.sys.txn(self.txn));
         let at = world.now + RESTART_BACKOFF + world.rng.gen_range(0..=RESTART_BACKOFF);
         world.queue.push(at, EventKind::Restart(self.txn));
     }
 
-    /// The coordinator's half of delegated retention at the abort of
-    /// `old`: each of its entries, in entity order, that is not draining
-    /// and that `rekey` moved to the successor epoch at its site survives,
-    /// idle; every other entry is dropped.
-    pub(crate) fn retain_cache(
-        &mut self,
-        old: Instance,
-        mut rekey: impl FnMut(EntityId, LockMode, Lease) -> bool,
-    ) {
-        let mut entities: Vec<EntityId> = self.cache.keys().copied().collect();
-        entities.sort();
-        for e in entities {
-            let entry = self.cache.get_mut(&e).expect("entry present");
-            if entry.inst == old && !entry.revoke_pending && rekey(e, entry.mode, entry.lease) {
-                entry.inst.epoch += 1;
-                entry.in_use = false;
-            } else {
-                self.cache.remove(&e);
-            }
-        }
+    /// True when the cache holds an entry over `e`.
+    #[cfg(test)]
+    pub(crate) fn caches(&self, e: EntityId) -> bool {
+        self.cache.contains_key(&e)
     }
 
     /// The site that delegated `e` to `inst` crashed and lost its ledger:
@@ -510,16 +449,15 @@ impl Coordinator {
         inst: Instance,
         e: EntityId,
     ) -> bool {
-        let cached = match self.cache.get(&e) {
-            Some(entry) if entry.inst == inst => self.cache.remove(&e).map(|entry| entry.in_use),
-            _ => None,
-        };
-        cached.unwrap_or_else(|| {
-            !self.moved_on(inst)
-                && (self.lock_in_flight(t, e)
-                    || self.holds_remotely(t, e)
-                    || self.deferred_revokes.get(&e) == Some(&inst))
-        })
+        // A site's ledger, like the cache, holds no aborted instance: an
+        // entry over `e` is `inst`'s.
+        if let Some(entry) = self.cache.remove(&e) {
+            return entry.in_use;
+        }
+        !self.moved_on(inst)
+            && (self.lock_in_flight(t, e)
+                || self.holds_remotely(t, e)
+                || self.deferred_revokes.contains(&e))
     }
 
     /// Forgets every cache entry and deferred revocation over `site`'s
@@ -527,7 +465,7 @@ impl Coordinator {
     pub(crate) fn forget_site(&mut self, sys: &TxnSystem, site: SiteId) {
         self.cache.retain(|&e, _| sys.db().site_of(e) != site);
         self.deferred_revokes
-            .retain(|&e, _| sys.db().site_of(e) != site);
+            .retain(|&e| sys.db().site_of(e) != site);
     }
 }
 

@@ -553,22 +553,11 @@ impl Engine<'_> {
         }
     }
 
-    /// Aborts `txn`'s live instance: the coordinator retires it, every
-    /// site releases it in site order, and the coordinator backs off.
+    /// Aborts `txn`'s live instance: the coordinator retires it and drops
+    /// its cache, every site releases it in site order, and the
+    /// coordinator backs off.
     fn abort(&mut self, txn: TxnId) {
         let old = self.coords[txn.idx()].abort(&mut self.world);
-        if self.world.delegation {
-            // Retention: uncontested cached grants are re-keyed to the
-            // successor epoch, synchronously, so the restart re-acquires
-            // them for free — where restart-heavy hot-spot workloads earn
-            // their cache hits. (A zero-latency read of remote sites'
-            // queues: ARCHITECTURE §2.3.)
-            let (sites, world) = (&mut self.sites, &mut self.world);
-            self.coords[txn.idx()].retain_cache(old, |e, mode, lease| {
-                let site = &mut sites[world.sys.db().site_of(e).idx()];
-                site.rekey(world, old, e, mode, lease)
-            });
-        }
         for site in &mut self.sites {
             site.release_all(&mut self.world, &self.coords, old);
         }
@@ -2028,14 +2017,13 @@ mod tests {
     }
 
     #[test]
-    fn restart_retains_uncontested_delegations_for_free_reacquires() {
+    fn an_abort_drops_uncontested_delegations_and_the_restart_goes_remote() {
         use crate::config::{Delegation, VictimPolicy};
         // T2 holds an uncontested z (delegated) and then deadlocks with
-        // T1 over x/y. When T2 is chosen as victim its z entry is neither
-        // demanded nor revoking, so the abort re-keys it to the next
-        // epoch in place: the restarted T2 re-acquires z from its own
-        // cache, zero messages — a *lock-side* cache hit, which 2PL
-        // scripts can otherwise never produce in a single epoch.
+        // T1 over x/y. When T2 is chosen as victim, its abort drops the
+        // whole cache and every site releases its holds, z included: the
+        // restarted T2 re-requests z from z's site, as it does with
+        // delegation off.
         let db = Database::from_spec(&[("x", 0), ("y", 1), ("z", 2)]);
         let mut b1 = TxnBuilder::new(&db, "T1");
         // The update on x delays T1's Ly past T2's, so the cycle forms.
@@ -2060,16 +2048,31 @@ mod tests {
             },
         )
         .unwrap();
-        let r = run(&sys, &cfg).unwrap();
+        let (z, mut epoch) = (EntityId(2), 0);
+        let r = run_observed(&sys, &cfg, &[0, 0], |eng| {
+            let new = eng.coords[1].current();
+            if new.epoch == epoch {
+                return;
+            }
+            // The event that aborted T2: neither its cache nor z's site
+            // keeps z for either epoch.
+            epoch = new.epoch;
+            let old = Instance {
+                epoch: new.epoch - 1,
+                ..new
+            };
+            assert!(!eng.coords[1].caches(z), "epoch {epoch}");
+            let table = &eng.sites[2].table;
+            assert_eq!((table.holds(z, old), table.holds(z, new)), (None, None));
+        })
+        .unwrap();
         assert_eq!(r.outcome, RunOutcome::Completed);
         assert_eq!(r.metrics.committed, 2);
         assert!(r.metrics.deadlocks_resolved >= 1, "the cycle must form");
-        assert!(
-            r.metrics.cache_hits > r.metrics.committed as u64,
-            "beyond the per-commit unlock hits there must be a retained \
-             re-acquire: {} hits",
-            r.metrics.cache_hits
-        );
+        assert_eq!((epoch, r.metrics.aborts), (1, 1), "T2 is the one victim");
+        // T1's two lock requests, and all three of T2's in each epoch.
+        assert_eq!(r.metrics.lock_requests, 2 + 3 + 3);
+        assert_eq!(r.metrics.lock_requests, off.metrics.lock_requests);
         assert!(r.metrics.lock_traffic < off.metrics.lock_traffic);
         r.audit.legal.as_ref().unwrap();
         assert!(r.audit.serializable);
@@ -2211,8 +2214,34 @@ mod tests {
             });
             assert_eq!(report.unwrap().outcome, RunOutcome::Completed, "{arm}");
             assert!(aborts >= 10 && waits > 0 && holds > waits, "{arm}");
-            assert_eq!(rekeys > 0, cfg.delegation == Delegation::On, "{arm}");
+            // No abort hands a hold to the successor epoch, with or
+            // without delegation.
+            assert_eq!(rekeys, 0, "{arm}");
         }
+    }
+
+    /// The audit's uncovered-update check fires: a delegated hold released
+    /// from its site's table behind its coordinator's back leaves the
+    /// update that follows the grant without a covering lock.
+    #[test]
+    #[should_panic(expected = "update without a covering lock")]
+    fn an_update_whose_hold_its_site_dropped_is_caught_by_the_audit() {
+        use crate::config::Delegation;
+        let sys = pair("Lx x Ux", "Ly y Uy", &[("x", 0), ("y", 1)]);
+        let cfg = SimConfig {
+            latency: LatencyModel::Fixed(5),
+            delegation: Delegation::On,
+            invariant_audit: true,
+            ..Default::default()
+        };
+        let x = EntityId(0);
+        let _ = run_observed(&sys, &cfg, &[0, 0], |eng| {
+            let inst = eng.coords[0].current();
+            let site = &mut eng.sites[0];
+            if eng.coords[0].caches(x) && site.table.holds(x, inst).is_some() {
+                site.table.release(x, inst).expect("held");
+            }
+        });
     }
 
     #[test]

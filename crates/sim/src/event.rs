@@ -34,8 +34,7 @@
 //! speed — it runs from the heap.
 
 use crate::probe::{ChaseId, ProbeMsg};
-use kplock_dlm::Lease;
-use kplock_model::{EntityId, LockMode, SiteId, StepId, TxnId};
+use kplock_model::{EntityId, SiteId, StepId, TxnId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -53,17 +52,10 @@ pub struct Instance {
 
 /// A delegated grant riding on [`Payload::LockGranted`]
 /// ([`crate::Delegation::On`] only): the coordinator may cache it and
-/// service later re-acquires and releases of the entity locally, with
-/// zero messages, until the site revokes ([`Payload::Revoke`]) or the
-/// lease expires.
+/// serve the matching unlock locally, with zero messages; the hold stays
+/// at the site until the site revokes it ([`Payload::Revoke`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DelegatedGrant {
-    /// The delegated (held) mode — local re-acquires must be covered.
-    pub mode: LockMode,
-    /// The lease fencing the delegation; its clock keys off the
-    /// *original* grant, so a duplicated grant message advertises the
-    /// same expiry as the first.
-    pub lease: Lease,
     /// The owning site's boot epoch at grant time. A coordinator only
     /// caches a grant from the site's **current** boot: a crash wipes the
     /// site's delegation ledger, so a delegated ack that was in flight

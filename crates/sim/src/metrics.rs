@@ -85,8 +85,8 @@ pub struct Metrics {
     /// the `tests/sim_regression.rs` pins compare across modes. Cache-hit
     /// operations contribute zero here by construction.
     pub lock_traffic: u64,
-    /// Lock or unlock steps serviced from the coordinator's delegated
-    /// cache ([`crate::Delegation::On`]): zero messages crossed the wire
+    /// Unlock steps served from the coordinator's delegated cache
+    /// ([`crate::Delegation::On`]): zero messages crossed the wire
     /// and no site table was consulted. Not counted in
     /// [`Metrics::lock_requests`] — no site serviced anything.
     pub cache_hits: u64,

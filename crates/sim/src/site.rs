@@ -13,7 +13,7 @@ use kplock_dlm::{
     Acquire, DelegationLedger, Lease, LeaseTable, LockError, PreventionOutcome, PreventionScheme,
     QueueTable,
 };
-use kplock_model::{EntityId, IdMap, LockMode, SiteId, StepId, TxnId};
+use kplock_model::{EntityId, IdMap, SiteId, StepId, TxnId};
 
 /// Everything one site owns: the local state the paper's question is
 /// about.
@@ -217,9 +217,9 @@ impl Site {
     ///
     /// A grant of an uncontested entity (no waiter, no pending upgrade,
     /// no revocation draining) is *delegated*: release authority goes to
-    /// the coordinator under a lease, and a re-grant re-advertises the
-    /// **original** lease clock. A contested grant stays plain, so one
-    /// authority holds it and the waiters' demand keeps its remote path.
+    /// the coordinator, recorded in the ledger under a lease whose clock a
+    /// re-grant keeps. A contested grant stays plain, so one authority
+    /// holds it and the waiters' demand keeps its remote path.
     fn grant(&mut self, world: &mut World, inst: Instance, entity: EntityId, step: StepId) {
         self.note_grant(world, inst, entity);
         world.record_step(inst, step);
@@ -228,14 +228,8 @@ impl Site {
             && !self.delegations.is_revoking(inst, entity))
         .then(|| {
             let lease = Lease::new(world.now, world.cfg.faults.lease_ttl);
-            DelegatedGrant {
-                mode: self
-                    .table
-                    .holds(entity, inst)
-                    .expect("a granted lock is held"),
-                lease: self.delegations.delegate(inst, entity, lease),
-                boot: self.boot,
-            }
+            self.delegations.delegate(inst, entity, lease);
+            DelegatedGrant { boot: self.boot }
         });
         let granted = Payload::LockGranted {
             inst,
@@ -278,7 +272,7 @@ impl Site {
     }
 
     /// Releases `inst`'s hold on `entity` with everything that rides on
-    /// it, in order: the lease, any delegation record (a re-acquire is a
+    /// it, in order: the lease, any delegation record (a later grant is a
     /// *fresh* delegation, and an ack in flight must find nothing to
     /// drain), the wait edges, the unlock ack if one is owed, and the
     /// grants the release unblocked.
@@ -361,42 +355,6 @@ impl Site {
     /// A commit reaches this site: no search through `txn` can close.
     pub(crate) fn end_chases_of(&mut self, txn: TxnId) {
         self.probe.end_chases_of(txn);
-    }
-
-    /// The site's half of delegated retention at the abort of `old`: its
-    /// hold of `e` moves to the successor epoch — table, ledger and lease,
-    /// lease clock kept — if uncontested, not draining and the site is up.
-    /// Returns whether it moved.
-    pub(crate) fn rekey(
-        &mut self,
-        world: &mut World,
-        old: Instance,
-        e: EntityId,
-        mode: LockMode,
-        lease: Lease,
-    ) -> bool {
-        if self.down
-            || self.delegations.is_revoking(old, e)
-            || self.table.has_waiters(e)
-            || self.table.holds(e, old).is_none()
-        {
-            return false;
-        }
-        let new = Instance {
-            epoch: old.epoch + 1,
-            ..old
-        };
-        world.touch(self.id, e);
-        let grants = self.table.release(e, old).expect("held, checked above");
-        debug_assert!(grants.is_empty(), "uncontested releases grant nobody");
-        let granted = self.table.request(e, new, mode).expect("new owner");
-        debug_assert_eq!(granted, Acquire::Granted, "re-keying is conflict-free");
-        self.delegations.rekey(old, new, e);
-        if world.track_leases {
-            self.leases.release(old, e);
-            self.leases.grant(new, e, mode, lease);
-        }
-        true
     }
 
     /// Reacts to a change of `entity`'s wait-for edges: OnBlock schedules

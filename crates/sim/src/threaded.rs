@@ -14,7 +14,7 @@
 //! queued request, release everything, randomized backoff, retry.
 //!
 //! That is all it does. Wound delivery, avoidance priorities and
-//! delegated retention are protocol semantics and live in
+//! delegated grants are protocol semantics and live in
 //! [`crate::engine`] alone, where the invariant audit, the committed-set
 //! oracles and the fixed-seed pins watch them. This runner is
 //! *non*-deterministic by nature — it exists to exercise the table and

@@ -6,10 +6,11 @@
 //! The histories cover what the runners produce and what they must never
 //! produce: flat and two-level databases, locks in all five modes,
 //! two-phase and non-two-phase transactions over partial orders, aborted
-//! epochs, retained epochs (the aborted instance's holds kept for its
-//! successor, as delegated retention keeps them), lock conflicts the
-//! tables would have refused, steps recorded twice, out of order or not at
-//! all, and instances committed as they finish or all at the end.
+//! epochs, epochs whose holds pass to their successor (no runner hands
+//! holds across an abort, but the audit takes any recorded history), lock
+//! conflicts the tables would have refused, steps recorded twice, out of
+//! order or not at all, and instances committed as they finish or all at
+//! the end.
 
 use kplock_model::{
     is_serializable, ActionKind, Database, EntityId, LockMode, SiteId, Step, StepId, Transaction,
@@ -138,8 +139,8 @@ fn random_history(sys: &TxnSystem, history: &mut History<'_>, rng: &mut StdRng) 
         })
         .collect();
     let (mut finished, mut committed) = (vec![false; sys.len()], vec![false; sys.len()]);
-    // Who holds what, by transaction: a retained hold passes to the next
-    // epoch with the transaction.
+    // Who holds what, by transaction: a hold kept across an abort passes
+    // to the next epoch with the transaction.
     let mut holds: Vec<(TxnId, EntityId, LockMode)> = Vec::new();
     let mut time = 0;
     for _ in 0..200 {

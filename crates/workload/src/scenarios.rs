@@ -91,8 +91,8 @@ pub fn hot_site_sweep(base: &WorkloadParams, hot_percents: &[u32]) -> Vec<Scenar
 /// Sweeps Zipfian skew over the entities *within* each site on a fixed
 /// topology: `thetas` are [`WorkloadParams::zipf_theta`] exponents
 /// (0 = uniform; θ ≥ 0.9 concentrates most accesses on each site's
-/// first few entities — the re-acquire-heavy regime where delegated
-/// lock ownership pays). [`Scenario::value`] carries `θ × 100`.
+/// first few entities — the skewed regime where delegated lock
+/// ownership is measured). [`Scenario::value`] carries `θ × 100`.
 pub fn zipf_sweep(base: &WorkloadParams, thetas: &[f64]) -> Vec<Scenario> {
     thetas
         .iter()

@@ -13,6 +13,11 @@
 //! Liveness of the revocation path itself gets a dedicated storm test:
 //! a chain of single-entity transactions in which every grant is
 //! delegated and every successor must demand it back.
+//!
+//! ROADMAP item 1 — delegation committing double locks under message
+//! reordering — gets its own rung at the `sim_deleg` shape: every run
+//! that used to commit illegally, in tier-1, and the whole 78 000-run
+//! sweep behind `#[ignore]`.
 
 use kplock::core::policy::LockStrategy;
 use kplock::model::{Database, TxnBuilder, TxnSystem};
@@ -228,114 +233,217 @@ fn revocation_storm_drains_the_chain_to_completion() {
     }
 }
 
+/// One fault row of ROADMAP item 1's sweep: loss, duplication and
+/// reorder rates, and the lease ttl.
+#[derive(Clone, Copy, Debug)]
+struct FaultRow {
+    rates: (f64, f64, f64),
+    lease_ttl: u64,
+}
+
+const LOSSY: FaultRow = FaultRow {
+    rates: (0.05, 0.02, 0.10),
+    lease_ttl: 400,
+};
+const LOSSY_TTL_0: FaultRow = FaultRow {
+    lease_ttl: 0,
+    ..LOSSY
+};
+const REORDER_ONLY: FaultRow = FaultRow {
+    rates: (0.0, 0.0, 0.10),
+    ..LOSSY
+};
+/// The six rows, in ROADMAP item 1's order: the three above, then loss
+/// only, duplication only, and loss with duplication.
+const FAULT_ROWS: [FaultRow; 6] = [
+    LOSSY,
+    LOSSY_TTL_0,
+    REORDER_ONLY,
+    FaultRow {
+        rates: (0.05, 0.0, 0.0),
+        ..LOSSY
+    },
+    FaultRow {
+        rates: (0.0, 0.02, 0.0),
+        ..LOSSY
+    },
+    FaultRow {
+        rates: (0.05, 0.02, 0.0),
+        ..LOSSY
+    },
+];
+
+const PERIODIC: DeadlockResolution = SCHEMES[0];
+const WOUND_WAIT: DeadlockResolution = SCHEMES[3];
+const WAIT_DIE: DeadlockResolution = SCHEMES[4];
+const NO_WAIT: DeadlockResolution = SCHEMES[5];
+
 /// ROADMAP item 1's shape — the `sim_deleg` system (3 sites × 24
 /// entities, 16 transactions × 10 steps, 95 % of steps at one site,
 /// reads 90 % on even seeds and 10 % on odd ones, sync 2PL) with workload
-/// seed = sim seed = fault seed, `lease_ttl` 400, no crash — run with the
-/// audit on. The table checks see nothing: the site's table and the
-/// coordinator's cache disagree about who holds, and each is internally
-/// consistent. What the audit does see is the first update the stale
-/// cache lets through to a site that no longer shows the hold.
-fn item_1_run(
+/// seed = sim seed = fault seed and no crash — run under one fault row.
+/// `None` when the run completes with a legal, serializable history;
+/// otherwise what went wrong, an audit panic included.
+fn item_1_failure(
     seed: u64,
     resolution: DeadlockResolution,
-    (loss, duplication, reorder): (f64, f64, f64),
+    row: FaultRow,
     delegation: Delegation,
-) -> kplock::sim::SimReport {
-    let sys = random_system(&WorkloadParams {
-        seed,
-        sites: 3,
-        entities_per_site: 24,
-        transactions: 16,
-        steps_per_txn: 10,
-        hot_site_percent: 95,
-        read_percent: if seed.is_multiple_of(2) { 90 } else { 10 },
-        strategy: LockStrategy::TwoPhaseSync,
-        ..Default::default()
+    invariant_audit: bool,
+) -> Option<String> {
+    let outcome = std::panic::catch_unwind(move || {
+        let sys = random_system(&WorkloadParams {
+            seed,
+            sites: 3,
+            entities_per_site: 24,
+            transactions: 16,
+            steps_per_txn: 10,
+            hot_site_percent: 95,
+            read_percent: if seed.is_multiple_of(2) { 90 } else { 10 },
+            strategy: LockStrategy::TwoPhaseSync,
+            ..Default::default()
+        });
+        let (loss, duplication, reorder) = row.rates;
+        let cfg = SimConfig {
+            seed,
+            resolution,
+            delegation,
+            invariant_audit,
+            faults: FaultPlan {
+                lease_ttl: row.lease_ttl,
+                ..FaultPlan::lossy(seed, loss, duplication, reorder)
+            },
+            ..Default::default()
+        };
+        run(&sys, &cfg).expect("valid config")
     });
-    let cfg = SimConfig {
-        seed,
-        resolution,
-        delegation,
-        invariant_audit: true,
-        faults: FaultPlan {
-            lease_ttl: 400,
-            ..FaultPlan::lossy(seed, loss, duplication, reorder)
-        },
-        ..Default::default()
+    let r = match outcome {
+        Ok(r) => r,
+        Err(panic) => {
+            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            return Some(format!("panicked: {msg}"));
+        }
     };
-    let r = run(&sys, &cfg).expect("valid config");
-    assert_eq!(r.outcome, RunOutcome::Completed, "seed {seed}");
-    r
+    if r.outcome != RunOutcome::Completed {
+        Some(format!("{:?}", r.outcome))
+    } else if let Err(e) = &r.audit.legal {
+        Some(format!("illegal: {e}"))
+    } else if !r.audit.serializable {
+        Some("not serializable".to_string())
+    } else {
+        None
+    }
 }
 
-const LOSSY: (f64, f64, f64) = (0.05, 0.02, 0.10);
-const REORDER_ONLY: (f64, f64, f64) = (0.0, 0.0, 0.10);
+/// Panics unless the run completes with a legal, serializable history.
+fn assert_item_1_run_is_clean(seed: u64, resolution: DeadlockResolution, row: FaultRow) {
+    if let Some(failure) = item_1_failure(seed, resolution, row, Delegation::On, true) {
+        panic!("seed {seed} under {resolution:?}, {row:?}: {failure}");
+    }
+}
 
-/// The three pinned reproducers of ROADMAP item 1, shortest first, each
-/// with what the history's online audit says of the history an unaudited
-/// release run commits: the tick of the recorded lock step that
-/// double-locks, both instances and the entity.
-const ITEM_1_PINS: [(u64, DeadlockResolution, (f64, f64, f64)); 3] = [
-    // "tick 602: T4 (epoch 3) locks e2 already held by T1 (epoch 2)"
-    (4288, SCHEMES[3], LOSSY),
-    // "tick 2092: T1 (epoch 0) locks e10 already held by T5 (epoch 2)"
-    (4449, SCHEMES[0], LOSSY),
-    // "tick 2499: T6 (epoch 37) locks e4 already held by T7 (epoch 29)"
-    (4102, SCHEMES[5], REORDER_ONLY),
+/// Item 1's regression rung: every (seed, arm, fault row) at which
+/// delegation committed an illegal schedule while an abort still handed
+/// its uncontested cached holds to the successor epoch — 18 of the 36 000
+/// runs over seeds 4000..4999, 16 of those over 5000..5999.
+#[rustfmt::skip]
+const ITEM_1_RUNG: [(u64, DeadlockResolution, FaultRow); 34] = [
+    (4044, WAIT_DIE, LOSSY), (4219, WAIT_DIE, LOSSY), (4288, WOUND_WAIT, LOSSY),
+    (4449, PERIODIC, LOSSY), (4644, NO_WAIT, LOSSY), (4674, WAIT_DIE, LOSSY),
+    (4090, NO_WAIT, LOSSY_TTL_0), (4251, WAIT_DIE, LOSSY_TTL_0),
+    (4288, WOUND_WAIT, LOSSY_TTL_0), (4330, WAIT_DIE, LOSSY_TTL_0),
+    (4382, WAIT_DIE, LOSSY_TTL_0),
+    (4102, NO_WAIT, REORDER_ONLY), (4362, NO_WAIT, REORDER_ONLY),
+    (4479, NO_WAIT, REORDER_ONLY), (4984, NO_WAIT, REORDER_ONLY),
+    (4405, WOUND_WAIT, REORDER_ONLY), (4781, WOUND_WAIT, REORDER_ONLY),
+    (4498, WAIT_DIE, REORDER_ONLY),
+    (5143, WAIT_DIE, LOSSY), (5486, WOUND_WAIT, LOSSY), (5562, WAIT_DIE, LOSSY),
+    (5035, WAIT_DIE, LOSSY_TTL_0), (5159, WAIT_DIE, LOSSY_TTL_0),
+    (5513, WAIT_DIE, LOSSY_TTL_0), (5548, WAIT_DIE, LOSSY_TTL_0),
+    (5610, WAIT_DIE, LOSSY_TTL_0), (5799, WAIT_DIE, LOSSY_TTL_0),
+    (5486, WOUND_WAIT, LOSSY_TTL_0), (5561, WOUND_WAIT, LOSSY_TTL_0),
+    (5807, WOUND_WAIT, LOSSY_TTL_0),
+    (5074, NO_WAIT, REORDER_ONLY), (5226, NO_WAIT, REORDER_ONLY),
+    (5990, NO_WAIT, REORDER_ONLY), (5605, WAIT_DIE, REORDER_ONLY),
 ];
 
-fn item_1_pin_is_legal(pin: usize) {
-    let (seed, resolution, rates) = ITEM_1_PINS[pin];
-    let r = item_1_run(seed, resolution, rates, Delegation::On);
-    r.audit
-        .legal
-        .as_ref()
-        .unwrap_or_else(|e| panic!("seed {seed} under {resolution:?}: {e}"));
+#[test]
+fn item_1_rung_runs_are_legal_and_serializable() {
+    for (seed, resolution, row) in ITEM_1_RUNG {
+        assert_item_1_run_is_clean(seed, resolution, row);
+    }
 }
 
+/// The whole sweep, seeds 4000..5999 × the six fault rows × the six
+/// arms (72 000 runs), then the first row over seeds 4000..4999 again
+/// with `invariant_audit` on. About 90 s in release:
+/// `cargo test --release --test delegation_props -- --ignored`.
 #[test]
-#[ignore = "ROADMAP item 1: delegation double-grant under reordering"]
+#[ignore = "78 000 runs: run optimised"]
+fn item_1_sweep_commits_only_legal_serializable_schedules() {
+    let mut failures = Vec::new();
+    let mut runs = 0;
+    let mut sweep = |seeds: std::ops::Range<u64>, rows: &[FaultRow], audit: bool| {
+        for seed in seeds {
+            for &row in rows {
+                for resolution in SCHEMES {
+                    runs += 1;
+                    if let Some(f) = item_1_failure(seed, resolution, row, Delegation::On, audit) {
+                        failures.push(format!("seed {seed} under {resolution:?}, {row:?}: {f}"));
+                    }
+                }
+            }
+        }
+    };
+    sweep(4000..6000, &FAULT_ROWS, false);
+    sweep(4000..5000, &[LOSSY], true);
+    assert_eq!(runs, 78_000);
+    assert!(
+        failures.is_empty(),
+        "{} of {runs} runs failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// The three reproducers ROADMAP item 1 pinned, shortest first, each with
+/// what the history's online audit said of the illegal history it
+/// committed while aborts kept their cached holds: the tick of the
+/// recorded lock step that double-locks, both instances and the entity.
+const ITEM_1_PINS: [(u64, DeadlockResolution, FaultRow); 3] = [
+    // "tick 602: T4 (epoch 3) locks e2 already held by T1 (epoch 2)"
+    (4288, WOUND_WAIT, LOSSY),
+    // "tick 2092: T1 (epoch 0) locks e10 already held by T5 (epoch 2)"
+    (4449, PERIODIC, LOSSY),
+    // "tick 2499: T6 (epoch 37) locks e4 already held by T7 (epoch 29)"
+    (4102, NO_WAIT, REORDER_ONLY),
+];
+
+#[test]
 fn item_1_seed_4288_wound_wait_commits_a_legal_schedule() {
-    item_1_pin_is_legal(0);
+    let (seed, resolution, row) = ITEM_1_PINS[0];
+    assert_item_1_run_is_clean(seed, resolution, row);
 }
 
 #[test]
-#[ignore = "ROADMAP item 1: delegation double-grant under reordering"]
 fn item_1_seed_4449_periodic_commits_a_legal_schedule() {
-    item_1_pin_is_legal(1);
+    let (seed, resolution, row) = ITEM_1_PINS[1];
+    assert_item_1_run_is_clean(seed, resolution, row);
 }
 
 #[test]
-#[ignore = "ROADMAP item 1: delegation double-grant under reordering"]
 fn item_1_seed_4102_no_wait_reorder_only_commits_a_legal_schedule() {
-    item_1_pin_is_legal(2);
-}
-
-/// ROADMAP item 1(c), first step: the audit stops the shortest pin at the
-/// event — an update reaching a site whose table does not show the
-/// updater holding the entity (site 0, tick 1124, `e2`: the entity the
-/// illegal history double-locks) — identically in debug and `--release`
-/// builds. With the audit off a release run goes on to commit the
-/// illegal history quoted above. Item 1's fix deletes this test and
-/// un-ignores the three pins.
-#[test]
-#[should_panic(expected = "update without a covering lock")]
-fn item_1_seed_4288_wound_wait_is_caught_by_the_audit_at_the_uncovered_update() {
-    let (seed, resolution, rates) = ITEM_1_PINS[0];
-    item_1_run(seed, resolution, rates, Delegation::On);
+    let (seed, resolution, row) = ITEM_1_PINS[2];
+    assert_item_1_run_is_clean(seed, resolution, row);
 }
 
 /// The same three runs with delegation off: the fault plans are not the
 /// culprit.
 #[test]
 fn item_1_pins_are_legal_and_serializable_with_delegation_off() {
-    for (seed, resolution, rates) in ITEM_1_PINS {
-        let r = item_1_run(seed, resolution, rates, Delegation::Off);
-        r.audit
-            .legal
-            .as_ref()
-            .unwrap_or_else(|e| panic!("seed {seed} under {resolution:?}: {e}"));
-        assert!(r.audit.serializable, "seed {seed} under {resolution:?}");
+    for (seed, resolution, row) in ITEM_1_PINS {
+        if let Some(failure) = item_1_failure(seed, resolution, row, Delegation::Off, true) {
+            panic!("seed {seed} under {resolution:?}: {failure}");
+        }
     }
 }

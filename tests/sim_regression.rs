@@ -369,8 +369,8 @@ fn delegation_lock_traffic_counts_are_pinned() {
     // Acquire/release wire traffic of read-heavy skewed workloads (3
     // sites × 24 entities, 10 sync-2PL transactions × 10 steps, 90 %
     // reads), summed over sim seeds 0..20, delegation off and on under
-    // both ordering-based preventers. Delegation must keep halving the
-    // traffic on the two headline pairs.
+    // both ordering-based preventers. Delegation must keep cutting the
+    // traffic by at least a third on the two headline pairs.
     let base = WorkloadParams {
         seed: 42,
         sites: 3,
@@ -415,10 +415,13 @@ fn delegation_lock_traffic_counts_are_pinned() {
     let counts = sums.map(|[off, on]| [off[0], on[0]]);
     assert_eq!(counts, PIN_DELEG_TRAFFIC);
     assert_eq!(sums.map(|[_, on]| [on[1], on[2], on[3]]), PIN_DELEG_CACHE);
+    // An abort drops its cache, so a restart re-acquires remotely what it
+    // held: the saving is the unlocks served from the cache, not a halving
+    // (1.50× and 1.73× here).
     for [off, on] in [counts[1], counts[2]] {
         assert!(
-            off >= 2 * on,
-            "delegation must at least halve {off}, got {on}"
+            2 * off >= 3 * on,
+            "delegation must cut {off} by a third, got {on}"
         );
     }
 }
@@ -820,10 +823,10 @@ const PIN_DUP_LEASES_ON: (usize, usize) = (2, 4);
 const PIN_SCAN_FLAT: [u64; 2] = [10_000, 11_752];
 const PIN_SCAN_HIER16: [u64; 2] = [30, 334];
 const PIN_DELEG_TRAFFIC: [[u64; 2]; 4] = [
-    [7_558, 4_068],
-    [11_102, 5_233],
-    [9_300, 4_463],
-    [10_020, 4_961],
+    [7_558, 4_718],
+    [11_102, 7_391],
+    [9_300, 5_368],
+    [10_020, 6_468],
 ];
 
 // Rewired-path pins (PR 15; literals from a run of the PR 14 engine), one
@@ -883,10 +886,10 @@ const PIN_LONG: [([u64; 4], &[u32]); 4] = [
 const PIN_SCAN_FLAT_WIRE: [[u64; 2]; 2] = [[60_000, 60_188], [68_134, 113_456]];
 const PIN_SCAN_HIER16_WIRE: [[u64; 2]; 2] = [[20_120, 20_447], [22_798, 37_918]];
 const PIN_DELEG_CACHE: [[u64; 3]; 4] = [
-    [1_992, 220, 88],
-    [3_897, 293, 571],
-    [2_497, 189, 122],
-    [3_064, 224, 265],
+    [1_620, 220, 82],
+    [1_638, 247, 366],
+    [1_880, 200, 110],
+    [1_800, 205, 206],
 ];
 
 // §5: per site count (1, 2, 3, 6) and detector (periodic, on-block,
