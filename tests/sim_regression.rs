@@ -638,6 +638,51 @@ fn section_5_detection_cost_by_site_count_is_pinned() {
     }
 }
 
+#[test]
+fn hot_batch_global_detector_sums_are_pinned() {
+    // The global scan where it works hardest: sixteen `sim_hot`-shaped
+    // batches (24 sync-2PL transactions of 8 steps over 4 sites × 8
+    // entities, Zipf 0.6, half reads) at latency 2..=8, workload and sim
+    // seed equal, under OnBlock and Periodic. A run resolves dozens of
+    // cycles, so these sums move if a scan picks another cycle, victim or
+    // iteration count anywhere.
+    let detectors = [DeadlockDetection::OnBlock, DeadlockDetection::Periodic];
+    let rows = detectors.map(|detection| {
+        sum_over(16, |seed| {
+            let sys = random_system(&WorkloadParams {
+                seed,
+                sites: 4,
+                entities_per_site: 8,
+                transactions: 24,
+                steps_per_txn: 8,
+                zipf_theta: 0.6,
+                read_percent: 50,
+                strategy: LockStrategy::TwoPhaseSync,
+                ..Default::default()
+            });
+            let cfg = SimConfig {
+                seed,
+                latency: LatencyModel::Uniform(2, 8),
+                resolution: detection.into(),
+                ..Default::default()
+            };
+            let r = run(&sys, &cfg).expect("valid config");
+            assert_eq!(r.outcome, RunOutcome::Completed, "{detection:?} {seed}");
+            let m = &r.metrics;
+            [
+                m.committed as u64,
+                m.aborts as u64,
+                m.messages,
+                m.deadlocks_resolved as u64,
+                m.detection_latency_ticks,
+                m.lock_wait_ticks,
+                m.makespan,
+            ]
+        })
+    });
+    assert_eq!(rows, PIN_ONBLOCK_HOT, "actual: {rows:?}");
+}
+
 /// The five arms §6 compares, in its table's order.
 const RESOLUTION_ARMS: [DeadlockResolution; 5] = [
     DeadlockResolution::Detect(DeadlockDetection::Periodic),
@@ -901,6 +946,16 @@ const PIN_DETECTION_BY_SITES: [[[u64; 4]; 3]; 4] = [
     [[120, 8220, 0, 1800], [120, 8100, 0, 0], [120, 9540, 1020, 3000]],
     [[240, 10082, 0, 8400], [240, 9780, 0, 0], [240, 16392, 5892, 4800]],
     [[0, 8160, 0, 0], [0, 8160, 0, 0], [0, 13620, 5460, 0]],
+];
+
+// Hot-batch pins (literals from a run of the engine before the scan gained
+// its cycle-existence test, which must leave them unchanged): over the
+// sixteen batches, under OnBlock then Periodic: committed, aborts,
+// messages, deadlocks_resolved, detection_latency_ticks, lock_wait_ticks,
+// makespan.
+const PIN_ONBLOCK_HOT: [[u64; 7]; 2] = [
+    [384, 909, 25_042, 909, 13_712, 305_046, 19_210],
+    [384, 947, 26_325, 947, 42_490, 530_991, 26_863],
 ];
 
 // §6: per site count (1, 2, 3, 6) and arm (periodic, probe, wound-wait,
