@@ -714,12 +714,14 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
         self.owned.get(&o).cloned().unwrap_or_default()
     }
 
-    /// Appends the waits-for edges of one entity, unsorted: queued
+    /// Visits the waits-for edges of one entity, unsorted: queued
     /// requests wait on every holder; pending upgraders on every *other*
     /// holder.
-    fn edges_into(&self, st: EState, out: &mut Vec<(O, O)>) {
+    fn entity_edges(&self, st: EState, f: &mut impl FnMut(O, O)) {
         for w in self.owners(st.queue).chain(self.owners(st.upgrades)) {
-            out.extend(self.owners(st.holders).filter(|&h| h != w).map(|h| (w, h)));
+            for h in self.owners(st.holders).filter(|&h| h != w) {
+                f(w, h);
+            }
         }
     }
 
@@ -735,7 +737,7 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
     pub fn entity_waits_for(&self, e: EntityId) -> Vec<(O, O)> {
         let mut out = Vec::new();
         if let Some(st) = self.state(e) {
-            self.edges_into(st, &mut out);
+            self.entity_edges(st, &mut |w, h| out.push((w, h)));
         }
         out.sort();
         out
@@ -755,10 +757,17 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
     /// buffer.
     pub fn waits_for_into(&self, out: &mut Vec<(O, O)>) {
         let from = out.len();
-        for st in self.contended_states() {
-            self.edges_into(st, out);
-        }
+        self.for_each_wait_edge(|w, h| out.push((w, h)));
         out[from..].sort();
+    }
+
+    /// Calls `f(waiter, holder)` on each of [`QueueTable::waits_for`]'s
+    /// edges, in no promised order and without allocating: for a caller
+    /// that only asks whether the edges close a cycle.
+    pub fn for_each_wait_edge(&self, mut f: impl FnMut(O, O)) {
+        for st in self.contended_states() {
+            self.entity_edges(st, &mut f);
+        }
     }
 
     /// The holders `o` waits on at *this* table — `o`'s outgoing wait-for
@@ -1154,6 +1163,33 @@ mod tests {
         assert_eq!(released, vec![(a, vec![(1, X)]), (b, vec![])]);
         assert_eq!(t.held_by(0), Vec::<EntityId>::new());
         t.check_invariants().unwrap();
+    }
+
+    /// The unsorted visitor and `waits_for` name the same edges, repeats
+    /// included, on tables with shared holders, queues and upgrades.
+    #[test]
+    fn the_edge_visitor_yields_waits_for_as_a_multiset() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut edges = 0;
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t: QueueTable<u32> = QueueTable::new();
+            for _ in 0..40 {
+                let (e, o) = (EntityId(rng.gen_range(0..4)), rng.gen_range(0..6));
+                if rng.gen_bool(0.25) {
+                    let _ = t.release(e, o);
+                } else {
+                    let _ = t.request(e, o, if rng.gen_bool(0.5) { S } else { X });
+                }
+            }
+            let mut visited = Vec::new();
+            t.for_each_wait_edge(|w, h| visited.push((w, h)));
+            visited.sort();
+            assert_eq!(visited, t.waits_for(), "seed {seed}");
+            edges += visited.len();
+        }
+        assert!(edges > 200, "the tables must wait: {edges} edges");
     }
 
     /// A table with every list populated. `e0`: held `S` by 1 and 2, 1

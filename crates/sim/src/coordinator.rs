@@ -177,8 +177,17 @@ impl Coordinator {
         Fate::Running
     }
 
+    /// Commits the live instance. Under [`SimConfig::invariant_audit`] a
+    /// commit that confirms an illegal history panics here, at the event
+    /// that made it a committed one.
     fn commit(&mut self, world: &mut World) -> Fate {
-        world.history.commit(self.current());
+        let fault = world.history.commit(self.current());
+        if let Some(fault) = fault.filter(|_| world.cfg.invariant_audit) {
+            panic!(
+                "tick {}: the commit of {} confirms {fault}",
+                world.now, self.txn
+            );
+        }
         self.committed = true;
         world.metrics.committed += 1;
         world.metrics.makespan = world.now;

@@ -6,7 +6,9 @@
 //! waits for whom. Deadlocks are either *detected* — by a global scan of
 //! those tables, on a timer (default, the paper-era scheme) or after
 //! every site event that leaves a waiter behind
-//! ([`crate::config::DeadlockDetection::OnBlock`]), or by distributed
+//! ([`crate::config::DeadlockDetection::OnBlock`]), which asks first, in
+//! time linear in the edges and without allocating, whether any cycle
+//! exists and builds a graph only to name one that does — or by distributed
 //! Chandy–Misra–Haas probes travelling site-to-site
 //! ([`crate::config::DeadlockDetection::Probe`], see [`crate::probe`]) —
 //! and a victim aborted, or *prevented* outright
@@ -261,9 +263,11 @@ struct Engine<'a> {
     world: World<'a>,
     /// Coordinators yet to commit; zero ends the run.
     uncommitted: usize,
-    /// Scratch of [`find_wait_cycle`]: one entry per transaction, all
-    /// [`UNSEEN`] between calls.
+    /// Scratch of [`find_wait_cycle`] and [`has_wait_cycle`]: one entry
+    /// per transaction, all [`UNSEEN`] between calls.
     scan_slot: Vec<usize>,
+    /// The buffers of [`Engine::has_wait_cycle`].
+    cycle_test: CycleTest,
     /// Events the [`SimConfig::invariant_audit`] harness has audited.
     audited: u64,
     /// Test seam: abort orders start no re-chase, leaving the marks alone
@@ -271,6 +275,9 @@ struct Engine<'a> {
     /// to repair. Lets a test show the stall instead of asserting it.
     #[cfg(test)]
     marks_alone: bool,
+    /// Scan iterations [`Engine::has_wait_cycle`] ended, counted for tests.
+    #[cfg(test)]
+    gate_ended: u64,
 }
 
 /// Every this-many audited events the incremental audit is followed by
@@ -284,7 +291,9 @@ pub(crate) const UNSEEN: usize = usize::MAX;
 /// One cycle of the transaction-level wait-for graph — the edges whose
 /// two ends are both `live` — as transaction indices, or `None`, without
 /// allocating, when no edge is live. Both global detectors and
-/// [`crate::replay::replay_deadlock`] ask this of the site tables' edges.
+/// [`crate::replay::replay_deadlock`] ask this of the site tables' edges;
+/// the detectors only once [`has_wait_cycle`] has said there is one, so
+/// this builds a graph only to name the cycle it returns.
 ///
 /// The graph is built over the transactions that wait or are waited for,
 /// not over all of them: they are numbered in ascending [`TxnId`] and the
@@ -333,6 +342,109 @@ fn wait_graph(
         slot[t] = UNSEEN;
     }
     Some((nodes, g))
+}
+
+/// The buffers of [`has_wait_cycle`], kept across calls so that a warm
+/// call allocates nothing; what they hold between calls means nothing.
+#[derive(Default)]
+pub(crate) struct CycleTest {
+    /// The edges [`Engine::has_wait_cycle`] gathers from the site tables.
+    edges: Vec<(Instance, Instance)>,
+    /// The live edges as node pairs, a node per transaction on one.
+    arcs: Vec<(u32, u32)>,
+    /// The transaction of each node, to put `slot` back with.
+    txns: Vec<usize>,
+    /// The graph in compressed rows: node `v`'s successors are
+    /// `targets[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    /// Per node, its predecessors not yet peeled off; and the nodes with
+    /// none left, waiting to be peeled.
+    indegree: Vec<u32>,
+    ready: Vec<u32>,
+}
+
+/// Whether the wait-for graph of `edges` whose two ends are both `live`
+/// has a cycle: exactly when [`find_wait_cycle`] returns `Some`, in time
+/// linear in `edges` and, once `scratch` is warm, with no allocation and no
+/// sort. The transactions on a live edge are numbered through `slot` as
+/// they appear (`slot` must be all [`UNSEEN`] on entry, and is again on
+/// return). Then every node no cycle passes through is peeled off (Kahn's
+/// algorithm: a node whose predecessors are all gone goes next), and a
+/// cycle exists exactly when a node is left.
+pub(crate) fn has_wait_cycle(
+    edges: &[(Instance, Instance)],
+    live: impl Fn(Instance) -> bool,
+    slot: &mut [usize],
+    scratch: &mut CycleTest,
+) -> bool {
+    let CycleTest {
+        arcs,
+        txns,
+        offsets,
+        targets,
+        indegree,
+        ready,
+        ..
+    } = scratch;
+    arcs.clear();
+    txns.clear();
+    let mut node = |t: usize| {
+        if slot[t] == UNSEEN {
+            slot[t] = txns.len();
+            txns.push(t);
+        }
+        slot[t] as u32
+    };
+    for &(w, h) in edges {
+        if live(w) && live(h) {
+            arcs.push((node(w.txn.idx()), node(h.txn.idx())));
+        }
+    }
+    for &t in txns.iter() {
+        slot[t] = UNSEEN;
+    }
+    if arcs.is_empty() {
+        return false;
+    }
+    let n = txns.len();
+    offsets.clear();
+    offsets.resize(n + 1, 0);
+    indegree.clear();
+    indegree.resize(n, 0);
+    for &(w, h) in arcs.iter() {
+        offsets[w as usize] += 1;
+        indegree[h as usize] += 1;
+    }
+    // Each offset becomes the end of its node's row; placing the row's
+    // targets steps it back to the row's start.
+    let mut end = 0;
+    for offset in offsets.iter_mut() {
+        end += *offset;
+        *offset = end;
+    }
+    targets.clear();
+    targets.resize(arcs.len(), 0);
+    for &(w, h) in arcs.iter() {
+        let at = &mut offsets[w as usize];
+        *at -= 1;
+        targets[*at as usize] = h;
+    }
+    ready.clear();
+    ready.extend((0..n as u32).filter(|&v| indegree[v as usize] == 0));
+    let mut peeled = 0;
+    while let Some(v) = ready.pop() {
+        peeled += 1;
+        let row = offsets[v as usize] as usize..offsets[v as usize + 1] as usize;
+        for &w in &targets[row] {
+            let left = &mut indegree[w as usize];
+            *left -= 1;
+            if *left == 0 {
+                ready.push(w);
+            }
+        }
+    }
+    peeled < n
 }
 
 /// Runs the system to completion (or `max_time`), all transactions
@@ -397,9 +509,12 @@ fn run_observed<'a>(
         world: World::new(sys, cfg),
         uncommitted: sys.len(),
         scan_slot: vec![UNSEEN; sys.len()],
+        cycle_test: CycleTest::default(),
         audited: 0,
         #[cfg(test)]
         marks_alone: false,
+        #[cfg(test)]
+        gate_ended: 0,
     };
 
     for (t, &arrival) in arrivals.iter().enumerate() {
@@ -707,31 +822,62 @@ impl Engine<'_> {
     /// the site tables' edges site by site; OnBlock when `scan_due`, over
     /// them sorted and deduplicated: find a cycle and abort its victim,
     /// until none remains (an abort's grants retarget waiters).
+    ///
+    /// Each iteration first asks [`Engine::has_wait_cycle`] whether there
+    /// is a cycle at all, which most iterations answer no to; only a yes
+    /// pays for the ordered edge lists and [`find_wait_cycle`], which alone
+    /// choose the cycle. The test is exact, so the scan ends at the
+    /// iteration it always ended at and no resolution changes.
     fn deadlock_scan(&mut self) {
         let on_block = self.world.cfg.detection() == Some(DeadlockDetection::OnBlock);
         loop {
             self.world.scan_due = false;
+            if !self.has_wait_cycle() {
+                #[cfg(test)]
+                {
+                    self.gate_ended += 1;
+                }
+                return;
+            }
             let mut edges = self.wait_edges();
             if on_block {
                 edges.sort(); // merges the sites' ascending runs
                 edges.dedup();
             }
-            if !self.resolve_one_cycle(&edges) {
-                return;
-            }
+            self.resolve_one_cycle(&edges);
         }
     }
 
-    /// Looks for a cycle in the transaction-level graph of `edges`
-    /// (current epochs only) and aborts one victim if there is one.
-    /// Returns whether it did.
-    fn resolve_one_cycle(&mut self, edges: &[(Instance, Instance)]) -> bool {
+    /// Whether the site tables' live wait-for edges close a cycle: their
+    /// edges gathered unsorted into a reused buffer, then
+    /// [`has_wait_cycle`].
+    fn has_wait_cycle(&mut self) -> bool {
+        let Engine {
+            sites,
+            coords,
+            scan_slot,
+            cycle_test,
+            ..
+        } = self;
+        let mut edges = std::mem::take(&mut cycle_test.edges);
+        edges.clear();
+        for site in sites.iter() {
+            site.table.for_each_wait_edge(|w, h| edges.push((w, h)));
+        }
+        let live = |i: Instance| !coords[i.txn.idx()].stale(i);
+        let cyclic = has_wait_cycle(&edges, live, scan_slot, cycle_test);
+        cycle_test.edges = edges;
+        cyclic
+    }
+
+    /// Finds the cycle in the transaction-level graph of `edges` (current
+    /// epochs only), which [`Engine::has_wait_cycle`] has said is there,
+    /// and aborts its victim.
+    fn resolve_one_cycle(&mut self, edges: &[(Instance, Instance)]) {
         let mut slot = std::mem::take(&mut self.scan_slot);
         let cycle = find_wait_cycle(edges, |i| !self.stale(i), &mut slot);
         self.scan_slot = slot;
-        let Some(cycle) = cycle else {
-            return false;
-        };
+        let cycle = cycle.expect("the existence test and the cycle finder agree");
         let members: Vec<(Instance, Stamp)> = cycle
             .iter()
             .map(|&t| &self.coords[t])
@@ -754,7 +900,6 @@ impl Engine<'_> {
         }
         self.world.metrics.deadlocks_resolved += 1;
         self.abort(victim.txn);
-        true
     }
 
     /// A scheduled outage begins ([`Site::crash`]), clearing delegated
@@ -959,6 +1104,47 @@ mod tests {
             prop_assert_eq!(cycle, find_wait_cycle_over_all(k, &edges, live));
             prop_assert!(slot.iter().all(|&s| s == UNSEEN));
         }
+    }
+
+    /// The scan's existence test says yes exactly when the cycle finder
+    /// returns a cycle: random wait-for lists over up to 12 transactions,
+    /// each end's epoch drawn against a random vector of live epochs, with
+    /// repeated edges and edges in both directions. One scratch serves
+    /// every case, as one serves a whole run, and `slot` is put back each
+    /// time.
+    #[test]
+    fn the_existence_test_answers_as_the_cycle_finder() {
+        let mut scratch = CycleTest::default();
+        let mut slot = vec![UNSEEN; 12];
+        let mut answers = [0; 2];
+        for seed in 0..4096 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = rng.gen_range(1..=12usize);
+            let epochs: Vec<u32> = (0..k).map(|_| rng.gen_range(0..3)).collect();
+            let stale_percent = rng.gen_range(0..=50u32);
+            let inst = |t: usize, rng: &mut StdRng| Instance {
+                txn: TxnId::from_idx(t),
+                epoch: epochs[t] + u32::from(rng.gen_range(0..100u32) < stale_percent),
+            };
+            let mut edges: Vec<(Instance, Instance)> = Vec::new();
+            for _ in 0..rng.gen_range(0..=2 * k) {
+                let (w, h) = (rng.gen_range(0..k), rng.gen_range(0..k));
+                let edge = (inst(w, &mut rng), inst(h, &mut rng));
+                edges.push(edge);
+                match rng.gen_range(0..10u32) {
+                    0 => edges.push(edge),
+                    1 => edges.push((inst(h, &mut rng), inst(w, &mut rng))),
+                    _ => {}
+                }
+            }
+            let live = |i: Instance| epochs[i.txn.idx()] == i.epoch;
+            let cyclic = has_wait_cycle(&edges, live, &mut slot, &mut scratch);
+            assert!(slot.iter().all(|&s| s == UNSEEN), "seed {seed}");
+            let found = find_wait_cycle(&edges, live, &mut slot);
+            assert_eq!(cyclic, found.is_some(), "seed {seed}: {edges:?}");
+            answers[usize::from(cyclic)] += 1;
+        }
+        assert!(answers.iter().all(|&n| n > 500), "{answers:?}");
     }
 
     fn pair(s1: &str, s2: &str, spec: &[(&str, usize)]) -> TxnSystem {
@@ -2244,6 +2430,53 @@ mod tests {
         });
     }
 
+    /// A run with a double lock: once T1 queues for `x` behind T0's read
+    /// lock and T0 has read, `x`'s site drops T0's hold behind its
+    /// coordinator's back, which grants `x` to T1 while T0 still uses it.
+    /// Retransmission makes releases idempotent, so T0's own unlock later
+    /// is no error: both commit, and the history records the double lock.
+    fn a_double_lock_both_commit(invariant_audit: bool) -> SimReport {
+        use crate::fault::FaultPlan;
+        let sys = pair("SLx rx Ux", "Lx x Ux", &[("x", 0)]);
+        let cfg = SimConfig {
+            latency: LatencyModel::Fixed(5),
+            invariant_audit,
+            faults: FaultPlan {
+                retransmit_after: 10_000,
+                ..FaultPlan::none()
+            },
+            ..Default::default()
+        };
+        let (x, mut dropped) = (EntityId(0), false);
+        run_observed(&sys, &cfg, &[0, 0], |eng| {
+            let (t0, t1) = (eng.coords[0].current(), eng.coords[1].current());
+            let read = eng.world.history.recorded(t0, StepId(1));
+            if !dropped && read && eng.sites[0].table.is_waiting(x, t1) {
+                dropped = true;
+                eng.sites[0].release_all(&mut eng.world, &eng.coords, t0);
+            }
+        })
+        .unwrap()
+    }
+
+    /// With the audit on, the commit that confirms the double lock stops
+    /// the run, naming it.
+    #[test]
+    #[should_panic(expected = "locks e0 already held by T0")]
+    fn the_audit_stops_at_the_commit_that_confirms_a_double_lock() {
+        a_double_lock_both_commit(true);
+    }
+
+    /// With the audit off, the same run completes and its verdict names
+    /// the same double lock.
+    #[test]
+    fn an_unaudited_double_lock_is_named_in_the_verdict() {
+        let r = a_double_lock_both_commit(false);
+        assert_eq!(r.outcome, RunOutcome::Completed);
+        let err = r.audit.legal.unwrap_err().to_string();
+        assert!(err.contains("locks e0 already held by T0"), "{err}");
+    }
+
     #[test]
     fn a_long_audited_run_is_swept_on_the_way_not_only_at_the_end() {
         // Long enough that the every-`FULL_SWEEP_EVERY`th-event sweep
@@ -2265,8 +2498,10 @@ mod tests {
     /// OnBlock's trigger is sound: behind every event that leaves
     /// `scan_due` clear, the site tables hold no live cycle — so no change
     /// that closes one, a grant retargeting waiters included, goes
-    /// unflagged. Clean contended runs on a few latency seeds, and one
-    /// under loss, duplication, reordering and a site crash.
+    /// unflagged. Behind every event the scan's existence test answers as
+    /// the cycle finder does on the live tables, and it is what ends the
+    /// scans. Clean contended runs on a few latency seeds, and one under
+    /// loss, duplication, reordering and a site crash.
     #[test]
     fn a_clear_scan_trigger_leaves_no_cycle_in_the_tables() {
         use crate::fault::{FaultPlan, SiteCrash};
@@ -2291,20 +2526,24 @@ mod tests {
             ..clean(4)
         });
         for cfg in &cfgs {
-            let mut checked = 0;
+            let (mut checked, mut gate_ended) = (0, 0);
             let report = run_observed(&sys, cfg, &vec![0; sys.len()], |eng| {
+                gate_ended = eng.gate_ended;
+                let mut slot = vec![UNSEEN; eng.coords.len()];
+                let cycle = find_wait_cycle(&eng.wait_edges(), |i| !eng.stale(i), &mut slot);
+                let tick = eng.world.now;
+                assert_eq!(eng.has_wait_cycle(), cycle.is_some(), "tick {tick}");
                 if eng.world.scan_due {
                     return;
                 }
                 checked += 1;
-                let mut slot = vec![UNSEEN; eng.coords.len()];
-                let cycle = find_wait_cycle(&eng.wait_edges(), |i| !eng.stale(i), &mut slot);
-                assert_eq!(cycle, None, "seed {}: tick {}", cfg.seed, eng.world.now);
+                assert_eq!(cycle, None, "seed {}: tick {tick}", cfg.seed);
             })
             .unwrap();
             assert_eq!(report.outcome, RunOutcome::Completed, "seed {}", cfg.seed);
             assert!(report.metrics.deadlocks_resolved > 0, "seed {}", cfg.seed);
             assert!(checked > 0);
+            assert!(gate_ended > 0, "seed {}", cfg.seed);
         }
         assert!(cfgs[4].faults.any());
     }

@@ -380,20 +380,28 @@ impl<'a> History<'a> {
     /// instances are confirmed, and its accesses join the serialization
     /// graph. An instance commits once, and no later epoch of its
     /// transaction may have recorded before it.
-    pub fn commit(&mut self, inst: Instance) {
+    ///
+    /// Returns the earliest fault this commit confirms, worded as
+    /// [`Audit::legal`] words it, so a runner can stop at the commit
+    /// instead of at the end of the run.
+    pub fn commit(&mut self, inst: Instance) -> Option<String> {
         let t = inst.txn.idx();
         let following = self.follow(inst) && self.slots[t].state == Follow::Live;
         debug_assert!(following, "{inst:?} commits twice or after a later epoch");
         if !following {
-            return;
+            return None;
         }
         self.slots[t].state = Follow::Committed;
+        let mut confirmed: Option<Fault> = None;
         let mut i = 0;
         while i < self.pending.len() {
             let f = self.pending[i];
             if self.committed(&f) {
                 self.pending.swap_remove(i);
                 self.confirm(f);
+                if confirmed.is_none_or(|g| f.seq < g.seq) {
+                    confirmed = Some(f);
+                }
             } else {
                 i += 1;
             }
@@ -405,6 +413,7 @@ impl<'a> History<'a> {
             self.insert(inst.txn, a.entity, a.kind, a.seq);
             at = a.prev;
         }
+        confirmed.map(|f| f.to_string())
     }
 
     /// Whether `inst` has recorded `step`: the done-bit of the instance
@@ -993,10 +1002,14 @@ mod tests {
         let sys = double_lock_system();
         let mut h = History::new(&sys);
         record_double_lock(&mut h);
-        h.commit(inst(1, 0));
+        assert_eq!(h.commit(inst(1, 0)), None);
         assert!(h.fault.is_none() && h.pending.len() == 1);
-        h.commit(inst(0, 0));
+        let confirmed = h.commit(inst(0, 0));
         assert!(h.fault.is_some() && h.pending.is_empty());
+        assert_eq!(
+            confirmed.as_deref(),
+            Some("tick 7: T1 (epoch 0) locks e0 already held by T0 (epoch 0)")
+        );
     }
 
     #[test]
