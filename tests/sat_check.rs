@@ -23,7 +23,7 @@ use kplock::core::{
 use kplock::model::{Database, TxnBuilder, TxnSystem};
 use kplock::sim::{replay_deadlock, replay_violation, AvoidPlan};
 use kplock::workload::{
-    certified_mix, opposed_mix, random_system, regression_corpus, WorkloadParams,
+    certified_mix, opposed_mix, random_pair, random_system, regression_corpus, WorkloadParams,
 };
 use proptest::prelude::*;
 
@@ -140,6 +140,100 @@ fn exact_decision_gate_holds_on_the_full_corpus() {
     for (name, sys, expected_safe, expect_gap) in &cases {
         cross_examine(sys, *expected_safe, *expect_gap).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
+}
+
+/// What the checker answers and spends on 128 pairs drawn as the
+/// benchmark's `analysis_sat` draws them: `[vars, clauses, decisions,
+/// propagations, witnesses, witness digest]` summed over `check_safety`,
+/// then over `check_deadlock`. The solver is deterministic, so a change
+/// to how formulas or clauses are stored must leave every figure as it is.
+const PIN_SAT_EFFORT: [[u64; 6]; 2] = [
+    [
+        24_927,
+        324_534,
+        5_374,
+        23_951,
+        82,
+        2_093_483_397_695_781_555,
+    ],
+    [
+        30_754,
+        339_204,
+        8_424,
+        43_211,
+        57,
+        18_043_740_599_698_144_958,
+    ],
+];
+
+/// `[optimal, greedy, sat_calls, certified digest]` summed over
+/// `synthesize_optimal` on `opposed_mix(2..=6, 2)` and four
+/// `certified_mix` systems.
+const PIN_OPTIMAL: [u64; 4] = [27, 12, 24, 12_300_642_475_212_287_261];
+
+/// FNV-1a over `words`, continuing from `digest`.
+fn fold(digest: u64, words: impl IntoIterator<Item = usize>) -> u64 {
+    words.into_iter().fold(digest, |h, w| {
+        (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn checker_effort_on_benchmark_shaped_pairs_is_pinned() {
+    let strategies = [
+        LockStrategy::Minimal,
+        LockStrategy::TwoPhaseLoose,
+        LockStrategy::TwoPhaseSync,
+    ];
+    let mut got = [[0u64; 6]; 2];
+    for i in 0..128usize {
+        let sys = random_pair(&WorkloadParams {
+            seed: 31_000 + i as u64,
+            sites: if i % 8 == 7 { 2 } else { 3 + i % 2 },
+            entities_per_site: 2,
+            steps_per_txn: 6 + i % 7,
+            strategy: strategies[i % 3],
+            ..Default::default()
+        });
+        let safety = check_safety(&sys).expect("exclusive-only pairs encode");
+        let deadlock = check_deadlock(&sys).expect("exclusive-only pairs encode");
+        let unsafe_witness = match &safety.verdict {
+            SatSafety::Unsafe(w) => Some(w),
+            SatSafety::Safe => None,
+        };
+        for (row, stats, witness) in [
+            (0, safety.stats, unsafe_witness),
+            (1, deadlock.stats, deadlock.deadlock.as_ref()),
+        ] {
+            let r = &mut got[row];
+            r[0] += stats.vars as u64;
+            r[1] += stats.clauses as u64;
+            r[2] += stats.decisions;
+            r[3] += stats.propagations;
+            if let Some(w) = witness {
+                r[4] += 1;
+                r[5] = fold(
+                    r[5],
+                    w.steps().iter().flat_map(|s| [s.txn.idx(), s.step.idx()]),
+                );
+            }
+        }
+    }
+    assert_eq!(got, PIN_SAT_EFFORT);
+
+    let mut systems: Vec<TxnSystem> = (2..=6).map(|d| opposed_mix(d, 2)).collect();
+    for (entities, certified, fallback) in [(3, 1, 2), (3, 0, 3), (4, 2, 2), (4, 0, 4)] {
+        systems.push(certified_mix(entities, certified, fallback, 2));
+    }
+    let mut optimal = [0u64; 4];
+    for sys in &systems {
+        let opt = synthesize_optimal(sys);
+        optimal[0] += opt.optimal_count as u64;
+        optimal[1] += opt.greedy_count as u64;
+        optimal[2] += opt.sat_calls as u64;
+        optimal[3] = fold(optimal[3], opt.plan.certified().iter().map(|t| t.idx()));
+    }
+    assert_eq!(optimal, PIN_OPTIMAL);
 }
 
 proptest! {
