@@ -183,9 +183,9 @@ impl Reduction {
         let Ok(assignment) = self.assignment_of_dominator(dom) else {
             return false;
         };
-        self.cnf.clauses.iter().all(|c| {
+        self.cnf.clauses().all(|c| {
             c.iter()
-                .any(|l| assignment[l.var.idx()] == Some(l.positive))
+                .any(|l| assignment[l.var().idx()] == Some(l.is_positive()))
         })
     }
 
@@ -206,8 +206,8 @@ pub fn reduce(cnf: &Cnf) -> Result<Reduction, ReductionError> {
     if !cnf.is_restricted_form() {
         return Err(ReductionError::NotRestricted);
     }
-    for (ci, c) in cnf.clauses.iter().enumerate() {
-        let mut vars: Vec<_> = c.iter().map(|l| l.var).collect();
+    for (ci, c) in cnf.clauses().enumerate() {
+        let mut vars: Vec<_> = c.iter().map(|l| l.var()).collect();
         vars.sort();
         vars.dedup();
         if vars.len() != c.len() {
@@ -229,7 +229,7 @@ pub fn reduce(cnf: &Cnf) -> Result<Reduction, ReductionError> {
     let mut upper_cycle: Vec<EntityId> = vec![u];
     let mut clause_nodes: Vec<Vec<EntityId>> = Vec::new();
     let mut dummy_count = 0usize;
-    for (i, clause) in cnf.clauses.iter().enumerate() {
+    for (i, clause) in cnf.clauses().enumerate() {
         let mut row = Vec::new();
         for j in 0..clause.len() {
             let d = add(
@@ -405,15 +405,16 @@ pub fn reduce(cnf: &Cnf) -> Result<Reduction, ReductionError> {
     }
     // Gadgets (b)/(c): per occurrence, with the index shift.
     let mut pos_seen = vec![0usize; cnf.num_vars];
-    for (i, clause) in cnf.clauses.iter().enumerate() {
+    for (i, clause) in cnf.clauses().enumerate() {
         let width = clause.len();
         for (j, lit) in clause.iter().enumerate() {
-            let m = if lit.positive {
-                let copy = pos_seen[lit.var.idx()].min(wpos[lit.var.idx()].len() - 1);
-                pos_seen[lit.var.idx()] += 1;
-                wpos[lit.var.idx()][copy]
+            let v = lit.var().idx();
+            let m = if lit.is_positive() {
+                let copy = pos_seen[v].min(wpos[v].len() - 1);
+                pos_seen[v] += 1;
+                wpos[v][copy]
             } else {
-                wneg[lit.var.idx()]
+                wneg[v]
             };
             let c_here = clause_nodes[i][j];
             let c_next = clause_nodes[i][(j + 1) % width];

@@ -208,8 +208,7 @@ struct Section {
     unlock_m: usize,
 }
 
-/// The shared encoding core: milestones, ordering variables, transitivity
-/// and intra-transaction order clauses.
+/// The shared encoding core: milestones and their ordering variables.
 struct Encoder<'a> {
     sys: &'a TxnSystem,
     /// Milestone index → (transaction index, step).
@@ -217,11 +216,13 @@ struct Encoder<'a> {
     sections: Vec<Section>,
     /// (transaction index, entity) → index into `sections`.
     section_of: HashMap<(usize, EntityId), usize>,
-    cnf: Cnf,
 }
 
 impl<'a> Encoder<'a> {
-    fn new(sys: &'a TxnSystem, opts: &SatCheckOptions) -> Result<Self, SatCheckError> {
+    /// The encoder and the core formula (ordering variables, transitivity
+    /// and intra-transaction order clauses), which each check extends in
+    /// place.
+    fn new(sys: &'a TxnSystem, opts: &SatCheckOptions) -> Result<(Self, Cnf), SatCheckError> {
         // Refuse anything the encoding does not faithfully model.
         for (i, t) in sys.txns().iter().enumerate() {
             let txn = TxnId::from_idx(i);
@@ -272,13 +273,17 @@ impl<'a> Encoder<'a> {
             });
         }
 
-        let mut enc = Encoder {
+        let enc = Encoder {
             sys,
             milestones,
             sections,
             section_of,
-            cnf: Cnf::new(m * m.saturating_sub(1) / 2),
         };
+        // Room for the core: a unit clause per pair at most, and two
+        // three-literal clauses per triple.
+        let pairs = m * m.saturating_sub(1) / 2;
+        let triples = pairs * m.saturating_sub(2) / 3;
+        let mut cnf = Cnf::with_capacity(pairs, pairs + 2 * triples, pairs + 6 * triples);
 
         // Intra-transaction order: milestone pairs already ordered by the
         // precedence DAG become unit clauses. Using the full `precedes`
@@ -293,11 +298,9 @@ impl<'a> Encoder<'a> {
                 }
                 let t = enc.sys.txn(TxnId::from_idx(ta));
                 if t.precedes(sa, sb) {
-                    let lit = enc.before(a, b);
-                    enc.cnf.add_clause(vec![lit]);
+                    cnf.add_clause([enc.before(a, b)]);
                 } else if t.precedes(sb, sa) {
-                    let lit = enc.before(b, a);
-                    enc.cnf.add_clause(vec![lit]);
+                    cnf.add_clause([enc.before(b, a)]);
                 }
             }
         }
@@ -308,12 +311,12 @@ impl<'a> Encoder<'a> {
             for b in (a + 1)..m {
                 for c in (b + 1)..m {
                     let (ab, bc, ac) = (enc.before(a, b), enc.before(b, c), enc.before(a, c));
-                    enc.cnf.add_clause(vec![ab.negated(), bc.negated(), ac]);
-                    enc.cnf.add_clause(vec![ab, bc, ac.negated()]);
+                    cnf.add_clause([ab.negated(), bc.negated(), ac]);
+                    cnf.add_clause([ab, bc, ac.negated()]);
                 }
             }
         }
-        Ok(enc)
+        Ok((enc, cnf))
     }
 
     /// Index of the ordering variable for milestone pair `a < b`.
@@ -334,7 +337,7 @@ impl<'a> Encoder<'a> {
     }
 
     fn lit_true(&self, model: &[bool], lit: Lit) -> bool {
-        model[lit.var.idx()] == lit.positive
+        model[lit.var().idx()] == lit.is_positive()
     }
 
     /// Decodes the model's milestone order restricted to `included`
@@ -444,7 +447,7 @@ impl<'a> Encoder<'a> {
 fn stats_of(cnf: &Cnf, solver: &Solver<'_>) -> EncodingStats {
     EncodingStats {
         vars: cnf.num_vars,
-        clauses: cnf.clauses.len(),
+        clauses: cnf.num_clauses(),
         decisions: solver.decisions,
         propagations: solver.propagations,
     }
@@ -464,13 +467,12 @@ pub fn check_safety_with(
     sys: &TxnSystem,
     opts: &SatCheckOptions,
 ) -> Result<SafetyCheck, SatCheckError> {
-    let enc = Encoder::new(sys, opts)?;
-    let mut cnf = enc.cnf.clone();
+    let (enc, mut cnf) = Encoder::new(sys, opts)?;
 
     // Same-entity sections of distinct transactions never overlap in a
     // complete legal schedule: one must fully precede the other.
     by_entity_pairs(&enc, |a, b| {
-        cnf.add_clause(vec![
+        cnf.add_clause([
             enc.before(a.unlock_m, b.lock_m),
             enc.before(b.unlock_m, a.lock_m),
         ]);
@@ -497,7 +499,7 @@ pub fn check_safety_with(
             verdict: SatSafety::Safe,
             stats: EncodingStats {
                 vars: cnf.num_vars,
-                clauses: cnf.clauses.len(),
+                clauses: cnf.num_clauses(),
                 ..Default::default()
             },
         });
@@ -509,29 +511,23 @@ pub fn check_safety_with(
     for (idx, (i, j, shared)) in candidates.iter().enumerate() {
         // A selected edge must be realized by some shared entity whose
         // section order runs i before j.
-        let mut clause = vec![Lit::neg(sel(idx))];
-        for &e in shared {
+        let realized = shared.iter().map(|&e| {
             let si = enc.sections[enc.section_of[&(*i, e)]];
             let sj = enc.sections[enc.section_of[&(*j, e)]];
-            clause.push(enc.before(si.unlock_m, sj.lock_m));
-        }
-        cnf.add_clause(clause);
+            enc.before(si.unlock_m, sj.lock_m)
+        });
+        cnf.add_clause(std::iter::once(Lit::neg(sel(idx))).chain(realized));
         // Every selected edge's tail has an incoming selected edge; any
         // nonempty such set contains a directed cycle, and conversely an
         // actual cycle selects itself.
-        let mut flow = vec![Lit::neg(sel(idx))];
-        for (kidx, (_, kj, _)) in candidates.iter().enumerate() {
-            if kj == i {
-                flow.push(Lit::pos(sel(kidx)));
-            }
-        }
-        cnf.add_clause(flow);
+        let incoming = candidates
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, kj, _))| kj == i)
+            .map(|(kidx, _)| Lit::pos(sel(kidx)));
+        cnf.add_clause(std::iter::once(Lit::neg(sel(idx))).chain(incoming));
     }
-    cnf.add_clause(
-        (0..candidates.len())
-            .map(|idx| Lit::pos(sel(idx)))
-            .collect(),
-    );
+    cnf.add_clause((0..candidates.len()).map(|idx| Lit::pos(sel(idx))));
 
     let mut solver = Solver::new(&cnf);
     let result = solver.solve();
@@ -571,8 +567,7 @@ pub fn check_deadlock_with(
     sys: &TxnSystem,
     opts: &SatCheckOptions,
 ) -> Result<DeadlockCheck, SatCheckError> {
-    let enc = Encoder::new(sys, opts)?;
-    let mut cnf = enc.cnf.clone();
+    let (enc, mut cnf) = Encoder::new(sys, opts)?;
 
     // Executed flag per step.
     let mut offsets = Vec::with_capacity(sys.len());
@@ -596,7 +591,7 @@ pub fn check_deadlock_with(
             // Downward closure: an executed step's DAG predecessors are
             // executed.
             for &p in txn.edge_graph().predecessors(v) {
-                cnf.add_clause(vec![Lit::neg(x(t, s)), Lit::pos(x(t, StepId::from_idx(p)))]);
+                cnf.add_clause([Lit::neg(x(t, s)), Lit::pos(x(t, StepId::from_idx(p)))]);
             }
         }
     }
@@ -605,7 +600,7 @@ pub fn check_deadlock_with(
         let (la, ua) = (enc.milestones[a.lock_m], enc.milestones[a.unlock_m]);
         let (lb, ub) = (enc.milestones[b.lock_m], enc.milestones[b.unlock_m]);
         // If both locks executed, the sections are disjoint and ordered.
-        cnf.add_clause(vec![
+        cnf.add_clause([
             Lit::neg(x(la.0, la.1)),
             Lit::neg(x(lb.0, lb.1)),
             enc.before(a.unlock_m, b.lock_m),
@@ -613,12 +608,12 @@ pub fn check_deadlock_with(
         ]);
         // Cross-transaction closure: a section ordered before an executed
         // lock has released (its unlock executed), in both directions.
-        cnf.add_clause(vec![
+        cnf.add_clause([
             enc.before(a.unlock_m, b.lock_m).negated(),
             Lit::neg(x(lb.0, lb.1)),
             Lit::pos(x(ua.0, ua.1)),
         ]);
-        cnf.add_clause(vec![
+        cnf.add_clause([
             enc.before(b.unlock_m, a.lock_m).negated(),
             Lit::neg(x(la.0, la.1)),
             Lit::pos(x(ub.0, ub.1)),
@@ -628,8 +623,8 @@ pub fn check_deadlock_with(
     for (idx, sec) in enc.sections.iter().enumerate() {
         let l = enc.milestones[sec.lock_m];
         let u = enc.milestones[sec.unlock_m];
-        cnf.add_clause(vec![Lit::neg(h(idx)), Lit::pos(x(l.0, l.1))]);
-        cnf.add_clause(vec![Lit::neg(h(idx)), Lit::neg(x(u.0, u.1))]);
+        cnf.add_clause([Lit::neg(h(idx)), Lit::pos(x(l.0, l.1))]);
+        cnf.add_clause([Lit::neg(h(idx)), Lit::neg(x(u.0, u.1))]);
     }
 
     // The stall condition: every step is executed, or missing a
@@ -637,30 +632,30 @@ pub fn check_deadlock_with(
     for (t, txn) in sys.txns().iter().enumerate() {
         for v in 0..txn.len() {
             let s = StepId::from_idx(v);
-            let mut clause = vec![Lit::pos(x(t, s))];
-            for &p in txn.edge_graph().predecessors(v) {
-                clause.push(Lit::neg(x(t, StepId::from_idx(p))));
-            }
+            let missing = txn
+                .edge_graph()
+                .predecessors(v)
+                .iter()
+                .map(|&p| Lit::neg(x(t, StepId::from_idx(p))));
             let step = txn.step(s);
-            if step.kind == ActionKind::Lock {
-                for (idx, sec) in enc.sections.iter().enumerate() {
-                    if sec.txn != t && sec.entity == step.entity {
-                        clause.push(Lit::pos(h(idx)));
-                    }
-                }
-            }
-            cnf.add_clause(clause);
+            let blockers = enc
+                .sections
+                .iter()
+                .enumerate()
+                .filter(|(_, sec)| {
+                    step.kind == ActionKind::Lock && sec.txn != t && sec.entity == step.entity
+                })
+                .map(|(idx, _)| Lit::pos(h(idx)));
+            cnf.add_clause(
+                std::iter::once(Lit::pos(x(t, s)))
+                    .chain(missing)
+                    .chain(blockers),
+            );
         }
     }
 
     // ... and at least one step is missing, else the state is complete.
-    let mut incomplete = Vec::with_capacity(total);
-    for (t, txn) in sys.txns().iter().enumerate() {
-        for v in 0..txn.len() {
-            incomplete.push(Lit::neg(x(t, StepId::from_idx(v))));
-        }
-    }
-    cnf.add_clause(incomplete);
+    cnf.add_clause((x_base..x_base + total).map(|v| Lit::neg(Var(v as u32))));
 
     let mut solver = Solver::new(&cnf);
     let result = solver.solve();
@@ -773,7 +768,7 @@ pub fn synthesize_optimal(sys: &TxnSystem) -> OptimalCertificate {
             Lit::neg(rank(b.idx(), a.idx()))
         }
     };
-    let mut base = Cnf::new(k + n_e * n_e.saturating_sub(1) / 2);
+    let mut cnf = Cnf::new(k + n_e * n_e.saturating_sub(1) / 2);
     for a in 0..n_e {
         for b in (a + 1)..n_e {
             for c in (b + 1)..n_e {
@@ -782,25 +777,28 @@ pub fn synthesize_optimal(sys: &TxnSystem) -> OptimalCertificate {
                     before_e(EntityId::from_idx(b), EntityId::from_idx(c)),
                     before_e(EntityId::from_idx(a), EntityId::from_idx(c)),
                 );
-                base.add_clause(vec![ab.negated(), bc.negated(), ac]);
-                base.add_clause(vec![ab, bc, ac.negated()]);
+                cnf.add_clause([ab.negated(), bc.negated(), ac]);
+                cnf.add_clause([ab, bc, ac.negated()]);
             }
         }
     }
     for (t, tedges) in edges.iter().enumerate() {
         for &(xe, ye) in tedges {
-            base.add_clause(vec![Lit::neg(Var(t as u32)), before_e(xe, ye)]);
+            cnf.add_clause([Lit::neg(Var(t as u32)), before_e(xe, ye)]);
         }
     }
     let s_lits: Vec<Lit> = (0..k).map(|t| Lit::pos(Var(t as u32))).collect();
+    // Each bound extends this base and is cut back off it after its solve.
+    let (base_vars, base_clauses) = (cnf.num_vars, cnf.num_clauses());
 
     let mut best: Option<Vec<TxnId>> = None;
     let mut sat_calls = 0usize;
     for target in (greedy_count + 1)..=k {
-        let mut cnf = base.clone();
         at_least_k(&mut cnf, &s_lits, target);
         sat_calls += 1;
-        match kplock_sat::solve(&cnf) {
+        let result = kplock_sat::solve(&cnf);
+        cnf.truncate(base_vars, base_clauses);
+        match result {
             SatResult::Sat(model) => {
                 let selected: Vec<TxnId> =
                     (0..k).filter(|&t| model[t]).map(TxnId::from_idx).collect();

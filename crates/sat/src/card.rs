@@ -24,7 +24,7 @@ pub fn at_most_k(cnf: &mut Cnf, lits: &[Lit], k: usize) {
     }
     if k == 0 {
         for &l in lits {
-            cnf.add_clause(vec![l.negated()]);
+            cnf.add_clause([l.negated()]);
         }
         return;
     }
@@ -36,26 +36,22 @@ pub fn at_most_k(cnf: &mut Cnf, lits: &[Lit], k: usize) {
     let s = |i: usize, j: usize| Var((base + i * k + j) as u32);
     for (i, &lit) in lits.iter().enumerate().take(n - 1) {
         // lits[i] → s(i, 0)
-        cnf.add_clause(vec![lit.negated(), Lit::pos(s(i, 0))]);
+        cnf.add_clause([lit.negated(), Lit::pos(s(i, 0))]);
         if i > 0 {
             for j in 0..k {
                 // s(i-1, j) → s(i, j): counts are monotone in the prefix.
-                cnf.add_clause(vec![Lit::neg(s(i - 1, j)), Lit::pos(s(i, j))]);
+                cnf.add_clause([Lit::neg(s(i - 1, j)), Lit::pos(s(i, j))]);
             }
             for j in 1..k {
                 // lits[i] ∧ s(i-1, j-1) → s(i, j): a true literal bumps
                 // the count.
-                cnf.add_clause(vec![
-                    lit.negated(),
-                    Lit::neg(s(i - 1, j - 1)),
-                    Lit::pos(s(i, j)),
-                ]);
+                cnf.add_clause([lit.negated(), Lit::neg(s(i - 1, j - 1)), Lit::pos(s(i, j))]);
             }
         }
     }
     for (i, &lit) in lits.iter().enumerate().skip(1) {
         // Overflow: lits[i] with k already counted before it exceeds k.
-        cnf.add_clause(vec![lit.negated(), Lit::neg(s(i - 1, k - 1))]);
+        cnf.add_clause([lit.negated(), Lit::neg(s(i - 1, k - 1))]);
     }
 }
 
@@ -67,7 +63,7 @@ pub fn at_least_k(cnf: &mut Cnf, lits: &[Lit], k: usize) {
     }
     let n = lits.len();
     if k > n {
-        cnf.add_clause(vec![]); // unsatisfiable on its face
+        cnf.add_clause([]); // unsatisfiable on its face
         return;
     }
     let negated: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
@@ -87,7 +83,7 @@ mod tests {
         let lits: Vec<Lit> = (0..n).map(|v| Lit::pos(Var(v as u32))).collect();
         build(&mut cnf, &lits);
         for (i, &l) in lits.iter().enumerate() {
-            cnf.add_clause(vec![if i < m { l } else { l.negated() }]);
+            cnf.add_clause([if i < m { l } else { l.negated() }]);
         }
         solve(&cnf).is_sat()
     }
@@ -145,8 +141,8 @@ mod tests {
         let mut cnf = Cnf::new(2);
         let lits = [Lit::neg(Var(0)), Lit::neg(Var(1))];
         at_most_k(&mut cnf, &lits, 1);
-        cnf.add_clause(vec![Lit::neg(Var(0))]);
-        cnf.add_clause(vec![Lit::neg(Var(1))]);
+        cnf.add_clause([Lit::neg(Var(0))]);
+        cnf.add_clause([Lit::neg(Var(1))]);
         assert_eq!(solve(&cnf), crate::dpll::SatResult::Unsat);
     }
 }

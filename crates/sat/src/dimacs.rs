@@ -11,8 +11,8 @@ pub enum DimacsError {
     BadToken(String),
     /// A literal references a variable beyond the declared count.
     VarOutOfRange(i64),
-    /// The header declares more variables than a [`Var`] can number
-    /// (above `u32::MAX`).
+    /// The header declares more variables than a [`Lit`] can pack
+    /// (above [`Var::LIMIT`]).
     TooManyVars(usize),
     /// A second `p` line. The text is one formula: a second header would
     /// either drop the clauses before it or shrink the range they use.
@@ -25,7 +25,7 @@ impl std::fmt::Display for DimacsError {
             DimacsError::BadHeader => write!(f, "missing or malformed DIMACS header"),
             DimacsError::BadToken(t) => write!(f, "bad token {t:?}"),
             DimacsError::VarOutOfRange(v) => write!(f, "literal {v} out of declared range"),
-            DimacsError::TooManyVars(n) => write!(f, "{n} variables exceed the u32 range"),
+            DimacsError::TooManyVars(n) => write!(f, "{n} variables exceed Var::LIMIT"),
             DimacsError::DuplicateHeader => write!(f, "a second DIMACS header"),
         }
     }
@@ -52,7 +52,7 @@ pub fn parse(text: &str) -> Result<Cnf, DimacsError> {
                 return Err(DimacsError::BadHeader);
             }
             let nv: usize = parts[1].parse().map_err(|_| DimacsError::BadHeader)?;
-            if nv > u32::MAX as usize {
+            if nv > Var::LIMIT {
                 return Err(DimacsError::TooManyVars(nv));
             }
             num_vars = Some(nv);
@@ -65,16 +65,13 @@ pub fn parse(text: &str) -> Result<Cnf, DimacsError> {
                 .parse()
                 .map_err(|_| DimacsError::BadToken(tok.to_string()))?;
             if v == 0 {
-                cnf.add_clause(std::mem::take(&mut current));
+                cnf.add_clause(current.drain(..));
             } else {
                 let var = v.unsigned_abs() as usize - 1;
                 if var >= nv {
                     return Err(DimacsError::VarOutOfRange(v));
                 }
-                current.push(Lit {
-                    var: Var(var as u32),
-                    positive: v > 0,
-                });
+                current.push(Lit::new(Var(var as u32), v > 0));
             }
         }
     }
@@ -86,11 +83,11 @@ pub fn parse(text: &str) -> Result<Cnf, DimacsError> {
 
 /// Prints a formula in DIMACS format.
 pub fn print(cnf: &Cnf) -> String {
-    let mut out = format!("p cnf {} {}\n", cnf.num_vars, cnf.clauses.len());
-    for c in &cnf.clauses {
+    let mut out = format!("p cnf {} {}\n", cnf.num_vars, cnf.num_clauses());
+    for c in cnf.clauses() {
         for l in c {
-            let v = l.var.0 as i64 + 1;
-            out.push_str(&format!("{} ", if l.positive { v } else { -v }));
+            let v = l.var().0 as i64 + 1;
+            out.push_str(&format!("{} ", if l.is_positive() { v } else { -v }));
         }
         out.push_str("0\n");
     }
@@ -114,7 +111,7 @@ mod tests {
         let text = "c a comment\np cnf 2 2\n1 -2 0\n2 0\n";
         let f = parse(text).unwrap();
         assert_eq!(f.num_vars, 2);
-        assert_eq!(f.clauses.len(), 2);
+        assert_eq!(f.num_clauses(), 2);
     }
 
     #[test]

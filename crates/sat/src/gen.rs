@@ -64,11 +64,7 @@ pub fn random_kcnf(seed: u64, num_vars: usize, num_clauses: usize, k: usize) -> 
         }
         f.add_clause(
             vars.into_iter()
-                .map(|v| Lit {
-                    var: Var(v as u32),
-                    positive: rng.flip(),
-                })
-                .collect(),
+                .map(|v| Lit::new(Var(v as u32), rng.flip())),
         );
     }
     f
@@ -91,7 +87,7 @@ pub fn random_restricted(seed: u64, num_vars: usize, num_clauses: usize) -> Cnf 
         while clause.len() < width && tries < 100 {
             tries += 1;
             let v = rng.below(num_vars);
-            if clause.iter().any(|l| l.var.idx() == v) {
+            if clause.iter().any(|l| l.var().idx() == v) {
                 continue;
             }
             let want_pos = rng.flip();
@@ -119,10 +115,10 @@ mod tests {
     fn kcnf_shape() {
         let f = random_kcnf(7, 10, 20, 3);
         assert_eq!(f.num_vars, 10);
-        assert_eq!(f.clauses.len(), 20);
-        for c in &f.clauses {
+        assert_eq!(f.num_clauses(), 20);
+        for c in f.clauses() {
             assert_eq!(c.len(), 3);
-            let mut vars: Vec<_> = c.iter().map(|l| l.var).collect();
+            let mut vars: Vec<_> = c.iter().map(|l| l.var()).collect();
             vars.sort();
             vars.dedup();
             assert_eq!(vars.len(), 3, "distinct variables per clause");

@@ -23,12 +23,7 @@ pub fn all_models(cnf: &Cnf, cap: usize) -> (Vec<Vec<bool>>, bool) {
         match solve(&work) {
             SatResult::Sat(model) => {
                 // Block this exact model.
-                let blocking: Vec<Lit> = (0..work.num_vars)
-                    .map(|v| Lit {
-                        var: Var(v as u32),
-                        positive: !model[v],
-                    })
-                    .collect();
+                let blocking = (0..work.num_vars).map(|v| Lit::new(Var(v as u32), !model[v]));
                 work.add_clause(blocking);
                 models.push(model);
             }

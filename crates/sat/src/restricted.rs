@@ -36,7 +36,7 @@ pub struct Restricted {
 pub fn to_restricted_form(cnf: &Cnf) -> Restricted {
     // --- 1. Unit propagation to remove unit clauses. -----------------
     let mut assignment: Vec<Option<bool>> = vec![None; cnf.num_vars];
-    let mut clauses: Vec<Vec<Lit>> = cnf.clauses.clone();
+    let mut clauses: Vec<Vec<Lit>> = cnf.clauses().map(<[Lit]>::to_vec).collect();
     loop {
         let mut changed = false;
         let mut conflict = false;
@@ -49,12 +49,12 @@ pub fn to_restricted_form(cnf: &Cnf) -> Restricted {
                 conflict = true;
             } else if c.len() == 1 {
                 let l = c[0];
-                match assignment[l.var.idx()] {
+                match assignment[l.var().idx()] {
                     None => {
-                        assignment[l.var.idx()] = Some(l.positive);
+                        assignment[l.var().idx()] = Some(l.is_positive());
                         changed = true;
                     }
-                    Some(v) if v != l.positive => conflict = true,
+                    Some(v) if v != l.is_positive() => conflict = true,
                     _ => {}
                 }
             }
@@ -105,14 +105,14 @@ pub fn to_restricted_form(cnf: &Cnf) -> Restricted {
     let mut occ: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_vars]; // (clause, pos-in-clause)
     for (ci, c) in split.iter().enumerate() {
         for (li, l) in c.iter().enumerate() {
-            occ[l.var.idx()].push((ci, li));
+            occ[l.var().idx()].push((ci, li));
         }
     }
     let mut out = split.clone();
     let mut extra_clauses: Vec<Vec<Lit>> = Vec::new();
     for (v, slots) in occ.clone().iter().enumerate() {
         let (p, n) = slots.iter().fold((0, 0), |(p, n), &(ci, li)| {
-            if split[ci][li].positive {
+            if split[ci][li].is_positive() {
                 (p + 1, n)
             } else {
                 (p, n + 1)
@@ -129,7 +129,7 @@ pub fn to_restricted_form(cnf: &Cnf) -> Restricted {
         let reps: Vec<Var> = (0..r).map(|i| Var((num_vars + i) as u32)).collect();
         let polarities: Vec<bool> = slots
             .iter()
-            .map(|&(ci, li)| split[ci][li].positive)
+            .map(|&(ci, li)| split[ci][li].is_positive())
             .collect();
         for (i, &(ci, li)) in slots.iter().enumerate() {
             out[ci][li] = Lit::pos(reps[i]);
@@ -261,10 +261,7 @@ mod tests {
             for _ in 0..nc {
                 let len = 1 + (next() % 4) as usize;
                 let clause: Vec<_> = (0..len)
-                    .map(|_| Lit {
-                        var: Var((next() % nv as u64) as u32),
-                        positive: next() % 2 == 0,
-                    })
+                    .map(|_| Lit::new(Var((next() % nv as u64) as u32), next() % 2 == 0))
                     .collect();
                 f.add_clause(clause);
             }

@@ -42,7 +42,7 @@ pub fn random_instance(seed: u64, vars: usize, clauses: usize) -> Cnf {
     let mut s = seed;
     loop {
         let f = random_restricted(s, vars, clauses);
-        if !f.clauses.is_empty() {
+        if f.num_clauses() > 0 {
             return f;
         }
         s = s.wrapping_add(0x9E37);

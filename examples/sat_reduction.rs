@@ -13,7 +13,7 @@ use kplock::workload::{fig8_formula, fig8_reduction};
 fn main() {
     let f = fig8_formula();
     println!("F = (x1 v x2 v x3) & (~x1 v x2 v ~x3)");
-    println!("clauses: {:?}\n", f.clauses);
+    println!("clauses: {:?}\n", f.clauses().collect::<Vec<_>>());
 
     let r = fig8_reduction();
     println!(

@@ -3,7 +3,7 @@
 //! malformed input rather than guessing.
 
 use kplock::sat::dimacs::{parse, print, DimacsError};
-use kplock::sat::{random_kcnf, random_restricted, solve, Cnf, SatResult};
+use kplock::sat::{random_kcnf, random_restricted, solve, Cnf, Lit, SatResult, Var};
 use proptest::prelude::*;
 
 proptest! {
@@ -81,11 +81,24 @@ fn parser_rejects_malformed_input() {
 }
 
 #[test]
+fn the_variable_cap_is_what_a_literal_packs() {
+    // A literal is one u32 holding its variable and its polarity, so
+    // Var::LIMIT (2^31) variables parse and one more is refused.
+    let f = parse("p cnf 2147483648 1\n-2147483648 0\n").expect("at the cap");
+    assert_eq!(f.num_vars, Var::LIMIT);
+    assert_eq!(f.clause(0), [Lit::neg(Var((Var::LIMIT - 1) as u32))]);
+    assert_eq!(
+        parse("p cnf 2147483649 0\n"),
+        Err(DimacsError::TooManyVars(2_147_483_649))
+    );
+}
+
+#[test]
 fn trailing_unterminated_clause_is_kept() {
     // DIMACS requires a trailing 0, but a final unterminated clause is
     // accepted rather than silently dropped — pin that behavior.
     let f = parse("p cnf 2 2\n1 0\n-1 2").expect("parses");
-    assert_eq!(f.clauses.len(), 2);
+    assert_eq!(f.num_clauses(), 2);
     assert_eq!(f, parse(&print(&f)).expect("round trip"));
 }
 
@@ -94,7 +107,7 @@ fn comments_and_blank_lines_are_ignored_anywhere() {
     let text = "c preamble\n\np cnf 2 2\nc between clauses\n1 -2 0\n\n2 0\nc trailing\n";
     let f = parse(text).expect("parses");
     assert_eq!(f.num_vars, 2);
-    assert_eq!(f.clauses.len(), 2);
+    assert_eq!(f.num_clauses(), 2);
 }
 
 #[test]
