@@ -3,11 +3,14 @@
 
 use kplock::core::policy::LockStrategy;
 use kplock::core::{
-    decide_exhaustive, decide_two_site_system, ConflictDigraph, OracleOptions, OracleOutcome,
+    analyze_pair, decide_exhaustive, decide_multisite, decide_two_site, decide_two_site_system,
+    reduce, ConflictDigraph, MultisiteOptions, OracleOptions, OracleOutcome, SafeProof,
     SafetyVerdict,
 };
 use kplock::model::{Database, TxnBuilder, TxnId, TxnSystem};
-use kplock::workload::{random_pair, WorkloadParams};
+use kplock::workload::{
+    fig8_formula, random_instance, random_pair, unsat_restricted, WorkloadParams,
+};
 
 fn check_agreement(params: &WorkloadParams) {
     let sys = random_pair(params);
@@ -172,4 +175,132 @@ fn lemma1_extension_oracle_agrees_with_state_oracle() {
             assert!(v.is_safe(), "seed {seed}");
         }
     }
+}
+
+/// `[TrivialOverlap, StronglyConnected, Unsafe, digest]` over 256 pairs
+/// drawn as the benchmark's `analysis_poly` draws its two-site pairs: two
+/// sites, 8, 16, 32 and 64 steps (64 seeds each), the three lock
+/// strategies in turn. The digest folds, per pair, `D`'s entities and
+/// every successor and predecessor list in order, then each unsafe
+/// verdict's dominator, `t1_order`, `t2_order` and schedule. How `D`, the
+/// closure and the certificate are computed may change; what they answer
+/// must not.
+const PIN_TWO_SITE: [u64; 4] = [0, 133, 123, 4_473_012_567_045_643_842];
+
+/// `[Safe, Unsafe, Unknown, digest]` of `decide_multisite` on the
+/// reductions of `random_instance(seed, 4, 3)` for 12 seeds — the
+/// formula size `analysis_sat` times — then of the Fig. 8 formula and of
+/// `unsat_restricted`, whose pair is safe. The digest folds each verdict's
+/// kind and proof, and each certificate as [`PIN_TWO_SITE`] does.
+const PIN_MULTISITE: [u64; 4] = [0, 13, 1, 11_173_487_206_200_461_205];
+
+/// FNV-1a over `words`, continuing from `digest`.
+fn fold(digest: u64, words: impl IntoIterator<Item = usize>) -> u64 {
+    words.into_iter().fold(digest, |h, w| {
+        (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn fold_digraph(h: u64, d: &ConflictDigraph) -> u64 {
+    let mut h = fold(h, d.entities.iter().map(|e| e.idx()));
+    for v in 0..d.graph.node_count() {
+        h = fold(h, [usize::MAX]);
+        h = fold(h, d.graph.successors(v).iter().copied());
+        h = fold(h, [usize::MAX - 1]);
+        h = fold(h, d.graph.predecessors(v).iter().copied());
+    }
+    h
+}
+
+fn fold_verdict(h: u64, v: &SafetyVerdict) -> u64 {
+    match v {
+        SafetyVerdict::Safe(proof) => fold(h, [1, *proof as usize]),
+        SafetyVerdict::Unknown => fold(h, [3]),
+        SafetyVerdict::Unsafe(cert) => {
+            let mut h = fold(h, [2, cert.txn_a.idx(), cert.txn_b.idx()]);
+            h = fold(h, cert.dominator.iter().map(|e| e.idx()));
+            h = fold(h, cert.t1_order.iter().map(|s| s.idx()));
+            h = fold(h, cert.t2_order.iter().map(|s| s.idx()));
+            fold(
+                h,
+                cert.schedule
+                    .steps()
+                    .iter()
+                    .flat_map(|s| [s.txn.idx(), s.step.idx()]),
+            )
+        }
+    }
+}
+
+#[test]
+fn two_site_decisions_on_benchmark_shaped_pairs_are_pinned() {
+    let strategies = [
+        LockStrategy::Minimal,
+        LockStrategy::TwoPhaseLoose,
+        LockStrategy::TwoPhaseSync,
+    ];
+    let (a, b) = (TxnId(0), TxnId(1));
+    let mut got = [0u64; 4];
+    got[3] = 0xcbf2_9ce4_8422_2325;
+    for steps in [8usize, 16, 32, 64] {
+        for seed in 0..64u64 {
+            let sys = random_pair(&WorkloadParams {
+                seed,
+                sites: 2,
+                entities_per_site: (steps / 4).max(2),
+                steps_per_txn: steps,
+                strategy: strategies[seed as usize % 3],
+                ..Default::default()
+            });
+            let d = ConflictDigraph::build(&sys, a, b);
+            let strongly_connected = d.is_strongly_connected();
+            let verdict = decide_two_site(&sys, a, b).expect("two sites");
+            let analysis = analyze_pair(&sys);
+            let (lone, shared) = (fold_digraph(0, &d), fold_digraph(0, &analysis.d));
+            assert_eq!(
+                lone, shared,
+                "analyze_pair's D (seed {seed}, {steps} steps)"
+            );
+            assert_eq!(analysis.strongly_connected, strongly_connected);
+            assert_eq!(
+                fold_verdict(0, &verdict),
+                fold_verdict(0, &analysis.verdict),
+                "analyze_pair's verdict (seed {seed}, {steps} steps)"
+            );
+            match &verdict {
+                SafetyVerdict::Safe(SafeProof::TrivialOverlap) => got[0] += 1,
+                SafetyVerdict::Safe(SafeProof::StronglyConnected) => got[1] += 1,
+                SafetyVerdict::Unsafe(cert) => {
+                    cert.verify(&sys).expect("certificate must verify");
+                    got[2] += 1;
+                }
+                other => panic!("Theorem 2 answered {other:?} (seed {seed}, {steps} steps)"),
+            }
+            got[3] = fold_verdict(fold_digraph(got[3], &d), &verdict);
+        }
+    }
+    assert_eq!(got, PIN_TWO_SITE);
+}
+
+#[test]
+fn multisite_decisions_on_timed_reductions_are_pinned() {
+    let mut got = [0u64; 4];
+    got[3] = 0xcbf2_9ce4_8422_2325;
+    let sources = (0..12u64)
+        .map(|seed| random_instance(seed, 4, 3))
+        .chain([fig8_formula(), unsat_restricted()]);
+    for cnf in sources {
+        let sys = reduce(&cnf).expect("a restricted-form source").sys;
+        let v = decide_multisite(&sys, TxnId(0), TxnId(1), &MultisiteOptions::default());
+        match &v {
+            SafetyVerdict::Safe(_) => got[0] += 1,
+            SafetyVerdict::Unsafe(cert) => {
+                cert.verify(&sys).expect("certificate must verify");
+                got[1] += 1;
+            }
+            SafetyVerdict::Unknown => got[2] += 1,
+        }
+        got[3] = fold_verdict(got[3], &v);
+    }
+    assert_eq!(got, PIN_MULTISITE);
 }
