@@ -2,8 +2,8 @@
 
 use crate::certificate::SafetyVerdict;
 use crate::conflict_graph::ConflictDigraph;
-use crate::multisite::{decide_multisite, MultisiteOptions};
-use crate::two_site::decide_two_site;
+use crate::multisite::{self, MultisiteOptions};
+use crate::two_site;
 use kplock_model::{TxnId, TxnSystem};
 
 /// Everything the paper's machinery can say about a pair.
@@ -28,13 +28,14 @@ pub fn analyze_pair(sys: &TxnSystem) -> PairAnalysis {
         "analyze_pair expects exactly two transactions"
     );
     let (a, b) = (TxnId(0), TxnId(1));
-    let d = ConflictDigraph::build(sys, a, b);
+    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
     let strongly_connected = d.is_strongly_connected();
     let sites = sys.db().site_count();
     let verdict = if sites <= 2 {
-        decide_two_site(sys, a, b).expect("≤ 2 sites")
+        two_site::decide_with(sys, &d, &sections, strongly_connected)
     } else {
-        decide_multisite(sys, a, b, &MultisiteOptions::default())
+        let opts = MultisiteOptions::default();
+        multisite::decide_with(sys, &d, &sections, strongly_connected, &opts)
     };
     PairAnalysis {
         d,

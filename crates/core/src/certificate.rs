@@ -81,12 +81,19 @@ pub enum CertificateError {
     ScheduleSerializable,
     /// The dominator is empty or covers all shared entities.
     BadDominator,
+    /// The certificate names a transaction the system does not have.
+    UnknownTxn(TxnId),
 }
 
 impl UnsafetyCertificate {
     /// Re-checks the certificate against `sys` (restricted to the two
     /// transactions named in it).
     pub fn verify(&self, sys: &TxnSystem) -> Result<(), CertificateError> {
+        for t in [self.txn_a, self.txn_b] {
+            if t.idx() >= sys.len() {
+                return Err(CertificateError::UnknownTxn(t));
+            }
+        }
         let ta = sys.txn(self.txn_a);
         let tb = sys.txn(self.txn_b);
         if !ta.is_linear_extension(&self.t1_order) {
@@ -98,21 +105,34 @@ impl UnsafetyCertificate {
         let shared = sys.shared_locked_entities(self.txn_a, self.txn_b);
         if self.dominator.is_empty()
             || self.dominator.len() >= shared.len()
-            || self.dominator.iter().any(|e| !shared.contains(e))
+            || self
+                .dominator
+                .iter()
+                .any(|e| shared.binary_search(e).is_err())
         {
             return Err(CertificateError::BadDominator);
         }
-        // The schedule must involve only the two transactions.
+        // The schedule must involve only the two transactions: a system
+        // that is already the pair, in order, is checked as it stands.
+        if sys.len() == 2 && (self.txn_a, self.txn_b) == (TxnId(0), TxnId(1)) {
+            return check_unsafe(sys, &self.schedule);
+        }
         let pair_sys = pair_subsystem(sys, self.txn_a, self.txn_b);
         let remapped = remap_schedule(&self.schedule, self.txn_a, self.txn_b);
-        remapped
-            .validate_complete(&pair_sys)
-            .map_err(CertificateError::BadSchedule)?;
-        if is_serializable(&pair_sys, &remapped) {
-            return Err(CertificateError::ScheduleSerializable);
-        }
-        Ok(())
+        check_unsafe(&pair_sys, &remapped)
     }
+}
+
+/// A two-transaction `pair` and a schedule of it naming ids 0 and 1: is
+/// the schedule legal, complete and not serializable?
+fn check_unsafe(pair: &TxnSystem, schedule: &Schedule) -> Result<(), CertificateError> {
+    schedule
+        .validate_complete(pair)
+        .map_err(CertificateError::BadSchedule)?;
+    if is_serializable(pair, schedule) {
+        return Err(CertificateError::ScheduleSerializable);
+    }
+    Ok(())
 }
 
 /// The two-transaction subsystem `{Ta, Tb}` (ids 0 and 1).

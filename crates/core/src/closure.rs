@@ -9,12 +9,23 @@
 //! `D`-arc into `X` — and each failure mode is reported. From a successfully
 //! closed system, Corollary 2 extracts a certificate of unsafeness via two
 //! priority topological sorts.
+//!
+//! What one attempt costs: the decision procedures hand in the `D` they
+//! already built (with each vertex's lock and unlock steps), and the
+//! closure's first round reads it as it is. The pair's transactions are
+//! borrowed from the system and copied only when the closure adds a
+//! precedence to one of them; each such round rebuilds `D` over the
+//! strengthened pair for the next. The certificate reads the closed pair
+//! through index arrays — a step's rank, its position in `t1` — and the
+//! schedule is a two-way merge of `t1` and `t2`. [`close_wrt_dominator`]
+//! alone returns an owned system, because its [`Closure`] holds one.
 
 use crate::certificate::UnsafetyCertificate;
-use crate::conflict_graph::ConflictDigraph;
-use crate::total_pair::schedule_from_orientation;
-use kplock_graph::topo_sort_by_key;
-use kplock_model::{ActionKind, EntityId, StepId, Transaction, TxnId, TxnSystem};
+use crate::conflict_graph::{arcs, ConflictDigraph, Sections};
+use crate::total_pair::orientation_schedule;
+use kplock_graph::{topo_sort_by_key, DiGraph};
+use kplock_model::{EntityId, StepId, Transaction, TxnId, TxnSystem};
+use std::borrow::Cow;
 
 /// A successfully closed system.
 #[derive(Clone, Debug)]
@@ -54,6 +65,27 @@ pub enum ClosureError {
     OrientationInfeasible,
 }
 
+/// `R1` and `R2` of a closed pair: the system's own transactions until the
+/// closure adds a precedence to one of them, a strengthened copy after.
+struct ClosedPair<'s> {
+    r1: Cow<'s, Transaction>,
+    r2: Cow<'s, Transaction>,
+    added_a: Vec<(StepId, StepId)>,
+    added_b: Vec<(StepId, StepId)>,
+}
+
+/// `in_x[i]`: is `shared[i]` (ascending) in the dominator? Entities of
+/// `dominator` that are not shared mark nothing.
+pub(crate) fn membership(shared: &[EntityId], dominator: &[EntityId]) -> Vec<bool> {
+    let mut in_x = vec![false; shared.len()];
+    for &e in dominator {
+        if let Ok(i) = shared.binary_search(&e) {
+            in_x[i] = true;
+        }
+    }
+    in_x
+}
+
 /// Closes `{Ta, Tb}` with respect to `dominator` (a set of shared locked
 /// entities forming a dominator of `D(Ta, Tb)`).
 pub fn close_wrt_dominator(
@@ -62,97 +94,117 @@ pub fn close_wrt_dominator(
     b: TxnId,
     dominator: &[EntityId],
 ) -> Result<Closure, ClosureError> {
-    let mut cur = sys.clone();
-    let mut added_a = Vec::new();
-    let mut added_b = Vec::new();
+    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    let in_x = membership(&d.entities, dominator);
+    let closed = close_pair(sys.txn(a), sys.txn(b), &d, &sections, &in_x)?;
+    // The result owns its system; the decision procedures keep the pair
+    // borrowed and never build one.
+    let mut txns = sys.txns().to_vec();
+    if let Cow::Owned(r1) = closed.r1 {
+        txns[a.idx()] = r1;
+    }
+    if let Cow::Owned(r2) = closed.r2 {
+        txns[b.idx()] = r2;
+    }
+    Ok(Closure {
+        system: TxnSystem::new(sys.db().clone(), txns),
+        txn_a: a,
+        txn_b: b,
+        dominator: dominator.to_vec(),
+        added_a: closed.added_a,
+        added_b: closed.added_b,
+    })
+}
 
+/// The closure of `{ta, tb}` with respect to the vertices `in_x` marks.
+/// `d` is `D(ta, tb)` and serves the first round; each round that adds a
+/// precedence rebuilds it over the strengthened pair for the next.
+fn close_pair<'s>(
+    ta: &'s Transaction,
+    tb: &'s Transaction,
+    d: &ConflictDigraph,
+    sections: &[Sections],
+    in_x: &[bool],
+) -> Result<ClosedPair<'s>, ClosureError> {
+    let (a, b) = (d.txn_a, d.txn_b);
+    let mut pair = ClosedPair {
+        r1: Cow::Borrowed(ta),
+        r2: Cow::Borrowed(tb),
+        added_a: Vec::new(),
+        added_b: Vec::new(),
+    };
+    let mut rebuilt: Option<DiGraph> = None;
     loop {
-        let d = ConflictDigraph::build(&cur, a, b);
         // X must still dominate: no arc from V−X into X.
-        let in_x: Vec<bool> = d.entities.iter().map(|e| dominator.contains(e)).collect();
-        for (u, v) in d.graph.edges() {
-            if !in_x[u] && in_x[v] {
-                return Err(ClosureError::DominatorBroken);
-            }
+        let graph = rebuilt.as_ref().unwrap_or(&d.graph);
+        if graph.edges().any(|(u, v)| !in_x[u] && in_x[v]) {
+            return Err(ClosureError::DominatorBroken);
         }
+        let Some((x, y)) = unmet_triple(&pair.r1, &pair.r2, sections, in_x) else {
+            return Ok(pair);
+        };
+        // Require Uy ≺₁ Ux and Ly ≺₂ Lx.
+        let (ux_a, uy_a) = (sections[x].unlock_a, sections[y].unlock_a);
+        let (lx_b, ly_b) = (sections[x].lock_b, sections[y].lock_b);
+        if !pair.r1.precedes(uy_a, ux_a) {
+            let t =
+                pair.r1
+                    .with_precedence(uy_a, ux_a)
+                    .map_err(|_| ClosureError::CycleCreated {
+                        txn: a,
+                        from: uy_a,
+                        to: ux_a,
+                    })?;
+            pair.r1 = Cow::Owned(t);
+            pair.added_a.push((uy_a, ux_a));
+        }
+        if !pair.r2.precedes(ly_b, lx_b) {
+            let t =
+                pair.r2
+                    .with_precedence(ly_b, lx_b)
+                    .map_err(|_| ClosureError::CycleCreated {
+                        txn: b,
+                        from: ly_b,
+                        to: lx_b,
+                    })?;
+            pair.r2 = Cow::Owned(t);
+            pair.added_b.push((ly_b, lx_b));
+        }
+        rebuilt = Some(arcs(&pair.r1, &pair.r2, sections));
+    }
+}
 
-        let ta = cur.txn(a).clone();
-        let tb = cur.txn(b).clone();
-        let mut changed = false;
-
-        for (zi, &z) in d.entities.iter().enumerate() {
-            if in_x[zi] {
+/// The first triple `z ∈ V−X`, `x, y ∈ X` (`x ≠ y`) with `Lz ≺₁ Ux` and
+/// `Ly ≺₂ Uz` whose required precedences `Uy ≺₁ Ux`, `Ly ≺₂ Lx` are not
+/// both in place yet, as `(x, y)`; scanned by `z`, then `x`, then `y`.
+fn unmet_triple(
+    r1: &Transaction,
+    r2: &Transaction,
+    sections: &[Sections],
+    in_x: &[bool],
+) -> Option<(usize, usize)> {
+    let x_vertices = || (0..sections.len()).filter(|&i| in_x[i]);
+    for (z, sz) in sections.iter().enumerate() {
+        if in_x[z] {
+            continue;
+        }
+        for x in x_vertices() {
+            let sx = &sections[x];
+            if !r1.precedes(sz.lock_a, sx.unlock_a) {
                 continue;
             }
-            let lz_a = ta.lock_step(z).expect("shared entity");
-            let uz_b = tb.unlock_step(z).expect("shared entity");
-            for (xi, &x) in d.entities.iter().enumerate() {
-                if !in_x[xi] {
+            for y in x_vertices() {
+                let sy = &sections[y];
+                if x == y || !r2.precedes(sy.lock_b, sz.unlock_b) {
                     continue;
                 }
-                let ux_a = ta.unlock_step(x).expect("shared");
-                let lx_b = tb.lock_step(x).expect("shared");
-                if !ta.precedes(lz_a, ux_a) {
-                    continue;
-                }
-                for (yi, &y) in d.entities.iter().enumerate() {
-                    if !in_x[yi] || x == y {
-                        continue;
-                    }
-                    let ly_b = tb.lock_step(y).expect("shared");
-                    let uy_a = ta.unlock_step(y).expect("shared");
-                    if !tb.precedes(ly_b, uz_b) {
-                        continue;
-                    }
-                    // Condition met: require Uy ≺₁ Ux and Ly ≺₂ Lx.
-                    if !ta.precedes(uy_a, ux_a) {
-                        let t = cur.txn(a).with_precedence(uy_a, ux_a).map_err(|_| {
-                            ClosureError::CycleCreated {
-                                txn: a,
-                                from: uy_a,
-                                to: ux_a,
-                            }
-                        })?;
-                        cur = cur.with_txn(a, t);
-                        added_a.push((uy_a, ux_a));
-                        changed = true;
-                    }
-                    if !tb.precedes(ly_b, lx_b) {
-                        let t = cur.txn(b).with_precedence(ly_b, lx_b).map_err(|_| {
-                            ClosureError::CycleCreated {
-                                txn: b,
-                                from: ly_b,
-                                to: lx_b,
-                            }
-                        })?;
-                        cur = cur.with_txn(b, t);
-                        added_b.push((ly_b, lx_b));
-                        changed = true;
-                    }
-                    if changed {
-                        break;
-                    }
-                }
-                if changed {
-                    break;
+                if !r1.precedes(sy.unlock_a, sx.unlock_a) || !r2.precedes(sy.lock_b, sx.lock_b) {
+                    return Some((x, y));
                 }
             }
-            if changed {
-                break;
-            }
-        }
-
-        if !changed {
-            return Ok(Closure {
-                system: cur,
-                txn_a: a,
-                txn_b: b,
-                dominator: dominator.to_vec(),
-                added_a,
-                added_b,
-            });
         }
     }
+    None
 }
 
 /// Extracts the Theorem-2/Corollary-2 certificate from a closed system:
@@ -168,14 +220,36 @@ pub fn certificate_from_closure(
     closure: &Closure,
 ) -> Result<UnsafetyCertificate, ClosureError> {
     let (a, b) = (closure.txn_a, closure.txn_b);
-    let r1 = closure.system.txn(a);
-    let r2 = closure.system.txn(b);
-    let x_set = &closure.dominator;
-
-    let is_unlock_of_x = |t: &Transaction, v: usize| {
-        let s = t.step(StepId::from_idx(v));
-        s.kind == ActionKind::Unlock && x_set.contains(&s.entity)
+    let (ta, tb) = (original.txn(a), original.txn(b));
+    let shared = original.shared_locked_entities(a, b);
+    let pair = Pair {
+        a,
+        b,
+        ta,
+        tb,
+        sections: &Sections::of(ta, tb, &shared),
     };
+    let (r1, r2) = (closure.system.txn(a), closure.system.txn(b));
+    let in_x = membership(&shared, &closure.dominator);
+    extract_certificate(&pair, r1, r2, &closure.dominator, &in_x)
+}
+
+/// The original pair a certificate is about, with its vertices' sections.
+struct Pair<'s> {
+    a: TxnId,
+    b: TxnId,
+    ta: &'s Transaction,
+    tb: &'s Transaction,
+    sections: &'s [Sections],
+}
+
+fn extract_certificate(
+    pair: &Pair<'_>,
+    r1: &Transaction,
+    r2: &Transaction,
+    x_set: &[EntityId],
+    in_x: &[bool],
+) -> Result<UnsafetyCertificate, ClosureError> {
     // "Place the Ux (x ∈ X) steps as early as possible in t1". Concretely:
     // rank the X-unlocks in an order consistent with R1's partial order
     // (the closure makes the relevant ones comparable), then emit each step
@@ -190,58 +264,74 @@ pub fn certificate_from_closure(
         .collect();
     // Rank = position in a topological order of the X-unlocks under R1's
     // precedence (a partial-order-respecting total order; index tiebreak).
-    let mut mini = kplock_graph::DiGraph::new(x_unlocks_1.len());
-    for (i, &a) in x_unlocks_1.iter().enumerate() {
-        for (j, &b) in x_unlocks_1.iter().enumerate() {
-            if i != j && r1.precedes(a, b) {
-                mini.add_edge(i, j);
+    let mut offsets = vec![0];
+    let mut later = Vec::new();
+    for &u in &x_unlocks_1 {
+        later.extend((0..x_unlocks_1.len()).filter(|&j| r1.precedes(u, x_unlocks_1[j])));
+        offsets.push(later.len());
+    }
+    let mini = DiGraph::from_successor_rows(&offsets, later);
+    let mini_order = topo_sort_by_key(&mini, |v| v).expect("partial order is acyclic");
+    // target[v]: the smallest rank of an X-unlock that step v precedes or
+    // is. Ranks are handed out in order, each to the ancestors of its
+    // X-unlock that hold none yet: an ancestor that holds one already has
+    // every one of its own ancestors holding one too, so the backward walk
+    // stops there and visits each step once overall.
+    let m1 = r1.len();
+    let mut target = vec![usize::MAX; m1];
+    let mut x_unlock = vec![false; m1];
+    let mut stack = Vec::new();
+    for (rank, &i) in mini_order.iter().enumerate() {
+        let u = x_unlocks_1[i].idx();
+        x_unlock[u] = true;
+        if target[u] == usize::MAX {
+            target[u] = rank;
+            stack.push(u);
+        }
+        while let Some(v) = stack.pop() {
+            for &w in r1.edge_graph().predecessors(v) {
+                if target[w] == usize::MAX {
+                    target[w] = rank;
+                    stack.push(w);
+                }
             }
         }
     }
-    let mini_order = topo_sort_by_key(&mini, |v| v).expect("partial order is acyclic");
-    let ranked: Vec<StepId> = mini_order.iter().map(|&i| x_unlocks_1[i]).collect();
-    let rank_of = |u: StepId| ranked.iter().position(|&r| r == u);
-    let target = |t: &Transaction, v: usize| -> usize {
-        x_unlocks_1
-            .iter()
-            .filter(|&&u| t.precedes_eq(StepId::from_idx(v), u))
-            .filter_map(|&u| rank_of(u))
-            .min()
-            .unwrap_or(usize::MAX)
-    };
     let t1_idx = topo_sort_by_key(r1.edge_graph(), |v| {
-        (
-            target(r1, v),
-            if is_unlock_of_x(r1, v) { 0usize } else { 1 },
-            v,
-        )
+        (target[v], if x_unlock[v] { 0usize } else { 1 }, v)
     })
     .expect("transaction partial orders are acyclic");
     let t1_order: Vec<StepId> = t1_idx.iter().map(|&v| StepId::from_idx(v)).collect();
 
-    // Position of Ux in t1 per entity in X.
-    let ux_pos = |e: EntityId| -> usize {
-        let ux = r1.unlock_step(e).expect("dominator entity locked");
-        t1_order.iter().position(|&s| s == ux).expect("in order")
-    };
-
-    let t2_idx = topo_sort_by_key(r2.edge_graph(), |v| {
-        let s = r2.step(StepId::from_idx(v));
-        if s.kind == ActionKind::Lock && x_set.contains(&s.entity) {
-            (1usize, ux_pos(s.entity), v)
-        } else {
-            (0, 0, v)
+    // Each X-lock of R2 is deferred behind the position of its Ux in t1.
+    let mut at_in_t1 = vec![0; m1];
+    for (at, &v) in t1_idx.iter().enumerate() {
+        at_in_t1[v] = at;
+    }
+    let mut deferred_to = vec![None; r2.len()];
+    for (&e, ux) in x_set.iter().zip(&x_unlocks_1) {
+        if let Some(lx) = r2.lock_step(e) {
+            deferred_to[lx.idx()] = Some(at_in_t1[ux.idx()]);
         }
+    }
+    let t2_idx = topo_sort_by_key(r2.edge_graph(), |v| match deferred_to[v] {
+        Some(at) => (1usize, at, v),
+        None => (0, 0, v),
     })
     .expect("acyclic");
     let t2_order: Vec<StepId> = t2_idx.iter().map(|&v| StepId::from_idx(v)).collect();
 
-    let schedule = schedule_from_orientation(original, a, b, &t1_order, &t2_order, x_set)
-        .ok_or(ClosureError::OrientationInfeasible)?;
+    let schedule = orientation_schedule(
+        (pair.a, pair.ta, &t1_order),
+        (pair.b, pair.tb, &t2_order),
+        pair.sections,
+        in_x,
+    )
+    .ok_or(ClosureError::OrientationInfeasible)?;
 
     Ok(UnsafetyCertificate {
-        txn_a: a,
-        txn_b: b,
+        txn_a: pair.a,
+        txn_b: pair.b,
         t1_order,
         t2_order,
         dominator: x_set.to_vec(),
@@ -258,8 +348,36 @@ pub fn try_unsafety_via_dominator(
     b: TxnId,
     dominator: &[EntityId],
 ) -> Option<UnsafetyCertificate> {
-    let closure = close_wrt_dominator(sys, a, b, dominator).ok()?;
-    let cert = certificate_from_closure(sys, &closure).ok()?;
+    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    // A certificate names only vertices of D in its dominator, or fails
+    // verification.
+    if dominator.iter().any(|&e| d.vertex_of(e).is_none()) {
+        return None;
+    }
+    let in_x = membership(&d.entities, dominator);
+    unsafety_via_dominator(sys, &d, &sections, dominator, &in_x)
+}
+
+/// [`try_unsafety_via_dominator`] over a `D(Ta, Tb)` the caller already
+/// built: `dominator` lists vertices of `d` and `in_x` marks the same ones.
+/// The closure borrows the system's transactions and copies one only when
+/// it adds a precedence to it; the certificate is checked against `sys`.
+pub(crate) fn unsafety_via_dominator(
+    sys: &TxnSystem,
+    d: &ConflictDigraph,
+    sections: &[Sections],
+    dominator: &[EntityId],
+    in_x: &[bool],
+) -> Option<UnsafetyCertificate> {
+    let pair = Pair {
+        a: d.txn_a,
+        b: d.txn_b,
+        ta: sys.txn(d.txn_a),
+        tb: sys.txn(d.txn_b),
+        sections,
+    };
+    let closed = close_pair(pair.ta, pair.tb, d, sections, in_x).ok()?;
+    let cert = extract_certificate(&pair, &closed.r1, &closed.r2, dominator, in_x).ok()?;
     cert.verify(sys).ok()?;
     Some(cert)
 }

@@ -11,8 +11,8 @@
 //! (`Lx ≺ Ux` in both) and never affect strong connectivity or dominators,
 //! so we omit them.
 
-use kplock_graph::{is_strongly_connected, DiGraph};
-use kplock_model::{EntityId, Transaction, TxnId, TxnSystem};
+use kplock_graph::{is_strongly_connected, BitSet, DiGraph};
+use kplock_model::{EntityId, StepId, Transaction, TxnId, TxnSystem};
 
 /// `D(T1, T2)` with its entity labelling.
 #[derive(Clone, Debug)]
@@ -27,17 +27,63 @@ pub struct ConflictDigraph {
     pub graph: DiGraph,
 }
 
+/// The four steps that bound one vertex's lock sections: `Lx` and `Ux` in
+/// `Ta`, then in `Tb`. A closure only adds precedences, so these are the
+/// steps of the strengthened pair too.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Sections {
+    pub(crate) lock_a: StepId,
+    pub(crate) unlock_a: StepId,
+    pub(crate) lock_b: StepId,
+    pub(crate) unlock_b: StepId,
+}
+
+impl Sections {
+    /// The sections of entities both transactions lock, in the given order.
+    pub(crate) fn of(ta: &Transaction, tb: &Transaction, shared: &[EntityId]) -> Vec<Self> {
+        shared
+            .iter()
+            .map(|&e| Sections {
+                lock_a: ta.lock_step(e).expect("shared entity locked in Ta"),
+                unlock_a: ta.unlock_step(e).expect("shared entity unlocked in Ta"),
+                lock_b: tb.lock_step(e).expect("shared entity locked in Tb"),
+                unlock_b: tb.unlock_step(e).expect("shared entity unlocked in Tb"),
+            })
+            .collect()
+    }
+}
+
 impl ConflictDigraph {
     /// Builds `D(Ta, Tb)` for two transactions of a system.
     pub fn build(sys: &TxnSystem, a: TxnId, b: TxnId) -> Self {
+        Self::build_with_sections(sys, a, b).0
+    }
+
+    /// Builds `D(Ta, Tb)` and returns beside it each vertex's
+    /// [`Sections`], which the closure and the certificate read.
+    pub(crate) fn build_with_sections(
+        sys: &TxnSystem,
+        a: TxnId,
+        b: TxnId,
+    ) -> (Self, Vec<Sections>) {
+        let (ta, tb) = (sys.txn(a), sys.txn(b));
         let entities = sys.shared_locked_entities(a, b);
-        let graph = build_arcs(sys.txn(a), sys.txn(b), &entities);
-        ConflictDigraph {
+        let sections = Sections::of(ta, tb, &entities);
+        let d = ConflictDigraph {
             txn_a: a,
             txn_b: b,
             entities,
-            graph,
-        }
+            graph: arcs(ta, tb, &sections),
+        };
+        (d, sections)
+    }
+
+    /// A dominator given as vertex bits, as its entities (ascending) and
+    /// as vertex membership.
+    pub(crate) fn resolve_dominator(&self, bits: &BitSet) -> (Vec<EntityId>, Vec<bool>) {
+        let entities = bits.iter().map(|i| self.entities[i]).collect();
+        let in_x = (0..self.entities.len()).map(|i| bits.contains(i)).collect();
+        (entities, in_x)
     }
 
     /// Index of an entity among the vertices.
@@ -59,24 +105,21 @@ impl ConflictDigraph {
     }
 }
 
-fn build_arcs(ta: &Transaction, tb: &Transaction, entities: &[EntityId]) -> DiGraph {
-    let n = entities.len();
-    let mut g = DiGraph::new(n);
-    for (i, &x) in entities.iter().enumerate() {
-        let lx_a = ta.lock_step(x).expect("shared entity locked in Ta");
-        let ux_b = tb.unlock_step(x).expect("shared entity unlocked in Tb");
-        for (j, &y) in entities.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let uy_a = ta.unlock_step(y).expect("locked in Ta");
-            let ly_b = tb.lock_step(y).expect("locked in Tb");
-            if ta.precedes(lx_a, uy_a) && tb.precedes(ly_b, ux_b) {
-                g.add_edge(i, j);
+/// The arcs of `D(ta, tb)` over vertices with the given sections, laid
+/// out row by row: `O(k²)` precedence queries, each one bit of a closure.
+pub(crate) fn arcs(ta: &Transaction, tb: &Transaction, sections: &[Sections]) -> DiGraph {
+    let mut offsets = Vec::with_capacity(sections.len() + 1);
+    let mut targets = Vec::new();
+    offsets.push(0);
+    for (i, x) in sections.iter().enumerate() {
+        for (j, y) in sections.iter().enumerate() {
+            if i != j && ta.precedes(x.lock_a, y.unlock_a) && tb.precedes(y.lock_b, x.unlock_b) {
+                targets.push(j);
             }
         }
+        offsets.push(targets.len());
     }
-    g
+    DiGraph::from_successor_rows(&offsets, targets)
 }
 
 #[cfg(test)]

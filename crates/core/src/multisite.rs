@@ -13,11 +13,11 @@
 //! connected, every closure attempt fails, and yet the system is safe.
 
 use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
-use crate::closure::try_unsafety_via_dominator;
-use crate::conflict_graph::ConflictDigraph;
+use crate::closure::unsafety_via_dominator;
+use crate::conflict_graph::{ConflictDigraph, Sections};
 use crate::oracle::{decide_exhaustive, OracleOptions, OracleOutcome};
 use kplock_graph::enumerate_dominators;
-use kplock_model::{EntityId, Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
+use kplock_model::{Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
 
 /// Options for the multisite procedure.
 #[derive(Clone, Debug)]
@@ -44,18 +44,33 @@ pub fn decide_multisite(
     b: TxnId,
     opts: &MultisiteOptions,
 ) -> SafetyVerdict {
-    let d = ConflictDigraph::build(sys, a, b);
+    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    let strongly_connected = d.is_strongly_connected();
+    decide_with(sys, &d, &sections, strongly_connected, opts)
+}
+
+/// [`decide_multisite`] over a `D(Ta, Tb)` the caller built, with its
+/// strong connectivity already answered. Every dominator attempt closes
+/// over this one `D`.
+pub(crate) fn decide_with(
+    sys: &TxnSystem,
+    d: &ConflictDigraph,
+    sections: &[Sections],
+    strongly_connected: bool,
+    opts: &MultisiteOptions,
+) -> SafetyVerdict {
+    let (a, b) = (d.txn_a, d.txn_b);
     if d.entities.len() < 2 {
         return SafetyVerdict::Safe(SafeProof::TrivialOverlap);
     }
-    if d.is_strongly_connected() {
+    if strongly_connected {
         return SafetyVerdict::Safe(SafeProof::StronglyConnected);
     }
 
     let (dominators, dominators_exhaustive) = enumerate_dominators(&d.graph, opts.dominator_cap);
     for dom_bits in &dominators {
-        let dom: Vec<EntityId> = dom_bits.iter().map(|i| d.entities[i]).collect();
-        if let Some(cert) = try_unsafety_via_dominator(sys, a, b, &dom) {
+        let (dom, in_x) = d.resolve_dominator(dom_bits);
+        if let Some(cert) = unsafety_via_dominator(sys, d, sections, &dom, &in_x) {
             return SafetyVerdict::Unsafe(Box::new(cert));
         }
     }
@@ -141,7 +156,8 @@ pub fn certificate_from_witness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kplock_model::{Database, TxnBuilder};
+    use crate::closure::try_unsafety_via_dominator;
+    use kplock_model::{Database, EntityId, TxnBuilder};
 
     /// The Fig. 5 construction (semantically): four sites, entities
     /// x1, x2, y1, y2, one per site. D(T1,T2) = {x1 ↔ x2, y1 ↔ y2, x1 → y1};

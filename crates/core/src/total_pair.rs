@@ -8,9 +8,10 @@
 //! running `t1`'s lock sections first on `X` and `t2`'s first elsewhere.
 
 use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
-use crate::conflict_graph::ConflictDigraph;
-use kplock_graph::{find_dominator, topo_sort_by_key, DiGraph};
-use kplock_model::{EntityId, Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
+use crate::closure::membership;
+use crate::conflict_graph::{ConflictDigraph, Sections};
+use kplock_graph::find_dominator;
+use kplock_model::{EntityId, Schedule, ScheduledStep, StepId, Transaction, TxnId, TxnSystem};
 
 /// Builds a legal complete schedule of `{Ta, Tb}` in which, for every shared
 /// locked entity, the lock section of `Ta` comes first iff the entity is in
@@ -26,49 +27,71 @@ pub fn schedule_from_orientation(
     t2_order: &[StepId],
     x_first: &[EntityId],
 ) -> Option<Schedule> {
-    let ta = sys.txn(a);
-    let tb = sys.txn(b);
+    let (ta, tb) = (sys.txn(a), sys.txn(b));
+    let shared = sys.shared_locked_entities(a, b);
+    orientation_schedule(
+        (a, ta, t1_order),
+        (b, tb, t2_order),
+        &Sections::of(ta, tb, &shared),
+        &membership(&shared, x_first),
+    )
+}
+
+/// [`schedule_from_orientation`] over the pair's shared entities as
+/// `sections`, `Ta`'s section first on vertex `i` iff `in_x[i]`. Each side
+/// is a transaction with its id and a linear extension of it.
+pub(crate) fn orientation_schedule(
+    (a, ta, t1_order): (TxnId, &Transaction, &[StepId]),
+    (b, tb, t2_order): (TxnId, &Transaction, &[StepId]),
+    sections: &[Sections],
+    in_x: &[bool],
+) -> Option<Schedule> {
     let (m1, m2) = (t1_order.len(), t2_order.len());
     debug_assert_eq!(m1, ta.len());
     debug_assert_eq!(m2, tb.len());
 
-    // Combined graph: nodes 0..m1 = positions of t1, m1..m1+m2 = positions
-    // of t2 (using *positions* in the total orders, so the chains are just
-    // consecutive edges).
-    let mut g = DiGraph::new(m1 + m2);
-    for i in 0..m1.saturating_sub(1) {
-        g.add_edge(i, i + 1);
+    // The combined precedence graph has nodes 0..m1 for the positions of
+    // t1 and m1..m1+m2 for those of t2: two chains, plus one cross arc per
+    // shared entity into its lock step in one of them. So a node has at
+    // most one cross predecessor, `before[v]`, and the smallest-index-first
+    // topological sort is a merge: the next node of t1 whenever its cross
+    // predecessor has run, else the next node of t2 on the same terms, and
+    // no legal schedule when neither may run.
+    let (mut pos1, mut pos2) = (vec![0; m1], vec![0; m2]);
+    for (at, s) in t1_order.iter().enumerate() {
+        pos1[s.idx()] = at;
     }
-    for j in 0..m2.saturating_sub(1) {
-        g.add_edge(m1 + j, m1 + j + 1);
+    for (at, s) in t2_order.iter().enumerate() {
+        pos2[s.idx()] = at;
     }
-    let pos1 = |s: StepId| t1_order.iter().position(|&t| t == s).expect("in order");
-    let pos2 = |s: StepId| t2_order.iter().position(|&t| t == s).expect("in order");
-
-    for e in sys.shared_locked_entities(a, b) {
-        let (la, ua) = (ta.lock_step(e).unwrap(), ta.unlock_step(e).unwrap());
-        let (lb, ub) = (tb.lock_step(e).unwrap(), tb.unlock_step(e).unwrap());
-        if x_first.contains(&e) {
+    let mut before = vec![None; m1 + m2];
+    for (s, &first) in sections.iter().zip(in_x) {
+        if first {
             // Ta's section before Tb's: Ua before Lb.
-            g.add_edge(pos1(ua), m1 + pos2(lb));
+            before[m1 + pos2[s.lock_b.idx()]] = Some(pos1[s.unlock_a.idx()]);
         } else {
-            g.add_edge(m1 + pos2(ub), pos1(la));
+            before[pos1[s.lock_a.idx()]] = Some(m1 + pos2[s.unlock_b.idx()]);
         }
     }
 
-    let order = topo_sort_by_key(&g, |v| v)?;
+    let (mut i, mut j) = (0, 0);
+    let ran = |v: usize, i: usize, j: usize| if v < m1 { v < i } else { v - m1 < j };
     let mut steps = Vec::with_capacity(m1 + m2);
-    for v in order {
-        if v < m1 {
+    while i < m1 || j < m2 {
+        if i < m1 && before[i].is_none_or(|v| ran(v, i, j)) {
             steps.push(ScheduledStep {
                 txn: a,
-                step: t1_order[v],
+                step: t1_order[i],
             });
-        } else {
+            i += 1;
+        } else if j < m2 && before[m1 + j].is_none_or(|v| ran(v, i, j)) {
             steps.push(ScheduledStep {
                 txn: b,
-                step: t2_order[v - m1],
+                step: t2_order[j],
             });
+            j += 1;
+        } else {
+            return None;
         }
     }
     Some(Schedule::new(steps))
@@ -91,7 +114,7 @@ pub fn decide_total_pair(sys: &TxnSystem, a: TxnId, b: TxnId) -> SafetyVerdict {
         .total_order()
         .expect("decide_total_pair requires total orders");
 
-    let d = ConflictDigraph::build(sys, a, b);
+    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
     if d.entities.len() < 2 {
         return SafetyVerdict::Safe(SafeProof::TrivialOverlap);
     }
@@ -103,9 +126,14 @@ pub fn decide_total_pair(sys: &TxnSystem, a: TxnId, b: TxnId) -> SafetyVerdict {
     // {t1,t2} is closed with respect to *any* dominator, so the source-SCC
     // dominator always yields a feasible orientation.
     let dom = find_dominator(&d.graph).expect("not strongly connected");
-    let x_first: Vec<EntityId> = dom.iter().map(|i| d.entities[i]).collect();
-    let schedule = schedule_from_orientation(sys, a, b, &t1_order, &t2_order, &x_first)
-        .expect("total orders are closed w.r.t. any dominator (paper, Section 4)");
+    let (x_first, in_x) = d.resolve_dominator(&dom);
+    let schedule = orientation_schedule(
+        (a, sys.txn(a), &t1_order),
+        (b, sys.txn(b), &t2_order),
+        &sections,
+        &in_x,
+    )
+    .expect("total orders are closed w.r.t. any dominator (paper, Section 4)");
 
     SafetyVerdict::Unsafe(Box::new(UnsafetyCertificate {
         txn_a: a,

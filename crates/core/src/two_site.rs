@@ -7,12 +7,21 @@
 //! the paper's O(n²) bound. When unsafe, the dominator-closure pipeline
 //! produces an explicit non-serializable schedule, and the certificate is
 //! verified before being returned.
+//!
+//! One decision builds `D` once: its arcs are laid out directly as
+//! compressed rows, after one lookup of each shared entity's four lock and
+//! unlock steps. The same `D` answers the SCC question, yields the
+//! dominator and serves the closure's first round; [`crate::analyze_pair`]
+//! lends the `D` and the SCC answer it reports. The closure copies a
+//! transaction only when it adds a precedence to it, and the certificate
+//! is verified against the system as it stands when the system is the
+//! pair itself.
 
 use crate::certificate::{SafeProof, SafetyVerdict};
-use crate::closure::try_unsafety_via_dominator;
-use crate::conflict_graph::ConflictDigraph;
+use crate::closure::unsafety_via_dominator;
+use crate::conflict_graph::{ConflictDigraph, Sections};
 use kplock_graph::find_dominator;
-use kplock_model::{EntityId, TxnId, TxnSystem};
+use kplock_model::{TxnId, TxnSystem};
 
 /// Errors from the two-site decision procedure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,20 +49,32 @@ pub fn decide_two_site(sys: &TxnSystem, a: TxnId, b: TxnId) -> Result<SafetyVerd
     if m > 2 {
         return Err(TwoSiteError::TooManySites(m));
     }
-    let d = ConflictDigraph::build(sys, a, b);
+    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    let strongly_connected = d.is_strongly_connected();
+    Ok(decide_with(sys, &d, &sections, strongly_connected))
+}
+
+/// Theorem 2 over a `D(Ta, Tb)` the caller built, with its strong
+/// connectivity already answered, for a (≤2)-site database.
+pub(crate) fn decide_with(
+    sys: &TxnSystem,
+    d: &ConflictDigraph,
+    sections: &[Sections],
+    strongly_connected: bool,
+) -> SafetyVerdict {
     if d.entities.len() < 2 {
-        return Ok(SafetyVerdict::Safe(SafeProof::TrivialOverlap));
+        return SafetyVerdict::Safe(SafeProof::TrivialOverlap);
     }
-    if d.is_strongly_connected() {
-        return Ok(SafetyVerdict::Safe(SafeProof::StronglyConnected));
+    if strongly_connected {
+        return SafetyVerdict::Safe(SafeProof::StronglyConnected);
     }
     let dom_bits = find_dominator(&d.graph).expect("not strongly connected");
-    let dominator: Vec<EntityId> = dom_bits.iter().map(|i| d.entities[i]).collect();
-    let cert = try_unsafety_via_dominator(sys, a, b, &dominator).expect(
+    let (dominator, in_x) = d.resolve_dominator(&dom_bits);
+    let cert = unsafety_via_dominator(sys, d, sections, &dominator, &in_x).expect(
         "internal error: Theorem 2 guarantees the closure certificate for two sites \
          (Lemmas 2 and 3)",
     );
-    Ok(SafetyVerdict::Unsafe(Box::new(cert)))
+    SafetyVerdict::Unsafe(Box::new(cert))
 }
 
 /// Convenience wrapper for a two-transaction system.

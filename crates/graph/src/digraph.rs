@@ -10,7 +10,8 @@
 /// edge in place, the row at the end of the pool grows in place, and any
 /// other full row moves to the end with twice its capacity, leaving a
 /// hole behind. [`DiGraph::shrink_to_fit`] rewrites both pools without
-/// holes, rows side by side in node order: the compressed-row layout.
+/// holes, rows side by side in node order: the compressed-row layout,
+/// which [`DiGraph::from_successor_rows`] builds directly.
 #[derive(Clone, Debug, Default)]
 pub struct DiGraph {
     succ: Rows,
@@ -149,6 +150,74 @@ impl DiGraph {
         (0..self.node_count()).flat_map(move |u| self.successors(u).iter().map(move |&v| (u, v)))
     }
 
+    /// Builds a graph from successor lists laid out as compressed rows:
+    /// node `u`'s successors are `targets[offsets[u]..offsets[u + 1]]`,
+    /// so `offsets` has one entry more than the graph has nodes, starts at
+    /// 0 and ends at `targets.len()`. The result is the graph
+    /// [`DiGraph::add_edge`] builds when called for every row in node
+    /// order and every target in row order — the same successor and
+    /// predecessor lists in the same order — but with no membership scan
+    /// per edge, and already compact (as after [`DiGraph::shrink_to_fit`]).
+    ///
+    /// # Panics
+    /// Panics if `offsets` is not such a sequence, a target is not a node,
+    /// or a row names a target twice.
+    pub fn from_successor_rows(offsets: &[usize], targets: Vec<usize>) -> Self {
+        let n = offsets
+            .len()
+            .checked_sub(1)
+            .expect("offsets has n + 1 entries");
+        assert!(
+            offsets[0] == 0 && offsets[n] == targets.len(),
+            "offsets run from 0 to the number of targets"
+        );
+        let mut succ = Rows::new(n);
+        let mut in_degree = vec![0usize; n];
+        for (u, row) in succ.rows.iter_mut().enumerate() {
+            let (start, end) = (offsets[u], offsets[u + 1]);
+            assert!(start <= end, "offsets never decrease");
+            *row = Row {
+                start: offset(start),
+                len: offset(end - start),
+                cap: offset(end - start),
+            };
+            for &v in &targets[start..end] {
+                in_degree[v] += 1;
+            }
+        }
+        let mut pred = Rows::new(n);
+        let mut at = 0;
+        for (row, &len) in pred.rows.iter_mut().zip(&in_degree) {
+            *row = Row {
+                start: offset(at),
+                len: 0,
+                cap: offset(len),
+            };
+            at += len;
+        }
+        pred.pool = vec![0; targets.len()];
+        // Rows fill in ascending source order, so a repeated target in row
+        // `u` would find `u` already at the end of its predecessor row.
+        for u in 0..n {
+            for &v in &targets[offsets[u]..offsets[u + 1]] {
+                let row = &mut pred.rows[v];
+                let end = (row.start + row.len) as usize;
+                assert!(
+                    row.len == 0 || pred.pool[end - 1] != u,
+                    "edge {u} -> {v} given twice"
+                );
+                pred.pool[end] = u;
+                row.len += 1;
+            }
+        }
+        succ.pool = targets;
+        DiGraph {
+            edge_count: succ.pool.len(),
+            succ,
+            pred,
+        }
+    }
+
     /// Builds a graph from an edge list.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
         let mut g = DiGraph::new(n);
@@ -241,8 +310,78 @@ mod tests {
         assert_eq!(empty.node_count(), 5);
     }
 
+    /// Successor rows without repeats, as `(offsets, targets)`: up to 24
+    /// nodes, rows empty to full, self-loops included.
+    fn random_rows(rng: &mut StdRng) -> (Vec<usize>, Vec<usize>) {
+        let n = rng.gen_range(0..=24usize);
+        let (mut offsets, mut targets) = (vec![0], Vec::new());
+        for u in 0..n {
+            let mut row: Vec<usize> = (0..n).filter(|_| rng.gen_range(0..4u32) == 0).collect();
+            if rng.gen_bool(0.2) {
+                row = (0..n).collect();
+            }
+            if rng.gen_bool(0.5) && !row.contains(&u) {
+                row.push(u);
+            }
+            for i in (1..row.len()).rev() {
+                row.swap(i, rng.gen_range(0..=i));
+            }
+            targets.extend(row);
+            offsets.push(targets.len());
+        }
+        (offsets, targets)
+    }
+
+    #[test]
+    #[should_panic(expected = "given twice")]
+    fn successor_rows_reject_a_repeated_edge() {
+        DiGraph::from_successor_rows(&[0, 2, 2], vec![1, 1]);
+    }
+
+    #[test]
+    fn successor_rows_of_no_nodes() {
+        let g = DiGraph::from_successor_rows(&[0], Vec::new());
+        assert_eq!((g.node_count(), g.edge_count()), (0, 0));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `from_successor_rows` against `add_edge` one edge at a time, row
+        /// by row: the same lists in the same order, the same edge count
+        /// and membership answers, compact pools — and `add_edge` still
+        /// works on the result, on the full rows it starts with.
+        #[test]
+        fn successor_rows_build_what_add_edge_builds(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (offsets, targets) = random_rows(&mut rng);
+            let n = offsets.len() - 1;
+            let mut want = DiGraph::new(n);
+            for u in 0..n {
+                for &v in &targets[offsets[u]..offsets[u + 1]] {
+                    prop_assert!(want.add_edge(u, v));
+                }
+            }
+            let mut got = DiGraph::from_successor_rows(&offsets, targets);
+            assert_compact(&got);
+            for round in 0..2 {
+                prop_assert_eq!(got.node_count(), n);
+                prop_assert_eq!(got.edge_count(), want.edge_count());
+                for u in 0..n {
+                    prop_assert_eq!(got.successors(u), want.successors(u));
+                    prop_assert_eq!(got.predecessors(u), want.predecessors(u));
+                    for v in 0..n {
+                        prop_assert_eq!(got.has_edge(u, v), want.has_edge(u, v));
+                    }
+                }
+                if round == 0 && n > 0 {
+                    for _ in 0..rng.gen_range(0..=2 * n) {
+                        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                        prop_assert_eq!(got.add_edge(u, v), want.add_edge(u, v));
+                    }
+                }
+            }
+        }
 
         /// The graph against the obvious model, a set of pairs plus
         /// insertion-ordered lists, on multigraph edge lists with

@@ -59,11 +59,14 @@ impl TxnSystem {
     }
 
     /// Entities locked by **both** of two transactions — the vertex set of
-    /// the paper's conflict digraph `D(Ti, Tj)`.
+    /// the paper's conflict digraph `D(Ti, Tj)` — in ascending id order:
+    /// `a`'s locked entities, each kept after one lookup in `b`'s lock
+    /// index.
     pub fn shared_locked_entities(&self, a: TxnId, b: TxnId) -> Vec<EntityId> {
-        let la = self.txn(a).locked_entities();
-        let lb = self.txn(b).locked_entities();
-        la.into_iter().filter(|e| lb.contains(e)).collect()
+        let tb = self.txn(b);
+        let mut shared = self.txn(a).locked_entities();
+        shared.retain(|&e| tb.lock_step(e).is_some());
+        shared
     }
 
     /// Total number of steps across the system (the paper's `n`).

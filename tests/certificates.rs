@@ -4,7 +4,9 @@
 //! verdict is re-checked; these tests establish that the checker actually
 //! rejects each way a certificate can be wrong.
 
-use kplock::core::{decide_two_site_system, CertificateError, UnsafetyCertificate};
+use kplock::core::{
+    decide_two_site, decide_two_site_system, CertificateError, UnsafetyCertificate,
+};
 use kplock::model::{Schedule, ScheduledStep, TxnId, TxnSystem};
 use kplock::workload::fig1;
 
@@ -112,4 +114,46 @@ fn duplicated_step_rejected() {
         cert.verify(&sys),
         Err(CertificateError::BadSchedule(_))
     ));
+}
+
+#[test]
+fn a_transaction_the_system_lacks_is_an_error() {
+    let (sys, mut cert) = unsafe_cert();
+    cert.txn_b = TxnId(2);
+    assert_eq!(
+        cert.verify(&sys),
+        Err(CertificateError::UnknownTxn(TxnId(2)))
+    );
+    cert.txn_a = TxnId(7);
+    assert_eq!(
+        cert.verify(&sys),
+        Err(CertificateError::UnknownTxn(TxnId(7)))
+    );
+}
+
+/// A system that is the pair is checked as it stands, any other through a
+/// copy of the pair: the same certificate passes either way.
+#[test]
+fn a_pair_inside_a_larger_system_verifies_as_the_pair_itself() {
+    let (pair, cert) = unsafe_cert();
+    let [t1, t2] = [pair.txn(TxnId(0)).clone(), pair.txn(TxnId(1)).clone()];
+    let sys = TxnSystem::new(pair.db().clone(), vec![t2, t1.clone(), t1]);
+    let rename = |t: TxnId| if t == TxnId(0) { TxnId(2) } else { TxnId(0) };
+    let embedded = decide_two_site(&sys, TxnId(2), TxnId(0)).unwrap();
+    let embedded = embedded.certificate().expect("the pair is unsafe");
+    embedded.verify(&sys).expect("verifies through the copy");
+    assert_eq!(
+        (&embedded.t1_order, &embedded.t2_order, &embedded.dominator),
+        (&cert.t1_order, &cert.t2_order, &cert.dominator)
+    );
+    let renamed: Vec<ScheduledStep> = cert
+        .schedule
+        .steps()
+        .iter()
+        .map(|ss| ScheduledStep {
+            txn: rename(ss.txn),
+            step: ss.step,
+        })
+        .collect();
+    assert_eq!(embedded.schedule.steps(), renamed.as_slice());
 }
