@@ -6,10 +6,11 @@
 //! waits for whom. Deadlocks are either *detected* — by a global scan of
 //! those tables, on a timer (default, the paper-era scheme) or after
 //! every site event that leaves a waiter behind
-//! ([`crate::config::DeadlockDetection::OnBlock`]), which asks first, in
-//! time linear in the edges and without allocating, whether any cycle
-//! exists and builds a graph only to name one that does — or by distributed
-//! Chandy–Misra–Haas probes travelling site-to-site
+//! ([`crate::config::DeadlockDetection::OnBlock`]), each iteration of
+//! which gathers the tables' edges once into one compressed-row graph,
+//! asks it whether any cycle exists (in time linear in the edges, and
+//! without allocating) and names one that does on the same rows — or by
+//! distributed Chandy–Misra–Haas probes travelling site-to-site
 //! ([`crate::config::DeadlockDetection::Probe`], see [`crate::probe`]) —
 //! and a victim aborted, or *prevented* outright
 //! ([`crate::config::DeadlockResolution::Prevent`]): the coordinator's
@@ -48,7 +49,6 @@ use crate::history::{audit, Audit, History};
 use crate::metrics::Metrics;
 use crate::probe::{self, ProbeMsg, Stamp};
 use crate::site::Site;
-use kplock_graph::DiGraph;
 use kplock_model::{EntityId, SiteId, StepId, TxnId, TxnSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -263,10 +263,8 @@ struct Engine<'a> {
     world: World<'a>,
     /// Coordinators yet to commit; zero ends the run.
     uncommitted: usize,
-    /// Scratch of [`find_wait_cycle`] and [`has_wait_cycle`]: one entry
-    /// per transaction, all [`UNSEEN`] between calls.
-    scan_slot: Vec<usize>,
-    /// The buffers of [`Engine::has_wait_cycle`].
+    /// The wait-for graph of the global detectors' scan and of the probe
+    /// audit, with its buffers.
     cycle_test: CycleTest,
     /// Events the [`SimConfig::invariant_audit`] harness has audited.
     audited: u64,
@@ -285,39 +283,342 @@ struct Engine<'a> {
 /// leaked arena node, a stale index entry).
 const FULL_SWEEP_EVERY: u64 = 4096;
 
-/// [`Engine::scan_slot`]'s mark for a transaction no live edge has named.
-pub(crate) const UNSEEN: usize = usize::MAX;
+/// [`CycleTest`]'s mark for a transaction not on the graph being gathered.
+const UNSEEN: usize = usize::MAX;
 
-/// One cycle of the transaction-level wait-for graph — the edges whose
-/// two ends are both `live` — as transaction indices, or `None`, without
-/// allocating, when no edge is live. Both global detectors and
-/// [`crate::replay::replay_deadlock`] ask this of the site tables' edges;
-/// the detectors only once [`has_wait_cycle`] has said there is one, so
-/// this builds a graph only to name the cycle it returns.
+/// How [`CycleTest::find_cycle`] orders each waiter's row of arcs, which
+/// decides the cycle its search meets first. Each detector keeps the
+/// order its fixed-seed pins were recorded under: the order its edge list
+/// gave a node-per-transaction `DiGraph`, first occurrence kept.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RowOrder {
+    /// By site, then by holder [`TxnId`]: each site's edges sorted in
+    /// turn ([`kplock_dlm::QueueTable::waits_for`]), the order Periodic
+    /// and [`crate::replay::replay_deadlock`] gather in.
+    BySite,
+    /// By holder [`TxnId`] alone: every site's edges sorted together and
+    /// deduplicated, the order OnBlock's old per-entity mirror returned.
+    ByHolder,
+}
+
+/// One wait-for graph over the transactions that wait or are waited for,
+/// gathered site by site and kept as compressed rows, with the buffers
+/// that answer both of a scan's questions from it: whether it has a
+/// cycle ([`CycleTest::has_cycle`]) and, on a yes, which one
+/// ([`CycleTest::find_cycle`]). Kept across calls so that a warm call
+/// allocates nothing; what the buffers hold between gathers means
+/// nothing.
 ///
-/// The graph is built over the transactions that wait or are waited for,
-/// not over all of them: they are numbered in ascending [`TxnId`] and the
-/// edges added in the order received, so `find_cycle` tries the same
-/// roots and successors in the same order, and returns the same cycle, as
-/// on a graph with a node per transaction. `slot` maps a transaction to
-/// its node; it must be all [`UNSEEN`] on entry and is again on return.
+/// A gather is [`CycleTest::clear`], then [`CycleTest::arc`] for each
+/// live edge and [`CycleTest::end_site`] after each site's, then
+/// [`CycleTest::has_cycle`], which lays the rows out and must come before
+/// either finder.
+#[derive(Default)]
+pub(crate) struct CycleTest {
+    /// One entry per transaction: its node while a graph is gathered, a
+    /// mark while [`CycleTest::newest_on_cycle`] runs, [`UNSEEN`]
+    /// otherwise.
+    slot: Vec<usize>,
+    /// The transaction of each node, nodes numbered in order of
+    /// appearance.
+    txns: Vec<usize>,
+    /// The live edges as node pairs, in gather order.
+    arcs: Vec<(u32, u32)>,
+    /// Where each site's arcs end in `arcs`: a site-boundary index.
+    site_ends: Vec<u32>,
+    /// The graph in compressed rows: node `v`'s successors are
+    /// `targets[offsets[v]..offsets[v + 1]]`, in no particular order.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    /// Per node, its predecessors not yet peeled off; and the nodes with
+    /// none left, waiting to be peeled (the reachability stack of
+    /// [`CycleTest::on_cycle`], and the DFS roots of
+    /// [`CycleTest::find_cycle`]).
+    indegree: Vec<u32>,
+    ready: Vec<u32>,
+    /// [`CycleTest::find_cycle`]'s rows: the same spans of `offsets`,
+    /// each entry a target node with its [`RowOrder`] key, filled in
+    /// gather order through `cursor` and then sorted.
+    keyed: Vec<(u64, u32)>,
+    cursor: Vec<u32>,
+    /// The depth-first search: colour and tree parent per node, and the
+    /// stack of (node, next entry in its row); the colours are
+    /// [`CycleTest::on_cycle`]'s seen marks too.
+    colour: Vec<u8>,
+    parent: Vec<u32>,
+    frames: Vec<(u32, u32)>,
+    /// The cycle [`CycleTest::find_cycle`] named, as transaction indices.
+    cycle: Vec<usize>,
+}
+
+const WHITE: u8 = 0;
+const GRAY: u8 = 1;
+const BLACK: u8 = 2;
+
+impl CycleTest {
+    /// Buffers for graphs over `txn_count` transactions.
+    pub(crate) fn new(txn_count: usize) -> Self {
+        CycleTest {
+            slot: vec![UNSEEN; txn_count],
+            ..CycleTest::default()
+        }
+    }
+
+    /// Starts a gather.
+    pub(crate) fn clear(&mut self) {
+        self.txns.clear();
+        self.arcs.clear();
+        self.site_ends.clear();
+    }
+
+    /// Adds the arc from waiter `w` to holder `h` (transaction indices,
+    /// both ends live), numbering each transaction the first time one
+    /// names it.
+    #[inline]
+    pub(crate) fn arc(&mut self, w: usize, h: usize) {
+        let mut node = |t: usize| {
+            if self.slot[t] == UNSEEN {
+                self.slot[t] = self.txns.len();
+                self.txns.push(t);
+            }
+            self.slot[t] as u32
+        };
+        let arc = (node(w), node(h));
+        self.arcs.push(arc);
+    }
+
+    /// Ends the current site's arcs.
+    pub(crate) fn end_site(&mut self) {
+        self.site_ends.push(self.arcs.len() as u32);
+    }
+
+    /// Whether the gathered graph has a cycle, in time linear in its arcs
+    /// and, once warm, with no allocation and no sort. Lays the arcs out
+    /// as compressed rows, then peels off every node no cycle passes
+    /// through (Kahn's algorithm: a node whose predecessors are all gone
+    /// goes next); a cycle exists exactly when a node is left. Ends the
+    /// gather: `slot` is all [`UNSEEN`] again.
+    pub(crate) fn has_cycle(&mut self) -> bool {
+        let CycleTest {
+            slot,
+            txns,
+            arcs,
+            offsets,
+            targets,
+            indegree,
+            ready,
+            ..
+        } = self;
+        for &t in txns.iter() {
+            slot[t] = UNSEEN;
+        }
+        if arcs.is_empty() {
+            return false;
+        }
+        let n = txns.len();
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        indegree.clear();
+        indegree.resize(n, 0);
+        for &(w, h) in arcs.iter() {
+            offsets[w as usize] += 1;
+            indegree[h as usize] += 1;
+        }
+        // Each offset becomes the end of its node's row; placing the row's
+        // targets steps it back to the row's start.
+        let mut end = 0;
+        for offset in offsets.iter_mut() {
+            end += *offset;
+            *offset = end;
+        }
+        targets.clear();
+        targets.resize(arcs.len(), 0);
+        for &(w, h) in arcs.iter() {
+            let at = &mut offsets[w as usize];
+            *at -= 1;
+            targets[*at as usize] = h;
+        }
+        ready.clear();
+        ready.extend((0..n as u32).filter(|&v| indegree[v as usize] == 0));
+        let mut peeled = 0;
+        while let Some(v) = ready.pop() {
+            peeled += 1;
+            for &w in &targets[span(offsets, v)] {
+                let left = &mut indegree[w as usize];
+                *left -= 1;
+                if *left == 0 {
+                    ready.push(w);
+                }
+            }
+        }
+        peeled < n
+    }
+
+    /// The cycle a depth-first search names on the gathered graph, as
+    /// transaction indices, empty when there is none: the cycle
+    /// `kplock_graph::find_cycle` returns on a graph with a node per
+    /// transaction and the edges added, first occurrence kept, in the
+    /// order `order` names — the detectors' old ordered edge lists. Roots
+    /// go in ascending [`TxnId`] and each row in `order`; a repeated arc
+    /// needs no dedup, as the search finds its target black the second
+    /// time. After a [`CycleTest::has_cycle`].
+    pub(crate) fn find_cycle(&mut self, order: RowOrder) -> &[usize] {
+        let CycleTest {
+            txns,
+            arcs,
+            site_ends,
+            offsets,
+            ready: roots,
+            keyed,
+            cursor,
+            colour,
+            parent,
+            frames,
+            cycle,
+            ..
+        } = self;
+        cycle.clear();
+        let n = txns.len();
+        cursor.clear();
+        cursor.extend_from_slice(&offsets[..n]);
+        keyed.clear();
+        keyed.resize(arcs.len(), (0, 0));
+        let mut site = 0;
+        for (i, &(w, h)) in arcs.iter().enumerate() {
+            while site_ends[site] as usize <= i {
+                site += 1;
+            }
+            let holder = txns[h as usize] as u64;
+            let key = match order {
+                RowOrder::BySite => ((site as u64) << 32) | holder,
+                RowOrder::ByHolder => holder,
+            };
+            let at = &mut cursor[w as usize];
+            keyed[*at as usize] = (key, h);
+            *at += 1;
+        }
+        for v in 0..n as u32 {
+            // Equal keys name one node, so the sort need not be stable.
+            keyed[span(offsets, v)].sort_unstable();
+        }
+        roots.clear();
+        roots.extend(0..n as u32);
+        roots.sort_unstable_by_key(|&v| txns[v as usize]);
+        colour.clear();
+        colour.resize(n, WHITE);
+        parent.resize(n, 0);
+        for &root in roots.iter() {
+            if colour[root as usize] != WHITE {
+                continue;
+            }
+            colour[root as usize] = GRAY;
+            frames.push((root, offsets[root as usize]));
+            while let Some(&mut (v, ref mut at)) = frames.last_mut() {
+                if *at == offsets[v as usize + 1] {
+                    colour[v as usize] = BLACK;
+                    frames.pop();
+                    continue;
+                }
+                let w = keyed[*at as usize].1;
+                *at += 1;
+                match colour[w as usize] {
+                    WHITE => {
+                        colour[w as usize] = GRAY;
+                        parent[w as usize] = v;
+                        frames.push((w, offsets[w as usize]));
+                    }
+                    GRAY => {
+                        // A back arc v → w: the cycle is w … v.
+                        let mut cur = v;
+                        cycle.push(txns[cur as usize]);
+                        while cur != w {
+                            cur = parent[cur as usize];
+                            cycle.push(txns[cur as usize]);
+                        }
+                        cycle.reverse();
+                        frames.clear();
+                        return cycle;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        cycle
+    }
+
+    /// Whether transaction `txn` is on a cycle of the gathered graph: it
+    /// reaches itself. The tables give no arc from a transaction to
+    /// itself, so this is membership of a strongly connected component
+    /// with more than one node. After a [`CycleTest::has_cycle`].
+    pub(crate) fn on_cycle(&mut self, txn: usize) -> bool {
+        let CycleTest {
+            txns,
+            offsets,
+            targets,
+            ready: stack,
+            colour: seen,
+            ..
+        } = self;
+        let Some(v) = txns.iter().position(|&t| t == txn) else {
+            return false;
+        };
+        seen.clear();
+        seen.resize(txns.len(), 0);
+        stack.clear();
+        stack.push(v as u32);
+        while let Some(u) = stack.pop() {
+            for &w in &targets[span(offsets, u)] {
+                if w as usize == v {
+                    return true;
+                }
+                if seen[w as usize] == 0 {
+                    seen[w as usize] = 1;
+                    stack.push(w);
+                }
+            }
+        }
+        false
+    }
+
+    /// The latest `since` among `records` whose transaction is on the
+    /// cycle [`CycleTest::find_cycle`] named: its members are marked in
+    /// `slot` for the pass, so each record costs one lookup.
+    pub(crate) fn newest_on_cycle(
+        &mut self,
+        records: impl IntoIterator<Item = (usize, SimTime)>,
+    ) -> Option<SimTime> {
+        for &t in &self.cycle {
+            self.slot[t] = 0;
+        }
+        let newest = records
+            .into_iter()
+            .filter(|&(t, _)| self.slot[t] != UNSEEN)
+            .map(|(_, since)| since)
+            .max();
+        for &t in &self.cycle {
+            self.slot[t] = UNSEEN;
+        }
+        newest
+    }
+}
+
+/// Node `v`'s span of the compressed rows `offsets` index.
+fn span(offsets: &[u32], v: u32) -> std::ops::Range<usize> {
+    offsets[v as usize] as usize..offsets[v as usize + 1] as usize
+}
+
+/// The oracle the scan's finder is held to: one cycle of the
+/// transaction-level wait-for graph of `edges` whose two ends are both
+/// `live`, as transaction indices, or `None`. Numbers the transactions on
+/// a live edge in ascending [`TxnId`] through `slot` (all [`UNSEEN`] on
+/// entry and again on return), adds the edges in the order received to a
+/// `DiGraph`, first occurrence kept, and asks `kplock_graph::find_cycle`.
+#[cfg(any(test, debug_assertions))]
 pub(crate) fn find_wait_cycle(
     edges: &[(Instance, Instance)],
     live: impl Fn(Instance) -> bool,
     slot: &mut [usize],
 ) -> Option<Vec<usize>> {
-    let (nodes, g) = wait_graph(edges, live, slot)?;
-    let cycle = kplock_graph::find_cycle(&g)?;
-    Some(cycle.into_iter().map(|node| nodes[node]).collect())
-}
-
-/// [`find_wait_cycle`]'s graph: the transactions on a live edge,
-/// ascending, and the graph over their positions in that list.
-fn wait_graph(
-    edges: &[(Instance, Instance)],
-    live: impl Fn(Instance) -> bool,
-    slot: &mut [usize],
-) -> Option<(Vec<usize>, DiGraph)> {
     let live_ends =
         |&(w, h): &(Instance, Instance)| (live(w) && live(h)).then(|| [w.txn.idx(), h.txn.idx()]);
     let mut nodes: Vec<usize> = Vec::new();
@@ -334,117 +635,46 @@ fn wait_graph(
     for (node, &t) in nodes.iter().enumerate() {
         slot[t] = node;
     }
-    let mut g = DiGraph::new(nodes.len());
+    let mut g = kplock_graph::DiGraph::new(nodes.len());
     for [w, h] in edges.iter().filter_map(live_ends) {
         g.add_edge(slot[w], slot[h]);
     }
     for &t in &nodes {
         slot[t] = UNSEEN;
     }
-    Some((nodes, g))
+    let cycle = kplock_graph::find_cycle(&g)?;
+    Some(cycle.into_iter().map(|node| nodes[node]).collect())
 }
 
-/// The buffers of [`has_wait_cycle`], kept across calls so that a warm
-/// call allocates nothing; what they hold between calls means nothing.
-#[derive(Default)]
-pub(crate) struct CycleTest {
-    /// The edges [`Engine::has_wait_cycle`] gathers from the site tables.
-    edges: Vec<(Instance, Instance)>,
-    /// The live edges as node pairs, a node per transaction on one.
-    arcs: Vec<(u32, u32)>,
-    /// The transaction of each node, to put `slot` back with.
-    txns: Vec<usize>,
-    /// The graph in compressed rows: node `v`'s successors are
-    /// `targets[offsets[v]..offsets[v + 1]]`.
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    /// Per node, its predecessors not yet peeled off; and the nodes with
-    /// none left, waiting to be peeled.
-    indegree: Vec<u32>,
-    ready: Vec<u32>,
+/// The edge list a detector in `order` used to hand [`find_wait_cycle`]:
+/// each site's edges sorted in turn, all of them sorted together and
+/// deduplicated for [`RowOrder::ByHolder`].
+#[cfg(any(test, debug_assertions))]
+fn ordered_edges<'e>(
+    sites: impl IntoIterator<Item = &'e [(Instance, Instance)]>,
+    order: RowOrder,
+) -> Vec<(Instance, Instance)> {
+    let mut edges = Vec::new();
+    for site in sites {
+        let from = edges.len();
+        edges.extend_from_slice(site);
+        edges[from..].sort();
+    }
+    if order == RowOrder::ByHolder {
+        edges.sort(); // merges the sites' ascending runs
+        edges.dedup();
+    }
+    edges
 }
 
-/// Whether the wait-for graph of `edges` whose two ends are both `live`
-/// has a cycle: exactly when [`find_wait_cycle`] returns `Some`, in time
-/// linear in `edges` and, once `scratch` is warm, with no allocation and no
-/// sort. The transactions on a live edge are numbered through `slot` as
-/// they appear (`slot` must be all [`UNSEEN`] on entry, and is again on
-/// return). Then every node no cycle passes through is peeled off (Kahn's
-/// algorithm: a node whose predecessors are all gone goes next), and a
-/// cycle exists exactly when a node is left.
-pub(crate) fn has_wait_cycle(
-    edges: &[(Instance, Instance)],
-    live: impl Fn(Instance) -> bool,
-    slot: &mut [usize],
-    scratch: &mut CycleTest,
-) -> bool {
-    let CycleTest {
-        arcs,
-        txns,
-        offsets,
-        targets,
-        indegree,
-        ready,
-        ..
-    } = scratch;
-    arcs.clear();
-    txns.clear();
-    let mut node = |t: usize| {
-        if slot[t] == UNSEEN {
-            slot[t] = txns.len();
-            txns.push(t);
-        }
-        slot[t] as u32
-    };
-    for &(w, h) in edges {
-        if live(w) && live(h) {
-            arcs.push((node(w.txn.idx()), node(h.txn.idx())));
-        }
-    }
-    for &t in txns.iter() {
-        slot[t] = UNSEEN;
-    }
-    if arcs.is_empty() {
-        return false;
-    }
-    let n = txns.len();
-    offsets.clear();
-    offsets.resize(n + 1, 0);
-    indegree.clear();
-    indegree.resize(n, 0);
-    for &(w, h) in arcs.iter() {
-        offsets[w as usize] += 1;
-        indegree[h as usize] += 1;
-    }
-    // Each offset becomes the end of its node's row; placing the row's
-    // targets steps it back to the row's start.
-    let mut end = 0;
-    for offset in offsets.iter_mut() {
-        end += *offset;
-        *offset = end;
-    }
-    targets.clear();
-    targets.resize(arcs.len(), 0);
-    for &(w, h) in arcs.iter() {
-        let at = &mut offsets[w as usize];
-        *at -= 1;
-        targets[*at as usize] = h;
-    }
-    ready.clear();
-    ready.extend((0..n as u32).filter(|&v| indegree[v as usize] == 0));
-    let mut peeled = 0;
-    while let Some(v) = ready.pop() {
-        peeled += 1;
-        let row = offsets[v as usize] as usize..offsets[v as usize + 1] as usize;
-        for &w in &targets[row] {
-            let left = &mut indegree[w as usize];
-            *left -= 1;
-            if *left == 0 {
-                ready.push(w);
-            }
-        }
-    }
-    peeled < n
+/// [`find_wait_cycle`] over the site tables' live edges listed in
+/// `order`: the cycle the scan named before it kept rows of its own.
+#[cfg(any(test, debug_assertions))]
+fn oracle_cycle(sites: &[Site], coords: &[Coordinator], order: RowOrder) -> Option<Vec<usize>> {
+    let per_site: Vec<_> = sites.iter().map(|site| site.table.waits_for()).collect();
+    let edges = ordered_edges(per_site.iter().map(Vec::as_slice), order);
+    let mut slot = vec![UNSEEN; coords.len()];
+    find_wait_cycle(&edges, |i| !coords[i.txn.idx()].stale(i), &mut slot)
 }
 
 /// Runs the system to completion (or `max_time`), all transactions
@@ -508,8 +738,7 @@ fn run_observed<'a>(
         coords: arrivals.iter().enumerate().map(coordinator).collect(),
         world: World::new(sys, cfg),
         uncommitted: sys.len(),
-        scan_slot: vec![UNSEEN; sys.len()],
-        cycle_test: CycleTest::default(),
+        cycle_test: CycleTest::new(sys.len()),
         audited: 0,
         #[cfg(test)]
         marks_alone: false,
@@ -795,41 +1024,30 @@ impl Engine<'_> {
     /// read purely to *count* phantom kills in
     /// [`Metrics::phantom_probe_aborts`].
     fn audit_probe_abort(&mut self, victim: Instance) {
-        let edges = self.wait_edges();
-        let mut slot = std::mem::take(&mut self.scan_slot);
-        let graph = wait_graph(&edges, |i| !self.stale(i), &mut slot);
-        self.scan_slot = slot;
-        let on_cycle = graph.is_some_and(|(nodes, g)| {
-            let sccs = kplock_graph::tarjan_scc(&g);
-            let v = nodes.binary_search(&victim.txn.idx());
-            v.is_ok_and(|v| sccs.members[sccs.comp[v]].len() > 1)
-        });
+        let on_cycle = self.has_wait_cycle() && self.cycle_test.on_cycle(victim.txn.idx());
         if !on_cycle {
             self.world.metrics.phantom_probe_aborts += 1;
         }
     }
 
-    /// Every site table's wait-for edges, site by site.
-    fn wait_edges(&self) -> Vec<(Instance, Instance)> {
-        let mut edges = Vec::new();
-        for site in &self.sites {
-            site.table.waits_for_into(&mut edges);
-        }
-        edges
-    }
-
-    /// The scan both global detectors run — Periodic on its timer, over
-    /// the site tables' edges site by site; OnBlock when `scan_due`, over
-    /// them sorted and deduplicated: find a cycle and abort its victim,
-    /// until none remains (an abort's grants retarget waiters).
+    /// The scan both global detectors run — Periodic on its timer, OnBlock
+    /// when `scan_due`: find a cycle and abort its victim, until none
+    /// remains (an abort's grants retarget waiters).
     ///
-    /// Each iteration first asks [`Engine::has_wait_cycle`] whether there
-    /// is a cycle at all, which most iterations answer no to; only a yes
-    /// pays for the ordered edge lists and [`find_wait_cycle`], which alone
-    /// choose the cycle. The test is exact, so the scan ends at the
-    /// iteration it always ended at and no resolution changes.
+    /// Each iteration gathers the site tables' edges once, into one
+    /// [`CycleTest`], and takes both answers from it: whether there is a
+    /// cycle ([`Engine::has_wait_cycle`]), which most OnBlock iterations
+    /// answer no to, and on a yes which one, the rows put in the order
+    /// the detector's old ordered edge list had — by site, then holder,
+    /// for Periodic; by holder for OnBlock ([`RowOrder`]). So the scan
+    /// ends at the iteration it always ended at and names the cycle it
+    /// always named; a debug build checks each against
+    /// [`find_wait_cycle`] on that list.
     fn deadlock_scan(&mut self) {
-        let on_block = self.world.cfg.detection() == Some(DeadlockDetection::OnBlock);
+        let order = match self.world.cfg.detection() {
+            Some(DeadlockDetection::OnBlock) => RowOrder::ByHolder,
+            _ => RowOrder::BySite,
+        };
         loop {
             self.world.scan_due = false;
             if !self.has_wait_cycle() {
@@ -839,45 +1057,45 @@ impl Engine<'_> {
                 }
                 return;
             }
-            let mut edges = self.wait_edges();
-            if on_block {
-                edges.sort(); // merges the sites' ascending runs
-                edges.dedup();
-            }
-            self.resolve_one_cycle(&edges);
+            self.resolve_one_cycle(order);
         }
     }
 
-    /// Whether the site tables' live wait-for edges close a cycle: their
-    /// edges gathered unsorted into a reused buffer, then
-    /// [`has_wait_cycle`].
+    /// Gathers every site table's live wait-for edges, site by site and
+    /// unsorted ([`kplock_dlm::QueueTable::for_each_wait_edge`]), into
+    /// the scan's [`CycleTest`], and asks whether they close a cycle
+    /// ([`CycleTest::has_cycle`]).
     fn has_wait_cycle(&mut self) -> bool {
         let Engine {
             sites,
             coords,
-            scan_slot,
             cycle_test,
             ..
         } = self;
-        let mut edges = std::mem::take(&mut cycle_test.edges);
-        edges.clear();
-        for site in sites.iter() {
-            site.table.for_each_wait_edge(|w, h| edges.push((w, h)));
-        }
         let live = |i: Instance| !coords[i.txn.idx()].stale(i);
-        let cyclic = has_wait_cycle(&edges, live, scan_slot, cycle_test);
-        cycle_test.edges = edges;
-        cyclic
+        cycle_test.clear();
+        for site in sites.iter() {
+            site.table.for_each_wait_edge(|w, h| {
+                if live(w) && live(h) {
+                    cycle_test.arc(w.txn.idx(), h.txn.idx());
+                }
+            });
+            cycle_test.end_site();
+        }
+        cycle_test.has_cycle()
     }
 
-    /// Finds the cycle in the transaction-level graph of `edges` (current
-    /// epochs only), which [`Engine::has_wait_cycle`] has said is there,
-    /// and aborts its victim.
-    fn resolve_one_cycle(&mut self, edges: &[(Instance, Instance)]) {
-        let mut slot = std::mem::take(&mut self.scan_slot);
-        let cycle = find_wait_cycle(edges, |i| !self.stale(i), &mut slot);
-        self.scan_slot = slot;
-        let cycle = cycle.expect("the existence test and the cycle finder agree");
+    /// Names the cycle [`Engine::has_wait_cycle`] has said is there, its
+    /// rows in `order`, and aborts its victim.
+    fn resolve_one_cycle(&mut self, order: RowOrder) {
+        let cycle = self.cycle_test.find_cycle(order);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            Some(cycle),
+            oracle_cycle(&self.sites, &self.coords, order).as_deref(),
+            "tick {}: the scan's finder names the cycle the ordered edge list has",
+            self.world.now
+        );
         let members: Vec<(Instance, Stamp)> = cycle
             .iter()
             .map(|&t| &self.coords[t])
@@ -888,13 +1106,14 @@ impl Engine<'_> {
         // Detection latency, approximated by the youngest wait among the
         // cycle's members (the cycle cannot predate its youngest edge):
         // ~0 for OnBlock, up to a scan interval for Periodic.
-        let formation = self
-            .sites
-            .iter()
-            .flat_map(|site| &site.queued)
-            .filter(|&(&(inst, _), _)| !self.stale(inst) && cycle.contains(&inst.txn.idx()))
-            .map(|(_, &since)| since)
-            .max();
+        let coords = &self.coords;
+        let formation = self.cycle_test.newest_on_cycle(
+            self.sites
+                .iter()
+                .flat_map(|site| &site.queued)
+                .filter(|&(&(inst, _), _)| !coords[inst.txn.idx()].stale(inst))
+                .map(|(&(inst, _), &since)| (inst.txn.idx(), since)),
+        );
         if let Some(t0) = formation {
             self.world.metrics.detection_latency_ticks += self.world.now - t0;
         }
@@ -1036,27 +1255,117 @@ mod tests {
 
     /// The construction [`find_wait_cycle`] replaced, kept as the oracle:
     /// a node per transaction, every live edge added by transaction index.
-    fn find_wait_cycle_over_all(
+    fn over_all_graph(
         k: usize,
         edges: &[(Instance, Instance)],
         live: impl Fn(Instance) -> bool,
-    ) -> Option<Vec<usize>> {
-        let mut g = DiGraph::new(k);
+    ) -> kplock_graph::DiGraph {
+        let mut g = kplock_graph::DiGraph::new(k);
         for &(w, h) in edges {
             if live(w) && live(h) {
                 g.add_edge(w.txn.idx(), h.txn.idx());
             }
         }
-        kplock_graph::find_cycle(&g)
+        g
+    }
+
+    fn find_wait_cycle_over_all(
+        k: usize,
+        edges: &[(Instance, Instance)],
+        live: impl Fn(Instance) -> bool,
+    ) -> Option<Vec<usize>> {
+        kplock_graph::find_cycle(&over_all_graph(k, edges, live))
+    }
+
+    /// Gathers the live edges of `sites` into `graph`, site by site and
+    /// in the order given, as the scan gathers the tables', and asks
+    /// whether they close a cycle.
+    fn gather(
+        graph: &mut CycleTest,
+        sites: &[Vec<(Instance, Instance)>],
+        live: impl Fn(Instance) -> bool,
+    ) -> bool {
+        graph.clear();
+        for site in sites {
+            for &(w, h) in site {
+                if live(w) && live(h) {
+                    graph.arc(w.txn.idx(), h.txn.idx());
+                }
+            }
+            graph.end_site();
+        }
+        graph.has_cycle()
+    }
+
+    /// Holds `graph`, gathered from the per-site edge lists `sites` over
+    /// `k` transactions, to the oracles, in both detectors' row orders:
+    /// `find_wait_cycle` and the scan's finder name the cycle
+    /// [`find_wait_cycle_over_all`] names on the detector's ordered list,
+    /// the existence test says yes exactly then, and
+    /// [`CycleTest::on_cycle`] is membership of a strongly connected
+    /// component with more than one node (or a self-loop). The slot is
+    /// clear after each gather. Returns whether there was a cycle.
+    fn check_scan_graph(
+        graph: &mut CycleTest,
+        k: usize,
+        sites: &[Vec<(Instance, Instance)>],
+        live: impl Fn(Instance) -> bool + Copy,
+    ) -> bool {
+        let mut slot = vec![UNSEEN; k];
+        let mut cyclic = false;
+        for order in [RowOrder::BySite, RowOrder::ByHolder] {
+            let edges = ordered_edges(sites.iter().map(Vec::as_slice), order);
+            let expected = find_wait_cycle_over_all(k, &edges, live);
+            let old = find_wait_cycle(&edges, live, &mut slot);
+            assert_eq!(old, expected, "{order:?}: {sites:?}");
+            assert!(slot.iter().all(|&s| s == UNSEEN));
+            cyclic = gather(graph, sites, live);
+            assert!(graph.slot.iter().all(|&s| s == UNSEEN));
+            assert_eq!(cyclic, expected.is_some(), "{order:?}: {sites:?}");
+            let found = graph.find_cycle(order);
+            let found = (!found.is_empty()).then(|| found.to_vec());
+            assert_eq!(found, expected, "{order:?}: {sites:?}");
+            let g = over_all_graph(k, &edges, live);
+            let sccs = kplock_graph::tarjan_scc(&g);
+            for t in 0..k {
+                let on_cycle = sccs.members[sccs.comp[t]].len() > 1 || g.has_edge(t, t);
+                assert_eq!(graph.on_cycle(t), on_cycle, "T{t}: {sites:?}");
+            }
+        }
+        cyclic
+    }
+
+    /// Spreads `edges` over `sites` tables at random, in no order within
+    /// a table, and repeats one of them at a second table (the same
+    /// transactions can wait for each other at two sites).
+    fn spread(
+        edges: &[(Instance, Instance)],
+        sites: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<(Instance, Instance)>> {
+        let mut spread = vec![Vec::new(); sites];
+        for &e in edges {
+            spread[rng.gen_range(0..sites)].push(e);
+        }
+        if !edges.is_empty() && sites > 1 {
+            let e = edges[rng.gen_range(0..edges.len())];
+            spread[rng.gen_range(0..sites)].push(e);
+        }
+        for site in &mut spread {
+            for i in (1..site.len()).rev() {
+                site.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        spread
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Random wait-for edge lists over 2–64 transactions: planted
-        /// disjoint rings, random edges, duplicates, and either end of an
-        /// edge stale with a probability that also yields lists with no
-        /// live edge at all.
+        /// Random wait-for edge lists over 2–64 transactions, spread over
+        /// 1–4 sites: planted disjoint rings, random edges, duplicates, and
+        /// either end of an edge stale with a probability that also yields
+        /// lists with no live edge at all.
         #[test]
         fn compact_scan_graph_finds_the_full_graphs_cycle(
             seed in any::<u64>(),
@@ -1089,33 +1398,29 @@ mod tests {
                     edges.push(e);
                 }
             }
-            for i in (1..edges.len()).rev() {
-                edges.swap(i, rng.gen_range(0..=i));
-            }
             if stale_percent == 100 {
                 for (w, _) in &mut edges {
                     w.epoch += 5;
                 }
             }
+            let sites = rng.gen_range(1..=4);
+            let sites = spread(&edges, sites, &mut rng);
 
             let live = |i: Instance| epochs[i.txn.idx()] == i.epoch;
-            let mut slot = vec![UNSEEN; k];
-            let cycle = find_wait_cycle(&edges, live, &mut slot);
-            prop_assert_eq!(cycle, find_wait_cycle_over_all(k, &edges, live));
-            prop_assert!(slot.iter().all(|&s| s == UNSEEN));
+            check_scan_graph(&mut CycleTest::new(k), k, &sites, live);
         }
     }
 
     /// The scan's existence test says yes exactly when the cycle finder
-    /// returns a cycle: random wait-for lists over up to 12 transactions,
-    /// each end's epoch drawn against a random vector of live epochs, with
-    /// repeated edges and edges in both directions. One scratch serves
-    /// every case, as one serves a whole run, and `slot` is put back each
-    /// time.
+    /// returns a cycle, and its finder returns that cycle in both row
+    /// orders: random wait-for lists over up to 12 transactions spread
+    /// over 1–4 sites, each end's epoch drawn against a random vector of
+    /// live epochs, with repeated edges and edges in both directions. One
+    /// scratch serves every case, as one serves a whole run, and its slot
+    /// is put back each time.
     #[test]
     fn the_existence_test_answers_as_the_cycle_finder() {
-        let mut scratch = CycleTest::default();
-        let mut slot = vec![UNSEEN; 12];
+        let mut graph = CycleTest::new(12);
         let mut answers = [0; 2];
         for seed in 0..4096 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1137,14 +1442,36 @@ mod tests {
                     _ => {}
                 }
             }
+            let sites = rng.gen_range(1..=4);
+            let sites = spread(&edges, sites, &mut rng);
             let live = |i: Instance| epochs[i.txn.idx()] == i.epoch;
-            let cyclic = has_wait_cycle(&edges, live, &mut slot, &mut scratch);
-            assert!(slot.iter().all(|&s| s == UNSEEN), "seed {seed}");
-            let found = find_wait_cycle(&edges, live, &mut slot);
-            assert_eq!(cyclic, found.is_some(), "seed {seed}: {edges:?}");
+            let cyclic = check_scan_graph(&mut graph, k, &sites, live);
             answers[usize::from(cyclic)] += 1;
         }
         assert!(answers.iter().all(|&n| n > 500), "{answers:?}");
+    }
+
+    /// Periodic's rows go by site before holder, OnBlock's by holder
+    /// alone: `T0` waits for `T2` at site 0 and for `T1` at site 1, and
+    /// both wait for `T0`. A search from `T0` closes `T0 → T2 → T0` first
+    /// in Periodic's old list (site 0's edges, then site 1's) and
+    /// `T0 → T1 → T0` in OnBlock's (all of them sorted), and the rows of
+    /// one gather name each in its order.
+    #[test]
+    fn periodic_rows_go_by_site_and_on_block_rows_by_holder() {
+        let i = |t| Instance {
+            txn: TxnId::from_idx(t),
+            epoch: 0,
+        };
+        let sites = vec![
+            vec![(i(2), i(0)), (i(0), i(2))],
+            vec![(i(1), i(0)), (i(0), i(1))],
+        ];
+        let mut graph = CycleTest::new(3);
+        assert!(gather(&mut graph, &sites, |_| true));
+        assert_eq!(graph.find_cycle(RowOrder::BySite), [0, 2]);
+        assert_eq!(graph.find_cycle(RowOrder::ByHolder), [0, 1]);
+        check_scan_graph(&mut graph, 3, &sites, |_| true);
     }
 
     fn pair(s1: &str, s2: &str, spec: &[(&str, usize)]) -> TxnSystem {
@@ -2499,7 +2826,8 @@ mod tests {
     /// `scan_due` clear, the site tables hold no live cycle — so no change
     /// that closes one, a grant retargeting waiters included, goes
     /// unflagged. Behind every event the scan's existence test answers as
-    /// the cycle finder does on the live tables, and it is what ends the
+    /// the oracle's cycle finder does on the live tables, the scan's
+    /// finder names the oracle's cycle, and the test is what ends the
     /// scans. Clean contended runs on a few latency seeds, and one under
     /// loss, duplication, reordering and a site crash.
     #[test]
@@ -2529,10 +2857,11 @@ mod tests {
             let (mut checked, mut gate_ended) = (0, 0);
             let report = run_observed(&sys, cfg, &vec![0; sys.len()], |eng| {
                 gate_ended = eng.gate_ended;
-                let mut slot = vec![UNSEEN; eng.coords.len()];
-                let cycle = find_wait_cycle(&eng.wait_edges(), |i| !eng.stale(i), &mut slot);
+                let cycle = oracle_cycle(&eng.sites, &eng.coords, RowOrder::ByHolder);
                 let tick = eng.world.now;
                 assert_eq!(eng.has_wait_cycle(), cycle.is_some(), "tick {tick}");
+                let found = eng.cycle_test.find_cycle(RowOrder::ByHolder);
+                assert_eq!(cycle.as_deref().unwrap_or_default(), found, "tick {tick}");
                 if eng.world.scan_due {
                     return;
                 }

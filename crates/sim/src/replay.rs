@@ -18,7 +18,7 @@ use std::fmt;
 use kplock_dlm::{Acquire, QueueTable};
 use kplock_model::{ActionKind, EntityId, ModelError, Schedule, StepId, TxnId, TxnSystem};
 
-use crate::engine::{find_wait_cycle, UNSEEN};
+use crate::engine::{CycleTest, RowOrder};
 use crate::event::Instance;
 use crate::history::{audit, Audit, History};
 
@@ -211,13 +211,20 @@ pub fn replay_deadlock(
         ));
     }
 
-    // The queued requests induced real wait edges; find a cycle.
-    let edges: Vec<(Instance, Instance)> = site_tables.iter().flat_map(|t| t.waits_for()).collect();
-    let mut slot = vec![UNSEEN; sys.len()];
-    let cycle = find_wait_cycle(&edges, |_| true, &mut slot).ok_or(ReplayError::NoWaitCycle)?;
+    // The queued requests induced real wait edges; find a cycle, the
+    // rows in the order of each table's sorted edges, site by site.
+    let mut graph = CycleTest::new(sys.len());
+    for table in &site_tables {
+        table.for_each_wait_edge(|w, h| graph.arc(w.txn.idx(), h.txn.idx()));
+        graph.end_site();
+    }
+    if !graph.has_cycle() {
+        return Err(ReplayError::NoWaitCycle);
+    }
+    let cycle = graph.find_cycle(RowOrder::BySite);
     Ok(DeadlockEvidence {
         stalled,
-        cycle: cycle.into_iter().map(TxnId::from_idx).collect(),
+        cycle: cycle.iter().map(|&t| TxnId::from_idx(t)).collect(),
     })
 }
 
