@@ -683,6 +683,49 @@ fn hot_batch_global_detector_sums_are_pinned() {
     assert_eq!(rows, PIN_ONBLOCK_HOT, "actual: {rows:?}");
 }
 
+#[test]
+fn hot_batch_probe_sums_are_pinned() {
+    // The distributed detector at `sim_hot`'s shape: the sixteen batches
+    // of `hot_batch_global_detector_sums_are_pinned` under Probe. A run
+    // launches thousands of searches and closes dozens of cycles, so these
+    // sums move if a site examines, routes or closes anything differently
+    // — or if a probe's path, its order or an RNG draw behind it moves.
+    let row = sum_over(16, |seed| {
+        let sys = random_system(&WorkloadParams {
+            seed,
+            sites: 4,
+            entities_per_site: 8,
+            transactions: 24,
+            steps_per_txn: 8,
+            zipf_theta: 0.6,
+            read_percent: 50,
+            strategy: LockStrategy::TwoPhaseSync,
+            ..Default::default()
+        });
+        let cfg = SimConfig {
+            seed,
+            latency: LatencyModel::Uniform(2, 8),
+            resolution: DeadlockDetection::Probe.into(),
+            ..Default::default()
+        };
+        let r = run(&sys, &cfg).expect("valid config");
+        assert_eq!(r.outcome, RunOutcome::Completed, "{seed}");
+        let m = &r.metrics;
+        [
+            m.committed as u64,
+            m.aborts as u64,
+            m.messages,
+            m.probe_messages,
+            m.probe_initiations,
+            m.probe_closes,
+            m.deadlocks_resolved as u64,
+            m.detection_latency_ticks,
+            m.elapsed_ticks,
+        ]
+    });
+    assert_eq!(row, PIN_PROBE_HOT, "actual: {row:?}");
+}
+
 /// The five arms §6 compares, in its table's order.
 const RESOLUTION_ARMS: [DeadlockResolution; 5] = [
     DeadlockResolution::Detect(DeadlockDetection::Periodic),
@@ -957,6 +1000,11 @@ const PIN_ONBLOCK_HOT: [[u64; 7]; 2] = [
     [384, 909, 25_042, 909, 13_712, 305_046, 19_210],
     [384, 947, 26_325, 947, 42_490, 530_991, 26_863],
 ];
+
+// The same sixteen batches under Probe: committed, aborts, messages,
+// probe_messages, probe_initiations, probe_closes, deadlocks_resolved,
+// detection_latency_ticks, elapsed_ticks.
+const PIN_PROBE_HOT: [u64; 9] = [384, 967, 175_657, 145_118, 9_648, 4_029, 967, 9_286, 23_189];
 
 // §6: per site count (1, 2, 3, 6) and arm (periodic, probe, wound-wait,
 // wait-die, no-wait), over 40 seeds: deadlocks, prevention restarts, probe
