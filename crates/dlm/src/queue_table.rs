@@ -24,7 +24,8 @@
 //!
 //! `owned` and `contended` are pure acceleration — [`QueueTable::held_by`]
 //! is O(held), and [`QueueTable::waits_for`] / [`QueueTable::waits_of`] /
-//! [`QueueTable::cancel_waits`] visit only entities that have waiters.
+//! [`QueueTable::cancel_waits`] visit only entities that have waiters
+//! ([`QueueTable::waits_at_into`] asks one entity).
 //! Every result is what a scan of all entities would return (the
 //! differential proptests in `tests/table_equivalence.rs` and
 //! `tests/lattice_props.rs` hold the table to a scan-only reference
@@ -777,14 +778,24 @@ impl<O: Copy + Eq + Ord + Hash> QueueTable<O> {
     /// from local state alone, with no global wait-for graph.
     pub fn waits_of(&self, o: O) -> Vec<O> {
         let mut out = Vec::new();
-        for st in self.contended_states() {
-            if self.waits_in(st, o) {
-                out.extend(self.owners(st.holders).filter(|&h| h != o));
-            }
+        for &e in &self.contended {
+            self.waits_at_into(e, o, &mut out);
         }
         out.sort();
         out.dedup();
         out
+    }
+
+    /// Appends to `out` the holders `o` waits on at `e` alone — every
+    /// holder of `e` but `o` if `o` is queued or upgrade-pending there,
+    /// nothing otherwise — in grant order. [`QueueTable::waits_of`] is
+    /// these lists over every entity, sorted and deduplicated; a caller
+    /// that knows where `o` may wait asks only there, into a buffer it
+    /// reuses.
+    pub fn waits_at_into(&self, e: EntityId, o: O, out: &mut Vec<O>) {
+        if let Some(st) = self.state(e).filter(|&st| self.waits_in(st, o)) {
+            out.extend(self.owners(st.holders).filter(|&h| h != o));
+        }
     }
 
     /// True when `o` is waiting at `e` — queued, or a holder with a

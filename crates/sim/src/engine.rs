@@ -1006,11 +1006,7 @@ impl Engine<'_> {
         };
         let c = &self.coords[initiator.txn.idx()];
         if !c.moved_on(initiator) {
-            let again = ProbeMsg {
-                path: vec![(initiator, c.stamp())],
-                formed_at: 0,
-                chase: chase.next_generation(),
-            };
+            let again = ProbeMsg::new(initiator, c.stamp(), 0, chase.next_generation());
             for &to in &c.lock_sites {
                 self.world.send_probe(to, again.clone());
             }
@@ -1110,9 +1106,9 @@ impl Engine<'_> {
         let formation = self.cycle_test.newest_on_cycle(
             self.sites
                 .iter()
-                .flat_map(|site| &site.queued)
-                .filter(|&(&(inst, _), _)| !coords[inst.txn.idx()].stale(inst))
-                .map(|(&(inst, _), &since)| (inst.txn.idx(), since)),
+                .flat_map(|site| site.queued.iter())
+                .filter(|&(inst, _)| !coords[inst.txn.idx()].stale(inst))
+                .map(|(inst, since)| (inst.txn.idx(), since)),
         );
         if let Some(t0) = formation {
             self.world.metrics.detection_latency_ticks += self.world.now - t0;

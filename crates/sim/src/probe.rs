@@ -3,9 +3,8 @@
 //!
 //! Under [`crate::DeadlockDetection::Probe`] no process ever sees a global
 //! wait-for graph. Each site knows exactly the wait-for edges its own lock
-//! table induces ([`kplock_dlm::QueueTable::waits_of`]), and deadlocks are found
-//! by *probe* messages chasing those edges across the latency-modelled
-//! network:
+//! table induces, and deadlocks are found by *probe* messages chasing
+//! those edges across the latency-modelled network:
 //!
 //! 1. **Initiation.** Whenever an entity's local wait-edge set changes
 //!    (a request blocks, a release retargets the remaining waiters onto a
@@ -18,15 +17,21 @@
 //!    where `t` might be blocked. Sites know the static catalog — which
 //!    entities a transaction locks and where they live
 //!    ([`kplock_model::Database::site_of`]) — so the probe is forwarded to
-//!    every site hosting an entity of `t`'s lock set. The receiving site
-//!    consults only its local table: for each local edge `t → h'` it
-//!    extends the path and forwards again.
+//!    every site hosting an entity of `t`'s lock set; the copies share
+//!    one path behind a reference count. The receiving site consults only
+//!    its local state: its own record of the entities where `t` queued,
+//!    each confirmed against its table (a crash wipes the table's waits
+//!    but keeps the record), gives `t`'s local edges `t → h'` —
+//!    [`kplock_dlm::QueueTable::waits_of`]'s answer, ascending, without
+//!    walking the table's other waiters. For each it builds the extended
+//!    path once and forwards again.
 //! 3. **Detection.** When a local edge points back at the probe's
 //!    initiator, the path is a wait-for cycle assembled purely from
 //!    site-local observations. The closing site picks the victim from the
 //!    path (same [`crate::VictimPolicy`] as the centralized schemes, using
 //!    the birth timestamps carried in the probe) and sends an abort
-//!    message to the victim's coordinator.
+//!    message to the victim's coordinator. The path is never empty: it
+//!    starts at the initiator ([`ProbeMsg::new`]) and only grows.
 //! 4. **Termination.** Every initiation is named by a [`ChaseId`] that is
 //!    never reused, and one id covers all the edges of one waiter that
 //!    appeared in one observation. A probe is dropped when its initiator
@@ -92,6 +97,7 @@
 use crate::config::VictimPolicy;
 use crate::event::{Instance, SimTime};
 use kplock_model::{EntityId, IdMap, SiteId, TxnId};
+use std::rc::Rc;
 
 /// Timing facts about one instance, piggybacked on probes the way real
 /// edge-chasing protocols carry priorities, so the cycle-closing site can
@@ -135,16 +141,21 @@ impl ChaseId {
 
 /// A Chandy–Misra–Haas probe in flight between sites.
 ///
-/// `path[0]` is the initiator (the waiter whose new edge launched the
-/// search); `path.last()` is the instance whose local wait-edges the
+/// The path starts at the initiator (the waiter whose new edge launched
+/// the search) and ends at the instance whose local wait-edges the
 /// receiving site must examine. Each member travels with its [`Stamp`],
 /// for victim selection at the close. A re-chase starts from the path
 /// `[initiator]`; every other path is a chain of wait-edges, each seen by
 /// the site that extended it, and its instances are distinct.
+///
+/// The path is built only by [`ProbeMsg::new`] and [`ProbeMsg::extend`],
+/// so it is never empty, and it is shared: a probe fanned out to several
+/// sites is one path behind a reference count, and a hop builds its
+/// extended path once.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProbeMsg {
     /// The wait-for chain assembled so far, initiator first.
-    pub path: Vec<(Instance, Stamp)>,
+    path: Rc<[(Instance, Stamp)]>,
     /// The latest appearance tick among the wait-edges traversed so far
     /// (each site timestamps its own edges in [`SiteProbeState`]; every
     /// hop maxes the traversed edge's tick in). A cycle cannot predate
@@ -159,6 +170,22 @@ pub struct ProbeMsg {
 }
 
 impl ProbeMsg {
+    /// A probe whose path is the initiator alone, `initiator` stamped
+    /// `stamp`: a re-chase as sent, or the start a search's first hop
+    /// [`ProbeMsg::extend`]s.
+    pub fn new(initiator: Instance, stamp: Stamp, formed_at: SimTime, chase: ChaseId) -> ProbeMsg {
+        ProbeMsg {
+            path: Rc::new([(initiator, stamp)]),
+            formed_at,
+            chase,
+        }
+    }
+
+    /// The wait-for chain, initiator first, target last; never empty.
+    pub fn path(&self) -> &[(Instance, Stamp)] {
+        &self.path
+    }
+
     /// The initiator: the waiter this probe is chasing a cycle back to.
     pub fn initiator(&self) -> Instance {
         self.path[0].0
@@ -166,18 +193,16 @@ impl ProbeMsg {
 
     /// The instance whose local wait-edges the receiver examines.
     pub fn target(&self) -> Instance {
-        self.path.last().expect("probe path is never empty").0
+        self.path[self.path.len() - 1].0
     }
 
     /// Extends the chase by one hop over an edge that appeared at
     /// `edge_appeared`, keeping [`ProbeMsg::formed_at`] the maximum over
-    /// the path's edges.
+    /// the path's edges. `self` is left as it was (probes fan out).
     pub fn extend(&self, next: Instance, stamp: Stamp, edge_appeared: SimTime) -> ProbeMsg {
-        let mut path = Vec::with_capacity(self.path.len() + 1);
-        path.extend_from_slice(&self.path);
-        path.push((next, stamp));
+        let hop = std::iter::once((next, stamp));
         ProbeMsg {
-            path,
+            path: self.path.iter().copied().chain(hop).collect(),
             formed_at: self.formed_at.max(edge_appeared),
             chase: self.chase,
         }
@@ -211,11 +236,15 @@ pub enum Mark {
     Routed,
 }
 
-/// One site's marks for one search: two bits per transaction.
+/// One site's marks for one search: two bits per transaction, the first
+/// 32 transactions' in a word kept inline, so a batch of up to 32
+/// allocates nothing for a new search.
 #[derive(Clone, Debug)]
 struct Marks {
     chase: ChaseId,
-    bits: Vec<u64>,
+    first: u64,
+    /// The words after the first, allocated only when a target needs one.
+    rest: Vec<u64>,
 }
 
 /// Per-site probe bookkeeping: the wait-edge sets this site last observed
@@ -334,18 +363,25 @@ impl SiteProbeState {
         let at = at.unwrap_or_else(|| {
             live.push(Marks {
                 chase,
-                bits: Vec::new(),
+                first: 0,
+                rest: Vec::new(),
             });
             live.len() - 1
         });
-        let bits = &mut live[at].bits;
+        let marks = &mut live[at];
         let bit = 2 * target.idx() + usize::from(mark == Mark::Routed);
-        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
-        if bits.len() <= word {
-            bits.resize(word + 1, 0);
-        }
-        let new = bits[word] & mask == 0;
-        bits[word] |= mask;
+        let word = match bit / 64 {
+            0 => &mut marks.first,
+            w => {
+                if marks.rest.len() < w {
+                    marks.rest.resize(w, 0);
+                }
+                &mut marks.rest[w - 1]
+            }
+        };
+        let mask = 1u64 << (bit % 64);
+        let new = *word & mask == 0;
+        *word |= mask;
         new
     }
 
@@ -397,26 +433,37 @@ mod tests {
 
     #[test]
     fn probe_accessors_and_extension() {
-        let p = ProbeMsg {
-            path: vec![(inst(0), stamp(0, 0)), (inst(1), stamp(5, 1))],
-            formed_at: 42,
-            chase: chase(7),
-        };
-        assert_eq!(p.initiator(), inst(0));
-        assert_eq!(p.target(), inst(1));
+        let p = ProbeMsg::new(inst(0), stamp(0, 0), 42, chase(7));
+        // A re-chase's path: the initiator is its own target.
+        assert_eq!((p.initiator(), p.target()), (inst(0), inst(0)));
+        assert_eq!(p.path(), [(inst(0), stamp(0, 0))]);
+        let p = p.extend(inst(1), stamp(5, 1), 3);
+        assert_eq!((p.initiator(), p.target()), (inst(0), inst(1)));
         // Extending over an *older* edge keeps the later formation tick…
         let q = p.extend(inst(2), stamp(9, 2), 10);
         assert_eq!(q.target(), inst(2));
         assert_eq!(q.initiator(), inst(0));
         assert_eq!(q.formed_at, 42);
-        assert_eq!(q.path.len(), 3);
         assert_eq!(q.chase, p.chase);
         // …and a *younger* edge advances it: the cycle cannot predate its
         // last-formed edge.
         let r = p.extend(inst(2), stamp(9, 2), 55);
         assert_eq!(r.formed_at, 55);
-        // The original is untouched (probes fan out).
-        assert_eq!(p.path.len(), 2);
+        // Hops append in order, initiator first.
+        let s = q
+            .extend(inst(3), stamp(1, 3), 0)
+            .extend(inst(4), stamp(2, 4), 0);
+        let members: Vec<Instance> = s.path().iter().map(|&(m, _)| m).collect();
+        assert_eq!(members, [0, 1, 2, 3, 4].map(inst));
+        assert_eq!(s.path()[3].1, stamp(1, 3));
+        assert_eq!((s.initiator(), s.target()), (inst(0), inst(4)));
+        // The originals are untouched (probes fan out), and a fanned-out
+        // copy shares its path instead of copying it.
+        assert_eq!(p.path(), [(inst(0), stamp(0, 0)), (inst(1), stamp(5, 1))]);
+        assert_eq!(q.path().len(), 3);
+        let fanned = q.clone();
+        assert!(std::ptr::eq(fanned.path(), q.path()));
+        assert_eq!(fanned, q);
     }
 
     #[test]
@@ -469,6 +516,13 @@ mod tests {
         assert!(st.mark(chase(0), w, t, Mark::Routed));
         assert!(!st.mark(chase(0), w, t, Mark::Routed));
         assert!(st.mark(chase(0), w, TxnId(0), Mark::Examined));
+        // The inline word ends at target 31's routed bit; 32 opens the
+        // first heap word.
+        assert!(st.mark(chase(0), w, TxnId(31), Mark::Routed));
+        assert!(st.mark(chase(0), w, TxnId(32), Mark::Examined));
+        assert!(!st.mark(chase(0), w, TxnId(31), Mark::Routed));
+        assert!(!st.mark(chase(0), w, TxnId(32), Mark::Examined));
+        assert!(st.mark(chase(0), w, TxnId(32), Mark::Routed));
         // …and another search, or the same one a generation on, starts
         // with none.
         assert!(st.mark(chase(1), w, t, Mark::Examined));

@@ -13,7 +13,7 @@ use kplock_dlm::{
     Acquire, DelegationLedger, Lease, LeaseTable, LockError, PreventionOutcome, PreventionScheme,
     QueueTable,
 };
-use kplock_model::{EntityId, IdMap, SiteId, StepId, TxnId};
+use kplock_model::{EntityId, SiteId, StepId, TxnId};
 
 /// Everything one site owns: the local state the paper's question is
 /// about.
@@ -26,10 +26,14 @@ pub(crate) struct Site {
     /// wiped by a crash: a waiter that re-requests after recovery keeps
     /// its wait clock. (The step the grant acknowledges is the
     /// transaction's one lock step on the entity.)
-    pub(crate) queued: IdMap<(Instance, EntityId), SimTime>,
+    pub(crate) queued: Queued,
     /// Probe bookkeeping ([`DeadlockDetection::Probe`] only): the
     /// wait-edges of this site's own entities, to spot new ones.
     probe: SiteProbeState,
+    /// Answer buffers for [`Site::waits_here`], one per probe examination
+    /// in progress: an examination routes, and a route to this site
+    /// examines again before the first is done.
+    waits: Vec<Vec<Instance>>,
     /// Mid-outage: deliveries are dropped by the event loop.
     pub(crate) down: bool,
     /// Tick of the last crash (lease-survival anchor).
@@ -55,8 +59,9 @@ impl Site {
         Site {
             id,
             table: QueueTable::new(),
-            queued: IdMap::default(),
+            queued: Queued::default(),
             probe: SiteProbeState::default(),
+            waits: Vec::new(),
             down: false,
             crash_at: 0,
             boot: 0,
@@ -91,7 +96,7 @@ impl Site {
                         if world.track_leases {
                             // A waiter whose queue a crash wiped, granted
                             // at once on its re-request.
-                            self.queued.remove(&(inst, entity));
+                            self.queued.remove(inst, entity);
                         }
                         self.grant(world, inst, entity, step)
                     }
@@ -105,9 +110,7 @@ impl Site {
                         self.demand(world, inst, entity);
                     }
                     waits @ (PreventionOutcome::Queued | PreventionOutcome::Wounded(_)) => {
-                        // `or_insert`: a crash-and-re-request must not reset
-                        // the wait clock.
-                        self.queued.entry((inst, entity)).or_insert(world.now);
+                        self.queued.insert(inst, entity, world.now);
                         self.edges_changed(world, coords, entity);
                         if let PreventionOutcome::Wounded(victims) = waits {
                             // The elder queues; the younger owners' aborts
@@ -316,7 +319,7 @@ impl Site {
     ) {
         let since = self
             .queued
-            .remove(&(inst, entity))
+            .remove(inst, entity)
             .expect("a queued lock has a record");
         world.metrics.lock_wait_ticks += world.now - since;
         // Aborted while it waited: release at once.
@@ -336,7 +339,7 @@ impl Site {
         self.leases.drop_owner(old);
         self.probe.end_chases_of(old.txn);
         // Every record: a crash keeps `queued` and wipes the waits.
-        self.queued.retain(|&(inst, _), _| inst != old);
+        self.queued.remove_all(old);
         let cancelled = self.table.cancel_waits(old);
         for &e in &cancelled.cancelled {
             world.touch(self.id, e);
@@ -399,18 +402,15 @@ impl Site {
             // A live table's owners are never stale (aborts scrub them).
             self.probe.mark(chase, w.txn, h.txn, Mark::Routed);
             let stamp = |i: Instance| coords[i.txn.idx()].stamp();
-            let msg = ProbeMsg {
-                path: vec![(w, stamp(w)), (h, stamp(h))],
-                formed_at: world.now,
-                chase,
-            };
-            self.route_probe(world, coords, msg);
+            let msg = ProbeMsg::new(w, stamp(w), world.now, chase);
+            self.route_probe(world, coords, msg.extend(h, stamp(h), world.now));
         }
     }
 
     /// Delivers a probe to every site where its target might be blocked:
     /// the sites hosting the target's lock set (static catalog knowledge).
-    /// This site examines it for free; every other costs a message.
+    /// This site examines it for free; every other costs a message, whose
+    /// path it shares.
     fn route_probe(&mut self, world: &mut World, coords: &[Coordinator], msg: ProbeMsg) {
         for &to in &coords[msg.target().txn.idx()].lock_sites {
             if to == self.id {
@@ -433,7 +433,9 @@ impl Site {
         if !self.probe.mark(msg.chase, w.txn, t.txn, Mark::Examined) {
             return;
         }
-        for h in self.table.waits_of(t) {
+        let mut waits = self.waits.pop().unwrap_or_default();
+        self.waits_here(t, &mut waits);
+        for &h in &waits {
             // The cycle dates from its *last-formed* edge, so the path
             // carries the latest appearance (now, if an edge re-forming
             // raced the probe).
@@ -442,12 +444,12 @@ impl Site {
                 // A cycle, assembled from site-local views. Every site
                 // closing it picks the same victim (rotation-invariant
                 // policy), so duplicate detections collapse at the abort.
-                let victim = probe::choose_victim(world.cfg.victim_policy, &msg.path)
+                let victim = probe::choose_victim(world.cfg.victim_policy, msg.path())
                     .expect("a probe path is never empty");
                 world.metrics.probe_closes += 1;
                 let order = Payload::Abort {
                     victim,
-                    members: msg.path.iter().map(|&(m, _)| m).collect(),
+                    members: msg.path().iter().map(|&(m, _)| m).collect(),
                     formed_at: msg.formed_at.max(appeared),
                     chase: msg.chase,
                 };
@@ -457,6 +459,24 @@ impl Site {
                 self.route_probe(world, coords, next);
             }
         }
+        self.waits.push(waits);
+    }
+
+    /// Fills `out` with the holders `t` waits on at this site, ascending
+    /// and deduplicated: [`QueueTable::waits_of`]'s answer, read from
+    /// `t`'s own queued records instead of every contended entity. Each
+    /// record is confirmed against the table, since a crash wipes the
+    /// waits but keeps the records.
+    fn waits_here(&self, t: Instance, out: &mut Vec<Instance>) {
+        out.clear();
+        for &(inst, e, _) in self.queued.row(t.txn) {
+            if inst == t {
+                self.table.waits_at_into(e, t, out);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        debug_assert_eq!(*out, self.table.waits_of(t), "{t:?} at {}", self.id);
     }
 
     /// A scheduled outage begins: the lock table and probe memory are
@@ -516,6 +536,63 @@ impl Site {
         expired.sort();
         expired.dedup();
         expired
+    }
+}
+
+/// A site's record of when each queued request began to wait, in rows
+/// by transaction index: a waiter's records are its row, so an abort and
+/// a probe examination read one row, not every waiter's.
+#[derive(Default)]
+pub(crate) struct Queued {
+    rows: Vec<Vec<(Instance, EntityId, SimTime)>>,
+}
+
+impl Queued {
+    /// Records that `inst` began waiting for `e` at `now`, unless it
+    /// already has a record there: a crash-and-re-request must not reset
+    /// the wait clock.
+    fn insert(&mut self, inst: Instance, e: EntityId, now: SimTime) {
+        let t = inst.txn.idx();
+        if self.rows.len() <= t {
+            self.rows.resize_with(t + 1, Vec::new);
+        }
+        let row = &mut self.rows[t];
+        if !row.iter().any(|&(i, x, _)| (i, x) == (inst, e)) {
+            row.push((inst, e, now));
+        }
+    }
+
+    /// Removes `inst`'s record for `e`, returning when it began to wait.
+    fn remove(&mut self, inst: Instance, e: EntityId) -> Option<SimTime> {
+        let row = self.rows.get_mut(inst.txn.idx())?;
+        let at = row.iter().position(|&(i, x, _)| (i, x) == (inst, e))?;
+        Some(row.swap_remove(at).2)
+    }
+
+    /// Removes every record of `inst`.
+    fn remove_all(&mut self, inst: Instance) {
+        if let Some(row) = self.rows.get_mut(inst.txn.idx()) {
+            row.retain(|&(i, _, _)| i != inst);
+        }
+    }
+
+    /// `txn`'s records, in no promised order.
+    fn row(&self, txn: TxnId) -> &[(Instance, EntityId, SimTime)] {
+        self.rows.get(txn.idx()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every record's waiter and start, in no promised order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Instance, SimTime)> + '_ {
+        self.rows.iter().flatten().map(|&(i, _, since)| (i, since))
+    }
+
+    /// The number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.iter().map(Vec::len).sum()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rows.iter().all(Vec::is_empty)
     }
 }
 
@@ -619,5 +696,65 @@ mod tests {
         assert!(site.queued.is_empty());
         assert_eq!(world.metrics.lock_requests, 4);
         assert_eq!(world.metrics.lock_wait_ticks, (3 - 2) + (6 - 4));
+    }
+
+    /// A probe examination reads the waiter's own queued records and
+    /// confirms each against the table: after a crash wiped the table the
+    /// record stays (the re-request keeps its wait clock) but the answer is
+    /// empty, as the table's own `waits_of` says (a debug build asserts
+    /// the two agree at every examination).
+    #[test]
+    fn a_crash_empties_the_answer_but_keeps_the_queued_record() {
+        let db = Database::from_spec(&[("x", 0), ("y", 0)]);
+        let txn = |name: &str, script: &str| {
+            let mut b = TxnBuilder::new(&db, name);
+            b.script(script).unwrap();
+            b.build().unwrap()
+        };
+        let scripts = ["SLx SLy rx ry Ux Uy", "SLx rx Ux", "Lx Ly x y Ux Uy"];
+        let txns = scripts.iter().enumerate();
+        let sys = TxnSystem::new(
+            db.clone(),
+            txns.map(|(i, s)| txn(&format!("T{i}"), s)).collect(),
+        );
+        let cfg = SimConfig::default();
+        let mut world = World::new(&sys, &cfg);
+        let coords: Vec<Coordinator> = (0..sys.len())
+            .map(|t| Coordinator::new(&sys, TxnId::from_idx(t), 0, false))
+            .collect();
+        let mut site = Site::new(SiteId(0));
+        let inst = |t: usize| coords[t].current();
+        let request = |t: usize, e: u32, step: u32| Payload::LockRequest {
+            inst: inst(t),
+            entity: EntityId(e),
+            step: StepId(step),
+        };
+        // T0 and T1 share x, T0 holds y; T2 queues at both.
+        for msg in [request(0, 0, 0), request(0, 1, 1), request(1, 0, 0)] {
+            site.on_message(&mut world, &coords, &msg);
+        }
+        world.now = 4;
+        site.on_message(&mut world, &coords, &request(2, 0, 0));
+        site.on_message(&mut world, &coords, &request(2, 1, 1));
+        let mut answer = Vec::new();
+        site.waits_here(inst(2), &mut answer);
+        assert_eq!(answer, [inst(0), inst(1)]);
+        // A holder waits on nobody; a stale answer is cleared first.
+        site.waits_here(inst(0), &mut answer);
+        assert!(answer.is_empty());
+
+        site.crash(&world, |_, _| false);
+        site.waits_here(inst(2), &mut answer);
+        assert!(answer.is_empty());
+        // Recovery re-grants a surviving hold before T2 re-requests: the
+        // record names an entity T2 no longer waits at.
+        let (x, shared) = (EntityId(0), kplock_model::LockMode::Shared);
+        assert_eq!(site.table.request(x, inst(0), shared), Ok(Acquire::Granted));
+        site.waits_here(inst(2), &mut answer);
+        assert!(answer.is_empty());
+        assert!(!site.table.is_waiting(x, inst(2)));
+        let mut kept = site.queued.row(TxnId(2)).to_vec();
+        kept.sort_by_key(|&(_, e, _)| e);
+        assert_eq!(kept, [(inst(2), EntityId(0), 4), (inst(2), EntityId(1), 4)]);
     }
 }

@@ -191,6 +191,12 @@ impl Pair {
                     t.conflicts_of(e, o),
                     "conflicts_of({e},{o}) after {ctx}"
                 );
+                // Appended after what the buffer already holds, unsorted.
+                let mut at = vec![Owner::MAX];
+                t.waits_at_into(e, o, &mut at);
+                assert_eq!(at.remove(0), Owner::MAX, "waits_at_into({e},{o}) cleared");
+                at.sort_unstable();
+                assert_eq!(m.waits_at(e, o), at, "waits_at_into({e},{o}) after {ctx}");
             }
         }
     }

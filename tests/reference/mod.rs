@@ -277,6 +277,12 @@ impl RefTable {
         out
     }
 
+    /// The holders `o` waits on at `e` alone, ascending.
+    pub fn waits_at(&self, e: EntityId, o: Owner) -> Vec<Owner> {
+        let edges = self.entity_waits_for(e);
+        edges.iter().filter(|w| w.0 == o).map(|w| w.1).collect()
+    }
+
     pub fn conflicts_of(&self, e: EntityId, o: Owner) -> Vec<Owner> {
         self.entities.get(&e).map_or(Vec::new(), |st| {
             st.obstacles(o, st.upgrades.iter().any(|u| u.0 == o))
