@@ -13,11 +13,14 @@
 //!
 //! # The encoding
 //!
-//! Every lock/unlock step is a *milestone*. One boolean per unordered
-//! milestone pair says which comes first; transitivity clauses over all
-//! triples force the pair variables to describe a total order, and unit
-//! clauses pin the pairs already ordered by each transaction's own
-//! precedence DAG. On top of that shared core:
+//! The lock and unlock steps of every entity that at least two
+//! transactions lock are *milestones*; a section no other transaction
+//! touches gets none. A milestone pair that one transaction's precedence
+//! DAG already orders (its full closure, `precedes`) is a constant, and
+//! every other pair gets one boolean saying which comes first.
+//! Transitivity clauses over all milestone triples, with the constants
+//! folded in, force the pairs to describe a total order. On top of that
+//! shared core:
 //!
 //! * **Safety** ([`check_safety`]) asks for a *complete* schedule whose
 //!   serialization graph is cyclic. Same-entity lock sections of distinct
@@ -35,6 +38,13 @@
 //!   to be executed too), holder variables witness who blocks each
 //!   stalled lock, and one clause per step says "executed, or missing a
 //!   predecessor, or blocked".
+//!
+//! Leaving private sections out loses nothing: every clause between
+//! transactions relates same-entity sections of both, and a precedence
+//! path through a private section is still a constant between the shared
+//! milestones at its two ends. So a cycle in the precedence DAGs plus the
+//! decoded milestone chain contracts to a cycle in the total order, which
+//! has none.
 //!
 //! A satisfying model is *decoded* — milestone counts give the total
 //! order, a topological sort interleaves the remaining steps — and the
@@ -61,7 +71,6 @@
 //! upward from the greedy count finds a *maximum* certifiable set and
 //! quantifies exactly how conservative declaration-order greediness is.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use kplock_model::{
@@ -75,9 +84,11 @@ use crate::avoid::{hold_request_edges, AvoidPlan};
 /// Tuning knobs for the SAT checker.
 #[derive(Clone, Debug)]
 pub struct SatCheckOptions {
-    /// Refuse systems with more than this many milestones (lock/unlock
-    /// steps): the transitivity core grows with the cube of the milestone
-    /// count, and the cap keeps encodings in the range our DPLL handles.
+    /// Refuse systems with more than this many lock/unlock steps. The cap
+    /// counts every such step, shared or not, though the transitivity core
+    /// grows with the cube of the milestones only (the steps of entities
+    /// two transactions lock); it keeps encodings in the range our DPLL
+    /// handles.
     pub max_milestones: usize,
 }
 
@@ -199,7 +210,7 @@ pub struct OptimalCertificate {
     pub sat_calls: usize,
 }
 
-/// One lock/unlock section of one transaction.
+/// One lock/unlock section of a shared entity in one transaction.
 #[derive(Clone, Copy, Debug)]
 struct Section {
     txn: usize,
@@ -208,20 +219,47 @@ struct Section {
     unlock_m: usize,
 }
 
-/// The shared encoding core: milestones and their ordering variables.
+/// How one milestone stands against another in the order.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    /// Fixed by the transaction's own precedence DAG: `true` if the first
+    /// milestone precedes the second.
+    Fixed(bool),
+    /// Left to the solver: the literal meaning "the first precedes the
+    /// second".
+    Free(Lit),
+}
+
+impl Order {
+    fn negated(self) -> Order {
+        match self {
+            Order::Fixed(first) => Order::Fixed(!first),
+            Order::Free(lit) => Order::Free(lit.negated()),
+        }
+    }
+}
+
+/// `Encoder::section_of` entry of an entity the transaction does not
+/// share.
+const NO_SECTION: usize = usize::MAX;
+
+/// The shared encoding core: milestones and their order.
 struct Encoder<'a> {
     sys: &'a TxnSystem,
-    /// Milestone index → (transaction index, step).
+    /// Milestone index → (transaction index, step): the lock and unlock
+    /// steps of the entities at least two transactions lock.
     milestones: Vec<(usize, StepId)>,
+    /// The order of each milestone pair `a < b`, at its triangular index.
+    pairs: Vec<Order>,
     sections: Vec<Section>,
-    /// (transaction index, entity) → index into `sections`.
-    section_of: HashMap<(usize, EntityId), usize>,
+    /// `transaction index · entity count + entity` → index into
+    /// `sections`, or [`NO_SECTION`].
+    section_of: Vec<usize>,
 }
 
 impl<'a> Encoder<'a> {
-    /// The encoder and the core formula (ordering variables, transitivity
-    /// and intra-transaction order clauses), which each check extends in
-    /// place.
+    /// The encoder and the core formula (ordering variables and
+    /// transitivity clauses), which each check extends in place.
     fn new(sys: &'a TxnSystem, opts: &SatCheckOptions) -> Result<(Self, Cnf), SatCheckError> {
         // Refuse anything the encoding does not faithfully model.
         for (i, t) in sys.txns().iter().enumerate() {
@@ -247,16 +285,35 @@ impl<'a> Encoder<'a> {
             }
         }
 
+        // The cap counts every lock/unlock step, shared or not.
+        let locked: Vec<Vec<EntityId>> = sys.txns().iter().map(|t| t.locked_entities()).collect();
+        let steps = 2 * locked.iter().map(Vec::len).sum::<usize>();
+        if steps > opts.max_milestones {
+            return Err(SatCheckError::TooLarge {
+                milestones: steps,
+                cap: opts.max_milestones,
+            });
+        }
+
+        // Only entities two transactions lock get milestones: every clause
+        // between transactions relates same-entity sections, and a
+        // precedence path through a private section still orders the
+        // shared milestones at its ends (`precedes` is the full closure).
+        let n_e = sys.db().entity_count();
+        let mut lockers = vec![0usize; n_e];
+        for e in locked.iter().flatten() {
+            lockers[e.idx()] += 1;
+        }
         let mut milestones = Vec::new();
         let mut sections = Vec::new();
-        let mut section_of = HashMap::new();
-        for (i, t) in sys.txns().iter().enumerate() {
-            for e in t.locked_entities() {
+        let mut section_of = vec![NO_SECTION; sys.len() * n_e];
+        for (i, (t, entities)) in sys.txns().iter().zip(&locked).enumerate() {
+            for &e in entities.iter().filter(|e| lockers[e.idx()] >= 2) {
                 let lock_m = milestones.len();
                 milestones.push((i, t.lock_step(e).expect("validated pair")));
                 let unlock_m = milestones.len();
                 milestones.push((i, t.unlock_step(e).expect("validated pair")));
-                section_of.insert((i, e), sections.len());
+                section_of[i * n_e + e.idx()] = sections.len();
                 sections.push(Section {
                     txn: i,
                     entity: e,
@@ -265,79 +322,88 @@ impl<'a> Encoder<'a> {
                 });
             }
         }
+
+        // A pair one transaction's DAG orders is a constant; every other
+        // pair gets a variable.
         let m = milestones.len();
-        if m > opts.max_milestones {
-            return Err(SatCheckError::TooLarge {
-                milestones: m,
-                cap: opts.max_milestones,
-            });
+        let mut pairs = Vec::with_capacity(m * m.saturating_sub(1) / 2);
+        let mut vars = 0usize;
+        for a in 0..m {
+            for b in (a + 1)..m {
+                let (ta, sa) = milestones[a];
+                let (tb, sb) = milestones[b];
+                let t = sys.txn(TxnId::from_idx(ta));
+                pairs.push(if ta == tb && t.precedes(sa, sb) {
+                    Order::Fixed(true)
+                } else if ta == tb && t.precedes(sb, sa) {
+                    Order::Fixed(false)
+                } else {
+                    let var = Var(vars as u32);
+                    vars += 1;
+                    Order::Free(Lit::pos(var))
+                });
+            }
         }
 
         let enc = Encoder {
             sys,
             milestones,
+            pairs,
             sections,
             section_of,
         };
-        // Room for the core: a unit clause per pair at most, and two
-        // three-literal clauses per triple.
-        let pairs = m * m.saturating_sub(1) / 2;
-        let triples = pairs * m.saturating_sub(2) / 3;
-        let mut cnf = Cnf::with_capacity(pairs, pairs + 2 * triples, pairs + 6 * triples);
-
-        // Intra-transaction order: milestone pairs already ordered by the
-        // precedence DAG become unit clauses. Using the full `precedes`
-        // closure (not just direct edges) is what makes the decoded
-        // milestone order embeddable into a step-level topological sort.
-        for a in 0..m {
-            for b in (a + 1)..m {
-                let (ta, sa) = enc.milestones[a];
-                let (tb, sb) = enc.milestones[b];
-                if ta != tb {
-                    continue;
-                }
-                let t = enc.sys.txn(TxnId::from_idx(ta));
-                if t.precedes(sa, sb) {
-                    cnf.add_clause([enc.before(a, b)]);
-                } else if t.precedes(sb, sa) {
-                    cnf.add_clause([enc.before(b, a)]);
-                }
-            }
-        }
+        // Room for the core: two three-literal clauses per triple at most.
+        let triples = m * m.saturating_sub(1) * m.saturating_sub(2) / 6;
+        let mut cnf = Cnf::with_capacity(vars, 2 * triples, 6 * triples);
 
         // Transitivity: forbid both cyclic orientations of every triple,
         // making any model's pair relation a strict total order.
         for a in 0..m {
             for b in (a + 1)..m {
+                let ab = enc.order(a, b);
                 for c in (b + 1)..m {
-                    let (ab, bc, ac) = (enc.before(a, b), enc.before(b, c), enc.before(a, c));
-                    cnf.add_clause([ab.negated(), bc.negated(), ac]);
-                    cnf.add_clause([ab, bc, ac.negated()]);
+                    let (bc, ac) = (enc.order(b, c), enc.order(a, c));
+                    add_folded(&mut cnf, [ab.negated(), bc.negated(), ac]);
+                    add_folded(&mut cnf, [ab, bc, ac.negated()]);
                 }
             }
         }
         Ok((enc, cnf))
     }
 
-    /// Index of the ordering variable for milestone pair `a < b`.
-    fn ord_var(&self, a: usize, b: usize) -> Var {
-        debug_assert!(a < b);
-        let m = self.milestones.len();
-        Var((a * (2 * m - a - 1) / 2 + (b - a - 1)) as u32)
-    }
-
-    /// Literal meaning "milestone `a` precedes milestone `b`".
-    fn before(&self, a: usize, b: usize) -> Lit {
+    /// How milestone `a` stands against milestone `b`.
+    fn order(&self, a: usize, b: usize) -> Order {
         debug_assert_ne!(a, b);
+        let m = self.milestones.len();
+        let (lo, hi) = (a.min(b), a.max(b));
+        let pair = self.pairs[lo * (2 * m - lo - 1) / 2 + (hi - lo - 1)];
         if a < b {
-            Lit::pos(self.ord_var(a, b))
+            pair
         } else {
-            Lit::neg(self.ord_var(b, a))
+            pair.negated()
         }
     }
 
-    fn lit_true(&self, model: &[bool], lit: Lit) -> bool {
-        model[lit.var().idx()] == lit.is_positive()
+    /// Literal meaning "milestone `a` precedes milestone `b`", for
+    /// milestones of distinct transactions: no constant orders those.
+    fn before(&self, a: usize, b: usize) -> Lit {
+        match self.order(a, b) {
+            Order::Free(lit) => lit,
+            Order::Fixed(_) => unreachable!("only one transaction's DAG fixes an order"),
+        }
+    }
+
+    /// Whether the model puts milestone `a` before milestone `b`.
+    fn precedes_in(&self, model: &[bool], a: usize, b: usize) -> bool {
+        match self.order(a, b) {
+            Order::Fixed(first) => first,
+            Order::Free(lit) => model[lit.var().idx()] == lit.is_positive(),
+        }
+    }
+
+    /// The section transaction `txn` holds on shared entity `e`.
+    fn section(&self, txn: usize, e: EntityId) -> Section {
+        self.sections[self.section_of[txn * self.sys.db().entity_count() + e.idx()]]
     }
 
     /// Decodes the model's milestone order restricted to `included`
@@ -357,17 +423,14 @@ impl<'a> Encoder<'a> {
                 included_step(t, s)
             })
             .collect();
-        let keys: HashMap<usize, usize> = chain
-            .iter()
-            .map(|&a| {
-                let k = chain
-                    .iter()
-                    .filter(|&&b| b != a && self.lit_true(model, self.before(b, a)))
-                    .count();
-                (a, k)
-            })
-            .collect();
-        chain.sort_by_key(|a| keys[a]);
+        let mut keys = vec![0usize; self.milestones.len()];
+        for &a in &chain {
+            keys[a] = chain
+                .iter()
+                .filter(|&&b| b != a && self.precedes_in(model, b, a))
+                .count();
+        }
+        chain.sort_by_key(|&a| keys[a]);
 
         // Step-level node ids.
         let mut offsets = Vec::with_capacity(self.sys.len());
@@ -444,6 +507,18 @@ impl<'a> Encoder<'a> {
     }
 }
 
+/// Adds `terms` as one clause with the constants folded in: a true one
+/// satisfies the clause, a false one drops out of it.
+fn add_folded(cnf: &mut Cnf, terms: [Order; 3]) {
+    if terms.iter().any(|t| matches!(t, Order::Fixed(true))) {
+        return;
+    }
+    cnf.add_clause(terms.into_iter().filter_map(|t| match t {
+        Order::Free(lit) => Some(lit),
+        Order::Fixed(_) => None,
+    }));
+}
+
 fn stats_of(cnf: &Cnf, solver: &Solver<'_>) -> EncodingStats {
     EncodingStats {
         vars: cnf.num_vars,
@@ -512,8 +587,7 @@ pub fn check_safety_with(
         // A selected edge must be realized by some shared entity whose
         // section order runs i before j.
         let realized = shared.iter().map(|&e| {
-            let si = enc.sections[enc.section_of[&(*i, e)]];
-            let sj = enc.sections[enc.section_of[&(*j, e)]];
+            let (si, sj) = (enc.section(*i, e), enc.section(*j, e));
             enc.before(si.unlock_m, sj.lock_m)
         });
         cnf.add_clause(std::iter::once(Lit::neg(sel(idx))).chain(realized));
@@ -893,10 +967,31 @@ mod tests {
     #[test]
     fn disjoint_transactions_are_trivially_safe() {
         let sys = sys_of(&["Lx x Ux", "Ly y Uy"]);
+        // No entity is shared, so nothing is ordered.
+        let (enc, core) = Encoder::new(&sys, &SatCheckOptions::default()).unwrap();
+        assert!(enc.milestones.is_empty());
+        assert_eq!((core.num_vars, core.num_clauses()), (0, 0));
         let safety = check_safety(&sys).unwrap();
         assert!(safety.verdict.is_safe());
         assert_eq!(safety.stats.decisions, 0);
-        assert!(check_deadlock(&sys).unwrap().deadlock.is_none());
+        let dl = check_deadlock(&sys).unwrap();
+        assert!(dl.deadlock.is_none());
+        // One executed flag per step, and no ordering or holder variable.
+        assert_eq!(dl.stats.vars, sys.total_steps());
+        assert_eq!(dl.stats.decisions, 0);
+    }
+
+    #[test]
+    fn only_cross_transaction_pairs_get_ordering_variables() {
+        // Four milestones make six pairs; each transaction fixes its own
+        // lock before its unlock, which leaves the four cross pairs. A
+        // section no other transaction shares (`y`) adds nothing.
+        for scripts in [["Lx x Ux", "Lx x Ux"], ["Lx x Ux Ly y Uy", "Lx x Ux"]] {
+            let sys = sys_of(&scripts);
+            let (enc, core) = Encoder::new(&sys, &SatCheckOptions::default()).unwrap();
+            assert_eq!(enc.milestones.len(), 4, "{scripts:?}");
+            assert_eq!(core.num_vars, 4, "{scripts:?}");
+        }
     }
 
     #[test]
