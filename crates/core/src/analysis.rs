@@ -14,7 +14,8 @@ pub struct PairAnalysis {
     /// Whether `D` is strongly connected (Theorem 1's condition).
     pub strongly_connected: bool,
     /// The safety verdict. Exact for ≤ 2 sites (Theorem 2); for more sites
-    /// the multisite procedure is used (Theorem 1 + Corollary 2 + oracle).
+    /// the multisite procedure is used (Theorem 1 + Corollary 2 + the SAT
+    /// pair path), exact for every exclusive pair.
     pub verdict: SafetyVerdict,
     /// Number of sites in the database.
     pub sites: usize,

@@ -6,38 +6,42 @@
 //! 1. **Theorem 1** (sound for Safe): strong connectivity of `D(T1,T2)`;
 //! 2. **Corollary 2** (sound for Unsafe): for each dominator of `D`, attempt
 //!    the closure; a verified certificate proves unsafety;
-//! 3. an optional **exhaustive oracle** fallback (exact but exponential).
+//! 3. the **pair path** of [`crate::sat_check`] (exact): one orientation
+//!    variable per vertex of `D` and an order on the vertices, decided by
+//!    the SAT solver, whose witness becomes a certificate.
 //!
-//! Without the oracle the procedure may return [`SafetyVerdict::Unknown`] —
-//! e.g. on the paper's four-site Fig. 5 system, where `D` is not strongly
-//! connected, every closure attempt fails, and yet the system is safe.
+//! The first two are polynomial and answer most pairs; the third decides
+//! the rest, e.g. the paper's four-site Fig. 5 system, where `D` is not
+//! strongly connected, every closure attempt fails, and yet the system is
+//! safe. An exclusive, well-formed pair always gets `Safe` or a verified
+//! `Unsafe`; [`SafetyVerdict::Unknown`] is left for the pairs the pair
+//! path refuses (shared modes, ill-formed transactions, updates outside
+//! their lock sections).
 
 use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
 use crate::closure::unsafety_via_dominator;
 use crate::conflict_graph::{ConflictDigraph, Sections};
-use crate::oracle::{decide_exhaustive, OracleOptions, OracleOutcome};
+use crate::sat_check::pair_witness;
 use kplock_graph::enumerate_dominators;
 use kplock_model::{Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
 
 /// Options for the multisite procedure.
 #[derive(Clone, Debug)]
 pub struct MultisiteOptions {
-    /// Maximum number of dominators to try closures for.
+    /// Maximum number of dominators to try closures for before the pair
+    /// path decides.
     pub dominator_cap: usize,
-    /// Optional exhaustive fallback.
-    pub oracle: Option<OracleOptions>,
 }
 
 impl Default for MultisiteOptions {
     fn default() -> Self {
         MultisiteOptions {
             dominator_cap: 4096,
-            oracle: Some(OracleOptions::default()),
         }
     }
 }
 
-/// Decides (or semi-decides) safety of `{Ta, Tb}` over any number of sites.
+/// Decides safety of `{Ta, Tb}` over any number of sites.
 pub fn decide_multisite(
     sys: &TxnSystem,
     a: TxnId,
@@ -67,32 +71,27 @@ pub(crate) fn decide_with(
         return SafetyVerdict::Safe(SafeProof::StronglyConnected);
     }
 
-    let (dominators, dominators_exhaustive) = enumerate_dominators(&d.graph, opts.dominator_cap);
+    // Dominators first: where a closure succeeds it is the faster proof.
+    let (dominators, _) = enumerate_dominators(&d.graph, opts.dominator_cap);
     for dom_bits in &dominators {
         let (dom, in_x) = d.resolve_dominator(dom_bits);
         if let Some(cert) = unsafety_via_dominator(sys, d, sections, &dom, &in_x) {
             return SafetyVerdict::Unsafe(Box::new(cert));
         }
     }
-    let _ = dominators_exhaustive; // closure failure is inconclusive either way
 
-    if let Some(oracle_opts) = &opts.oracle {
-        let pair = crate::certificate::pair_subsystem(sys, a, b);
-        let report = decide_exhaustive(&pair, oracle_opts);
-        return match report.outcome {
-            OracleOutcome::Safe => SafetyVerdict::Safe(SafeProof::Exhaustive),
-            OracleOutcome::Unsafe(witness) => match certificate_from_witness(sys, a, b, &witness) {
-                Some(cert) => SafetyVerdict::Unsafe(Box::new(cert)),
-                None => SafetyVerdict::Unknown,
-            },
-            OracleOutcome::Aborted => SafetyVerdict::Unknown,
-        };
+    match pair_witness(sys, a, b, usize::MAX) {
+        Ok((None, _)) => SafetyVerdict::Safe(SafeProof::Unsatisfiable),
+        Ok((Some(witness), _)) => match certificate_from_witness(sys, a, b, &witness) {
+            Some(cert) => SafetyVerdict::Unsafe(Box::new(cert)),
+            None => SafetyVerdict::Unknown,
+        },
+        Err(_) => SafetyVerdict::Unknown,
     }
-    SafetyVerdict::Unknown
 }
 
-/// Packages an oracle witness schedule (over the pair subsystem with ids
-/// 0/1) as a certificate for `{a, b}` of the original system.
+/// Packages a witness schedule over the pair subsystem (ids 0/1), such as
+/// the pair path's, as a certificate for `{a, b}` of the original system.
 pub fn certificate_from_witness(
     sys: &TxnSystem,
     a: TxnId,
@@ -231,20 +230,9 @@ mod tests {
                 "closure must fail on Fig. 5"
             );
         }
-        // Full procedure with oracle fallback: Safe (exhaustive).
+        // The pair path decides it: no mixed orientation is acyclic.
         let v = decide_multisite(&sys, TxnId(0), TxnId(1), &MultisiteOptions::default());
-        assert!(matches!(v, SafetyVerdict::Safe(SafeProof::Exhaustive)));
-        // Without oracle: Unknown — the paper's open territory for 3 sites.
-        let v = decide_multisite(
-            &sys,
-            TxnId(0),
-            TxnId(1),
-            &MultisiteOptions {
-                dominator_cap: 1000,
-                oracle: None,
-            },
-        );
-        assert!(matches!(v, SafetyVerdict::Unknown));
+        assert!(matches!(v, SafetyVerdict::Safe(SafeProof::Unsatisfiable)));
     }
 
     #[test]

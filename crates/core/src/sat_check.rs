@@ -11,9 +11,34 @@
 //! search is the solver's job), and unlike the greedy
 //! [`AvoidPlan`] it is exact, not conservative.
 //!
-//! # The encoding
+//! # The pair path
 //!
-//! The lock and unlock steps of every entity that at least two
+//! [`check_safety`] decides a system of two transactions over the
+//! entities both lock, the vertices of `D(T1, T2)`. A complete legal
+//! schedule of a pair is fixed, up to interleaving, by one choice per
+//! shared entity: whose section runs first. Let S be the entities whose
+//! T1 section runs first. Such a schedule exists exactly when both
+//! precedence DAGs plus the section arcs (`U1x → L2x` for `x` in S,
+//! `U2y → L1y` otherwise) are acyclic, and it is non-serializable exactly
+//! when S is *mixed*, neither empty nor everything. A cycle in that union
+//! cannot stay inside one DAG, so it alternates through section arcs: it
+//! enters T2 at `L2x` for some `x` in S, leaves it from `U2y` for some `y`
+//! not in S, which needs `L2x ≺₂ U2y`, and so on back in T1. So the union
+//! is acyclic exactly when the *section graph* on the shared entities is,
+//! with an arc `x → y` for `x` in S, `y` not in S, `L2x ≺₂ U2y`, and for
+//! `x` not in S, `y` in S, `L1x ≺₁ U1y`. The formula is one orientation
+//! variable `o_x` per shared entity, a strict order `r` on the shared
+//! entities (transitivity clauses over every triple), one clause
+//! `¬o_x ∨ o_y ∨ r(x,y)` per `L2x ≺₂ U2y` and one `o_x ∨ ¬o_y ∨ r(x,y)`
+//! per `L1x ≺₁ U1y`, and two clauses forcing S to be mixed. Fewer than two
+//! shared entities is safe without solving. A model's witness is a
+//! topological sort of both DAGs plus the section arcs its orientation
+//! picks. [`crate::multisite::decide_multisite`] ends in the same path.
+//!
+//! # The k-transaction encoding
+//!
+//! Three or more transactions, and every deadlock check, take this
+//! encoding. The lock and unlock steps of every entity that at least two
 //! transactions lock are *milestones*; a section no other transaction
 //! touches gets none. A milestone pair that one transaction's precedence
 //! DAG already orders (its full closure, `precedes`) is a constant, and
@@ -22,11 +47,12 @@
 //! folded in, force the pairs to describe a total order. On top of that
 //! shared core:
 //!
-//! * **Safety** ([`check_safety`]) asks for a *complete* schedule whose
-//!   serialization graph is cyclic. Same-entity lock sections of distinct
-//!   transactions must not overlap (one disjointness clause per pair), a
-//!   section order `unlock_i(e) ≺ lock_j(e)` realizes the conflict edge
-//!   `i → j`, and selector variables must pick a set of realized edges in
+//! * **Safety** ([`check_safety`] on three or more transactions) asks for
+//!   a *complete* schedule whose serialization graph is cyclic.
+//!   Same-entity lock sections of distinct transactions must not overlap
+//!   (one disjointness clause per pair), a section order
+//!   `unlock_i(e) ≺ lock_j(e)` realizes the conflict edge `i → j`, and
+//!   selector variables must pick a set of realized edges in
 //!   which every tail also has an incoming selected edge — in a finite
 //!   graph such a set necessarily contains a directed cycle, and every
 //!   actual cycle is such a set.
@@ -46,9 +72,10 @@
 //! decoded milestone chain contracts to a cycle in the total order, which
 //! has none.
 //!
-//! A satisfying model is *decoded* — milestone counts give the total
-//! order, a topological sort interleaves the remaining steps — and the
-//! resulting schedule is re-verified against the model-level definitions
+//! A satisfying model is *decoded* — on the pair path the orientation
+//! picks the section arcs; here milestone counts give the total order —
+//! a topological sort interleaves the remaining steps, and the resulting
+//! schedule is re-verified against the model-level definitions
 //! ([`Schedule::validate_complete`], [`kplock_model::is_serializable`],
 //! oracle-style enabledness), so a witness is never taken on the
 //! encoding's word alone. `crates/sim` replays these witnesses through
@@ -56,10 +83,11 @@
 //!
 //! The checker mirrors the oracle's mode-blind contention rule (any
 //! holder blocks a lock request), which coincides with write-aware
-//! serializability only when every access is exclusive, so systems using
-//! shared modes are refused up front with a typed error — as are systems
-//! whose updates stray outside their entity's lock section, where
-//! section-level ordering stops determining access-level conflicts.
+//! serializability only when every access is exclusive, so both paths
+//! refuse systems using shared modes up front with a typed error — as
+//! well as systems whose updates stray outside their entity's lock
+//! section, where section-level ordering stops determining access-level
+//! conflicts.
 //!
 //! # Optimal certificates
 //!
@@ -73,6 +101,7 @@
 
 use std::fmt;
 
+use kplock_graph::{topo_sort, DiGraph};
 use kplock_model::{
     is_serializable, ActionKind, EntityId, Level, LockMode, ModelError, Schedule, ScheduledStep,
     StepId, TxnId, TxnSystem,
@@ -80,21 +109,35 @@ use kplock_model::{
 use kplock_sat::{at_least_k, Cnf, Lit, SatResult, Solver, Var};
 
 use crate::avoid::{hold_request_edges, AvoidPlan};
+use crate::conflict_graph::Sections;
 
 /// Tuning knobs for the SAT checker.
 #[derive(Clone, Debug)]
 pub struct SatCheckOptions {
-    /// Refuse systems with more than this many lock/unlock steps. The cap
-    /// counts every such step, shared or not, though the transitivity core
-    /// grows with the cube of the milestones only (the steps of entities
-    /// two transactions lock); it keeps encodings in the range our DPLL
+    /// Refuse systems with more than this many milestones, counted as the
+    /// path deciding the system counts them; each formula grows with the
+    /// cube of its count, and the cap keeps it in the range our DPLL
     /// handles.
+    ///
+    /// * The pair path (two transactions, safety) counts the entities both
+    ///   transactions lock, the vertices its order ranges over.
+    /// * The k-transaction encoding (three or more transactions, and every
+    ///   deadlock check) counts every lock and unlock step, shared or not,
+    ///   though its transitivity core grows with the steps of entities two
+    ///   transactions lock only.
+    ///
+    /// The default, 160, admits every Theorem-3 reduction of a (12, 10)
+    /// formula (120 to 141 shared entities) on the pair path. A pair the
+    /// cap of 64 steps admitted locks at most 16 shared entities, so every
+    /// system admitted under that cap is still admitted.
     pub max_milestones: usize,
 }
 
 impl Default for SatCheckOptions {
     fn default() -> Self {
-        SatCheckOptions { max_milestones: 64 }
+        SatCheckOptions {
+            max_milestones: 160,
+        }
     }
 }
 
@@ -135,7 +178,7 @@ impl fmt::Display for SatCheckError {
             SatCheckError::TooLarge { milestones, cap } => {
                 write!(
                     f,
-                    "system has {milestones} lock/unlock milestones, above the cap of {cap}"
+                    "system has {milestones} milestones, above the cap of {cap}"
                 )
             }
             SatCheckError::WitnessDecode(why) => {
@@ -239,6 +282,33 @@ impl Order {
     }
 }
 
+/// Refuses a transaction neither encoding models faithfully: one that is
+/// not well-formed, locks in a shared mode, or updates outside its
+/// entity's lock section.
+fn admit(sys: &TxnSystem, txn: TxnId) -> Result<(), SatCheckError> {
+    let t = sys.txn(txn);
+    if let Err(error) = kplock_model::validate(sys.db(), t, Level::Locking) {
+        return Err(SatCheckError::Invalid { txn, error });
+    }
+    for v in 0..t.len() {
+        let sid = StepId::from_idx(v);
+        let s = t.step(sid);
+        if s.kind != ActionKind::Unlock && s.mode == LockMode::Shared {
+            return Err(SatCheckError::SharedMode { txn, step: sid });
+        }
+        if s.kind == ActionKind::Update {
+            let protected = t
+                .lock_step(s.entity)
+                .zip(t.unlock_step(s.entity))
+                .is_some_and(|(l, u)| t.precedes(l, sid) && t.precedes(sid, u));
+            if !protected {
+                return Err(SatCheckError::UnprotectedUpdate { txn, step: sid });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// `Encoder::section_of` entry of an entity the transaction does not
 /// share.
 const NO_SECTION: usize = usize::MAX;
@@ -261,28 +331,8 @@ impl<'a> Encoder<'a> {
     /// The encoder and the core formula (ordering variables and
     /// transitivity clauses), which each check extends in place.
     fn new(sys: &'a TxnSystem, opts: &SatCheckOptions) -> Result<(Self, Cnf), SatCheckError> {
-        // Refuse anything the encoding does not faithfully model.
-        for (i, t) in sys.txns().iter().enumerate() {
-            let txn = TxnId::from_idx(i);
-            if let Err(error) = kplock_model::validate(sys.db(), t, Level::Locking) {
-                return Err(SatCheckError::Invalid { txn, error });
-            }
-            for v in 0..t.len() {
-                let sid = StepId::from_idx(v);
-                let s = t.step(sid);
-                if s.kind != ActionKind::Unlock && s.mode == LockMode::Shared {
-                    return Err(SatCheckError::SharedMode { txn, step: sid });
-                }
-                if s.kind == ActionKind::Update {
-                    let protected = t
-                        .lock_step(s.entity)
-                        .zip(t.unlock_step(s.entity))
-                        .is_some_and(|(l, u)| t.precedes(l, sid) && t.precedes(sid, u));
-                    if !protected {
-                        return Err(SatCheckError::UnprotectedUpdate { txn, step: sid });
-                    }
-                }
-            }
+        for i in 0..sys.len() {
+            admit(sys, TxnId::from_idx(i))?;
         }
 
         // The cap counts every lock/unlock step, shared or not.
@@ -534,7 +584,9 @@ pub fn check_safety(sys: &TxnSystem) -> Result<SafetyCheck, SatCheckError> {
 }
 
 /// Decides whether some complete legal schedule of `sys` is
-/// non-serializable, returning a verified witness schedule if so.
+/// non-serializable, returning a verified witness schedule if so. A
+/// system of two transactions takes the pair path, any other the
+/// k-transaction encoding (see the module doc).
 ///
 /// Agrees with [`crate::oracle::decide_exhaustive`] on every system both
 /// can decide (the triad proptests pin this).
@@ -542,6 +594,14 @@ pub fn check_safety_with(
     sys: &TxnSystem,
     opts: &SatCheckOptions,
 ) -> Result<SafetyCheck, SatCheckError> {
+    if sys.len() == 2 {
+        let (witness, stats) = pair_witness(sys, TxnId(0), TxnId(1), opts.max_milestones)?;
+        let verdict = match witness {
+            Some(schedule) => SatSafety::Unsafe(verified_unsafe(sys, schedule)?),
+            None => SatSafety::Safe,
+        };
+        return Ok(SafetyCheck { verdict, stats });
+    }
     let (enc, mut cnf) = Encoder::new(sys, opts)?;
 
     // Same-entity sections of distinct transactions never overlap in a
@@ -611,22 +671,138 @@ pub fn check_safety_with(
             verdict: SatSafety::Safe,
             stats,
         }),
-        SatResult::Sat(model) => {
-            let schedule = enc.decode(&model, |_, _| true)?;
-            schedule
-                .validate_complete(sys)
-                .map_err(|e| SatCheckError::WitnessDecode(format!("illegal witness: {e}")))?;
-            if is_serializable(sys, &schedule) {
-                return Err(SatCheckError::WitnessDecode(
-                    "decoded schedule is serializable".into(),
-                ));
+        SatResult::Sat(model) => Ok(SafetyCheck {
+            verdict: SatSafety::Unsafe(verified_unsafe(sys, enc.decode(&model, |_, _| true)?)?),
+            stats,
+        }),
+    }
+}
+
+/// Re-verifies a decoded safety witness against the model-level
+/// definitions: a complete legal schedule that is not serializable.
+fn verified_unsafe(sys: &TxnSystem, schedule: Schedule) -> Result<Schedule, SatCheckError> {
+    schedule
+        .validate_complete(sys)
+        .map_err(|e| SatCheckError::WitnessDecode(format!("illegal witness: {e}")))?;
+    if is_serializable(sys, &schedule) {
+        return Err(SatCheckError::WitnessDecode(
+            "decoded schedule is serializable".into(),
+        ));
+    }
+    Ok(schedule)
+}
+
+/// The pair path: whether transactions `a` and `b` of `sys` have a
+/// complete legal schedule that is not serializable, decided over the
+/// entities both lock (the vertices of `D(a, b)`), and an unverified
+/// witness if so, with `a` as `TxnId(0)` and `b` as `TxnId(1)`.
+///
+/// Variable `x` is the orientation `o_x`: `a`'s section on shared entity
+/// `x` runs first. The orientation set S must be mixed, and a strict
+/// order on the shared entities must take every arc of the section graph
+/// (`x → y` for `x` in S, `y` not, and `Lx ≺_b Uy`; for `x` not in S, `y`
+/// in S, and `Lx ≺_a Uy`), so a model's orientation leaves both DAGs plus
+/// the section arcs acyclic. `cap` bounds the shared entities.
+pub(crate) fn pair_witness(
+    sys: &TxnSystem,
+    a: TxnId,
+    b: TxnId,
+    cap: usize,
+) -> Result<(Option<Schedule>, EncodingStats), SatCheckError> {
+    admit(sys, a)?;
+    admit(sys, b)?;
+    let (ta, tb) = (sys.txn(a), sys.txn(b));
+    let shared = sys.shared_locked_entities(a, b);
+    let n = shared.len();
+    if n > cap {
+        return Err(SatCheckError::TooLarge { milestones: n, cap });
+    }
+    // One section per transaction cannot make a conflict cycle.
+    if n < 2 {
+        return Ok((None, EncodingStats::default()));
+    }
+    let sections = Sections::of(ta, tb, &shared);
+
+    // `r(x, y)` for `x < y` follows the orientations at its triangular
+    // index.
+    let orient = |x: usize| Var(x as u32);
+    let before = |x: usize, y: usize| {
+        let (lo, hi) = (x.min(y), x.max(y));
+        let r = Lit::pos(Var((n + lo * (2 * n - lo - 1) / 2 + (hi - lo - 1)) as u32));
+        if x < y {
+            r
+        } else {
+            r.negated()
+        }
+    };
+    let triples = n * (n - 1) * (n - 2) / 6;
+    let mut cnf = Cnf::with_capacity(
+        n + n * (n - 1) / 2,
+        2 * triples + 2 * n * (n - 1) + 2,
+        6 * triples + 6 * n * (n - 1) + 2 * n,
+    );
+    for x in 0..n {
+        for y in (x + 1)..n {
+            let xy = before(x, y);
+            for z in (y + 1)..n {
+                let (yz, xz) = (before(y, z), before(x, z));
+                cnf.add_clause([xy.negated(), yz.negated(), xz]);
+                cnf.add_clause([xy, yz, xz.negated()]);
             }
-            Ok(SafetyCheck {
-                verdict: SatSafety::Unsafe(schedule),
-                stats,
-            })
         }
     }
+    for (x, sx) in sections.iter().enumerate() {
+        for (y, sy) in sections.iter().enumerate() {
+            if x == y {
+                continue;
+            }
+            if tb.precedes(sx.lock_b, sy.unlock_b) {
+                cnf.add_clause([Lit::neg(orient(x)), Lit::pos(orient(y)), before(x, y)]);
+            }
+            if ta.precedes(sx.lock_a, sy.unlock_a) {
+                cnf.add_clause([Lit::pos(orient(x)), Lit::neg(orient(y)), before(x, y)]);
+            }
+        }
+    }
+    cnf.add_clause((0..n).map(|x| Lit::pos(orient(x))));
+    cnf.add_clause((0..n).map(|x| Lit::neg(orient(x))));
+
+    let mut solver = Solver::new(&cnf);
+    let result = solver.solve();
+    let stats = stats_of(&cnf, &solver);
+    let SatResult::Sat(model) = result else {
+        return Ok((None, stats));
+    };
+
+    // The witness: Kahn's sort of both DAGs plus the section arcs, `b`'s
+    // steps numbered after `a`'s.
+    let off = ta.len();
+    let section_arcs = sections.iter().enumerate().map(|(x, s)| {
+        if model[orient(x).idx()] {
+            (s.unlock_a.idx(), off + s.lock_b.idx())
+        } else {
+            (off + s.unlock_b.idx(), s.lock_a.idx())
+        }
+    });
+    let arcs = ta
+        .edge_graph()
+        .edges()
+        .chain(tb.edge_graph().edges().map(|(u, v)| (off + u, off + v)))
+        .chain(section_arcs);
+    let order = topo_sort(&DiGraph::from_edges(off + tb.len(), arcs)).ok_or_else(|| {
+        SatCheckError::WitnessDecode("section arcs and precedence DAGs form a cycle".into())
+    })?;
+    let steps = order
+        .into_iter()
+        .map(|v| {
+            let (txn, step) = if v < off { (0, v) } else { (1, v - off) };
+            ScheduledStep {
+                txn: TxnId(txn),
+                step: StepId::from_idx(step),
+            }
+        })
+        .collect();
+    Ok((Some(Schedule::new(steps)), stats))
 }
 
 /// Decides deadlock reachability with default options. See
@@ -1029,6 +1205,38 @@ mod tests {
             Err(SatCheckError::TooLarge {
                 milestones: 4,
                 cap: 2
+            })
+        ));
+    }
+
+    #[test]
+    fn a_pair_is_decided_over_its_shared_entities() {
+        // Two shared entities: two orientations and one order variable.
+        // Each transaction has `Lx ≺ Uy`, so each gives one arc clause,
+        // beside the two that force a mixed orientation.
+        let sys = sys_of(&["Lx x Ux Ly y Uy", "Lx x Ux Ly y Uy"]);
+        let check = check_safety(&sys).unwrap();
+        assert!(!check.verdict.is_safe());
+        assert_eq!((check.stats.vars, check.stats.clauses), (3, 4));
+        // One shared entity cannot make a conflict cycle: nothing to solve.
+        let sys = sys_of(&["Lx Ly x y Ux Uy", "Lx x Ux"]);
+        let check = check_safety(&sys).unwrap();
+        assert!(check.verdict.is_safe());
+        assert_eq!(check.stats, EncodingStats::default());
+    }
+
+    #[test]
+    fn the_pair_path_caps_shared_entities() {
+        // Eight lock and unlock steps, but one shared entity.
+        let sys = sys_of(&["Lx Ly Lz x y z Ux Uy Uz", "Lx x Ux"]);
+        let opts = SatCheckOptions { max_milestones: 1 };
+        assert!(check_safety_with(&sys, &opts).unwrap().verdict.is_safe());
+        let sys = sys_of(&["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux"]);
+        assert!(matches!(
+            check_safety_with(&sys, &opts),
+            Err(SatCheckError::TooLarge {
+                milestones: 2,
+                cap: 1
             })
         ));
     }

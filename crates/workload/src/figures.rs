@@ -218,8 +218,11 @@ mod tests {
         let analysis = analyze_pair(&sys);
         assert!(!analysis.strongly_connected, "D is not strongly connected");
         assert!(
-            matches!(analysis.verdict, SafetyVerdict::Safe(SafeProof::Exhaustive)),
-            "safe, but only the oracle can tell: {:?}",
+            matches!(
+                analysis.verdict,
+                SafetyVerdict::Safe(SafeProof::Unsatisfiable)
+            ),
+            "safe, but only the exact pair path can tell: {:?}",
             analysis.verdict
         );
     }

@@ -3,11 +3,12 @@
 
 use kplock::core::policy::LockStrategy;
 use kplock::core::{
-    analyze_pair, decide_exhaustive, decide_multisite, decide_two_site, decide_two_site_system,
-    reduce, ConflictDigraph, MultisiteOptions, OracleOptions, OracleOutcome, SafeProof,
-    SafetyVerdict,
+    analyze_pair, check_safety, decide_exhaustive, decide_multisite, decide_two_site,
+    decide_two_site_system, reduce, ConflictDigraph, MultisiteOptions, OracleOptions,
+    OracleOutcome, SafeProof, SafetyVerdict,
 };
 use kplock::model::{Database, TxnBuilder, TxnId, TxnSystem};
+use kplock::sat::solve;
 use kplock::workload::{
     fig8_formula, random_instance, random_pair, unsat_restricted, WorkloadParams,
 };
@@ -187,12 +188,30 @@ fn lemma1_extension_oracle_agrees_with_state_oracle() {
 /// must not.
 const PIN_TWO_SITE: [u64; 4] = [0, 133, 123, 4_473_012_567_045_643_842];
 
+/// The title question as a curve: what the SAT pair path spends deciding
+/// Theorem 3's pairs, against [`PIN_TWO_SITE`]'s pairs, which Theorem 2
+/// decides in `O(n²)` without a solver. Per formula size `(v, c)` of
+/// `reduce(random_instance(seed, v, c))`, summed over seeds 0, 1 and 2:
+/// `[v, c, shared entities, unsafe pairs, vars, clauses, decisions,
+/// propagations]` of `check_safety`, which takes the pair path. Every one
+/// of these formulas is satisfiable, so every pair unsafe. The formula
+/// grows with the cube of the shared entities, the search (decisions and
+/// propagations) far more slowly.
+const PIN_PAIR_PATH_CURVE: [[u64; 8]; 4] = [
+    [4, 3, 132, 3, 2_971, 79_968, 1_773, 4_240],
+    [6, 5, 208, 3, 7_324, 320_944, 3_748, 11_884],
+    [8, 8, 288, 3, 13_984, 861_242, 7_043, 25_465],
+    [12, 10, 385, 3, 24_907, 2_068_306, 13_397, 72_888],
+];
+
 /// `[Safe, Unsafe, Unknown, digest]` of `decide_multisite` on the
 /// reductions of `random_instance(seed, 4, 3)` for 12 seeds — the
 /// formula size `analysis_sat` times — then of the Fig. 8 formula and of
-/// `unsat_restricted`, whose pair is safe. The digest folds each verdict's
-/// kind and proof, and each certificate as [`PIN_TWO_SITE`] does.
-const PIN_MULTISITE: [u64; 4] = [0, 13, 1, 11_173_487_206_200_461_205];
+/// `unsat_restricted`, whose pair is safe and which only the pair path
+/// proves so. The digest folds each verdict's kind and proof, and each
+/// certificate as [`PIN_TWO_SITE`] does; the 13 certificates come from the
+/// dominator attempts, which run first.
+const PIN_MULTISITE: [u64; 4] = [1, 13, 0, 8_054_726_690_906_887_876];
 
 /// FNV-1a over `words`, continuing from `digest`.
 fn fold(digest: u64, words: impl IntoIterator<Item = usize>) -> u64 {
@@ -303,4 +322,27 @@ fn multisite_decisions_on_timed_reductions_are_pinned() {
         got[3] = fold_verdict(got[3], &v);
     }
     assert_eq!(got, PIN_MULTISITE);
+}
+
+#[test]
+fn pair_path_effort_on_reductions_is_a_pinned_curve() {
+    let mut got = [[0u64; 8]; 4];
+    for (row, (v, c)) in got.iter_mut().zip([(4, 3), (6, 5), (8, 8), (12, 10)]) {
+        row[0] = v as u64;
+        row[1] = c as u64;
+        for seed in 0..3 {
+            let f = random_instance(seed, v, c);
+            let sys = reduce(&f).expect("a restricted-form source").sys;
+            let check = check_safety(&sys).expect("inside the default cap");
+            // Theorem 3: unsafe exactly when the formula is satisfiable.
+            assert_eq!(!check.verdict.is_safe(), solve(&f).is_sat());
+            row[2] += sys.shared_locked_entities(TxnId(0), TxnId(1)).len() as u64;
+            row[3] += u64::from(!check.verdict.is_safe());
+            row[4] += check.stats.vars as u64;
+            row[5] += check.stats.clauses as u64;
+            row[6] += check.stats.decisions;
+            row[7] += check.stats.propagations;
+        }
+    }
+    assert_eq!(got, PIN_PAIR_PATH_CURVE);
 }

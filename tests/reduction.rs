@@ -1,12 +1,12 @@
 //! Integration: Theorem 3 end-to-end — `F` satisfiable ⟺ `{T1(F), T2(F)}`
-//! unsafe — validated with DPLL, the dominator-closure prover, and (on the
-//! smallest instances) the full multisite procedure.
+//! unsafe — validated with DPLL, the dominator-closure prover, and the
+//! full multisite procedure.
 
 use kplock::core::closure::try_unsafety_via_dominator;
 use kplock::core::reduction::reduce;
 use kplock::core::{
-    decide_exhaustive, decide_multisite, MultisiteOptions, OracleOptions, OracleOutcome,
-    SafetyVerdict,
+    check_safety, decide_exhaustive, decide_multisite, MultisiteOptions, OracleOptions,
+    OracleOutcome, SafeProof, SafetyVerdict,
 };
 use kplock::graph::enumerate_dominators;
 use kplock::model::{EntityId, Level, TxnId};
@@ -86,12 +86,11 @@ fn unsat_instance_resists_all_closure_attempts() {
 
 #[test]
 fn multisite_procedure_on_reduction_instances() {
-    // Without the oracle (the instances are far beyond exhaustive search),
-    // the multisite procedure must say Unsafe exactly when SAT — via
-    // dominator closure — and Unknown when UNSAT.
+    // The instances are far beyond exhaustive search: the multisite
+    // procedure must say Unsafe exactly when SAT — via dominator closure
+    // — and Safe when UNSAT, through the pair path.
     let opts = MultisiteOptions {
         dominator_cap: 100_000,
-        oracle: None,
     };
     for seed in [3, 7, 11] {
         let f = random_instance(seed, 4, 3);
@@ -104,8 +103,8 @@ fn multisite_procedure_on_reduction_instances() {
             }
             SatResult::Unsat => {
                 assert!(
-                    matches!(verdict, SafetyVerdict::Unknown),
-                    "UNSAT instances are safe but unprovably so without the oracle"
+                    matches!(verdict, SafetyVerdict::Safe(SafeProof::Unsatisfiable)),
+                    "UNSAT instances are safe, and the pair path proves it: {verdict:?}"
                 );
             }
         }
@@ -113,21 +112,28 @@ fn multisite_procedure_on_reduction_instances() {
 }
 
 #[test]
-fn systems_beyond_the_oracles_encoding_are_refused_not_panicked_on() {
+fn systems_beyond_the_oracles_encoding_are_decided_by_the_pair_path() {
     // A (12, 10) instance has 396-step transactions, six times what the
     // oracle's state encoding holds. Its closure attempts are all
     // inconclusive (the default 4 096 of them take ten seconds, so the cap
-    // is lowered), and the procedure falls through to the oracle, whose
-    // refusal must come back as `Unknown`.
+    // is lowered), and the pair path decides it: unsafe exactly when the
+    // formula is satisfiable, with a certificate that verifies.
     let f = random_instance(1, 12, 10);
     let r = reduce(&f).unwrap();
     assert!(r.sys.txn(TxnId(0)).len() > 64);
-    let opts = MultisiteOptions {
-        dominator_cap: 64,
-        ..Default::default()
-    };
+    let opts = MultisiteOptions { dominator_cap: 64 };
     let verdict = decide_multisite(&r.sys, TxnId(0), TxnId(1), &opts);
-    assert!(matches!(verdict, SafetyVerdict::Unknown), "{verdict:?}");
+    match solve(&f) {
+        SatResult::Sat(_) => {
+            let cert = verdict.certificate().expect("SAT => certificate");
+            cert.verify(&r.sys).unwrap();
+        }
+        SatResult::Unsat => assert!(verdict.is_safe(), "{verdict:?}"),
+    }
+    // `check_safety` decides it too, inside its default cap.
+    let check = check_safety(&r.sys).expect("inside the default cap");
+    assert_eq!(check.verdict.is_safe(), verdict.is_safe());
+    // The oracle and the schedule counter refuse it outright.
     let report = decide_exhaustive(&r.sys, &OracleOptions::default());
     assert!(matches!(report.outcome, OracleOutcome::Aborted));
     assert_eq!(report.states_explored, 0);

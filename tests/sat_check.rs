@@ -182,18 +182,12 @@ fn a_path_through_a_private_section_orders_the_shared_ones() {
 
 /// What the checker answers and spends on 128 pairs drawn as the
 /// benchmark's `analysis_sat` draws them: `[vars, clauses, decisions,
-/// propagations, witnesses, witness digest]` summed over `check_safety`,
-/// then over `check_deadlock`. The solver is deterministic, so a change
+/// propagations, witnesses, witness digest]` summed over `check_safety`
+/// (every one of them a pair, so its pair path), then over
+/// `check_deadlock`. The solver is deterministic, so a change
 /// to how formulas or clauses are stored must leave every figure as it is.
 const PIN_SAT_EFFORT: [[u64; 6]; 2] = [
-    [
-        12_002,
-        113_061,
-        3_597,
-        15_870,
-        82,
-        15_450_636_481_599_366_979,
-    ],
+    [1_246, 3_472, 1_024, 874, 82, 4_131_125_572_951_578_351],
     [
         17_526,
         127_125,
