@@ -35,12 +35,29 @@
 //! topological sort of both DAGs plus the section arcs its orientation
 //! picks. [`crate::multisite::decide_multisite`] ends in the same path.
 //!
+//! [`check_deadlock`] decides a pair over the same orientations and order,
+//! restricted to the steps a prefix has executed. Executed flags `X(s)`,
+//! closed downward over each DAG, number first. *Legality*,
+//! `¬o_x ∨ ¬X(L2x) ∨ X(U1x)` and `o_x ∨ ¬X(L1x) ∨ X(U2x)`, lets the second
+//! section on `x` lock only once the first has unlocked. An arc of the
+//! section graph needs both sections of both its entities locked, which the
+//! arc clause's orientations reduce to one lock, so the arc clauses gain
+//! `¬X(L1y)` and `¬X(L2y)` respectively; the alternation argument holds as
+//! before, because a DAG path that ends at an executed step runs through
+//! executed steps only. The *stall* is one holder flag per transaction and
+//! shared entity (locked, not yet unlocked), one clause per step, "executed,
+//! or missing a predecessor, or a lock on a shared entity whose other
+//! section is held", and "some step missing". One function emits the
+//! orientation, order, transitivity and arc clauses for both checks; the
+//! deadlock check passes it the executed literal. Its witness is the same
+//! topological sort, over the executed steps and the section arcs of the
+//! entities both transactions have locked.
+//!
 //! # The k-transaction encoding
 //!
-//! Three or more transactions, and every deadlock check, take this
-//! encoding. The lock and unlock steps of every entity that at least two
-//! transactions lock are *milestones*; a section no other transaction
-//! touches gets none. A milestone pair that one transaction's precedence
+//! Three or more transactions take this encoding. The lock and unlock
+//! steps of every entity that at least two transactions lock are
+//! *milestones*; a section no other transaction touches gets none. A milestone pair that one transaction's precedence
 //! DAG already orders (its full closure, `precedes`) is a constant, and
 //! every other pair gets one boolean saying which comes first.
 //! Transitivity clauses over all milestone triples, with the constants
@@ -56,14 +73,14 @@
 //!   which every tail also has an incoming selected edge — in a finite
 //!   graph such a set necessarily contains a directed cycle, and every
 //!   actual cycle is such a set.
-//! * **Deadlock** ([`check_deadlock`]) asks for a reachable *prefix* in
-//!   which no remaining step is enabled, mirroring the oracle's stall
-//!   rule. Per-step executed flags are closed downward over the DAG and
-//!   linked to the milestone order (an executed lock whose section is
-//!   ordered after another executed section forces that section's unlock
-//!   to be executed too), holder variables witness who blocks each
-//!   stalled lock, and one clause per step says "executed, or missing a
-//!   predecessor, or blocked".
+//! * **Deadlock** ([`check_deadlock`] on three or more transactions) asks
+//!   for a reachable *prefix* in which no remaining step is enabled,
+//!   mirroring the oracle's stall rule. Per-step executed flags are closed
+//!   downward over the DAG and linked to the milestone order (an executed
+//!   lock whose section is ordered after another executed section forces
+//!   that section's unlock to be executed too), holder variables witness
+//!   who blocks each stalled lock, and one clause per step says "executed,
+//!   or missing a predecessor, or blocked".
 //!
 //! Leaving private sections out loses nothing: every clause between
 //! transactions relates same-entity sections of both, and a precedence
@@ -72,7 +89,7 @@
 //! decoded milestone chain contracts to a cycle in the total order, which
 //! has none.
 //!
-//! A satisfying model is *decoded* — on the pair path the orientation
+//! A satisfying model is *decoded* — on the pair paths the orientation
 //! picks the section arcs; here milestone counts give the total order —
 //! a topological sort interleaves the remaining steps, and the resulting
 //! schedule is re-verified against the model-level definitions
@@ -104,7 +121,7 @@ use std::fmt;
 use kplock_graph::{topo_sort, DiGraph};
 use kplock_model::{
     is_serializable, ActionKind, EntityId, Level, LockMode, ModelError, Schedule, ScheduledStep,
-    StepId, TxnId, TxnSystem,
+    StepId, Transaction, TxnId, TxnSystem,
 };
 use kplock_sat::{at_least_k, Cnf, Lit, SatResult, Solver, Var};
 
@@ -119,17 +136,18 @@ pub struct SatCheckOptions {
     /// cube of its count, and the cap keeps it in the range our DPLL
     /// handles.
     ///
-    /// * The pair path (two transactions, safety) counts the entities both
-    ///   transactions lock, the vertices its order ranges over.
-    /// * The k-transaction encoding (three or more transactions, and every
-    ///   deadlock check) counts every lock and unlock step, shared or not,
-    ///   though its transitivity core grows with the steps of entities two
-    ///   transactions lock only.
+    /// * The pair paths (two transactions, safety and deadlock) count the
+    ///   entities both transactions lock, the vertices their order ranges
+    ///   over.
+    /// * The k-transaction encoding (three or more transactions) counts
+    ///   every lock and unlock step, shared or not, though its transitivity
+    ///   core grows with the steps of entities two transactions lock only.
     ///
     /// The default, 160, admits every Theorem-3 reduction of a (12, 10)
-    /// formula (120 to 141 shared entities) on the pair path. A pair the
-    /// cap of 64 steps admitted locks at most 16 shared entities, so every
-    /// system admitted under that cap is still admitted.
+    /// formula (120 to 141 shared entities) on the pair path. A pair whose
+    /// lock and unlock steps a cap of `c` admitted shares at most `c / 4`
+    /// entities, so no pair either check admitted when it counted steps is
+    /// refused now.
     pub max_milestones: usize,
 }
 
@@ -692,93 +710,131 @@ fn verified_unsafe(sys: &TxnSystem, schedule: Schedule) -> Result<Schedule, SatC
     Ok(schedule)
 }
 
-/// The pair path: whether transactions `a` and `b` of `sys` have a
-/// complete legal schedule that is not serializable, decided over the
-/// entities both lock (the vertices of `D(a, b)`), and an unverified
-/// witness if so, with `a` as `TxnId(0)` and `b` as `TxnId(1)`.
-///
-/// Variable `x` is the orientation `o_x`: `a`'s section on shared entity
-/// `x` runs first. The orientation set S must be mixed, and a strict
-/// order on the shared entities must take every arc of the section graph
-/// (`x → y` for `x` in S, `y` not, and `Lx ≺_b Uy`; for `x` not in S, `y`
-/// in S, and `Lx ≺_a Uy`), so a model's orientation leaves both DAGs plus
-/// the section arcs acyclic. `cap` bounds the shared entities.
-pub(crate) fn pair_witness(
+/// The sections of the admitted pair `a`, `b` on the entities both lock,
+/// the vertices of `D(a, b)`, which `cap` bounds.
+fn pair_sections(
     sys: &TxnSystem,
     a: TxnId,
     b: TxnId,
     cap: usize,
-) -> Result<(Option<Schedule>, EncodingStats), SatCheckError> {
+) -> Result<Vec<Sections>, SatCheckError> {
     admit(sys, a)?;
     admit(sys, b)?;
-    let (ta, tb) = (sys.txn(a), sys.txn(b));
     let shared = sys.shared_locked_entities(a, b);
-    let n = shared.len();
-    if n > cap {
-        return Err(SatCheckError::TooLarge { milestones: n, cap });
+    if shared.len() > cap {
+        return Err(SatCheckError::TooLarge {
+            milestones: shared.len(),
+            cap,
+        });
     }
-    // One section per transaction cannot make a conflict cycle.
-    if n < 2 {
-        return Ok((None, EncodingStats::default()));
-    }
-    let sections = Sections::of(ta, tb, &shared);
+    Ok(Sections::of(sys.txn(a), sys.txn(b), &shared))
+}
 
-    // `r(x, y)` for `x < y` follows the orientations at its triangular
-    // index.
-    let orient = |x: usize| Var(x as u32);
-    let before = |x: usize, y: usize| {
+/// The pair core's variables over `n` shared entities, from `base` on:
+/// the orientation `o_x` (`a`'s section on `x` runs first) at `base + x`,
+/// then the strict order `r(x, y)` for `x < y` at its triangular index.
+#[derive(Clone, Copy)]
+struct PairOrder {
+    n: usize,
+    base: usize,
+}
+
+impl PairOrder {
+    fn orient(self, x: usize) -> Var {
+        Var((self.base + x) as u32)
+    }
+
+    /// Literal meaning "`x` comes before `y` in the order".
+    fn before(self, x: usize, y: usize) -> Lit {
+        let n = self.n;
         let (lo, hi) = (x.min(y), x.max(y));
-        let r = Lit::pos(Var((n + lo * (2 * n - lo - 1) / 2 + (hi - lo - 1)) as u32));
+        let r = Lit::pos(Var(
+            (self.base + n + lo * (2 * n - lo - 1) / 2 + (hi - lo - 1)) as u32,
+        ));
         if x < y {
             r
         } else {
             r.negated()
         }
-    };
-    let triples = n * (n - 1) * (n - 2) / 6;
-    let mut cnf = Cnf::with_capacity(
-        n + n * (n - 1) / 2,
-        2 * triples + 2 * n * (n - 1) + 2,
-        6 * triples + 6 * n * (n - 1) + 2 * n,
-    );
-    for x in 0..n {
-        for y in (x + 1)..n {
-            let xy = before(x, y);
-            for z in (y + 1)..n {
-                let (yz, xz) = (before(y, z), before(x, z));
-                cnf.add_clause([xy.negated(), yz.negated(), xz]);
-                cnf.add_clause([xy, yz, xz.negated()]);
+    }
+
+    /// The variables the core takes.
+    fn vars(self) -> usize {
+        self.n + self.n * self.n.saturating_sub(1) / 2
+    }
+
+    /// Emits the core both pair paths share: transitivity of `r` over every
+    /// triple, and one clause per possible section-graph arc,
+    /// `¬o_x ∨ o_y ∨ r(x,y)` for `Lx ≺_b Uy` and `o_x ∨ ¬o_y ∨ r(x,y)` for
+    /// `Lx ≺_a Uy`. On a prefix an arc needs all four sections of `x` and
+    /// `y` locked; given the clause's orientations, legality and the path
+    /// to `Uy`, that follows from the lock of `y` by the transaction whose
+    /// section on `y` runs second, so `unexecuted(v)` adds "that lock, step
+    /// `v` with `b`'s steps numbered after `a`'s, is not executed". A
+    /// complete schedule passes `None`.
+    fn emit(
+        self,
+        cnf: &mut Cnf,
+        ta: &Transaction,
+        tb: &Transaction,
+        sections: &[Sections],
+        unexecuted: impl Fn(usize) -> Option<Lit>,
+    ) {
+        let n = self.n;
+        for x in 0..n {
+            for y in (x + 1)..n {
+                let xy = self.before(x, y);
+                for z in (y + 1)..n {
+                    let (yz, xz) = (self.before(y, z), self.before(x, z));
+                    cnf.add_clause([xy.negated(), yz.negated(), xz]);
+                    cnf.add_clause([xy, yz, xz.negated()]);
+                }
+            }
+        }
+        let off = ta.len();
+        for (x, sx) in sections.iter().enumerate() {
+            for (y, sy) in sections.iter().enumerate() {
+                if x == y {
+                    continue;
+                }
+                let (ox, oy, xy) = (self.orient(x), self.orient(y), self.before(x, y));
+                if tb.precedes(sx.lock_b, sy.unlock_b) {
+                    let guard = unexecuted(sy.lock_a.idx());
+                    cnf.add_clause(
+                        [Lit::neg(ox), Lit::pos(oy)]
+                            .into_iter()
+                            .chain(guard)
+                            .chain([xy]),
+                    );
+                }
+                if ta.precedes(sx.lock_a, sy.unlock_a) {
+                    let guard = unexecuted(off + sy.lock_b.idx());
+                    cnf.add_clause(
+                        [Lit::pos(ox), Lit::neg(oy)]
+                            .into_iter()
+                            .chain(guard)
+                            .chain([xy]),
+                    );
+                }
             }
         }
     }
-    for (x, sx) in sections.iter().enumerate() {
-        for (y, sy) in sections.iter().enumerate() {
-            if x == y {
-                continue;
-            }
-            if tb.precedes(sx.lock_b, sy.unlock_b) {
-                cnf.add_clause([Lit::neg(orient(x)), Lit::pos(orient(y)), before(x, y)]);
-            }
-            if ta.precedes(sx.lock_a, sy.unlock_a) {
-                cnf.add_clause([Lit::pos(orient(x)), Lit::neg(orient(y)), before(x, y)]);
-            }
-        }
-    }
-    cnf.add_clause((0..n).map(|x| Lit::pos(orient(x))));
-    cnf.add_clause((0..n).map(|x| Lit::neg(orient(x))));
+}
 
-    let mut solver = Solver::new(&cnf);
-    let result = solver.solve();
-    let stats = stats_of(&cnf, &solver);
-    let SatResult::Sat(model) = result else {
-        return Ok((None, stats));
-    };
-
-    // The witness: Kahn's sort of both DAGs plus the section arcs, `b`'s
-    // steps numbered after `a`'s.
+/// Kahn's sort of both DAGs plus the section arcs `orient` picks, over the
+/// steps `executed` keeps, `b`'s numbered after `a`'s, as a schedule of
+/// `TxnId(0)` and `TxnId(1)`. An arc is kept when both its ends are, so a
+/// section arc joins two sections that are both locked.
+fn pair_schedule(
+    ta: &Transaction,
+    tb: &Transaction,
+    sections: &[Sections],
+    orient: impl Fn(usize) -> bool,
+    executed: impl Fn(usize) -> bool,
+) -> Result<Schedule, SatCheckError> {
     let off = ta.len();
     let section_arcs = sections.iter().enumerate().map(|(x, s)| {
-        if model[orient(x).idx()] {
+        if orient(x) {
             (s.unlock_a.idx(), off + s.lock_b.idx())
         } else {
             (off + s.unlock_b.idx(), s.lock_a.idx())
@@ -788,12 +844,14 @@ pub(crate) fn pair_witness(
         .edge_graph()
         .edges()
         .chain(tb.edge_graph().edges().map(|(u, v)| (off + u, off + v)))
-        .chain(section_arcs);
+        .chain(section_arcs)
+        .filter(|&(u, v)| executed(u) && executed(v));
     let order = topo_sort(&DiGraph::from_edges(off + tb.len(), arcs)).ok_or_else(|| {
         SatCheckError::WitnessDecode("section arcs and precedence DAGs form a cycle".into())
     })?;
     let steps = order
         .into_iter()
+        .filter(|&v| executed(v))
         .map(|v| {
             let (txn, step) = if v < off { (0, v) } else { (1, v - off) };
             ScheduledStep {
@@ -802,7 +860,144 @@ pub(crate) fn pair_witness(
             }
         })
         .collect();
-    Ok((Some(Schedule::new(steps)), stats))
+    Ok(Schedule::new(steps))
+}
+
+/// The pair path: whether transactions `a` and `b` of `sys` have a
+/// complete legal schedule that is not serializable, decided over the
+/// entities both lock (the vertices of `D(a, b)`), and an unverified
+/// witness if so, with `a` as `TxnId(0)` and `b` as `TxnId(1)`.
+///
+/// The pair core (see [`PairOrder::emit`]) with every section locked, and
+/// two clauses forcing the orientation set S to be mixed, so a model's
+/// orientation leaves both DAGs plus the section arcs acyclic and the
+/// schedule non-serializable. `cap` bounds the shared entities.
+pub(crate) fn pair_witness(
+    sys: &TxnSystem,
+    a: TxnId,
+    b: TxnId,
+    cap: usize,
+) -> Result<(Option<Schedule>, EncodingStats), SatCheckError> {
+    let sections = pair_sections(sys, a, b, cap)?;
+    let n = sections.len();
+    // One section per transaction cannot make a conflict cycle.
+    if n < 2 {
+        return Ok((None, EncodingStats::default()));
+    }
+    let (ta, tb) = (sys.txn(a), sys.txn(b));
+    let order = PairOrder { n, base: 0 };
+    let triples = n * (n - 1) * (n - 2) / 6;
+    let mut cnf = Cnf::with_capacity(
+        order.vars(),
+        2 * triples + 2 * n * (n - 1) + 2,
+        6 * triples + 6 * n * (n - 1) + 2 * n,
+    );
+    order.emit(&mut cnf, ta, tb, &sections, |_| None);
+    cnf.add_clause((0..n).map(|x| Lit::pos(order.orient(x))));
+    cnf.add_clause((0..n).map(|x| Lit::neg(order.orient(x))));
+
+    let mut solver = Solver::new(&cnf);
+    let result = solver.solve();
+    let stats = stats_of(&cnf, &solver);
+    let SatResult::Sat(model) = result else {
+        return Ok((None, stats));
+    };
+    let witness = pair_schedule(
+        ta,
+        tb,
+        &sections,
+        |x| model[order.orient(x).idx()],
+        |_| true,
+    )?;
+    Ok((Some(witness), stats))
+}
+
+/// The deadlock pair path: whether some legal prefix of the pair `sys`
+/// stalls every remaining step, decided over the entities both lock.
+///
+/// One executed flag `X(v)` per step, closed downward over each DAG, then
+/// the pair core over the executed steps, then one holder flag per
+/// transaction and shared entity. Legality, `¬o_x ∨ ¬X(Lb x) ∨ X(Ua x)` and
+/// `o_x ∨ ¬X(La x) ∨ X(Ub x)`, lets the second section on `x` lock only
+/// once the first has unlocked. A step is executed, missing a
+/// predecessor, or a lock whose entity the other transaction holds, and
+/// some step is missing. A cycle through the executed steps and the
+/// section arcs alternates as on a complete schedule, since a DAG path
+/// that ends at an executed step runs through executed steps only.
+fn pair_deadlock(sys: &TxnSystem, cap: usize) -> Result<DeadlockCheck, SatCheckError> {
+    let sections = pair_sections(sys, TxnId(0), TxnId(1), cap)?;
+    let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
+    let (off, n) = (ta.len(), sections.len());
+    let steps = off + tb.len();
+    // `X(v)` for step `v`, `b`'s numbered after `a`'s; the core; `H(t, x)`:
+    // transaction `t` (0 for `a`) holds shared entity `x`, locked and not
+    // yet unlocked.
+    let x = |v: usize| Var(v as u32);
+    let order = PairOrder { n, base: steps };
+    let h_base = steps + order.vars();
+    let held = |t: usize, i: usize| Var((h_base + 2 * i + t) as u32);
+
+    let dags = [(0, ta), (off, tb)];
+    let edges: usize = dags.iter().map(|(_, t)| t.edge_graph().edge_count()).sum();
+    let triples = n * n.saturating_sub(1) * n.saturating_sub(2) / 6;
+    let arcs = 2 * n * n.saturating_sub(1);
+    let mut cnf = Cnf::with_capacity(
+        h_base + 2 * n,
+        2 * triples + arcs + edges + 6 * n + steps + 1,
+        6 * triples + 4 * arcs + 3 * edges + 16 * n + 2 * steps,
+    );
+    for &(base, t) in &dags {
+        for (u, v) in t.edge_graph().edges() {
+            cnf.add_clause([Lit::neg(x(base + v)), Lit::pos(x(base + u))]);
+        }
+    }
+    order.emit(&mut cnf, ta, tb, &sections, |v| Some(Lit::neg(x(v))));
+    // Legality and holders; the holder that blocks each lock on a shared
+    // entity is the other transaction's.
+    let mut blocker = vec![None; steps];
+    for (i, s) in sections.iter().enumerate() {
+        let o = order.orient(i);
+        let (la, ua) = (s.lock_a.idx(), s.unlock_a.idx());
+        let (lb, ub) = (off + s.lock_b.idx(), off + s.unlock_b.idx());
+        cnf.add_clause([Lit::neg(o), Lit::neg(x(lb)), Lit::pos(x(ua))]);
+        cnf.add_clause([Lit::pos(o), Lit::neg(x(la)), Lit::pos(x(ub))]);
+        for (t, l, u) in [(0, la, ua), (1, lb, ub)] {
+            cnf.add_clause([Lit::neg(held(t, i)), Lit::pos(x(l))]);
+            cnf.add_clause([Lit::neg(held(t, i)), Lit::neg(x(u))]);
+            blocker[l] = Some(Lit::pos(held(1 - t, i)));
+        }
+    }
+    // The stall condition: every step is executed, or missing a
+    // predecessor, or a lock blocked by the other transaction...
+    for &(base, t) in &dags {
+        for v in 0..t.len() {
+            let missing = t
+                .edge_graph()
+                .predecessors(v)
+                .iter()
+                .map(|&p| Lit::neg(x(base + p)));
+            cnf.add_clause(
+                std::iter::once(Lit::pos(x(base + v)))
+                    .chain(missing)
+                    .chain(blocker[base + v]),
+            );
+        }
+    }
+    // ... and at least one step is missing, else the state is complete.
+    cnf.add_clause((0..steps).map(|v| Lit::neg(x(v))));
+
+    let mut solver = Solver::new(&cnf);
+    let result = solver.solve();
+    let stats = stats_of(&cnf, &solver);
+    let deadlock = match result {
+        SatResult::Unsat => None,
+        SatResult::Sat(model) => {
+            let orient = |i: usize| model[order.orient(i).idx()];
+            let prefix = pair_schedule(ta, tb, &sections, orient, |v| model[x(v).idx()])?;
+            Some(verified_deadlock(sys, prefix)?)
+        }
+    };
+    Ok(DeadlockCheck { deadlock, stats })
 }
 
 /// Decides deadlock reachability with default options. See
@@ -813,10 +1008,15 @@ pub fn check_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
 
 /// Decides whether some legal prefix of `sys` stalls every remaining step
 /// (the oracle's `deadlock_reachable`), returning a verified prefix if so.
+/// A system of two transactions takes the pair path, any other the
+/// k-transaction encoding (see the module doc).
 pub fn check_deadlock_with(
     sys: &TxnSystem,
     opts: &SatCheckOptions,
 ) -> Result<DeadlockCheck, SatCheckError> {
+    if sys.len() == 2 {
+        return pair_deadlock(sys, opts.max_milestones);
+    }
     let (enc, mut cnf) = Encoder::new(sys, opts)?;
 
     // Executed flag per step.
@@ -918,12 +1118,8 @@ pub fn check_deadlock_with(
         SatResult::Sat(model) => {
             let executed = |t: usize, s: StepId| model[x(t, s).idx()];
             let prefix = enc.decode(&model, executed)?;
-            prefix
-                .validate_prefix(sys)
-                .map_err(|e| SatCheckError::WitnessDecode(format!("illegal prefix: {e}")))?;
-            verify_stalled(sys, &prefix)?;
             Ok(DeadlockCheck {
-                deadlock: Some(prefix),
+                deadlock: Some(verified_deadlock(sys, prefix)?),
                 stats,
             })
         }
@@ -942,9 +1138,13 @@ fn by_entity_pairs(enc: &Encoder<'_>, mut f: impl FnMut(Section, Section)) {
     }
 }
 
-/// Oracle-style stall recheck: after `prefix`, the system is incomplete
-/// and no remaining step of any transaction is enabled.
-fn verify_stalled(sys: &TxnSystem, prefix: &Schedule) -> Result<(), SatCheckError> {
+/// Re-verifies a decoded deadlock witness: a legal prefix after which, as
+/// the oracle's stall rule has it, the system is incomplete and no
+/// remaining step of any transaction is enabled.
+fn verified_deadlock(sys: &TxnSystem, prefix: Schedule) -> Result<Schedule, SatCheckError> {
+    prefix
+        .validate_prefix(sys)
+        .map_err(|e| SatCheckError::WitnessDecode(format!("illegal prefix: {e}")))?;
     let mut done: Vec<Vec<bool>> = sys.txns().iter().map(|t| vec![false; t.len()]).collect();
     for ss in prefix.steps() {
         done[ss.txn.idx()][ss.step.idx()] = true;
@@ -984,7 +1184,7 @@ fn verify_stalled(sys: &TxnSystem, prefix: &Schedule) -> Result<(), SatCheckErro
             "prefix is a complete schedule, not a deadlock".into(),
         ));
     }
-    Ok(())
+    Ok(prefix)
 }
 
 /// Finds a *maximum* certifiable transaction set by iterated SAT and
@@ -1239,6 +1439,83 @@ mod tests {
                 cap: 1
             })
         ));
+    }
+
+    #[test]
+    fn a_pairs_deadlock_is_decided_over_its_shared_entities() {
+        // One executed flag per step, then two orientations, one order
+        // variable and four holder flags for the two shared entities.
+        let sys = sys_of(&["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux"]);
+        let (steps, n) = (sys.total_steps(), 2);
+        let dl = check_deadlock(&sys).unwrap();
+        assert_eq!(dl.stats.vars, steps + n + n * (n - 1) / 2 + 2 * n);
+        // Each transaction has taken its first lock and waits for the
+        // other's.
+        let prefix = dl.deadlock.expect("opposed lock orders deadlock");
+        assert_eq!(prefix.len(), 2);
+        // One shared entity cannot stall both transactions.
+        let sys = sys_of(&["Lx Ly x y Ux Uy", "Lx x Ux"]);
+        assert!(check_deadlock(&sys).unwrap().deadlock.is_none());
+    }
+
+    #[test]
+    fn the_deadlock_pair_path_caps_shared_entities() {
+        // Eight lock and unlock steps, but one shared entity.
+        let sys = sys_of(&["Lx Ly Lz x y z Ux Uy Uz", "Lx x Ux"]);
+        let opts = SatCheckOptions { max_milestones: 1 };
+        assert!(check_deadlock_with(&sys, &opts).unwrap().deadlock.is_none());
+        let sys = sys_of(&["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux"]);
+        assert!(matches!(
+            check_deadlock_with(&sys, &opts),
+            Err(SatCheckError::TooLarge {
+                milestones: 2,
+                cap: 1
+            })
+        ));
+        let opts = SatCheckOptions { max_milestones: 2 };
+        assert!(check_deadlock_with(&sys, &opts).unwrap().deadlock.is_some());
+    }
+
+    #[test]
+    fn a_pair_at_the_old_step_cap_is_still_admitted() {
+        // Forty entities over three sites, locked by both transactions in
+        // opposite orders: 160 lock and unlock steps, the most the step
+        // count admitted under the default cap, and 40 shared entities.
+        let names: Vec<String> = (0..40).map(|i| format!("e{i}")).collect();
+        let spec: Vec<(&str, usize)> = names
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.as_str(), i % 3))
+            .collect();
+        let db = Database::from_spec(&spec);
+        let script = |order: &[&str]| {
+            ["L", "", "U"]
+                .iter()
+                .flat_map(|p| order.iter().map(move |e| format!("{p}{e}")))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let ascending: Vec<&str> = names.iter().map(String::as_str).collect();
+        let descending: Vec<&str> = ascending.iter().rev().copied().collect();
+        let txns = [script(&ascending), script(&descending)]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let mut b = TxnBuilder::new(&db, format!("T{i}"));
+                b.script(s).expect("script");
+                b.build().expect("acyclic")
+            })
+            .collect();
+        let sys = TxnSystem::new(db, txns);
+        let lock_steps: usize = sys
+            .txns()
+            .iter()
+            .map(|t| 2 * t.locked_entities().len())
+            .sum();
+        assert_eq!(lock_steps, SatCheckOptions::default().max_milestones);
+        let dl = check_deadlock(&sys).expect("admitted under the default cap");
+        assert!(dl.deadlock.is_some());
+        assert!(check_safety(&sys).unwrap().verdict.is_safe());
     }
 
     #[test]

@@ -13,16 +13,18 @@
 use crate::error::ModelError;
 use crate::ids::{EntityId, SiteId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A distributed database schema: named entities, each stored at one site,
 /// optionally arranged in a two-level parent/child hierarchy.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    names: Vec<String>,
+    /// Each name is stored once, shared with its `by_name` key.
+    names: Vec<Arc<str>>,
     sites: Vec<SiteId>,
     parents: Vec<Option<EntityId>>,
     children: HashMap<EntityId, Vec<EntityId>>,
-    by_name: HashMap<String, EntityId>,
+    by_name: HashMap<Arc<str>, EntityId>,
     site_count: usize,
 }
 
@@ -43,10 +45,11 @@ impl Database {
             "duplicate entity name {name:?}"
         );
         let id = EntityId::from_idx(self.names.len());
-        self.names.push(name.to_string());
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
         self.sites.push(site);
         self.parents.push(None);
-        self.by_name.insert(name.to_string(), id);
+        self.by_name.insert(name, id);
         self.site_count = self.site_count.max(site.idx() + 1);
         id
     }

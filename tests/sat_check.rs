@@ -113,10 +113,9 @@ fn early_unlock(n: usize) -> TxnSystem {
     TxnSystem::new(db, txns)
 }
 
-/// The exact-decision gate: the named corpus, every system held to its
-/// pinned expectation and to `cross_examine`.
-#[test]
-fn exact_decision_gate_holds_on_the_full_corpus() {
+/// The exact-decision gate's corpus: `(name, system, expected safety,
+/// expect a greedy-vs-optimal gap)`.
+fn gate_corpus() -> Vec<(String, TxnSystem, Option<bool>, bool)> {
     let mut cases: Vec<(String, TxnSystem, Option<bool>, bool)> = regression_corpus()
         .into_iter()
         .map(|ns| (ns.name.to_string(), ns.sys, ns.expected_safe, false))
@@ -133,6 +132,14 @@ fn exact_decision_gate_holds_on_the_full_corpus() {
         let sys = certified_mix(entities, certified, fallback, 2);
         cases.push((name, sys, Some(true), false));
     }
+    cases
+}
+
+/// The exact-decision gate: the named corpus, every system held to its
+/// pinned expectation and to `cross_examine`.
+#[test]
+fn exact_decision_gate_holds_on_the_full_corpus() {
+    let mut cases = gate_corpus();
     assert_eq!(cases.len(), 27);
     // One transaction more than the oracle's encoding holds: the checker
     // alone decides it.
@@ -140,6 +147,78 @@ fn exact_decision_gate_holds_on_the_full_corpus() {
     for (name, sys, expected_safe, expect_gap) in &cases {
         cross_examine(sys, *expected_safe, *expect_gap).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
+}
+
+/// `sys` with a third transaction that has no step: it shares no entity,
+/// so the padded system deadlocks exactly when `sys` does, and it takes
+/// the k-transaction encoder where `sys`, a pair, takes the pair path.
+fn padded(sys: &TxnSystem) -> TxnSystem {
+    let empty = TxnBuilder::new(sys.db(), "pad")
+        .build()
+        .expect("an empty transaction");
+    let mut txns = sys.txns().to_vec();
+    txns.push(empty);
+    TxnSystem::new(sys.db().clone(), txns)
+}
+
+/// Holds `check_deadlock`'s pair path on `sys` to the k-transaction
+/// encoder on `padded(sys)`: equal verdicts, and every prefix replays to a
+/// waits-for cycle. Returns whether the pair deadlocks.
+fn pair_path_agrees_with_the_encoder(sys: &TxnSystem, name: &str) -> bool {
+    assert_eq!(sys.len(), 2, "{name}");
+    let pad = padded(sys);
+    let pair = check_deadlock(sys).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let encoder = check_deadlock(&pad).unwrap_or_else(|e| panic!("{name} padded: {e}"));
+    assert_eq!(
+        pair.deadlock.is_some(),
+        encoder.deadlock.is_some(),
+        "{name}: deadlock verdicts disagree"
+    );
+    for (s, prefix) in [(sys, &pair.deadlock), (&pad, &encoder.deadlock)] {
+        if let Some(prefix) = prefix {
+            let evidence = replay_deadlock(s, prefix)
+                .unwrap_or_else(|e| panic!("{name}: prefix must replay: {e}"));
+            assert!(evidence.cycle.len() >= 2, "{name}");
+        }
+    }
+    pair.deadlock.is_some()
+}
+
+/// The deadlock pair path decides as the k-transaction encoder on 1 000
+/// random pairs over two to six sites and on every pair of the gate's
+/// corpus.
+#[test]
+fn the_deadlock_pair_path_decides_as_the_encoder() {
+    let strategies = [
+        LockStrategy::Minimal,
+        LockStrategy::TwoPhaseLoose,
+        LockStrategy::TwoPhaseSync,
+    ];
+    let mut deadlocks = 0;
+    for i in 0..1_000usize {
+        let sys = random_pair(&WorkloadParams {
+            seed: 47_000 + i as u64,
+            sites: 2 + i % 5,
+            entities_per_site: 2 + (i / 5) % 2,
+            steps_per_txn: 6 + (i / 10) % 9,
+            strategy: strategies[i % 3],
+            ..Default::default()
+        });
+        deadlocks += usize::from(pair_path_agrees_with_the_encoder(
+            &sys,
+            &format!("random pair {i}"),
+        ));
+    }
+    // Both verdicts occur often enough to test.
+    assert!((100..900).contains(&deadlocks), "{deadlocks} deadlock");
+    let mut pairs = 0;
+    for (name, sys, _, _) in gate_corpus() {
+        if sys.len() == 2 {
+            pair_path_agrees_with_the_encoder(&sys, &name);
+            pairs += 1;
+        }
+    }
+    assert!(pairs > 0);
 }
 
 /// T0 locks `x` (site 0), then `y` (site 1), two-phase, and its only path
@@ -178,24 +257,20 @@ fn a_path_through_a_private_section_orders_the_shared_ones() {
     assert!(matches!(report.outcome, OracleOutcome::Safe));
     assert!(report.deadlock_reachable);
     cross_examine(&sys, Some(true), false).unwrap();
+    // The pair takes the pair paths; padded, it takes the k-transaction
+    // encoder, whose milestone order must fold in the same path.
+    cross_examine(&padded(&sys), Some(true), false).unwrap();
 }
 
 /// What the checker answers and spends on 128 pairs drawn as the
 /// benchmark's `analysis_sat` draws them: `[vars, clauses, decisions,
-/// propagations, witnesses, witness digest]` summed over `check_safety`
-/// (every one of them a pair, so its pair path), then over
-/// `check_deadlock`. The solver is deterministic, so a change
+/// propagations, witnesses, witness digest]` summed over `check_safety`,
+/// then over `check_deadlock` (every input a pair, so each row is a pair
+/// path). The solver is deterministic, so a change
 /// to how formulas or clauses are stored must leave every figure as it is.
 const PIN_SAT_EFFORT: [[u64; 6]; 2] = [
     [1_246, 3_472, 1_024, 874, 82, 4_131_125_572_951_578_351],
-    [
-        17_526,
-        127_125,
-        6_178,
-        35_835,
-        57,
-        16_365_011_967_503_986_206,
-    ],
+    [7_032, 17_932, 1_321, 15_839, 57, 4_104_381_385_426_280_742],
 ];
 
 /// `[optimal, greedy, sat_calls, certified digest]` summed over
