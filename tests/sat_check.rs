@@ -383,6 +383,53 @@ fn checker_verdicts_on_benchmark_shaped_systems_are_pinned() {
     assert_eq!(got, PIN_SAT_VERDICTS);
 }
 
+/// `[witnesses, witness digest]` for `check_safety`, then for
+/// `check_deadlock`, over the systems of `PIN_SAT_VERDICTS`'s 1 000 that
+/// have three or four transactions, folded as `PIN_SAT_EFFORT`'s are:
+/// the witnesses of the k-transaction encoder, which no other pin sees.
+const PIN_K_WITNESSES: [[u64; 2]; 2] = [
+    [331, 10_793_812_342_341_588_866],
+    [528, 15_984_520_238_794_679_150],
+];
+
+#[test]
+fn k_transaction_witnesses_are_pinned() {
+    let strategies = [
+        LockStrategy::Minimal,
+        LockStrategy::TwoPhaseLoose,
+        LockStrategy::TwoPhaseSync,
+    ];
+    let mut got = [[0u64; 2]; 2];
+    for i in (0..1_000usize).filter(|i| i % 3 != 0) {
+        let sys = random_system(&WorkloadParams {
+            seed: 31_000 + i as u64,
+            sites: if i % 8 == 7 { 2 } else { 3 + i % 2 },
+            entities_per_site: 2,
+            transactions: 2 + i % 3,
+            steps_per_txn: 6 + i % 7,
+            strategy: strategies[i % 3],
+            ..Default::default()
+        });
+        assert!(sys.len() >= 3);
+        let safety = check_safety(&sys).expect("exclusive-only systems encode");
+        let deadlock = check_deadlock(&sys).expect("exclusive-only systems encode");
+        let unsafe_witness = match &safety.verdict {
+            SatSafety::Unsafe(w) => Some(w),
+            SatSafety::Safe => None,
+        };
+        for (row, witness) in [(0, unsafe_witness), (1, deadlock.deadlock.as_ref())] {
+            if let Some(w) = witness {
+                got[row][0] += 1;
+                got[row][1] = fold(
+                    got[row][1],
+                    w.steps().iter().flat_map(|s| [s.txn.idx(), s.step.idx()]),
+                );
+            }
+        }
+    }
+    assert_eq!(got, PIN_K_WITNESSES);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
