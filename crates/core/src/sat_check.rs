@@ -343,6 +343,9 @@ struct Encoder<'a> {
     /// `transaction index · entity count + entity` → index into
     /// `sections`, or [`NO_SECTION`].
     section_of: Vec<usize>,
+    /// Step numbering: transaction `t`'s step `s` is node
+    /// `offsets[t] + s`, and `offsets[k]` counts every step.
+    offsets: Vec<usize>,
 }
 
 impl<'a> Encoder<'a> {
@@ -419,6 +422,12 @@ impl<'a> Encoder<'a> {
             pairs,
             sections,
             section_of,
+            offsets: std::iter::once(0)
+                .chain(sys.txns().iter().scan(0, |end, t| {
+                    *end += t.len();
+                    Some(*end)
+                }))
+                .collect(),
         };
         // Room for the core: two three-literal clauses per triple at most.
         let triples = m * m.saturating_sub(1) * m.saturating_sub(2) / 6;
@@ -474,22 +483,23 @@ impl<'a> Encoder<'a> {
         self.sections[self.section_of[txn * self.sys.db().entity_count() + e.idx()]]
     }
 
-    /// Decodes the model's milestone order restricted to `included`
-    /// milestones and topologically sorts `included_step` steps under the
-    /// precedence DAGs plus that order. Returns the schedule, or an error
-    /// if the combined relation is cyclic (which would be an encoder bug).
+    /// Decodes the model's milestone order restricted to the milestones
+    /// `kept` keeps (over step nodes, numbered through `offsets`) and
+    /// sorts the kept steps under the precedence DAGs plus that order
+    /// ([`witness_schedule`]).
     fn decode(
         &self,
         model: &[bool],
-        included_step: impl Fn(usize, StepId) -> bool,
+        kept: impl Fn(usize) -> bool,
     ) -> Result<Schedule, SatCheckError> {
-        // Total order over the included milestones: sort by how many other
-        // included milestones come first.
+        let node = |a: usize| {
+            let (t, s) = self.milestones[a];
+            self.offsets[t] + s.idx()
+        };
+        // Total order over the kept milestones: sort by how many other
+        // kept milestones come first.
         let mut chain: Vec<usize> = (0..self.milestones.len())
-            .filter(|&a| {
-                let (t, s) = self.milestones[a];
-                included_step(t, s)
-            })
+            .filter(|&a| kept(node(a)))
             .collect();
         let mut keys = vec![0usize; self.milestones.len()];
         for &a in &chain {
@@ -499,80 +509,47 @@ impl<'a> Encoder<'a> {
                 .count();
         }
         chain.sort_by_key(|&a| keys[a]);
-
-        // Step-level node ids.
-        let mut offsets = Vec::with_capacity(self.sys.len());
-        let mut total = 0usize;
-        for t in self.sys.txns() {
-            offsets.push(total);
-            total += t.len();
-        }
-        let node = |t: usize, s: StepId| offsets[t] + s.idx();
-        let included: Vec<(usize, StepId)> = (0..self.sys.len())
-            .flat_map(|t| {
-                (0..self.sys.txn(TxnId::from_idx(t)).len()).map(move |v| (t, StepId::from_idx(v)))
-            })
-            .filter(|&(t, s)| included_step(t, s))
-            .collect();
-
-        let mut indegree = vec![0usize; total];
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); total];
-        for &(t, s) in &included {
-            for &p in self
-                .sys
-                .txn(TxnId::from_idx(t))
-                .edge_graph()
-                .predecessors(s.idx())
-            {
-                let ps = StepId::from_idx(p);
-                debug_assert!(included_step(t, ps), "executed set not downward closed");
-                successors[node(t, ps)].push(node(t, s));
-                indegree[node(t, s)] += 1;
-            }
-        }
-        for w in chain.windows(2) {
-            let (ta, sa) = self.milestones[w[0]];
-            let (tb, sb) = self.milestones[w[1]];
-            successors[node(ta, sa)].push(node(tb, sb));
-            indegree[node(tb, sb)] += 1;
-        }
-
-        // Kahn's algorithm, deterministic by smallest node id.
-        let mut order = Vec::with_capacity(included.len());
-        let mut ready: Vec<usize> = included
-            .iter()
-            .map(|&(t, s)| node(t, s))
-            .filter(|&n| indegree[n] == 0)
-            .collect();
-        ready.sort_unstable();
-        while let Some(&n) = ready.first() {
-            ready.remove(0);
-            order.push(n);
-            for &m in &successors[n] {
-                indegree[m] -= 1;
-                if indegree[m] == 0 {
-                    let pos = ready.partition_point(|&r| r < m);
-                    ready.insert(pos, m);
-                }
-            }
-        }
-        if order.len() != included.len() {
-            return Err(SatCheckError::WitnessDecode(
-                "milestone order and precedence DAGs form a cycle".into(),
-            ));
-        }
-        let steps = order
-            .into_iter()
-            .map(|n| {
-                let t = offsets.partition_point(|&o| o <= n) - 1;
-                ScheduledStep {
-                    txn: TxnId::from_idx(t),
-                    step: StepId::from_idx(n - offsets[t]),
-                }
-            })
-            .collect();
-        Ok(Schedule::new(steps))
+        let txns: Vec<&Transaction> = self.sys.txns().iter().collect();
+        let arcs = chain.windows(2).map(|w| (node(w[0]), node(w[1])));
+        witness_schedule(&txns, &self.offsets, arcs, kept)
     }
+}
+
+/// The witness every path returns: Kahn's sort
+/// ([`kplock_graph::topo_sort`], smallest node first) of the steps of
+/// `txns`, transaction `t`'s step `s` numbered `offsets[t] + s`, under
+/// their precedence DAGs plus `arcs`, keeping the steps `kept` keeps and
+/// the arcs between them, as a schedule with `txns[t]` as `TxnId(t)`.
+/// A step that is not kept has no arc, so it moves no other step.
+fn witness_schedule(
+    txns: &[&Transaction],
+    offsets: &[usize],
+    arcs: impl Iterator<Item = (usize, usize)>,
+    kept: impl Fn(usize) -> bool,
+) -> Result<Schedule, SatCheckError> {
+    let dags = txns.iter().zip(offsets).flat_map(|(t, &base)| {
+        t.edge_graph()
+            .edges()
+            .map(move |(u, v)| (base + u, base + v))
+    });
+    let arcs = dags.chain(arcs).filter(|&(u, v)| kept(u) && kept(v));
+    let order = topo_sort(&DiGraph::from_edges(offsets[txns.len()], arcs)).ok_or_else(|| {
+        SatCheckError::WitnessDecode(
+            "the witness's arcs and the precedence DAGs form a cycle".into(),
+        )
+    })?;
+    let steps = order
+        .into_iter()
+        .filter(|&v| kept(v))
+        .map(|v| {
+            let t = offsets.partition_point(|&o| o <= v) - 1;
+            ScheduledStep {
+                txn: TxnId::from_idx(t),
+                step: StepId::from_idx(v - offsets[t]),
+            }
+        })
+        .collect();
+    Ok(Schedule::new(steps))
 }
 
 /// Adds `terms` as one clause with the constants folded in: a true one
@@ -690,7 +667,7 @@ pub fn check_safety_with(
             stats,
         }),
         SatResult::Sat(model) => Ok(SafetyCheck {
-            verdict: SatSafety::Unsafe(verified_unsafe(sys, enc.decode(&model, |_, _| true)?)?),
+            verdict: SatSafety::Unsafe(verified_unsafe(sys, enc.decode(&model, |_| true)?)?),
             stats,
         }),
     }
@@ -821,10 +798,10 @@ impl PairOrder {
     }
 }
 
-/// Kahn's sort of both DAGs plus the section arcs `orient` picks, over the
-/// steps `executed` keeps, `b`'s numbered after `a`'s, as a schedule of
-/// `TxnId(0)` and `TxnId(1)`. An arc is kept when both its ends are, so a
-/// section arc joins two sections that are both locked.
+/// [`witness_schedule`] of both DAGs plus the section arcs `orient`
+/// picks, over the steps `executed` keeps, `b`'s numbered after `a`'s, as
+/// a schedule of `TxnId(0)` and `TxnId(1)`. An arc is kept when both its
+/// ends are, so a section arc joins two sections that are both locked.
 fn pair_schedule(
     ta: &Transaction,
     tb: &Transaction,
@@ -840,27 +817,8 @@ fn pair_schedule(
             (off + s.unlock_b.idx(), s.lock_a.idx())
         }
     });
-    let arcs = ta
-        .edge_graph()
-        .edges()
-        .chain(tb.edge_graph().edges().map(|(u, v)| (off + u, off + v)))
-        .chain(section_arcs)
-        .filter(|&(u, v)| executed(u) && executed(v));
-    let order = topo_sort(&DiGraph::from_edges(off + tb.len(), arcs)).ok_or_else(|| {
-        SatCheckError::WitnessDecode("section arcs and precedence DAGs form a cycle".into())
-    })?;
-    let steps = order
-        .into_iter()
-        .filter(|&v| executed(v))
-        .map(|v| {
-            let (txn, step) = if v < off { (0, v) } else { (1, v - off) };
-            ScheduledStep {
-                txn: TxnId(txn),
-                step: StepId::from_idx(step),
-            }
-        })
-        .collect();
-    Ok(Schedule::new(steps))
+    let offsets = [0, off, off + tb.len()];
+    witness_schedule(&[ta, tb], &offsets, section_arcs, executed)
 }
 
 /// The pair path: whether transactions `a` and `b` of `sys` have a
@@ -1020,15 +978,10 @@ pub fn check_deadlock_with(
     let (enc, mut cnf) = Encoder::new(sys, opts)?;
 
     // Executed flag per step.
-    let mut offsets = Vec::with_capacity(sys.len());
-    let mut total = 0usize;
-    for t in sys.txns() {
-        offsets.push(total);
-        total += t.len();
-    }
+    let total = enc.offsets[sys.len()];
     let x_base = cnf.num_vars;
     cnf.num_vars += total;
-    let x = |t: usize, s: StepId| Var((x_base + offsets[t] + s.idx()) as u32);
+    let x = |t: usize, s: StepId| Var((x_base + enc.offsets[t] + s.idx()) as u32);
     // Holder flag per section: h asserts the section's transaction holds
     // the entity in the final state (locked, not yet unlocked).
     let h_base = cnf.num_vars;
@@ -1116,8 +1069,7 @@ pub fn check_deadlock_with(
             stats,
         }),
         SatResult::Sat(model) => {
-            let executed = |t: usize, s: StepId| model[x(t, s).idx()];
-            let prefix = enc.decode(&model, executed)?;
+            let prefix = enc.decode(&model, |v| model[x_base + v])?;
             Ok(DeadlockCheck {
                 deadlock: Some(verified_deadlock(sys, prefix)?),
                 stats,
