@@ -11,6 +11,14 @@
 //! matrix. A graph costs what its nodes and edges cost; only the closure
 //! is quadratic, and only for whoever asks for it.
 //!
+//! The workspace has one cycle finder, [`CycleTest`]: reusable buffers
+//! over `u32` arcs that lay them out as compressed rows, peel them
+//! (Kahn's algorithm) to say whether a cycle exists, and on a yes name the
+//! first cycle a depth-first search meets, its rows and roots in an order
+//! the caller keys. [`find_cycle`] and [`has_cycle`] run it over a
+//! [`DiGraph`]; the simulator's deadlock scan runs it over the wait-for
+//! arcs of its site tables, warm, so a scan allocates nothing.
+//!
 //! # Example
 //!
 //! ```
@@ -36,7 +44,7 @@ pub mod topo;
 
 pub use bitset::BitSet;
 pub use condensation::{condensation, Condensation};
-pub use cycle::{find_cycle, has_cycle, simple_cycles};
+pub use cycle::{find_cycle, has_cycle, simple_cycles, CycleTest};
 pub use digraph::DiGraph;
 pub use dominator::{enumerate_dominators, find_dominator, is_dominator};
 pub use reach::{transitive_closure, Closure};

@@ -7,7 +7,7 @@
 //! those tables, on a timer (default, the paper-era scheme) or after
 //! every site event that leaves a waiter behind
 //! ([`crate::config::DeadlockDetection::OnBlock`]), each iteration of
-//! which gathers the tables' edges once into one compressed-row graph,
+//! which gathers the tables' edges once into [`kplock_graph::CycleTest`],
 //! asks it whether any cycle exists (in time linear in the edges, and
 //! without allocating) and names one that does on the same rows — or by
 //! distributed Chandy–Misra–Haas probes travelling site-to-site
@@ -49,6 +49,7 @@ use crate::history::{audit, Audit, History};
 use crate::metrics::Metrics;
 use crate::probe::{self, ProbeMsg, Stamp};
 use crate::site::Site;
+use kplock_dlm::QueueTable;
 use kplock_model::{EntityId, SiteId, StepId, TxnId, TxnSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -265,7 +266,7 @@ struct Engine<'a> {
     uncommitted: usize,
     /// The wait-for graph of the global detectors' scan and of the probe
     /// audit, with its buffers.
-    cycle_test: CycleTest,
+    wait_gather: WaitGather,
     /// Events the [`SimConfig::invariant_audit`] harness has audited.
     audited: u64,
     /// Test seam: abort orders start no re-chase, leaving the marks alone
@@ -283,10 +284,10 @@ struct Engine<'a> {
 /// leaked arena node, a stale index entry).
 const FULL_SWEEP_EVERY: u64 = 4096;
 
-/// [`CycleTest`]'s mark for a transaction not on the graph being gathered.
+/// [`WaitGather`]'s mark for a transaction not on the graph being gathered.
 const UNSEEN: usize = usize::MAX;
 
-/// How [`CycleTest::find_cycle`] orders each waiter's row of arcs, which
+/// How [`WaitGather::find_cycle`] orders each waiter's row of arcs, which
 /// decides the cycle its search meets first. Each detector keeps the
 /// order its fixed-seed pins were recorded under: the order its edge list
 /// gave a node-per-transaction `DiGraph`, first occurrence kept.
@@ -301,81 +302,58 @@ pub(crate) enum RowOrder {
     ByHolder,
 }
 
-/// One wait-for graph over the transactions that wait or are waited for,
-/// gathered site by site and kept as compressed rows, with the buffers
-/// that answer both of a scan's questions from it: whether it has a
-/// cycle ([`CycleTest::has_cycle`]) and, on a yes, which one
-/// ([`CycleTest::find_cycle`]). Kept across calls so that a warm call
-/// allocates nothing; what the buffers hold between gathers means
-/// nothing.
-///
-/// A gather is [`CycleTest::clear`], then [`CycleTest::arc`] for each
-/// live edge and [`CycleTest::end_site`] after each site's, then
-/// [`CycleTest::has_cycle`], which lays the rows out and must come before
-/// either finder.
+/// The wait-for graph of the transactions that wait or are waited for, in
+/// a [`kplock_graph::CycleTest`]: what knows of transactions and sites
+/// lives here. Kept across calls so that a warm call allocates nothing.
 #[derive(Default)]
-pub(crate) struct CycleTest {
+pub(crate) struct WaitGather {
     /// One entry per transaction: its node while a graph is gathered, a
-    /// mark while [`CycleTest::newest_on_cycle`] runs, [`UNSEEN`]
+    /// mark while [`WaitGather::newest_on_cycle`] runs, [`UNSEEN`]
     /// otherwise.
     slot: Vec<usize>,
     /// The transaction of each node, nodes numbered in order of
     /// appearance.
     txns: Vec<usize>,
-    /// The live edges as node pairs, in gather order.
-    arcs: Vec<(u32, u32)>,
-    /// Where each site's arcs end in `arcs`: a site-boundary index.
-    site_ends: Vec<u32>,
-    /// The graph in compressed rows: node `v`'s successors are
-    /// `targets[offsets[v]..offsets[v + 1]]`, in no particular order.
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    /// Per node, its predecessors not yet peeled off; and the nodes with
-    /// none left, waiting to be peeled (the reachability stack of
-    /// [`CycleTest::on_cycle`], and the DFS roots of
-    /// [`CycleTest::find_cycle`]).
-    indegree: Vec<u32>,
-    ready: Vec<u32>,
-    /// [`CycleTest::find_cycle`]'s rows: the same spans of `offsets`,
-    /// each entry a target node with its [`RowOrder`] key, filled in
-    /// gather order through `cursor` and then sorted.
-    keyed: Vec<(u64, u32)>,
-    cursor: Vec<u32>,
-    /// The depth-first search: colour and tree parent per node, and the
-    /// stack of (node, next entry in its row); the colours are
-    /// [`CycleTest::on_cycle`]'s seen marks too.
-    colour: Vec<u8>,
-    parent: Vec<u32>,
-    frames: Vec<(u32, u32)>,
-    /// The cycle [`CycleTest::find_cycle`] named, as transaction indices.
+    graph: kplock_graph::CycleTest,
+    /// The cycle [`WaitGather::find_cycle`] named, as transaction indices.
     cycle: Vec<usize>,
 }
 
-const WHITE: u8 = 0;
-const GRAY: u8 = 1;
-const BLACK: u8 = 2;
-
-impl CycleTest {
+impl WaitGather {
     /// Buffers for graphs over `txn_count` transactions.
     pub(crate) fn new(txn_count: usize) -> Self {
-        CycleTest {
+        WaitGather {
             slot: vec![UNSEEN; txn_count],
-            ..CycleTest::default()
+            ..WaitGather::default()
         }
     }
 
-    /// Starts a gather.
-    pub(crate) fn clear(&mut self) {
+    /// Gathers the live wait-for edges of `tables`, site by site and
+    /// unsorted ([`kplock_dlm::QueueTable::for_each_wait_edge`]), rows in
+    /// `order`, and asks whether they close a cycle. Comes first.
+    pub(crate) fn gather<'t>(
+        &mut self,
+        tables: impl IntoIterator<Item = &'t QueueTable<Instance>>,
+        live: impl Fn(Instance) -> bool,
+        order: RowOrder,
+    ) -> bool {
         self.txns.clear();
-        self.arcs.clear();
-        self.site_ends.clear();
+        self.graph.clear();
+        for (site, table) in tables.into_iter().enumerate() {
+            table.for_each_wait_edge(|w, h| {
+                if live(w) && live(h) {
+                    self.arc(order, site, w.txn.idx(), h.txn.idx());
+                }
+            });
+        }
+        self.has_cycle()
     }
 
-    /// Adds the arc from waiter `w` to holder `h` (transaction indices,
-    /// both ends live), numbering each transaction the first time one
-    /// names it.
+    /// Adds the arc from waiter `w` to holder `h` at `site` (transaction
+    /// indices, both ends live), numbering each transaction the first
+    /// time one names it, with its key in `order`.
     #[inline]
-    pub(crate) fn arc(&mut self, w: usize, h: usize) {
+    fn arc(&mut self, order: RowOrder, site: usize, w: usize, h: usize) {
         let mut node = |t: usize| {
             if self.slot[t] == UNSEEN {
                 self.slot[t] = self.txns.len();
@@ -383,205 +361,39 @@ impl CycleTest {
             }
             self.slot[t] as u32
         };
-        let arc = (node(w), node(h));
-        self.arcs.push(arc);
+        let (wn, hn) = (node(w), node(h));
+        let site = if order == RowOrder::BySite { site } else { 0 };
+        self.graph.arc(wn, hn, ((site as u64) << 32) | h as u64);
     }
 
-    /// Ends the current site's arcs.
-    pub(crate) fn end_site(&mut self) {
-        self.site_ends.push(self.arcs.len() as u32);
+    /// Ends the gather: `slot` is all [`UNSEEN`] again.
+    fn has_cycle(&mut self) -> bool {
+        for &t in &self.txns {
+            self.slot[t] = UNSEEN;
+        }
+        self.graph.has_cycle(self.txns.len())
     }
 
-    /// Whether the gathered graph has a cycle, in time linear in its arcs
-    /// and, once warm, with no allocation and no sort. Lays the arcs out
-    /// as compressed rows, then peels off every node no cycle passes
-    /// through (Kahn's algorithm: a node whose predecessors are all gone
-    /// goes next); a cycle exists exactly when a node is left. Ends the
-    /// gather: `slot` is all [`UNSEEN`] again.
-    pub(crate) fn has_cycle(&mut self) -> bool {
-        let CycleTest {
-            slot,
-            txns,
-            arcs,
-            offsets,
-            targets,
-            indegree,
-            ready,
-            ..
-        } = self;
-        for &t in txns.iter() {
-            slot[t] = UNSEEN;
-        }
-        if arcs.is_empty() {
-            return false;
-        }
-        let n = txns.len();
-        offsets.clear();
-        offsets.resize(n + 1, 0);
-        indegree.clear();
-        indegree.resize(n, 0);
-        for &(w, h) in arcs.iter() {
-            offsets[w as usize] += 1;
-            indegree[h as usize] += 1;
-        }
-        // Each offset becomes the end of its node's row; placing the row's
-        // targets steps it back to the row's start.
-        let mut end = 0;
-        for offset in offsets.iter_mut() {
-            end += *offset;
-            *offset = end;
-        }
-        targets.clear();
-        targets.resize(arcs.len(), 0);
-        for &(w, h) in arcs.iter() {
-            let at = &mut offsets[w as usize];
-            *at -= 1;
-            targets[*at as usize] = h;
-        }
-        ready.clear();
-        ready.extend((0..n as u32).filter(|&v| indegree[v as usize] == 0));
-        let mut peeled = 0;
-        while let Some(v) = ready.pop() {
-            peeled += 1;
-            for &w in &targets[span(offsets, v)] {
-                let left = &mut indegree[w as usize];
-                *left -= 1;
-                if *left == 0 {
-                    ready.push(w);
-                }
-            }
-        }
-        peeled < n
+    /// The cycle `kplock_graph::find_cycle` names (as transaction indices,
+    /// empty if none) on a node per transaction, roots in ascending
+    /// [`TxnId`], and the edges added in the gather's [`RowOrder`].
+    pub(crate) fn find_cycle(&mut self) -> &[usize] {
+        let found = self.graph.find_cycle(|v| self.txns[v as usize] as u64);
+        self.cycle.clear();
+        self.cycle
+            .extend(found.iter().map(|&v| self.txns[v as usize]));
+        &self.cycle
     }
 
-    /// The cycle a depth-first search names on the gathered graph, as
-    /// transaction indices, empty when there is none: the cycle
-    /// `kplock_graph::find_cycle` returns on a graph with a node per
-    /// transaction and the edges added, first occurrence kept, in the
-    /// order `order` names — the detectors' old ordered edge lists. Roots
-    /// go in ascending [`TxnId`] and each row in `order`; a repeated arc
-    /// needs no dedup, as the search finds its target black the second
-    /// time. After a [`CycleTest::has_cycle`].
-    pub(crate) fn find_cycle(&mut self, order: RowOrder) -> &[usize] {
-        let CycleTest {
-            txns,
-            arcs,
-            site_ends,
-            offsets,
-            ready: roots,
-            keyed,
-            cursor,
-            colour,
-            parent,
-            frames,
-            cycle,
-            ..
-        } = self;
-        cycle.clear();
-        let n = txns.len();
-        cursor.clear();
-        cursor.extend_from_slice(&offsets[..n]);
-        keyed.clear();
-        keyed.resize(arcs.len(), (0, 0));
-        let mut site = 0;
-        for (i, &(w, h)) in arcs.iter().enumerate() {
-            while site_ends[site] as usize <= i {
-                site += 1;
-            }
-            let holder = txns[h as usize] as u64;
-            let key = match order {
-                RowOrder::BySite => ((site as u64) << 32) | holder,
-                RowOrder::ByHolder => holder,
-            };
-            let at = &mut cursor[w as usize];
-            keyed[*at as usize] = (key, h);
-            *at += 1;
-        }
-        for v in 0..n as u32 {
-            // Equal keys name one node, so the sort need not be stable.
-            keyed[span(offsets, v)].sort_unstable();
-        }
-        roots.clear();
-        roots.extend(0..n as u32);
-        roots.sort_unstable_by_key(|&v| txns[v as usize]);
-        colour.clear();
-        colour.resize(n, WHITE);
-        parent.resize(n, 0);
-        for &root in roots.iter() {
-            if colour[root as usize] != WHITE {
-                continue;
-            }
-            colour[root as usize] = GRAY;
-            frames.push((root, offsets[root as usize]));
-            while let Some(&mut (v, ref mut at)) = frames.last_mut() {
-                if *at == offsets[v as usize + 1] {
-                    colour[v as usize] = BLACK;
-                    frames.pop();
-                    continue;
-                }
-                let w = keyed[*at as usize].1;
-                *at += 1;
-                match colour[w as usize] {
-                    WHITE => {
-                        colour[w as usize] = GRAY;
-                        parent[w as usize] = v;
-                        frames.push((w, offsets[w as usize]));
-                    }
-                    GRAY => {
-                        // A back arc v → w: the cycle is w … v.
-                        let mut cur = v;
-                        cycle.push(txns[cur as usize]);
-                        while cur != w {
-                            cur = parent[cur as usize];
-                            cycle.push(txns[cur as usize]);
-                        }
-                        cycle.reverse();
-                        frames.clear();
-                        return cycle;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        cycle
-    }
-
-    /// Whether transaction `txn` is on a cycle of the gathered graph: it
-    /// reaches itself. The tables give no arc from a transaction to
-    /// itself, so this is membership of a strongly connected component
-    /// with more than one node. After a [`CycleTest::has_cycle`].
+    /// Whether transaction `txn` is on a cycle of the gathered graph
+    /// ([`kplock_graph::CycleTest::reaches_itself`]).
     pub(crate) fn on_cycle(&mut self, txn: usize) -> bool {
-        let CycleTest {
-            txns,
-            offsets,
-            targets,
-            ready: stack,
-            colour: seen,
-            ..
-        } = self;
-        let Some(v) = txns.iter().position(|&t| t == txn) else {
-            return false;
-        };
-        seen.clear();
-        seen.resize(txns.len(), 0);
-        stack.clear();
-        stack.push(v as u32);
-        while let Some(u) = stack.pop() {
-            for &w in &targets[span(offsets, u)] {
-                if w as usize == v {
-                    return true;
-                }
-                if seen[w as usize] == 0 {
-                    seen[w as usize] = 1;
-                    stack.push(w);
-                }
-            }
-        }
-        false
+        let node = self.txns.iter().position(|&t| t == txn);
+        node.is_some_and(|v| self.graph.reaches_itself(v as u32))
     }
 
     /// The latest `since` among `records` whose transaction is on the
-    /// cycle [`CycleTest::find_cycle`] named: its members are marked in
+    /// cycle [`WaitGather::find_cycle`] named: its members are marked in
     /// `slot` for the pass, so each record costs one lookup.
     pub(crate) fn newest_on_cycle(
         &mut self,
@@ -602,79 +414,33 @@ impl CycleTest {
     }
 }
 
-/// Node `v`'s span of the compressed rows `offsets` index.
-fn span(offsets: &[u32], v: u32) -> std::ops::Range<usize> {
-    offsets[v as usize] as usize..offsets[v as usize + 1] as usize
-}
-
-/// The oracle the scan's finder is held to: one cycle of the
-/// transaction-level wait-for graph of `edges` whose two ends are both
-/// `live`, as transaction indices, or `None`. Numbers the transactions on
-/// a live edge in ascending [`TxnId`] through `slot` (all [`UNSEEN`] on
-/// entry and again on return), adds the edges in the order received to a
-/// `DiGraph`, first occurrence kept, and asks `kplock_graph::find_cycle`.
-#[cfg(any(test, debug_assertions))]
-pub(crate) fn find_wait_cycle(
-    edges: &[(Instance, Instance)],
-    live: impl Fn(Instance) -> bool,
-    slot: &mut [usize],
-) -> Option<Vec<usize>> {
-    let live_ends =
-        |&(w, h): &(Instance, Instance)| (live(w) && live(h)).then(|| [w.txn.idx(), h.txn.idx()]);
-    let mut nodes: Vec<usize> = Vec::new();
-    for t in edges.iter().filter_map(live_ends).flatten() {
-        if slot[t] == UNSEEN {
-            slot[t] = 0; // seen; numbered once the nodes are sorted
-            nodes.push(t);
-        }
-    }
-    if nodes.is_empty() {
-        return None;
-    }
-    nodes.sort_unstable();
-    for (node, &t) in nodes.iter().enumerate() {
-        slot[t] = node;
-    }
-    let mut g = kplock_graph::DiGraph::new(nodes.len());
-    for [w, h] in edges.iter().filter_map(live_ends) {
-        g.add_edge(slot[w], slot[h]);
-    }
-    for &t in &nodes {
-        slot[t] = UNSEEN;
-    }
-    let cycle = kplock_graph::find_cycle(&g)?;
-    Some(cycle.into_iter().map(|node| nodes[node]).collect())
-}
-
-/// The edge list a detector in `order` used to hand [`find_wait_cycle`]:
-/// each site's edges sorted in turn, all of them sorted together and
-/// deduplicated for [`RowOrder::ByHolder`].
-#[cfg(any(test, debug_assertions))]
-fn ordered_edges<'e>(
-    sites: impl IntoIterator<Item = &'e [(Instance, Instance)]>,
+/// The oracle tests and debug builds hold the scan's finder to, the graph
+/// it replaced: a node per transaction of `k`, and the `live` edges of
+/// `sites` added in the order a detector in `order` listed them (each
+/// site's edges sorted in turn, all together for [`RowOrder::ByHolder`]).
+fn oracle_graph(
+    k: usize,
+    sites: &[Vec<(Instance, Instance)>],
     order: RowOrder,
-) -> Vec<(Instance, Instance)> {
+    live: impl Fn(Instance) -> bool,
+) -> kplock_graph::DiGraph {
     let mut edges = Vec::new();
     for site in sites {
         let from = edges.len();
-        edges.extend_from_slice(site);
+        edges.extend(site.iter().filter(|&&(w, h)| live(w) && live(h)));
         edges[from..].sort();
     }
     if order == RowOrder::ByHolder {
         edges.sort(); // merges the sites' ascending runs
-        edges.dedup();
     }
-    edges
+    kplock_graph::DiGraph::from_edges(k, edges.iter().map(|(w, h)| (w.txn.idx(), h.txn.idx())))
 }
 
-/// [`find_wait_cycle`] over the site tables' live edges listed in
-/// `order`: the cycle the scan named before it kept rows of its own.
-#[cfg(any(test, debug_assertions))]
+/// `kplock_graph::find_cycle` over the [`oracle_graph`] of the tables.
 fn oracle_cycle(sites: &[Site], coords: &[Coordinator], order: RowOrder) -> Option<Vec<usize>> {
-    let per_site: Vec<_> = sites.iter().map(|site| site.table.waits_for()).collect();
-    let edges = ordered_edges(per_site.iter().map(Vec::as_slice), order);
-    let mut slot = vec![UNSEEN; coords.len()];
-    find_wait_cycle(&edges, |i| !coords[i.txn.idx()].stale(i), &mut slot)
+    let tables: Vec<_> = sites.iter().map(|site| site.table.waits_for()).collect();
+    let live = |i: Instance| !coords[i.txn.idx()].stale(i);
+    kplock_graph::find_cycle(&oracle_graph(coords.len(), &tables, order, live))
 }
 
 /// Runs the system to completion (or `max_time`), all transactions
@@ -738,7 +504,7 @@ fn run_observed<'a>(
         coords: arrivals.iter().enumerate().map(coordinator).collect(),
         world: World::new(sys, cfg),
         uncommitted: sys.len(),
-        cycle_test: CycleTest::new(sys.len()),
+        wait_gather: WaitGather::new(sys.len()),
         audited: 0,
         #[cfg(test)]
         marks_alone: false,
@@ -1020,7 +786,9 @@ impl Engine<'_> {
     /// read purely to *count* phantom kills in
     /// [`Metrics::phantom_probe_aborts`].
     fn audit_probe_abort(&mut self, victim: Instance) {
-        let on_cycle = self.has_wait_cycle() && self.cycle_test.on_cycle(victim.txn.idx());
+        // Either row order: only membership is asked.
+        let on_cycle =
+            self.has_wait_cycle(RowOrder::BySite) && self.wait_gather.on_cycle(victim.txn.idx());
         if !on_cycle {
             self.world.metrics.phantom_probe_aborts += 1;
         }
@@ -1031,14 +799,14 @@ impl Engine<'_> {
     /// remains (an abort's grants retarget waiters).
     ///
     /// Each iteration gathers the site tables' edges once, into one
-    /// [`CycleTest`], and takes both answers from it: whether there is a
+    /// [`WaitGather`], and takes both answers from it: whether there is a
     /// cycle ([`Engine::has_wait_cycle`]), which most OnBlock iterations
     /// answer no to, and on a yes which one, the rows put in the order
     /// the detector's old ordered edge list had — by site, then holder,
     /// for Periodic; by holder for OnBlock ([`RowOrder`]). So the scan
     /// ends at the iteration it always ended at and names the cycle it
     /// always named; a debug build checks each against
-    /// [`find_wait_cycle`] on that list.
+    /// `kplock_graph::find_cycle` on that list ([`oracle_cycle`]).
     fn deadlock_scan(&mut self) {
         let order = match self.world.cfg.detection() {
             Some(DeadlockDetection::OnBlock) => RowOrder::ByHolder,
@@ -1046,7 +814,7 @@ impl Engine<'_> {
         };
         loop {
             self.world.scan_due = false;
-            if !self.has_wait_cycle() {
+            if !self.has_wait_cycle(order) {
                 #[cfg(test)]
                 {
                     self.gate_ended += 1;
@@ -1057,36 +825,20 @@ impl Engine<'_> {
         }
     }
 
-    /// Gathers every site table's live wait-for edges, site by site and
-    /// unsorted ([`kplock_dlm::QueueTable::for_each_wait_edge`]), into
-    /// the scan's [`CycleTest`], and asks whether they close a cycle
-    /// ([`CycleTest::has_cycle`]).
-    fn has_wait_cycle(&mut self) -> bool {
-        let Engine {
-            sites,
-            coords,
-            cycle_test,
-            ..
-        } = self;
+    /// Gathers every site table's live wait-for edges into the scan's
+    /// [`WaitGather`], rows in `order`: do they close a cycle?
+    fn has_wait_cycle(&mut self, order: RowOrder) -> bool {
+        let coords = &self.coords;
+        let tables = self.sites.iter().map(|site| &site.table);
         let live = |i: Instance| !coords[i.txn.idx()].stale(i);
-        cycle_test.clear();
-        for site in sites.iter() {
-            site.table.for_each_wait_edge(|w, h| {
-                if live(w) && live(h) {
-                    cycle_test.arc(w.txn.idx(), h.txn.idx());
-                }
-            });
-            cycle_test.end_site();
-        }
-        cycle_test.has_cycle()
+        self.wait_gather.gather(tables, live, order)
     }
 
     /// Names the cycle [`Engine::has_wait_cycle`] has said is there, its
     /// rows in `order`, and aborts its victim.
     fn resolve_one_cycle(&mut self, order: RowOrder) {
-        let cycle = self.cycle_test.find_cycle(order);
-        #[cfg(debug_assertions)]
-        assert_eq!(
+        let cycle = self.wait_gather.find_cycle();
+        debug_assert_eq!(
             Some(cycle),
             oracle_cycle(&self.sites, &self.coords, order).as_deref(),
             "tick {}: the scan's finder names the cycle the ordered edge list has",
@@ -1103,7 +855,7 @@ impl Engine<'_> {
         // cycle's members (the cycle cannot predate its youngest edge):
         // ~0 for OnBlock, up to a scan interval for Periodic.
         let coords = &self.coords;
-        let formation = self.cycle_test.newest_on_cycle(
+        let formation = self.wait_gather.newest_on_cycle(
             self.sites
                 .iter()
                 .flat_map(|site| site.queued.iter())
@@ -1249,79 +1001,51 @@ mod tests {
     use kplock_model::{Database, TxnBuilder};
     use proptest::prelude::*;
 
-    /// The construction [`find_wait_cycle`] replaced, kept as the oracle:
-    /// a node per transaction, every live edge added by transaction index.
-    fn over_all_graph(
-        k: usize,
-        edges: &[(Instance, Instance)],
-        live: impl Fn(Instance) -> bool,
-    ) -> kplock_graph::DiGraph {
-        let mut g = kplock_graph::DiGraph::new(k);
-        for &(w, h) in edges {
-            if live(w) && live(h) {
-                g.add_edge(w.txn.idx(), h.txn.idx());
-            }
-        }
-        g
-    }
-
-    fn find_wait_cycle_over_all(
-        k: usize,
-        edges: &[(Instance, Instance)],
-        live: impl Fn(Instance) -> bool,
-    ) -> Option<Vec<usize>> {
-        kplock_graph::find_cycle(&over_all_graph(k, edges, live))
-    }
-
     /// Gathers the live edges of `sites` into `graph`, site by site and
-    /// in the order given, as the scan gathers the tables', and asks
-    /// whether they close a cycle.
+    /// in the order given, rows in `order`, as the scan gathers the
+    /// tables', and asks whether they close a cycle.
     fn gather(
-        graph: &mut CycleTest,
+        graph: &mut WaitGather,
         sites: &[Vec<(Instance, Instance)>],
         live: impl Fn(Instance) -> bool,
+        order: RowOrder,
     ) -> bool {
-        graph.clear();
-        for site in sites {
-            for &(w, h) in site {
+        graph.txns.clear();
+        graph.graph.clear();
+        for (site, edges) in sites.iter().enumerate() {
+            for &(w, h) in edges {
                 if live(w) && live(h) {
-                    graph.arc(w.txn.idx(), h.txn.idx());
+                    graph.arc(order, site, w.txn.idx(), h.txn.idx());
                 }
             }
-            graph.end_site();
         }
         graph.has_cycle()
     }
 
     /// Holds `graph`, gathered from the per-site edge lists `sites` over
-    /// `k` transactions, to the oracles, in both detectors' row orders:
-    /// `find_wait_cycle` and the scan's finder name the cycle
-    /// [`find_wait_cycle_over_all`] names on the detector's ordered list,
-    /// the existence test says yes exactly then, and
-    /// [`CycleTest::on_cycle`] is membership of a strongly connected
-    /// component with more than one node (or a self-loop). The slot is
-    /// clear after each gather. Returns whether there was a cycle.
+    /// `k` transactions, to the oracle, in both detectors' row orders: the
+    /// scan's finder names the cycle `kplock_graph::find_cycle` names on
+    /// the detector's [`oracle_graph`], the existence test says yes
+    /// exactly then, and [`WaitGather::on_cycle`] is membership of a
+    /// strongly connected component with more than one node (or a
+    /// self-loop). The slot is clear after each gather. Returns whether
+    /// there was a cycle.
     fn check_scan_graph(
-        graph: &mut CycleTest,
+        graph: &mut WaitGather,
         k: usize,
         sites: &[Vec<(Instance, Instance)>],
         live: impl Fn(Instance) -> bool + Copy,
     ) -> bool {
-        let mut slot = vec![UNSEEN; k];
         let mut cyclic = false;
         for order in [RowOrder::BySite, RowOrder::ByHolder] {
-            let edges = ordered_edges(sites.iter().map(Vec::as_slice), order);
-            let expected = find_wait_cycle_over_all(k, &edges, live);
-            let old = find_wait_cycle(&edges, live, &mut slot);
-            assert_eq!(old, expected, "{order:?}: {sites:?}");
-            assert!(slot.iter().all(|&s| s == UNSEEN));
-            cyclic = gather(graph, sites, live);
+            let g = oracle_graph(k, sites, order, live);
+            let expected = kplock_graph::find_cycle(&g);
+            cyclic = gather(graph, sites, live, order);
             assert!(graph.slot.iter().all(|&s| s == UNSEEN));
             assert_eq!(cyclic, expected.is_some(), "{order:?}: {sites:?}");
-            let found = graph.find_cycle(order);
+            let found = graph.find_cycle();
             let found = (!found.is_empty()).then(|| found.to_vec());
             assert_eq!(found, expected, "{order:?}: {sites:?}");
-            let g = over_all_graph(k, &edges, live);
             let sccs = kplock_graph::tarjan_scc(&g);
             for t in 0..k {
                 let on_cycle = sccs.members[sccs.comp[t]].len() > 1 || g.has_edge(t, t);
@@ -1403,7 +1127,7 @@ mod tests {
             let sites = spread(&edges, sites, &mut rng);
 
             let live = |i: Instance| epochs[i.txn.idx()] == i.epoch;
-            check_scan_graph(&mut CycleTest::new(k), k, &sites, live);
+            check_scan_graph(&mut WaitGather::new(k), k, &sites, live);
         }
     }
 
@@ -1416,7 +1140,7 @@ mod tests {
     /// is put back each time.
     #[test]
     fn the_existence_test_answers_as_the_cycle_finder() {
-        let mut graph = CycleTest::new(12);
+        let mut graph = WaitGather::new(12);
         let mut answers = [0; 2];
         for seed in 0..4096 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1451,8 +1175,8 @@ mod tests {
     /// alone: `T0` waits for `T2` at site 0 and for `T1` at site 1, and
     /// both wait for `T0`. A search from `T0` closes `T0 → T2 → T0` first
     /// in Periodic's old list (site 0's edges, then site 1's) and
-    /// `T0 → T1 → T0` in OnBlock's (all of them sorted), and the rows of
-    /// one gather name each in its order.
+    /// `T0 → T1 → T0` in OnBlock's (all of them sorted), and a gather in
+    /// each order names that order's cycle.
     #[test]
     fn periodic_rows_go_by_site_and_on_block_rows_by_holder() {
         let i = |t| Instance {
@@ -1463,10 +1187,11 @@ mod tests {
             vec![(i(2), i(0)), (i(0), i(2))],
             vec![(i(1), i(0)), (i(0), i(1))],
         ];
-        let mut graph = CycleTest::new(3);
-        assert!(gather(&mut graph, &sites, |_| true));
-        assert_eq!(graph.find_cycle(RowOrder::BySite), [0, 2]);
-        assert_eq!(graph.find_cycle(RowOrder::ByHolder), [0, 1]);
+        let mut graph = WaitGather::new(3);
+        assert!(gather(&mut graph, &sites, |_| true, RowOrder::BySite));
+        assert_eq!(graph.find_cycle(), [0, 2]);
+        assert!(gather(&mut graph, &sites, |_| true, RowOrder::ByHolder));
+        assert_eq!(graph.find_cycle(), [0, 1]);
         check_scan_graph(&mut graph, 3, &sites, |_| true);
     }
 
@@ -2855,8 +2580,9 @@ mod tests {
                 gate_ended = eng.gate_ended;
                 let cycle = oracle_cycle(&eng.sites, &eng.coords, RowOrder::ByHolder);
                 let tick = eng.world.now;
-                assert_eq!(eng.has_wait_cycle(), cycle.is_some(), "tick {tick}");
-                let found = eng.cycle_test.find_cycle(RowOrder::ByHolder);
+                let cyclic = eng.has_wait_cycle(RowOrder::ByHolder);
+                assert_eq!(cyclic, cycle.is_some(), "tick {tick}");
+                let found = eng.wait_gather.find_cycle();
                 assert_eq!(cycle.as_deref().unwrap_or_default(), found, "tick {tick}");
                 if eng.world.scan_due {
                     return;
@@ -2919,7 +2645,7 @@ mod tests {
     }
 
     /// The phantom-kill count is all `invariant_audit` adds to a probe
-    /// run's metrics: on the `sim_hot`-shaped input ROADMAP item 6 names,
+    /// run's metrics: on the `sim_hot`-shaped input ROADMAP item 4 names,
     /// where the audit counts phantom kills, every other counter and the
     /// committed epochs match the unaudited run.
     #[test]

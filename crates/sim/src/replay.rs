@@ -18,7 +18,7 @@ use std::fmt;
 use kplock_dlm::{Acquire, QueueTable};
 use kplock_model::{ActionKind, EntityId, ModelError, Schedule, StepId, TxnId, TxnSystem};
 
-use crate::engine::{CycleTest, RowOrder};
+use crate::engine::{RowOrder, WaitGather};
 use crate::event::Instance;
 use crate::history::{audit, Audit, History};
 
@@ -213,15 +213,11 @@ pub fn replay_deadlock(
 
     // The queued requests induced real wait edges; find a cycle, the
     // rows in the order of each table's sorted edges, site by site.
-    let mut graph = CycleTest::new(sys.len());
-    for table in &site_tables {
-        table.for_each_wait_edge(|w, h| graph.arc(w.txn.idx(), h.txn.idx()));
-        graph.end_site();
-    }
-    if !graph.has_cycle() {
+    let mut graph = WaitGather::new(sys.len());
+    if !graph.gather(&site_tables, |_| true, RowOrder::BySite) {
         return Err(ReplayError::NoWaitCycle);
     }
-    let cycle = graph.find_cycle(RowOrder::BySite);
+    let cycle = graph.find_cycle();
     Ok(DeadlockEvidence {
         stalled,
         cycle: cycle.iter().map(|&t| TxnId::from_idx(t)).collect(),

@@ -115,7 +115,7 @@ proptest! {
     /// (`QueueTable::entity_waits_for`), and when the exclusive waiter
     /// aborts, that edge vanishes with both its ends alive — about one
     /// executed abort in 650 at this shape, under enumeration as under
-    /// the search (ROADMAP item 6).
+    /// the search (ROADMAP item 4).
     #[test]
     fn hot_batches_complete_within_the_message_bound(seed in 0u64..1_000_000) {
         let r = hot_run(seed, 24);
