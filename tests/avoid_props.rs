@@ -10,9 +10,9 @@
 //! statistical, so it must hold for every generated case, not most.
 
 use kplock::core::policy::LockStrategy;
-use kplock::model::TxnSystem;
+use kplock::model::{TxnId, TxnSystem};
 use kplock::sim::{run, AvoidPlan, DeadlockResolution, RunOutcome, SimConfig};
-use kplock::workload::{random_system, WorkloadParams};
+use kplock::workload::{certified_mix, random_system, WorkloadParams};
 use proptest::prelude::*;
 
 fn system(seed: u64, sites: usize, txns: usize) -> TxnSystem {
@@ -146,4 +146,105 @@ proptest! {
         prop_assert_eq!(r.metrics, again.metrics);
         prop_assert_eq!(r.committed_epoch, again.committed_epoch);
     }
+}
+
+/// FNV-1a step over `words`, as the other pins fold their digests.
+fn fold(digest: u64, words: impl IntoIterator<Item = usize>) -> u64 {
+    words.into_iter().fold(digest, |h, w| {
+        (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Adds one plan to a `[certified, digest]` row: its certified count, and
+/// its certified flags and safe lock order folded into the digest.
+fn pin_plan(row: &mut [u64; 2], sys: &TxnSystem, plan: &AvoidPlan) {
+    row[0] += plan.certified_count() as u64;
+    let flags = (0..sys.len()).map(|t| usize::from(plan.is_certified(TxnId::from_idx(t))));
+    row[1] = fold(row[1], flags);
+    row[1] = fold(row[1], plan.lock_order().iter().map(|e| e.idx()));
+}
+
+/// `[certified, digest]` per family of `analysis_poly`'s and `sim_hot`'s
+/// avoid inputs: random two-phase systems of 4 sites × 16 entities and
+/// 64, 128 and 256 transactions; `certified_mix(16, c, k − c, 4)` at the
+/// same sizes; `sim_hot`'s `certified_mix(8, c, 24 − c, 4)` for c = 4…12;
+/// `synthesize_restricted` of the first two families on three candidate
+/// subsets each; and, since greedy synthesis certifies next to nothing of
+/// the first family, small random systems at 0, 50 and 90 % reads, of
+/// which it certifies many. Any change to how plans are synthesized must
+/// leave every certified set and every safe lock order as it is.
+const PIN_AVOID_PLANS: [[u64; 2]; 5] = [
+    [1, 15_912_573_458_246_171_330],
+    [862, 12_292_858_868_883_884_457],
+    [72, 537_008_150_258_202_049],
+    [1_422, 10_751_807_623_864_244_043],
+    [108, 15_389_982_206_700_957_153],
+];
+
+#[test]
+fn avoid_plans_are_pinned() {
+    let mut got = [[0u64, 0xcbf2_9ce4_8422_2325]; 5];
+    let mut systems = Vec::new();
+    for seed in 0..4u64 {
+        for k in 0..3 {
+            let txns = 64 << k;
+            let random = random_system(&WorkloadParams {
+                seed: 9_000 + 3 * seed + k as u64,
+                sites: 4,
+                entities_per_site: 16,
+                transactions: txns,
+                steps_per_txn: 6,
+                strategy: LockStrategy::TwoPhaseSync,
+                ..Default::default()
+            });
+            let certified = txns / 2 - (seed as usize * 3 + k) % 8;
+            let mix = certified_mix(16, certified, txns - certified, 4);
+            systems.push((0, random));
+            systems.push((1, mix));
+        }
+    }
+    for c in 4..=12 {
+        systems.push((2, certified_mix(8, c, 24 - c, 4)));
+    }
+    for seed in 0..24u64 {
+        let small = random_system(&WorkloadParams {
+            seed: 9_100 + seed,
+            sites: 1 + seed as usize % 3,
+            entities_per_site: 3,
+            transactions: 12,
+            steps_per_txn: 3 + seed as usize % 3,
+            cross_edge_percent: [100, 50][seed as usize / 3 % 2],
+            read_percent: [0, 50, 90][seed as usize % 3],
+            strategy: LockStrategy::TwoPhaseSync,
+            ..Default::default()
+        });
+        systems.push((4, small));
+    }
+    for (row, sys) in &systems {
+        let plan = AvoidPlan::synthesize(sys);
+        plan.verify(sys).expect("synthesized plans verify");
+        pin_plan(&mut got[*row], sys, &plan);
+        if *row >= 2 {
+            continue;
+        }
+        let n = sys.len();
+        let subsets: [Vec<TxnId>; 3] = [
+            (0..n).step_by(2).map(TxnId::from_idx).collect(),
+            (0..n)
+                .rev()
+                .filter(|t| t % 3 != 1)
+                .map(TxnId::from_idx)
+                .collect(),
+            (n / 4..n)
+                .chain(n / 4..n / 2)
+                .map(TxnId::from_idx)
+                .collect(),
+        ];
+        for candidates in &subsets {
+            let plan = AvoidPlan::synthesize_restricted(sys, candidates);
+            plan.verify(sys).expect("restricted plans verify");
+            pin_plan(&mut got[3], sys, &plan);
+        }
+    }
+    assert_eq!(got, PIN_AVOID_PLANS);
 }
