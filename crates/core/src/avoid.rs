@@ -43,8 +43,8 @@
 //! practical counterweight to Theorem 3's many-site hardness: the plan
 //! certifies what it can and meters the rest.
 
-use kplock_graph::DiGraph;
-use kplock_model::{EntityId, SiteId, Transaction, TxnId, TxnSystem};
+use kplock_graph::{DiGraph, TopoOrder};
+use kplock_model::{ActionKind, EntityId, SiteId, StepId, Transaction, TxnId, TxnSystem};
 use std::fmt;
 
 /// Why a plan failed [`AvoidPlan::verify`] against a system.
@@ -140,28 +140,66 @@ pub struct AvoidPlan {
 /// some execution can hold `x` while the lock request for `y` is
 /// outstanding (see the module docs for the derivation). These are the
 /// constraints a safe lock order must respect for this transaction.
+/// Ordered by `x`, then `y`, ascending.
 pub fn hold_request_edges(t: &Transaction) -> Vec<(EntityId, EntityId)> {
-    let ents = t.locked_entities();
     let mut edges = Vec::new();
-    for &x in &ents {
-        for &y in &ents {
-            if x == y {
-                continue;
-            }
-            let lx = t.lock_step(x).expect("locked entity has a lock step");
-            let ly = t.lock_step(y).expect("locked entity has a lock step");
-            // `Ux ≺ Ly` forces x released before y is requested; a missing
-            // unlock step means x is held to the end and never rules the
-            // overlap out.
-            let released_first = t.unlock_step(x).is_some_and(|ux| t.precedes(ux, ly));
-            // `Ly ≺ Lx` forces y granted before x is even requested.
-            let granted_first = t.precedes(ly, lx);
-            if !released_first && !granted_first {
-                edges.push((x, y));
+    EdgeScratch::default().fill(t, false, &mut edges);
+    edges
+}
+
+/// The buffers [`hold_request_edges`] fills from, kept across
+/// transactions: one section per locked entity, ascending by entity.
+#[derive(Default)]
+struct EdgeScratch {
+    /// `(entity, lock step, unlock step)`.
+    sections: Vec<(EntityId, StepId, Option<StepId>)>,
+}
+
+impl EdgeScratch {
+    /// Fills `edges` with `t`'s [`hold_request_edges`], in their order,
+    /// and returns `true`. With `refuse_two_cycles`, stops at the first
+    /// pair of concurrent lock steps and returns `false`: such a pair can
+    /// hold either entity while requesting the other, an edge each way,
+    /// so `t` alone is uncertifiable.
+    fn fill(
+        &mut self,
+        t: &Transaction,
+        refuse_two_cycles: bool,
+        edges: &mut Vec<(EntityId, EntityId)>,
+    ) -> bool {
+        edges.clear();
+        self.sections.clear();
+        for (i, s) in t.steps().iter().enumerate() {
+            if s.kind == ActionKind::Lock {
+                let lock = StepId::from_idx(i);
+                self.sections
+                    .push((s.entity, lock, t.unlock_step(s.entity)));
             }
         }
+        self.sections.sort_unstable_by_key(|&(e, ..)| e);
+        for &(x, lx, ux) in &self.sections {
+            for &(y, ly, _) in &self.sections {
+                if x == y {
+                    continue;
+                }
+                // `Ux ≺ Ly` forces x released before y is requested; a
+                // missing unlock step means x is held to the end and never
+                // rules the overlap out.
+                let released_first = ux.is_some_and(|ux| t.precedes(ux, ly));
+                // `Ly ≺ Lx` forces y granted before x is even requested.
+                let granted_first = t.precedes(ly, lx);
+                if !released_first && !granted_first {
+                    // Neither lock precedes the other: `y → x` is an edge
+                    // too (`Uy ≺ Lx` would put `Ly` before `Lx`).
+                    if refuse_two_cycles && !t.precedes(lx, ly) {
+                        return false;
+                    }
+                    edges.push((x, y));
+                }
+            }
+        }
+        true
     }
-    edges
 }
 
 impl AvoidPlan {
@@ -177,30 +215,44 @@ impl AvoidPlan {
     /// Synthesizes a plan whose certified set is drawn only from
     /// `candidates` (greedily, in declaration order); every other
     /// transaction is left to the runtime fallback even if it would have
-    /// certified. `synthesize_restricted(sys, &[])` yields the empty
-    /// certificate — pure fallback, the arm equivalence tests pin
-    /// against wound-wait.
+    /// certified. A candidate naming no transaction of `sys` is skipped.
+    /// `synthesize_restricted(sys, &[])` yields the empty certificate —
+    /// pure fallback, the arm equivalence tests pin against wound-wait.
+    ///
+    /// The certified union is kept in one [`TopoOrder`]: each candidate's
+    /// edges go in as a batch, rolled back if one would close a cycle, so
+    /// no candidate copies or re-sorts the union. A candidate with two
+    /// concurrent lock steps is refused before any edge goes in.
     pub fn synthesize_restricted(sys: &TxnSystem, candidates: &[TxnId]) -> AvoidPlan {
         let n_ents = sys.db().entity_count();
         let mut candidate = vec![false; sys.len()];
         for &t in candidates {
-            candidate[t.idx()] = true;
+            if let Some(c) = candidate.get_mut(t.idx()) {
+                *c = true;
+            }
         }
         let mut certified = vec![false; sys.len()];
         let mut union = DiGraph::new(n_ents);
+        let mut kept = TopoOrder::new(n_ents);
+        let mut scratch = EdgeScratch::default();
+        let mut edges = Vec::new();
         for (i, t) in sys.txns().iter().enumerate() {
-            if !candidate[i] {
+            if !candidate[i] || !scratch.fill(t, true, &mut edges) {
                 continue;
             }
-            let edges = hold_request_edges(t);
-            let mut trial = union.clone();
+            kept.begin();
+            let fits = edges.iter().all(|&(x, y)| {
+                let (x, y) = (x.idx(), y.idx());
+                union.has_edge(x, y) || kept.add_edge(x, y)
+            });
+            if !fits {
+                kept.rollback();
+                continue;
+            }
             for &(x, y) in &edges {
-                trial.add_edge(x.idx(), y.idx());
+                union.add_edge(x.idx(), y.idx());
             }
-            if kplock_graph::topo_sort(&trial).is_some() {
-                union = trial;
-                certified[i] = true;
-            }
+            certified[i] = true;
         }
         let order: Vec<EntityId> = kplock_graph::topo_sort(&union)
             .expect("certified union digraph is acyclic by construction")
@@ -316,11 +368,14 @@ impl AvoidPlan {
         if self.order.len() != n_ents {
             return Err(AvoidPlanError::OrderNotPermutation);
         }
+        let mut scratch = EdgeScratch::default();
+        let mut edges = Vec::new();
         for (i, t) in sys.txns().iter().enumerate() {
             if !self.certified[i] {
                 continue;
             }
-            for (x, y) in hold_request_edges(t) {
+            scratch.fill(t, false, &mut edges);
+            for &(x, y) in &edges {
                 if self.entity_rank(x) >= self.entity_rank(y) {
                     return Err(AvoidPlanError::EdgeViolation {
                         txn: TxnId::from_idx(i),
@@ -337,7 +392,135 @@ impl AvoidPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{insert_locks, LockStrategy};
     use kplock_model::{Database, TxnBuilder};
+    use kplock_workload::{make_database, random_unlocked_txn, WorkloadParams};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// [`hold_request_edges`] as it read before the section table: the
+    /// lock and unlock steps looked up again for every ordered pair.
+    fn reference_edges(t: &Transaction) -> Vec<(EntityId, EntityId)> {
+        let ents = t.locked_entities();
+        let mut edges = Vec::new();
+        for &x in &ents {
+            for &y in &ents {
+                if x == y {
+                    continue;
+                }
+                let lx = t.lock_step(x).expect("locked entity has a lock step");
+                let ly = t.lock_step(y).expect("locked entity has a lock step");
+                let released_first = t.unlock_step(x).is_some_and(|ux| t.precedes(ux, ly));
+                let granted_first = t.precedes(ly, lx);
+                if !released_first && !granted_first {
+                    edges.push((x, y));
+                }
+            }
+        }
+        edges
+    }
+
+    /// Greedy synthesis as it ran before the kept order: each candidate's
+    /// edges added to a copy of the union, which is sorted again. The
+    /// certified flags and the safe lock order.
+    fn reference_synthesis(sys: &TxnSystem, candidates: &[TxnId]) -> (Vec<bool>, Vec<EntityId>) {
+        let mut candidate = vec![false; sys.len()];
+        for &t in candidates {
+            if t.idx() < sys.len() {
+                candidate[t.idx()] = true;
+            }
+        }
+        let mut certified = vec![false; sys.len()];
+        let mut kept = DiGraph::new(sys.db().entity_count());
+        for (i, t) in sys.txns().iter().enumerate() {
+            if !candidate[i] {
+                continue;
+            }
+            let mut with_t = kept.clone();
+            for (x, y) in reference_edges(t) {
+                with_t.add_edge(x.idx(), y.idx());
+            }
+            if kplock_graph::is_acyclic(&with_t) {
+                kept = with_t;
+                certified[i] = true;
+            }
+        }
+        let order = kplock_graph::topo_sort(&kept).expect("acyclic by construction");
+        (
+            certified,
+            order.into_iter().map(EntityId::from_idx).collect(),
+        )
+    }
+
+    /// A random system of `kplock-workload`'s generator, locked by one of
+    /// the three strategies, with `read_percent` of its accesses reads.
+    fn random_system(rng: &mut StdRng, read_percent: u32) -> TxnSystem {
+        let p = WorkloadParams {
+            sites: rng.gen_range(1..4usize),
+            entities_per_site: rng.gen_range(2..5usize),
+            steps_per_txn: rng.gen_range(2..9usize),
+            cross_edge_percent: rng.gen_range(0..101u32),
+            read_percent,
+            ..Default::default()
+        };
+        let strategy = [
+            LockStrategy::Minimal,
+            LockStrategy::TwoPhaseLoose,
+            LockStrategy::TwoPhaseSync,
+        ][rng.gen_range(0..3usize)];
+        let db = make_database(&p);
+        let txns = (0..rng.gen_range(1..13usize))
+            .map(|t| {
+                let unlocked = random_unlocked_txn(&db, &p, &format!("T{t}"), rng).unwrap();
+                insert_locks(&db, &unlocked, strategy).unwrap()
+            })
+            .collect();
+        TxnSystem::new(db, txns)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The section-table edges and the kept-order synthesis against
+        /// their references, on random systems at 0, 50 and 90 % reads:
+        /// the same edges in the same order, and on every transaction and
+        /// on a random candidate subset (out-of-range ids included) the
+        /// same certified set and the same safe lock order.
+        #[test]
+        fn synthesis_matches_the_clone_and_resort_reference(
+            seed in any::<u64>(),
+            reads in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sys = random_system(&mut rng, [0, 50, 90][reads]);
+            for t in sys.txns() {
+                prop_assert_eq!(hold_request_edges(t), reference_edges(t));
+            }
+            let all: Vec<TxnId> = (0..sys.len()).map(TxnId::from_idx).collect();
+            let subset: Vec<TxnId> = (0..sys.len() + 2)
+                .filter(|_| rng.gen_range(0..2u32) == 0)
+                .map(TxnId::from_idx)
+                .collect();
+            for candidates in [&all, &subset] {
+                let plan = AvoidPlan::synthesize_restricted(&sys, candidates);
+                let (certified, order) = reference_synthesis(&sys, candidates);
+                prop_assert_eq!(&plan.certified, &certified);
+                prop_assert_eq!(plan.lock_order(), &order[..]);
+                prop_assert!(plan.verify(&sys).is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn a_candidate_naming_no_transaction_is_skipped() {
+        let s = kplock_workload::certified_mix(4, 2, 1, 2);
+        let p = AvoidPlan::synthesize_restricted(&s, &[TxnId(99)]);
+        assert_eq!(p.certified_count(), 0);
+        p.verify(&s).unwrap();
+        let p = AvoidPlan::synthesize_restricted(&s, &[TxnId(99), TxnId(1)]);
+        assert_eq!(p.certified(), vec![TxnId(1)]);
+    }
 
     fn sys(scripts: &[&str], spec: &[(&str, usize)]) -> TxnSystem {
         let db = Database::from_spec(spec);

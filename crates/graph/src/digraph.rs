@@ -47,6 +47,7 @@ impl Rows {
         }
     }
 
+    #[inline]
     fn get(&self, u: usize) -> &[usize] {
         let Row { start, len, .. } = self.rows[u];
         let start = start as usize;
@@ -96,11 +97,13 @@ impl DiGraph {
     }
 
     /// Number of nodes.
+    #[inline]
     pub fn node_count(&self) -> usize {
         self.succ.rows.len()
     }
 
     /// Number of edges.
+    #[inline]
     pub fn edge_count(&self) -> usize {
         self.edge_count
     }
@@ -117,6 +120,7 @@ impl DiGraph {
     }
 
     /// Edge membership, in O(min(out-degree of `u`, in-degree of `v`)).
+    #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         let (succ, pred) = (self.successors(u), self.predecessors(v));
         if succ.len() <= pred.len() {
@@ -127,11 +131,13 @@ impl DiGraph {
     }
 
     /// Successors of `u`.
+    #[inline]
     pub fn successors(&self, u: usize) -> &[usize] {
         self.succ.get(u)
     }
 
     /// Predecessors of `u`.
+    #[inline]
     pub fn predecessors(&self, u: usize) -> &[usize] {
         self.pred.get(u)
     }

@@ -19,6 +19,12 @@
 //! [`DiGraph`]; the simulator's deadlock scan runs it over the wait-for
 //! arcs of its site tables, warm, so a scan allocates nothing.
 //!
+//! It has one dynamic topological order, [`TopoOrder`]: an order of a
+//! graph kept as edges arrive (Pearce & Kelly), which refuses an edge
+//! that would close a cycle and takes a batch of edges back out on
+//! request. The simulator's online audit keeps its serialization graph
+//! in one; avoid-plan synthesis tries each candidate's edges in one.
+//!
 //! # Example
 //!
 //! ```
@@ -41,6 +47,7 @@ pub mod dominator;
 pub mod reach;
 pub mod scc;
 pub mod topo;
+pub mod topo_order;
 
 pub use bitset::BitSet;
 pub use condensation::{condensation, Condensation};
@@ -50,3 +57,4 @@ pub use dominator::{enumerate_dominators, find_dominator, is_dominator};
 pub use reach::{transitive_closure, Closure};
 pub use scc::{is_strongly_connected, tarjan_scc, Sccs};
 pub use topo::{is_acyclic, is_topological_order, topo_sort, topo_sort_by_key};
+pub use topo_order::TopoOrder;

@@ -15,6 +15,7 @@ impl Closure {
     /// True iff there is a path `a -> ... -> b`, the empty path at `a == b`
     /// included. False for a `b` that is not a node; panics for an `a`
     /// that is not one.
+    #[inline]
     pub fn reaches(&self, a: usize, b: usize) -> bool {
         b < self.n && self.words[a * self.n.div_ceil(64) + b / 64] & (1 << (b % 64)) != 0
     }

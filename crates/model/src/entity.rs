@@ -73,6 +73,7 @@ impl Database {
     }
 
     /// The paper's stored-at function `σ`.
+    #[inline]
     pub fn site_of(&self, e: EntityId) -> SiteId {
         self.sites[e.idx()]
     }
@@ -113,11 +114,13 @@ impl Database {
     }
 
     /// Number of entities.
+    #[inline]
     pub fn entity_count(&self) -> usize {
         self.names.len()
     }
 
     /// Number of sites (`m`): 1 + the largest site index used.
+    #[inline]
     pub fn site_count(&self) -> usize {
         self.site_count
     }

@@ -21,21 +21,25 @@ impl TxnSystem {
     }
 
     /// The database schema.
+    #[inline]
     pub fn db(&self) -> &Database {
         &self.db
     }
 
     /// All transactions.
+    #[inline]
     pub fn txns(&self) -> &[Transaction] {
         &self.txns
     }
 
     /// The transaction with the given id.
+    #[inline]
     pub fn txn(&self, t: TxnId) -> &Transaction {
         &self.txns[t.idx()]
     }
 
     /// Number of transactions.
+    #[inline]
     pub fn len(&self) -> usize {
         self.txns.len()
     }

@@ -106,6 +106,7 @@ impl Transaction {
     }
 
     /// Number of steps.
+    #[inline]
     pub fn len(&self) -> usize {
         self.steps.len()
     }
@@ -116,11 +117,13 @@ impl Transaction {
     }
 
     /// The step with the given id.
+    #[inline]
     pub fn step(&self, s: StepId) -> Step {
         self.steps[s.idx()]
     }
 
     /// All steps in id order.
+    #[inline]
     pub fn steps(&self) -> &[Step] {
         &self.steps
     }
@@ -131,10 +134,12 @@ impl Transaction {
     }
 
     /// The direct precedence edges (the dag of the paper's figures).
+    #[inline]
     pub fn edge_graph(&self) -> &DiGraph {
         &self.graph
     }
 
+    #[inline]
     fn closure(&self) -> &Closure {
         self.closure.get_or_init(|| {
             kplock_graph::transitive_closure(&self.graph)
@@ -150,26 +155,31 @@ impl Transaction {
     }
 
     /// Strict precedence in the partial order: `a ≺ b`.
+    #[inline]
     pub fn precedes(&self, a: StepId, b: StepId) -> bool {
         a != b && self.closure().reaches(a.idx(), b.idx())
     }
 
     /// `a ≼ b`: precedes or equal.
+    #[inline]
     pub fn precedes_eq(&self, a: StepId, b: StepId) -> bool {
         self.closure().reaches(a.idx(), b.idx())
     }
 
     /// True if neither `a ≺ b` nor `b ≺ a` (and `a != b`).
+    #[inline]
     pub fn concurrent(&self, a: StepId, b: StepId) -> bool {
         a != b && !self.precedes(a, b) && !self.precedes(b, a)
     }
 
     /// The `lock e` step, if present.
+    #[inline]
     pub fn lock_step(&self, e: EntityId) -> Option<StepId> {
         self.lock_of.get(&e).copied()
     }
 
     /// The `unlock e` step, if present.
+    #[inline]
     pub fn unlock_step(&self, e: EntityId) -> Option<StepId> {
         self.unlock_of.get(&e).copied()
     }
@@ -192,6 +202,7 @@ impl Transaction {
     /// index, no allocation. "Locks `e` but never updates it" — a lock
     /// section that counts as an access of its own — is
     /// `!has_update(e)`.
+    #[inline]
     pub fn has_update(&self, e: EntityId) -> bool {
         let at = self.updates.partition_point(|&(x, _)| x < e);
         self.updates.get(at).is_some_and(|&(x, _)| x == e)

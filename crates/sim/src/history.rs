@@ -38,9 +38,9 @@
 //!   exactly when the full one does, with O(1) edges per access on a
 //!   write-heavy entity, where the full graph has one per transaction on
 //!   it. Cycles are caught as edges arrive by keeping the committed
-//!   transactions in a topological order (Pearce & Kelly, "A dynamic
-//!   topological sort algorithm for directed acyclic graphs", JEA 2006):
-//!   an edge that agrees with the order costs nothing, and under
+//!   transactions in the workspace's dynamic topological order,
+//!   [`kplock_graph::TopoOrder`] (Pearce & Kelly), each placed last as it
+//!   commits: an edge that agrees with the order costs nothing, and under
 //!   two-phase locking almost every edge agrees with commit order.
 //!
 //! The offline checks stay the definitions: in a debug build every
@@ -51,6 +51,7 @@
 use std::fmt;
 
 use crate::event::{Instance, SimTime};
+use kplock_graph::TopoOrder;
 use kplock_model::{
     step_accesses, AccessKind, ActionKind, EntityId, LockMode, ModelError, Schedule, ScheduledStep,
     StepId, TxnId, TxnSystem,
@@ -104,7 +105,7 @@ pub struct History<'a> {
     pending: Vec<Fault>,
     /// The earliest confirmed fault of the committed projection.
     fault: Option<Fault>,
-    order: TopoOrder,
+    order: Serial,
 }
 
 /// The end of a list threaded through a buffer, and an entity with no
@@ -120,7 +121,7 @@ struct Runs {
     /// Per kind, the last access of the run.
     last: [u32; 4],
     /// Per kind, the committing transaction's latest access in the run,
-    /// while `batch` is [`TopoOrder::batch`]: a transaction's accesses
+    /// while `batch` is [`Serial::batch`]: a transaction's accesses
     /// arrive newest first, so each insertion walks on from the last.
     cursor: [u32; 4],
     batch: u32,
@@ -264,7 +265,7 @@ impl<'a> History<'a> {
             accesses: Vec::new(),
             pending: Vec::new(),
             fault: None,
-            order: TopoOrder::new(sys.len()),
+            order: Serial::new(sys.len()),
         }
     }
 
@@ -713,87 +714,38 @@ impl Fault {
     }
 }
 
-/// A dynamic topological order of the committed transactions under edge
-/// insertion (Pearce & Kelly): an edge `x → y` with `x` already ahead of
-/// `y` is free; otherwise the transactions `y` reaches ahead of `x`, and
-/// those reaching `x` behind `y`, trade places — or `y` reaches `x`, and
-/// the edge closes a cycle. Edges are added one transaction at a time
-/// ([`TopoOrder::begin`]), all into or out of it, and a repeat within its
-/// batch is dropped.
+/// The serialization graph's cycle check: the committed transactions in a
+/// [`TopoOrder`], each placed last as it commits. Edges are added one
+/// transaction at a time ([`Serial::begin`]), all into or out of it; a
+/// repeat within its batch is dropped, and the first edge that would
+/// close a cycle leaves the graph cyclic for good.
 #[derive(Clone, Debug)]
-struct TopoOrder {
-    /// Per transaction, its place in the order and its edge lists.
-    nodes: Vec<Node>,
-    next: u32,
-    /// Every edge, threaded onto both its ends' lists.
-    edges: Vec<Edge>,
+struct Serial {
+    order: TopoOrder,
     /// The transaction whose edges are being added, and its batch stamp.
     node: TxnId,
     batch: u32,
-    /// The stamp of the latest search, and the search buffers.
-    search: u32,
-    stack: Vec<usize>,
-    ahead: Vec<usize>,
-    behind: Vec<usize>,
-    pool: Vec<u32>,
+    /// Per transaction, `(from, to)`: `from == batch`, the edge into the
+    /// batch's transaction from this one is in; `to == batch`, the edge
+    /// from it to this one is.
+    marks: Vec<(u32, u32)>,
     cyclic: bool,
 }
 
-/// One transaction of [`TopoOrder`].
-#[derive(Clone, Copy, Debug)]
-struct Node {
-    /// Its position, assigned at commit.
-    ord: u32,
-    /// The first of its out- and of its in-edges.
-    out: u32,
-    into: u32,
-    /// `from == batch`: the edge into the batch's transaction from this
-    /// one is in; `to == batch`: the edge from it to this one is.
-    from: u32,
-    to: u32,
-    /// `seen == search`: the latest search visited it.
-    seen: u32,
-}
-
-/// One edge `from → to` of [`TopoOrder`], with the next edge out of `from`
-/// and the next into `to`.
-#[derive(Clone, Copy, Debug)]
-struct Edge {
-    from: u32,
-    to: u32,
-    next_out: u32,
-    next_into: u32,
-}
-
-impl TopoOrder {
+impl Serial {
     fn new(n: usize) -> Self {
-        let node = Node {
-            ord: 0,
-            out: NONE,
-            into: NONE,
-            from: 0,
-            to: 0,
-            seen: 0,
-        };
-        TopoOrder {
-            nodes: vec![node; n],
-            next: 0,
-            edges: Vec::new(),
+        Serial {
+            order: TopoOrder::new(n),
             node: TxnId(0),
             batch: 0,
-            search: 0,
-            stack: Vec::new(),
-            ahead: Vec::new(),
-            behind: Vec::new(),
-            pool: Vec::new(),
+            marks: vec![(0, 0); n],
             cyclic: false,
         }
     }
 
     /// `txn` joins the order, last, and its edges follow.
     fn commit(&mut self, txn: TxnId) {
-        self.nodes[txn.idx()].ord = self.next;
-        self.next += 1;
+        self.order.place_last(txn.idx());
         self.begin(txn);
     }
 
@@ -803,87 +755,17 @@ impl TopoOrder {
         self.batch += 1;
     }
 
+    #[inline]
     fn link(&mut self, x: TxnId, y: TxnId) {
         let mark = if y == self.node {
-            &mut self.nodes[x.idx()].from
+            &mut self.marks[x.idx()].0
         } else {
-            &mut self.nodes[y.idx()].to
+            &mut self.marks[y.idx()].1
         };
-        if std::mem::replace(mark, self.batch) == self.batch {
-            return;
-        }
-        let (x, y) = (x.idx(), y.idx());
-        let edge = self.edges.len() as u32;
-        self.edges.push(Edge {
-            from: x as u32,
-            to: y as u32,
-            next_out: self.nodes[x].out,
-            next_into: self.nodes[y].into,
-        });
-        self.nodes[x].out = edge;
-        self.nodes[y].into = edge;
-        let (lo, hi) = (self.nodes[y].ord, self.nodes[x].ord);
-        if hi < lo {
-            return;
-        }
-        // Forward from `y` through what lies ahead of `x`: meeting `x`
-        // closes a cycle.
-        self.search += 1;
-        let mark = self.search;
-        self.ahead.clear();
-        self.stack.push(y);
-        self.nodes[y].seen = mark;
-        while let Some(v) = self.stack.pop() {
-            self.ahead.push(v);
-            let mut e = self.nodes[v].out;
-            while e != NONE {
-                let Edge {
-                    to: w, next_out, ..
-                } = self.edges[e as usize];
-                let w = w as usize;
-                if w == x {
-                    self.cyclic = true;
-                    self.stack.clear();
-                    return;
-                }
-                let n = &mut self.nodes[w];
-                if n.seen != mark && n.ord < hi {
-                    n.seen = mark;
-                    self.stack.push(w);
-                }
-                e = next_out;
-            }
-        }
-        // Backward from `x` through what lies behind `y`.
-        self.behind.clear();
-        self.stack.push(x);
-        self.nodes[x].seen = mark;
-        while let Some(v) = self.stack.pop() {
-            self.behind.push(v);
-            let mut e = self.nodes[v].into;
-            while e != NONE {
-                let Edge {
-                    from: w, next_into, ..
-                } = self.edges[e as usize];
-                let w = w as usize;
-                let n = &mut self.nodes[w];
-                if n.seen != mark && n.ord > lo {
-                    n.seen = mark;
-                    self.stack.push(w);
-                }
-                e = next_into;
-            }
-        }
-        // The two sets share out their positions: `behind` first.
-        let nodes = &mut self.nodes;
-        self.behind.sort_unstable_by_key(|&v| nodes[v].ord);
-        self.ahead.sort_unstable_by_key(|&v| nodes[v].ord);
-        self.pool.clear();
-        self.pool
-            .extend(self.behind.iter().chain(&self.ahead).map(|&v| nodes[v].ord));
-        self.pool.sort_unstable();
-        for (&v, &at) in self.behind.iter().chain(&self.ahead).zip(&self.pool) {
-            nodes[v].ord = at;
+        if std::mem::replace(mark, self.batch) != self.batch
+            && !self.order.add_edge(x.idx(), y.idx())
+        {
+            self.cyclic = true;
         }
     }
 }
@@ -1028,25 +910,5 @@ mod tests {
         let s = h.committed_schedule(&[None, Some(0)]);
         assert_eq!(s.len(), 1);
         assert_eq!(s.steps()[0].txn, TxnId(1));
-    }
-
-    /// An edge against the order reorders just the region between its
-    /// ends; the one closing a cycle is caught.
-    #[test]
-    fn the_order_absorbs_backward_edges_until_one_closes_a_cycle() {
-        let mut o = TopoOrder::new(4);
-        for t in 0..4 {
-            o.commit(TxnId(t));
-        }
-        o.begin(TxnId(3));
-        o.link(TxnId(3), TxnId(1)); // 3 must now precede 1
-        o.begin(TxnId(1));
-        o.link(TxnId(1), TxnId(2));
-        assert!(!o.cyclic);
-        let ord = |t: usize| o.nodes[t].ord;
-        assert!(ord(3) < ord(1) && ord(1) < ord(2));
-        o.begin(TxnId(2));
-        o.link(TxnId(2), TxnId(3));
-        assert!(o.cyclic);
     }
 }
