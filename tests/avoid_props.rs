@@ -10,7 +10,7 @@
 //! statistical, so it must hold for every generated case, not most.
 
 use kplock::core::policy::LockStrategy;
-use kplock::model::{TxnId, TxnSystem};
+use kplock::model::{Database, TxnBuilder, TxnId, TxnSystem};
 use kplock::sim::{run, AvoidPlan, DeadlockResolution, RunOutcome, SimConfig};
 use kplock::workload::{certified_mix, random_system, WorkloadParams};
 use proptest::prelude::*;
@@ -171,19 +171,24 @@ fn pin_plan(row: &mut [u64; 2], sys: &TxnSystem, plan: &AvoidPlan) {
 /// `synthesize_restricted` of the first two families on three candidate
 /// subsets each; and, since greedy synthesis certifies next to nothing of
 /// the first family, small random systems at 0, 50 and 90 % reads, of
-/// which it certifies many. Any change to how plans are synthesized must
-/// leave every certified set and every safe lock order as it is.
-const PIN_AVOID_PLANS: [[u64; 2]; 5] = [
+/// which it certifies many; and a system whose refused candidate puts an
+/// edge in before the one that closes its cycle, and whose next candidate
+/// needs that edge reversed, so it certifies only if the refused
+/// candidate's edges were rolled back. Any change to how plans are
+/// synthesized must leave every certified set and every safe lock order
+/// as it is.
+const PIN_AVOID_PLANS: [[u64; 2]; 6] = [
     [1, 15_912_573_458_246_171_330],
     [862, 12_292_858_868_883_884_457],
     [72, 537_008_150_258_202_049],
     [1_422, 10_751_807_623_864_244_043],
     [108, 15_389_982_206_700_957_153],
+    [2, 2_227_432_078_558_519_055],
 ];
 
 #[test]
 fn avoid_plans_are_pinned() {
-    let mut got = [[0u64, 0xcbf2_9ce4_8422_2325]; 5];
+    let mut got = [[0u64, 0xcbf2_9ce4_8422_2325]; 6];
     let mut systems = Vec::new();
     for seed in 0..4u64 {
         for k in 0..3 {
@@ -220,6 +225,21 @@ fn avoid_plans_are_pinned() {
         });
         systems.push((4, small));
     }
+    // T1 holds w while requesting x, then closes the cycle y → z → y
+    // against T0 and is refused; T2 holds x while requesting w.
+    let db = Database::centralized(&["w", "x", "y", "z"]);
+    let txns = [
+        "Lz Ly z y Uz Uy",
+        "Lw Lx w x Uw Ux Ly Lz y z Uy Uz",
+        "Lx Lw x w Ux Uw",
+    ]
+    .iter()
+    .map(|s| {
+        let mut b = TxnBuilder::new(&db, "T");
+        b.script(s).unwrap();
+        b.build().unwrap()
+    });
+    systems.push((5, TxnSystem::new(db.clone(), txns.collect())));
     for (row, sys) in &systems {
         let plan = AvoidPlan::synthesize(sys);
         plan.verify(sys).expect("synthesized plans verify");
