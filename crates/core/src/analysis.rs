@@ -1,24 +1,26 @@
-//! High-level entry point: analyze a two-transaction system.
+//! High-level entry point: analyze a two-transaction system, and the one
+//! place a pair decision is routed by the number of sites.
 
 use crate::certificate::SafetyVerdict;
 use crate::conflict_graph::ConflictDigraph;
 use crate::multisite::{self, MultisiteOptions};
 use crate::two_site;
+use kplock_graph::DiGraph;
 use kplock_model::{TxnId, TxnSystem};
 
 /// Everything the paper's machinery can say about a pair.
 #[derive(Clone, Debug)]
 pub struct PairAnalysis {
-    /// The conflict digraph `D(T1, T2)`.
+    /// The conflict digraph `D(T1, T2)`; without vertices when a
+    /// transaction lacks the lock or unlock step of a shared entity.
     pub d: ConflictDigraph,
     /// Whether `D` is strongly connected (Theorem 1's condition).
     pub strongly_connected: bool,
-    /// The safety verdict. Exact for ≤ 2 sites (Theorem 2); for more sites
-    /// the multisite procedure is used (Theorem 1 + Corollary 2 + the SAT
-    /// pair path), exact for every exclusive pair.
+    /// The safety verdict: Theorem 2 at two sites or fewer, exact; the
+    /// multisite procedure (Theorem 1, Corollary 2, then the SAT pair
+    /// path) at more, exact for every exclusive, well-formed pair.
+    /// `Unknown` when `D` is not defined.
     pub verdict: SafetyVerdict,
-    /// Number of sites in the database.
-    pub sites: usize,
 }
 
 /// Analyzes a system of exactly two transactions with default options.
@@ -28,11 +30,27 @@ pub fn analyze_pair(sys: &TxnSystem) -> PairAnalysis {
         2,
         "analyze_pair expects exactly two transactions"
     );
-    let (a, b) = (TxnId(0), TxnId(1));
-    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    analyze(sys, TxnId(0), TxnId(1))
+}
+
+/// Decides the pair `{Ta, Tb}` of `sys`: Theorem 2 at two sites or fewer,
+/// the multisite procedure at more.
+pub(crate) fn analyze(sys: &TxnSystem, a: TxnId, b: TxnId) -> PairAnalysis {
+    let Some((d, sections)) = ConflictDigraph::build_with_sections(sys, a, b) else {
+        let d = ConflictDigraph {
+            txn_a: a,
+            txn_b: b,
+            entities: Vec::new(),
+            graph: DiGraph::new(0),
+        };
+        return PairAnalysis {
+            d,
+            strongly_connected: false,
+            verdict: SafetyVerdict::Unknown,
+        };
+    };
     let strongly_connected = d.is_strongly_connected();
-    let sites = sys.db().site_count();
-    let verdict = if sites <= 2 {
+    let verdict = if sys.db().site_count() <= 2 {
         two_site::decide_with(sys, &d, &sections, strongly_connected)
     } else {
         let opts = MultisiteOptions::default();
@@ -42,7 +60,6 @@ pub fn analyze_pair(sys: &TxnSystem) -> PairAnalysis {
         d,
         strongly_connected,
         verdict,
-        sites,
     }
 }
 
@@ -64,7 +81,6 @@ mod tests {
         let (t1, t2) = (mk("T1"), mk("T2"));
         let sys = TxnSystem::new(db.clone(), vec![t1, t2]);
         let analysis = analyze_pair(&sys);
-        assert_eq!(analysis.sites, 3);
         assert!(!analysis.strongly_connected);
         assert!(analysis.verdict.is_unsafe());
     }

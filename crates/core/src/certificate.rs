@@ -32,10 +32,12 @@ pub enum SafetyVerdict {
     Safe(SafeProof),
     /// Some legal schedule is not serializable; here is one.
     Unsafe(Box<UnsafetyCertificate>),
-    /// The multisite procedure could not decide: the pair uses a shared
-    /// mode, is not well-formed, or updates outside a lock section, which
-    /// the pair path refuses, and no dominator closure settled it. An
-    /// exclusive, well-formed pair is always decided.
+    /// Undecided. At any number of sites: a transaction lacks the lock or
+    /// unlock step of an entity both lock, so `D(T1, T2)` is not defined.
+    /// At three or more: the pair uses a shared mode, is not well-formed,
+    /// or updates outside a lock section, which the pair path refuses, and
+    /// no dominator closure settled it. An exclusive, well-formed pair is
+    /// always decided.
     Unknown,
 }
 

@@ -45,7 +45,8 @@ pub struct Closure {
     pub added_b: Vec<(StepId, StepId)>,
 }
 
-/// Why a closure attempt failed (possible only with ≥ 3 sites).
+/// Why a closure attempt failed (on a pair with `D`, possible only with
+/// ≥ 3 sites).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClosureError {
     /// A required precedence would create a cycle in a transaction's
@@ -63,6 +64,9 @@ pub enum ClosureError {
     DominatorBroken,
     /// The final orientation produced no legal schedule.
     OrientationInfeasible,
+    /// A transaction lacks the lock or unlock step of an entity both lock,
+    /// so `D(Ta, Tb)` is not defined.
+    IllFormed,
 }
 
 /// `R1` and `R2` of a closed pair: the system's own transactions until the
@@ -94,7 +98,8 @@ pub fn close_wrt_dominator(
     b: TxnId,
     dominator: &[EntityId],
 ) -> Result<Closure, ClosureError> {
-    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    let (d, sections) =
+        ConflictDigraph::build_with_sections(sys, a, b).ok_or(ClosureError::IllFormed)?;
     let in_x = membership(&d.entities, dominator);
     let closed = close_pair(sys.txn(a), sys.txn(b), &d, &sections, &in_x)?;
     // The result owns its system; the decision procedures keep the pair
@@ -227,7 +232,7 @@ pub fn certificate_from_closure(
         b,
         ta,
         tb,
-        sections: &Sections::of(ta, tb, &shared),
+        sections: &Sections::of(ta, tb, &shared).ok_or(ClosureError::IllFormed)?,
     };
     let (r1, r2) = (closure.system.txn(a), closure.system.txn(b));
     let in_x = membership(&shared, &closure.dominator);
@@ -348,7 +353,7 @@ pub fn try_unsafety_via_dominator(
     b: TxnId,
     dominator: &[EntityId],
 ) -> Option<UnsafetyCertificate> {
-    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b)?;
     // A certificate names only vertices of D in its dominator, or fails
     // verification.
     if dominator.iter().any(|&e| d.vertex_of(e).is_none()) {

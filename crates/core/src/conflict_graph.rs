@@ -39,43 +39,52 @@ pub(crate) struct Sections {
 }
 
 impl Sections {
-    /// The sections of entities both transactions lock, in the given order.
-    pub(crate) fn of(ta: &Transaction, tb: &Transaction, shared: &[EntityId]) -> Vec<Self> {
-        shared
-            .iter()
-            .map(|&e| Sections {
-                lock_a: ta.lock_step(e).expect("shared entity locked in Ta"),
-                unlock_a: ta.unlock_step(e).expect("shared entity unlocked in Ta"),
-                lock_b: tb.lock_step(e).expect("shared entity locked in Tb"),
-                unlock_b: tb.unlock_step(e).expect("shared entity unlocked in Tb"),
-            })
-            .collect()
+    /// The sections of entities both transactions lock, in the given
+    /// order; `None` if a transaction lacks the lock or unlock step of one.
+    pub(crate) fn of(ta: &Transaction, tb: &Transaction, shared: &[EntityId]) -> Option<Vec<Self>> {
+        let mut sections = Vec::with_capacity(shared.len());
+        for &e in shared {
+            sections.push(Sections {
+                lock_a: ta.lock_step(e)?,
+                unlock_a: ta.unlock_step(e)?,
+                lock_b: tb.lock_step(e)?,
+                unlock_b: tb.unlock_step(e)?,
+            });
+        }
+        Some(sections)
     }
 }
 
 impl ConflictDigraph {
     /// Builds `D(Ta, Tb)` for two transactions of a system.
+    ///
+    /// # Panics
+    /// If a transaction lacks the lock or unlock step of an entity both
+    /// lock, where Definition 1 does not apply.
     pub fn build(sys: &TxnSystem, a: TxnId, b: TxnId) -> Self {
-        Self::build_with_sections(sys, a, b).0
+        Self::build_with_sections(sys, a, b)
+            .expect("every shared entity is locked and unlocked in both transactions")
+            .0
     }
 
     /// Builds `D(Ta, Tb)` and returns beside it each vertex's
-    /// [`Sections`], which the closure and the certificate read.
+    /// [`Sections`], which the closure and the certificate read; `None`
+    /// if a transaction lacks the lock or unlock step of a shared entity.
     pub(crate) fn build_with_sections(
         sys: &TxnSystem,
         a: TxnId,
         b: TxnId,
-    ) -> (Self, Vec<Sections>) {
+    ) -> Option<(Self, Vec<Sections>)> {
         let (ta, tb) = (sys.txn(a), sys.txn(b));
         let entities = sys.shared_locked_entities(a, b);
-        let sections = Sections::of(ta, tb, &entities);
+        let sections = Sections::of(ta, tb, &entities)?;
         let d = ConflictDigraph {
             txn_a: a,
             txn_b: b,
             entities,
             graph: arcs(ta, tb, &sections),
         };
-        (d, sections)
+        Some((d, sections))
     }
 
     /// A dominator given as vertex bits, as its entities (ascending) and

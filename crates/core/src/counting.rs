@@ -244,7 +244,7 @@ mod tests {
         assert!(c.legal > c.serializable, "{c:?}");
         assert!(!c.is_safe());
         // Agreement with the decision procedure.
-        let verdict = crate::two_site::decide_two_site_system(&sys).unwrap();
+        let verdict = crate::two_site::decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
         assert!(verdict.is_unsafe());
     }
 

@@ -71,16 +71,15 @@ pub use closure::{
 };
 pub use conflict_graph::ConflictDigraph;
 pub use counting::{count_schedules, ScheduleCounts};
-pub use multi_txn::{proposition2, Prop2Options, Prop2Report, Prop2Verdict};
+pub use multi_txn::{proposition2, Prop2Verdict};
 pub use multisite::{decide_multisite, MultisiteOptions};
 pub use oracle::{
     decide_by_extensions, decide_exhaustive, OracleOptions, OracleOutcome, OracleReport,
 };
 pub use reduction::{reduce, NodeKind, Reduction, ReductionError};
 pub use sat_check::{
-    check_deadlock, check_deadlock_with, check_safety, check_safety_with, synthesize_optimal,
-    DeadlockCheck, EncodingStats, OptimalCertificate, SafetyCheck, SatCheckError, SatCheckOptions,
-    SatSafety,
+    check_deadlock, check_safety, synthesize_optimal, DeadlockCheck, EncodingStats,
+    OptimalCertificate, SafetyCheck, SatCheckError, SatSafety,
 };
 pub use total_pair::{decide_total_pair, schedule_from_orientation};
-pub use two_site::{decide_two_site, decide_two_site_system, TwoSiteError};
+pub use two_site::{decide_two_site, TwoSiteError};

@@ -19,62 +19,33 @@
 //! direction, so a 2-cycle `(Ti, Tj)` contributes the two node families
 //! `x_ij` and `x_ji`.
 
+use crate::analysis::analyze;
 use crate::certificate::SafetyVerdict;
-use crate::multisite::{decide_multisite, MultisiteOptions};
-use crate::two_site::decide_two_site;
 use kplock_graph::{has_cycle, simple_cycles, DiGraph};
 use kplock_model::{EntityId, TxnId, TxnSystem};
 use std::collections::HashMap;
 
-/// Result of a Proposition-2 analysis.
-#[derive(Clone, Debug)]
-pub struct Prop2Report {
-    /// Verdict for each unordered pair `(i, j)` with `i < j` that shares an
-    /// entity.
-    pub pair_verdicts: Vec<(TxnId, TxnId, SafetyVerdict)>,
-    /// For each directed simple cycle of `G` (as transaction indices),
-    /// whether its union graph `B_c` has a cycle.
-    pub cycle_checks: Vec<(Vec<TxnId>, bool)>,
-    /// Whether the cycle enumeration was exhaustive (within cap).
-    pub cycles_exhaustive: bool,
-    /// The overall verdict: safe iff all pairs safe and all `B_c` cyclic.
-    /// `Unknown` if any component was undecided.
-    pub verdict: Prop2Verdict,
-}
-
-/// Overall Proposition-2 verdict.
+/// Proposition-2 verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Prop2Verdict {
     /// All pairwise subsystems safe and every `B_c` has a cycle.
     Safe,
-    /// Some pair is unsafe (witness available in `pair_verdicts`).
+    /// Some pair is unsafe.
     UnsafePair,
     /// All pairs safe but some cycle's `B_c` is acyclic.
     UnsafeCycle,
-    /// Some pair undecided or the cycle cap was hit.
+    /// No pair is unsafe, but some pair is undecided, or `G` has more
+    /// simple cycles than the 10 000 checked and each checked `B_c` has a
+    /// cycle.
     Unknown,
 }
 
-/// Options for [`proposition2`].
-#[derive(Clone, Debug)]
-pub struct Prop2Options {
-    /// Cap on the number of simple cycles of `G` to check.
-    pub cycle_cap: usize,
-    /// Options for pairwise decisions on > 2 sites.
-    pub multisite: MultisiteOptions,
-}
-
-impl Default for Prop2Options {
-    fn default() -> Self {
-        Prop2Options {
-            cycle_cap: 10_000,
-            multisite: MultisiteOptions::default(),
-        }
-    }
-}
+/// The most directed simple cycles of `G` whose `B_c` [`proposition2`]
+/// checks.
+const CYCLE_CAP: usize = 10_000;
 
 /// The conflict graph `G` as a symmetric digraph.
-pub fn conflict_graph_g(sys: &TxnSystem) -> DiGraph {
+fn conflict_graph_g(sys: &TxnSystem) -> DiGraph {
     let k = sys.len();
     let mut g = DiGraph::new(k);
     for i in 0..k {
@@ -91,8 +62,10 @@ pub fn conflict_graph_g(sys: &TxnSystem) -> DiGraph {
     g
 }
 
-/// Builds the union graph `B_c` for a directed cycle `c` of `G`.
-pub fn union_graph_for_cycle(sys: &TxnSystem, cycle: &[TxnId]) -> DiGraph {
+/// Builds the union graph `B_c` for a directed cycle `c` of `G`. Every
+/// pair along `c` has been decided, so each shared entity has its lock and
+/// unlock steps.
+fn union_graph_for_cycle(sys: &TxnSystem, cycle: &[TxnId]) -> DiGraph {
     let len = cycle.len();
     // Node universe: (ordered interface (from,to), entity).
     let mut index: HashMap<(usize, usize, EntityId), usize> = HashMap::new();
@@ -163,63 +136,41 @@ pub fn union_graph_for_cycle(sys: &TxnSystem, cycle: &[TxnId]) -> DiGraph {
     b
 }
 
-/// Runs the full Proposition-2 analysis.
-pub fn proposition2(sys: &TxnSystem, opts: &Prop2Options) -> Prop2Report {
+/// Decides safety of `sys` by Proposition 2. Each pair that shares an
+/// entity is decided as [`crate::analyze_pair`] decides it; the first
+/// unsafe pair answers `UnsafePair`, and an undecided one answers
+/// `Unknown` once no later pair is unsafe. Then the first directed simple
+/// cycle of `G` whose `B_c` is acyclic answers `UnsafeCycle`.
+pub fn proposition2(sys: &TxnSystem) -> Prop2Verdict {
     let k = sys.len();
-    let mut pair_verdicts = Vec::new();
-    let mut any_pair_unsafe = false;
-    let mut any_unknown = false;
+    let mut undecided = false;
     for i in 0..k {
         for j in (i + 1)..k {
             let (a, b) = (TxnId::from_idx(i), TxnId::from_idx(j));
             if sys.shared_locked_entities(a, b).is_empty() {
                 continue;
             }
-            let v = if sys.db().site_count() <= 2 {
-                decide_two_site(sys, a, b).expect("≤2 sites")
-            } else {
-                decide_multisite(sys, a, b, &opts.multisite)
-            };
-            match &v {
-                SafetyVerdict::Unsafe(_) => any_pair_unsafe = true,
-                SafetyVerdict::Unknown => any_unknown = true,
+            match analyze(sys, a, b).verdict {
+                SafetyVerdict::Unsafe(_) => return Prop2Verdict::UnsafePair,
+                SafetyVerdict::Unknown => undecided = true,
                 SafetyVerdict::Safe(_) => {}
             }
-            pair_verdicts.push((a, b, v));
         }
     }
-
-    let g = conflict_graph_g(sys);
-    let (cycles, cycles_exhaustive) = simple_cycles(&g, opts.cycle_cap);
-    let mut cycle_checks = Vec::new();
-    let mut any_acyclic_bc = false;
-    for c in cycles {
-        if c.len() < 2 {
-            continue;
-        }
+    if undecided {
+        return Prop2Verdict::Unknown;
+    }
+    let (cycles, exhaustive) = simple_cycles(&conflict_graph_g(sys), CYCLE_CAP);
+    for c in cycles.into_iter().filter(|c| c.len() >= 2) {
         let cycle: Vec<TxnId> = c.into_iter().map(TxnId::from_idx).collect();
-        let b = union_graph_for_cycle(sys, &cycle);
-        let ok = has_cycle(&b);
-        if !ok {
-            any_acyclic_bc = true;
+        if !has_cycle(&union_graph_for_cycle(sys, &cycle)) {
+            return Prop2Verdict::UnsafeCycle;
         }
-        cycle_checks.push((cycle, ok));
     }
-
-    let verdict = if any_pair_unsafe {
-        Prop2Verdict::UnsafePair
-    } else if any_acyclic_bc && !any_unknown {
-        Prop2Verdict::UnsafeCycle
-    } else if any_unknown || !cycles_exhaustive {
-        Prop2Verdict::Unknown
-    } else {
+    if exhaustive {
         Prop2Verdict::Safe
-    };
-    Prop2Report {
-        pair_verdicts,
-        cycle_checks,
-        cycles_exhaustive,
-        verdict,
+    } else {
+        Prop2Verdict::Unknown
     }
 }
 
@@ -249,8 +200,8 @@ mod tests {
             &["x", "y", "z"],
             &["Lx Ly x y Ux Uy", "Ly Lz y z Uy Uz", "Lz Lx z x Uz Ux"],
         );
-        let report = proposition2(&sys, &Prop2Options::default());
-        assert_eq!(report.verdict, Prop2Verdict::Safe);
+        let verdict = proposition2(&sys);
+        assert_eq!(verdict, Prop2Verdict::Safe);
         // Cross-check with the exact oracle.
         let oracle = decide_exhaustive(&sys, &OracleOptions::default());
         assert!(matches!(oracle.outcome, OracleOutcome::Safe));
@@ -262,8 +213,8 @@ mod tests {
             &["x", "y", "z"],
             &["Lx x Ux Ly y Uy", "Ly y Uy Lx x Ux", "Lz z Uz"],
         );
-        let report = proposition2(&sys, &Prop2Options::default());
-        assert_eq!(report.verdict, Prop2Verdict::UnsafePair);
+        let verdict = proposition2(&sys);
+        assert_eq!(verdict, Prop2Verdict::UnsafePair);
         let oracle = decide_exhaustive(&sys, &OracleOptions::default());
         assert!(matches!(oracle.outcome, OracleOutcome::Unsafe(_)));
     }
@@ -283,11 +234,11 @@ mod tests {
             ],
         );
         // Pairs: T1,T2 share y only; T2,T3 share z only; T1,T3 share x only.
-        let report = proposition2(&sys, &Prop2Options::default());
+        let verdict = proposition2(&sys);
         let oracle = decide_exhaustive(&sys, &OracleOptions::default());
         let oracle_unsafe = matches!(oracle.outcome, OracleOutcome::Unsafe(_));
         assert!(oracle_unsafe, "triangle anomaly must exist");
-        assert_eq!(report.verdict, Prop2Verdict::UnsafeCycle);
+        assert_eq!(verdict, Prop2Verdict::UnsafeCycle);
     }
 
     #[test]
@@ -300,14 +251,14 @@ mod tests {
         ];
         for scripts in cases {
             let sys = sys_from_scripts(&["x", "y", "z"], &scripts);
-            let report = proposition2(&sys, &Prop2Options::default());
+            let verdict = proposition2(&sys);
             let oracle = decide_exhaustive(&sys, &OracleOptions::default());
             let oracle_safe = matches!(oracle.outcome, OracleOutcome::Safe);
-            let prop2_safe = report.verdict == Prop2Verdict::Safe;
+            let prop2_safe = verdict == Prop2Verdict::Safe;
             assert_eq!(
                 prop2_safe, oracle_safe,
                 "Proposition 2 disagrees with oracle on {scripts:?}: {:?}",
-                report.verdict
+                verdict
             );
         }
     }

@@ -41,14 +41,20 @@ impl Default for MultisiteOptions {
     }
 }
 
-/// Decides safety of `{Ta, Tb}` over any number of sites.
+/// Decides safety of `{Ta, Tb}` over any number of sites: `Safe` or a
+/// verified `Unsafe` for every exclusive, well-formed pair. A pair the
+/// pair path refuses is [`SafetyVerdict::Unknown`] unless a dominator
+/// closure settles it, and a pair where a transaction lacks the lock or
+/// unlock step of a shared entity is `Unknown` at once.
 pub fn decide_multisite(
     sys: &TxnSystem,
     a: TxnId,
     b: TxnId,
     opts: &MultisiteOptions,
 ) -> SafetyVerdict {
-    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    let Some((d, sections)) = ConflictDigraph::build_with_sections(sys, a, b) else {
+        return SafetyVerdict::Unknown;
+    };
     let strongly_connected = d.is_strongly_connected();
     decide_with(sys, &d, &sections, strongly_connected, opts)
 }
@@ -92,7 +98,7 @@ pub(crate) fn decide_with(
 
 /// Packages a witness schedule over the pair subsystem (ids 0/1), such as
 /// the pair path's, as a certificate for `{a, b}` of the original system.
-pub fn certificate_from_witness(
+fn certificate_from_witness(
     sys: &TxnSystem,
     a: TxnId,
     b: TxnId,

@@ -14,7 +14,8 @@
 use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
 use crate::total_pair::decide_total_pair;
 use kplock_model::{
-    ActionKind, EntityId, LinearExtensions, Schedule, ScheduledStep, StepId, TxnId, TxnSystem,
+    ActionKind, Database, EntityId, LinearExtensions, Schedule, ScheduledStep, StepId, Transaction,
+    TxnId, TxnSystem,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -289,51 +290,65 @@ pub fn decide_exhaustive(sys: &TxnSystem, opts: &OracleOptions) -> OracleReport 
 
 /// Lemma-1 ground truth for a pair: enumerates up to `pair_cap` pairs of
 /// linear extensions and decides each with the total-order test. Returns
-/// `None` if the cap was exceeded before finding a counterexample.
+/// `None` if the cap was exceeded before finding a counterexample, and
+/// `Unknown` if `D(Ta, Tb)` is not defined.
 pub fn decide_by_extensions(
     sys: &TxnSystem,
     a: TxnId,
     b: TxnId,
-    pair_cap: usize,
+    mut pair_cap: usize,
 ) -> Option<SafetyVerdict> {
-    let mut pairs = 0usize;
-    for e1 in LinearExtensions::new(sys.txn(a)) {
-        for e2 in LinearExtensions::new(sys.txn(b)) {
-            pairs += 1;
-            if pairs > pair_cap {
-                return None;
-            }
-            let lin_a = sys.txn(a).linearized(&e1).expect("valid extension");
-            let lin_b = sys.txn(b).linearized(&e2).expect("valid extension");
-            let mut pair_sys = sys.clone();
-            pair_sys = pair_sys.with_txn(a, lin_a);
-            pair_sys = pair_sys.with_txn(b, lin_b);
-            if let SafetyVerdict::Unsafe(cert) = decide_total_pair(&pair_sys, a, b) {
-                // Translate step ids back: linearized() renumbered steps by
-                // position, so map through e1/e2.
-                let schedule = Schedule::new(
-                    cert.schedule
-                        .steps()
-                        .iter()
-                        .map(|ss| ScheduledStep {
-                            txn: ss.txn,
-                            step: if ss.txn == a {
-                                e1[ss.step.idx()]
-                            } else {
-                                e2[ss.step.idx()]
-                            },
-                        })
-                        .collect(),
-                );
-                return Some(SafetyVerdict::Unsafe(Box::new(UnsafetyCertificate {
-                    txn_a: a,
-                    txn_b: b,
-                    t1_order: e1.clone(),
-                    t2_order: e2,
-                    dominator: cert.dominator.clone(),
-                    schedule,
-                })));
-            }
+    by_extensions(sys.db(), (a, sys.txn(a)), (b, sys.txn(b)), &mut pair_cap)
+}
+
+/// [`decide_by_extensions`] over the transactions `ta` and `tb`, named `a`
+/// and `b` in the certificate, spending one unit of `budget` per pair of
+/// linear extensions; `None` once the budget is spent.
+pub(crate) fn by_extensions(
+    db: &Database,
+    (a, ta): (TxnId, &Transaction),
+    (b, tb): (TxnId, &Transaction),
+    budget: &mut usize,
+) -> Option<SafetyVerdict> {
+    for e1 in LinearExtensions::new(ta) {
+        for e2 in LinearExtensions::new(tb) {
+            *budget = budget.checked_sub(1)?;
+            let lin_a = ta.linearized(&e1).expect("valid extension");
+            let lin_b = tb.linearized(&e2).expect("valid extension");
+            // Site structure is irrelevant for total orders.
+            let image = TxnSystem::new(db.clone(), vec![lin_a, lin_b]);
+            let cert = match decide_total_pair(&image, TxnId(0), TxnId(1)) {
+                SafetyVerdict::Unsafe(cert) => cert,
+                SafetyVerdict::Safe(_) => continue,
+                unknown => return Some(unknown),
+            };
+            // linearized() renumbered steps by position, so map back
+            // through e1/e2.
+            let schedule = Schedule::new(
+                cert.schedule
+                    .steps()
+                    .iter()
+                    .map(|ss| {
+                        let (txn, order) = if ss.txn == TxnId(0) {
+                            (a, &e1)
+                        } else {
+                            (b, &e2)
+                        };
+                        ScheduledStep {
+                            txn,
+                            step: order[ss.step.idx()],
+                        }
+                    })
+                    .collect(),
+            );
+            return Some(SafetyVerdict::Unsafe(Box::new(UnsafetyCertificate {
+                txn_a: a,
+                txn_b: b,
+                t1_order: e1,
+                t2_order: e2,
+                dominator: cert.dominator,
+                schedule,
+            })));
         }
     }
     Some(SafetyVerdict::Safe(SafeProof::Exhaustive))

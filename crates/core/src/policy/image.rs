@@ -11,8 +11,8 @@
 //! Lemma 1 specializes this to pairs.
 
 use crate::certificate::{SafeProof, SafetyVerdict};
-use crate::total_pair::decide_total_pair;
-use kplock_model::{LinearExtensions, TxnId, TxnSystem};
+use crate::oracle::by_extensions;
+use kplock_model::{TxnId, TxnSystem};
 
 /// Decides correctness of the policy `{T1, ..., Tk}` through its
 /// centralized image: every pair of linear extensions of every pair of
@@ -22,33 +22,26 @@ use kplock_model::{LinearExtensions, TxnId, TxnSystem};
 /// checking. Note that a transaction conflicts with *other executions of
 /// itself* in a policy (the class is closed under re-execution), so pairs
 /// `(i, i)` are included — this is what distinguishes policy correctness
-/// from plain system safety.
-pub fn centralized_image_safe(sys: &TxnSystem, pair_cap: usize) -> Option<SafetyVerdict> {
+/// from plain system safety. A pair on which `D` is not defined answers
+/// `Unknown`.
+///
+/// An unsafe answer's certificate names the pair it is about, with the
+/// steps of the original transactions: `(Ti, Tj)` of `sys` for `i ≠ j`,
+/// and for a self-pair `TxnId(0)` and `TxnId(1)` of
+/// [`pair_subsystem(sys, i, i)`](crate::certificate::pair_subsystem).
+pub fn centralized_image_safe(sys: &TxnSystem, mut pair_cap: usize) -> Option<SafetyVerdict> {
     let k = sys.len();
-    let mut budget = pair_cap;
     for i in 0..k {
         for j in i..k {
             let (a, b) = (TxnId::from_idx(i), TxnId::from_idx(j));
             if sys.shared_locked_entities(a, b).is_empty() {
                 continue;
             }
-            for e1 in LinearExtensions::new(sys.txn(a)) {
-                for e2 in LinearExtensions::new(sys.txn(b)) {
-                    if budget == 0 {
-                        return None;
-                    }
-                    budget -= 1;
-                    let lin_a = sys.txn(a).linearized(&e1).expect("extension");
-                    let lin_b = sys.txn(b).linearized(&e2).expect("extension");
-                    // Centralized: view both on a single notional site by
-                    // treating them as total orders (site structure is
-                    // irrelevant for total orders).
-                    let image = TxnSystem::new(sys.db().clone(), vec![lin_a, lin_b]);
-                    let v = decide_total_pair(&image, TxnId(0), TxnId(1));
-                    if v.is_unsafe() {
-                        return Some(v);
-                    }
-                }
+            let (x, y) = if i == j { (TxnId(0), TxnId(1)) } else { (a, b) };
+            let (ta, tb) = (sys.txn(a), sys.txn(b));
+            let v = by_extensions(sys.db(), (x, ta), (y, tb), &mut pair_cap)?;
+            if !v.is_safe() {
+                return Some(v);
             }
         }
     }
@@ -58,6 +51,7 @@ pub fn centralized_image_safe(sys: &TxnSystem, pair_cap: usize) -> Option<Safety
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certificate::pair_subsystem;
     use kplock_model::{Database, TxnBuilder};
 
     fn two_txn(scripts: [&str; 2], spec: &[(&str, usize)]) -> TxnSystem {
@@ -95,10 +89,11 @@ mod tests {
         let t = b.build().unwrap();
         let sys = TxnSystem::new(db.clone(), vec![t]);
         let v = centralized_image_safe(&sys, 100_000).unwrap();
-        assert!(
-            v.is_unsafe(),
-            "non-two-phase transactions self-conflict in the image"
-        );
+        let cert = v
+            .certificate()
+            .expect("non-two-phase transactions self-conflict in the image");
+        cert.verify(&pair_subsystem(&sys, TxnId(0), TxnId(0)))
+            .unwrap();
 
         // A two-phase single-transaction policy is correct.
         let mut b = TxnBuilder::new(&db, "P");
@@ -116,11 +111,29 @@ mod tests {
             &[("x", 0), ("y", 0)],
         );
         let image = centralized_image_safe(&sys, 100_000).unwrap();
-        let direct = crate::two_site::decide_two_site_system(&sys).unwrap();
+        let direct = crate::two_site::decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
         // The image includes self-pairs, so image-unsafe does not imply
         // system-unsafe in general; here both are unsafe.
         assert!(image.is_unsafe());
         assert!(direct.is_unsafe());
+    }
+
+    #[test]
+    fn the_certificate_names_its_pair_in_the_original_steps() {
+        let db = Database::centralized(&["x", "y", "z"]);
+        let txns = ["Lz z Uz", "Lx Ly x y Ux Uy", "Lx x Ux Ly y Uy"]
+            .iter()
+            .map(|s| {
+                let mut b = TxnBuilder::new(&db, "T");
+                b.script(s).unwrap();
+                b.build().unwrap()
+            })
+            .collect();
+        let sys = TxnSystem::new(db, txns);
+        let v = centralized_image_safe(&sys, 100_000).unwrap();
+        let cert = v.certificate().expect("T1 and T2 are an unsafe pair");
+        assert_eq!((cert.txn_a, cert.txn_b), (TxnId(1), TxnId(2)));
+        cert.verify(&sys).unwrap();
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub fn is_synchronized_two_phase(t: &Transaction) -> bool {
 mod tests {
     use super::*;
     use crate::certificate::SafetyVerdict;
-    use crate::two_site::decide_two_site_system;
-    use kplock_model::{Database, TxnBuilder, TxnSystem};
+    use crate::two_site::decide_two_site;
+    use kplock_model::{Database, TxnBuilder, TxnId, TxnSystem};
 
     #[test]
     fn total_order_two_phase() {
@@ -88,7 +88,7 @@ mod tests {
         );
         let t2 = mk("T2");
         let sys = TxnSystem::new(db.clone(), vec![t1, t2]);
-        let verdict = decide_two_site_system(&sys).unwrap();
+        let verdict = decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
         assert!(verdict.is_unsafe(), "loose 2PL admits anomalies");
         verdict.certificate().unwrap().verify(&sys).unwrap();
     }
@@ -118,7 +118,7 @@ mod tests {
         assert!(is_synchronized_two_phase(&t1), "global lock point exists");
         let t2 = mk("T2");
         let sys = TxnSystem::new(db.clone(), vec![t1, t2]);
-        let verdict = decide_two_site_system(&sys).unwrap();
+        let verdict = decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
         assert!(matches!(verdict, SafetyVerdict::Safe(_)));
     }
 }

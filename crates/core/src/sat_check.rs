@@ -128,36 +128,22 @@ use kplock_sat::{at_least_k, Cnf, Lit, SatResult, Solver, Var};
 use crate::avoid::{hold_request_edges, AvoidPlan};
 use crate::conflict_graph::Sections;
 
-/// Tuning knobs for the SAT checker.
-#[derive(Clone, Debug)]
-pub struct SatCheckOptions {
-    /// Refuse systems with more than this many milestones, counted as the
-    /// path deciding the system counts them; each formula grows with the
-    /// cube of its count, and the cap keeps it in the range our DPLL
-    /// handles.
-    ///
-    /// * The pair paths (two transactions, safety and deadlock) count the
-    ///   entities both transactions lock, the vertices their order ranges
-    ///   over.
-    /// * The k-transaction encoding (three or more transactions) counts
-    ///   every lock and unlock step, shared or not, though its transitivity
-    ///   core grows with the steps of entities two transactions lock only.
-    ///
-    /// The default, 160, admits every Theorem-3 reduction of a (12, 10)
-    /// formula (120 to 141 shared entities) on the pair path. A pair whose
-    /// lock and unlock steps a cap of `c` admitted shares at most `c / 4`
-    /// entities, so no pair either check admitted when it counted steps is
-    /// refused now.
-    pub max_milestones: usize,
-}
-
-impl Default for SatCheckOptions {
-    fn default() -> Self {
-        SatCheckOptions {
-            max_milestones: 160,
-        }
-    }
-}
+/// Systems with more milestones than this are refused, counted as the
+/// path deciding the system counts them; each formula grows with the cube
+/// of its count, and the cap keeps it in the range our DPLL handles.
+///
+/// * The pair paths (two transactions, safety and deadlock) count the
+///   entities both transactions lock, the vertices their order ranges
+///   over.
+/// * The k-transaction encoding (three or more transactions) counts every
+///   lock and unlock step, shared or not, though its transitivity core
+///   grows with the steps of entities two transactions lock only.
+///
+/// 160 admits every Theorem-3 reduction of a (12, 10) formula (120 to 141
+/// shared entities) on the pair path. A pair whose lock and unlock steps a
+/// cap of `c` admitted shares at most `c / 4` entities, so no pair either
+/// check admitted when it counted steps is refused now.
+const MAX_MILESTONES: usize = 160;
 
 /// Why a system was refused (or a model failed to decode).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -171,7 +157,7 @@ pub enum SatCheckError {
     /// An update step lies outside its entity's lock/unlock section, so
     /// section disjointness would not govern its conflicts.
     UnprotectedUpdate { txn: TxnId, step: StepId },
-    /// The system exceeds [`SatCheckOptions::max_milestones`].
+    /// The system has more milestones than the checker's cap of 160.
     TooLarge { milestones: usize, cap: usize },
     /// Internal: a satisfying model did not decode into a witness passing
     /// independent re-verification. Indicates an encoder bug.
@@ -351,7 +337,7 @@ struct Encoder<'a> {
 impl<'a> Encoder<'a> {
     /// The encoder and the core formula (ordering variables and
     /// transitivity clauses), which each check extends in place.
-    fn new(sys: &'a TxnSystem, opts: &SatCheckOptions) -> Result<(Self, Cnf), SatCheckError> {
+    fn new(sys: &'a TxnSystem) -> Result<(Self, Cnf), SatCheckError> {
         for i in 0..sys.len() {
             admit(sys, TxnId::from_idx(i))?;
         }
@@ -359,10 +345,10 @@ impl<'a> Encoder<'a> {
         // The cap counts every lock/unlock step, shared or not.
         let locked: Vec<Vec<EntityId>> = sys.txns().iter().map(|t| t.locked_entities()).collect();
         let steps = 2 * locked.iter().map(Vec::len).sum::<usize>();
-        if steps > opts.max_milestones {
+        if steps > MAX_MILESTONES {
             return Err(SatCheckError::TooLarge {
                 milestones: steps,
-                cap: opts.max_milestones,
+                cap: MAX_MILESTONES,
             });
         }
 
@@ -573,11 +559,6 @@ fn stats_of(cnf: &Cnf, solver: &Solver<'_>) -> EncodingStats {
     }
 }
 
-/// Decides safety exactly with default options. See [`check_safety_with`].
-pub fn check_safety(sys: &TxnSystem) -> Result<SafetyCheck, SatCheckError> {
-    check_safety_with(sys, &SatCheckOptions::default())
-}
-
 /// Decides whether some complete legal schedule of `sys` is
 /// non-serializable, returning a verified witness schedule if so. A
 /// system of two transactions takes the pair path, any other the
@@ -585,19 +566,16 @@ pub fn check_safety(sys: &TxnSystem) -> Result<SafetyCheck, SatCheckError> {
 ///
 /// Agrees with [`crate::oracle::decide_exhaustive`] on every system both
 /// can decide (the triad proptests pin this).
-pub fn check_safety_with(
-    sys: &TxnSystem,
-    opts: &SatCheckOptions,
-) -> Result<SafetyCheck, SatCheckError> {
+pub fn check_safety(sys: &TxnSystem) -> Result<SafetyCheck, SatCheckError> {
     if sys.len() == 2 {
-        let (witness, stats) = pair_witness(sys, TxnId(0), TxnId(1), opts.max_milestones)?;
+        let (witness, stats) = pair_witness(sys, TxnId(0), TxnId(1), MAX_MILESTONES)?;
         let verdict = match witness {
             Some(schedule) => SatSafety::Unsafe(verified_unsafe(sys, schedule)?),
             None => SatSafety::Safe,
         };
         return Ok(SafetyCheck { verdict, stats });
     }
-    let (enc, mut cnf) = Encoder::new(sys, opts)?;
+    let (enc, mut cnf) = Encoder::new(sys)?;
 
     // Same-entity sections of distinct transactions never overlap in a
     // complete legal schedule: one must fully precede the other.
@@ -704,7 +682,8 @@ fn pair_sections(
             cap,
         });
     }
-    Ok(Sections::of(sys.txn(a), sys.txn(b), &shared))
+    Ok(Sections::of(sys.txn(a), sys.txn(b), &shared)
+        .expect("an admitted transaction unlocks every entity it locks"))
 }
 
 /// The pair core's variables over `n` shared entities, from `base` on:
@@ -882,8 +861,8 @@ pub(crate) fn pair_witness(
 /// some step is missing. A cycle through the executed steps and the
 /// section arcs alternates as on a complete schedule, since a DAG path
 /// that ends at an executed step runs through executed steps only.
-fn pair_deadlock(sys: &TxnSystem, cap: usize) -> Result<DeadlockCheck, SatCheckError> {
-    let sections = pair_sections(sys, TxnId(0), TxnId(1), cap)?;
+fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
+    let sections = pair_sections(sys, TxnId(0), TxnId(1), MAX_MILESTONES)?;
     let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
     let (off, n) = (ta.len(), sections.len());
     let steps = off + tb.len();
@@ -958,24 +937,15 @@ fn pair_deadlock(sys: &TxnSystem, cap: usize) -> Result<DeadlockCheck, SatCheckE
     Ok(DeadlockCheck { deadlock, stats })
 }
 
-/// Decides deadlock reachability with default options. See
-/// [`check_deadlock_with`].
-pub fn check_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
-    check_deadlock_with(sys, &SatCheckOptions::default())
-}
-
 /// Decides whether some legal prefix of `sys` stalls every remaining step
 /// (the oracle's `deadlock_reachable`), returning a verified prefix if so.
 /// A system of two transactions takes the pair path, any other the
 /// k-transaction encoding (see the module doc).
-pub fn check_deadlock_with(
-    sys: &TxnSystem,
-    opts: &SatCheckOptions,
-) -> Result<DeadlockCheck, SatCheckError> {
+pub fn check_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
     if sys.len() == 2 {
-        return pair_deadlock(sys, opts.max_milestones);
+        return pair_deadlock(sys);
     }
-    let (enc, mut cnf) = Encoder::new(sys, opts)?;
+    let (enc, mut cnf) = Encoder::new(sys)?;
 
     // Executed flag per step.
     let total = enc.offsets[sys.len()];
@@ -1296,7 +1266,7 @@ mod tests {
     fn disjoint_transactions_are_trivially_safe() {
         let sys = sys_of(&["Lx x Ux", "Ly y Uy"]);
         // No entity is shared, so nothing is ordered.
-        let (enc, core) = Encoder::new(&sys, &SatCheckOptions::default()).unwrap();
+        let (enc, core) = Encoder::new(&sys).unwrap();
         assert!(enc.milestones.is_empty());
         assert_eq!((core.num_vars, core.num_clauses()), (0, 0));
         let safety = check_safety(&sys).unwrap();
@@ -1316,7 +1286,7 @@ mod tests {
         // section no other transaction shares (`y`) adds nothing.
         for scripts in [["Lx x Ux", "Lx x Ux"], ["Lx x Ux Ly y Uy", "Lx x Ux"]] {
             let sys = sys_of(&scripts);
-            let (enc, core) = Encoder::new(&sys, &SatCheckOptions::default()).unwrap();
+            let (enc, core) = Encoder::new(&sys).unwrap();
             assert_eq!(enc.milestones.len(), 4, "{scripts:?}");
             assert_eq!(core.num_vars, 4, "{scripts:?}");
         }
@@ -1348,15 +1318,41 @@ mod tests {
         ));
     }
 
+    /// Two-phase transactions over entities `e0`, `e1`, … at three sites,
+    /// one per list, each locking its entities in the list's order.
+    fn two_phase(entities: usize, orders: &[Vec<usize>]) -> TxnSystem {
+        let names: Vec<String> = (0..entities).map(|i| format!("e{i}")).collect();
+        let spec: Vec<(&str, usize)> = names
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.as_str(), i % 3))
+            .collect();
+        let db = Database::from_spec(&spec);
+        let txns = orders
+            .iter()
+            .enumerate()
+            .map(|(i, order)| {
+                let script = ["L", "", "U"]
+                    .iter()
+                    .flat_map(|p| order.iter().map(move |e| format!("{p}e{e}")))
+                    .collect::<Vec<_>>()
+                    .join(" ");
+                let mut b = TxnBuilder::new(&db, format!("T{i}"));
+                b.script(&script).expect("script");
+                b.build().expect("acyclic")
+            })
+            .collect();
+        TxnSystem::new(db, txns)
+    }
+
     #[test]
     fn milestone_cap_is_enforced() {
-        let sys = sys_of(&["Lx Ly x y Ux Uy"]);
-        let opts = SatCheckOptions { max_milestones: 2 };
+        let sys = two_phase(81, &[(0..81).collect()]);
         assert!(matches!(
-            check_safety_with(&sys, &opts),
+            check_safety(&sys),
             Err(SatCheckError::TooLarge {
-                milestones: 4,
-                cap: 2
+                milestones: 162,
+                cap: 160
             })
         ));
     }
@@ -1379,16 +1375,15 @@ mod tests {
 
     #[test]
     fn the_pair_path_caps_shared_entities() {
-        // Eight lock and unlock steps, but one shared entity.
-        let sys = sys_of(&["Lx Ly Lz x y z Ux Uy Uz", "Lx x Ux"]);
-        let opts = SatCheckOptions { max_milestones: 1 };
-        assert!(check_safety_with(&sys, &opts).unwrap().verdict.is_safe());
-        let sys = sys_of(&["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux"]);
+        // 324 lock and unlock steps, but one shared entity.
+        let sys = two_phase(161, &[(0..161).collect(), vec![0]]);
+        assert!(check_safety(&sys).unwrap().verdict.is_safe());
+        let sys = two_phase(161, &[(0..161).collect(), (0..161).rev().collect()]);
         assert!(matches!(
-            check_safety_with(&sys, &opts),
+            check_safety(&sys),
             Err(SatCheckError::TooLarge {
-                milestones: 2,
-                cap: 1
+                milestones: 161,
+                cap: 160
             })
         ));
     }
@@ -1412,60 +1407,32 @@ mod tests {
 
     #[test]
     fn the_deadlock_pair_path_caps_shared_entities() {
-        // Eight lock and unlock steps, but one shared entity.
-        let sys = sys_of(&["Lx Ly Lz x y z Ux Uy Uz", "Lx x Ux"]);
-        let opts = SatCheckOptions { max_milestones: 1 };
-        assert!(check_deadlock_with(&sys, &opts).unwrap().deadlock.is_none());
-        let sys = sys_of(&["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux"]);
+        // 324 lock and unlock steps, but one shared entity.
+        let sys = two_phase(161, &[(0..161).collect(), vec![0]]);
+        assert!(check_deadlock(&sys).unwrap().deadlock.is_none());
+        let sys = two_phase(161, &[(0..161).collect(), (0..161).rev().collect()]);
         assert!(matches!(
-            check_deadlock_with(&sys, &opts),
+            check_deadlock(&sys),
             Err(SatCheckError::TooLarge {
-                milestones: 2,
-                cap: 1
+                milestones: 161,
+                cap: 160
             })
         ));
-        let opts = SatCheckOptions { max_milestones: 2 };
-        assert!(check_deadlock_with(&sys, &opts).unwrap().deadlock.is_some());
     }
 
     #[test]
     fn a_pair_at_the_old_step_cap_is_still_admitted() {
-        // Forty entities over three sites, locked by both transactions in
-        // opposite orders: 160 lock and unlock steps, the most the step
-        // count admitted under the default cap, and 40 shared entities.
-        let names: Vec<String> = (0..40).map(|i| format!("e{i}")).collect();
-        let spec: Vec<(&str, usize)> = names
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.as_str(), i % 3))
-            .collect();
-        let db = Database::from_spec(&spec);
-        let script = |order: &[&str]| {
-            ["L", "", "U"]
-                .iter()
-                .flat_map(|p| order.iter().map(move |e| format!("{p}{e}")))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        let ascending: Vec<&str> = names.iter().map(String::as_str).collect();
-        let descending: Vec<&str> = ascending.iter().rev().copied().collect();
-        let txns = [script(&ascending), script(&descending)]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mut b = TxnBuilder::new(&db, format!("T{i}"));
-                b.script(s).expect("script");
-                b.build().expect("acyclic")
-            })
-            .collect();
-        let sys = TxnSystem::new(db, txns);
+        // Forty entities locked by both transactions in opposite orders:
+        // 160 lock and unlock steps, the most the step count admitted, and
+        // 40 shared entities.
+        let sys = two_phase(40, &[(0..40).collect(), (0..40).rev().collect()]);
         let lock_steps: usize = sys
             .txns()
             .iter()
             .map(|t| 2 * t.locked_entities().len())
             .sum();
-        assert_eq!(lock_steps, SatCheckOptions::default().max_milestones);
-        let dl = check_deadlock(&sys).expect("admitted under the default cap");
+        assert_eq!(lock_steps, MAX_MILESTONES);
+        let dl = check_deadlock(&sys).expect("admitted under the cap");
         assert!(dl.deadlock.is_some());
         assert!(check_safety(&sys).unwrap().verdict.is_safe());
     }

@@ -16,7 +16,8 @@ use kplock_model::{EntityId, Schedule, ScheduledStep, StepId, Transaction, TxnId
 /// Builds a legal complete schedule of `{Ta, Tb}` in which, for every shared
 /// locked entity, the lock section of `Ta` comes first iff the entity is in
 /// `x_first`; other entities run `Tb`'s section first. Returns `None` if the
-/// orientation is infeasible (the combined precedence graph has a cycle).
+/// orientation is infeasible (the combined precedence graph has a cycle)
+/// or a transaction lacks the lock or unlock step of a shared entity.
 ///
 /// `t1_order` and `t2_order` must be linear extensions of the transactions.
 pub fn schedule_from_orientation(
@@ -32,7 +33,7 @@ pub fn schedule_from_orientation(
     orientation_schedule(
         (a, ta, t1_order),
         (b, tb, t2_order),
-        &Sections::of(ta, tb, &shared),
+        &Sections::of(ta, tb, &shared)?,
         &membership(&shared, x_first),
     )
 }
@@ -99,7 +100,8 @@ pub(crate) fn orientation_schedule(
 
 /// Decides safety of a pair of total orders: safe iff `D(t1, t2)` is
 /// strongly connected; otherwise returns a verified-shape certificate built
-/// from a dominator orientation.
+/// from a dominator orientation. `Unknown` if `D(t1, t2)` is not defined (a
+/// transaction lacks the lock or unlock step of a shared entity).
 ///
 /// # Panics
 /// Panics if either transaction is not a total order (callers should
@@ -114,7 +116,9 @@ pub fn decide_total_pair(sys: &TxnSystem, a: TxnId, b: TxnId) -> SafetyVerdict {
         .total_order()
         .expect("decide_total_pair requires total orders");
 
-    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    let Some((d, sections)) = ConflictDigraph::build_with_sections(sys, a, b) else {
+        return SafetyVerdict::Unknown;
+    };
     if d.entities.len() < 2 {
         return SafetyVerdict::Safe(SafeProof::TrivialOverlap);
     }

@@ -29,6 +29,9 @@ pub enum TwoSiteError {
     /// The system uses more than two sites; use
     /// [`crate::multisite::decide_multisite`] instead.
     TooManySites(usize),
+    /// A transaction lacks the lock or unlock step of an entity both lock,
+    /// so `D(Ta, Tb)` is not defined.
+    IllFormed,
 }
 
 impl std::fmt::Display for TwoSiteError {
@@ -36,6 +39,9 @@ impl std::fmt::Display for TwoSiteError {
         match self {
             TwoSiteError::TooManySites(m) => {
                 write!(f, "Theorem 2 requires at most two sites, got {m}")
+            }
+            TwoSiteError::IllFormed => {
+                write!(f, "a shared entity lacks its lock or unlock step")
             }
         }
     }
@@ -49,7 +55,8 @@ pub fn decide_two_site(sys: &TxnSystem, a: TxnId, b: TxnId) -> Result<SafetyVerd
     if m > 2 {
         return Err(TwoSiteError::TooManySites(m));
     }
-    let (d, sections) = ConflictDigraph::build_with_sections(sys, a, b);
+    let (d, sections) =
+        ConflictDigraph::build_with_sections(sys, a, b).ok_or(TwoSiteError::IllFormed)?;
     let strongly_connected = d.is_strongly_connected();
     Ok(decide_with(sys, &d, &sections, strongly_connected))
 }
@@ -75,12 +82,6 @@ pub(crate) fn decide_with(
          (Lemmas 2 and 3)",
     );
     SafetyVerdict::Unsafe(Box::new(cert))
-}
-
-/// Convenience wrapper for a two-transaction system.
-pub fn decide_two_site_system(sys: &TxnSystem) -> Result<SafetyVerdict, TwoSiteError> {
-    assert_eq!(sys.len(), 2, "expects exactly two transactions");
-    decide_two_site(sys, TxnId(0), TxnId(1))
 }
 
 #[cfg(test)]
@@ -110,7 +111,7 @@ mod tests {
         ];
         for (s1, s2) in cases {
             let sys = centralized_pair(s1, s2);
-            let verdict = decide_two_site_system(&sys).unwrap();
+            let verdict = decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
             let oracle = decide_exhaustive(&sys, &OracleOptions::default());
             let oracle_safe = matches!(oracle.outcome, OracleOutcome::Safe);
             assert_eq!(verdict.is_safe(), oracle_safe, "disagree on ({s1}, {s2})");
@@ -131,7 +132,7 @@ mod tests {
         let t2 = b2.build().unwrap();
         let sys = TxnSystem::new(db, vec![t1, t2]);
         assert_eq!(
-            decide_two_site_system(&sys).unwrap_err(),
+            decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap_err(),
             TwoSiteError::TooManySites(3)
         );
     }
@@ -148,7 +149,7 @@ mod tests {
             b.build().unwrap()
         };
         let sys = TxnSystem::new(db.clone(), vec![mk("T1"), mk("T2")]);
-        let verdict = decide_two_site_system(&sys).unwrap();
+        let verdict = decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
         let cert = verdict.certificate().expect("unsafe");
         cert.verify(&sys).unwrap();
         // Cross-check with the exact oracle.

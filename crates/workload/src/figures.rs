@@ -129,8 +129,8 @@ pub fn fig5() -> TxnSystem {
 mod tests {
     use super::*;
     use kplock_core::{
-        analyze_pair, decide_exhaustive, decide_two_site_system, OracleOptions, OracleOutcome,
-        SafeProof, SafetyVerdict,
+        analyze_pair, decide_exhaustive, decide_two_site, OracleOptions, OracleOutcome, SafeProof,
+        SafetyVerdict,
     };
     use kplock_geometry::{find_separation, PlanePicture};
     use kplock_model::{Level, TxnId};
@@ -139,7 +139,7 @@ mod tests {
     fn fig1_is_unsafe_with_witness() {
         let sys = fig1();
         sys.validate(Level::Strict).unwrap();
-        let verdict = decide_two_site_system(&sys).unwrap();
+        let verdict = decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
         let cert = verdict.certificate().expect("Fig. 1 is unsafe");
         cert.verify(&sys).unwrap();
         // And the exact oracle agrees.

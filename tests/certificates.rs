@@ -4,15 +4,13 @@
 //! verdict is re-checked; these tests establish that the checker actually
 //! rejects each way a certificate can be wrong.
 
-use kplock::core::{
-    decide_two_site, decide_two_site_system, CertificateError, UnsafetyCertificate,
-};
+use kplock::core::{decide_two_site, CertificateError, UnsafetyCertificate};
 use kplock::model::{Schedule, ScheduledStep, TxnId, TxnSystem};
 use kplock::workload::fig1;
 
 fn unsafe_cert() -> (TxnSystem, UnsafetyCertificate) {
     let sys = fig1();
-    let v = decide_two_site_system(&sys).unwrap();
+    let v = decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
     let cert = v.certificate().expect("fig1 unsafe").clone();
     cert.verify(&sys).expect("pristine certificate verifies");
     (sys, cert)

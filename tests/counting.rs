@@ -2,7 +2,8 @@
 //! and the concurrency-vs-safety trade-off it quantifies.
 
 use kplock::core::policy::LockStrategy;
-use kplock::core::{count_schedules, decide_two_site_system};
+use kplock::core::{count_schedules, decide_two_site};
+use kplock::model::TxnId;
 use kplock::workload::{random_pair, WorkloadParams};
 
 #[test]
@@ -20,7 +21,7 @@ fn counting_safety_agrees_with_theorem2() {
         let Some(counts) = count_schedules(&sys, 2_000_000) else {
             continue;
         };
-        let verdict = decide_two_site_system(&sys).unwrap();
+        let verdict = decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
         assert_eq!(
             counts.is_safe(),
             verdict.is_safe(),

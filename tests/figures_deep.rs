@@ -4,8 +4,8 @@
 
 use kplock::core::closure::{close_wrt_dominator, ClosureError};
 use kplock::core::{
-    count_schedules, decide_by_extensions, decide_exhaustive, decide_two_site_system,
-    ConflictDigraph, OracleOptions, OracleOutcome,
+    count_schedules, decide_by_extensions, decide_exhaustive, decide_two_site, ConflictDigraph,
+    OracleOptions, OracleOutcome,
 };
 use kplock::graph::enumerate_dominators;
 use kplock::model::{EntityId, TxnId};
@@ -16,7 +16,7 @@ use kplock::workload::{fig1, fig3, fig5, fig8_formula, fig8_reduction, figure_co
 fn fig1_three_ways() {
     let sys = fig1();
     // 1. Theorem 2.
-    let v = decide_two_site_system(&sys).unwrap();
+    let v = decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
     assert!(v.is_unsafe());
     // 2. State-space oracle.
     let o = decide_exhaustive(&sys, &OracleOptions::default());

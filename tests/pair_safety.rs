@@ -1,11 +1,12 @@
 //! Integration: the Theorem-2 decision procedure against the exact oracle
 //! on randomized two-site workloads, across locking strategies.
 
-use kplock::core::policy::LockStrategy;
+use kplock::core::closure::{close_wrt_dominator, ClosureError};
+use kplock::core::policy::{centralized_image_safe, LockStrategy};
 use kplock::core::{
-    analyze_pair, check_safety, decide_exhaustive, decide_multisite, decide_two_site,
-    decide_two_site_system, reduce, ConflictDigraph, MultisiteOptions, OracleOptions,
-    OracleOutcome, SafeProof, SafetyVerdict,
+    analyze_pair, check_safety, decide_by_extensions, decide_exhaustive, decide_multisite,
+    decide_two_site, proposition2, reduce, ConflictDigraph, MultisiteOptions, OracleOptions,
+    OracleOutcome, Prop2Verdict, SafeProof, SafetyVerdict, TwoSiteError,
 };
 use kplock::model::{Database, TxnBuilder, TxnId, TxnSystem};
 use kplock::sat::solve;
@@ -15,7 +16,7 @@ use kplock::workload::{
 
 fn check_agreement(params: &WorkloadParams) {
     let sys = random_pair(params);
-    let verdict = decide_two_site_system(&sys).expect("two sites");
+    let verdict = decide_two_site(&sys, TxnId(0), TxnId(1)).expect("two sites");
     let oracle = decide_exhaustive(&sys, &OracleOptions::default());
     let oracle_safe = match oracle.outcome {
         OracleOutcome::Safe => true,
@@ -73,7 +74,7 @@ fn sync_two_phase_is_always_safe() {
             steps_per_txn: 5,
             ..Default::default()
         });
-        let verdict = decide_two_site_system(&sys).expect("two sites");
+        let verdict = decide_two_site(&sys, TxnId(0), TxnId(1)).expect("two sites");
         assert!(
             verdict.is_safe(),
             "synchronized 2PL must be safe (seed {seed})"
@@ -94,6 +95,45 @@ fn centralized_pairs_match_oracle_too() {
             steps_per_txn: 6,
             ..Default::default()
         });
+    }
+}
+
+/// `T0` locks `x` and never unlocks it; `TxnBuilder` accepts that, and
+/// `D(T0, T1)` is not defined. Every pair decision answers instead of
+/// panicking, at one, two and three sites: `Unknown`, or for Theorem 2 a
+/// typed error; so do Lemma 1's deciders and the dominator closure.
+#[test]
+fn a_pair_without_an_unlock_step_is_answered_not_a_panic() {
+    for sites in [[0, 0, 0], [0, 1, 1], [0, 1, 2]] {
+        let db = Database::from_spec(&[("x", sites[0]), ("y", sites[1]), ("z", sites[2])]);
+        let txns = ["Lx x Ly y Uy", "Ly y Uy Lx x Ux"].map(|s| {
+            let mut b = TxnBuilder::new(&db, "T");
+            b.script(s).unwrap();
+            b.build().unwrap()
+        });
+        let sys = TxnSystem::new(db, txns.to_vec());
+        let analysis = analyze_pair(&sys);
+        assert!(matches!(analysis.verdict, SafetyVerdict::Unknown));
+        assert!(analysis.d.entities.is_empty());
+        let m = sys.db().site_count();
+        let expected = if m <= 2 {
+            TwoSiteError::IllFormed
+        } else {
+            TwoSiteError::TooManySites(m)
+        };
+        let err = decide_two_site(&sys, TxnId(0), TxnId(1)).err();
+        assert_eq!(err, Some(expected));
+        let options = MultisiteOptions::default();
+        let v = decide_multisite(&sys, TxnId(0), TxnId(1), &options);
+        assert!(matches!(v, SafetyVerdict::Unknown));
+        assert_eq!(proposition2(&sys), Prop2Verdict::Unknown);
+        let v = decide_by_extensions(&sys, TxnId(0), TxnId(1), 1_000);
+        assert!(matches!(v, Some(SafetyVerdict::Unknown)));
+        let v = centralized_image_safe(&sys, 1_000);
+        assert!(matches!(v, Some(SafetyVerdict::Unknown)));
+        let x = sys.db().entity("x").unwrap();
+        let closed = close_wrt_dominator(&sys, TxnId(0), TxnId(1), &[x]);
+        assert_eq!(closed.err(), Some(ClosureError::IllFormed));
     }
 }
 

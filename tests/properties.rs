@@ -163,7 +163,7 @@ proptest! {
     #[test]
     fn certificates_always_verify(seed in 0u64..500) {
         let sys = small_pair(seed, LockStrategy::Minimal);
-        let verdict = kplock::core::decide_two_site_system(&sys).unwrap();
+        let verdict = kplock::core::decide_two_site(&sys, TxnId(0), TxnId(1)).unwrap();
         if let SafetyVerdict::Unsafe(cert) = verdict {
             prop_assert!(cert.verify(&sys).is_ok());
             prop_assert!(!cert.dominator.is_empty());
