@@ -36,22 +36,29 @@
 //! picks. [`crate::multisite::decide_multisite`] ends in the same path.
 //!
 //! [`check_deadlock`] decides a pair over the same orientations and order,
-//! restricted to the steps a prefix has executed. Executed flags `X(s)`,
-//! closed downward over each DAG, number first. *Legality*,
+//! restricted to the *milestones* a prefix has executed: the lock and
+//! unlock steps of the shared entities, four per entity. In a pair only a
+//! lock on a shared entity can be blocked, so in a stalled prefix a step
+//! that is no milestone has run exactly when every milestone before it
+//! has, and needs no variable. Executed flags `X(m)` number first; each implies the
+//! flags of the milestone's nearest milestone predecessors, which a walk
+//! up its DAG that stops at milestones finds. *Legality*,
 //! `¬o_x ∨ ¬X(L2x) ∨ X(U1x)` and `o_x ∨ ¬X(L1x) ∨ X(U2x)`, lets the second
 //! section on `x` lock only once the first has unlocked. An arc of the
 //! section graph needs both sections of both its entities locked, which the
 //! arc clause's orientations reduce to one lock, so the arc clauses gain
 //! `¬X(L1y)` and `¬X(L2y)` respectively; the alternation argument holds as
 //! before, because a DAG path that ends at an executed step runs through
-//! executed steps only. The *stall* is one holder flag per transaction and
-//! shared entity (locked, not yet unlocked), one clause per step, "executed,
-//! or missing a predecessor, or a lock on a shared entity whose other
-//! section is held", and "some step missing". One function emits the
-//! orientation, order, transitivity and arc clauses for both checks; the
-//! deadlock check passes it the executed literal. Its witness is the same
-//! topological sort, over the executed steps and the section arcs of the
-//! entities both transactions have locked.
+//! executed steps only. The *stall* is, per milestone, "executed, or
+//! missing a nearest milestone predecessor, or a lock on `x` whose other
+//! section is held" — the other transaction's lock of `x` ran and its
+//! unlock did not, two clauses — and "some milestone missing". That is
+//! `4n + n + C(n, 2)` variables for `n` shared entities, however long the
+//! transactions are. One function emits the orientation, order,
+//! transitivity and arc clauses for both checks; the deadlock check passes
+//! it the executed literal. Its witness is the same topological sort, over
+//! the steps every milestone at or before which ran, and the section arcs
+//! of the entities both transactions have locked.
 //!
 //! # The k-transaction encoding
 //!
@@ -849,79 +856,133 @@ pub(crate) fn pair_witness(
     Ok((Some(witness), stats))
 }
 
+/// `pair_deadlock`'s milestone entry of a step that is no milestone.
+const NO_MILESTONE: u32 = u32::MAX;
+
 /// The deadlock pair path: whether some legal prefix of the pair `sys`
-/// stalls every remaining step, decided over the entities both lock.
+/// stalls every remaining step, decided over its *milestones*, the lock
+/// and unlock steps of the `n` entities both transactions lock.
 ///
-/// One executed flag `X(v)` per step, closed downward over each DAG, then
-/// the pair core over the executed steps, then one holder flag per
-/// transaction and shared entity. Legality, `¬o_x ∨ ¬X(Lb x) ∨ X(Ua x)` and
+/// In a pair only a lock on a shared entity can be blocked, so in a
+/// stalled prefix a step that is no milestone has run exactly when every
+/// milestone before it has. One executed flag `X(m)` per milestone implies the flags
+/// of its nearest milestone predecessors (a walk up the DAG that stops at
+/// milestones finds them), then the pair core over the executed
+/// milestones. Legality, `¬o_x ∨ ¬X(Lb x) ∨ X(Ua x)` and
 /// `o_x ∨ ¬X(La x) ∨ X(Ub x)`, lets the second section on `x` lock only
-/// once the first has unlocked. A step is executed, missing a
-/// predecessor, or a lock whose entity the other transaction holds, and
-/// some step is missing. A cycle through the executed steps and the
-/// section arcs alternates as on a complete schedule, since a DAG path
-/// that ends at an executed step runs through executed steps only.
+/// once the first has unlocked. A milestone whose nearest milestone
+/// predecessors ran is executed or a lock on `x` the other transaction
+/// holds, written as two clauses: its lock of `x` ran, and its unlock did
+/// not. Some milestone is missing. A cycle through the executed steps and
+/// the section arcs alternates as on a complete schedule, since a DAG path
+/// that ends at an executed step runs through executed steps only. The
+/// formula has `4n + n + C(n, 2)` variables, whatever the transactions'
+/// length; fewer than two shared entities cannot deadlock and need none.
 fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
     let sections = pair_sections(sys, TxnId(0), TxnId(1), MAX_MILESTONES)?;
+    let n = sections.len();
+    // Each transaction of a stalled pair waits for an entity the other
+    // holds, and no entity is held twice: that takes two shared entities.
+    if n < 2 {
+        return Ok(DeadlockCheck {
+            deadlock: None,
+            stats: EncodingStats::default(),
+        });
+    }
     let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
-    let (off, n) = (ta.len(), sections.len());
+    let off = ta.len();
     let steps = off + tb.len();
-    // `X(v)` for step `v`, `b`'s numbered after `a`'s; the core; `H(t, x)`:
-    // transaction `t` (0 for `a`) holds shared entity `x`, locked and not
-    // yet unlocked.
-    let x = |v: usize| Var(v as u32);
-    let order = PairOrder { n, base: steps };
-    let h_base = steps + order.vars();
-    let held = |t: usize, i: usize| Var((h_base + 2 * i + t) as u32);
+    // Shared entity `i` gives milestones `4i` to `4i + 3`: `a`'s lock and
+    // unlock, then `b`'s. `X(m)` is variable `m` and the core follows the
+    // flags. `at(m)` is milestone `m`'s transaction, the number of its
+    // first step (`b`'s steps come after `a`'s) and its step.
+    let at = |m: usize| {
+        let s = sections[m / 4];
+        let step = [s.lock_a, s.unlock_a, s.lock_b, s.unlock_b][m % 4];
+        if m % 4 < 2 {
+            (ta, 0, step)
+        } else {
+            (tb, off, step)
+        }
+    };
+    let mut milestone = vec![NO_MILESTONE; steps];
+    for m in 0..4 * n {
+        let (_, base, s) = at(m);
+        milestone[base + s.idx()] = m as u32;
+    }
+    let x = |m: usize| Var(m as u32);
+    let order = PairOrder { n, base: 4 * n };
 
-    let dags = [(0, ta), (off, tb)];
-    let edges: usize = dags.iter().map(|(_, t)| t.edge_graph().edge_count()).sum();
-    let triples = n * n.saturating_sub(1) * n.saturating_sub(2) / 6;
-    let arcs = 2 * n * n.saturating_sub(1);
+    // Milestone `m`'s nearest milestone predecessors,
+    // `preds[ends[m]..ends[m + 1]]`: a walk up its DAG that stops at
+    // milestones finds them and maybe more, and they are the milestones it
+    // found that no other one it found follows.
+    let (mut preds, mut ends) = (Vec::new(), Vec::with_capacity(4 * n + 1));
+    let (mut found, mut stack) = (Vec::new(), Vec::new());
+    let mut seen = vec![NO_MILESTONE; steps];
+    ends.push(0);
+    for m in 0..4 * n {
+        let (t, base, s) = at(m);
+        stack.push(s.idx());
+        while let Some(u) = stack.pop() {
+            for &v in t.edge_graph().predecessors(u) {
+                if seen[base + v] != m as u32 {
+                    seen[base + v] = m as u32;
+                    match milestone[base + v] {
+                        NO_MILESTONE => stack.push(v),
+                        q => found.push(q as usize),
+                    }
+                }
+            }
+        }
+        let followed = |p: usize| found.iter().any(|&q| t.precedes(at(p).2, at(q).2));
+        preds.extend(found.iter().filter(|&&p| !followed(p)));
+        found.clear();
+        ends.push(preds.len());
+    }
+    let preds_of = |m: usize| preds[ends[m]..ends[m + 1]].iter().copied();
+
+    let triples = n * (n - 1) * (n - 2) / 6;
+    let arcs = 2 * n * (n - 1);
+    let p = preds.len();
     let mut cnf = Cnf::with_capacity(
-        h_base + 2 * n,
-        2 * triples + arcs + edges + 6 * n + steps + 1,
-        6 * triples + 4 * arcs + 3 * edges + 16 * n + 2 * steps,
+        4 * n + order.vars(),
+        p + 2 * triples + arcs + 8 * n + 1,
+        4 * p + 6 * triples + 4 * arcs + 20 * n,
     );
-    for &(base, t) in &dags {
-        for (u, v) in t.edge_graph().edges() {
-            cnf.add_clause([Lit::neg(x(base + v)), Lit::pos(x(base + u))]);
+    // Downward closure: an executed milestone's nearest milestone
+    // predecessors are executed.
+    for m in 0..4 * n {
+        for q in preds_of(m) {
+            cnf.add_clause([Lit::neg(x(m)), Lit::pos(x(q))]);
         }
     }
-    order.emit(&mut cnf, ta, tb, &sections, |v| Some(Lit::neg(x(v))));
-    // Legality and holders; the holder that blocks each lock on a shared
-    // entity is the other transaction's.
-    let mut blocker = vec![None; steps];
-    for (i, s) in sections.iter().enumerate() {
+    order.emit(&mut cnf, ta, tb, &sections, |v| {
+        Some(Lit::neg(x(milestone[v] as usize)))
+    });
+    // Legality: the second section on an entity locks only once the first
+    // has unlocked.
+    for i in 0..n {
         let o = order.orient(i);
-        let (la, ua) = (s.lock_a.idx(), s.unlock_a.idx());
-        let (lb, ub) = (off + s.lock_b.idx(), off + s.unlock_b.idx());
-        cnf.add_clause([Lit::neg(o), Lit::neg(x(lb)), Lit::pos(x(ua))]);
-        cnf.add_clause([Lit::pos(o), Lit::neg(x(la)), Lit::pos(x(ub))]);
-        for (t, l, u) in [(0, la, ua), (1, lb, ub)] {
-            cnf.add_clause([Lit::neg(held(t, i)), Lit::pos(x(l))]);
-            cnf.add_clause([Lit::neg(held(t, i)), Lit::neg(x(u))]);
-            blocker[l] = Some(Lit::pos(held(1 - t, i)));
+        let m = 4 * i;
+        cnf.add_clause([Lit::neg(o), Lit::neg(x(m + 2)), Lit::pos(x(m + 1))]);
+        cnf.add_clause([Lit::pos(o), Lit::neg(x(m)), Lit::pos(x(m + 3))]);
+    }
+    // The stall: a milestone whose nearest milestone predecessors ran is
+    // executed, or a lock whose entity the other transaction holds...
+    for m in 0..4 * n {
+        let missing = || preds_of(m).map(|q| Lit::neg(x(q)));
+        let stalled = || std::iter::once(Lit::pos(x(m))).chain(missing());
+        if m % 2 == 0 {
+            let other = m ^ 2;
+            cnf.add_clause(stalled().chain([Lit::pos(x(other))]));
+            cnf.add_clause(stalled().chain([Lit::neg(x(other + 1))]));
+        } else {
+            cnf.add_clause(stalled());
         }
     }
-    // The stall condition: every step is executed, or missing a
-    // predecessor, or a lock blocked by the other transaction...
-    for &(base, t) in &dags {
-        for v in 0..t.len() {
-            let missing = t
-                .edge_graph()
-                .predecessors(v)
-                .iter()
-                .map(|&p| Lit::neg(x(base + p)));
-            cnf.add_clause(
-                std::iter::once(Lit::pos(x(base + v)))
-                    .chain(missing)
-                    .chain(blocker[base + v]),
-            );
-        }
-    }
-    // ... and at least one step is missing, else the state is complete.
-    cnf.add_clause((0..steps).map(|v| Lit::neg(x(v))));
+    // ... and some milestone is missing, else every step has run.
+    cnf.add_clause((0..4 * n).map(|m| Lit::neg(x(m))));
 
     let mut solver = Solver::new(&cnf);
     let result = solver.solve();
@@ -929,8 +990,19 @@ fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
     let deadlock = match result {
         SatResult::Unsat => None,
         SatResult::Sat(model) => {
+            // A step ran iff every milestone of its transaction at or
+            // before it ran.
+            let mut ran = vec![true; steps];
+            for m in (0..4 * n).filter(|&m| !model[x(m).idx()]) {
+                let (t, base, s) = at(m);
+                for v in 0..t.len() {
+                    if t.precedes_eq(s, StepId::from_idx(v)) {
+                        ran[base + v] = false;
+                    }
+                }
+            }
             let orient = |i: usize| model[order.orient(i).idx()];
-            let prefix = pair_schedule(ta, tb, &sections, orient, |v| model[x(v).idx()])?;
+            let prefix = pair_schedule(ta, tb, &sections, orient, |v| ran[v])?;
             Some(verified_deadlock(sys, prefix)?)
         }
     };
@@ -1274,9 +1346,8 @@ mod tests {
         assert_eq!(safety.stats.decisions, 0);
         let dl = check_deadlock(&sys).unwrap();
         assert!(dl.deadlock.is_none());
-        // One executed flag per step, and no ordering or holder variable.
-        assert_eq!(dl.stats.vars, sys.total_steps());
-        assert_eq!(dl.stats.decisions, 0);
+        // No shared entity, so no milestone: nothing to solve.
+        assert_eq!(dl.stats, EncodingStats::default());
     }
 
     #[test]
@@ -1390,12 +1461,13 @@ mod tests {
 
     #[test]
     fn a_pairs_deadlock_is_decided_over_its_shared_entities() {
-        // One executed flag per step, then two orientations, one order
-        // variable and four holder flags for the two shared entities.
+        // Four executed flags per shared entity, one for each of its
+        // milestones, then two orientations and one order variable; the
+        // update steps get none.
         let sys = sys_of(&["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux"]);
-        let (steps, n) = (sys.total_steps(), 2);
+        let n = 2;
         let dl = check_deadlock(&sys).unwrap();
-        assert_eq!(dl.stats.vars, steps + n + n * (n - 1) / 2 + 2 * n);
+        assert_eq!(dl.stats.vars, 4 * n + n + n * (n - 1) / 2);
         // Each transaction has taken its first lock and waits for the
         // other's.
         let prefix = dl.deadlock.expect("opposed lock orders deadlock");

@@ -20,12 +20,14 @@ use kplock::core::{
     check_deadlock, check_safety, decide_exhaustive, synthesize_optimal, OracleOptions,
     OracleOutcome, SatSafety,
 };
-use kplock::model::{Database, TxnBuilder, TxnSystem};
+use kplock::model::{Database, SiteId, Step, StepId, Transaction, TxnBuilder, TxnId, TxnSystem};
 use kplock::sim::{replay_deadlock, replay_violation, AvoidPlan};
 use kplock::workload::{
     certified_mix, opposed_mix, random_pair, random_system, regression_corpus, WorkloadParams,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Holds `sys` to all three deciders at once. `expected_safe` is the
 /// verdict known a priori, where there is one; `expect_gap` demands that
@@ -221,6 +223,147 @@ fn the_deadlock_pair_path_decides_as_the_encoder() {
     assert!(pairs > 0);
 }
 
+/// T0 locks `x` then `y`, T1 `y` then `x`, and each runs `pad` lock
+/// sections of entities no one else locks, at a site of its own, between
+/// its two locks.
+fn opposed_core(pad: usize) -> TxnSystem {
+    let mut spec = vec![("x".to_string(), 0), ("y".to_string(), 1)];
+    for i in 0..pad {
+        spec.push((format!("p{i}"), 2));
+        spec.push((format!("q{i}"), 3));
+    }
+    let spec: Vec<(&str, usize)> = spec.iter().map(|(e, s)| (e.as_str(), *s)).collect();
+    let db = Database::from_spec(&spec);
+    let sections = |p: char| {
+        (0..pad)
+            .map(|i| format!("L{p}{i} {p}{i} U{p}{i}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let scripts = [
+        format!("Lx x {} Ly y Ux Uy", sections('p')),
+        format!("Ly y {} Lx x Uy Ux", sections('q')),
+    ];
+    let txns = scripts
+        .iter()
+        .enumerate()
+        .map(|(i, script)| {
+            let mut b = TxnBuilder::new(&db, format!("T{i}"));
+            b.script(script).expect("script");
+            b.build().expect("acyclic")
+        })
+        .collect();
+    TxnSystem::new(db, txns)
+}
+
+/// The deadlock pair path's formula is over the milestones of the two
+/// shared entities: padding each transaction with 8 or 64 private lock
+/// sections leaves its variables (`4n + n + C(n, 2)`) and clauses as
+/// they are, and the verdict too. The prefix runs every private section,
+/// since none can be blocked.
+#[test]
+fn the_deadlock_pair_formula_does_not_grow_with_private_sections() {
+    let n = 2;
+    let mut sizes = Vec::new();
+    for pad in [0, 8, 64] {
+        let sys = opposed_core(pad);
+        assert_eq!(sys.txn(TxnId(0)).len(), 6 + 3 * pad);
+        let dl = check_deadlock(&sys).unwrap();
+        assert_eq!(dl.stats.vars, 4 * n + n + n * (n - 1) / 2, "pad {pad}");
+        sizes.push((dl.stats.vars, dl.stats.clauses));
+        let prefix = dl.deadlock.expect("opposed lock orders deadlock");
+        assert_eq!(prefix.len(), 2 * (2 + 3 * pad), "pad {pad}");
+        let evidence = replay_deadlock(&sys, &prefix).expect("the prefix replays");
+        assert_eq!(evidence.cycle.len(), 2);
+    }
+    assert!(sizes.windows(2).all(|w| w[0] == w[1]), "{sizes:?}");
+}
+
+/// `sys`, a pair, with a chain of up to eight lock sections added to each
+/// transaction on entities of its own at a site of its own, keeping it
+/// within 24 steps. The chain hangs after a random step, or after none,
+/// and half the time leads into a random step that does not precede that
+/// one, so a path between two milestones may run through it.
+fn with_private_tails(sys: &TxnSystem, rng: &mut StdRng) -> TxnSystem {
+    let mut db = sys.db().clone();
+    let sites = db.site_count();
+    let mut txns = Vec::new();
+    for (i, t) in sys.txns().iter().enumerate() {
+        let mut steps = t.steps().to_vec();
+        let mut edges: Vec<(StepId, StepId)> = t
+            .edge_graph()
+            .edges()
+            .map(|(u, v)| (StepId::from_idx(u), StepId::from_idx(v)))
+            .collect();
+        let after = rng
+            .gen_bool(0.8)
+            .then(|| StepId::from_idx(rng.gen_range(0..t.len())));
+        let mut last = after;
+        for k in 0..rng.gen_range(0..=24usize.saturating_sub(t.len()) / 3) {
+            let e = db.add_entity(&format!("tail{i}_{k}"), SiteId::from_idx(sites + i));
+            for step in [Step::lock(e), Step::update(e), Step::unlock(e)] {
+                let id = StepId::from_idx(steps.len());
+                steps.push(step);
+                edges.extend(last.map(|l| (l, id)));
+                last = Some(id);
+            }
+        }
+        let into = StepId::from_idx(rng.gen_range(0..t.len()));
+        if steps.len() > t.len()
+            && rng.gen_bool(0.5)
+            && after.is_none_or(|a| !t.precedes_eq(into, a))
+        {
+            edges.push((last.expect("a tail"), into));
+        }
+        txns.push(Transaction::new(t.name(), steps, edges).expect("acyclic"));
+    }
+    TxnSystem::new(db, txns)
+}
+
+/// The deadlock pair path on 1 000 random pairs over two to five sites
+/// with long private tails: it decides as the k-transaction encoder on the
+/// padded pair, its prefixes replay, and wherever the oracle finishes it
+/// decides as the oracle too.
+#[test]
+fn the_deadlock_pair_path_decides_pairs_with_private_tails() {
+    let strategies = [
+        LockStrategy::Minimal,
+        LockStrategy::TwoPhaseLoose,
+        LockStrategy::TwoPhaseSync,
+    ];
+    let oracle = OracleOptions { max_states: 20_000 };
+    let (mut deadlocks, mut oracle_decided) = (0, 0);
+    for i in 0..1_000usize {
+        let base = random_pair(&WorkloadParams {
+            seed: 52_000 + i as u64,
+            sites: 2 + i % 4,
+            entities_per_site: 2,
+            steps_per_txn: 2 + (i / 4) % 4,
+            strategy: strategies[i % 3],
+            ..Default::default()
+        });
+        let sys = with_private_tails(&base, &mut StdRng::seed_from_u64(i as u64));
+        assert!(sys.txns().iter().all(|t| t.len() <= 24));
+        let name = format!("tailed pair {i}");
+        let deadlock = pair_path_agrees_with_the_encoder(&sys, &name);
+        deadlocks += usize::from(deadlock);
+        let report = decide_exhaustive(&sys, &oracle);
+        match report.outcome {
+            OracleOutcome::Safe => {
+                assert_eq!(deadlock, report.deadlock_reachable, "{name}");
+                oracle_decided += 1;
+            }
+            OracleOutcome::Unsafe(_) if report.deadlock_reachable => {
+                assert!(deadlock, "{name}");
+                oracle_decided += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!((100..900).contains(&deadlocks), "{deadlocks} deadlock");
+    assert!(oracle_decided >= 500, "the oracle decided {oracle_decided}");
+}
+
 /// T0 locks `x` (site 0), then `y` (site 1), two-phase, and its only path
 /// from `x`'s section to `y`'s lock runs through a section of `p` at a
 /// third site that no one else locks. T1 locks the same two entities in
@@ -270,7 +413,7 @@ fn a_path_through_a_private_section_orders_the_shared_ones() {
 /// to how formulas or clauses are stored must leave every figure as it is.
 const PIN_SAT_EFFORT: [[u64; 6]; 2] = [
     [1_246, 3_472, 1_024, 874, 82, 4_131_125_572_951_578_351],
-    [7_032, 17_932, 1_321, 15_839, 57, 4_104_381_385_426_280_742],
+    [3_142, 8_999, 1_143, 5_963, 57, 4_300_228_434_282_738_970],
 ];
 
 /// `[optimal, greedy, sat_calls, certified digest]` summed over
