@@ -80,7 +80,7 @@ struct ClosedPair<'s> {
 
 /// `in_x[i]`: is `shared[i]` (ascending) in the dominator? Entities of
 /// `dominator` that are not shared mark nothing.
-pub(crate) fn membership(shared: &[EntityId], dominator: &[EntityId]) -> Vec<bool> {
+fn membership(shared: &[EntityId], dominator: &[EntityId]) -> Vec<bool> {
     let mut in_x = vec![false; shared.len()];
     for &e in dominator {
         if let Ok(i) = shared.binary_search(&e) {
@@ -210,33 +210,6 @@ fn unmet_triple(
         }
     }
     None
-}
-
-/// Extracts the Theorem-2/Corollary-2 certificate from a closed system:
-///
-/// * `t1` topologically sorts `R1`, emitting `Ux` (x ∈ X) steps as early as
-///   possible;
-/// * `t2` topologically sorts `R2`, deferring `Lx` (x ∈ X) steps as long as
-///   possible and tie-breaking them by the position of `Ux` in `t1`;
-/// * the schedule runs `Ta`'s lock sections first on `X` and `Tb`'s first on
-///   `V − X`.
-pub fn certificate_from_closure(
-    original: &TxnSystem,
-    closure: &Closure,
-) -> Result<UnsafetyCertificate, ClosureError> {
-    let (a, b) = (closure.txn_a, closure.txn_b);
-    let (ta, tb) = (original.txn(a), original.txn(b));
-    let shared = original.shared_locked_entities(a, b);
-    let pair = Pair {
-        a,
-        b,
-        ta,
-        tb,
-        sections: &Sections::of(ta, tb, &shared).ok_or(ClosureError::IllFormed)?,
-    };
-    let (r1, r2) = (closure.system.txn(a), closure.system.txn(b));
-    let in_x = membership(&shared, &closure.dominator);
-    extract_certificate(&pair, r1, r2, &closure.dominator, &in_x)
 }
 
 /// The original pair a certificate is about, with its vertices' sections.

@@ -5,13 +5,17 @@
 //! restriction measurable: it counts, exactly, the legal complete schedules
 //! of a system and how many of them are serializable, by dynamic
 //! programming over the product state space (progress vectors +
-//! serialization-graph edges), memoized.
+//! serialization-graph edges), memoized. The space is the one the
+//! exhaustive oracle walks ([`crate::oracle`]), with its limits and its
+//! refusal of a transaction that locks an entity it never unlocks.
 //!
 //! `serializable == legal` is yet another (exhaustive) characterization of
 //! safety, cross-checked against the decision procedures in tests.
 
-use kplock_model::{ActionKind, StepId, TxnId, TxnSystem};
+use crate::oracle::{Space, State};
+use kplock_model::TxnSystem;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Exact counts for a system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,166 +47,68 @@ impl ScheduleCounts {
 }
 
 /// Counts schedules exactly. Returns `None` if more than `max_states`
-/// distinct memo states are visited, or if the system has more than 8
-/// transactions or a transaction of more than 64 steps (the state
-/// encoding's limits).
+/// distinct memo states are visited, or if the state encoding refuses the
+/// system: more than 8 transactions, a transaction of more than 64 steps,
+/// or one that locks an entity it never unlocks.
 pub fn count_schedules(sys: &TxnSystem, max_states: usize) -> Option<ScheduleCounts> {
-    let k = sys.len();
-    if k > 8 || sys.txns().iter().any(|t| t.len() > 64) {
-        return None;
-    }
-
-    let full: Vec<u64> = sys
-        .txns()
-        .iter()
-        .map(|t| {
-            if t.len() == 64 {
-                u64::MAX
-            } else {
-                (1u64 << t.len()) - 1
-            }
-        })
-        .collect();
-
-    let sg_cyclic = |sg: u64| -> bool {
-        let mut rows = [0u64; 8];
-        for (i, row) in rows.iter_mut().enumerate().take(k) {
-            *row = (sg >> (i * 8)) & 0xFF;
-        }
-        for _ in 0..k {
-            for i in 0..k {
-                let mut r = rows[i];
-                let mut bits = r;
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    r |= rows[j];
-                }
-                rows[i] = r;
-            }
-        }
-        (0..k).any(|i| rows[i] & (1 << i) != 0)
-    };
-
-    struct Ctx<'a> {
-        sys: &'a TxnSystem,
-        full: Vec<u64>,
-        memo: HashMap<(Vec<u64>, u64), (u128, u128)>,
-        deadlock: bool,
-        max_states: usize,
-    }
-
-    fn holds(sys: &TxnSystem, done: &[u64], i: usize, e: kplock_model::EntityId) -> bool {
-        let t = sys.txn(TxnId::from_idx(i));
-        match (t.lock_step(e), t.unlock_step(e)) {
-            (Some(l), Some(u)) => done[i] & (1 << l.idx()) != 0 && done[i] & (1 << u.idx()) == 0,
-            _ => false,
-        }
-    }
-
-    fn rec(
-        ctx: &mut Ctx<'_>,
-        done: &[u64],
-        sg: u64,
-        cyclic: &impl Fn(u64) -> bool,
-    ) -> Option<(u128, u128)> {
-        let k = ctx.sys.len();
-        if (0..k).all(|i| done[i] == ctx.full[i]) {
-            let ser = u128::from(!cyclic(sg));
-            return Some((1, ser));
-        }
-        let key = (done.to_vec(), sg);
-        if let Some(&v) = ctx.memo.get(&key) {
-            return Some(v);
-        }
-        if ctx.memo.len() >= ctx.max_states {
-            return None;
-        }
-        let mut legal = 0u128;
-        let mut serializable = 0u128;
-        let mut moved = false;
-        for i in 0..k {
-            let t = ctx.sys.txn(TxnId::from_idx(i));
-            let remaining = ctx.full[i] & !done[i];
-            let mut bits = remaining;
-            while bits != 0 {
-                let v = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let preds_ok = t
-                    .edge_graph()
-                    .predecessors(v)
-                    .iter()
-                    .all(|&p| done[i] & (1 << p) != 0);
-                if !preds_ok {
-                    continue;
-                }
-                let step = t.step(StepId::from_idx(v));
-                if step.kind == ActionKind::Lock
-                    && (0..k).any(|j| j != i && holds(ctx.sys, done, j, step.entity))
-                {
-                    continue;
-                }
-                moved = true;
-                let mut next = done.to_vec();
-                next[i] |= 1 << v;
-                // Serialization-graph update for access steps.
-                let is_access = match step.kind {
-                    ActionKind::Update => true,
-                    ActionKind::Lock => !t.has_update(step.entity),
-                    ActionKind::Unlock => false,
-                };
-                let mut next_sg = sg;
-                if is_access {
-                    #[allow(clippy::needless_range_loop)]
-                    for j in 0..k {
-                        if j == i {
-                            continue;
-                        }
-                        let tj = ctx.sys.txn(TxnId::from_idx(j));
-                        let accessed = tj.step_ids().any(|s| {
-                            let st = tj.step(s);
-                            st.entity == step.entity
-                                && (st.kind == ActionKind::Update
-                                    || (st.kind == ActionKind::Lock && !tj.has_update(st.entity)))
-                                && done[j] & (1 << s.idx()) != 0
-                        });
-                        if accessed {
-                            next_sg |= 1 << (j * 8 + i);
-                        }
-                    }
-                }
-                let (l, s) = rec(ctx, &next, next_sg, cyclic)?;
-                legal += l;
-                serializable += s;
-            }
-        }
-        if !moved {
-            ctx.deadlock = true;
-        }
-        ctx.memo.insert(key, (legal, serializable));
-        Some((legal, serializable))
-    }
-
-    let mut ctx = Ctx {
-        sys,
-        full,
-        memo: HashMap::new(),
+    let space = Space::new(sys)?;
+    let mut memo = Memo {
+        counts: HashMap::new(),
         deadlock: false,
         max_states,
     };
-    let done = vec![0u64; k];
-    let (legal, serializable) = rec(&mut ctx, &done, 0, &sg_cyclic)?;
+    let (legal, serializable) = count(&space, &mut memo, &vec![0; sys.len()], 0)?;
     Some(ScheduleCounts {
         legal,
         serializable,
-        deadlock_reachable: ctx.deadlock,
+        deadlock_reachable: memo.deadlock,
     })
+}
+
+struct Memo {
+    /// `(legal, serializable)` completions per incomplete state.
+    counts: HashMap<State, (u128, u128)>,
+    /// Whether some state visited so far is a deadlock.
+    deadlock: bool,
+    max_states: usize,
+}
+
+/// The legal and serializable completions of the state `(done, sg)`, or
+/// `None` once `memo` holds `max_states` states.
+fn count(space: &Space, memo: &mut Memo, done: &[u64], sg: u64) -> Option<(u128, u128)> {
+    if space.complete(done) {
+        return Some((1, u128::from(!space.cyclic(sg))));
+    }
+    let key = (done.to_vec(), sg);
+    if let Some(&v) = memo.counts.get(&key) {
+        return Some(v);
+    }
+    if memo.counts.len() >= memo.max_states {
+        return None;
+    }
+    let (mut legal, mut serializable) = (0u128, 0u128);
+    let flow = space.moves(done, sg, |i, v, next_sg| {
+        let mut next = done.to_vec();
+        next[i] |= 1 << v;
+        let Some((l, s)) = count(space, memo, &next, next_sg) else {
+            return ControlFlow::Break(());
+        };
+        legal += l;
+        serializable += s;
+        ControlFlow::Continue(())
+    });
+    let ControlFlow::Continue(moved) = flow else {
+        return None;
+    };
+    memo.deadlock |= !moved;
+    memo.counts.insert(key, (legal, serializable));
+    Some((legal, serializable))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kplock_model::{Database, TxnBuilder};
+    use kplock_model::{Database, TxnBuilder, TxnId};
 
     fn pair(s1: &str, s2: &str, spec: &[(&str, usize)]) -> TxnSystem {
         let db = Database::from_spec(spec);

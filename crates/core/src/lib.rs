@@ -65,10 +65,7 @@ pub mod two_site;
 pub use analysis::{analyze_pair, PairAnalysis};
 pub use avoid::{hold_request_edges, AvoidPlan, AvoidPlanError, SiteController};
 pub use certificate::{CertificateError, SafeProof, SafetyVerdict, UnsafetyCertificate};
-pub use closure::{
-    certificate_from_closure, close_wrt_dominator, try_unsafety_via_dominator, Closure,
-    ClosureError,
-};
+pub use closure::{close_wrt_dominator, try_unsafety_via_dominator, Closure, ClosureError};
 pub use conflict_graph::ConflictDigraph;
 pub use counting::{count_schedules, ScheduleCounts};
 pub use multi_txn::{proposition2, Prop2Verdict};
@@ -81,5 +78,5 @@ pub use sat_check::{
     check_deadlock, check_safety, synthesize_optimal, DeadlockCheck, EncodingStats,
     OptimalCertificate, SafetyCheck, SatCheckError, SatSafety,
 };
-pub use total_pair::{decide_total_pair, schedule_from_orientation};
+pub use total_pair::decide_total_pair;
 pub use two_site::{decide_two_site, TwoSiteError};

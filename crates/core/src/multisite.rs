@@ -88,22 +88,27 @@ pub(crate) fn decide_with(
 
     match pair_witness(sys, a, b, usize::MAX) {
         Ok((None, _)) => SafetyVerdict::Safe(SafeProof::Unsatisfiable),
-        Ok((Some(witness), _)) => match certificate_from_witness(sys, a, b, &witness) {
-            Some(cert) => SafetyVerdict::Unsafe(Box::new(cert)),
-            None => SafetyVerdict::Unknown,
-        },
+        Ok((Some((witness, orient)), _)) => {
+            match certificate_from_witness(sys, d, &witness, &orient) {
+                Some(cert) => SafetyVerdict::Unsafe(Box::new(cert)),
+                None => SafetyVerdict::Unknown,
+            }
+        }
         Err(_) => SafetyVerdict::Unknown,
     }
 }
 
-/// Packages a witness schedule over the pair subsystem (ids 0/1), such as
-/// the pair path's, as a certificate for `{a, b}` of the original system.
+/// Packages the pair path's witness schedule over the pair subsystem (ids
+/// 0/1) as a certificate for `D`'s pair of the original system. The
+/// dominator is the vertices `orient` sets, whose `Ta` section the witness
+/// completes before `Tb`'s begins.
 fn certificate_from_witness(
     sys: &TxnSystem,
-    a: TxnId,
-    b: TxnId,
+    d: &ConflictDigraph,
     witness: &Schedule,
+    orient: &[bool],
 ) -> Option<UnsafetyCertificate> {
+    let (a, b) = (d.txn_a, d.txn_b);
     // Projections of the witness are linear extensions.
     let t1_order: Vec<StepId> = witness
         .steps()
@@ -118,24 +123,8 @@ fn certificate_from_witness(
         .map(|ss| ss.step)
         .collect();
 
-    // Orientation: entities whose Ta-section completes before Tb's begins.
-    let ta = sys.txn(a);
-    let tb = sys.txn(b);
-    let pos = |txn: TxnId, step: StepId| {
-        witness
-            .steps()
-            .iter()
-            .position(|ss| ss.txn == txn && ss.step == step)
-    };
-    let mut dominator = Vec::new();
-    let shared = sys.shared_locked_entities(a, b);
-    for &e in &shared {
-        let ua = pos(TxnId(0), ta.unlock_step(e)?)?;
-        let lb = pos(TxnId(1), tb.lock_step(e)?)?;
-        if ua < lb {
-            dominator.push(e);
-        }
-    }
+    let vertices = d.entities.iter().zip(orient);
+    let dominator = vertices.filter(|(_, &o)| o).map(|(&e, _)| e).collect();
     let schedule = Schedule::new(
         witness
             .steps()

@@ -10,14 +10,21 @@
 //!    reachable deadlock states.
 //! 2. [`decide_by_extensions`] — Lemma 1 made literal: enumerate all pairs
 //!    of linear extensions and decide each with the total-order test.
+//!
+//! The product state space is written once, as the crate-private `Space`,
+//! which [`decide_exhaustive`] walks breadth-first and
+//! [`count_schedules`](crate::counting::count_schedules) depth-first. It
+//! holds at most 8 transactions of at most 64 steps each, and refuses a
+//! transaction that locks an entity it never unlocks (an ill-formed one).
 
 use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
 use crate::total_pair::decide_total_pair;
 use kplock_model::{
-    ActionKind, Database, EntityId, LinearExtensions, Schedule, ScheduledStep, StepId, Transaction,
-    TxnId, TxnSystem,
+    ActionKind, Database, LinearExtensions, Schedule, ScheduledStep, StepId, Transaction, TxnId,
+    TxnSystem,
 };
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 
 /// Resource limits for the exhaustive search.
 #[derive(Clone, Copy, Debug)]
@@ -41,7 +48,9 @@ pub enum OracleOutcome {
     Safe,
     /// A legal, complete, non-serializable schedule (the witness).
     Unsafe(Schedule),
-    /// State cap or encoding limit exceeded.
+    /// The state cap was exceeded, or the system was refused with no state
+    /// explored: more than 8 transactions, a transaction of more than 64
+    /// steps, or one that locks an entity it never unlocks.
     Aborted,
 }
 
@@ -55,236 +64,218 @@ pub struct OracleReport {
     /// Whether a reachable state exists from which no transaction can move
     /// but the system is incomplete (a deadlock).
     pub deadlock_reachable: bool,
-    /// Number of distinct complete states reached.
-    pub complete_states: usize,
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct State {
-    /// Bitmask of completed steps per transaction.
-    done: Vec<u64>,
-    /// Serialization-graph edges as a k*k bitmask (row-major).
-    sg: u64,
+/// The product state space of a system. A state is one bitmask of done
+/// steps per transaction plus the serialization graph `sg`, whose bit
+/// `j * 8 + i` is the edge `Tj → Ti`: `Tj` accessed an entity before `Ti`.
+pub(crate) struct Space {
+    /// Per transaction, per step.
+    steps: Vec<Vec<StepBits>>,
+    /// Per entity `e` and transaction `i`, at `e * k + i`.
+    entities: Vec<EntityBits>,
+    /// Per transaction, the bits of all its steps.
+    full: Vec<u64>,
 }
+
+struct StepBits {
+    /// The step's direct predecessors.
+    preds: u64,
+    entity: usize,
+    kind: ActionKind,
+    /// An update, or the lock of an entity the transaction never updates.
+    access: bool,
+}
+
+/// One transaction's steps on one entity, as bits of its done mask.
+#[derive(Clone, Copy, Default)]
+struct EntityBits {
+    lock: u64,
+    unlock: u64,
+    access: u64,
+}
+
+impl Space {
+    /// The space of `sys`, or `None` if it has more than 8 transactions
+    /// (`sg` has 8 bits a row), a transaction of more than 64 steps, or a
+    /// transaction that locks an entity it never unlocks.
+    pub(crate) fn new(sys: &TxnSystem) -> Option<Space> {
+        let k = sys.len();
+        if k > 8 || sys.txns().iter().any(|t| t.len() > 64) {
+            return None;
+        }
+        let mut entities = vec![EntityBits::default(); sys.db().entity_count() * k];
+        let (mut steps, mut full) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        for (i, t) in sys.txns().iter().enumerate() {
+            for e in t.locked_entities() {
+                let bits = &mut entities[e.idx() * k + i];
+                bits.lock = 1 << t.lock_step(e)?.idx();
+                bits.unlock = 1 << t.unlock_step(e)?.idx();
+            }
+            let row = (0..t.len()).map(|v| {
+                let s = t.step(StepId::from_idx(v));
+                let access = match s.kind {
+                    ActionKind::Update => true,
+                    ActionKind::Lock => !t.has_update(s.entity),
+                    ActionKind::Unlock => false,
+                };
+                if access {
+                    entities[s.entity.idx() * k + i].access |= 1 << v;
+                }
+                let preds = t.edge_graph().predecessors(v).iter();
+                StepBits {
+                    preds: preds.fold(0, |m, &p| m | 1 << p),
+                    entity: s.entity.idx(),
+                    kind: s.kind,
+                    access,
+                }
+            });
+            steps.push(row.collect());
+            full.push(((1u128 << t.len()) - 1) as u64);
+        }
+        Some(Space {
+            steps,
+            entities,
+            full,
+        })
+    }
+
+    /// Whether every transaction is done.
+    pub(crate) fn complete(&self, done: &[u64]) -> bool {
+        done == self.full
+    }
+
+    /// Whether the serialization graph `sg` has a cycle (Warshall's
+    /// transitive closure over its at most 8 rows).
+    pub(crate) fn cyclic(&self, sg: u64) -> bool {
+        let k = self.full.len();
+        let mut rows: [u64; 8] = std::array::from_fn(|i| (sg >> (i * 8)) & 0xFF);
+        for m in 0..k {
+            for i in 0..k {
+                if rows[i] & (1 << m) != 0 {
+                    rows[i] |= rows[m];
+                }
+            }
+        }
+        (0..k).any(|i| rows[i] & (1 << i) != 0)
+    }
+
+    /// Calls `f(i, v, next_sg)` for every step `v` of transaction `i` that
+    /// can run in the state `(done, sg)`, transactions ascending, then steps
+    /// ascending, until `f` breaks; continues with whether any step could
+    /// run. A step can run when its predecessors are done and, for a lock,
+    /// no other transaction holds the entity; `next_sg` is `sg` plus, for
+    /// an access, the edge `Tj → Ti` from every other transaction that
+    /// already accessed the entity.
+    pub(crate) fn moves<B>(
+        &self,
+        done: &[u64],
+        sg: u64,
+        mut f: impl FnMut(usize, usize, u64) -> ControlFlow<B>,
+    ) -> ControlFlow<B, bool> {
+        let (k, mut moved) = (self.full.len(), false);
+        for (i, row) in self.steps.iter().enumerate() {
+            let mut bits = self.full[i] & !done[i];
+            while bits != 0 {
+                let v = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let step = &row[v];
+                if step.preds & !done[i] != 0 {
+                    continue;
+                }
+                let others = &self.entities[step.entity * k..][..k];
+                let held = |(j, b): (usize, &EntityBits)| {
+                    j != i && done[j] & b.lock != 0 && done[j] & b.unlock == 0
+                };
+                if step.kind == ActionKind::Lock && others.iter().enumerate().any(held) {
+                    continue;
+                }
+                let mut next_sg = sg;
+                if step.access {
+                    for (j, b) in others.iter().enumerate() {
+                        if j != i && done[j] & b.access != 0 {
+                            next_sg |= 1 << (j * 8 + i);
+                        }
+                    }
+                }
+                f(i, v, next_sg)?;
+                moved = true;
+            }
+        }
+        ControlFlow::Continue(moved)
+    }
+}
+
+/// A state of a [`Space`]: the done masks and the serialization graph.
+pub(crate) type State = (Vec<u64>, u64);
 
 /// Exhaustively decides safety of `sys` (any number of transactions/sites).
 ///
-/// The state encoding holds at most 8 transactions of at most 64 steps each
-/// (the oracle is meant for small ground-truth instances); a larger system
-/// is refused as [`OracleOutcome::Aborted`] with no state explored.
+/// A system the state space refuses (see the [module docs](self)) is
+/// answered [`OracleOutcome::Aborted`] with no state explored.
 pub fn decide_exhaustive(sys: &TxnSystem, opts: &OracleOptions) -> OracleReport {
-    let k = sys.len();
-    if k > 8 || sys.txns().iter().any(|t| t.len() > 64) {
+    let Some(space) = Space::new(sys) else {
         return OracleReport {
             outcome: OracleOutcome::Aborted,
             states_explored: 0,
             deadlock_reachable: false,
-            complete_states: 0,
         };
-    }
-
-    // Precompute per-transaction step metadata.
-    struct StepMeta {
-        entity: EntityId,
-        kind: ActionKind,
-        is_access: bool,
-        preds_mask: u64,
-    }
-    let metas: Vec<Vec<StepMeta>> = sys
-        .txns()
-        .iter()
-        .map(|t| {
-            (0..t.len())
-                .map(|v| {
-                    let s = t.step(StepId::from_idx(v));
-                    let is_access = match s.kind {
-                        ActionKind::Update => true,
-                        ActionKind::Lock => !t.has_update(s.entity),
-                        ActionKind::Unlock => false,
-                    };
-                    let mut preds_mask = 0u64;
-                    for &p in t.edge_graph().predecessors(v) {
-                        preds_mask |= 1 << p;
-                    }
-                    StepMeta {
-                        entity: s.entity,
-                        kind: s.kind,
-                        is_access,
-                        preds_mask,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    // Per transaction and entity: (lock_bit, unlock_bit) for hold detection,
-    // and mask of access steps per entity.
-    let lock_bits: Vec<HashMap<EntityId, (u64, u64)>> = sys
-        .txns()
-        .iter()
-        .map(|t| {
-            t.locked_entities()
-                .into_iter()
-                .map(|e| {
-                    (
-                        e,
-                        (
-                            1u64 << t.lock_step(e).unwrap().idx(),
-                            1u64 << t.unlock_step(e).unwrap().idx(),
-                        ),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let access_masks: Vec<HashMap<EntityId, u64>> = metas
-        .iter()
-        .map(|ms| {
-            let mut m: HashMap<EntityId, u64> = HashMap::new();
-            for (v, meta) in ms.iter().enumerate() {
-                if meta.is_access {
-                    *m.entry(meta.entity).or_default() |= 1 << v;
-                }
-            }
-            m
-        })
-        .collect();
-
-    let full: Vec<u64> = sys
-        .txns()
-        .iter()
-        .map(|t| {
-            if t.len() == 64 {
-                u64::MAX
-            } else {
-                (1u64 << t.len()) - 1
-            }
-        })
-        .collect();
-
-    let sg_cyclic = |sg: u64| -> bool {
-        // Transitive closure on k<=8 nodes via repeated row unions.
-        let mut rows = [0u64; 8];
-        for (i, row) in rows.iter_mut().enumerate().take(k) {
-            *row = (sg >> (i * 8)) & 0xFF;
-        }
-        for _ in 0..k {
-            for i in 0..k {
-                let mut r = rows[i];
-                let mut bits = r;
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    r |= rows[j];
-                }
-                rows[i] = r;
-            }
-        }
-        (0..k).any(|i| rows[i] & (1 << i) != 0)
     };
-
-    let start = State {
-        done: vec![0; k],
-        sg: 0,
-    };
-    let mut parents: HashMap<State, Option<(State, ScheduledStep)>> = HashMap::new();
-    parents.insert(start.clone(), None);
+    let start = (vec![0; sys.len()], 0);
+    let mut parents: HashMap<State, Option<(State, ScheduledStep)>> =
+        HashMap::from([(start.clone(), None)]);
     let mut queue: VecDeque<State> = VecDeque::from([start]);
     let mut deadlock_reachable = false;
-    let mut complete_states = 0usize;
-    let mut aborted = false;
-
-    let holds = |done: &[u64], i: usize, e: EntityId| -> bool {
-        lock_bits[i]
-            .get(&e)
-            .is_some_and(|&(l, u)| done[i] & l != 0 && done[i] & u == 0)
-    };
-
-    let mut unsafe_state: Option<State> = None;
-
-    'bfs: while let Some(state) = queue.pop_front() {
-        let complete = (0..k).all(|i| state.done[i] == full[i]);
-        if complete {
-            complete_states += 1;
-            continue;
-        }
-        let mut moved = false;
-        for i in 0..k {
-            let remaining = full[i] & !state.done[i];
-            let mut bits = remaining;
-            while bits != 0 {
-                let v = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let meta = &metas[i][v];
-                if meta.preds_mask & !state.done[i] != 0 {
-                    continue; // predecessors not done
-                }
-                if meta.kind == ActionKind::Lock {
-                    let contended = (0..k).any(|j| j != i && holds(&state.done, j, meta.entity));
-                    if contended {
-                        continue;
-                    }
-                }
-                moved = true;
-                let mut next = state.clone();
-                next.done[i] |= 1 << v;
-                if meta.is_access {
-                    #[allow(clippy::needless_range_loop)]
-                    for j in 0..k {
-                        if j != i {
-                            if let Some(&am) = access_masks[j].get(&meta.entity) {
-                                if state.done[j] & am != 0 {
-                                    next.sg |= 1 << (j * 8 + i);
-                                }
-                            }
-                        }
-                    }
-                }
+    // Breaks with the first complete non-serializable state, or with `None`
+    // at the state cap.
+    let mut search = || -> ControlFlow<Option<State>> {
+        while let Some(state) = queue.pop_front() {
+            if space.complete(&state.0) {
+                continue;
+            }
+            let moved = space.moves(&state.0, state.1, |i, v, sg| {
+                let mut next = (state.0.clone(), sg);
+                next.0[i] |= 1 << v;
                 if parents.contains_key(&next) {
-                    continue;
+                    return ControlFlow::Continue(());
                 }
                 let step = ScheduledStep {
                     txn: TxnId::from_idx(i),
                     step: StepId::from_idx(v),
                 };
                 parents.insert(next.clone(), Some((state.clone(), step)));
-                let next_complete = (0..k).all(|t| next.done[t] == full[t]);
-                if next_complete && sg_cyclic(next.sg) {
-                    unsafe_state = Some(next);
-                    break 'bfs;
+                if space.complete(&next.0) && space.cyclic(next.1) {
+                    return ControlFlow::Break(Some(next));
                 }
                 if parents.len() > opts.max_states {
-                    aborted = true;
-                    break 'bfs;
+                    return ControlFlow::Break(None);
                 }
                 queue.push_back(next);
+                ControlFlow::Continue(())
+            })?;
+            deadlock_reachable |= !moved;
+        }
+        ControlFlow::Continue(())
+    };
+    let outcome = match search() {
+        ControlFlow::Continue(()) => OracleOutcome::Safe,
+        ControlFlow::Break(None) => OracleOutcome::Aborted,
+        ControlFlow::Break(Some(end)) => {
+            // Reconstruct the witness schedule.
+            let mut steps = Vec::new();
+            let mut cur = &end;
+            while let Some((prev, step)) = &parents[cur] {
+                steps.push(*step);
+                cur = prev;
             }
+            steps.reverse();
+            OracleOutcome::Unsafe(Schedule::new(steps))
         }
-        if !moved {
-            deadlock_reachable = true;
-        }
-    }
-
-    let states_explored = parents.len();
-    let outcome = if let Some(end) = unsafe_state {
-        // Reconstruct the witness schedule.
-        let mut steps = Vec::new();
-        let mut cur = end;
-        while let Some(Some((prev, step))) = parents.get(&cur).cloned() {
-            steps.push(step);
-            cur = prev;
-        }
-        steps.reverse();
-        OracleOutcome::Unsafe(Schedule::new(steps))
-    } else if aborted {
-        OracleOutcome::Aborted
-    } else {
-        OracleOutcome::Safe
     };
     OracleReport {
         outcome,
-        states_explored,
+        states_explored: parents.len(),
         deadlock_reachable,
-        complete_states,
     }
 }
 

@@ -577,7 +577,7 @@ pub fn check_safety(sys: &TxnSystem) -> Result<SafetyCheck, SatCheckError> {
     if sys.len() == 2 {
         let (witness, stats) = pair_witness(sys, TxnId(0), TxnId(1), MAX_MILESTONES)?;
         let verdict = match witness {
-            Some(schedule) => SatSafety::Unsafe(verified_unsafe(sys, schedule)?),
+            Some((schedule, _)) => SatSafety::Unsafe(verified_unsafe(sys, schedule)?),
             None => SatSafety::Safe,
         };
         return Ok(SafetyCheck { verdict, stats });
@@ -807,10 +807,16 @@ fn pair_schedule(
     witness_schedule(&[ta, tb], &offsets, section_arcs, executed)
 }
 
+/// [`pair_witness`]'s witness schedule and the model's orientation.
+pub(crate) type PairWitness = (Schedule, Vec<bool>);
+
 /// The pair path: whether transactions `a` and `b` of `sys` have a
 /// complete legal schedule that is not serializable, decided over the
 /// entities both lock (the vertices of `D(a, b)`), and an unverified
-/// witness if so, with `a` as `TxnId(0)` and `b` as `TxnId(1)`.
+/// witness if so, with `a` as `TxnId(0)` and `b` as `TxnId(1)`, beside
+/// the model's orientation: per shared entity, in
+/// [`TxnSystem::shared_locked_entities`] order, whether `a`'s section runs
+/// first, that is whether the witness unlocks it in `a` before `b` locks it.
 ///
 /// The pair core (see [`PairOrder::emit`]) with every section locked, and
 /// two clauses forcing the orientation set S to be mixed, so a model's
@@ -821,7 +827,7 @@ pub(crate) fn pair_witness(
     a: TxnId,
     b: TxnId,
     cap: usize,
-) -> Result<(Option<Schedule>, EncodingStats), SatCheckError> {
+) -> Result<(Option<PairWitness>, EncodingStats), SatCheckError> {
     let sections = pair_sections(sys, a, b, cap)?;
     let n = sections.len();
     // One section per transaction cannot make a conflict cycle.
@@ -846,14 +852,9 @@ pub(crate) fn pair_witness(
     let SatResult::Sat(model) = result else {
         return Ok((None, stats));
     };
-    let witness = pair_schedule(
-        ta,
-        tb,
-        &sections,
-        |x| model[order.orient(x).idx()],
-        |_| true,
-    )?;
-    Ok((Some(witness), stats))
+    let orient: Vec<bool> = (0..n).map(|x| model[order.orient(x).idx()]).collect();
+    let witness = pair_schedule(ta, tb, &sections, |x| orient[x], |_| true)?;
+    Ok((Some((witness, orient)), stats))
 }
 
 /// `pair_deadlock`'s milestone entry of a step that is no milestone.

@@ -8,39 +8,15 @@
 //! running `t1`'s lock sections first on `X` and `t2`'s first elsewhere.
 
 use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
-use crate::closure::membership;
 use crate::conflict_graph::{ConflictDigraph, Sections};
 use kplock_graph::find_dominator;
-use kplock_model::{EntityId, Schedule, ScheduledStep, StepId, Transaction, TxnId, TxnSystem};
+use kplock_model::{Schedule, ScheduledStep, StepId, Transaction, TxnId, TxnSystem};
 
-/// Builds a legal complete schedule of `{Ta, Tb}` in which, for every shared
-/// locked entity, the lock section of `Ta` comes first iff the entity is in
-/// `x_first`; other entities run `Tb`'s section first. Returns `None` if the
-/// orientation is infeasible (the combined precedence graph has a cycle)
-/// or a transaction lacks the lock or unlock step of a shared entity.
-///
-/// `t1_order` and `t2_order` must be linear extensions of the transactions.
-pub fn schedule_from_orientation(
-    sys: &TxnSystem,
-    a: TxnId,
-    b: TxnId,
-    t1_order: &[StepId],
-    t2_order: &[StepId],
-    x_first: &[EntityId],
-) -> Option<Schedule> {
-    let (ta, tb) = (sys.txn(a), sys.txn(b));
-    let shared = sys.shared_locked_entities(a, b);
-    orientation_schedule(
-        (a, ta, t1_order),
-        (b, tb, t2_order),
-        &Sections::of(ta, tb, &shared)?,
-        &membership(&shared, x_first),
-    )
-}
-
-/// [`schedule_from_orientation`] over the pair's shared entities as
-/// `sections`, `Ta`'s section first on vertex `i` iff `in_x[i]`. Each side
-/// is a transaction with its id and a linear extension of it.
+/// Builds a legal complete schedule of `{Ta, Tb}` in which the lock section
+/// of `Ta` on the shared entity of `sections[i]` comes first iff `in_x[i]`,
+/// and `Tb`'s otherwise. Each side is a transaction with its id and a
+/// linear extension of it. Returns `None` if the orientation is infeasible
+/// (the combined precedence graph has a cycle).
 pub(crate) fn orientation_schedule(
     (a, ta, t1_order): (TxnId, &Transaction, &[StepId]),
     (b, tb, t2_order): (TxnId, &Transaction, &[StepId]),
@@ -218,12 +194,14 @@ mod tests {
         let sys = pair("Lx Ly x y Ux Uy", "Lx Ly y x Uy Ux", &["x", "y"]);
         let t1 = sys.txn(TxnId(0)).total_order().unwrap();
         let t2 = sys.txn(TxnId(1)).total_order().unwrap();
-        let x = sys.db().entity("x").unwrap();
-        let y = sys.db().entity("y").unwrap();
+        let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
+        let shared = sys.shared_locked_entities(TxnId(0), TxnId(1));
+        let sections = Sections::of(ta, tb, &shared).unwrap();
         // Uniform orientations are always feasible (serial-ish schedules).
-        for x_first in [vec![], vec![x, y]] {
+        for in_x in [[false, false], [true, true]] {
             let s =
-                schedule_from_orientation(&sys, TxnId(0), TxnId(1), &t1, &t2, &x_first).unwrap();
+                orientation_schedule((TxnId(0), ta, &t1), (TxnId(1), tb, &t2), &sections, &in_x)
+                    .unwrap();
             s.validate_complete(&sys).unwrap();
             assert!(kplock_model::is_serializable(&sys, &s));
         }

@@ -77,17 +77,6 @@ impl TxnSystem {
     pub fn total_steps(&self) -> usize {
         self.txns.iter().map(|t| t.len()).sum()
     }
-
-    /// Replaces transaction `t`, returning a new system (used by closure
-    /// constructions that strengthen partial orders).
-    pub fn with_txn(&self, t: TxnId, txn: Transaction) -> TxnSystem {
-        let mut txns = self.txns.clone();
-        txns[t.idx()] = txn;
-        TxnSystem {
-            db: self.db.clone(),
-            txns,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -208,14 +208,6 @@ impl Transaction {
         self.updates.get(at).is_some_and(|&(x, _)| x == e)
     }
 
-    /// Entities touched by any step.
-    pub fn touched_entities(&self) -> Vec<EntityId> {
-        let mut v: Vec<EntityId> = self.steps.iter().map(|s| s.entity).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
     /// Steps located at `site` (by the entity's stored-at function), in id
     /// order.
     pub fn steps_at_site(&self, db: &Database, site: SiteId) -> Vec<StepId> {

@@ -4,9 +4,9 @@
 use kplock::core::closure::{close_wrt_dominator, ClosureError};
 use kplock::core::policy::{centralized_image_safe, LockStrategy};
 use kplock::core::{
-    analyze_pair, check_safety, decide_by_extensions, decide_exhaustive, decide_multisite,
-    decide_two_site, proposition2, reduce, ConflictDigraph, MultisiteOptions, OracleOptions,
-    OracleOutcome, Prop2Verdict, SafeProof, SafetyVerdict, TwoSiteError,
+    analyze_pair, check_safety, count_schedules, decide_by_extensions, decide_exhaustive,
+    decide_multisite, decide_two_site, proposition2, reduce, ConflictDigraph, MultisiteOptions,
+    OracleOptions, OracleOutcome, Prop2Verdict, SafeProof, SafetyVerdict, TwoSiteError,
 };
 use kplock::model::{Database, TxnBuilder, TxnId, TxnSystem};
 use kplock::sat::solve;
@@ -134,6 +134,10 @@ fn a_pair_without_an_unlock_step_is_answered_not_a_panic() {
         let x = sys.db().entity("x").unwrap();
         let closed = close_wrt_dominator(&sys, TxnId(0), TxnId(1), &[x]);
         assert_eq!(closed.err(), Some(ClosureError::IllFormed));
+        let report = decide_exhaustive(&sys, &OracleOptions::default());
+        assert!(matches!(report.outcome, OracleOutcome::Aborted));
+        assert_eq!(report.states_explored, 0);
+        assert_eq!(count_schedules(&sys, 1_000_000), None);
     }
 }
 
