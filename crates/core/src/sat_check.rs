@@ -31,9 +31,12 @@
 //! entities (transitivity clauses over every triple), one clause
 //! `¬o_x ∨ o_y ∨ r(x,y)` per `L2x ≺₂ U2y` and one `o_x ∨ ¬o_y ∨ r(x,y)`
 //! per `L1x ≺₁ U1y`, and two clauses forcing S to be mixed. Fewer than two
-//! shared entities is safe without solving. A model's witness is a
-//! topological sort of both DAGs plus the section arcs its orientation
-//! picks. [`crate::multisite::decide_multisite`] ends in the same path.
+//! shared entities is safe without solving. A model's witness is Kahn's
+//! sort, smallest step first, of both DAGs plus the section arcs its
+//! orientation picks, run as a merge of the two transactions: in-degree
+//! counts over their DAG rows and at most one section arc per unlock
+//! step, with no graph built. [`crate::multisite::decide_multisite`] ends
+//! in the same path.
 //!
 //! [`check_deadlock`] decides a pair over the same orientations and order,
 //! restricted to the *milestones* a prefix has executed: the lock and
@@ -56,9 +59,9 @@
 //! `4n + n + C(n, 2)` variables for `n` shared entities, however long the
 //! transactions are. One function emits the orientation, order,
 //! transitivity and arc clauses for both checks; the deadlock check passes
-//! it the executed literal. Its witness is the same topological sort, over
-//! the steps every milestone at or before which ran, and the section arcs
-//! of the entities both transactions have locked.
+//! it the executed literal. Its witness is the same merge, over the steps
+//! every milestone at or before which ran, and the section arcs of the
+//! entities both transactions have locked.
 //!
 //! # The k-transaction encoding
 //!
@@ -98,8 +101,10 @@
 //!
 //! A satisfying model is *decoded* — on the pair paths the orientation
 //! picks the section arcs; here milestone counts give the total order —
-//! a topological sort interleaves the remaining steps, and the resulting
-//! schedule is re-verified against the model-level definitions
+//! a topological sort interleaves the remaining steps (here a
+//! `kplock_graph::topo_sort` of the DAGs plus the milestone chain; on
+//! the pair paths the merge above, which gives the same order), and the
+//! resulting schedule is re-verified against the model-level definitions
 //! ([`Schedule::validate_complete`], [`kplock_model::is_serializable`],
 //! oracle-style enabledness), so a witness is never taken on the
 //! encoding's word alone. `crates/sim` replays these witnesses through
@@ -111,7 +116,9 @@
 //! refuse systems using shared modes up front with a typed error — as
 //! well as systems whose updates stray outside their entity's lock
 //! section, where section-level ordering stops determining access-level
-//! conflicts.
+//! conflicts. Admission reads each transaction's steps twice, into a
+//! flat table of its lock and unlock steps per entity, and a pair's
+//! sections come off the two tables.
 //!
 //! # Optimal certificates
 //!
@@ -127,8 +134,8 @@ use std::fmt;
 
 use kplock_graph::{topo_sort, DiGraph};
 use kplock_model::{
-    is_serializable, ActionKind, EntityId, Level, LockMode, ModelError, Schedule, ScheduledStep,
-    StepId, Transaction, TxnId, TxnSystem,
+    is_serializable, ActionKind, EntityId, LockMode, ModelError, Schedule, ScheduledStep, StepId,
+    Transaction, TxnId, TxnSystem,
 };
 use kplock_sat::{at_least_k, Cnf, Lit, SatResult, Solver, Var};
 
@@ -293,31 +300,97 @@ impl Order {
     }
 }
 
+/// [`admit`]'s entry for a lock or unlock step a transaction does not have.
+const NO_STEP: u32 = u32::MAX;
+
 /// Refuses a transaction neither encoding models faithfully: one that is
-/// not well-formed, locks in a shared mode, or updates outside its
-/// entity's lock section.
-fn admit(sys: &TxnSystem, txn: TxnId) -> Result<(), SatCheckError> {
-    let t = sys.txn(txn);
-    if let Err(error) = kplock_model::validate(sys.db(), t, Level::Locking) {
-        return Err(SatCheckError::Invalid { txn, error });
-    }
-    for v in 0..t.len() {
-        let sid = StepId::from_idx(v);
-        let s = t.step(sid);
-        if s.kind != ActionKind::Unlock && s.mode == LockMode::Shared {
-            return Err(SatCheckError::SharedMode { txn, step: sid });
+/// not well-formed at [`kplock_model::Level::Locking`], locks in a shared
+/// mode, or updates outside its entity's lock section. The error is the
+/// first [`kplock_model::validate`] gives, else the first a scan of the
+/// steps in order meets. Leaves in `ends[e]` the transaction's lock and
+/// unlock step of entity `e` ([`NO_STEP`] where it has none); `chains` is
+/// scratch room.
+///
+/// One pass over the steps fills `ends` and checks that each site's steps
+/// form a chain: a step that follows the site's last step so far, or
+/// precedes its first, is ordered against all of them. A step that does
+/// neither leaves the verdict, and the pair to blame, to
+/// [`kplock_model::validate::validate_site_totality`]. A second pass finds
+/// the unmatched or inverted lock pair of the smallest entity, and the
+/// first shared or unprotected step.
+fn admit(
+    sys: &TxnSystem,
+    txn: TxnId,
+    ends: &mut [[u32; 2]],
+    chains: &mut Vec<[u32; 2]>,
+) -> Result<(), SatCheckError> {
+    let (db, t) = (sys.db(), sys.txn(txn));
+    let invalid = |error| SatCheckError::Invalid { txn, error };
+    let step = |v: u32| StepId::from_idx(v as usize);
+    ends.fill([NO_STEP; 2]);
+    chains.clear();
+    chains.resize(db.site_count(), [NO_STEP; 2]);
+    let mut chained = true;
+    for (v, s) in t.steps().iter().enumerate() {
+        let v = v as u32;
+        match s.kind {
+            ActionKind::Lock => ends[s.entity.idx()][0] = v,
+            ActionKind::Unlock => ends[s.entity.idx()][1] = v,
+            ActionKind::Update => {}
         }
-        if s.kind == ActionKind::Update {
-            let protected = t
-                .lock_step(s.entity)
-                .zip(t.unlock_step(s.entity))
-                .is_some_and(|(l, u)| t.precedes(l, sid) && t.precedes(sid, u));
-            if !protected {
-                return Err(SatCheckError::UnprotectedUpdate { txn, step: sid });
+        if chained {
+            let [first, last] = &mut chains[db.site_of(s.entity).idx()];
+            if *first == NO_STEP {
+                (*first, *last) = (v, v);
+            } else if t.precedes(step(*last), step(v)) {
+                *last = v;
+            } else if t.precedes(step(v), step(*first)) {
+                *first = v;
+            } else {
+                chained = false;
             }
         }
     }
-    Ok(())
+    if !chained {
+        kplock_model::validate::validate_site_totality(db, t).map_err(invalid)?;
+    }
+    // The lock pair `validate` would blame, by entity, and the first step
+    // the SAT checker refuses.
+    let mut pair_error: Option<(EntityId, ModelError)> = None;
+    let mut step_error = None;
+    for (v, s) in t.steps().iter().enumerate() {
+        let (sid, e) = (StepId::from_idx(v), s.entity);
+        let [lock, unlock] = ends[e.idx()];
+        let unpaired = match s.kind {
+            ActionKind::Lock if unlock == NO_STEP => Some(ModelError::UnmatchedLockPair(e)),
+            ActionKind::Lock if !t.precedes(sid, step(unlock)) => {
+                Some(ModelError::UnlockBeforeLock(e))
+            }
+            ActionKind::Unlock if lock == NO_STEP => Some(ModelError::UnmatchedLockPair(e)),
+            _ => None,
+        };
+        if let Some(error) = unpaired.filter(|_| pair_error.as_ref().is_none_or(|(f, _)| e < *f)) {
+            pair_error = Some((e, error));
+        }
+        if step_error.is_some() {
+            continue;
+        }
+        if s.kind != ActionKind::Unlock && s.mode == LockMode::Shared {
+            step_error = Some(SatCheckError::SharedMode { txn, step: sid });
+        } else if s.kind == ActionKind::Update
+            && !(lock != NO_STEP
+                && unlock != NO_STEP
+                && t.precedes(step(lock), sid)
+                && t.precedes(sid, step(unlock)))
+        {
+            step_error = Some(SatCheckError::UnprotectedUpdate { txn, step: sid });
+        }
+    }
+    match (pair_error, step_error) {
+        (Some((_, error)), _) => Err(invalid(error)),
+        (None, Some(error)) => Err(error),
+        (None, None) => Ok(()),
+    }
 }
 
 /// `Encoder::section_of` entry of an entity the transaction does not
@@ -345,13 +418,18 @@ impl<'a> Encoder<'a> {
     /// The encoder and the core formula (ordering variables and
     /// transitivity clauses), which each check extends in place.
     fn new(sys: &'a TxnSystem) -> Result<(Self, Cnf), SatCheckError> {
+        let (mut ends, mut chains) = (vec![[NO_STEP; 2]; sys.db().entity_count()], Vec::new());
         for i in 0..sys.len() {
-            admit(sys, TxnId::from_idx(i))?;
+            admit(sys, TxnId::from_idx(i), &mut ends, &mut chains)?;
         }
 
-        // The cap counts every lock/unlock step, shared or not.
-        let locked: Vec<Vec<EntityId>> = sys.txns().iter().map(|t| t.locked_entities()).collect();
-        let steps = 2 * locked.iter().map(Vec::len).sum::<usize>();
+        // Each transaction's locked entities, in ascending order, one
+        // transaction after the other. The cap counts every lock/unlock
+        // step, shared or not.
+        let locked: Vec<(usize, EntityId)> = (sys.txns().iter().enumerate())
+            .flat_map(|(i, t)| t.locked_entities().into_iter().map(move |e| (i, e)))
+            .collect();
+        let steps = 2 * locked.len();
         if steps > MAX_MILESTONES {
             return Err(SatCheckError::TooLarge {
                 milestones: steps,
@@ -365,26 +443,25 @@ impl<'a> Encoder<'a> {
         // shared milestones at its ends (`precedes` is the full closure).
         let n_e = sys.db().entity_count();
         let mut lockers = vec![0usize; n_e];
-        for e in locked.iter().flatten() {
+        for &(_, e) in &locked {
             lockers[e.idx()] += 1;
         }
         let mut milestones = Vec::new();
         let mut sections = Vec::new();
         let mut section_of = vec![NO_SECTION; sys.len() * n_e];
-        for (i, (t, entities)) in sys.txns().iter().zip(&locked).enumerate() {
-            for &e in entities.iter().filter(|e| lockers[e.idx()] >= 2) {
-                let lock_m = milestones.len();
-                milestones.push((i, t.lock_step(e).expect("validated pair")));
-                let unlock_m = milestones.len();
-                milestones.push((i, t.unlock_step(e).expect("validated pair")));
-                section_of[i * n_e + e.idx()] = sections.len();
-                sections.push(Section {
-                    txn: i,
-                    entity: e,
-                    lock_m,
-                    unlock_m,
-                });
-            }
+        for &(i, e) in locked.iter().filter(|(_, e)| lockers[e.idx()] >= 2) {
+            let t = sys.txn(TxnId::from_idx(i));
+            let lock_m = milestones.len();
+            milestones.push((i, t.lock_step(e).expect("validated pair")));
+            let unlock_m = milestones.len();
+            milestones.push((i, t.unlock_step(e).expect("validated pair")));
+            section_of[i * n_e + e.idx()] = sections.len();
+            sections.push(Section {
+                txn: i,
+                entity: e,
+                lock_m,
+                unlock_m,
+            });
         }
 
         // A pair one transaction's DAG orders is a constant; every other
@@ -415,12 +492,7 @@ impl<'a> Encoder<'a> {
             pairs,
             sections,
             section_of,
-            offsets: std::iter::once(0)
-                .chain(sys.txns().iter().scan(0, |end, t| {
-                    *end += t.len();
-                    Some(*end)
-                }))
-                .collect(),
+            offsets: step_offsets(sys),
         };
         // Room for the core: two three-literal clauses per triple at most.
         let triples = m * m.saturating_sub(1) * m.saturating_sub(2) / 6;
@@ -508,12 +580,13 @@ impl<'a> Encoder<'a> {
     }
 }
 
-/// The witness every path returns: Kahn's sort
+/// The k-transaction encoder's witness: Kahn's sort
 /// ([`kplock_graph::topo_sort`], smallest node first) of the steps of
 /// `txns`, transaction `t`'s step `s` numbered `offsets[t] + s`, under
 /// their precedence DAGs plus `arcs`, keeping the steps `kept` keeps and
 /// the arcs between them, as a schedule with `txns[t]` as `TxnId(t)`.
-/// A step that is not kept has no arc, so it moves no other step.
+/// A step that is not kept has no arc, so it moves no other step. The pair
+/// paths run the same order directly ([`pair_schedule`]).
 fn witness_schedule(
     txns: &[&Transaction],
     offsets: &[usize],
@@ -526,11 +599,8 @@ fn witness_schedule(
             .map(move |(u, v)| (base + u, base + v))
     });
     let arcs = dags.chain(arcs).filter(|&(u, v)| kept(u) && kept(v));
-    let order = topo_sort(&DiGraph::from_edges(offsets[txns.len()], arcs)).ok_or_else(|| {
-        SatCheckError::WitnessDecode(
-            "the witness's arcs and the precedence DAGs form a cycle".into(),
-        )
-    })?;
+    let order =
+        topo_sort(&DiGraph::from_edges(offsets[txns.len()], arcs)).ok_or_else(cycle_error)?;
     let steps = order
         .into_iter()
         .filter(|&v| kept(v))
@@ -543,6 +613,22 @@ fn witness_schedule(
         })
         .collect();
     Ok(Schedule::new(steps))
+}
+
+/// Step numbering: transaction `t`'s step `s` is node `offsets[t] + s`,
+/// and `offsets[k]` counts every step.
+fn step_offsets(sys: &TxnSystem) -> Vec<usize> {
+    std::iter::once(0)
+        .chain(sys.txns().iter().scan(0, |end, t| {
+            *end += t.len();
+            Some(*end)
+        }))
+        .collect()
+}
+
+/// A witness whose arcs and precedence DAGs form a cycle.
+fn cycle_error() -> SatCheckError {
+    SatCheckError::WitnessDecode("the witness's arcs and the precedence DAGs form a cycle".into())
 }
 
 /// Adds `terms` as one clause with the constants folded in: a true one
@@ -673,24 +759,33 @@ fn verified_unsafe(sys: &TxnSystem, schedule: Schedule) -> Result<Schedule, SatC
 }
 
 /// The sections of the admitted pair `a`, `b` on the entities both lock,
-/// the vertices of `D(a, b)`, which `cap` bounds.
+/// the vertices of `D(a, b)` in ascending entity order, which `cap`
+/// bounds. They are read off [`admit`]'s lock and unlock steps.
 fn pair_sections(
     sys: &TxnSystem,
     a: TxnId,
     b: TxnId,
     cap: usize,
 ) -> Result<Vec<Sections>, SatCheckError> {
-    admit(sys, a)?;
-    admit(sys, b)?;
-    let shared = sys.shared_locked_entities(a, b);
-    if shared.len() > cap {
-        return Err(SatCheckError::TooLarge {
-            milestones: shared.len(),
-            cap,
-        });
+    let n_e = sys.db().entity_count();
+    let (mut ends, mut chains) = (vec![[NO_STEP; 2]; 2 * n_e], Vec::new());
+    let (ends_a, ends_b) = ends.split_at_mut(n_e);
+    admit(sys, a, ends_a, &mut chains)?;
+    admit(sys, b, ends_b, &mut chains)?;
+    let shared = || (0..n_e).filter(|&e| ends_a[e][0] != NO_STEP && ends_b[e][0] != NO_STEP);
+    let n = shared().count();
+    if n > cap {
+        return Err(SatCheckError::TooLarge { milestones: n, cap });
     }
-    Ok(Sections::of(sys.txn(a), sys.txn(b), &shared)
-        .expect("an admitted transaction unlocks every entity it locks"))
+    let step = |v: u32| StepId::from_idx(v as usize);
+    Ok(shared()
+        .map(|e| Sections {
+            lock_a: step(ends_a[e][0]),
+            unlock_a: step(ends_a[e][1]),
+            lock_b: step(ends_b[e][0]),
+            unlock_b: step(ends_b[e][1]),
+        })
+        .collect())
 }
 
 /// The pair core's variables over `n` shared entities, from `base` on:
@@ -784,10 +879,16 @@ impl PairOrder {
     }
 }
 
-/// [`witness_schedule`] of both DAGs plus the section arcs `orient`
-/// picks, over the steps `executed` keeps, `b`'s numbered after `a`'s, as
-/// a schedule of `TxnId(0)` and `TxnId(1)`. An arc is kept when both its
-/// ends are, so a section arc joins two sections that are both locked.
+/// The pair paths' witness: Kahn's sort, smallest node first, of the
+/// steps `executed` keeps, `b`'s numbered after `a`'s, under both DAGs plus
+/// the section arcs `orient` picks, as a schedule of `TxnId(0)` and
+/// `TxnId(1)` — [`witness_schedule`]'s order, run on the pair directly. An
+/// arc is kept when both its ends are, so a section arc joins two sections
+/// that are both locked.
+///
+/// A node's arcs are its DAG row and at most one section arc, which only
+/// an unlock step has, so the sort counts in-degrees over those and takes
+/// the smallest ready node off a bit set, with no graph built.
 fn pair_schedule(
     ta: &Transaction,
     tb: &Transaction,
@@ -796,15 +897,60 @@ fn pair_schedule(
     executed: impl Fn(usize) -> bool,
 ) -> Result<Schedule, SatCheckError> {
     let off = ta.len();
-    let section_arcs = sections.iter().enumerate().map(|(x, s)| {
-        if orient(x) {
+    let n = off + tb.len();
+    // Per node: its kept in-degree, then the head of its section arc.
+    let mut node = vec![[0u32, NO_NODE]; n];
+    for (x, s) in sections.iter().enumerate() {
+        let (u, v) = if orient(x) {
             (s.unlock_a.idx(), off + s.lock_b.idx())
         } else {
             (off + s.unlock_b.idx(), s.lock_a.idx())
+        };
+        if executed(u) && executed(v) {
+            node[u][1] = v as u32;
+            node[v][0] += 1;
         }
-    });
-    let offsets = [0, off, off + tb.len()];
-    witness_schedule(&[ta, tb], &offsets, section_arcs, executed)
+    }
+    // Node `u`'s DAG successors, numbered as nodes.
+    let dag = |u: usize| {
+        let (t, base) = if u < off { (ta, 0) } else { (tb, off) };
+        t.edge_graph()
+            .successors(u - base)
+            .iter()
+            .map(move |&v| base + v)
+    };
+    let mut kept = 0;
+    for u in (0..n).filter(|&u| executed(u)) {
+        kept += 1;
+        for v in dag(u).filter(|&v| executed(v)) {
+            node[v][0] += 1;
+        }
+    }
+    let mut ready = vec![0u64; n.div_ceil(64)];
+    for u in (0..n).filter(|&u| executed(u) && node[u][0] == 0) {
+        ready[u / 64] |= 1 << (u % 64);
+    }
+    let mut steps = Vec::with_capacity(kept);
+    while let Some(w) = ready.iter().position(|&bits| bits != 0) {
+        let u = 64 * w + ready[w].trailing_zeros() as usize;
+        ready[w] &= ready[w] - 1;
+        let (txn, step) = if u < off { (0, u) } else { (1, u - off) };
+        steps.push(ScheduledStep {
+            txn: TxnId(txn),
+            step: StepId::from_idx(step),
+        });
+        let section = (node[u][1] != NO_NODE).then_some(node[u][1] as usize);
+        for v in dag(u).filter(|&v| executed(v)).chain(section) {
+            node[v][0] -= 1;
+            if node[v][0] == 0 {
+                ready[v / 64] |= 1 << (v % 64);
+            }
+        }
+    }
+    if steps.len() < kept {
+        return Err(cycle_error());
+    }
+    Ok(Schedule::new(steps))
 }
 
 /// [`pair_witness`]'s witness schedule and the model's orientation.
@@ -859,6 +1005,9 @@ pub(crate) fn pair_witness(
 
 /// `pair_deadlock`'s milestone entry of a step that is no milestone.
 const NO_MILESTONE: u32 = u32::MAX;
+
+/// [`pair_schedule`]'s entry for a node no section arc leaves.
+const NO_NODE: u32 = u32::MAX;
 
 /// The deadlock pair path: whether some legal prefix of the pair `sys`
 /// stalls every remaining step, decided over its *milestones*, the lock
@@ -1136,29 +1285,38 @@ fn by_entity_pairs(enc: &Encoder<'_>, mut f: impl FnMut(Section, Section)) {
 /// Re-verifies a decoded deadlock witness: a legal prefix after which, as
 /// the oracle's stall rule has it, the system is incomplete and no
 /// remaining step of any transaction is enabled.
+///
+/// Transaction `t`'s step `s` is node `offsets[t] + s` of one done flag
+/// per step, and `held[e]` counts the transactions whose lock of `e` ran
+/// and whose unlock did not. Every transaction here was admitted, so each
+/// lock has its unlock, and one whose lock of `e` has not run holds no `e`:
+/// a remaining lock is contended exactly when `held` is not zero.
 fn verified_deadlock(sys: &TxnSystem, prefix: Schedule) -> Result<Schedule, SatCheckError> {
     prefix
         .validate_prefix(sys)
         .map_err(|e| SatCheckError::WitnessDecode(format!("illegal prefix: {e}")))?;
-    let mut done: Vec<Vec<bool>> = sys.txns().iter().map(|t| vec![false; t.len()]).collect();
+    let offsets = step_offsets(sys);
+    let mut done = vec![false; offsets[sys.len()]];
+    let mut held = vec![0u32; sys.db().entity_count()];
     for ss in prefix.steps() {
-        done[ss.txn.idx()][ss.step.idx()] = true;
+        done[offsets[ss.txn.idx()] + ss.step.idx()] = true;
+        let step = sys.txn(ss.txn).step(ss.step);
+        match step.kind {
+            ActionKind::Lock => held[step.entity.idx()] += 1,
+            ActionKind::Unlock => held[step.entity.idx()] -= 1,
+            ActionKind::Update => {}
+        }
     }
-    let holds = |j: usize, e: EntityId| -> bool {
-        let t = sys.txn(TxnId::from_idx(j));
-        t.lock_step(e)
-            .zip(t.unlock_step(e))
-            .is_some_and(|(l, u)| done[j][l.idx()] && !done[j][u.idx()])
-    };
     let mut any_remaining = false;
     for (i, t) in sys.txns().iter().enumerate() {
+        let done = &done[offsets[i]..offsets[i + 1]];
         for v in 0..t.len() {
-            if done[i][v] {
+            if done[v] {
                 continue;
             }
             any_remaining = true;
             let s = StepId::from_idx(v);
-            if t.edge_graph().predecessors(v).iter().any(|&p| !done[i][p]) {
+            if t.edge_graph().predecessors(v).iter().any(|&p| !done[p]) {
                 continue; // not yet reachable, vacuously disabled
             }
             let step = t.step(s);
@@ -1167,7 +1325,7 @@ fn verified_deadlock(sys: &TxnSystem, prefix: Schedule) -> Result<Schedule, SatC
                     "non-lock step {s} of T{i} is enabled after the prefix"
                 )));
             }
-            if !(0..sys.len()).any(|j| j != i && holds(j, step.entity)) {
+            if held[step.entity.idx()] == 0 {
                 return Err(SatCheckError::WitnessDecode(format!(
                     "lock step {s} of T{i} is uncontended after the prefix"
                 )));
@@ -1198,8 +1356,6 @@ pub fn synthesize_optimal(sys: &TxnSystem) -> OptimalCertificate {
     let greedy = AvoidPlan::synthesize(sys);
     let greedy_count = greedy.certified_count();
 
-    let edges: Vec<Vec<(EntityId, EntityId)>> = sys.txns().iter().map(hold_request_edges).collect();
-
     // Variables: s_t (selection) then r(x<y) (entity order).
     let rank_base = k;
     let rank = |a: usize, b: usize| -> Var {
@@ -1227,8 +1383,8 @@ pub fn synthesize_optimal(sys: &TxnSystem) -> OptimalCertificate {
             }
         }
     }
-    for (t, tedges) in edges.iter().enumerate() {
-        for &(xe, ye) in tedges {
+    for (t, txn) in sys.txns().iter().enumerate() {
+        for (xe, ye) in hold_request_edges(txn) {
             cnf.add_clause([Lit::neg(Var(t as u32)), before_e(xe, ye)]);
         }
     }
@@ -1282,7 +1438,11 @@ pub fn synthesize_optimal(sys: &TxnSystem) -> OptimalCertificate {
 mod tests {
     use super::*;
     use crate::oracle::{decide_exhaustive, OracleOptions, OracleOutcome};
+    use crate::policy::{insert_locks, LockStrategy};
     use kplock_model::{Database, TxnBuilder};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sys_of(scripts: &[&str]) -> TxnSystem {
         let db = Database::from_spec(&[("x", 0), ("y", 1), ("z", 0)]);
@@ -1508,6 +1668,263 @@ mod tests {
         let dl = check_deadlock(&sys).expect("admitted under the cap");
         assert!(dl.deadlock.is_some());
         assert!(check_safety(&sys).unwrap().verdict.is_safe());
+    }
+
+    /// [`admit`] as it read before the one-pass scan: `validate` at the
+    /// locking level, then a scan of the steps with the lock and unlock
+    /// steps looked up for every update.
+    fn admit_by_validate(sys: &TxnSystem, txn: TxnId) -> Result<(), SatCheckError> {
+        let t = sys.txn(txn);
+        if let Err(error) = kplock_model::validate(sys.db(), t, kplock_model::Level::Locking) {
+            return Err(SatCheckError::Invalid { txn, error });
+        }
+        for v in 0..t.len() {
+            let sid = StepId::from_idx(v);
+            let s = t.step(sid);
+            if s.kind != ActionKind::Unlock && s.mode == LockMode::Shared {
+                return Err(SatCheckError::SharedMode { txn, step: sid });
+            }
+            if s.kind == ActionKind::Update {
+                let protected = t
+                    .lock_step(s.entity)
+                    .zip(t.unlock_step(s.entity))
+                    .is_some_and(|(l, u)| t.precedes(l, sid) && t.precedes(sid, u));
+                if !protected {
+                    return Err(SatCheckError::UnprotectedUpdate { txn, step: sid });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A random pair, well-formed or not: each transaction takes a random
+    /// subset of the entities, each with a lock in a random mode, up to two
+    /// updates or reads and an unlock, either end sometimes left out, all
+    /// shuffled, with each step after the one before it only at random.
+    fn random_admission_pair(rng: &mut StdRng) -> TxnSystem {
+        use kplock_model::{Step, Transaction};
+        let sites = rng.gen_range(1..=3usize);
+        let spec: Vec<(String, usize)> = (0..rng.gen_range(2..=5usize))
+            .map(|e| (format!("e{e}"), rng.gen_range(0..sites)))
+            .collect();
+        let spec: Vec<(&str, usize)> = spec.iter().map(|(e, s)| (e.as_str(), *s)).collect();
+        let db = Database::from_spec(&spec);
+        let txns = (0..2)
+            .map(|i| {
+                let mut steps = Vec::new();
+                for e in db.entities() {
+                    if rng.gen_bool(0.3) {
+                        continue;
+                    }
+                    if rng.gen_bool(0.9) {
+                        let shared = rng.gen_bool(0.1);
+                        let mode = if shared {
+                            LockMode::Shared
+                        } else {
+                            LockMode::Exclusive
+                        };
+                        steps.push(Step::lock(e).with_mode(mode));
+                    }
+                    for _ in 0..rng.gen_range(0..=2usize) {
+                        let read = rng.gen_bool(0.1);
+                        steps.push(if read { Step::read(e) } else { Step::update(e) });
+                    }
+                    if rng.gen_bool(0.9) {
+                        steps.push(Step::unlock(e));
+                    }
+                }
+                // Mostly in section order, now and then shuffled.
+                if rng.gen_bool(0.2) {
+                    for v in (1..steps.len()).rev() {
+                        steps.swap(v, rng.gen_range(0..=v));
+                    }
+                }
+                let edges: Vec<(StepId, StepId)> = (1..steps.len())
+                    .filter(|_| rng.gen_bool(0.9))
+                    .map(|v| (StepId::from_idx(v - 1), StepId::from_idx(v)))
+                    .collect();
+                Transaction::new(format!("T{i}"), steps, edges).expect("one lock step per entity")
+            })
+            .collect();
+        TxnSystem::new(db, txns)
+    }
+
+    /// Holds [`admit`] to [`admit_by_validate`] on each transaction of a
+    /// random pair, and [`pair_sections`] to the sections looked up over
+    /// `shared_locked_entities`. Returns each transaction's verdict, for the
+    /// sweep that checks every kind occurs.
+    fn admission_agrees_with_validate(seed: u64) -> Vec<Result<(), SatCheckError>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sys = random_admission_pair(&mut rng);
+        let (mut ends, mut chains) = (vec![[NO_STEP; 2]; sys.db().entity_count()], Vec::new());
+        let verdicts: Vec<_> = sys
+            .txn_ids()
+            .map(|t| {
+                let verdict = admit(&sys, t, &mut ends, &mut chains);
+                assert_eq!(verdict, admit_by_validate(&sys, t), "seed {seed}, {t}");
+                verdict
+            })
+            .collect();
+        let cap = rng.gen_range(0..=3usize);
+        let flat = pair_sections(&sys, TxnId(0), TxnId(1), cap);
+        let by_lookup = verdicts
+            .iter()
+            .cloned()
+            .collect::<Result<(), _>>()
+            .and_then(|()| {
+                let shared = sys.shared_locked_entities(TxnId(0), TxnId(1));
+                if shared.len() > cap {
+                    return Err(SatCheckError::TooLarge {
+                        milestones: shared.len(),
+                        cap,
+                    });
+                }
+                Ok(Sections::of(sys.txn(TxnId(0)), sys.txn(TxnId(1)), &shared).expect("admitted"))
+            });
+        let quads = |s: Vec<Sections>| -> Vec<[StepId; 4]> {
+            s.iter()
+                .map(|s| [s.lock_a, s.unlock_a, s.lock_b, s.unlock_b])
+                .collect()
+        };
+        assert_eq!(flat.map(quads), by_lookup.map(quads), "seed {seed}");
+        verdicts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn one_pass_admission_answers_as_validate(seed in any::<u64>()) {
+            admission_agrees_with_validate(seed);
+        }
+    }
+
+    #[test]
+    fn one_pass_admission_meets_every_refusal() {
+        let verdicts: Vec<_> = (0..512).flat_map(admission_agrees_with_validate).collect();
+        let met = |f: &dyn Fn(&Result<(), SatCheckError>) -> bool| verdicts.iter().any(f);
+        use ModelError::{SiteNotTotallyOrdered, UnlockBeforeLock, UnmatchedLockPair};
+        assert!(met(&|v| v.is_ok()));
+        assert!(met(&|v| matches!(
+            v,
+            Err(SatCheckError::Invalid {
+                error: SiteNotTotallyOrdered(..),
+                ..
+            })
+        )));
+        assert!(met(&|v| matches!(
+            v,
+            Err(SatCheckError::Invalid {
+                error: UnmatchedLockPair(_),
+                ..
+            })
+        )));
+        assert!(met(&|v| matches!(
+            v,
+            Err(SatCheckError::Invalid {
+                error: UnlockBeforeLock(_),
+                ..
+            })
+        )));
+        assert!(met(&|v| matches!(v, Err(SatCheckError::SharedMode { .. }))));
+        assert!(met(&|v| matches!(
+            v,
+            Err(SatCheckError::UnprotectedUpdate { .. })
+        )));
+    }
+
+    /// The pair witness as it was sorted before the merge: both DAGs and
+    /// the section arcs as a `DiGraph`, through [`witness_schedule`].
+    fn pair_schedule_by_sort(
+        ta: &Transaction,
+        tb: &Transaction,
+        sections: &[Sections],
+        orient: impl Fn(usize) -> bool,
+        executed: impl Fn(usize) -> bool,
+    ) -> Result<Schedule, SatCheckError> {
+        let off = ta.len();
+        let section_arcs = sections.iter().enumerate().map(|(x, s)| {
+            if orient(x) {
+                (s.unlock_a.idx(), off + s.lock_b.idx())
+            } else {
+                (off + s.unlock_b.idx(), s.lock_a.idx())
+            }
+        });
+        let offsets = [0, off, off + tb.len()];
+        witness_schedule(&[ta, tb], &offsets, section_arcs, executed)
+    }
+
+    /// Holds [`pair_schedule`] to [`pair_schedule_by_sort`] on a random pair
+    /// shaped as `analysis_sat` draws them, under a random orientation
+    /// (cyclic ones included) and over every step, then over a random
+    /// downward-closed set of steps. Returns how many of the two sorts
+    /// found a cycle, for the sweep that checks both outcomes occur.
+    fn merge_agrees_with_sort(seed: u64) -> usize {
+        use kplock_workload::{make_database, random_unlocked_txn, WorkloadParams};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = WorkloadParams {
+            sites: rng.gen_range(2..=4),
+            entities_per_site: 2,
+            steps_per_txn: rng.gen_range(4..=14),
+            ..Default::default()
+        };
+        let strategy = [
+            LockStrategy::Minimal,
+            LockStrategy::TwoPhaseSync,
+            LockStrategy::TwoPhaseLoose,
+        ][rng.gen_range(0..3usize)];
+        let db = make_database(&p);
+        let txns = (0..2)
+            .map(|i| {
+                let t = random_unlocked_txn(&db, &p, &format!("T{i}"), &mut rng).expect("a DAG");
+                insert_locks(&db, &t, strategy).expect("lockable")
+            })
+            .collect();
+        let sys = TxnSystem::new(db, txns);
+        let sections = pair_sections(&sys, TxnId(0), TxnId(1), usize::MAX).expect("admitted");
+        let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
+        let orient: Vec<bool> = sections.iter().map(|_| rng.gen_bool(0.5)).collect();
+        // Each transaction's steps in a topological order, each kept when
+        // its predecessors are, at random.
+        let mut executed = Vec::with_capacity(ta.len() + tb.len());
+        for t in [ta, tb] {
+            let base = executed.len();
+            executed.resize(base + t.len(), false);
+            for v in topo_sort(t.edge_graph()).expect("a DAG") {
+                let preds = t.edge_graph().predecessors(v);
+                executed[base + v] = preds.iter().all(|&p| executed[base + p]) && rng.gen_bool(0.8);
+            }
+        }
+        let mut cycles = 0;
+        for kept in [vec![true; executed.len()], executed] {
+            let merged = pair_schedule(ta, tb, &sections, |x| orient[x], |v| kept[v]);
+            let sorted = pair_schedule_by_sort(ta, tb, &sections, |x| orient[x], |v| kept[v]);
+            assert_eq!(merged, sorted, "seed {seed}");
+            cycles += usize::from(merged.is_err());
+        }
+        cycles
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_merge_equals_the_sort(seed in any::<u64>()) {
+            merge_agrees_with_sort(seed);
+        }
+    }
+
+    #[test]
+    fn the_merge_meets_acyclic_and_cyclic_orientations() {
+        let cycles: Vec<usize> = (0..256).map(merge_agrees_with_sort).collect();
+        assert!(
+            cycles.iter().any(|&c| c > 0),
+            "no orientation closed a cycle"
+        );
+        assert!(
+            cycles.iter().any(|&c| c < 2),
+            "every orientation closed a cycle"
+        );
     }
 
     #[test]

@@ -35,6 +35,8 @@ pub mod extensions;
 pub mod hierarchy;
 pub mod ids;
 pub mod projection;
+#[cfg(test)]
+mod reference;
 pub mod schedule;
 pub mod serializability;
 pub mod system;

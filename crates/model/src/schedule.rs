@@ -1,9 +1,12 @@
 //! Schedules: interleaved executions of a set of transactions.
 
-use crate::action::{ActionKind, LockMode};
+use crate::action::ActionKind;
 use crate::error::ModelError;
-use crate::ids::{EntityId, IdMap, StepId, TxnId};
+use crate::ids::{StepId, TxnId};
 use crate::system::TxnSystem;
+
+/// [`Schedule::validate_prefix`]'s end of a holder list.
+const NO_NODE: u32 = u32::MAX;
 
 /// One scheduled step: which transaction executed which of its steps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -69,10 +72,30 @@ impl Schedule {
     /// plus basic sanity (each step appears at most once, ids in range).
     /// Use [`Schedule::validate_complete`] to additionally require that every
     /// step of every transaction appears.
+    ///
+    /// The state is flat: transaction `t`'s step `s` is node `base[t] + s`
+    /// of one done flag per step, and each entity's holders are a list, in
+    /// the order they locked, threaded through their lock steps' nodes.
+    /// A lock names the first holder on that list whose mode conflicts.
     pub fn validate_prefix(&self, sys: &TxnSystem) -> Result<(), ModelError> {
-        let mut done: Vec<Vec<bool>> = sys.txns().iter().map(|t| vec![false; t.len()]).collect();
-        // Lock ownership: entity -> current holders with modes.
-        let mut lock_held: IdMap<EntityId, Vec<(TxnId, LockMode)>> = IdMap::default();
+        let base: Vec<usize> = std::iter::once(0)
+            .chain(sys.txns().iter().scan(0, |end, t| {
+                *end += t.len();
+                Some(*end)
+            }))
+            .collect();
+        let total = base[sys.len()];
+        let mut done = vec![false; total];
+        // `holders[e]` is the first and last node of entity `e`'s holders,
+        // `next[node]` the holder after `node`.
+        let mut holders: Vec<[u32; 2]> = Vec::with_capacity(sys.db().entity_count());
+        let mut next = vec![NO_NODE; total];
+        // The transaction whose steps number `node`, and its lock mode there.
+        let holder = |node: u32| {
+            let t = base.partition_point(|&o| o <= node as usize) - 1;
+            let mode = sys.txns()[t].steps()[node as usize - base[t]].mode;
+            (TxnId::from_idx(t), mode)
+        };
 
         for (i, ss) in self.steps.iter().enumerate() {
             let t = ss.txn.idx();
@@ -86,15 +109,16 @@ impl Schedule {
             if ss.step.idx() >= txn.len() {
                 return Err(ModelError::BadStepId(ss.step));
             }
-            if done[t][ss.step.idx()] {
+            let node = base[t] + ss.step.idx();
+            if done[node] {
                 return Err(ModelError::IllegalSchedule(format!(
                     "step {i}: {} of {} executed twice",
                     ss.step, ss.txn
                 )));
             }
             // (a) all predecessors in the partial order already executed.
-            for p in txn.edge_graph().predecessors(ss.step.idx()) {
-                if !done[t][*p] {
+            for &p in txn.edge_graph().predecessors(ss.step.idx()) {
+                if !done[base[t] + p] {
                     return Err(ModelError::IllegalSchedule(format!(
                         "step {i}: {} of {} before its predecessor",
                         ss.step, ss.txn
@@ -103,36 +127,58 @@ impl Schedule {
             }
             // (b) lock-mode exclusion.
             let step = txn.step(ss.step);
+            let e = step.entity.idx();
+            if step.kind != ActionKind::Update && holders.len() <= e {
+                holders.resize(e + 1, [NO_NODE; 2]);
+            }
             match step.kind {
                 ActionKind::Lock => {
-                    let holders = lock_held.entry(step.entity).or_default();
-                    if let Some(&(holder, _)) = holders
-                        .iter()
-                        .find(|&&(_, m)| !m.compatible_with(step.mode))
-                    {
-                        return Err(ModelError::IllegalSchedule(format!(
-                            "step {i}: {} locks {} already held by {holder}",
-                            ss.txn, step.entity
-                        )));
+                    let mut h = holders[e][0];
+                    while h != NO_NODE {
+                        let (other, mode) = holder(h);
+                        if !mode.compatible_with(step.mode) {
+                            return Err(ModelError::IllegalSchedule(format!(
+                                "step {i}: {} locks {} already held by {other}",
+                                ss.txn, step.entity
+                            )));
+                        }
+                        h = next[h as usize];
                     }
-                    holders.push((ss.txn, step.mode));
+                    let node = node as u32;
+                    match holders[e] {
+                        [NO_NODE, _] => holders[e] = [node, node],
+                        [_, last] => {
+                            next[last as usize] = node;
+                            holders[e][1] = node;
+                        }
+                    }
                 }
                 ActionKind::Unlock => {
                     // Paper's schedules only require separation of two locks
                     // by an unlock; unlocking without holding is a model bug.
-                    let holders = lock_held.entry(step.entity).or_default();
-                    let before = holders.len();
-                    holders.retain(|&(t, _)| t != ss.txn);
-                    if holders.len() == before {
+                    let own = base[t] as u32..base[t + 1] as u32;
+                    let (mut prev, mut h) = (NO_NODE, holders[e][0]);
+                    while h != NO_NODE && !own.contains(&h) {
+                        (prev, h) = (h, next[h as usize]);
+                    }
+                    if h == NO_NODE {
                         return Err(ModelError::IllegalSchedule(format!(
                             "step {i}: {} unlocks {} it does not hold",
                             ss.txn, step.entity
                         )));
                     }
+                    let after = std::mem::replace(&mut next[h as usize], NO_NODE);
+                    match prev {
+                        NO_NODE => holders[e][0] = after,
+                        p => next[p as usize] = after,
+                    }
+                    if after == NO_NODE {
+                        holders[e][1] = prev;
+                    }
                 }
                 ActionKind::Update => {}
             }
-            done[t][ss.step.idx()] = true;
+            done[node] = true;
         }
         Ok(())
     }

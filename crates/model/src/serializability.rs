@@ -13,7 +13,7 @@
 
 use crate::action::ActionKind;
 use crate::entity::Database;
-use crate::ids::{EntityId, IdMap, StepId, TxnId};
+use crate::ids::{EntityId, StepId, TxnId};
 use crate::schedule::Schedule;
 use crate::system::TxnSystem;
 use crate::txn::Transaction;
@@ -45,28 +45,59 @@ use kplock_graph::DiGraph;
 /// seen there, the set of access kinds (`is_write` × `is_direct`) made so
 /// far, and a new access by `b` adds `a -> b` for every other transaction
 /// `a` with a conflicting earlier kind — O(accesses × transactions on the
-/// entity), the same edge set as comparing every pair of accesses.
+/// entity), the same edge set as comparing every pair of accesses. The
+/// records are flat: one per (entity, transaction) pair seen, each
+/// entity's threaded into a list in the order its transactions arrived.
 pub fn serialization_graph(sys: &TxnSystem, schedule: &Schedule) -> DiGraph {
+    /// A list's end.
+    const NONE: u32 = u32::MAX;
+    /// One transaction's access kinds on one entity, and the next
+    /// transaction's record on that entity.
+    struct Seen {
+        txn: TxnId,
+        kinds: u8,
+        next: u32,
+    }
     let mut g = DiGraph::new(sys.len());
-    let mut seen: IdMap<EntityId, Vec<(TxnId, u8)>> = IdMap::default();
+    // `lists[e]`: the first and last record of entity `e`.
+    let mut lists: Vec<[u32; 2]> = Vec::with_capacity(sys.db().entity_count());
+    let mut seen: Vec<Seen> = Vec::new();
     for ss in schedule.steps() {
         let b = ss.txn;
         for access in step_accesses(sys.db(), sys.txn(b), ss.step) {
             let Some((entity, kind)) = access else {
                 continue;
             };
-            let txns = seen.entry(entity).or_default();
-            let mut own = None;
-            for (i, &(a, kinds)) in txns.iter().enumerate() {
-                if a == b {
-                    own = Some(i);
-                } else if kinds & kind.conflicting() != 0 {
-                    g.add_edge(a.idx(), b.idx());
-                }
+            let e = entity.idx();
+            if lists.len() <= e {
+                lists.resize(e + 1, [NONE; 2]);
             }
-            match own {
-                Some(i) => txns[i].1 |= kind.bit(),
-                None => txns.push((b, kind.bit())),
+            let (mut r, mut own) = (lists[e][0], NONE);
+            while r != NONE {
+                let rec = &seen[r as usize];
+                if rec.txn == b {
+                    own = r;
+                } else if rec.kinds & kind.conflicting() != 0 {
+                    g.add_edge(rec.txn.idx(), b.idx());
+                }
+                r = rec.next;
+            }
+            if own != NONE {
+                seen[own as usize].kinds |= kind.bit();
+                continue;
+            }
+            let new = seen.len() as u32;
+            seen.push(Seen {
+                txn: b,
+                kinds: kind.bit(),
+                next: NONE,
+            });
+            match lists[e] {
+                [NONE, _] => lists[e] = [new, new],
+                [_, last] => {
+                    seen[last as usize].next = new;
+                    lists[e][1] = new;
+                }
             }
         }
     }
@@ -155,6 +186,7 @@ mod tests {
     use crate::builder::TxnBuilder;
     use crate::entity::Database;
     use crate::ids::StepId;
+    use crate::reference;
     use crate::schedule::ScheduledStep;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -543,6 +575,111 @@ mod tests {
         edges
     }
 
+    /// `sys` with each transaction's precedence edges kept or dropped at
+    /// random, so a step may run before the steps it used to follow: an
+    /// unlock before its own lock, for one.
+    fn loosened(sys: &TxnSystem, rng: &mut StdRng) -> TxnSystem {
+        let txns = sys
+            .txns()
+            .iter()
+            .map(|t| {
+                let edges: Vec<(StepId, StepId)> = t
+                    .edge_graph()
+                    .edges()
+                    .filter(|_| rng.gen_bool(0.5))
+                    .map(|(u, v)| (StepId::from_idx(u), StepId::from_idx(v)))
+                    .collect();
+                crate::txn::Transaction::new(t.name(), t.steps().to_vec(), edges).unwrap()
+            })
+            .collect();
+        TxnSystem::new(sys.db().clone(), txns)
+    }
+
+    /// Holds `validate_prefix` and `serialization_graph` to their map-based
+    /// references on random schedules of a random system and of a loosened
+    /// copy: legal ones, free interleavings (double locks), prefixes,
+    /// shuffles (wrong order), serial ones, and each with a step repeated,
+    /// an unknown transaction or a step out of range. Returns the errors,
+    /// for the sweep that checks every kind occurs.
+    fn flat_state_agrees_with_maps(seed: u64) -> Vec<String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let strict = random_system(&mut rng);
+        let loose = loosened(&strict, &mut rng);
+        let mut errors = Vec::new();
+        for sys in [&strict, &loose] {
+            let legal = random_schedule(sys, true, &mut rng);
+            let free = random_schedule(sys, false, &mut rng);
+            let prefix = free.steps()[..rng.gen_range(0..=free.len())].to_vec();
+            let mut shuffled = free.steps().to_vec();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let serial = Schedule::serial(sys, &sys.txn_ids().collect::<Vec<_>>());
+            let mut schedules = vec![
+                legal.steps().to_vec(),
+                free.steps().to_vec(),
+                prefix,
+                shuffled,
+                serial.steps().to_vec(),
+            ];
+            for base in schedules.clone() {
+                if base.is_empty() {
+                    continue;
+                }
+                let at = rng.gen_range(0..base.len());
+                let mut repeated = base.clone();
+                repeated.insert(rng.gen_range(at + 1..=base.len()), base[at]);
+                let mut unknown = base.clone();
+                unknown[at].txn = TxnId::from_idx(sys.len());
+                let mut out_of_range = base.clone();
+                out_of_range[at].step = StepId::from_idx(sys.txn(base[at].txn).len());
+                schedules.extend([repeated, unknown, out_of_range]);
+            }
+            for steps in schedules {
+                let s = Schedule::new(steps);
+                let flat = s.validate_prefix(sys);
+                assert_eq!(flat, reference::validate_prefix(&s, sys), "seed {seed}");
+                assert_eq!(
+                    s.validate_complete(sys).is_ok(),
+                    flat.is_ok() && s.len() == sys.total_steps()
+                );
+                errors.extend(flat.err().map(|e| e.to_string()));
+                // The graph of a schedule naming an unknown step is not
+                // defined.
+                let known = s
+                    .steps()
+                    .iter()
+                    .all(|ss| ss.txn.idx() < sys.len() && ss.step.idx() < sys.txn(ss.txn).len());
+                if known {
+                    assert_eq!(
+                        edge_set(&serialization_graph(sys, &s)),
+                        edge_set(&reference::serialization_graph(sys, &s)),
+                        "seed {seed}"
+                    );
+                }
+            }
+        }
+        errors
+    }
+
+    #[test]
+    fn the_flat_state_meets_every_kind_of_illegal_step() {
+        let errors: Vec<String> = (0..256).flat_map(flat_state_agrees_with_maps).collect();
+        for kind in [
+            "executed twice",
+            "before its predecessor",
+            "already held by",
+            "it does not hold",
+            "unknown transaction",
+            "out of range",
+        ] {
+            assert!(
+                errors.iter().any(|e| e.to_lowercase().contains(kind)),
+                "no schedule failed with {kind:?}"
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -571,6 +708,11 @@ mod tests {
                 let g = serialization_graph(&sys, &s);
                 prop_assert_eq!(edge_set(&g), edge_set(&pairwise_graph(&sys, &s)));
             }
+        }
+
+        #[test]
+        fn the_flat_state_answers_as_the_maps(seed in any::<u64>()) {
+            flat_state_agrees_with_maps(seed);
         }
     }
 

@@ -43,11 +43,12 @@ impl SatResult {
     }
 }
 
-/// Literal value under a partial assignment (free function so it can be
-/// used while a clause is mutably borrowed).
-fn lit_value(assignment: &[Option<bool>], l: Lit) -> Option<bool> {
-    assignment[l.var().idx()].map(|v| v == l.is_positive())
-}
+/// [`Solver`]'s value of a literal no assignment has reached.
+const FREE: u8 = 0;
+/// [`Solver`]'s value of a literal an assignment made true.
+const TRUE: u8 = 1;
+/// [`Solver`]'s value of a literal an assignment made false.
+const FALSE: u8 = 2;
 
 /// The clauses watching each literal, as rows over one pool: row `l` is
 /// `pool[start..start + len]`, with room up to `start + cap`. Loading lays
@@ -129,7 +130,10 @@ pub struct Solver<'a> {
     clauses: Cnf,
     /// Per literal code: the clauses watching it (laid out by `load`).
     watches: Watches,
-    assignment: Vec<Option<bool>>,
+    /// Per literal code: [`FREE`], [`TRUE`] or [`FALSE`]. An assignment
+    /// sets a literal and its complement, so propagation reads one byte
+    /// per literal it visits.
+    values: Vec<u8>,
     level: Vec<u32>,
     reason: Vec<Option<usize>>,
     trail: Vec<Lit>,
@@ -160,7 +164,7 @@ impl<'a> Solver<'a> {
             cnf,
             clauses: Cnf::with_capacity(n, cnf.num_clauses(), cnf.num_lits()),
             watches: Watches::default(),
-            assignment: vec![None; n],
+            values: vec![FREE; 2 * n],
             level: vec![0; n],
             reason: vec![None; n],
             trail: Vec::new(),
@@ -177,13 +181,22 @@ impl<'a> Solver<'a> {
     }
 
     fn value(&self, l: Lit) -> Option<bool> {
-        lit_value(&self.assignment, l)
+        match self.values[l.code()] {
+            FREE => None,
+            v => Some(v == TRUE),
+        }
+    }
+
+    /// Whether variable `v` is unassigned.
+    fn is_free(&self, v: usize) -> bool {
+        self.values[2 * v] == FREE
     }
 
     fn assign(&mut self, l: Lit, reason: Option<usize>) {
         let v = l.var().idx();
-        debug_assert!(self.assignment[v].is_none());
-        self.assignment[v] = Some(l.is_positive());
+        debug_assert!(self.is_free(v));
+        self.values[l.code()] = TRUE;
+        self.values[l.negated().code()] = FALSE;
         self.level[v] = self.trail_lim.len() as u32;
         self.reason[v] = reason;
         self.trail.push(l);
@@ -208,7 +221,8 @@ impl<'a> Solver<'a> {
                 let l = self.trail.pop().expect("trail");
                 let v = l.var().idx();
                 self.phase[v] = l.is_positive();
-                self.assignment[v] = None;
+                self.values[l.code()] = FREE;
+                self.values[l.negated().code()] = FREE;
                 self.reason[v] = None;
             }
         }
@@ -241,13 +255,13 @@ impl<'a> Solver<'a> {
                 }
                 debug_assert_eq!(clause[1], falsified);
                 let first = clause[0];
-                if lit_value(&self.assignment, first) == Some(true) {
+                if self.values[first.code()] == TRUE {
                     i += 1;
                     continue;
                 }
                 // Find a replacement watch among the tail literals.
-                let replacement = (2..clause.len())
-                    .find(|&k| lit_value(&self.assignment, clause[k]) != Some(false));
+                let replacement =
+                    (2..clause.len()).find(|&k| self.values[clause[k].code()] != FALSE);
                 if let Some(k) = replacement {
                     clause.swap(1, k);
                     // Never row `key`: the new watch is not false.
@@ -255,7 +269,7 @@ impl<'a> Solver<'a> {
                     self.watches.swap_remove(key, i);
                     continue;
                 }
-                if lit_value(&self.assignment, first) == Some(false) {
+                if self.values[first.code()] == FALSE {
                     return Some(ci); // conflict
                 }
                 self.propagations += 1;
@@ -359,7 +373,7 @@ impl<'a> Solver<'a> {
                 continue;
             }
             for &l in clause {
-                if self.assignment[l.var().idx()].is_none() {
+                if self.is_free(l.var().idx()) {
                     if l.is_positive() {
                         pos[l.var().idx()] = true;
                     } else {
@@ -369,7 +383,7 @@ impl<'a> Solver<'a> {
             }
         }
         for v in 0..n {
-            if self.assignment[v].is_none() && pos[v] != neg[v] {
+            if self.is_free(v) && pos[v] != neg[v] {
                 self.assign(Lit::new(Var(v as u32), pos[v]), None);
             }
         }
@@ -380,9 +394,7 @@ impl<'a> Solver<'a> {
     fn pick_branch(&self) -> Option<Var> {
         let mut best: Option<usize> = None;
         for v in 0..self.cnf.num_vars {
-            if self.assignment[v].is_none()
-                && best.is_none_or(|b| self.activity[v] > self.activity[b])
-            {
+            if self.is_free(v) && best.is_none_or(|b| self.activity[v] > self.activity[b]) {
                 best = Some(v);
             }
         }
@@ -465,11 +477,8 @@ impl<'a> Solver<'a> {
                 }
             } else {
                 let Some(v) = self.pick_branch() else {
-                    let model: Vec<bool> = self
-                        .assignment
-                        .iter()
-                        .map(|v| v.expect("complete"))
-                        .collect();
+                    let model: Vec<bool> =
+                        self.values.chunks_exact(2).map(|v| v[1] == TRUE).collect();
                     debug_assert!(self.cnf.eval(&model));
                     return SatResult::Sat(model);
                 };

@@ -34,6 +34,7 @@ pub mod fault;
 pub mod figures;
 pub mod hierarchy;
 pub mod reduction_instances;
+pub mod ring;
 pub mod scenarios;
 pub mod suite;
 pub mod txn_gen;
@@ -47,6 +48,7 @@ pub use hierarchy::{
     HierarchyScenario,
 };
 pub use reduction_instances::{fig8_formula, fig8_reduction, random_instance, unsat_restricted};
+pub use ring::ring_system;
 pub use scenarios::{hot_site_sweep, resolution_sweep, site_count_sweep, zipf_sweep, Scenario};
 pub use suite::{figure_corpus, regression_corpus, NamedSystem};
 pub use txn_gen::{make_database, random_pair, random_system, random_unlocked_txn, WorkloadParams};

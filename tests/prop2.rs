@@ -7,7 +7,7 @@ use kplock::core::{
     check_safety, decide_exhaustive, proposition2, OracleOptions, OracleOutcome, Prop2Verdict,
 };
 use kplock::model::{Database, TxnBuilder, TxnSystem};
-use kplock::workload::{certified_mix, random_system, WorkloadParams};
+use kplock::workload::{certified_mix, random_system, ring_system, WorkloadParams};
 
 fn run_case(params: &WorkloadParams) -> Option<(bool, bool)> {
     let sys = random_system(params);
@@ -135,6 +135,33 @@ fn prop2_agrees_with_the_sat_checker_at_three_and_four_sites() {
         safe += usize::from(prop2_safe);
     }
     assert!(2 * safe > systems.len(), "{safe} of {} safe", systems.len());
+}
+
+/// Ring systems (`ring_system`) at k = 3–6, with no early release and with
+/// each transaction in turn releasing early: every pair shares at most one
+/// entity and is safe, so Proposition 2 decides each ring by its cycle
+/// half. It is held to the SAT checker's k-transaction encoding, and to
+/// the prediction that a ring is safe exactly when nobody releases early,
+/// so both `Safe` and `UnsafeCycle` occur.
+#[test]
+fn prop2_decides_rings_as_the_sat_checker() {
+    for k in 3..=6 {
+        for early in std::iter::once(None).chain((0..k).map(Some)) {
+            let sys = ring_system(k, early);
+            let verdict = proposition2(&sys);
+            let check = check_safety(&sys).expect("exclusive-only systems encode");
+            assert_eq!(
+                verdict == Prop2Verdict::Safe,
+                check.verdict.is_safe(),
+                "k {k}, early {early:?}: Proposition 2 answered {verdict:?}"
+            );
+            let expected = match early {
+                None => Prop2Verdict::Safe,
+                Some(_) => Prop2Verdict::UnsafeCycle,
+            };
+            assert_eq!(verdict, expected, "k {k}, early {early:?}");
+        }
+    }
 }
 
 /// FNV-1a over words, as the other pins fold theirs.
