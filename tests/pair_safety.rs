@@ -1,14 +1,15 @@
 //! Integration: the Theorem-2 decision procedure against the exact oracle
 //! on randomized two-site workloads, across locking strategies.
 
-use kplock::core::closure::{close_wrt_dominator, ClosureError};
+use kplock::core::closure::{close_wrt_dominator, try_unsafety_via_dominator, ClosureError};
 use kplock::core::policy::{centralized_image_safe, LockStrategy};
 use kplock::core::{
     analyze_pair, check_safety, count_schedules, decide_by_extensions, decide_exhaustive,
     decide_multisite, decide_two_site, proposition2, reduce, ConflictDigraph, MultisiteOptions,
     OracleOptions, OracleOutcome, Prop2Verdict, SafeProof, SafetyVerdict, TwoSiteError,
 };
-use kplock::model::{Database, TxnBuilder, TxnId, TxnSystem};
+use kplock::graph::enumerate_dominators;
+use kplock::model::{Database, EntityId, TxnBuilder, TxnId, TxnSystem};
 use kplock::sat::solve;
 use kplock::workload::{
     fig8_formula, random_instance, random_pair, unsat_restricted, WorkloadParams,
@@ -257,6 +258,23 @@ const PIN_PAIR_PATH_CURVE: [[u64; 8]; 4] = [
 /// dominator attempts, which run first.
 const PIN_MULTISITE: [u64; 4] = [1, 13, 0, 8_054_726_690_906_887_876];
 
+/// `[Safe, Unsafe, Unknown, digest]` of `decide_multisite` on the
+/// reductions of `random_instance(seed, 5, 4)` for seeds 0 to 5, the next
+/// size up from [`PIN_MULTISITE`]'s and the one `analysis_sat` traces as
+/// `v5c4`, folded as [`PIN_MULTISITE`] folds its verdicts.
+const PIN_MULTISITE_V5C4: [u64; 4] = [0, 6, 0, 1_001_278_337_078_312_714];
+
+/// The closure round by round, on the reductions of
+/// `random_instance(seed, 5, 4)` for seeds 0 to 5: for each of the first
+/// 64 dominators of `D` (in enumeration order), `[dominators, closed,
+/// CycleCreated, DominatorBroken, certificates, digest]`. The digest folds
+/// the dominator, `close_wrt_dominator`'s result kind (with the failing
+/// precedence of a `CycleCreated`), `added_a` and `added_b` in order, and
+/// `try_unsafety_via_dominator`'s certificate as [`PIN_TWO_SITE`] folds
+/// one. How the closure is computed may change; what it adds, in what
+/// order, and where it fails must not.
+const PIN_CLOSURE: [u64; 6] = [384, 3, 0, 381, 3, 12_117_069_929_690_145_020];
+
 /// FNV-1a over `words`, continuing from `digest`.
 fn fold(digest: u64, words: impl IntoIterator<Item = usize>) -> u64 {
     words.into_iter().fold(digest, |h, w| {
@@ -366,6 +384,74 @@ fn multisite_decisions_on_timed_reductions_are_pinned() {
         got[3] = fold_verdict(got[3], &v);
     }
     assert_eq!(got, PIN_MULTISITE);
+}
+
+#[test]
+fn multisite_decisions_at_five_by_four_are_pinned() {
+    let mut got = [0u64; 4];
+    got[3] = 0xcbf2_9ce4_8422_2325;
+    for seed in 0..6u64 {
+        let sys = reduce(&random_instance(seed, 5, 4))
+            .expect("a restricted-form source")
+            .sys;
+        let v = decide_multisite(&sys, TxnId(0), TxnId(1), &MultisiteOptions::default());
+        match &v {
+            SafetyVerdict::Safe(_) => got[0] += 1,
+            SafetyVerdict::Unsafe(cert) => {
+                cert.verify(&sys).expect("certificate must verify");
+                got[1] += 1;
+            }
+            SafetyVerdict::Unknown => got[2] += 1,
+        }
+        got[3] = fold_verdict(got[3], &v);
+    }
+    assert_eq!(got, PIN_MULTISITE_V5C4);
+}
+
+#[test]
+fn closures_on_five_by_four_reductions_are_pinned() {
+    let (a, b) = (TxnId(0), TxnId(1));
+    let mut got = [0u64; 6];
+    got[5] = 0xcbf2_9ce4_8422_2325;
+    for seed in 0..6u64 {
+        let sys = reduce(&random_instance(seed, 5, 4))
+            .expect("a restricted-form source")
+            .sys;
+        let d = ConflictDigraph::build(&sys, a, b);
+        let (doms, _) = enumerate_dominators(&d.graph, 64);
+        for bits in &doms {
+            let dom: Vec<EntityId> = bits.iter().map(|i| d.entities[i]).collect();
+            got[0] += 1;
+            let mut h = fold(got[5], dom.iter().map(|e| e.idx()));
+            match close_wrt_dominator(&sys, a, b, &dom) {
+                Ok(c) => {
+                    got[1] += 1;
+                    h = fold(h, [0]);
+                    h = fold(h, c.added_a.iter().flat_map(|&(u, v)| [u.idx(), v.idx()]));
+                    h = fold(h, [usize::MAX]);
+                    h = fold(h, c.added_b.iter().flat_map(|&(u, v)| [u.idx(), v.idx()]));
+                }
+                Err(ClosureError::CycleCreated { txn, from, to }) => {
+                    got[2] += 1;
+                    h = fold(h, [1, txn.idx(), from.idx(), to.idx()]);
+                }
+                Err(ClosureError::DominatorBroken) => {
+                    got[3] += 1;
+                    h = fold(h, [2]);
+                }
+                Err(other) => panic!("closure answered {other:?} (seed {seed})"),
+            }
+            h = match try_unsafety_via_dominator(&sys, a, b, &dom) {
+                Some(cert) => {
+                    got[4] += 1;
+                    fold_verdict(h, &SafetyVerdict::Unsafe(Box::new(cert)))
+                }
+                None => fold(h, [usize::MAX - 1]),
+            };
+            got[5] = h;
+        }
+    }
+    assert_eq!(got, PIN_CLOSURE);
 }
 
 #[test]
