@@ -58,6 +58,8 @@ pub mod multisite;
 pub mod oracle;
 pub mod policy;
 pub mod reduction;
+#[cfg(test)]
+mod reference;
 pub mod sat_check;
 pub mod total_pair;
 pub mod two_site;

@@ -19,10 +19,10 @@
 //! their lock sections).
 
 use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
-use crate::closure::unsafety_via_dominator;
+use crate::closure::{unsafety_via_dominator, Pair};
 use crate::conflict_graph::{ConflictDigraph, Sections};
 use crate::sat_check::pair_witness;
-use kplock_graph::enumerate_dominators;
+use kplock_graph::dominators;
 use kplock_model::{Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
 
 /// Options for the multisite procedure.
@@ -78,10 +78,11 @@ pub(crate) fn decide_with(
     }
 
     // Dominators first: where a closure succeeds it is the faster proof.
-    let (dominators, _) = enumerate_dominators(&d.graph, opts.dominator_cap);
-    for dom_bits in &dominators {
-        let (dom, in_x) = d.resolve_dominator(dom_bits);
-        if let Some(cert) = unsafety_via_dominator(sys, d, sections, &dom, &in_x) {
+    // They are drawn one at a time, so an early success enumerates no more.
+    let mut pair = Pair::new(sys, d, sections);
+    for dom_bits in dominators(&d.graph).take(opts.dominator_cap) {
+        let (dom, in_x) = d.resolve_dominator(&dom_bits);
+        if let Some(cert) = unsafety_via_dominator(&mut pair, &dom, &in_x) {
             return SafetyVerdict::Unsafe(Box::new(cert));
         }
     }
@@ -151,6 +152,7 @@ fn certificate_from_witness(
 mod tests {
     use super::*;
     use crate::closure::try_unsafety_via_dominator;
+    use kplock_graph::enumerate_dominators;
     use kplock_model::{Database, EntityId, TxnBuilder};
 
     /// The Fig. 5 construction (semantically): four sites, entities

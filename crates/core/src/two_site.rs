@@ -18,7 +18,7 @@
 //! pair itself.
 
 use crate::certificate::{SafeProof, SafetyVerdict};
-use crate::closure::unsafety_via_dominator;
+use crate::closure::{unsafety_via_dominator, Pair};
 use crate::conflict_graph::{ConflictDigraph, Sections};
 use kplock_graph::find_dominator;
 use kplock_model::{TxnId, TxnSystem};
@@ -77,7 +77,8 @@ pub(crate) fn decide_with(
     }
     let dom_bits = find_dominator(&d.graph).expect("not strongly connected");
     let (dominator, in_x) = d.resolve_dominator(&dom_bits);
-    let cert = unsafety_via_dominator(sys, d, sections, &dominator, &in_x).expect(
+    let mut pair = Pair::new(sys, d, sections);
+    let cert = unsafety_via_dominator(&mut pair, &dominator, &in_x).expect(
         "internal error: Theorem 2 guarantees the closure certificate for two sites \
          (Lemmas 2 and 3)",
     );

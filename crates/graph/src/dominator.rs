@@ -50,58 +50,87 @@ pub fn find_dominator(g: &DiGraph) -> Option<BitSet> {
     Some(BitSet::from_indices(n, c.sccs.members[src].iter().copied()))
 }
 
+/// The dominators of `g`, drawn one at a time in breadth-first order
+/// over predecessor-closed sets of strongly connected components: a set
+/// is extended by each component, in index order, whose predecessors it
+/// holds, and each new proper set is yielded as it is found. A caller
+/// that stops at the first dominator that serves pays for no more.
+pub struct Dominators {
+    c: Condensation,
+    n: usize,
+    /// The component set being extended, and the next component to try.
+    cur: Option<BitSet>,
+    comp: usize,
+    queue: VecDeque<BitSet>,
+    seen: HashSet<BitSet>,
+}
+
+/// The dominators of `g` (none if `g` is strongly connected or has fewer
+/// than two nodes), lazily; see [`Dominators`].
+pub fn dominators(g: &DiGraph) -> Dominators {
+    let c = condensation(g);
+    let (n, k) = (g.node_count(), c.dag.node_count());
+    let empty = BitSet::new(k);
+    Dominators {
+        n,
+        cur: (k >= 2 && n >= 2).then(|| empty.clone()),
+        comp: 0,
+        queue: VecDeque::new(),
+        seen: HashSet::from([empty]),
+        c,
+    }
+}
+
+impl Iterator for Dominators {
+    type Item = BitSet;
+
+    fn next(&mut self) -> Option<BitSet> {
+        let k = self.c.dag.node_count();
+        while let Some(cur) = &self.cur {
+            while self.comp < k {
+                let comp = self.comp;
+                self.comp += 1;
+                if cur.contains(comp)
+                    || !self
+                        .c
+                        .dag
+                        .predecessors(comp)
+                        .iter()
+                        .all(|&p| cur.contains(p))
+                {
+                    continue;
+                }
+                let mut next = cur.clone();
+                next.insert(comp);
+                if !self.seen.insert(next.clone()) {
+                    continue;
+                }
+                // Proper exactly when some component is left out.
+                let proper = next.count() < k;
+                let nodes = proper.then(|| comps_to_nodes(&self.c, &next, self.n));
+                self.queue.push_back(next);
+                if nodes.is_some() {
+                    return nodes;
+                }
+            }
+            self.cur = self.queue.pop_front();
+            self.comp = 0;
+        }
+        None
+    }
+}
+
 /// Enumerates all dominators of `g`, up to `cap` of them.
 ///
 /// Dominators are exactly the nonempty proper predecessor-closed unions of
 /// SCCs; there can be exponentially many, hence the cap. Returns the
-/// dominators found (possibly truncated at `cap`) and whether the
-/// enumeration was exhaustive.
+/// first `cap` dominators in [`dominators`]' order and whether they are
+/// all of them.
 pub fn enumerate_dominators(g: &DiGraph, cap: usize) -> (Vec<BitSet>, bool) {
-    let n = g.node_count();
-    let c: Condensation = condensation(g);
-    let k = c.dag.node_count();
-    if k < 2 || n < 2 {
-        return (Vec::new(), true);
-    }
-
-    // BFS over predecessor-closed component sets (as BitSets over components).
-    let mut seen: HashSet<BitSet> = HashSet::new();
-    let mut out: Vec<BitSet> = Vec::new();
-    let mut queue: VecDeque<BitSet> = VecDeque::new();
-    queue.push_back(BitSet::new(k));
-    seen.insert(BitSet::new(k));
-    let mut exhaustive = true;
-
-    while let Some(cur) = queue.pop_front() {
-        // Try to extend `cur` by each component whose predecessors are all in.
-        for comp in 0..k {
-            if cur.contains(comp) {
-                continue;
-            }
-            if !c.dag.predecessors(comp).iter().all(|&p| cur.contains(p)) {
-                continue;
-            }
-            let mut next = cur.clone();
-            next.insert(comp);
-            if seen.contains(&next) {
-                continue;
-            }
-            seen.insert(next.clone());
-            // Record as dominator if nonempty (it is) and proper.
-            if next.count() < k || k_total_nodes(&c, &next) < n {
-                let nodes = comps_to_nodes(&c, &next, n);
-                if nodes.count() < n {
-                    out.push(nodes);
-                    if out.len() >= cap {
-                        exhaustive = false;
-                        return (out, exhaustive);
-                    }
-                }
-            }
-            queue.push_back(next);
-        }
-    }
-    (out, exhaustive)
+    let mut all = dominators(g);
+    let found: Vec<BitSet> = all.by_ref().take(cap).collect();
+    let exhaustive = all.next().is_none();
+    (found, exhaustive)
 }
 
 fn comps_to_nodes(c: &Condensation, comps: &BitSet, n: usize) -> BitSet {
@@ -111,10 +140,6 @@ fn comps_to_nodes(c: &Condensation, comps: &BitSet, n: usize) -> BitSet {
             .iter()
             .flat_map(|ci| c.sccs.members[ci].iter().copied()),
     )
-}
-
-fn k_total_nodes(c: &Condensation, comps: &BitSet) -> usize {
-    comps.iter().map(|ci| c.sccs.members[ci].len()).sum()
 }
 
 #[cfg(test)]
@@ -141,6 +166,16 @@ mod tests {
         let mut sets: Vec<Vec<usize>> = all.iter().map(|b| b.iter().collect()).collect();
         sets.sort();
         assert_eq!(sets, vec![vec![0], vec![0, 1]]);
+    }
+
+    /// A graph with exactly `cap` dominators is enumerated exhaustively.
+    #[test]
+    fn exactly_cap_dominators_are_all_of_them() {
+        let g = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
+        for (cap, found, exhaustive) in [(0, 0, false), (1, 1, false), (2, 2, true), (3, 2, true)] {
+            let (all, all_found) = enumerate_dominators(&g, cap);
+            assert_eq!((all.len(), all_found), (found, exhaustive), "cap {cap}");
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! topological sorts (the certificate construction of Theorem 2), cycle
 //! enumeration (Proposition 2), dense bitsets (dominator membership) and
 //! the transitive closure of a transaction's partial order as one flat bit
-//! matrix. A graph costs what its nodes and edges cost; only the closure
-//! is quadratic, and only for whoever asks for it.
+//! matrix, which takes arcs one at a time as the dominator closure adds
+//! precedences. A graph costs what its nodes and edges cost; only the
+//! closure is quadratic, and only for whoever asks for it.
 //!
 //! The workspace has one cycle finder, [`CycleTest`]: reusable buffers
 //! over `u32` arcs that lay them out as compressed rows, peel them
@@ -53,7 +54,7 @@ pub use bitset::BitSet;
 pub use condensation::{condensation, Condensation};
 pub use cycle::{find_cycle, has_cycle, simple_cycles, CycleTest};
 pub use digraph::DiGraph;
-pub use dominator::{enumerate_dominators, find_dominator, is_dominator};
+pub use dominator::{dominators, enumerate_dominators, find_dominator, is_dominator, Dominators};
 pub use reach::{transitive_closure, Closure};
 pub use scc::{is_strongly_connected, tarjan_scc, Sccs};
 pub use topo::{is_acyclic, is_topological_order, topo_sort, topo_sort_by_key};

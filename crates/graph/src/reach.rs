@@ -1,11 +1,11 @@
-//! Transitive closure of an acyclic graph.
+//! Transitive closure of an acyclic graph, and its upkeep as arcs arrive.
 
 use crate::digraph::DiGraph;
 
 /// The reflexive-transitive closure of an acyclic graph as one row-major
 /// bit matrix: `n` rows of `⌈n/64⌉` words in a single allocation, row `a`
 /// holding the nodes reachable from `a` (`a` itself included).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Closure {
     words: Vec<u64>,
     n: usize,
@@ -18,6 +18,45 @@ impl Closure {
     #[inline]
     pub fn reaches(&self, a: usize, b: usize) -> bool {
         b < self.n && self.words[a * self.n.div_ceil(64) + b / 64] & (1 << (b % 64)) != 0
+    }
+
+    /// Adds the arc `a -> b` to the graph this is the closure of, unless
+    /// `b` already reaches `a` (the arc would close a cycle, `a == b`
+    /// included): then it answers `false` and changes nothing.
+    ///
+    /// Every row that reaches `a` and not yet `b` takes in row `b`; a row
+    /// that reaches `b` holds row `b` already. That is `O(n)` bit tests and
+    /// `⌈n/64⌉` words per row that grows (Italiano, "Amortized efficiency
+    /// of a path retrieval data structure", TCS 48, 1986).
+    pub fn add_arc(&mut self, a: usize, b: usize) -> bool {
+        if self.reaches(b, a) {
+            return false;
+        }
+        let stride = self.n.div_ceil(64);
+        let (a_word, a_bit) = (a / 64, 1u64 << (a % 64));
+        let (b_word, b_bit) = (b / 64, 1u64 << (b % 64));
+        for r in 0..self.n {
+            let row = &self.words[r * stride..][..stride];
+            if row[a_word] & a_bit != 0 && row[b_word] & b_bit == 0 {
+                // `r` reaches `a`, which `b` does not: `r != b`.
+                or_row(&mut self.words, stride, r, b);
+            }
+        }
+        true
+    }
+}
+
+/// Row `dst` |= row `src` of a matrix of `stride`-word rows; `dst != src`.
+fn or_row(words: &mut [u64], stride: usize, dst: usize, src: usize) {
+    let (row_dst, row_src) = if dst < src {
+        let (lo, hi) = words.split_at_mut(src * stride);
+        (&mut lo[dst * stride..][..stride], &hi[..stride])
+    } else {
+        let (lo, hi) = words.split_at_mut(dst * stride);
+        (&mut hi[..stride], &lo[src * stride..][..stride])
+    };
+    for (d, s) in row_dst.iter_mut().zip(row_src) {
+        *d |= *s;
     }
 }
 
@@ -33,17 +72,8 @@ pub fn transitive_closure(g: &DiGraph) -> Option<Closure> {
     for &v in order.iter().rev() {
         words[v * stride + v / 64] |= 1 << (v % 64);
         for &w in g.successors(v) {
-            // Acyclic, so `w != v`: the two rows never overlap.
-            let (row_v, row_w) = if v < w {
-                let (lo, hi) = words.split_at_mut(w * stride);
-                (&mut lo[v * stride..][..stride], &hi[..stride])
-            } else {
-                let (lo, hi) = words.split_at_mut(v * stride);
-                (&mut hi[..stride], &lo[w * stride..][..stride])
-            };
-            for (a, b) in row_v.iter_mut().zip(row_w) {
-                *a |= *b;
-            }
+            // Acyclic, so `w != v`.
+            or_row(&mut words, stride, v, w);
         }
     }
     Some(Closure { words, n })
@@ -128,5 +158,43 @@ mod tests {
             }
             assert_matches_dfs(&g);
         }
+
+        /// Arcs inserted one at a time give the closure of the graph with
+        /// those arcs, and an insertion is refused exactly when the arc
+        /// would close a cycle, leaving the matrix as it was.
+        #[test]
+        fn arcs_added_one_at_a_time_give_the_closure(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=150usize);
+            let mut g = DiGraph::new(n);
+            let mut tc = transitive_closure(&g).expect("no arcs");
+            for _ in 0..rng.gen_range(0..=3 * n) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let mut with_arc = g.clone();
+                with_arc.add_edge(a, b);
+                let before = tc.clone();
+                match transitive_closure(&with_arc) {
+                    Some(expected) => {
+                        prop_assert!(tc.add_arc(a, b), "arc {a} -> {b} refused");
+                        prop_assert_eq!(&tc, &expected);
+                        g = with_arc;
+                    }
+                    None => {
+                        prop_assert!(!tc.add_arc(a, b), "arc {a} -> {b} closes a cycle");
+                        prop_assert_eq!(&tc, &before);
+                    }
+                }
+            }
+            assert_matches_dfs(&g);
+        }
+    }
+
+    #[test]
+    fn an_arc_that_closes_a_cycle_is_refused() {
+        let mut tc = transitive_closure(&DiGraph::from_edges(3, [(0, 1), (1, 2)])).unwrap();
+        assert!(!tc.add_arc(2, 0));
+        assert!(!tc.add_arc(1, 1), "a self-loop is a cycle");
+        assert!(tc.add_arc(0, 2), "an arc the closure holds already");
+        assert!(!tc.reaches(2, 0));
     }
 }

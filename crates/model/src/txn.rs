@@ -139,8 +139,11 @@ impl Transaction {
         &self.graph
     }
 
+    /// The reflexive-transitive closure of the precedence relation, built
+    /// here if no question has built it yet. The dominator closure starts
+    /// its fixpoint from it and adds its precedences to a copy.
     #[inline]
-    fn closure(&self) -> &Closure {
+    pub fn closure(&self) -> &Closure {
         self.closure.get_or_init(|| {
             kplock_graph::transitive_closure(&self.graph)
                 .expect("construction proved the precedence acyclic")
@@ -226,8 +229,22 @@ impl Transaction {
         if self.precedes(a, b) {
             return Ok(self.clone());
         }
+        self.strengthened(&[(a, b)])
+    }
+
+    /// A new transaction with the extra direct edges `extra`, built once
+    /// however many there are; an error if one names no step or they close
+    /// a cycle. Its closure is built afresh at its first question.
+    pub fn strengthened(&self, extra: &[(StepId, StepId)]) -> Result<Transaction, ModelError> {
         let mut graph = self.graph.clone();
-        graph.add_edge(a.idx(), b.idx());
+        for &(a, b) in extra {
+            for s in [a, b] {
+                if s.idx() >= self.len() {
+                    return Err(ModelError::BadStepId(s));
+                }
+            }
+            graph.add_edge(a.idx(), b.idx());
+        }
         Self::from_graph(self.name.clone(), self.steps.clone(), graph)
     }
 
@@ -517,6 +534,24 @@ mod tests {
         // Adding an already-implied precedence is a no-op.
         let t3 = t2.with_precedence(StepId(0), StepId(1)).unwrap();
         assert!(t3.precedes(StepId(0), StepId(1)));
+    }
+
+    #[test]
+    fn strengthening_adds_every_edge_or_refuses() {
+        let [x, y, z] = [0, 1, 2].map(EntityId);
+        let steps = vec![Step::update(x), Step::update(y), Step::update(z)];
+        let t = Transaction::new("T", steps, []).unwrap();
+        let (s0, s1, s2) = (StepId(0), StepId(1), StepId(2));
+        let chain = t.strengthened(&[(s0, s1), (s1, s2)]).unwrap();
+        assert!(chain.precedes(s0, s2) && chain.is_total_order());
+        assert!(matches!(
+            t.strengthened(&[(s0, s1), (s1, s0)]),
+            Err(ModelError::CyclicPrecedence(_))
+        ));
+        assert_eq!(
+            t.strengthened(&[(s0, StepId(3))]).unwrap_err(),
+            ModelError::BadStepId(StepId(3))
+        );
     }
 
     #[test]
