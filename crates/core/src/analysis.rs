@@ -3,7 +3,7 @@
 
 use crate::certificate::SafetyVerdict;
 use crate::conflict_graph::ConflictDigraph;
-use crate::multisite::{self, MultisiteOptions};
+use crate::multisite;
 use crate::two_site;
 use kplock_graph::DiGraph;
 use kplock_model::{TxnId, TxnSystem};
@@ -17,13 +17,13 @@ pub struct PairAnalysis {
     /// Whether `D` is strongly connected (Theorem 1's condition).
     pub strongly_connected: bool,
     /// The safety verdict: Theorem 2 at two sites or fewer, exact; the
-    /// multisite procedure (Theorem 1, Corollary 2, then the SAT pair
-    /// path) at more, exact for every exclusive, well-formed pair.
-    /// `Unknown` when `D` is not defined.
+    /// multisite procedure (Theorem 1, then the SAT pair path, whose
+    /// clauses are Corollary 2's dominators) at more, exact for every
+    /// exclusive, well-formed pair. `Unknown` when `D` is not defined.
     pub verdict: SafetyVerdict,
 }
 
-/// Analyzes a system of exactly two transactions with default options.
+/// Analyzes a system of exactly two transactions.
 pub fn analyze_pair(sys: &TxnSystem) -> PairAnalysis {
     assert_eq!(
         sys.len(),
@@ -53,8 +53,7 @@ pub(crate) fn analyze(sys: &TxnSystem, a: TxnId, b: TxnId) -> PairAnalysis {
     let verdict = if sys.db().site_count() <= 2 {
         two_site::decide_with(sys, &d, &sections, strongly_connected)
     } else {
-        let opts = MultisiteOptions::default();
-        multisite::decide_with(sys, &d, &sections, strongly_connected, &opts)
+        multisite::decide_with(sys, &d, strongly_connected)
     };
     PairAnalysis {
         d,

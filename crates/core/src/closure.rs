@@ -5,10 +5,10 @@
 //! triples `z ∈ V−X`, `x, y ∈ X` with `Lz ≺₁ Ux` and `Ly ≺₂ Uz` and adds
 //! the precedences `Uy ≺₁ Ux` and `Ly ≺₂ Lx`. For two sites this always
 //! succeeds and preserves the dominator (Lemmas 2–3); for three or more
-//! sites it can fail — by creating a precedence cycle, or by growing a
-//! `D`-arc into `X`. Each round checks the dominator first, and a cycle
-//! could only close where `D` already has an arc into `X`, so the failure
-//! reported is always the broken dominator. From a successfully closed
+//! sites it can fail by growing a `D`-arc into `X`. Each round checks the
+//! dominator first, and a required precedence could only close a cycle
+//! where `D` already has an arc into `X`, so no other failure occurs.
+//! From a successfully closed
 //! system, Corollary 2 extracts a certificate of unsafeness via two
 //! priority topological sorts.
 //!
@@ -22,11 +22,10 @@
 //! `n·⌈n/64⌉` word operations for `n` steps. The triples are bit masks
 //! over `D`'s vertices: per `z ∈ V−X`, `A_z = {x ∈ X : Lz ≺₁ Ux}` and
 //! `B_z = {y ∈ X : Ly ≺₂ Uz}`, where `A_z ∩ B_z` holds the arcs of `D`
-//! from `z` into `X`, so `X` dominates while every one is empty. A pair
-//! reads a vertex's `Ux` and `Lx` columns over all vertices once, the
-//! first time an attempt puts `x` in its `X`; an attempt builds its masks
-//! from the columns of its `X`, and each added precedence updates them
-//! with one bit test per vertex, before the matrix takes it.
+//! from `z` into `X`, so `X` dominates while every one is empty. An
+//! attempt builds its masks with two bit tests per pair of a vertex in
+//! `X` and one outside, and each added precedence updates them with one
+//! bit test per vertex, before the matrix takes it.
 //! The first unmet triple is then the first `y ∈ B_z` outside
 //! `{y : Uy ≼₁ Ux ∧ Ly ≼₂ Lx}`, a mask built in a round only for the
 //! `x ∈ A_z` the scan reaches. No transaction is built or cloned and no
@@ -66,19 +65,6 @@ pub struct Closure {
 /// ≥ 3 sites).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClosureError {
-    /// A required precedence would create a cycle in a transaction's
-    /// partial order. The closure checks the dominator before each round,
-    /// and the precedences a triple `(z, x, y)` requires close a cycle only
-    /// where `D` already has the arc `z → y` or `z → x`, so it answers
-    /// [`ClosureError::DominatorBroken`] there instead and never this.
-    CycleCreated {
-        /// Which transaction.
-        txn: TxnId,
-        /// Required precedence source.
-        from: StepId,
-        /// Required precedence target.
-        to: StepId,
-    },
     /// After strengthening, `D(R1, R2)` gained an arc from outside into the
     /// dominator, so `X` no longer dominates.
     DominatorBroken,
@@ -108,21 +94,14 @@ impl<'s> Side<'s> {
         }
     }
 
-    /// Whether the order lacks `from ≺ to`; `CycleCreated` if `to`
-    /// already precedes `from`.
-    fn lacks(&self, from: StepId, to: StepId) -> Result<bool, ClosureError> {
-        let (u, v) = (from.idx(), to.idx());
-        if self.reach.reaches(u, v) {
-            return Ok(false);
-        }
-        if self.reach.reaches(v, u) {
-            return Err(ClosureError::CycleCreated {
-                txn: self.txn,
-                from,
-                to,
-            });
-        }
-        Ok(true)
+    /// Whether the order lacks `from ≺ to`. A required precedence never
+    /// has `to` before `from`: the closure checks the dominator before each
+    /// round, and the precedences a triple `(z, x, y)` requires close a
+    /// cycle only where `D` already has the arc `z → y` or `z → x`
+    /// (`Ux ≺₁ Uy` would give `Lz ≺₁ Uy` beside `Ly ≺₂ Uz`, and `Lx ≺₂ Ly`
+    /// would give `Lx ≺₂ Uz` beside `Lz ≺₁ Ux`).
+    fn lacks(&self, from: StepId, to: StepId) -> bool {
+        !self.reach.reaches(from.idx(), to.idx())
     }
 
     /// Adds `from ≺ to`, which the order lacks.
@@ -169,8 +148,8 @@ pub fn close_wrt_dominator(
     let (d, sections) =
         ConflictDigraph::build_with_sections(sys, a, b).ok_or(ClosureError::IllFormed)?;
     let in_x = membership(&d.entities, dominator);
-    let mut pair = Pair::new(sys, &d, &sections);
-    let (side_a, side_b) = close_pair(&mut pair, &in_x)?;
+    let pair = Pair::new(sys, &d, &sections);
+    let (side_a, side_b) = close_pair(&pair, &in_x)?;
     // The result owns its system; the decision procedures keep the pair
     // borrowed and never build one.
     let mut txns = sys.txns().to_vec();
@@ -190,12 +169,8 @@ pub fn close_wrt_dominator(
     })
 }
 
-/// A pair under closure attempts, with what its attempts share: its
-/// transactions, its vertices' sections, and per vertex `x` two columns
-/// over all vertices (bit `z` for vertex `z`) read off the pair's own
-/// orders the first time an attempt puts `x` in its dominator:
-/// `{z : Lz ≺₁ Ux}` and `{z : Lx ≺₂ Uz}`. An attempt's `A_z` and `B_z`
-/// start as these columns, turned into rows, over its `X`.
+/// A pair under closure attempts: its transactions and its vertices'
+/// sections.
 pub(crate) struct Pair<'s> {
     sys: &'s TxnSystem,
     a: TxnId,
@@ -203,19 +178,11 @@ pub(crate) struct Pair<'s> {
     ta: &'s Transaction,
     tb: &'s Transaction,
     sections: &'s [Sections],
-    /// Words per mask.
-    words: usize,
-    /// Whether vertex `x`'s columns are read yet.
-    read: Vec<bool>,
-    lz_before_ux: Vec<u64>,
-    lx_before_uz: Vec<u64>,
 }
 
 impl<'s> Pair<'s> {
     /// `d`'s pair of `sys`, with `d`'s vertices' sections.
     pub(crate) fn new(sys: &'s TxnSystem, d: &ConflictDigraph, sections: &'s [Sections]) -> Self {
-        let k = sections.len();
-        let words = k.div_ceil(64);
         Pair {
             sys,
             a: d.txn_a,
@@ -223,57 +190,15 @@ impl<'s> Pair<'s> {
             ta: sys.txn(d.txn_a),
             tb: sys.txn(d.txn_b),
             sections,
-            words,
-            read: vec![false; k],
-            lz_before_ux: vec![0; k * words],
-            lx_before_uz: vec![0; k * words],
         }
     }
-
-    /// Vertex `x`'s two columns, read at the first call.
-    fn columns(&mut self, x: usize) -> (&[u64], &[u64]) {
-        let w = self.words;
-        if !std::mem::replace(&mut self.read[x], true) {
-            let (r1, r2) = (self.ta.closure(), self.tb.closure());
-            let sx = &self.sections[x];
-            for (z, sz) in self.sections.iter().enumerate() {
-                let (word, bit) = (x * w + z / 64, 1 << (z % 64));
-                if r1.reaches(sz.lock_a.idx(), sx.unlock_a.idx()) {
-                    self.lz_before_ux[word] |= bit;
-                }
-                if r2.reaches(sx.lock_b.idx(), sz.unlock_b.idx()) {
-                    self.lx_before_uz[word] |= bit;
-                }
-            }
-        }
-        let column = x * w..(x + 1) * w;
-        (
-            &self.lz_before_ux[column.clone()],
-            &self.lx_before_uz[column],
-        )
-    }
-}
-
-/// The vertices whose bits are set in `mask`, ascending.
-fn members(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    mask.iter().enumerate().flat_map(|(word, &bits)| {
-        let mut bits = bits;
-        std::iter::from_fn(move || {
-            let at = (bits != 0).then(|| word * 64 + bits.trailing_zeros() as usize);
-            bits &= bits.wrapping_sub(1);
-            at
-        })
-    })
 }
 
 /// The closure of the pair with respect to the vertices `in_x` marks:
 /// while an unmet triple `(z, x, y)` is left, require `Uy ≺₁ Ux` and
 /// `Ly ≺₂ Lx`. Fails as soon as `X` stops dominating (checked before each
-/// round's search) or a required precedence would close a cycle.
-fn close_pair<'s>(
-    pair: &mut Pair<'s>,
-    in_x: &[bool],
-) -> Result<(Side<'s>, Side<'s>), ClosureError> {
+/// round's search).
+fn close_pair<'s>(pair: &Pair<'s>, in_x: &[bool]) -> Result<(Side<'s>, Side<'s>), ClosureError> {
     let (mut side_a, mut side_b) = (Side::of(pair.a, pair.ta), Side::of(pair.b, pair.tb));
     let mut triples = Triples::new(pair, in_x);
     loop {
@@ -286,12 +211,12 @@ fn close_pair<'s>(
         let (sx, sy) = (&pair.sections[x], &pair.sections[y]);
         // Require Uy ≺₁ Ux and Ly ≺₂ Lx.
         let (uy, ux) = (sy.unlock_a, sx.unlock_a);
-        if side_a.lacks(uy, ux)? {
+        if side_a.lacks(uy, ux) {
             triples.before_arc_a(&side_a.reach, uy.idx(), ux.idx());
             side_a.add(uy, ux);
         }
         let (ly, lx) = (sy.lock_b, sx.lock_b);
-        if side_b.lacks(ly, lx)? {
+        if side_b.lacks(ly, lx) {
             triples.before_arc_b(&side_b.reach, ly.idx(), lx.idx());
             side_b.add(ly, lx);
         }
@@ -320,18 +245,21 @@ struct Triples<'a> {
 }
 
 impl<'a> Triples<'a> {
-    fn new<'s: 'a>(pair: &mut Pair<'s>, in_x: &'a [bool]) -> Self {
-        let (k, w) = (pair.sections.len(), pair.words);
+    fn new<'s: 'a>(pair: &Pair<'s>, in_x: &'a [bool]) -> Self {
+        let k = pair.sections.len();
+        let w = k.div_ceil(64);
+        let (r1, r2) = (pair.ta.closure(), pair.tb.closure());
         let mut a_masks = vec![0; k * w];
         let mut b_masks = vec![0; k * w];
-        for x in (0..k).filter(|&x| in_x[x]) {
+        for (x, sx) in pair.sections.iter().enumerate().filter(|&(x, _)| in_x[x]) {
             let (word, bit) = (x / 64, 1 << (x % 64));
-            let (lz_before_ux, lx_before_uz) = pair.columns(x);
-            for z in members(lz_before_ux).filter(|&z| !in_x[z]) {
-                a_masks[z * w + word] |= bit;
-            }
-            for z in members(lx_before_uz).filter(|&z| !in_x[z]) {
-                b_masks[z * w + word] |= bit;
+            for (z, sz) in pair.sections.iter().enumerate().filter(|&(z, _)| !in_x[z]) {
+                if r1.reaches(sz.lock_a.idx(), sx.unlock_a.idx()) {
+                    a_masks[z * w + word] |= bit;
+                }
+                if r2.reaches(sx.lock_b.idx(), sz.unlock_b.idx()) {
+                    b_masks[z * w + word] |= bit;
+                }
             }
         }
         Triples {
@@ -562,7 +490,7 @@ pub fn try_unsafety_via_dominator(
         return None;
     }
     let in_x = membership(&d.entities, dominator);
-    unsafety_via_dominator(&mut Pair::new(sys, &d, &sections), dominator, &in_x)
+    unsafety_via_dominator(&Pair::new(sys, &d, &sections), dominator, &in_x)
 }
 
 /// [`try_unsafety_via_dominator`] on a pair the caller read once for all
@@ -571,7 +499,7 @@ pub fn try_unsafety_via_dominator(
 /// copies one only when it adds a precedence to it; the certificate is
 /// checked against the pair's system.
 pub(crate) fn unsafety_via_dominator(
-    pair: &mut Pair<'_>,
+    pair: &Pair<'_>,
     dominator: &[EntityId],
     in_x: &[bool],
 ) -> Option<UnsafetyCertificate> {
@@ -596,9 +524,9 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// How the attempts of [`the_fixpoint_against_the_reference`] ended:
-    /// closed with no precedence added, closed with some, `CycleCreated`,
+    /// closed with no precedence added, closed with some,
     /// `DominatorBroken`.
-    type Outcomes = [usize; 4];
+    type Outcomes = [usize; 3];
 
     /// A random pair at two to four sites, locked minimally or by loose
     /// two-phase locking.
@@ -687,13 +615,12 @@ mod tests {
         let (ta, tb) = (sys.txn(ids.0), sys.txn(ids.1));
         let (d, sections) = ConflictDigraph::build_with_sections(sys, ids.0, ids.1)
             .expect("every shared entity is locked and unlocked");
-        // One `Pair` for every attempt, as `decide_multisite` keeps it.
-        let mut pair = Pair::new(sys, &d, &sections);
-        let mut outcomes = [0; 4];
+        let pair = Pair::new(sys, &d, &sections);
+        let mut outcomes = [0; 3];
         for bits in dominators(&d.graph).take(256) {
             let (_, in_x) = d.resolve_dominator(&bits);
-            let got = close_pair(&mut pair, &in_x);
-            let want = reference::close_pair(ta, tb, ids, &sections, &in_x);
+            let got = close_pair(&pair, &in_x);
+            let want = reference::close_pair(ta, tb, &sections, &in_x);
             let context = format!("{context}, dominator {bits:?}");
             match (got, want) {
                 (Ok(sides), Ok(closed)) => {
@@ -716,8 +643,7 @@ mod tests {
                 (Err(e), Err(f)) => {
                     assert_eq!(e, f, "{context}");
                     match e {
-                        ClosureError::CycleCreated { .. } => outcomes[2] += 1,
-                        ClosureError::DominatorBroken => outcomes[3] += 1,
+                        ClosureError::DominatorBroken => outcomes[2] += 1,
                         other => panic!("closure answered {other:?} ({context})"),
                     }
                 }
@@ -759,25 +685,17 @@ mod tests {
         }
     }
 
-    /// The differential reaches every way an attempt ends but one:
-    /// `CycleCreated` cannot happen. Each round checks that `X` still
-    /// dominates before it looks for a triple `(z, x, y)`, and a
-    /// precedence the triple requires could close a cycle only if `D`
-    /// already had an arc from `z` into `X`: `Ux ≺₁ Uy` would give
-    /// `Lz ≺₁ Uy` beside `Ly ≺₂ Uz`, and `Lx ≺₂ Ly` would give `Lx ≺₂ Uz`
-    /// beside `Lz ≺₁ Ux`.
+    /// The differential reaches every way an attempt ends. A cycle is
+    /// not among them: see `Side::lacks`.
     #[test]
     fn the_differential_reaches_every_outcome() {
-        let mut total = [0; 4];
+        let mut total = [0; 3];
         for seed in 0..64 {
             for (t, n) in total.iter_mut().zip(differential(seed)) {
                 *t += n;
             }
         }
-        assert!(
-            total[0] > 0 && total[1] > 0 && total[2] == 0 && total[3] > 0,
-            "outcomes {total:?}"
-        );
+        assert!(total.iter().all(|&n| n > 0), "outcomes {total:?}");
     }
 
     /// A two-site system whose D(T1,T2) is `x ↔ y` with `z` isolated:

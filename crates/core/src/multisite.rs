@@ -4,70 +4,56 @@
 //! procedure is expected. This module combines:
 //!
 //! 1. **Theorem 1** (sound for Safe): strong connectivity of `D(T1,T2)`;
-//! 2. **Corollary 2** (sound for Unsafe): for each dominator of `D`, attempt
-//!    the closure; a verified certificate proves unsafety;
-//! 3. the **pair path** of [`crate::sat_check`] (exact): one orientation
-//!    variable per vertex of `D` and an order on the vertices, decided by
-//!    the SAT solver, whose witness becomes a certificate.
+//! 2. the **pair path** of [`crate::sat_check`] (exact): one orientation
+//!    variable per vertex of `D`, whose binary clauses say that the
+//!    vertices oriented first are a dominator (Corollary 2), with the
+//!    longer section-graph cycles cut lazily, decided by the SAT solver;
+//!    its witness becomes a certificate.
 //!
-//! The first two are polynomial and answer most pairs; the third decides
-//! the rest, e.g. the paper's four-site Fig. 5 system, where `D` is not
-//! strongly connected, every closure attempt fails, and yet the system is
-//! safe. An exclusive, well-formed pair always gets `Safe` or a verified
-//! `Unsafe`; [`SafetyVerdict::Unknown`] is left for the pairs the pair
-//! path refuses (shared modes, ill-formed transactions, updates outside
-//! their lock sections).
+//! The first is linear and answers the strongly connected pairs; the
+//! second decides the rest, e.g. the paper's four-site Fig. 5 system,
+//! where `D` is not strongly connected, every closure attempt fails, and
+//! yet the system is safe. A witness's dominator is one whose closure
+//! succeeds, so the dominator closures of Corollary 2 need not be tried
+//! one by one. An exclusive, well-formed pair always gets `Safe` or a
+//! verified `Unsafe`; [`SafetyVerdict::Unknown`] is left for the pairs the
+//! pair path refuses (shared modes, ill-formed transactions, updates
+//! outside their lock sections).
 
 use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
-use crate::closure::{unsafety_via_dominator, Pair};
-use crate::conflict_graph::{ConflictDigraph, Sections};
+use crate::conflict_graph::ConflictDigraph;
 use crate::sat_check::pair_witness;
-use kplock_graph::dominators;
 use kplock_model::{Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
 
-/// Options for the multisite procedure.
-#[derive(Clone, Debug)]
-pub struct MultisiteOptions {
-    /// Maximum number of dominators to try closures for before the pair
-    /// path decides.
-    pub dominator_cap: usize,
-}
-
-impl Default for MultisiteOptions {
-    fn default() -> Self {
-        MultisiteOptions {
-            dominator_cap: 4096,
-        }
-    }
-}
+/// Options for the multisite procedure: there are none left. The
+/// procedure is Theorem 1, then the pair path, with nothing to set; the
+/// struct stays so that callers naming it keep building.
+#[derive(Clone, Debug, Default)]
+pub struct MultisiteOptions {}
 
 /// Decides safety of `{Ta, Tb}` over any number of sites: `Safe` or a
 /// verified `Unsafe` for every exclusive, well-formed pair. A pair the
-/// pair path refuses is [`SafetyVerdict::Unknown`] unless a dominator
-/// closure settles it, and a pair where a transaction lacks the lock or
-/// unlock step of a shared entity is `Unknown` at once.
+/// pair path refuses is [`SafetyVerdict::Unknown`], and so is a pair
+/// where a transaction lacks the lock or unlock step of a shared entity.
 pub fn decide_multisite(
     sys: &TxnSystem,
     a: TxnId,
     b: TxnId,
-    opts: &MultisiteOptions,
+    _opts: &MultisiteOptions,
 ) -> SafetyVerdict {
-    let Some((d, sections)) = ConflictDigraph::build_with_sections(sys, a, b) else {
+    let Some(d) = ConflictDigraph::build_with_sections(sys, a, b).map(|(d, _)| d) else {
         return SafetyVerdict::Unknown;
     };
     let strongly_connected = d.is_strongly_connected();
-    decide_with(sys, &d, &sections, strongly_connected, opts)
+    decide_with(sys, &d, strongly_connected)
 }
 
 /// [`decide_multisite`] over a `D(Ta, Tb)` the caller built, with its
-/// strong connectivity already answered. Every dominator attempt closes
-/// over this one `D`.
+/// strong connectivity already answered.
 pub(crate) fn decide_with(
     sys: &TxnSystem,
     d: &ConflictDigraph,
-    sections: &[Sections],
     strongly_connected: bool,
-    opts: &MultisiteOptions,
 ) -> SafetyVerdict {
     let (a, b) = (d.txn_a, d.txn_b);
     if d.entities.len() < 2 {
@@ -76,18 +62,7 @@ pub(crate) fn decide_with(
     if strongly_connected {
         return SafetyVerdict::Safe(SafeProof::StronglyConnected);
     }
-
-    // Dominators first: where a closure succeeds it is the faster proof.
-    // They are drawn one at a time, so an early success enumerates no more.
-    let mut pair = Pair::new(sys, d, sections);
-    for dom_bits in dominators(&d.graph).take(opts.dominator_cap) {
-        let (dom, in_x) = d.resolve_dominator(&dom_bits);
-        if let Some(cert) = unsafety_via_dominator(&mut pair, &dom, &in_x) {
-            return SafetyVerdict::Unsafe(Box::new(cert));
-        }
-    }
-
-    match pair_witness(sys, a, b, usize::MAX) {
+    match pair_witness(sys, a, b) {
         Ok((None, _)) => SafetyVerdict::Safe(SafeProof::Unsatisfiable),
         Ok((Some((witness, orient)), _)) => {
             match certificate_from_witness(sys, d, &witness, &orient) {
@@ -234,8 +209,9 @@ mod tests {
 
     #[test]
     fn multisite_unsafe_with_closure_certificate() {
-        // Loose per-site locking across 3 sites: D has no arcs; any single
-        // entity is a dominator and closes trivially.
+        // Loose per-site locking across 3 sites: D has no arcs, so every
+        // proper, non-empty set of entities is a dominator, and the pair
+        // path's first model is a witness whose certificate verifies.
         let db = Database::from_spec(&[("x", 0), ("y", 1), ("z", 2)]);
         let mk = |name: &str| {
             let mut b = TxnBuilder::new(&db, name);

@@ -1,10 +1,18 @@
-//! The round-by-round dominator closure that [`crate::closure`]'s
-//! incremental fixpoint replaced, kept as a reference: `closure`'s tests
-//! hold the fixpoint to it on every dominator of random pairs.
+//! Implementations the library replaced, kept as references for its
+//! tests:
+//!
+//! * the round-by-round dominator closure that [`crate::closure`]'s
+//!   incremental fixpoint replaced: `closure`'s tests hold the fixpoint to
+//!   it on every dominator of random pairs;
+//! * the pair paths' strict order over the shared entities, which
+//!   [`crate::sat_check`]'s lazy cycle cuts replaced: `sat_check`'s tests
+//!   hold both pair paths' verdicts to it.
 
 use crate::closure::ClosureError;
 use crate::conflict_graph::{arcs, Sections};
-use kplock_model::{StepId, Transaction, TxnId};
+use crate::sat_check::{pair_prefix_formula, pair_sections, SatCheckError};
+use kplock_model::{StepId, Transaction, TxnId, TxnSystem};
+use kplock_sat::{Cnf, Lit, Var};
 
 /// `R1` and `R2` of a closed pair, and the precedences added to each in
 /// order.
@@ -23,7 +31,6 @@ pub(crate) struct Closed {
 pub(crate) fn close_pair(
     ta: &Transaction,
     tb: &Transaction,
-    (a, b): (TxnId, TxnId),
     sections: &[Sections],
     in_x: &[bool],
 ) -> Result<Closed, ClosureError> {
@@ -45,26 +52,15 @@ pub(crate) fn close_pair(
         // Require Uy ≺₁ Ux and Ly ≺₂ Lx.
         let (ux_a, uy_a) = (sections[x].unlock_a, sections[y].unlock_a);
         let (lx_b, ly_b) = (sections[x].lock_b, sections[y].lock_b);
+        // Neither closes a cycle: `D` has no arc into X (checked above),
+        // and `Ux ≺₁ Uy` or `Lx ≺₂ Ly` would give one from `z`.
+        const ACYCLIC: &str = "a dominator's triple requires no precedence that closes a cycle";
         if !pair.r1.precedes(uy_a, ux_a) {
-            pair.r1 =
-                pair.r1
-                    .with_precedence(uy_a, ux_a)
-                    .map_err(|_| ClosureError::CycleCreated {
-                        txn: a,
-                        from: uy_a,
-                        to: ux_a,
-                    })?;
+            pair.r1 = pair.r1.with_precedence(uy_a, ux_a).expect(ACYCLIC);
             pair.added_a.push((uy_a, ux_a));
         }
         if !pair.r2.precedes(ly_b, lx_b) {
-            pair.r2 =
-                pair.r2
-                    .with_precedence(ly_b, lx_b)
-                    .map_err(|_| ClosureError::CycleCreated {
-                        txn: b,
-                        from: ly_b,
-                        to: lx_b,
-                    })?;
+            pair.r2 = pair.r2.with_precedence(ly_b, lx_b).expect(ACYCLIC);
             pair.added_b.push((ly_b, lx_b));
         }
     }
@@ -101,4 +97,130 @@ fn unmet_triple(
         }
     }
     None
+}
+
+/// The pair core's variables over `n` shared entities, from `base` on:
+/// the orientation `o_x` (`a`'s section on `x` runs first) at `base + x`,
+/// then the strict order `r(x, y)` for `x < y` at its triangular index.
+#[derive(Clone, Copy)]
+struct PairOrder {
+    n: usize,
+    base: usize,
+}
+
+impl PairOrder {
+    fn orient(self, x: usize) -> Var {
+        Var((self.base + x) as u32)
+    }
+
+    /// Literal meaning "`x` comes before `y` in the order".
+    fn before(self, x: usize, y: usize) -> Lit {
+        let n = self.n;
+        let (lo, hi) = (x.min(y), x.max(y));
+        let r = Lit::pos(Var(
+            (self.base + n + lo * (2 * n - lo - 1) / 2 + (hi - lo - 1)) as u32,
+        ));
+        if x < y {
+            r
+        } else {
+            r.negated()
+        }
+    }
+
+    /// The variables the core takes.
+    fn vars(self) -> usize {
+        self.n + self.n * self.n.saturating_sub(1) / 2
+    }
+
+    /// Emits the core both pair paths shared: transitivity of `r` over
+    /// every triple, and one clause per possible section-graph arc,
+    /// `¬o_x ∨ o_y ∨ r(x,y)` for `Lx ≺_b Uy` and `o_x ∨ ¬o_y ∨ r(x,y)` for
+    /// `Lx ≺_a Uy`. On a prefix an arc also needs `second(y, o_y)`, the
+    /// lock of `y` by the transaction whose section on `y` runs second,
+    /// and the clause gains its negation; a complete schedule passes
+    /// `None`.
+    fn emit(
+        self,
+        cnf: &mut Cnf,
+        ta: &Transaction,
+        tb: &Transaction,
+        sections: &[Sections],
+        second: impl Fn(usize, bool) -> Option<Lit>,
+    ) {
+        let n = self.n;
+        for x in 0..n {
+            for y in (x + 1)..n {
+                let xy = self.before(x, y);
+                for z in (y + 1)..n {
+                    let (yz, xz) = (self.before(y, z), self.before(x, z));
+                    cnf.add_clause([xy.negated(), yz.negated(), xz]);
+                    cnf.add_clause([xy, yz, xz.negated()]);
+                }
+            }
+        }
+        let unless = |lit: Option<Lit>| lit.map(Lit::negated);
+        for (x, sx) in sections.iter().enumerate() {
+            for (y, sy) in sections.iter().enumerate() {
+                if x == y {
+                    continue;
+                }
+                let (ox, oy, xy) = (self.orient(x), self.orient(y), self.before(x, y));
+                if tb.precedes(sx.lock_b, sy.unlock_b) {
+                    let guard = unless(second(y, false));
+                    cnf.add_clause(
+                        [Lit::neg(ox), Lit::pos(oy)]
+                            .into_iter()
+                            .chain(guard)
+                            .chain([xy]),
+                    );
+                }
+                if ta.precedes(sx.lock_a, sy.unlock_a) {
+                    let guard = unless(second(y, true));
+                    cnf.add_clause(
+                        [Lit::pos(ox), Lit::neg(oy)]
+                            .into_iter()
+                            .chain(guard)
+                            .chain([xy]),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Whether the pair `sys` has a complete legal non-serializable schedule,
+/// by the order encoding: the core [`PairOrder::emit`] writes and two
+/// clauses forcing a mixed orientation, solved once.
+pub(crate) fn unsafe_by_order(sys: &TxnSystem) -> Result<bool, SatCheckError> {
+    let sections = pair_sections(sys, TxnId(0), TxnId(1))?;
+    let n = sections.len();
+    if n < 2 {
+        return Ok(false);
+    }
+    let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
+    let order = PairOrder { n, base: 0 };
+    let mut cnf = Cnf::new(order.vars());
+    order.emit(&mut cnf, ta, tb, &sections, |_, _| None);
+    cnf.add_clause((0..n).map(|x| Lit::pos(order.orient(x))));
+    cnf.add_clause((0..n).map(|x| Lit::neg(order.orient(x))));
+    Ok(kplock_sat::solve(&cnf).is_sat())
+}
+
+/// Whether some legal prefix of the pair `sys` stalls, by the order
+/// encoding over the deadlock pair path's executed flags, legality and
+/// stall clauses, solved once.
+pub(crate) fn deadlocks_by_order(sys: &TxnSystem) -> Result<bool, SatCheckError> {
+    let sections = pair_sections(sys, TxnId(0), TxnId(1))?;
+    let n = sections.len();
+    if n < 2 {
+        return Ok(false);
+    }
+    let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
+    let mut cnf = pair_prefix_formula((ta, tb), &sections);
+    let order = PairOrder { n, base: 4 * n };
+    cnf.num_vars = 4 * n + order.vars();
+    let second =
+        |y: usize, a_first: bool| Some(Lit::pos(Var((4 * y + 2 * usize::from(a_first)) as u32)));
+    order.emit(&mut cnf, ta, tb, &sections, second);
+    Ok(kplock_sat::solve(&cnf).is_sat())
 }

@@ -26,19 +26,23 @@
 //! not in S, which needs `L2x ≺₂ U2y`, and so on back in T1. So the union
 //! is acyclic exactly when the *section graph* on the shared entities is,
 //! with an arc `x → y` for `x` in S, `y` not in S, `L2x ≺₂ U2y`, and for
-//! `x` not in S, `y` in S, `L1x ≺₁ U1y`. The formula is one orientation
-//! variable `o_x` per shared entity, a strict order `r` on the shared
-//! entities (transitivity clauses over every triple), one clause
-//! `¬o_x ∨ o_y ∨ r(x,y)` per `L2x ≺₂ U2y` and one `o_x ∨ ¬o_y ∨ r(x,y)`
-//! per `L1x ≺₁ U1y`, and two clauses forcing S to be mixed. Fewer than two
-//! shared entities is safe without solving. A model's witness is Kahn's
-//! sort, smallest step first, of both DAGs plus the section arcs its
-//! orientation picks, run as a merge of the two transactions: in-degree
-//! counts over their DAG rows and at most one section arc per unlock
-//! step, with no graph built. [`crate::multisite::decide_multisite`] ends
-//! in the same path.
+//! `x` not in S, `y` in S, `L1x ≺₁ U1y`. An arc depends on the two
+//! orientations alone, so the formula is one orientation variable `o_x`
+//! per shared entity, two clauses forcing S to be mixed, and one clause
+//! per 2-cycle: `x → y → x` with `x` in S needs `L2x ≺₂ U2y` and
+//! `L1y ≺₁ U1x`, which is `D`'s arc `y → x`, and `¬o_x ∨ o_y` forbids it.
+//! Those clauses say that S is a proper dominator of `D`; a longer cycle
+//! is cut lazily (Corollary 2's closure meets it round by round): each
+//! model's section graph goes into a [`CycleTest`], and while it has a
+//! cycle the clause forbidding that cycle's orientations is added and the
+//! formula solved again. Fewer than two shared entities is safe without
+//! solving. A model's witness is Kahn's sort, smallest step first, of
+//! both DAGs plus the section arcs its orientation picks, run as a merge
+//! of the two transactions: in-degree counts over their DAG rows and at
+//! most one section arc per unlock step, with no graph built.
+//! [`crate::multisite::decide_multisite`] ends in the same path.
 //!
-//! [`check_deadlock`] decides a pair over the same orientations and order,
+//! [`check_deadlock`] decides a pair over the same orientations,
 //! restricted to the *milestones* a prefix has executed: the lock and
 //! unlock steps of the shared entities, four per entity. In a pair only a
 //! lock on a shared entity can be blocked, so in a stalled prefix a step
@@ -48,20 +52,20 @@
 //! up its DAG that stops at milestones finds. *Legality*,
 //! `¬o_x ∨ ¬X(L2x) ∨ X(U1x)` and `o_x ∨ ¬X(L1x) ∨ X(U2x)`, lets the second
 //! section on `x` lock only once the first has unlocked. An arc of the
-//! section graph needs both sections of both its entities locked, which the
-//! arc clause's orientations reduce to one lock, so the arc clauses gain
-//! `¬X(L1y)` and `¬X(L2y)` respectively; the alternation argument holds as
-//! before, because a DAG path that ends at an executed step runs through
-//! executed steps only. The *stall* is, per milestone, "executed, or
+//! section graph needs both sections of both its entities locked, which
+//! its orientations reduce to the second lock of its head, so a 2-cycle
+//! clause gains `¬X(L1y) ∨ ¬X(L2x)` and a cut the second lock of each
+//! entity on the cycle; the alternation argument holds as before, because
+//! a DAG path that ends at an executed step runs through executed steps
+//! only. The *stall* is, per milestone, "executed, or
 //! missing a nearest milestone predecessor, or a lock on `x` whose other
 //! section is held" — the other transaction's lock of `x` ran and its
 //! unlock did not, two clauses — and "some milestone missing". That is
-//! `4n + n + C(n, 2)` variables for `n` shared entities, however long the
-//! transactions are. One function emits the orientation, order,
-//! transitivity and arc clauses for both checks; the deadlock check passes
-//! it the executed literal. Its witness is the same merge, over the steps
-//! every milestone at or before which ran, and the section arcs of the
-//! entities both transactions have locked.
+//! `5n` variables for `n` shared entities, however long the transactions
+//! are. One function solves and cuts for both checks; the deadlock check
+//! passes it the executed literals. Its witness is the same merge, over
+//! the steps every milestone at or before which ran, and the section arcs
+//! of the entities both transactions have locked.
 //!
 //! # The k-transaction encoding
 //!
@@ -132,7 +136,7 @@
 
 use std::fmt;
 
-use kplock_graph::{topo_sort, DiGraph};
+use kplock_graph::{topo_sort, CycleTest, DiGraph};
 use kplock_model::{
     is_serializable, ActionKind, EntityId, LockMode, ModelError, Schedule, ScheduledStep, StepId,
     Transaction, TxnId, TxnSystem,
@@ -142,21 +146,13 @@ use kplock_sat::{at_least_k, Cnf, Lit, SatResult, Solver, Var};
 use crate::avoid::{hold_request_edges, AvoidPlan};
 use crate::conflict_graph::Sections;
 
-/// Systems with more milestones than this are refused, counted as the
-/// path deciding the system counts them; each formula grows with the cube
-/// of its count, and the cap keeps it in the range our DPLL handles.
-///
-/// * The pair paths (two transactions, safety and deadlock) count the
-///   entities both transactions lock, the vertices their order ranges
-///   over.
-/// * The k-transaction encoding (three or more transactions) counts every
-///   lock and unlock step, shared or not, though its transitivity core
-///   grows with the steps of entities two transactions lock only.
-///
-/// 160 admits every Theorem-3 reduction of a (12, 10) formula (120 to 141
-/// shared entities) on the pair path. A pair whose lock and unlock steps a
-/// cap of `c` admitted shares at most `c / 4` entities, so no pair either
-/// check admitted when it counted steps is refused now.
+/// Systems of three or more transactions with more lock and unlock steps
+/// than this are refused: the k-transaction encoding grows with the cube
+/// of its milestones, and the cap keeps it in the range our DPLL handles.
+/// Its transitivity core grows with the steps of entities two
+/// transactions lock only, but every step counts. The pair paths have no
+/// cap: their formulas grow with the square of the shared entities at
+/// worst.
 const MAX_MILESTONES: usize = 160;
 
 /// Why a system was refused (or a model failed to decode).
@@ -171,7 +167,8 @@ pub enum SatCheckError {
     /// An update step lies outside its entity's lock/unlock section, so
     /// section disjointness would not govern its conflicts.
     UnprotectedUpdate { txn: TxnId, step: StepId },
-    /// The system has more milestones than the checker's cap of 160.
+    /// A system of three or more transactions has more lock and unlock
+    /// steps than the k-transaction encoding's cap of 160.
     TooLarge { milestones: usize, cap: usize },
     /// Internal: a satisfying model did not decode into a witness passing
     /// independent re-verification. Indicates an encoder bug.
@@ -213,12 +210,15 @@ impl std::error::Error for SatCheckError {}
 pub struct EncodingStats {
     /// Total variables (ordering + auxiliaries).
     pub vars: usize,
-    /// Total clauses.
+    /// Total clauses, with the pair paths' cuts.
     pub clauses: usize,
-    /// DPLL branching decisions.
+    /// DPLL branching decisions, summed over every solve.
     pub decisions: u64,
-    /// Unit propagations.
+    /// Unit propagations, summed over every solve.
     pub propagations: u64,
+    /// Solver runs: one on the k-transaction encoding, one more per cut
+    /// on the pair paths, none where nothing needs solving.
+    pub solves: u64,
 }
 
 /// Verdict of [`check_safety`].
@@ -649,6 +649,7 @@ fn stats_of(cnf: &Cnf, solver: &Solver<'_>) -> EncodingStats {
         clauses: cnf.num_clauses(),
         decisions: solver.decisions,
         propagations: solver.propagations,
+        solves: 1,
     }
 }
 
@@ -661,7 +662,7 @@ fn stats_of(cnf: &Cnf, solver: &Solver<'_>) -> EncodingStats {
 /// can decide (the triad proptests pin this).
 pub fn check_safety(sys: &TxnSystem) -> Result<SafetyCheck, SatCheckError> {
     if sys.len() == 2 {
-        let (witness, stats) = pair_witness(sys, TxnId(0), TxnId(1), MAX_MILESTONES)?;
+        let (witness, stats) = pair_witness(sys, TxnId(0), TxnId(1))?;
         let verdict = match witness {
             Some((schedule, _)) => SatSafety::Unsafe(verified_unsafe(sys, schedule)?),
             None => SatSafety::Safe,
@@ -759,26 +760,21 @@ fn verified_unsafe(sys: &TxnSystem, schedule: Schedule) -> Result<Schedule, SatC
 }
 
 /// The sections of the admitted pair `a`, `b` on the entities both lock,
-/// the vertices of `D(a, b)` in ascending entity order, which `cap`
-/// bounds. They are read off [`admit`]'s lock and unlock steps.
-fn pair_sections(
+/// the vertices of `D(a, b)` in ascending entity order. They are read off
+/// [`admit`]'s lock and unlock steps.
+pub(crate) fn pair_sections(
     sys: &TxnSystem,
     a: TxnId,
     b: TxnId,
-    cap: usize,
 ) -> Result<Vec<Sections>, SatCheckError> {
     let n_e = sys.db().entity_count();
     let (mut ends, mut chains) = (vec![[NO_STEP; 2]; 2 * n_e], Vec::new());
     let (ends_a, ends_b) = ends.split_at_mut(n_e);
     admit(sys, a, ends_a, &mut chains)?;
     admit(sys, b, ends_b, &mut chains)?;
-    let shared = || (0..n_e).filter(|&e| ends_a[e][0] != NO_STEP && ends_b[e][0] != NO_STEP);
-    let n = shared().count();
-    if n > cap {
-        return Err(SatCheckError::TooLarge { milestones: n, cap });
-    }
     let step = |v: u32| StepId::from_idx(v as usize);
-    Ok(shared()
+    Ok((0..n_e)
+        .filter(|&e| ends_a[e][0] != NO_STEP && ends_b[e][0] != NO_STEP)
         .map(|e| Sections {
             lock_a: step(ends_a[e][0]),
             unlock_a: step(ends_a[e][1]),
@@ -788,95 +784,83 @@ fn pair_sections(
         .collect())
 }
 
-/// The pair core's variables over `n` shared entities, from `base` on:
-/// the orientation `o_x` (`a`'s section on `x` runs first) at `base + x`,
-/// then the strict order `r(x, y)` for `x < y` at its triangular index.
-#[derive(Clone, Copy)]
-struct PairOrder {
-    n: usize,
+/// The search both pair paths share. `cnf` holds the orientation `o_x`
+/// of shared entity `x` (`a`'s section on `x` runs first) at variable
+/// `base + x`, and what the path needs besides; this adds the section
+/// graph. Its arc `x → y` is there when `o_x ∧ ¬o_y` and `Lx ≺_b Uy`, or
+/// `¬o_x ∧ o_y` and `Lx ≺_a Uy`; on a prefix it also needs the literal
+/// `second(y, o_y)` true, the lock of `y` by the transaction whose
+/// section on `y` runs second (a complete schedule passes `None`). Each
+/// 2-cycle gets a clause; then solve, lay the model's arcs out in a
+/// [`CycleTest`], and while they have a cycle add the clause forbidding
+/// its orientations and second locks and solve again. Returns a model
+/// whose section graph is acyclic, if there is one, and the effort
+/// summed over every solve.
+fn solve_pair(
+    cnf: &mut Cnf,
+    (ta, tb): (&Transaction, &Transaction),
+    sections: &[Sections],
     base: usize,
-}
-
-impl PairOrder {
-    fn orient(self, x: usize) -> Var {
-        Var((self.base + x) as u32)
-    }
-
-    /// Literal meaning "`x` comes before `y` in the order".
-    fn before(self, x: usize, y: usize) -> Lit {
-        let n = self.n;
-        let (lo, hi) = (x.min(y), x.max(y));
-        let r = Lit::pos(Var(
-            (self.base + n + lo * (2 * n - lo - 1) / 2 + (hi - lo - 1)) as u32,
-        ));
-        if x < y {
-            r
-        } else {
-            r.negated()
-        }
-    }
-
-    /// The variables the core takes.
-    fn vars(self) -> usize {
-        self.n + self.n * self.n.saturating_sub(1) / 2
-    }
-
-    /// Emits the core both pair paths share: transitivity of `r` over every
-    /// triple, and one clause per possible section-graph arc,
-    /// `¬o_x ∨ o_y ∨ r(x,y)` for `Lx ≺_b Uy` and `o_x ∨ ¬o_y ∨ r(x,y)` for
-    /// `Lx ≺_a Uy`. On a prefix an arc needs all four sections of `x` and
-    /// `y` locked; given the clause's orientations, legality and the path
-    /// to `Uy`, that follows from the lock of `y` by the transaction whose
-    /// section on `y` runs second, so `unexecuted(v)` adds "that lock, step
-    /// `v` with `b`'s steps numbered after `a`'s, is not executed". A
-    /// complete schedule passes `None`.
-    fn emit(
-        self,
-        cnf: &mut Cnf,
-        ta: &Transaction,
-        tb: &Transaction,
-        sections: &[Sections],
-        unexecuted: impl Fn(usize) -> Option<Lit>,
-    ) {
-        let n = self.n;
-        for x in 0..n {
-            for y in (x + 1)..n {
-                let xy = self.before(x, y);
-                for z in (y + 1)..n {
-                    let (yz, xz) = (self.before(y, z), self.before(x, z));
-                    cnf.add_clause([xy.negated(), yz.negated(), xz]);
-                    cnf.add_clause([xy, yz, xz.negated()]);
-                }
-            }
-        }
-        let off = ta.len();
-        for (x, sx) in sections.iter().enumerate() {
-            for (y, sy) in sections.iter().enumerate() {
-                if x == y {
-                    continue;
-                }
-                let (ox, oy, xy) = (self.orient(x), self.orient(y), self.before(x, y));
-                if tb.precedes(sx.lock_b, sy.unlock_b) {
-                    let guard = unexecuted(sy.lock_a.idx());
+    second: impl Fn(usize, bool) -> Option<Lit>,
+) -> (Option<Vec<bool>>, EncodingStats) {
+    let orient = |x: usize| Var((base + x) as u32);
+    let unless = |lit: Option<Lit>| lit.map(Lit::negated);
+    // The arcs some orientation gives, `(x, y, o_x)`; a 2-cycle with `x`
+    // in S is `D`'s arc `y → x`.
+    let mut arcs = Vec::new();
+    for (x, sx) in sections.iter().enumerate() {
+        for (y, sy) in sections.iter().enumerate().filter(|&(y, _)| y != x) {
+            if tb.precedes(sx.lock_b, sy.unlock_b) {
+                arcs.push((x, y, true));
+                if ta.precedes(sy.lock_a, sx.unlock_a) {
+                    let guards = unless(second(y, false))
+                        .into_iter()
+                        .chain(unless(second(x, true)));
                     cnf.add_clause(
-                        [Lit::neg(ox), Lit::pos(oy)]
+                        [Lit::neg(orient(x)), Lit::pos(orient(y))]
                             .into_iter()
-                            .chain(guard)
-                            .chain([xy]),
-                    );
-                }
-                if ta.precedes(sx.lock_a, sy.unlock_a) {
-                    let guard = unexecuted(off + sy.lock_b.idx());
-                    cnf.add_clause(
-                        [Lit::pos(ox), Lit::neg(oy)]
-                            .into_iter()
-                            .chain(guard)
-                            .chain([xy]),
+                            .chain(guards),
                     );
                 }
             }
+            if ta.precedes(sx.lock_a, sy.unlock_a) {
+                arcs.push((x, y, false));
+            }
         }
     }
+    let mut stats = EncodingStats::default();
+    let mut graph = CycleTest::default();
+    let model = loop {
+        let mut solver = Solver::new(cnf);
+        let result = solver.solve();
+        stats.solves += 1;
+        stats.decisions += solver.decisions;
+        stats.propagations += solver.propagations;
+        let SatResult::Sat(model) = result else {
+            break None;
+        };
+        let o = |x: usize| model[base + x];
+        let holds = |lit: Option<Lit>| lit.is_none_or(|l| model[l.var().idx()] == l.is_positive());
+        graph.clear();
+        for &(x, y, first) in &arcs {
+            if o(x) == first && o(y) != first && holds(second(y, o(y))) {
+                graph.arc(x as u32, y as u32, 0);
+            }
+        }
+        if !graph.has_cycle(sections.len()) {
+            break Some(model);
+        }
+        let cut = graph.find_cycle(|_| 0).iter().flat_map(|&v| {
+            let v = v as usize;
+            [Lit::new(orient(v), !o(v))]
+                .into_iter()
+                .chain(unless(second(v, o(v))))
+        });
+        cnf.add_clause(cut);
+    };
+    stats.vars = cnf.num_vars;
+    stats.clauses = cnf.num_clauses();
+    (model, stats)
 }
 
 /// The pair paths' witness: Kahn's sort, smallest node first, of the
@@ -964,41 +948,30 @@ pub(crate) type PairWitness = (Schedule, Vec<bool>);
 /// [`TxnSystem::shared_locked_entities`] order, whether `a`'s section runs
 /// first, that is whether the witness unlocks it in `a` before `b` locks it.
 ///
-/// The pair core (see [`PairOrder::emit`]) with every section locked, and
-/// two clauses forcing the orientation set S to be mixed, so a model's
+/// Two clauses force the orientation set S to be mixed, and
+/// [`solve_pair`] keeps the section graph acyclic, so a model's
 /// orientation leaves both DAGs plus the section arcs acyclic and the
-/// schedule non-serializable. `cap` bounds the shared entities.
+/// schedule non-serializable.
 pub(crate) fn pair_witness(
     sys: &TxnSystem,
     a: TxnId,
     b: TxnId,
-    cap: usize,
 ) -> Result<(Option<PairWitness>, EncodingStats), SatCheckError> {
-    let sections = pair_sections(sys, a, b, cap)?;
+    let sections = pair_sections(sys, a, b)?;
     let n = sections.len();
     // One section per transaction cannot make a conflict cycle.
     if n < 2 {
         return Ok((None, EncodingStats::default()));
     }
     let (ta, tb) = (sys.txn(a), sys.txn(b));
-    let order = PairOrder { n, base: 0 };
-    let triples = n * (n - 1) * (n - 2) / 6;
-    let mut cnf = Cnf::with_capacity(
-        order.vars(),
-        2 * triples + 2 * n * (n - 1) + 2,
-        6 * triples + 6 * n * (n - 1) + 2 * n,
-    );
-    order.emit(&mut cnf, ta, tb, &sections, |_| None);
-    cnf.add_clause((0..n).map(|x| Lit::pos(order.orient(x))));
-    cnf.add_clause((0..n).map(|x| Lit::neg(order.orient(x))));
-
-    let mut solver = Solver::new(&cnf);
-    let result = solver.solve();
-    let stats = stats_of(&cnf, &solver);
-    let SatResult::Sat(model) = result else {
+    let mut cnf = Cnf::new(n);
+    cnf.add_clause((0..n).map(|x| Lit::pos(Var(x as u32))));
+    cnf.add_clause((0..n).map(|x| Lit::neg(Var(x as u32))));
+    let (model, stats) = solve_pair(&mut cnf, (ta, tb), &sections, 0, |_, _| None);
+    let Some(model) = model else {
         return Ok((None, stats));
     };
-    let orient: Vec<bool> = (0..n).map(|x| model[order.orient(x).idx()]).collect();
+    let orient = model[..n].to_vec();
     let witness = pair_schedule(ta, tb, &sections, |x| orient[x], |_| true)?;
     Ok((Some((witness, orient)), stats))
 }
@@ -1011,25 +984,15 @@ const NO_NODE: u32 = u32::MAX;
 
 /// The deadlock pair path: whether some legal prefix of the pair `sys`
 /// stalls every remaining step, decided over its *milestones*, the lock
-/// and unlock steps of the `n` entities both transactions lock.
-///
-/// In a pair only a lock on a shared entity can be blocked, so in a
-/// stalled prefix a step that is no milestone has run exactly when every
-/// milestone before it has. One executed flag `X(m)` per milestone implies the flags
-/// of its nearest milestone predecessors (a walk up the DAG that stops at
-/// milestones finds them), then the pair core over the executed
-/// milestones. Legality, `¬o_x ∨ ¬X(Lb x) ∨ X(Ua x)` and
-/// `o_x ∨ ¬X(La x) ∨ X(Ub x)`, lets the second section on `x` lock only
-/// once the first has unlocked. A milestone whose nearest milestone
-/// predecessors ran is executed or a lock on `x` the other transaction
-/// holds, written as two clauses: its lock of `x` ran, and its unlock did
-/// not. Some milestone is missing. A cycle through the executed steps and
-/// the section arcs alternates as on a complete schedule, since a DAG path
-/// that ends at an executed step runs through executed steps only. The
-/// formula has `4n + n + C(n, 2)` variables, whatever the transactions'
-/// length; fewer than two shared entities cannot deadlock and need none.
+/// and unlock steps of the `n` entities both transactions lock: the
+/// formula [`pair_prefix_formula`] writes, searched by [`solve_pair`] with
+/// an arc into `y` guarded by the flag of the second lock of `y`. A cycle
+/// through the executed steps and the section arcs alternates as on a
+/// complete schedule, since a DAG path that ends at an executed step runs
+/// through executed steps only. Fewer than two shared entities cannot
+/// deadlock and need no formula.
 fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
-    let sections = pair_sections(sys, TxnId(0), TxnId(1), MAX_MILESTONES)?;
+    let sections = pair_sections(sys, TxnId(0), TxnId(1))?;
     let n = sections.len();
     // Each transaction of a stalled pair waits for an entity the other
     // holds, and no entity is held twice: that takes two shared entities.
@@ -1039,29 +1002,85 @@ fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
             stats: EncodingStats::default(),
         });
     }
-    let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
-    let off = ta.len();
-    let steps = off + tb.len();
-    // Shared entity `i` gives milestones `4i` to `4i + 3`: `a`'s lock and
-    // unlock, then `b`'s. `X(m)` is variable `m` and the core follows the
-    // flags. `at(m)` is milestone `m`'s transaction, the number of its
-    // first step (`b`'s steps come after `a`'s) and its step.
-    let at = |m: usize| {
-        let s = sections[m / 4];
-        let step = [s.lock_a, s.unlock_a, s.lock_b, s.unlock_b][m % 4];
-        if m % 4 < 2 {
-            (ta, 0, step)
-        } else {
-            (tb, off, step)
-        }
+    let txns = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
+    let mut cnf = pair_prefix_formula(txns, &sections);
+    // `a`'s lock of `y` is milestone `4y`, `b`'s is `4y + 2`.
+    let second =
+        |y: usize, a_first: bool| Some(Lit::pos(Var((4 * y + 2 * usize::from(a_first)) as u32)));
+    let (model, stats) = solve_pair(&mut cnf, txns, &sections, 4 * n, second);
+    let Some(model) = model else {
+        return Ok(DeadlockCheck {
+            deadlock: None,
+            stats,
+        });
     };
+    // A step ran iff every milestone of its transaction at or before it
+    // ran.
+    let (ta, tb) = txns;
+    let mut ran = vec![true; ta.len() + tb.len()];
+    for m in (0..4 * n).filter(|&m| !model[m]) {
+        let (t, base, s) = milestone_at(txns, &sections, m);
+        for v in 0..t.len() {
+            if t.precedes_eq(s, StepId::from_idx(v)) {
+                ran[base + v] = false;
+            }
+        }
+    }
+    let orient = |i: usize| model[4 * n + i];
+    let prefix = pair_schedule(ta, tb, &sections, orient, |v| ran[v])?;
+    Ok(DeadlockCheck {
+        deadlock: Some(verified_deadlock(sys, prefix)?),
+        stats,
+    })
+}
+
+/// Milestone `m` of a pair whose shared entity `i` gives milestones `4i`
+/// to `4i + 3`, `a`'s lock and unlock, then `b`'s: its transaction, the
+/// number of that transaction's first step (`b`'s steps come after
+/// `a`'s) and its step.
+fn milestone_at<'t>(
+    (ta, tb): (&'t Transaction, &'t Transaction),
+    sections: &[Sections],
+    m: usize,
+) -> (&'t Transaction, usize, StepId) {
+    let s = sections[m / 4];
+    let step = [s.lock_a, s.unlock_a, s.lock_b, s.unlock_b][m % 4];
+    if m % 4 < 2 {
+        (ta, 0, step)
+    } else {
+        (tb, ta.len(), step)
+    }
+}
+
+/// The deadlock pair path's formula without the section graph, over
+/// `5n` variables for `n` shared entities: the executed flag `X(m)` of
+/// milestone `m` ([`milestone_at`]) is variable `m`, the orientation of
+/// entity `x` variable `4n + x`.
+///
+/// In a pair only a lock on a shared entity can be blocked, so in a
+/// stalled prefix a step that is no milestone has run exactly when every
+/// milestone before it has. Each flag implies the flags of its
+/// milestone's nearest milestone predecessors (a walk up the DAG that
+/// stops at milestones finds them). Legality,
+/// `¬o_x ∨ ¬X(Lb x) ∨ X(Ua x)` and `o_x ∨ ¬X(La x) ∨ X(Ub x)`, lets the
+/// second section on `x` lock only once the first has unlocked. A
+/// milestone whose nearest milestone predecessors ran is executed or a
+/// lock on `x` the other transaction holds, written as two clauses: its
+/// lock of `x` ran, and its unlock did not. Some milestone is missing.
+pub(crate) fn pair_prefix_formula(
+    txns: (&Transaction, &Transaction),
+    sections: &[Sections],
+) -> Cnf {
+    let n = sections.len();
+    let at = |m: usize| milestone_at(txns, sections, m);
+    let steps = txns.0.len() + txns.1.len();
     let mut milestone = vec![NO_MILESTONE; steps];
     for m in 0..4 * n {
         let (_, base, s) = at(m);
         milestone[base + s.idx()] = m as u32;
     }
     let x = |m: usize| Var(m as u32);
-    let order = PairOrder { n, base: 4 * n };
+    let orient = |i: usize| Var((4 * n + i) as u32);
 
     // Milestone `m`'s nearest milestone predecessors,
     // `preds[ends[m]..ends[m + 1]]`: a walk up its DAG that stops at
@@ -1092,14 +1111,7 @@ fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
     }
     let preds_of = |m: usize| preds[ends[m]..ends[m + 1]].iter().copied();
 
-    let triples = n * (n - 1) * (n - 2) / 6;
-    let arcs = 2 * n * (n - 1);
-    let p = preds.len();
-    let mut cnf = Cnf::with_capacity(
-        4 * n + order.vars(),
-        p + 2 * triples + arcs + 8 * n + 1,
-        4 * p + 6 * triples + 4 * arcs + 20 * n,
-    );
+    let mut cnf = Cnf::new(5 * n);
     // Downward closure: an executed milestone's nearest milestone
     // predecessors are executed.
     for m in 0..4 * n {
@@ -1107,14 +1119,10 @@ fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
             cnf.add_clause([Lit::neg(x(m)), Lit::pos(x(q))]);
         }
     }
-    order.emit(&mut cnf, ta, tb, &sections, |v| {
-        Some(Lit::neg(x(milestone[v] as usize)))
-    });
     // Legality: the second section on an entity locks only once the first
     // has unlocked.
     for i in 0..n {
-        let o = order.orient(i);
-        let m = 4 * i;
+        let (o, m) = (orient(i), 4 * i);
         cnf.add_clause([Lit::neg(o), Lit::neg(x(m + 2)), Lit::pos(x(m + 1))]);
         cnf.add_clause([Lit::pos(o), Lit::neg(x(m)), Lit::pos(x(m + 3))]);
     }
@@ -1133,30 +1141,7 @@ fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
     }
     // ... and some milestone is missing, else every step has run.
     cnf.add_clause((0..4 * n).map(|m| Lit::neg(x(m))));
-
-    let mut solver = Solver::new(&cnf);
-    let result = solver.solve();
-    let stats = stats_of(&cnf, &solver);
-    let deadlock = match result {
-        SatResult::Unsat => None,
-        SatResult::Sat(model) => {
-            // A step ran iff every milestone of its transaction at or
-            // before it ran.
-            let mut ran = vec![true; steps];
-            for m in (0..4 * n).filter(|&m| !model[x(m).idx()]) {
-                let (t, base, s) = at(m);
-                for v in 0..t.len() {
-                    if t.precedes_eq(s, StepId::from_idx(v)) {
-                        ran[base + v] = false;
-                    }
-                }
-            }
-            let orient = |i: usize| model[order.orient(i).idx()];
-            let prefix = pair_schedule(ta, tb, &sections, orient, |v| ran[v])?;
-            Some(verified_deadlock(sys, prefix)?)
-        }
-    };
-    Ok(DeadlockCheck { deadlock, stats })
+    cnf
 }
 
 /// Decides whether some legal prefix of `sys` stalls every remaining step
@@ -1591,13 +1576,15 @@ mod tests {
 
     #[test]
     fn a_pair_is_decided_over_its_shared_entities() {
-        // Two shared entities: two orientations and one order variable.
-        // Each transaction has `Lx ≺ Uy`, so each gives one arc clause,
-        // beside the two that force a mixed orientation.
+        // Two shared entities: two orientations. Each transaction has
+        // `Lx ≺ Uy` and neither `Ly ≺ Ux`, so no 2-cycle gets a clause
+        // beside the two that force a mixed orientation, and the first
+        // model's section graph is acyclic.
         let sys = sys_of(&["Lx x Ux Ly y Uy", "Lx x Ux Ly y Uy"]);
         let check = check_safety(&sys).unwrap();
         assert!(!check.verdict.is_safe());
-        assert_eq!((check.stats.vars, check.stats.clauses), (3, 4));
+        assert_eq!((check.stats.vars, check.stats.clauses), (2, 2));
+        assert_eq!(check.stats.solves, 1);
         // One shared entity cannot make a conflict cycle: nothing to solve.
         let sys = sys_of(&["Lx Ly x y Ux Uy", "Lx x Ux"]);
         let check = check_safety(&sys).unwrap();
@@ -1606,29 +1593,26 @@ mod tests {
     }
 
     #[test]
-    fn the_pair_path_caps_shared_entities() {
+    fn the_pair_path_decides_past_the_old_cap() {
         // 324 lock and unlock steps, but one shared entity.
         let sys = two_phase(161, &[(0..161).collect(), vec![0]]);
         assert!(check_safety(&sys).unwrap().verdict.is_safe());
+        // 161 shared entities, one more than the pair path once admitted:
+        // every pair of them is a 2-cycle, so no orientation is mixed.
         let sys = two_phase(161, &[(0..161).collect(), (0..161).rev().collect()]);
-        assert!(matches!(
-            check_safety(&sys),
-            Err(SatCheckError::TooLarge {
-                milestones: 161,
-                cap: 160
-            })
-        ));
+        let check = check_safety(&sys).expect("no cap on the pair path");
+        assert!(check.verdict.is_safe());
+        assert_eq!((check.stats.vars, check.stats.solves), (161, 1));
     }
 
     #[test]
     fn a_pairs_deadlock_is_decided_over_its_shared_entities() {
         // Four executed flags per shared entity, one for each of its
-        // milestones, then two orientations and one order variable; the
-        // update steps get none.
+        // milestones, then one orientation; the update steps get none.
         let sys = sys_of(&["Lx Ly x y Ux Uy", "Ly Lx y x Uy Ux"]);
         let n = 2;
         let dl = check_deadlock(&sys).unwrap();
-        assert_eq!(dl.stats.vars, 4 * n + n + n * (n - 1) / 2);
+        assert_eq!(dl.stats.vars, 5 * n);
         // Each transaction has taken its first lock and waits for the
         // other's.
         let prefix = dl.deadlock.expect("opposed lock orders deadlock");
@@ -1639,18 +1623,16 @@ mod tests {
     }
 
     #[test]
-    fn the_deadlock_pair_path_caps_shared_entities() {
+    fn the_deadlock_pair_path_decides_past_the_old_cap() {
         // 324 lock and unlock steps, but one shared entity.
         let sys = two_phase(161, &[(0..161).collect(), vec![0]]);
         assert!(check_deadlock(&sys).unwrap().deadlock.is_none());
+        // 161 shared entities, one more than the pair path once admitted,
+        // locked in opposite orders.
         let sys = two_phase(161, &[(0..161).collect(), (0..161).rev().collect()]);
-        assert!(matches!(
-            check_deadlock(&sys),
-            Err(SatCheckError::TooLarge {
-                milestones: 161,
-                cap: 160
-            })
-        ));
+        let dl = check_deadlock(&sys).expect("no cap on the pair path");
+        assert_eq!(dl.stats.vars, 5 * 161);
+        assert!(dl.deadlock.is_some(), "opposed lock orders deadlock");
     }
 
     #[test]
@@ -1765,21 +1747,14 @@ mod tests {
                 verdict
             })
             .collect();
-        let cap = rng.gen_range(0..=3usize);
-        let flat = pair_sections(&sys, TxnId(0), TxnId(1), cap);
+        let flat = pair_sections(&sys, TxnId(0), TxnId(1));
         let by_lookup = verdicts
             .iter()
             .cloned()
             .collect::<Result<(), _>>()
-            .and_then(|()| {
+            .map(|()| {
                 let shared = sys.shared_locked_entities(TxnId(0), TxnId(1));
-                if shared.len() > cap {
-                    return Err(SatCheckError::TooLarge {
-                        milestones: shared.len(),
-                        cap,
-                    });
-                }
-                Ok(Sections::of(sys.txn(TxnId(0)), sys.txn(TxnId(1)), &shared).expect("admitted"))
+                Sections::of(sys.txn(TxnId(0)), sys.txn(TxnId(1)), &shared).expect("admitted")
             });
         let quads = |s: Vec<Sections>| -> Vec<[StepId; 4]> {
             s.iter()
@@ -1881,7 +1856,7 @@ mod tests {
             })
             .collect();
         let sys = TxnSystem::new(db, txns);
-        let sections = pair_sections(&sys, TxnId(0), TxnId(1), usize::MAX).expect("admitted");
+        let sections = pair_sections(&sys, TxnId(0), TxnId(1)).expect("admitted");
         let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
         let orient: Vec<bool> = sections.iter().map(|_| rng.gen_bool(0.5)).collect();
         // Each transaction's steps in a topological order, each kept when
@@ -1925,6 +1900,111 @@ mod tests {
             cycles.iter().any(|&c| c < 2),
             "every orientation closed a cycle"
         );
+    }
+
+    /// Holds both pair paths on the pair `sys` to the order encoding they
+    /// replaced ([`crate::reference`]) and, with `oracle`, to the
+    /// exhaustive oracle where it finishes: equal verdicts. Every witness
+    /// has passed [`verified_unsafe`] or [`verified_deadlock`], or the
+    /// check would have answered an error. Returns `[unsafe, deadlocks,
+    /// cuts, oracle decisions]`, the cuts summed over both checks.
+    fn lazy_against_order(sys: &TxnSystem, context: &str, oracle: bool) -> [usize; 4] {
+        let safety = check_safety(sys).unwrap_or_else(|e| panic!("{context}: {e}"));
+        let deadlock = check_deadlock(sys).unwrap_or_else(|e| panic!("{context}: {e}"));
+        let is_unsafe = !safety.verdict.is_safe();
+        let deadlocks = deadlock.deadlock.is_some();
+        let by_order = crate::reference::unsafe_by_order(sys).expect("admitted");
+        assert_eq!(is_unsafe, by_order, "{context}: safety");
+        let by_order = crate::reference::deadlocks_by_order(sys).expect("admitted");
+        assert_eq!(deadlocks, by_order, "{context}: deadlock");
+        let mut decided = false;
+        if oracle {
+            let report = decide_exhaustive(sys, &OracleOptions { max_states: 5_000 });
+            decided = !matches!(report.outcome, OracleOutcome::Aborted);
+            if decided {
+                let safe = matches!(report.outcome, OracleOutcome::Safe);
+                assert_eq!(is_unsafe, !safe, "{context}: safety against the oracle");
+                assert_eq!(deadlocks, report.deadlock_reachable, "{context}: oracle");
+            }
+        }
+        let cuts = |stats: EncodingStats| stats.solves.saturating_sub(1) as usize;
+        [
+            usize::from(is_unsafe),
+            usize::from(deadlocks),
+            cuts(safety.stats) + cuts(deadlock.stats),
+            usize::from(decided),
+        ]
+    }
+
+    /// The lazy pair paths decide as the order encoding on 2 000 random
+    /// pairs over two to six sites and 6 to 24 steps, and as the
+    /// exhaustive oracle wherever it finishes in 5 000 states (on about a
+    /// quarter of them). Both verdicts occur often.
+    #[test]
+    fn the_lazy_pair_paths_decide_as_the_order_encoding() {
+        use kplock_workload::{make_database, random_unlocked_txn, WorkloadParams};
+        let strategies = [
+            LockStrategy::Minimal,
+            LockStrategy::TwoPhaseLoose,
+            LockStrategy::TwoPhaseSync,
+        ];
+        let mut random = [0; 4];
+        for i in 0..2_000usize {
+            let mut rng = StdRng::seed_from_u64(46_000 + i as u64);
+            let p = WorkloadParams {
+                sites: 2 + i % 5,
+                entities_per_site: 2 + (i / 5) % 2,
+                steps_per_txn: 6 + (i / 10) % 19,
+                ..Default::default()
+            };
+            let db = make_database(&p);
+            let txns = (0..2)
+                .map(|t| {
+                    let t =
+                        random_unlocked_txn(&db, &p, &format!("T{t}"), &mut rng).expect("a DAG");
+                    insert_locks(&db, &t, strategies[i % 3]).expect("lockable")
+                })
+                .collect();
+            let sys = TxnSystem::new(db, txns);
+            let seen = lazy_against_order(&sys, &format!("random pair {i}"), true);
+            for (total, n) in random.iter_mut().zip(seen) {
+                *total += n;
+            }
+        }
+        assert!((200..1_800).contains(&random[0]), "{random:?}");
+        assert!((200..1_800).contains(&random[1]), "{random:?}");
+        assert!(random[3] >= 400, "{random:?}");
+    }
+
+    /// The lazy pair paths decide as the order encoding on Theorem-3
+    /// reductions, where the safety path needs cuts.
+    #[test]
+    fn the_lazy_pair_paths_decide_reductions_as_the_order_encoding() {
+        use crate::reduction::reduce;
+        use kplock_workload::{random_instance, unsat_restricted};
+
+        // Satisfiable formulas from (4, 3) to (12, 10), then formulas DPLL
+        // refutes: three at (6, 9), one at (12, 18) and `unsat_restricted`.
+        let mut reductions = [0; 4];
+        let mut safe = 0;
+        let sizes = [(4, 3), (6, 5), (8, 8), (12, 10)];
+        let formulas = sizes
+            .iter()
+            .flat_map(|&(v, c)| (0..3).map(move |seed| random_instance(seed, v, c)))
+            .chain([53, 60, 61].map(|seed| random_instance(seed, 6, 9)))
+            .chain([random_instance(191, 12, 18), unsat_restricted()]);
+        for f in formulas {
+            let sys = reduce(&f).expect("a restricted-form source").sys;
+            let context = format!("reduction of {f:?}");
+            let seen = lazy_against_order(&sys, &context, false);
+            assert_eq!(seen[0] == 1, kplock_sat::solve(&f).is_sat(), "{context}");
+            safe += 1 - seen[0];
+            for (total, n) in reductions.iter_mut().zip(seen) {
+                *total += n;
+            }
+        }
+        assert_eq!(safe, 5, "{reductions:?}");
+        assert!(reductions[2] > 0, "{reductions:?}");
     }
 
     #[test]

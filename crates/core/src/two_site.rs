@@ -77,8 +77,8 @@ pub(crate) fn decide_with(
     }
     let dom_bits = find_dominator(&d.graph).expect("not strongly connected");
     let (dominator, in_x) = d.resolve_dominator(&dom_bits);
-    let mut pair = Pair::new(sys, d, sections);
-    let cert = unsafety_via_dominator(&mut pair, &dominator, &in_x).expect(
+    let pair = Pair::new(sys, d, sections);
+    let cert = unsafety_via_dominator(&pair, &dominator, &in_x).expect(
         "internal error: Theorem 2 guarantees the closure certificate for two sites \
          (Lemmas 2 and 3)",
     );

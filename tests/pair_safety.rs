@@ -14,6 +14,7 @@ use kplock::sat::solve;
 use kplock::workload::{
     fig8_formula, random_instance, random_pair, unsat_restricted, WorkloadParams,
 };
+use proptest::prelude::*;
 
 fn check_agreement(params: &WorkloadParams) {
     let sys = random_pair(params);
@@ -238,15 +239,16 @@ const PIN_TWO_SITE: [u64; 4] = [0, 133, 123, 4_473_012_567_045_643_842];
 /// decides in `O(n²)` without a solver. Per formula size `(v, c)` of
 /// `reduce(random_instance(seed, v, c))`, summed over seeds 0, 1 and 2:
 /// `[v, c, shared entities, unsafe pairs, vars, clauses, decisions,
-/// propagations]` of `check_safety`, which takes the pair path. Every one
-/// of these formulas is satisfiable, so every pair unsafe. The formula
-/// grows with the cube of the shared entities, the search (decisions and
-/// propagations) far more slowly.
-const PIN_PAIR_PATH_CURVE: [[u64; 8]; 4] = [
-    [4, 3, 132, 3, 2_971, 79_968, 1_773, 4_240],
-    [6, 5, 208, 3, 7_324, 320_944, 3_748, 11_884],
-    [8, 8, 288, 3, 13_984, 861_242, 7_043, 25_465],
-    [12, 10, 385, 3, 24_907, 2_068_306, 13_397, 72_888],
+/// propagations, solves]` of `check_safety`, which takes the pair path.
+/// Every one of these formulas is satisfiable, so every pair unsafe. The
+/// formula has one variable per shared entity and one clause per 2-cycle
+/// of the section graph, plus one per cut: each solve after a pair's first
+/// follows a cut.
+const PIN_PAIR_PATH_CURVE: [[u64; 9]; 4] = [
+    [4, 3, 132, 3, 132, 180, 227, 1_116, 17],
+    [6, 5, 208, 3, 208, 280, 465, 2_384, 23],
+    [8, 8, 288, 3, 288, 384, 786, 4_145, 29],
+    [12, 10, 385, 3, 385, 517, 1_715, 8_132, 42],
 ];
 
 /// `[Safe, Unsafe, Unknown, digest]` of `decide_multisite` on the
@@ -255,21 +257,22 @@ const PIN_PAIR_PATH_CURVE: [[u64; 8]; 4] = [
 /// `unsat_restricted`, whose pair is safe and which only the pair path
 /// proves so. The digest folds each verdict's kind and proof, and each
 /// certificate as [`PIN_TWO_SITE`] does; the 13 certificates come from the
-/// dominator attempts, which run first.
-const PIN_MULTISITE: [u64; 4] = [1, 13, 0, 8_054_726_690_906_887_876];
+/// pair path's witnesses.
+const PIN_MULTISITE: [u64; 4] = [1, 13, 0, 2_090_196_364_374_900_659];
 
 /// `[Safe, Unsafe, Unknown, digest]` of `decide_multisite` on the
 /// reductions of `random_instance(seed, 5, 4)` for seeds 0 to 5, the next
 /// size up from [`PIN_MULTISITE`]'s and the one `analysis_sat` traces as
 /// `v5c4`, folded as [`PIN_MULTISITE`] folds its verdicts.
-const PIN_MULTISITE_V5C4: [u64; 4] = [0, 6, 0, 1_001_278_337_078_312_714];
+const PIN_MULTISITE_V5C4: [u64; 4] = [0, 6, 0, 7_383_531_995_164_486_363];
 
 /// The closure round by round, on the reductions of
 /// `random_instance(seed, 5, 4)` for seeds 0 to 5: for each of the first
 /// 64 dominators of `D` (in enumeration order), `[dominators, closed,
-/// CycleCreated, DominatorBroken, certificates, digest]`. The digest folds
-/// the dominator, `close_wrt_dominator`'s result kind (with the failing
-/// precedence of a `CycleCreated`), `added_a` and `added_b` in order, and
+/// cycles, DominatorBroken, certificates, digest]`. The cycles column is 0:
+/// a required precedence never closes a cycle, so no error names one. The
+/// digest folds the dominator, `close_wrt_dominator`'s result kind,
+/// `added_a` and `added_b` in order, and
 /// `try_unsafety_via_dominator`'s certificate as [`PIN_TWO_SITE`] folds
 /// one. How the closure is computed may change; what it adds, in what
 /// order, and where it fails must not.
@@ -363,6 +366,97 @@ fn two_site_decisions_on_benchmark_shaped_pairs_are_pinned() {
     assert_eq!(got, PIN_TWO_SITE);
 }
 
+/// Theorem 2 from the SAT side: at two sites every dominator closes
+/// (Lemmas 2 and 3), and a closed dominator's certificate runs the
+/// section graph of its orientation without a cycle, so every model of
+/// the pair path's 2-cycle clauses is a witness. On [`PIN_TWO_SITE`]'s
+/// pairs the pair path takes one solve and no cut wherever it solves at
+/// all (two or more shared entities), and answers as Theorem 2.
+#[test]
+fn the_pair_path_needs_one_solve_at_two_sites() {
+    let strategies = [
+        LockStrategy::Minimal,
+        LockStrategy::TwoPhaseLoose,
+        LockStrategy::TwoPhaseSync,
+    ];
+    let mut solved = 0;
+    for steps in [8usize, 16, 32, 64] {
+        for seed in 0..64u64 {
+            let sys = random_pair(&WorkloadParams {
+                seed,
+                sites: 2,
+                entities_per_site: (steps / 4).max(2),
+                steps_per_txn: steps,
+                strategy: strategies[seed as usize % 3],
+                ..Default::default()
+            });
+            let check = check_safety(&sys).expect("an exclusive, well-formed pair");
+            let shared = sys.shared_locked_entities(TxnId(0), TxnId(1)).len();
+            let context = format!("seed {seed}, {steps} steps");
+            assert_eq!(check.stats.solves, u64::from(shared >= 2), "{context}");
+            let verdict = decide_two_site(&sys, TxnId(0), TxnId(1)).expect("two sites");
+            assert_eq!(check.verdict.is_safe(), verdict.is_safe(), "{context}");
+            solved += usize::from(shared >= 2);
+        }
+    }
+    assert!(solved > 200, "{solved} pairs solved");
+}
+
+/// Corollary 2 from the SAT side: the pair path's witness realizes its
+/// own dominator X, the entities whose `Ta` section it runs first. Every
+/// precedence the closure with respect to X requires holds in the
+/// witness, so the closure never breaks X and succeeds. Returns whether
+/// the pair was unsafe.
+fn the_witness_dominator_closes(sys: &TxnSystem, context: &str) -> bool {
+    let (a, b) = (TxnId(0), TxnId(1));
+    let verdict = decide_multisite(sys, a, b, &MultisiteOptions::default());
+    let Some(cert) = verdict.certificate() else {
+        return false;
+    };
+    if let Err(e) = close_wrt_dominator(sys, a, b, &cert.dominator) {
+        panic!("{context}: the witness's dominator fails to close: {e:?}");
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random pairs at two to six sites and 6 to 24 steps.
+    #[test]
+    fn the_witness_dominator_closes_on_random_pairs(seed in any::<u64>()) {
+        let strategies = [
+            LockStrategy::Minimal,
+            LockStrategy::TwoPhaseLoose,
+            LockStrategy::TwoPhaseSync,
+        ];
+        let sys = random_pair(&WorkloadParams {
+            seed,
+            sites: 2 + (seed % 5) as usize,
+            entities_per_site: 2 + (seed / 5 % 2) as usize,
+            steps_per_txn: 6 + (seed / 10 % 19) as usize,
+            strategy: strategies[(seed / 190 % 3) as usize],
+            ..Default::default()
+        });
+        the_witness_dominator_closes(&sys, &format!("seed {seed}"));
+    }
+}
+
+/// The same on Theorem-3 reductions from (4, 3) to (8, 8), all unsafe,
+/// where the pair path cuts before it finds its witness.
+#[test]
+fn the_witness_dominator_closes_on_reductions() {
+    for (v, c) in [(4, 3), (6, 5), (8, 8)] {
+        for seed in 0..3 {
+            let sys = reduce(&random_instance(seed, v, c))
+                .expect("a restricted-form source")
+                .sys;
+            let context = format!("({v}, {c}) seed {seed}");
+            assert!(the_witness_dominator_closes(&sys, &context), "{context}");
+        }
+    }
+}
+
 #[test]
 fn multisite_decisions_on_timed_reductions_are_pinned() {
     let mut got = [0u64; 4];
@@ -431,10 +525,6 @@ fn closures_on_five_by_four_reductions_are_pinned() {
                     h = fold(h, [usize::MAX]);
                     h = fold(h, c.added_b.iter().flat_map(|&(u, v)| [u.idx(), v.idx()]));
                 }
-                Err(ClosureError::CycleCreated { txn, from, to }) => {
-                    got[2] += 1;
-                    h = fold(h, [1, txn.idx(), from.idx(), to.idx()]);
-                }
                 Err(ClosureError::DominatorBroken) => {
                     got[3] += 1;
                     h = fold(h, [2]);
@@ -456,7 +546,7 @@ fn closures_on_five_by_four_reductions_are_pinned() {
 
 #[test]
 fn pair_path_effort_on_reductions_is_a_pinned_curve() {
-    let mut got = [[0u64; 8]; 4];
+    let mut got = [[0u64; 9]; 4];
     for (row, (v, c)) in got.iter_mut().zip([(4, 3), (6, 5), (8, 8), (12, 10)]) {
         row[0] = v as u64;
         row[1] = c as u64;
@@ -472,6 +562,7 @@ fn pair_path_effort_on_reductions_is_a_pinned_curve() {
             row[5] += check.stats.clauses as u64;
             row[6] += check.stats.decisions;
             row[7] += check.stats.propagations;
+            row[8] += check.stats.solves;
         }
     }
     assert_eq!(got, PIN_PAIR_PATH_CURVE);

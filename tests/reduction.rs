@@ -5,8 +5,8 @@
 use kplock::core::closure::try_unsafety_via_dominator;
 use kplock::core::reduction::reduce;
 use kplock::core::{
-    check_safety, decide_exhaustive, decide_multisite, MultisiteOptions, OracleOptions,
-    OracleOutcome, SafeProof, SafetyVerdict,
+    check_deadlock, check_safety, decide_exhaustive, decide_multisite, MultisiteOptions,
+    OracleOptions, OracleOutcome, SafeProof, SafetyVerdict,
 };
 use kplock::graph::enumerate_dominators;
 use kplock::model::{EntityId, Level, TxnId};
@@ -87,11 +87,9 @@ fn unsat_instance_resists_all_closure_attempts() {
 #[test]
 fn multisite_procedure_on_reduction_instances() {
     // The instances are far beyond exhaustive search: the multisite
-    // procedure must say Unsafe exactly when SAT — via dominator closure
-    // — and Safe when UNSAT, through the pair path.
-    let opts = MultisiteOptions {
-        dominator_cap: 100_000,
-    };
+    // procedure must say Unsafe exactly when SAT, with a certificate from
+    // the pair path's witness, and Safe when UNSAT, through the same path.
+    let opts = MultisiteOptions::default();
     for seed in [3, 7, 11] {
         let f = random_instance(seed, 4, 3);
         let r = reduce(&f).unwrap();
@@ -114,15 +112,13 @@ fn multisite_procedure_on_reduction_instances() {
 #[test]
 fn systems_beyond_the_oracles_encoding_are_decided_by_the_pair_path() {
     // A (12, 10) instance has 396-step transactions, six times what the
-    // oracle's state encoding holds. Its closure attempts are all
-    // inconclusive (the default 4 096 of them take ten seconds, so the cap
-    // is lowered), and the pair path decides it: unsafe exactly when the
-    // formula is satisfiable, with a certificate that verifies.
+    // oracle's state encoding holds, and the pair path decides it: unsafe
+    // exactly when the formula is satisfiable, with a certificate that
+    // verifies.
     let f = random_instance(1, 12, 10);
     let r = reduce(&f).unwrap();
     assert!(r.sys.txn(TxnId(0)).len() > 64);
-    let opts = MultisiteOptions { dominator_cap: 64 };
-    let verdict = decide_multisite(&r.sys, TxnId(0), TxnId(1), &opts);
+    let verdict = decide_multisite(&r.sys, TxnId(0), TxnId(1), &MultisiteOptions::default());
     match solve(&f) {
         SatResult::Sat(_) => {
             let cert = verdict.certificate().expect("SAT => certificate");
@@ -130,8 +126,8 @@ fn systems_beyond_the_oracles_encoding_are_decided_by_the_pair_path() {
         }
         SatResult::Unsat => assert!(verdict.is_safe(), "{verdict:?}"),
     }
-    // `check_safety` decides it too, inside its default cap.
-    let check = check_safety(&r.sys).expect("inside the default cap");
+    // `check_safety` decides it too.
+    let check = check_safety(&r.sys).expect("an exclusive, well-formed pair");
     assert_eq!(check.verdict.is_safe(), verdict.is_safe());
     // The oracle and the schedule counter refuse it outright.
     let report = decide_exhaustive(&r.sys, &OracleOptions::default());
@@ -152,6 +148,29 @@ fn systems_beyond_the_oracles_encoding_are_decided_by_the_pair_path() {
     let report = decide_exhaustive(&nine, &OracleOptions::default());
     assert!(matches!(report.outcome, OracleOutcome::Aborted));
     assert_eq!(kplock::core::count_schedules(&nine, 1_000_000), None);
+}
+
+#[test]
+fn a_reduction_past_the_old_pair_cap_is_decided() {
+    // A (24, 20) instance shares more than 160 entities, the most the pair
+    // paths once admitted; both checks and the multisite procedure decide
+    // it, and the safety verdicts agree with DPLL on the source formula.
+    let f = random_instance(0, 24, 20);
+    let r = reduce(&f).unwrap();
+    assert!(r.sys.shared_locked_entities(TxnId(0), TxnId(1)).len() > 160);
+    let sat = solve(&f).is_sat();
+    let verdict = decide_multisite(&r.sys, TxnId(0), TxnId(1), &MultisiteOptions::default());
+    match verdict.certificate() {
+        Some(cert) => cert.verify(&r.sys).unwrap(),
+        None => assert!(matches!(
+            verdict,
+            SafetyVerdict::Safe(SafeProof::Unsatisfiable)
+        )),
+    }
+    assert_eq!(verdict.is_unsafe(), sat, "{verdict:?}");
+    let check = check_safety(&r.sys).expect("an exclusive, well-formed pair");
+    assert_eq!(!check.verdict.is_safe(), sat);
+    check_deadlock(&r.sys).expect("an exclusive, well-formed pair");
 }
 
 #[test]
