@@ -53,7 +53,7 @@ pub(crate) fn analyze(sys: &TxnSystem, a: TxnId, b: TxnId) -> PairAnalysis {
     let verdict = if sys.db().site_count() <= 2 {
         two_site::decide_with(sys, &d, &sections, strongly_connected)
     } else {
-        multisite::decide_with(sys, &d, strongly_connected)
+        multisite::decide_with(sys, &d, &sections, strongly_connected)
     };
     PairAnalysis {
         d,

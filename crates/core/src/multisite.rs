@@ -21,8 +21,8 @@
 //! outside their lock sections).
 
 use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
-use crate::conflict_graph::ConflictDigraph;
-use crate::sat_check::pair_witness;
+use crate::conflict_graph::{ConflictDigraph, Sections};
+use crate::sat_check::{admit_pair, pair_witness};
 use kplock_model::{Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
 
 /// Options for the multisite procedure: there are none left. The
@@ -41,18 +41,21 @@ pub fn decide_multisite(
     b: TxnId,
     _opts: &MultisiteOptions,
 ) -> SafetyVerdict {
-    let Some(d) = ConflictDigraph::build_with_sections(sys, a, b).map(|(d, _)| d) else {
+    let Some((d, sections)) = ConflictDigraph::build_with_sections(sys, a, b) else {
         return SafetyVerdict::Unknown;
     };
     let strongly_connected = d.is_strongly_connected();
-    decide_with(sys, &d, strongly_connected)
+    decide_with(sys, &d, &sections, strongly_connected)
 }
 
 /// [`decide_multisite`] over a `D(Ta, Tb)` the caller built, with its
-/// strong connectivity already answered.
+/// vertices' sections and its strong connectivity. The pair path reads the
+/// sections from `D`, not from the transactions again, but still admits
+/// both transactions first.
 pub(crate) fn decide_with(
     sys: &TxnSystem,
     d: &ConflictDigraph,
+    sections: &[Sections],
     strongly_connected: bool,
 ) -> SafetyVerdict {
     let (a, b) = (d.txn_a, d.txn_b);
@@ -62,7 +65,10 @@ pub(crate) fn decide_with(
     if strongly_connected {
         return SafetyVerdict::Safe(SafeProof::StronglyConnected);
     }
-    match pair_witness(sys, a, b) {
+    if admit_pair(sys, a, b).is_err() {
+        return SafetyVerdict::Unknown;
+    }
+    match pair_witness((sys.txn(a), sys.txn(b)), sections) {
         Ok((None, _)) => SafetyVerdict::Safe(SafeProof::Unsatisfiable),
         Ok((Some((witness, orient)), _)) => {
             match certificate_from_witness(sys, d, &witness, &orient) {

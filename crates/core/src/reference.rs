@@ -10,7 +10,7 @@
 
 use crate::closure::ClosureError;
 use crate::conflict_graph::{arcs, Sections};
-use crate::sat_check::{pair_prefix_formula, pair_sections, SatCheckError};
+use crate::sat_check::{pair_prefix_formula, pair_sections, second_lock, SatCheckError};
 use kplock_model::{StepId, Transaction, TxnId, TxnSystem};
 use kplock_sat::{Cnf, Lit, Var};
 
@@ -207,7 +207,7 @@ pub(crate) fn unsafe_by_order(sys: &TxnSystem) -> Result<bool, SatCheckError> {
 }
 
 /// Whether some legal prefix of the pair `sys` stalls, by the order
-/// encoding over the deadlock pair path's executed flags, legality and
+/// encoding over the deadlock pair path's missing flags, legality and
 /// stall clauses, solved once.
 pub(crate) fn deadlocks_by_order(sys: &TxnSystem) -> Result<bool, SatCheckError> {
     let sections = pair_sections(sys, TxnId(0), TxnId(1))?;
@@ -219,8 +219,6 @@ pub(crate) fn deadlocks_by_order(sys: &TxnSystem) -> Result<bool, SatCheckError>
     let mut cnf = pair_prefix_formula((ta, tb), &sections);
     let order = PairOrder { n, base: 4 * n };
     cnf.num_vars = 4 * n + order.vars();
-    let second =
-        |y: usize, a_first: bool| Some(Lit::pos(Var((4 * y + 2 * usize::from(a_first)) as u32)));
-    order.emit(&mut cnf, ta, tb, &sections, second);
+    order.emit(&mut cnf, ta, tb, &sections, second_lock);
     Ok(kplock_sat::solve(&cnf).is_sat())
 }

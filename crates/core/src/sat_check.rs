@@ -47,24 +47,29 @@
 //! unlock steps of the shared entities, four per entity. In a pair only a
 //! lock on a shared entity can be blocked, so in a stalled prefix a step
 //! that is no milestone has run exactly when every milestone before it
-//! has, and needs no variable. Executed flags `X(m)` number first; each implies the
-//! flags of the milestone's nearest milestone predecessors, which a walk
-//! up its DAG that stops at milestones finds. *Legality*,
-//! `¬o_x ∨ ¬X(L2x) ∨ X(U1x)` and `o_x ∨ ¬X(L1x) ∨ X(U2x)`, lets the second
+//! has, and needs no variable. Missing flags `M(m)`, true when milestone
+//! `m` has not run, number first. They mean "missing" rather than
+//! "executed" because the solver starts every variable at phase `true`,
+//! so its first descent starts from the empty prefix instead of running
+//! every milestone and backing out through the stall clauses; the sign is
+//! all that differs, and models map one to one. A missing milestone makes
+//! missing every milestone it is a nearest milestone predecessor of, which
+//! a walk up the DAG that stops at milestones finds. *Legality*,
+//! `¬o_x ∨ M(L2x) ∨ ¬M(U1x)` and `o_x ∨ M(L1x) ∨ ¬M(U2x)`, lets the second
 //! section on `x` lock only once the first has unlocked. An arc of the
 //! section graph needs both sections of both its entities locked, which
 //! its orientations reduce to the second lock of its head, so a 2-cycle
-//! clause gains `¬X(L1y) ∨ ¬X(L2x)` and a cut the second lock of each
+//! clause gains `M(L1y) ∨ M(L2x)` and a cut the second lock of each
 //! entity on the cycle; the alternation argument holds as before, because
 //! a DAG path that ends at an executed step runs through executed steps
-//! only. The *stall* is, per milestone, "executed, or
-//! missing a nearest milestone predecessor, or a lock on `x` whose other
-//! section is held" — the other transaction's lock of `x` ran and its
-//! unlock did not, two clauses — and "some milestone missing". That is
-//! `5n` variables for `n` shared entities, however long the transactions
-//! are. One function solves and cuts for both checks; the deadlock check
-//! passes it the executed literals. Its witness is the same merge, over
-//! the steps every milestone at or before which ran, and the section arcs
+//! only. The *stall* is, per milestone, "ran, or missing a nearest
+//! milestone predecessor, or a lock on `x` whose other section is held" —
+//! the other transaction's lock of `x` ran and its unlock did not, two
+//! clauses — and "some milestone missing". That is `5n` variables for `n`
+//! shared entities, however long the transactions are. One function
+//! solves and cuts for both checks; the deadlock check passes it the
+//! "second lock ran" literals. Its witness is the same merge, over the
+//! steps no milestone at or before which is missing, and the section arcs
 //! of the entities both transactions have locked.
 //!
 //! # The k-transaction encoding
@@ -662,7 +667,8 @@ fn stats_of(cnf: &Cnf, solver: &Solver<'_>) -> EncodingStats {
 /// can decide (the triad proptests pin this).
 pub fn check_safety(sys: &TxnSystem) -> Result<SafetyCheck, SatCheckError> {
     if sys.len() == 2 {
-        let (witness, stats) = pair_witness(sys, TxnId(0), TxnId(1))?;
+        let sections = pair_sections(sys, TxnId(0), TxnId(1))?;
+        let (witness, stats) = pair_witness((sys.txn(TxnId(0)), sys.txn(TxnId(1))), &sections)?;
         let verdict = match witness {
             Some((schedule, _)) => SatSafety::Unsafe(verified_unsafe(sys, schedule)?),
             None => SatSafety::Safe,
@@ -759,19 +765,33 @@ fn verified_unsafe(sys: &TxnSystem, schedule: Schedule) -> Result<Schedule, SatC
     Ok(schedule)
 }
 
-/// The sections of the admitted pair `a`, `b` on the entities both lock,
-/// the vertices of `D(a, b)` in ascending entity order. They are read off
-/// [`admit`]'s lock and unlock steps.
+/// Admits transactions `a` and `b` of `sys` ([`admit`]) and returns their
+/// lock and unlock steps per entity, `a`'s entity `e` at `e` and `b`'s at
+/// the entity count plus `e`.
+pub(crate) fn admit_pair(
+    sys: &TxnSystem,
+    a: TxnId,
+    b: TxnId,
+) -> Result<Vec<[u32; 2]>, SatCheckError> {
+    let n_e = sys.db().entity_count();
+    let (mut ends, mut chains) = (vec![[NO_STEP; 2]; 2 * n_e], Vec::new());
+    let (ends_a, ends_b) = ends.split_at_mut(n_e);
+    admit(sys, a, ends_a, &mut chains)?;
+    admit(sys, b, ends_b, &mut chains)?;
+    Ok(ends)
+}
+
+/// The sections of the pair `a`, `b` on the entities both lock, the
+/// vertices of `D(a, b)` in ascending entity order, once [`admit_pair`] has
+/// admitted both; they are read off its lock and unlock steps.
 pub(crate) fn pair_sections(
     sys: &TxnSystem,
     a: TxnId,
     b: TxnId,
 ) -> Result<Vec<Sections>, SatCheckError> {
     let n_e = sys.db().entity_count();
-    let (mut ends, mut chains) = (vec![[NO_STEP; 2]; 2 * n_e], Vec::new());
-    let (ends_a, ends_b) = ends.split_at_mut(n_e);
-    admit(sys, a, ends_a, &mut chains)?;
-    admit(sys, b, ends_b, &mut chains)?;
+    let ends = admit_pair(sys, a, b)?;
+    let (ends_a, ends_b) = ends.split_at(n_e);
     let step = |v: u32| StepId::from_idx(v as usize);
     Ok((0..n_e)
         .filter(|&e| ends_a[e][0] != NO_STEP && ends_b[e][0] != NO_STEP)
@@ -940,39 +960,37 @@ fn pair_schedule(
 /// [`pair_witness`]'s witness schedule and the model's orientation.
 pub(crate) type PairWitness = (Schedule, Vec<bool>);
 
-/// The pair path: whether transactions `a` and `b` of `sys` have a
-/// complete legal schedule that is not serializable, decided over the
-/// entities both lock (the vertices of `D(a, b)`), and an unverified
-/// witness if so, with `a` as `TxnId(0)` and `b` as `TxnId(1)`, beside
-/// the model's orientation: per shared entity, in
-/// [`TxnSystem::shared_locked_entities`] order, whether `a`'s section runs
-/// first, that is whether the witness unlocks it in `a` before `b` locks it.
+/// The pair path: whether the transactions `ta` and `tb`, admitted by
+/// [`admit_pair`], have a complete legal schedule that is not
+/// serializable, decided over `sections`, theirs on the entities both lock
+/// in ascending entity order (the vertices of `D(ta, tb)`, as
+/// [`pair_sections`] or `D` read them), and an unverified witness if so,
+/// with `ta` as `TxnId(0)` and `tb` as `TxnId(1)`, beside the model's
+/// orientation: per shared entity, whether `ta`'s section runs first, that
+/// is whether the witness unlocks it in `ta` before `tb` locks it.
 ///
 /// Two clauses force the orientation set S to be mixed, and
 /// [`solve_pair`] keeps the section graph acyclic, so a model's
 /// orientation leaves both DAGs plus the section arcs acyclic and the
 /// schedule non-serializable.
 pub(crate) fn pair_witness(
-    sys: &TxnSystem,
-    a: TxnId,
-    b: TxnId,
+    (ta, tb): (&Transaction, &Transaction),
+    sections: &[Sections],
 ) -> Result<(Option<PairWitness>, EncodingStats), SatCheckError> {
-    let sections = pair_sections(sys, a, b)?;
     let n = sections.len();
     // One section per transaction cannot make a conflict cycle.
     if n < 2 {
         return Ok((None, EncodingStats::default()));
     }
-    let (ta, tb) = (sys.txn(a), sys.txn(b));
     let mut cnf = Cnf::new(n);
     cnf.add_clause((0..n).map(|x| Lit::pos(Var(x as u32))));
     cnf.add_clause((0..n).map(|x| Lit::neg(Var(x as u32))));
-    let (model, stats) = solve_pair(&mut cnf, (ta, tb), &sections, 0, |_, _| None);
+    let (model, stats) = solve_pair(&mut cnf, (ta, tb), sections, 0, |_, _| None);
     let Some(model) = model else {
         return Ok((None, stats));
     };
     let orient = model[..n].to_vec();
-    let witness = pair_schedule(ta, tb, &sections, |x| orient[x], |_| true)?;
+    let witness = pair_schedule(ta, tb, sections, |x| orient[x], |_| true)?;
     Ok((Some((witness, orient)), stats))
 }
 
@@ -986,11 +1004,11 @@ const NO_NODE: u32 = u32::MAX;
 /// stalls every remaining step, decided over its *milestones*, the lock
 /// and unlock steps of the `n` entities both transactions lock: the
 /// formula [`pair_prefix_formula`] writes, searched by [`solve_pair`] with
-/// an arc into `y` guarded by the flag of the second lock of `y`. A cycle
-/// through the executed steps and the section arcs alternates as on a
-/// complete schedule, since a DAG path that ends at an executed step runs
-/// through executed steps only. Fewer than two shared entities cannot
-/// deadlock and need no formula.
+/// an arc into `y` guarded by the second lock of `y` having run
+/// ([`second_lock`]). A cycle through the executed steps and the section
+/// arcs alternates as on a complete schedule, since a DAG path that ends at
+/// an executed step runs through executed steps only. Fewer than two shared
+/// entities cannot deadlock and need no formula.
 fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
     let sections = pair_sections(sys, TxnId(0), TxnId(1))?;
     let n = sections.len();
@@ -1004,34 +1022,44 @@ fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
     }
     let txns = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
     let mut cnf = pair_prefix_formula(txns, &sections);
-    // `a`'s lock of `y` is milestone `4y`, `b`'s is `4y + 2`.
-    let second =
-        |y: usize, a_first: bool| Some(Lit::pos(Var((4 * y + 2 * usize::from(a_first)) as u32)));
-    let (model, stats) = solve_pair(&mut cnf, txns, &sections, 4 * n, second);
+    let (model, stats) = solve_pair(&mut cnf, txns, &sections, 4 * n, second_lock);
     let Some(model) = model else {
         return Ok(DeadlockCheck {
             deadlock: None,
             stats,
         });
     };
-    // A step ran iff every milestone of its transaction at or before it
-    // ran.
+    // A step ran iff no milestone of its transaction at or before it is
+    // missing.
     let (ta, tb) = txns;
-    let mut ran = vec![true; ta.len() + tb.len()];
-    for m in (0..4 * n).filter(|&m| !model[m]) {
+    let mut step_ran = vec![true; ta.len() + tb.len()];
+    for m in (0..4 * n).filter(|&m| model[m]) {
         let (t, base, s) = milestone_at(txns, &sections, m);
         for v in 0..t.len() {
             if t.precedes_eq(s, StepId::from_idx(v)) {
-                ran[base + v] = false;
+                step_ran[base + v] = false;
             }
         }
     }
     let orient = |i: usize| model[4 * n + i];
-    let prefix = pair_schedule(ta, tb, &sections, orient, |v| ran[v])?;
+    let prefix = pair_schedule(ta, tb, &sections, orient, |v| step_ran[v])?;
     Ok(DeadlockCheck {
         deadlock: Some(verified_deadlock(sys, prefix)?),
         stats,
     })
+}
+
+/// The literal "milestone `m` ran" of [`pair_prefix_formula`], whose
+/// variable `m` is the milestone's missing flag.
+fn ran(m: usize) -> Lit {
+    Lit::neg(Var(m as u32))
+}
+
+/// [`solve_pair`]'s guard on the deadlock pair path: the literal "the
+/// second lock of shared entity `y` ran", `b`'s (milestone `4y + 2`) when
+/// `a`'s section runs first, else `a`'s (milestone `4y`).
+pub(crate) fn second_lock(y: usize, a_first: bool) -> Option<Lit> {
+    Some(ran(4 * y + 2 * usize::from(a_first)))
 }
 
 /// Milestone `m` of a pair whose shared entity `i` gives milestones `4i`
@@ -1053,20 +1081,27 @@ fn milestone_at<'t>(
 }
 
 /// The deadlock pair path's formula without the section graph, over
-/// `5n` variables for `n` shared entities: the executed flag `X(m)` of
-/// milestone `m` ([`milestone_at`]) is variable `m`, the orientation of
-/// entity `x` variable `4n + x`.
+/// `5n` variables for `n` shared entities: the *missing* flag `M(m)` of
+/// milestone `m` ([`milestone_at`]) is variable `m`, true when the
+/// milestone has not run ([`ran`] is its negation), and the orientation of
+/// entity `x` is variable `4n + x`. The flags say "missing" rather than
+/// "executed" because the solver starts every variable at phase `true`:
+/// its first descent then starts from the empty prefix and runs
+/// milestones as the clauses force them, where executed flags would run
+/// every milestone first and back out through the stall clauses. The two
+/// formulas differ only in the sign of those variables, so their models
+/// map one to one.
 ///
 /// In a pair only a lock on a shared entity can be blocked, so in a
 /// stalled prefix a step that is no milestone has run exactly when every
-/// milestone before it has. Each flag implies the flags of its
-/// milestone's nearest milestone predecessors (a walk up the DAG that
-/// stops at milestones finds them). Legality,
-/// `¬o_x ∨ ¬X(Lb x) ∨ X(Ua x)` and `o_x ∨ ¬X(La x) ∨ X(Ub x)`, lets the
+/// milestone before it has. A missing milestone makes the milestones it
+/// is a nearest milestone predecessor of missing (a walk up the DAG that
+/// stops at milestones finds those predecessors). Legality,
+/// `¬o_x ∨ M(Lb x) ∨ ¬M(Ua x)` and `o_x ∨ M(La x) ∨ ¬M(Ub x)`, lets the
 /// second section on `x` lock only once the first has unlocked. A
-/// milestone whose nearest milestone predecessors ran is executed or a
-/// lock on `x` the other transaction holds, written as two clauses: its
-/// lock of `x` ran, and its unlock did not. Some milestone is missing.
+/// milestone whose nearest milestone predecessors ran has run or is a lock
+/// on `x` the other transaction holds, written as two clauses: its lock of
+/// `x` ran, and its unlock did not. Some milestone is missing.
 pub(crate) fn pair_prefix_formula(
     txns: (&Transaction, &Transaction),
     sections: &[Sections],
@@ -1079,7 +1114,6 @@ pub(crate) fn pair_prefix_formula(
         let (_, base, s) = at(m);
         milestone[base + s.idx()] = m as u32;
     }
-    let x = |m: usize| Var(m as u32);
     let orient = |i: usize| Var((4 * n + i) as u32);
 
     // Milestone `m`'s nearest milestone predecessors,
@@ -1112,35 +1146,35 @@ pub(crate) fn pair_prefix_formula(
     let preds_of = |m: usize| preds[ends[m]..ends[m + 1]].iter().copied();
 
     let mut cnf = Cnf::new(5 * n);
-    // Downward closure: an executed milestone's nearest milestone
-    // predecessors are executed.
+    // Downward closure: a milestone that ran has its nearest milestone
+    // predecessors run.
     for m in 0..4 * n {
         for q in preds_of(m) {
-            cnf.add_clause([Lit::neg(x(m)), Lit::pos(x(q))]);
+            cnf.add_clause([ran(m).negated(), ran(q)]);
         }
     }
     // Legality: the second section on an entity locks only once the first
     // has unlocked.
     for i in 0..n {
         let (o, m) = (orient(i), 4 * i);
-        cnf.add_clause([Lit::neg(o), Lit::neg(x(m + 2)), Lit::pos(x(m + 1))]);
-        cnf.add_clause([Lit::pos(o), Lit::neg(x(m)), Lit::pos(x(m + 3))]);
+        cnf.add_clause([Lit::neg(o), ran(m + 2).negated(), ran(m + 1)]);
+        cnf.add_clause([Lit::pos(o), ran(m).negated(), ran(m + 3)]);
     }
-    // The stall: a milestone whose nearest milestone predecessors ran is
-    // executed, or a lock whose entity the other transaction holds...
+    // The stall: a milestone whose nearest milestone predecessors ran has
+    // run, or is a lock whose entity the other transaction holds...
     for m in 0..4 * n {
-        let missing = || preds_of(m).map(|q| Lit::neg(x(q)));
-        let stalled = || std::iter::once(Lit::pos(x(m))).chain(missing());
+        let missing = || preds_of(m).map(|q| ran(q).negated());
+        let stalled = || std::iter::once(ran(m)).chain(missing());
         if m % 2 == 0 {
             let other = m ^ 2;
-            cnf.add_clause(stalled().chain([Lit::pos(x(other))]));
-            cnf.add_clause(stalled().chain([Lit::neg(x(other + 1))]));
+            cnf.add_clause(stalled().chain([ran(other)]));
+            cnf.add_clause(stalled().chain([ran(other + 1).negated()]));
         } else {
             cnf.add_clause(stalled());
         }
     }
     // ... and some milestone is missing, else every step has run.
-    cnf.add_clause((0..4 * n).map(|m| Lit::neg(x(m))));
+    cnf.add_clause((0..4 * n).map(|m| ran(m).negated()));
     cnf
 }
 

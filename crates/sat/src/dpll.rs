@@ -50,11 +50,17 @@ const TRUE: u8 = 1;
 /// [`Solver`]'s value of a literal an assignment made false.
 const FALSE: u8 = 2;
 
+/// Room [`Watches::with_room`] gives each row beyond its input clauses.
+const ROW_SLACK: u32 = 2;
+
 /// The clauses watching each literal, as rows over one pool: row `l` is
 /// `pool[start..start + len]`, with room up to `start + cap`. Loading lays
-/// the rows out with twice the room their input clauses need; a row that
-/// outgrows its room moves to the pool's end with twice the room, so the
-/// watch lists share one allocation instead of holding one per literal.
+/// row `l` out with room for every stored input clause that contains `l`,
+/// since propagation can move a clause's watch onto any of its literals,
+/// and [`ROW_SLACK`] more for learned clauses; the pool gets half its size
+/// again as spare capacity. A row that outgrows its room moves to the
+/// pool's end with twice the room, so the watch lists share one allocation
+/// instead of holding one per literal, and a move seldom copies the pool.
 #[derive(Default)]
 struct Watches {
     rows: Vec<WatchRow>,
@@ -69,25 +75,25 @@ struct WatchRow {
 }
 
 impl Watches {
-    /// Empty rows, row `l` with room for `2 · watched[l]` entries.
-    fn with_room(watched: &[u32]) -> Self {
+    /// Empty rows, row `l` with room for `occurs[l] + ROW_SLACK` entries,
+    /// over a pool with half its size again to spare.
+    fn with_room(occurs: &[u32]) -> Self {
         let mut to = 0u32;
-        let rows = watched
+        let rows = occurs
             .iter()
             .map(|&n| {
                 let row = WatchRow {
                     start: to,
                     len: 0,
-                    cap: 2 * n,
+                    cap: n + ROW_SLACK,
                 };
                 to = to.checked_add(row.cap).expect("watch lists fit a u32 pool");
                 row
             })
             .collect();
-        Watches {
-            rows,
-            pool: vec![0; to as usize],
-        }
+        let mut pool = Vec::with_capacity(to as usize + to as usize / 2);
+        pool.resize(to as usize, 0);
+        Watches { rows, pool }
     }
 
     fn len(&self, l: usize) -> usize {
@@ -365,26 +371,23 @@ impl<'a> Solver<'a> {
     /// not-yet-satisfied clauses (sound: a formula is satisfiable iff it
     /// is satisfiable with all its pure literals set).
     fn assign_pure_literals(&mut self) {
-        let n = self.cnf.num_vars;
-        let mut pos = vec![false; n];
-        let mut neg = vec![false; n];
+        // Per literal code: whether the literal is free in a clause that is
+        // not yet satisfied.
+        let mut occurs = vec![false; self.values.len()];
         for clause in self.clauses.clauses() {
-            if clause.iter().any(|&l| self.value(l) == Some(true)) {
+            if clause.iter().any(|&l| self.values[l.code()] == TRUE) {
                 continue;
             }
             for &l in clause {
-                if self.is_free(l.var().idx()) {
-                    if l.is_positive() {
-                        pos[l.var().idx()] = true;
-                    } else {
-                        neg[l.var().idx()] = true;
-                    }
+                if self.values[l.code()] == FREE {
+                    occurs[l.code()] = true;
                 }
             }
         }
-        for v in 0..n {
-            if self.is_free(v) && pos[v] != neg[v] {
-                self.assign(Lit::new(Var(v as u32), pos[v]), None);
+        // A variable's two codes are `2v` (negative) and `2v + 1`.
+        for (v, both) in occurs.chunks_exact(2).enumerate() {
+            if both[0] != both[1] {
+                self.assign(Lit::new(Var(v as u32), both[1]), None);
             }
         }
     }
@@ -408,7 +411,7 @@ impl<'a> Solver<'a> {
         let cnf = self.cnf;
         // `learnt` is idle until the first conflict: clean clauses in it.
         let mut c = std::mem::take(&mut self.learnt);
-        let mut watched = vec![0u32; 2 * cnf.num_vars];
+        let mut occurs = vec![0u32; 2 * cnf.num_vars];
         let mut ok = true;
         for clause in cnf.clauses() {
             c.clear();
@@ -422,8 +425,9 @@ impl<'a> Solver<'a> {
                 0 => false,
                 1 => self.enqueue_root(c[0]),
                 _ => {
-                    watched[c[0].code()] += 1;
-                    watched[c[1].code()] += 1;
+                    for l in &c {
+                        occurs[l.code()] += 1;
+                    }
                     self.clauses.add_clause(c.iter().copied());
                     true
                 }
@@ -434,7 +438,7 @@ impl<'a> Solver<'a> {
         }
         self.learnt = c;
         if ok {
-            self.watches = Watches::with_room(&watched);
+            self.watches = Watches::with_room(&occurs);
             for ci in 0..self.clauses.num_clauses() {
                 self.watch(ci);
             }
@@ -512,6 +516,7 @@ pub fn solve_brute_force(cnf: &Cnf) -> SatResult {
 mod tests {
     use super::*;
     use crate::cnf::Cnf;
+    use proptest::prelude::*;
 
     #[test]
     fn simple_sat() {
@@ -622,6 +627,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Holds [`Solver::assign_pure_literals`] to a naive scan on a random
+    /// CNF of up to eight variables, about a third of its clauses units:
+    /// after loading and root propagation, which satisfy some clauses
+    /// first, the pass sets exactly the literals that occur free, with one
+    /// polarity only, in the input clauses no assignment satisfies yet.
+    /// Returns `[clauses of two or more literals root propagation
+    /// satisfied, literals set]`, or `None` when the root conflicts, for the
+    /// sweep that checks both occur.
+    fn pure_literals_agree_with_a_scan(seed: u64) -> Option<[usize; 2]> {
+        let mut rng = crate::gen::XorShift::new(seed);
+        let nv = 1 + rng.below(8);
+        let mut f = Cnf::new(nv);
+        for _ in 0..1 + rng.below(12) {
+            let len = if rng.below(3) == 0 {
+                1
+            } else {
+                1 + rng.below(nv.min(4))
+            };
+            // Distinct variables: a tautology is no clause to the solver.
+            let mut vars: Vec<usize> = Vec::new();
+            while vars.len() < len {
+                let v = rng.below(nv);
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            f.add_clause(vars.iter().map(|&v| Lit::new(Var(v as u32), rng.flip())));
+        }
+        let mut solver = Solver::new(&f);
+        if !solver.load() || solver.propagate().is_some() {
+            return None;
+        }
+        let value = |values: &[u8], l: Lit| values[l.code()];
+        let open: Vec<&[Lit]> = f
+            .clauses()
+            .filter(|c| c.iter().all(|&l| value(&solver.values, l) != TRUE))
+            .collect();
+        let mut want: Vec<Lit> = Vec::new();
+        for v in 0..nv {
+            let free_in =
+                |l: Lit| value(&solver.values, l) == FREE && open.iter().any(|c| c.contains(&l));
+            let (pos, neg) = (Lit::pos(Var(v as u32)), Lit::neg(Var(v as u32)));
+            match (free_in(pos), free_in(neg)) {
+                (true, false) => want.push(pos),
+                (false, true) => want.push(neg),
+                _ => {}
+            }
+        }
+        let before = solver.trail.len();
+        solver.assign_pure_literals();
+        let mut got = solver.trail[before..].to_vec();
+        got.sort_unstable();
+        assert_eq!(got, want, "seed {seed}: {f:?}");
+        let satisfied = f.clauses().filter(|c| c.len() > 1).count()
+            - open.iter().filter(|c| c.len() > 1).count();
+        Some([satisfied, got.len()])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn pure_literals_are_the_ones_a_scan_finds(seed in any::<u64>()) {
+            pure_literals_agree_with_a_scan(seed);
+        }
+    }
+
+    #[test]
+    fn the_pure_literal_scan_meets_satisfied_clauses_and_pure_literals() {
+        let seen: Vec<[usize; 2]> = (0..256)
+            .filter_map(pure_literals_agree_with_a_scan)
+            .collect();
+        assert!(
+            seen.iter().any(|s| s[0] > 0),
+            "root propagation satisfied nothing"
+        );
+        assert!(
+            seen.iter().any(|s| s[0] > 0 && s[1] > 0),
+            "no pure literal after it"
+        );
+        assert!(
+            seen.iter().any(|s| s[1] == 0),
+            "every formula had a pure literal"
+        );
     }
 
     /// `[satisfiable, decisions, propagations, model digest]` summed over

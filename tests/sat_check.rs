@@ -413,7 +413,7 @@ fn a_path_through_a_private_section_orders_the_shared_ones() {
 /// to how formulas or clauses are stored must leave every figure as it is.
 const PIN_SAT_EFFORT: [[u64; 6]; 2] = [
     [474, 989, 222, 405, 82, 11_535_314_434_218_933_127],
-    [2_370, 6_516, 740, 6_023, 57, 15_433_868_684_085_754_338],
+    [2_370, 6_516, 581, 4_372, 57, 1_613_014_049_526_198_663],
 ];
 
 /// `[optimal, greedy, sat_calls, certified digest]` summed over
