@@ -6,11 +6,17 @@
 //!   it on every dominator of random pairs;
 //! * the pair paths' strict order over the shared entities, which
 //!   [`crate::sat_check`]'s lazy cycle cuts replaced: `sat_check`'s tests
-//!   hold both pair paths' verdicts to it.
+//!   hold both pair paths' verdicts to it;
+//! * the deadlock pair formula as written by a walk up each milestone's
+//!   DAG, which reading the nearest milestone predecessors off the
+//!   transactions' closures replaced: `sat_check`'s tests hold
+//!   [`crate::sat_check::pair_prefix_formula`] to it clause for clause.
 
 use crate::closure::ClosureError;
 use crate::conflict_graph::{arcs, Sections};
-use crate::sat_check::{pair_prefix_formula, pair_sections, second_lock, SatCheckError};
+use crate::sat_check::{
+    milestone_at, pair_prefix_formula, pair_sections, ran, second_lock, SatCheckError,
+};
 use kplock_model::{StepId, Transaction, TxnId, TxnSystem};
 use kplock_sat::{Cnf, Lit, Var};
 
@@ -216,9 +222,99 @@ pub(crate) fn deadlocks_by_order(sys: &TxnSystem) -> Result<bool, SatCheckError>
         return Ok(false);
     }
     let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
-    let mut cnf = pair_prefix_formula((ta, tb), &sections);
+    let mut cnf = pair_prefix_formula((ta, tb), &sections, 0);
     let order = PairOrder { n, base: 4 * n };
     cnf.num_vars = 4 * n + order.vars();
     order.emit(&mut cnf, ta, tb, &sections, second_lock);
     Ok(kplock_sat::solve(&cnf).is_sat())
+}
+
+/// The walk's entry for a step that is no milestone.
+const NO_MILESTONE: u32 = u32::MAX;
+
+/// [`pair_prefix_formula`] as it was written before the closures: each
+/// milestone's nearest milestone predecessors come from a walk up its DAG
+/// that stops at milestones, which finds them and maybe more, filtered to
+/// the milestones it found that no other one it found follows (a
+/// `precedes` query per pair of finds). Then the same clauses in the same
+/// order, the formula growing clause by clause.
+pub(crate) fn pair_prefix_formula_by_walk(
+    txns: (&Transaction, &Transaction),
+    sections: &[Sections],
+) -> Cnf {
+    let n = sections.len();
+    let at = |m: usize| milestone_at(txns, sections, m);
+    let steps = txns.0.len() + txns.1.len();
+    let mut milestone = vec![NO_MILESTONE; steps];
+    for m in 0..4 * n {
+        let (_, base, s) = at(m);
+        milestone[base + s.idx()] = m as u32;
+    }
+    let orient = |i: usize| Var((4 * n + i) as u32);
+
+    // Milestone `m`'s nearest milestone predecessors,
+    // `preds[ends[m]..ends[m + 1]]`.
+    let (mut preds, mut ends) = (Vec::new(), Vec::with_capacity(4 * n + 1));
+    let (mut found, mut stack) = (Vec::new(), Vec::new());
+    let mut seen = vec![NO_MILESTONE; steps];
+    ends.push(0);
+    for m in 0..4 * n {
+        let (t, base, s) = at(m);
+        stack.push(s.idx());
+        while let Some(u) = stack.pop() {
+            for &v in t.edge_graph().predecessors(u) {
+                if seen[base + v] != m as u32 {
+                    seen[base + v] = m as u32;
+                    match milestone[base + v] {
+                        NO_MILESTONE => stack.push(v),
+                        q => found.push(q as usize),
+                    }
+                }
+            }
+        }
+        let followed = |p: usize| found.iter().any(|&q| t.precedes(at(p).2, at(q).2));
+        preds.extend(found.iter().filter(|&&p| !followed(p)));
+        found.clear();
+        ends.push(preds.len());
+    }
+    let preds_of = |m: usize| preds[ends[m]..ends[m + 1]].iter().copied();
+
+    let mut cnf = Cnf::new(5 * n);
+    for m in 0..4 * n {
+        for q in preds_of(m) {
+            cnf.add_clause([ran(m).negated(), ran(q)]);
+        }
+    }
+    for i in 0..n {
+        let (o, m) = (orient(i), 4 * i);
+        cnf.add_clause([Lit::neg(o), ran(m + 2).negated(), ran(m + 1)]);
+        cnf.add_clause([Lit::pos(o), ran(m).negated(), ran(m + 3)]);
+    }
+    for m in 0..4 * n {
+        let missing = || preds_of(m).map(|q| ran(q).negated());
+        let stalled = || std::iter::once(ran(m)).chain(missing());
+        if m % 2 == 0 {
+            let other = m ^ 2;
+            cnf.add_clause(stalled().chain([ran(other)]));
+            cnf.add_clause(stalled().chain([ran(other + 1).negated()]));
+        } else {
+            cnf.add_clause(stalled());
+        }
+    }
+    cnf.add_clause((0..4 * n).map(|m| ran(m).negated()));
+    cnf
+}
+
+/// `cnf`'s clauses as a multiset: each clause sorted, then the list sorted.
+pub(crate) fn clause_multiset(cnf: &Cnf) -> Vec<Vec<Lit>> {
+    let mut clauses: Vec<Vec<Lit>> = cnf
+        .clauses()
+        .map(|c| {
+            let mut c = c.to_vec();
+            c.sort_unstable();
+            c
+        })
+        .collect();
+    clauses.sort_unstable();
+    clauses
 }

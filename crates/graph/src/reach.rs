@@ -20,6 +20,16 @@ impl Closure {
         b < self.n && self.words[a * self.n.div_ceil(64) + b / 64] & (1 << (b % 64)) != 0
     }
 
+    /// Row `a` as `⌈n/64⌉` words: bit `b % 64` of word `b / 64` is set iff
+    /// [`Closure::reaches`]`(a, b)`, and no bit past the last node is.
+    /// Panics for an `a` that is not a node.
+    #[inline]
+    pub fn row(&self, a: usize) -> &[u64] {
+        assert!(a < self.n, "row {a} of a closure over {} nodes", self.n);
+        let stride = self.n.div_ceil(64);
+        &self.words[a * stride..][..stride]
+    }
+
     /// Adds the arc `a -> b` to the graph this is the closure of, unless
     /// `b` already reaches `a` (the arc would close a cycle, `a == b`
     /// included): then it answers `false` and changes nothing.
@@ -157,6 +167,31 @@ mod tests {
                 }
             }
             assert_matches_dfs(&g);
+        }
+
+        /// Each row holds exactly the nodes `reaches` answers for, one bit
+        /// per node and nothing past the last, on random dags whose rows
+        /// span up to four words.
+        #[test]
+        fn a_row_holds_what_reaches_answers(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=200usize);
+            let mut g = DiGraph::new(n);
+            for _ in 0..rng.gen_range(0..=3 * n) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    g.add_edge(a.min(b), a.max(b));
+                }
+            }
+            let tc = transitive_closure(&g).expect("arcs ascend");
+            for a in 0..n {
+                let row = tc.row(a);
+                prop_assert_eq!(row.len(), n.div_ceil(64));
+                for b in 0..64 * row.len() {
+                    let bit = row[b / 64] >> (b % 64) & 1 == 1;
+                    prop_assert_eq!(bit, tc.reaches(a, b), "row {}, node {}", a, b);
+                }
+            }
         }
 
         /// Arcs inserted one at a time give the closure of the graph with

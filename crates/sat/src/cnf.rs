@@ -132,6 +132,27 @@ impl Cnf {
         }
     }
 
+    /// A copy of the formula with room for `clauses` more clauses of `lits`
+    /// more literals in all: one allocation for the pool, one for the
+    /// bounds.
+    pub(crate) fn copy_with_room(&self, clauses: usize, lits: usize) -> Self {
+        let mut copy = Cnf {
+            num_vars: self.num_vars,
+            lits: Vec::with_capacity(self.lits.len() + lits),
+            bounds: Vec::with_capacity(self.bounds.len() + clauses),
+        };
+        copy.lits.extend_from_slice(&self.lits);
+        copy.bounds.extend_from_slice(&self.bounds);
+        copy
+    }
+
+    /// The literal pool and the clause bounds, for rewriting clauses in
+    /// place; whoever moves a bound keeps them ascending from `bounds[0]
+    /// == 0` and within the pool.
+    pub(crate) fn pool_mut(&mut self) -> (&mut [Lit], &mut [u32]) {
+        (&mut self.lits, &mut self.bounds)
+    }
+
     /// Adds a clause; panics on out-of-range variables, leaving the
     /// formula as it was.
     pub fn add_clause(&mut self, clause: impl IntoIterator<Item = Lit>) {

@@ -17,10 +17,16 @@
 //!
 //! The clause store is itself a [`Cnf`]: the cleaned input clauses, then
 //! the learned ones, in one literal pool. The watch lists are rows over
-//! one more pool. Loading sorts each input clause in one reused buffer,
-//! and conflict analysis reuses its mark and clause buffers, so a solve
-//! allocates a fixed handful of buffers, none per clause, per literal or
-//! per conflict.
+//! one more pool. A solver copies the input's literal pool and clause
+//! bounds once, with room for as many learned clauses and literals again,
+//! and loading normalises each clause in place. Everything else a search
+//! keeps per variable is one record per variable beside one value byte
+//! per literal, and the trail, the decision levels and the learned-clause
+//! buffer are sized for every variable at once. So a solve allocates a
+//! fixed handful of buffers, none per clause, per literal or per conflict;
+//! only a search that learns more than its input holds grows the clause
+//! store, by doubling. `tests/pair_check_allocations.rs` pins what a pair
+//! check allocates.
 //!
 //! Everything is deterministic — no randomized tie-breaking — so solver
 //! verdicts, witnesses, and statistics reproduce exactly across runs.
@@ -50,24 +56,27 @@ const TRUE: u8 = 1;
 /// [`Solver`]'s value of a literal an assignment made false.
 const FALSE: u8 = 2;
 
-/// Room [`Watches::with_room`] gives each row beyond its input clauses.
+/// [`VarState::reason`] of a decision or a root assignment.
+const NO_REASON: u32 = u32::MAX;
+
+/// Room [`Watches::lay_out`] gives each row beyond its input clauses.
 const ROW_SLACK: u32 = 2;
 
 /// The clauses watching each literal, as rows over one pool: row `l` is
-/// `pool[start..start + len]`, with room up to `start + cap`. Loading lays
-/// row `l` out with room for every stored input clause that contains `l`,
+/// `pool[start..start + len]`, with room up to `start + cap`. Loading
+/// counts into row `l`'s room every stored input clause that contains `l`,
 /// since propagation can move a clause's watch onto any of its literals,
-/// and [`ROW_SLACK`] more for learned clauses; the pool gets half its size
-/// again as spare capacity. A row that outgrows its room moves to the
-/// pool's end with twice the room, so the watch lists share one allocation
-/// instead of holding one per literal, and a move seldom copies the pool.
-#[derive(Default)]
+/// and lays the rows out with [`ROW_SLACK`] more for learned clauses; the
+/// pool gets half its size again as spare capacity. A row that outgrows its
+/// room moves to the pool's end with twice the room, so the watch lists
+/// share one allocation instead of holding one per literal, and a move
+/// seldom copies the pool.
 struct Watches {
     rows: Vec<WatchRow>,
     pool: Vec<u32>,
 }
 
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct WatchRow {
     start: u32,
     len: u32,
@@ -75,25 +84,30 @@ struct WatchRow {
 }
 
 impl Watches {
-    /// Empty rows, row `l` with room for `occurs[l] + ROW_SLACK` entries,
-    /// over a pool with half its size again to spare.
-    fn with_room(occurs: &[u32]) -> Self {
+    /// `literals` rows with no room yet and no pool.
+    fn new(literals: usize) -> Self {
+        Watches {
+            rows: vec![WatchRow::default(); literals],
+            pool: Vec::new(),
+        }
+    }
+
+    /// Gives row `l` room for one more entry; before [`Watches::lay_out`].
+    fn count(&mut self, l: usize) {
+        self.rows[l].cap += 1;
+    }
+
+    /// Lays the rows out back to back, each with [`ROW_SLACK`] more room
+    /// than it counted, over a pool with half its size again to spare.
+    fn lay_out(&mut self) {
         let mut to = 0u32;
-        let rows = occurs
-            .iter()
-            .map(|&n| {
-                let row = WatchRow {
-                    start: to,
-                    len: 0,
-                    cap: n + ROW_SLACK,
-                };
-                to = to.checked_add(row.cap).expect("watch lists fit a u32 pool");
-                row
-            })
-            .collect();
-        let mut pool = Vec::with_capacity(to as usize + to as usize / 2);
-        pool.resize(to as usize, 0);
-        Watches { rows, pool }
+        for row in &mut self.rows {
+            row.start = to;
+            row.cap += ROW_SLACK;
+            to = to.checked_add(row.cap).expect("watch lists fit a u32 pool");
+        }
+        self.pool = Vec::with_capacity(to as usize + to as usize / 2);
+        self.pool.resize(to as usize, 0);
     }
 
     fn len(&self, l: usize) -> usize {
@@ -128,6 +142,35 @@ impl Watches {
     }
 }
 
+/// What the search keeps per variable beside its value, in one record so
+/// that the variables take one allocation.
+#[derive(Clone, Copy)]
+struct VarState {
+    activity: f64,
+    /// Decision level of the assignment.
+    level: u32,
+    /// The clause that implied the assignment, or [`NO_REASON`].
+    reason: u32,
+    /// Saved phase: the polarity a decision on the variable takes.
+    phase: bool,
+    /// Conflict analysis: resolved or collected. False between analyses.
+    seen: bool,
+    /// The root pure-literal pass: whether `¬x`, then `x`, occurs free in
+    /// a clause no assignment satisfies yet.
+    occurs: [bool; 2],
+}
+
+impl VarState {
+    const FRESH: VarState = VarState {
+        activity: 0.0,
+        level: 0,
+        reason: NO_REASON,
+        phase: true,
+        seen: false,
+        occurs: [false; 2],
+    };
+}
+
 /// Solver state.
 pub struct Solver<'a> {
     cnf: &'a Cnf,
@@ -140,17 +183,11 @@ pub struct Solver<'a> {
     /// sets a literal and its complement, so propagation reads one byte
     /// per literal it visits.
     values: Vec<u8>,
-    level: Vec<u32>,
-    reason: Vec<Option<usize>>,
+    vars: Vec<VarState>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     queue_head: usize,
-    activity: Vec<f64>,
     var_inc: f64,
-    phase: Vec<bool>,
-    /// Conflict analysis: variables already resolved or collected. All
-    /// false between analyses.
-    seen: Vec<bool>,
     /// The clause the last analysis learned, asserting literal first.
     learnt: Vec<Lit>,
     /// Statistics: number of branching decisions made.
@@ -163,24 +200,25 @@ const ACTIVITY_DECAY: f64 = 0.95;
 const ACTIVITY_RESCALE: f64 = 1e100;
 
 impl<'a> Solver<'a> {
-    /// Creates a solver for `cnf`.
+    /// Creates a solver for `cnf`: copies its clauses, with room for as
+    /// many learned ones again, and sizes everything kept per variable or
+    /// per literal. A variable is assigned at most once on the trail, a
+    /// level opens with a decision on a free variable and a learned clause
+    /// holds distinct variables, so the trail, the level marks and the
+    /// learned-clause buffer never outgrow the variable count.
     pub fn new(cnf: &'a Cnf) -> Self {
         let n = cnf.num_vars;
         Solver {
             cnf,
-            clauses: Cnf::with_capacity(n, cnf.num_clauses(), cnf.num_lits()),
-            watches: Watches::default(),
+            clauses: cnf.copy_with_room(cnf.num_clauses(), cnf.num_lits()),
+            watches: Watches::new(2 * n),
             values: vec![FREE; 2 * n],
-            level: vec![0; n],
-            reason: vec![None; n],
-            trail: Vec::new(),
-            trail_lim: Vec::new(),
+            vars: vec![VarState::FRESH; n],
+            trail: Vec::with_capacity(n),
+            trail_lim: Vec::with_capacity(n),
             queue_head: 0,
-            activity: vec![0.0; n],
             var_inc: 1.0,
-            phase: vec![true; n],
-            seen: vec![false; n],
-            learnt: Vec::new(),
+            learnt: Vec::with_capacity(n),
             decisions: 0,
             propagations: 0,
         }
@@ -198,13 +236,14 @@ impl<'a> Solver<'a> {
         self.values[2 * v] == FREE
     }
 
-    fn assign(&mut self, l: Lit, reason: Option<usize>) {
+    fn assign(&mut self, l: Lit, reason: u32) {
         let v = l.var().idx();
         debug_assert!(self.is_free(v));
         self.values[l.code()] = TRUE;
         self.values[l.negated().code()] = FALSE;
-        self.level[v] = self.trail_lim.len() as u32;
-        self.reason[v] = reason;
+        let var = &mut self.vars[v];
+        var.level = self.trail_lim.len() as u32;
+        var.reason = reason;
         self.trail.push(l);
     }
 
@@ -214,7 +253,7 @@ impl<'a> Solver<'a> {
             Some(true) => true,
             Some(false) => false,
             None => {
-                self.assign(l, None);
+                self.assign(l, NO_REASON);
                 true
             }
         }
@@ -225,11 +264,11 @@ impl<'a> Solver<'a> {
             let mark = self.trail_lim.pop().expect("level");
             while self.trail.len() > mark {
                 let l = self.trail.pop().expect("trail");
-                let v = l.var().idx();
-                self.phase[v] = l.is_positive();
+                let var = &mut self.vars[l.var().idx()];
+                var.phase = l.is_positive();
+                var.reason = NO_REASON;
                 self.values[l.code()] = FREE;
                 self.values[l.negated().code()] = FREE;
-                self.reason[v] = None;
             }
         }
         self.queue_head = self.trail.len();
@@ -279,7 +318,7 @@ impl<'a> Solver<'a> {
                     return Some(ci); // conflict
                 }
                 self.propagations += 1;
-                self.assign(first, Some(ci));
+                self.assign(first, id);
                 i += 1;
             }
         }
@@ -287,10 +326,10 @@ impl<'a> Solver<'a> {
     }
 
     fn bump(&mut self, v: usize) {
-        self.activity[v] += self.var_inc;
-        if self.activity[v] > ACTIVITY_RESCALE {
-            for a in &mut self.activity {
-                *a /= ACTIVITY_RESCALE;
+        self.vars[v].activity += self.var_inc;
+        if self.vars[v].activity > ACTIVITY_RESCALE {
+            for var in &mut self.vars {
+                var.activity /= ACTIVITY_RESCALE;
             }
             self.var_inc /= ACTIVITY_RESCALE;
         }
@@ -316,10 +355,10 @@ impl<'a> Solver<'a> {
             for k in skip..self.clauses.clause(clause_idx).len() {
                 let q = self.clauses.clause(clause_idx)[k];
                 let v = q.var().idx();
-                if !self.seen[v] && self.level[v] > 0 {
-                    self.seen[v] = true;
+                if !self.vars[v].seen && self.vars[v].level > 0 {
+                    self.vars[v].seen = true;
                     self.bump(v);
-                    if self.level[v] == current {
+                    if self.vars[v].level == current {
                         counter += 1;
                     } else {
                         self.learnt.push(q);
@@ -331,23 +370,27 @@ impl<'a> Solver<'a> {
             // resolution).
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var().idx()] {
+                if self.vars[self.trail[index].var().idx()].seen {
                     break;
                 }
             }
             let p = self.trail[index];
-            self.seen[p.var().idx()] = false;
+            self.vars[p.var().idx()].seen = false;
             counter -= 1;
             pivot = Some(p);
             if counter == 0 {
                 break;
             }
-            clause_idx = self.reason[p.var().idx()]
-                .expect("a non-decision literal at the conflict level has a reason");
+            let reason = self.vars[p.var().idx()].reason;
+            assert_ne!(
+                reason, NO_REASON,
+                "a non-decision literal at the conflict level has a reason"
+            );
+            clause_idx = reason as usize;
         }
         self.learnt[0] = pivot.expect("conflict analysis found the UIP").negated();
         for l in &self.learnt[1..] {
-            self.seen[l.var().idx()] = false;
+            self.vars[l.var().idx()].seen = false;
         }
 
         // Backjump to the second-highest level in the clause; keep a
@@ -357,37 +400,35 @@ impl<'a> Solver<'a> {
         if learnt.len() == 1 {
             return 0;
         }
+        let level = |l: Lit| self.vars[l.var().idx()].level;
         let mut best = 1;
         for k in 2..learnt.len() {
-            if self.level[learnt[k].var().idx()] > self.level[learnt[best].var().idx()] {
+            if level(learnt[k]) > level(learnt[best]) {
                 best = k;
             }
         }
         learnt.swap(1, best);
-        self.level[learnt[1].var().idx()] as usize
+        level(learnt[1]) as usize
     }
 
     /// Assigns every variable occurring with only one polarity among
     /// not-yet-satisfied clauses (sound: a formula is satisfiable iff it
     /// is satisfiable with all its pure literals set).
     fn assign_pure_literals(&mut self) {
-        // Per literal code: whether the literal is free in a clause that is
-        // not yet satisfied.
-        let mut occurs = vec![false; self.values.len()];
         for clause in self.clauses.clauses() {
             if clause.iter().any(|&l| self.values[l.code()] == TRUE) {
                 continue;
             }
             for &l in clause {
                 if self.values[l.code()] == FREE {
-                    occurs[l.code()] = true;
+                    self.vars[l.var().idx()].occurs[usize::from(l.is_positive())] = true;
                 }
             }
         }
-        // A variable's two codes are `2v` (negative) and `2v + 1`.
-        for (v, both) in occurs.chunks_exact(2).enumerate() {
-            if both[0] != both[1] {
-                self.assign(Lit::new(Var(v as u32), both[1]), None);
+        for v in 0..self.vars.len() {
+            let [neg, pos] = self.vars[v].occurs;
+            if neg != pos {
+                self.assign(Lit::new(Var(v as u32), pos), NO_REASON);
             }
         }
     }
@@ -397,53 +438,53 @@ impl<'a> Solver<'a> {
     fn pick_branch(&self) -> Option<Var> {
         let mut best: Option<usize> = None;
         for v in 0..self.cnf.num_vars {
-            if self.is_free(v) && best.is_none_or(|b| self.activity[v] > self.activity[b]) {
+            if self.is_free(v) && best.is_none_or(|b| self.vars[v].activity > self.vars[b].activity)
+            {
                 best = Some(v);
             }
         }
         best.map(|v| Var(v as u32))
     }
 
-    /// Loads the formula: deduplicates literals, drops tautologies,
-    /// enqueues unit clauses at the root, stores and watches the rest.
-    /// Returns false if the formula is trivially unsatisfiable.
+    /// Loads the formula in the copy `new` made: normalises each clause in
+    /// place ([`normalise`]), drops tautologies, enqueues unit clauses at
+    /// the root, closes the rest up in order while counting the watch room
+    /// of each of their literals, and watches them. Returns false if the
+    /// formula is trivially unsatisfiable.
     fn load(&mut self) -> bool {
-        let cnf = self.cnf;
-        // `learnt` is idle until the first conflict: clean clauses in it.
-        let mut c = std::mem::take(&mut self.learnt);
-        let mut occurs = vec![0u32; 2 * cnf.num_vars];
-        let mut ok = true;
-        for clause in cnf.clauses() {
-            c.clear();
-            c.extend_from_slice(clause);
-            c.sort_unstable();
-            c.dedup();
-            if c.windows(2).any(|w| w[0].var() == w[1].var()) {
-                continue; // tautology: x ∨ ¬x
-            }
-            ok = match c.len() {
-                0 => false,
-                1 => self.enqueue_root(c[0]),
-                _ => {
-                    for l in &c {
-                        occurs[l.code()] += 1;
+        let clauses = self.clauses.num_clauses();
+        // Clause `i` starts at `next`; the bounds behind it are rewritten.
+        let (mut next, mut to, mut kept) = (0, 0, 0);
+        for i in 0..clauses {
+            let (lits, bounds) = self.clauses.pool_mut();
+            let (start, end) = (next, bounds[i + 1] as usize);
+            next = end;
+            match normalise(&mut lits[start..end]) {
+                None => {} // tautology: x ∨ ¬x
+                Some(0) => return false,
+                Some(1) => {
+                    let unit = lits[start];
+                    if !self.enqueue_root(unit) {
+                        return false;
                     }
-                    self.clauses.add_clause(c.iter().copied());
-                    true
                 }
-            };
-            if !ok {
-                break;
+                Some(len) => {
+                    lits.copy_within(start..start + len, to);
+                    for l in &lits[to..to + len] {
+                        self.watches.count(l.code());
+                    }
+                    to += len;
+                    kept += 1;
+                    bounds[kept] = to as u32;
+                }
             }
         }
-        self.learnt = c;
-        if ok {
-            self.watches = Watches::with_room(&occurs);
-            for ci in 0..self.clauses.num_clauses() {
-                self.watch(ci);
-            }
+        self.clauses.truncate(self.cnf.num_vars, kept);
+        self.watches.lay_out();
+        for ci in 0..kept {
+            self.watch(ci);
         }
-        ok
+        true
     }
 
     /// Decides satisfiability.
@@ -465,12 +506,14 @@ impl<'a> Solver<'a> {
                 let back = self.analyze(conflict);
                 self.backtrack_to(back);
                 let asserted = self.learnt[0];
-                let reason = (self.learnt.len() > 1).then(|| {
+                let reason = if self.learnt.len() > 1 {
                     let ci = self.clauses.num_clauses();
                     self.clauses.add_clause(self.learnt.iter().copied());
                     self.watch(ci);
-                    ci
-                });
+                    ci as u32
+                } else {
+                    NO_REASON
+                };
                 self.assign(asserted, reason);
                 self.var_inc /= ACTIVITY_DECAY;
                 conflicts_since_restart += 1;
@@ -488,10 +531,35 @@ impl<'a> Solver<'a> {
                 };
                 self.decisions += 1;
                 self.trail_lim.push(self.trail.len());
-                self.assign(Lit::new(v, self.phase[v.idx()]), None);
+                let phase = self.vars[v.idx()].phase;
+                self.assign(Lit::new(v, phase), NO_REASON);
             }
         }
     }
+}
+
+/// Puts a clause in the order the solver stores it, literals ascending
+/// with no repeat: sorts it unless its variables already ascend, then
+/// closes up repeated literals. Returns how many literals it keeps at the
+/// front, or `None` for a tautology (`x` and `¬x`, adjacent once sorted).
+fn normalise(c: &mut [Lit]) -> Option<usize> {
+    if c.windows(2).all(|w| w[0].var() < w[1].var()) {
+        return Some(c.len());
+    }
+    c.sort_unstable();
+    let mut len = 1;
+    for i in 1..c.len() {
+        let (l, last) = (c[i], c[len - 1]);
+        if l == last {
+            continue;
+        }
+        if l.var() == last.var() {
+            return None;
+        }
+        c[len] = l;
+        len += 1;
+    }
+    Some(len)
 }
 
 /// One-shot convenience: solve `cnf`.
@@ -607,8 +675,13 @@ mod tests {
         let mut rng = crate::gen::XorShift::new(0x5EED);
         for _ in 0..200 {
             let literals = 1 + rng.below(12);
-            let room: Vec<u32> = (0..literals).map(|_| rng.below(4) as u32).collect();
-            let mut watches = Watches::with_room(&room);
+            let mut watches = Watches::new(literals);
+            for l in 0..literals {
+                for _ in 0..rng.below(4) {
+                    watches.count(l);
+                }
+            }
+            watches.lay_out();
             let mut model = vec![Vec::new(); literals];
             for _ in 0..rng.below(300) {
                 let l = rng.below(literals);
@@ -626,6 +699,146 @@ mod tests {
                     assert_eq!(&got, want, "row {r}");
                 }
             }
+        }
+    }
+
+    /// The clause-by-clause load the one-copy [`Solver::load`] replaced:
+    /// each input clause is copied into a buffer, sorted, deduplicated and
+    /// added to an empty store, and its literals' watch room is counted in
+    /// a vector per literal code. Fills `solver`, fresh from
+    /// [`Solver::new`], as `load` would, and returns what `load` would.
+    fn load_clause_by_clause(solver: &mut Solver<'_>) -> bool {
+        let cnf = solver.cnf;
+        solver.clauses = Cnf::new(cnf.num_vars);
+        let mut occurs = vec![0u32; 2 * cnf.num_vars];
+        let mut c = Vec::new();
+        for clause in cnf.clauses() {
+            c.clear();
+            c.extend_from_slice(clause);
+            c.sort_unstable();
+            c.dedup();
+            if c.windows(2).any(|w| w[0].var() == w[1].var()) {
+                continue;
+            }
+            let ok = match c.len() {
+                0 => false,
+                1 => solver.enqueue_root(c[0]),
+                _ => {
+                    for l in &c {
+                        occurs[l.code()] += 1;
+                    }
+                    solver.clauses.add_clause(c.iter().copied());
+                    true
+                }
+            };
+            if !ok {
+                return false;
+            }
+        }
+        for (row, n) in solver.watches.rows.iter_mut().zip(occurs) {
+            row.cap = n;
+        }
+        solver.watches.lay_out();
+        for ci in 0..solver.clauses.num_clauses() {
+            solver.watch(ci);
+        }
+        true
+    }
+
+    /// Clause kinds [`load_agrees_with_the_clause_by_clause_reference`]
+    /// reports, one bit each.
+    const EMPTY: u32 = 1;
+    const UNIT: u32 = 2;
+    const DUPLICATE: u32 = 4;
+    const TAUTOLOGY: u32 = 8;
+    const UNSORTED: u32 = 16;
+    /// And how the load ended.
+    const LOADED: u32 = 32;
+    const UNSAT_AT_LOAD: u32 = 64;
+
+    /// Loads a random CNF of up to eight variables both ways — its clauses
+    /// of up to five literals drawn with repeats, so some repeat a literal,
+    /// hold both polarities of a variable or come unsorted, and about one
+    /// in thirty is empty — and holds the one-copy load to the reference:
+    /// the same verdict and, when both load, the same stored clauses in the
+    /// same order, the same root units on the trail and the same watch rows
+    /// and entries. Returns the kinds of clause the formula held and how
+    /// the load ended.
+    fn load_agrees_with_the_clause_by_clause_reference(seed: u64) -> u32 {
+        let mut rng = crate::gen::XorShift::new(seed);
+        let nv = 1 + rng.below(8);
+        let mut f = Cnf::new(nv);
+        let mut kinds = 0;
+        for _ in 0..rng.below(13) {
+            let len = if rng.below(30) == 0 {
+                0
+            } else {
+                1 + rng.below(5)
+            };
+            f.add_clause((0..len).map(|_| Lit::new(Var(rng.below(nv) as u32), rng.flip())));
+            let clause = f.clause(f.num_clauses() - 1);
+            let mut sorted = clause.to_vec();
+            sorted.sort_unstable();
+            kinds |= match clause.len() {
+                0 => EMPTY,
+                1 => UNIT,
+                _ => 0,
+            };
+            if sorted.windows(2).any(|w| w[0] == w[1]) {
+                kinds |= DUPLICATE;
+            }
+            if sorted
+                .windows(2)
+                .any(|w| w[0].var() == w[1].var() && w[0] != w[1])
+            {
+                kinds |= TAUTOLOGY;
+            }
+            if clause.windows(2).any(|w| w[0] > w[1]) {
+                kinds |= UNSORTED;
+            }
+        }
+        let (mut got, mut want) = (Solver::new(&f), Solver::new(&f));
+        let loaded = got.load();
+        assert_eq!(
+            loaded,
+            load_clause_by_clause(&mut want),
+            "seed {seed}: {f:?}"
+        );
+        if !loaded {
+            return kinds | UNSAT_AT_LOAD;
+        }
+        assert_eq!(got.clauses, want.clauses, "seed {seed}: {f:?}");
+        assert_eq!(got.trail, want.trail, "seed {seed}: {f:?}");
+        assert_eq!(got.values, want.values, "seed {seed}: {f:?}");
+        assert_eq!(got.watches.rows, want.watches.rows, "seed {seed}: {f:?}");
+        assert_eq!(got.watches.pool, want.watches.pool, "seed {seed}: {f:?}");
+        kinds | LOADED
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_one_copy_load_stores_what_the_clause_by_clause_load_did(seed in any::<u64>()) {
+            load_agrees_with_the_clause_by_clause_reference(seed);
+        }
+    }
+
+    #[test]
+    fn the_load_differential_meets_every_clause_kind() {
+        let seen = (0..256).fold(0, |seen, seed| {
+            seen | load_agrees_with_the_clause_by_clause_reference(seed)
+        });
+        for (kind, name) in [
+            (EMPTY, "an empty clause"),
+            (UNIT, "a unit clause"),
+            (DUPLICATE, "a repeated literal"),
+            (TAUTOLOGY, "a tautology"),
+            (UNSORTED, "an unsorted clause"),
+            (LOADED, "a formula that loads"),
+            (UNSAT_AT_LOAD, "a formula unsatisfiable at load"),
+        ] {
+            assert_ne!(seen & kind, 0, "no seed drew {name}");
         }
     }
 
