@@ -35,9 +35,8 @@ pub enum SafetyVerdict {
     /// Undecided. At any number of sites: a transaction lacks the lock or
     /// unlock step of an entity both lock, so `D(T1, T2)` is not defined.
     /// At three or more: the pair uses a shared mode, is not well-formed,
-    /// or updates outside a lock section, which the pair path refuses, and
-    /// no dominator closure settled it. An exclusive, well-formed pair is
-    /// always decided.
+    /// or updates outside a lock section, which the SAT safety check
+    /// refuses. An exclusive, well-formed pair is always decided.
     Unknown,
 }
 

@@ -4,7 +4,8 @@
 //! procedure is expected. This module combines:
 //!
 //! 1. **Theorem 1** (sound for Safe): strong connectivity of `D(T1,T2)`;
-//! 2. the **pair path** of [`crate::sat_check`] (exact): one orientation
+//! 2. the **pair path**, [`crate::sat_check`]'s safety check on the pair
+//!    (exact): one orientation
 //!    variable per vertex of `D`, whose binary clauses say that the
 //!    vertices oriented first are a dominator (Corollary 2), with the
 //!    longer section-graph cycles cut lazily, decided by the SAT solver;
@@ -68,7 +69,7 @@ pub(crate) fn decide_with(
     if admit_pair(sys, a, b).is_err() {
         return SafetyVerdict::Unknown;
     }
-    match pair_witness((sys.txn(a), sys.txn(b)), sections) {
+    match pair_witness((sys.txn(a), sys.txn(b)), &d.entities, sections) {
         Ok((None, _)) => SafetyVerdict::Safe(SafeProof::Unsatisfiable),
         Ok((Some((witness, orient)), _)) => {
             match certificate_from_witness(sys, d, &witness, &orient) {

@@ -11,124 +11,95 @@
 //! search is the solver's job), and unlike the greedy
 //! [`AvoidPlan`] it is exact, not conservative.
 //!
-//! # The pair path
+//! # The section graph
 //!
-//! [`check_safety`] decides a system of two transactions over the
-//! entities both lock, the vertices of `D(T1, T2)`. A complete legal
-//! schedule of a pair is fixed, up to interleaving, by one choice per
-//! shared entity: whose section runs first. Let S be the entities whose
-//! T1 section runs first. Such a schedule exists exactly when both
-//! precedence DAGs plus the section arcs (`U1x → L2x` for `x` in S,
-//! `U2y → L1y` otherwise) are acyclic, and it is non-serializable exactly
-//! when S is *mixed*, neither empty nor everything. A cycle in that union
-//! cannot stay inside one DAG, so it alternates through section arcs: it
-//! enters T2 at `L2x` for some `x` in S, leaves it from `U2y` for some `y`
-//! not in S, which needs `L2x ≺₂ U2y`, and so on back in T1. So the union
-//! is acyclic exactly when the *section graph* on the shared entities is,
-//! with an arc `x → y` for `x` in S, `y` not in S, `L2x ≺₂ U2y`, and for
-//! `x` not in S, `y` in S, `L1x ≺₁ U1y`. An arc depends on the two
-//! orientations alone, so the formula is one orientation variable `o_x`
-//! per shared entity, two clauses forcing S to be mixed, and one clause
-//! per 2-cycle: `x → y → x` with `x` in S needs `L2x ≺₂ U2y` and
-//! `L1y ≺₁ U1x`, which is `D`'s arc `y → x`, and `¬o_x ∨ o_y` forbids it.
-//! Those clauses say that S is a proper dominator of `D`; a longer cycle
-//! is cut lazily (Corollary 2's closure meets it round by round): each
-//! model's section graph goes into a [`CycleTest`], and while it has a
+//! Both checks decide a system of any number of transactions over its
+//! *nodes*: the pairs of sections of two transactions on an entity both
+//! lock. A complete legal schedule is fixed, up to interleaving, by one
+//! choice per node, whose section runs first; the node's orientation `o_p`
+//! is true when the lower-numbered transaction's does. Nodes are numbered
+//! by entity, then by transaction pair, so the nodes of a pair are its
+//! shared entities in ascending order, the vertices of `D(T1, T2)`. Such a
+//! schedule exists exactly when the precedence DAGs plus the section arcs
+//! (each node's first unlock before its second lock) are acyclic. A cycle
+//! there cannot stay inside one DAG, so it alternates through section
+//! arcs: it enters a transaction `T` at its lock of a node `p` where `T`
+//! locks second, and leaves it from its unlock of a node `q` where `T`
+//! unlocks first, which needs `L_T(p) ≺_T U_T(q)` (`precedes`, the full
+//! closure, so a path through a section no other transaction shares counts
+//! too). So the union is acyclic exactly when the *section graph* on the
+//! nodes is, with that arc `p → q`, and an arc depends on the two
+//! orientations alone. The nodes of one entity are held to one order of
+//! its sections by it too: a cyclic choice among three is a cycle.
+//!
+//! A 2-cycle `p → q → p` runs through both transactions of `p`, so `q` is a
+//! node of the same pair, and with `p`'s lower transaction first it needs
+//! `L_b(p) ≺_b U_b(q)` and `L_a(q) ≺_a U_a(p)`: `D`'s arc `q → p`, which the
+//! clause `¬o_p ∨ o_q` forbids. Those clauses say that the entities each
+//! pair runs lower transaction first are a dominator of its `D`; a longer
+//! cycle is cut lazily (Corollary 2's closure meets it round by round):
+//! each model's section graph goes into a [`CycleTest`], and while it has a
 //! cycle the clause forbidding that cycle's orientations is added and the
-//! formula solved again. Fewer than two shared entities is safe without
-//! solving. A model's witness is Kahn's sort, smallest step first, of
-//! both DAGs plus the section arcs its orientation picks, run as a merge
-//! of the two transactions: in-degree counts over their DAG rows and at
-//! most one section arc per unlock step, with no graph built.
-//! [`crate::multisite::decide_multisite`] ends in the same path.
+//! formula solved again.
 //!
-//! [`check_deadlock`] decides a pair over the same orientations,
-//! restricted to the *milestones* a prefix has executed: the lock and
-//! unlock steps of the shared entities, four per entity. In a pair only a
-//! lock on a shared entity can be blocked, so in a stalled prefix a step
-//! that is no milestone has run exactly when every milestone before it
-//! has, and needs no variable. Missing flags `M(m)`, true when milestone
-//! `m` has not run, number first. They mean "missing" rather than
-//! "executed" because the solver starts every variable at phase `true`,
-//! so its first descent starts from the empty prefix instead of running
-//! every milestone and backing out through the stall clauses; the sign is
-//! all that differs, and models map one to one. A missing milestone makes
-//! missing every milestone it is a nearest milestone predecessor of: a
-//! milestone that precedes it, by the transaction's cached closure, and
-//! precedes no other milestone that does. *Legality*,
-//! `¬o_x ∨ M(L2x) ∨ ¬M(U1x)` and `o_x ∨ M(L1x) ∨ ¬M(U2x)`, lets the second
-//! section on `x` lock only once the first has unlocked. An arc of the
-//! section graph needs both sections of both its entities locked, which
-//! its orientations reduce to the second lock of its head, so a 2-cycle
-//! clause gains `M(L1y) ∨ M(L2x)` and a cut the second lock of each
-//! entity on the cycle; the alternation argument holds as before, because
-//! a DAG path that ends at an executed step runs through executed steps
-//! only. The *stall* is, per milestone, "ran, or missing a nearest
-//! milestone predecessor, or a lock on `x` whose other section is held" —
-//! the other transaction's lock of `x` ran and its unlock did not, two
-//! clauses — and "some milestone missing". That is `5n` variables for `n`
-//! shared entities, however long the transactions are. One function
-//! solves and cuts for both checks; the deadlock check passes it the
-//! "second lock ran" literals. Its witness is the same merge, over the
-//! steps no milestone at or before which is missing, and the section arcs
-//! of the entities both transactions have locked.
+//! [`check_safety`] asks for a complete schedule whose serialization graph
+//! is cyclic. Selector variables pick conflict edges `Ti → Tj`, each
+//! realized by a node that runs `Ti`'s section first, such that every
+//! selected edge's tail has a selected incoming edge; in a finite graph
+//! such a set holds a cycle, and every cycle is such a set. With two
+//! transactions both selectors are forced, and their clauses fold to two
+//! that make the orientation *mixed*: some node oriented each way. Fewer
+//! than two nodes is safe without solving.
 //!
-//! # The k-transaction encoding
+//! [`check_deadlock`] decides over the same orientations, restricted to the
+//! *milestones* a prefix has executed: the lock and unlock steps of the
+//! nodes' sections. Only a lock on an entity another transaction locks can
+//! be blocked, so in a stalled prefix a step that is no milestone has run
+//! exactly when every milestone before it has, and needs no variable.
+//! Missing flags `M(m)`, true when milestone `m` has not run, number first.
+//! They mean "missing" rather than "executed" because the solver starts
+//! every variable at phase `true`, so its first descent starts from the
+//! empty prefix instead of running every milestone and backing out through
+//! the stall clauses; the sign is all that differs, and models map one to
+//! one. A missing milestone makes missing every milestone it is a nearest
+//! milestone predecessor of: a milestone that precedes it, by the
+//! transaction's cached closure, and precedes no other milestone that
+//! does. *Legality* lets a node's second section lock only once its first
+//! has unlocked. An arc of the section graph needs both sections of both
+//! its nodes locked, which its orientations reduce to the second lock of
+//! its head, so a 2-cycle clause gains the second lock of both nodes and a
+//! cut the second lock of each node on the cycle; the alternation argument
+//! holds as before, because a DAG path that ends at an executed step runs
+//! through executed steps only. The *stall* is, per milestone, "ran, or
+//! missing a nearest milestone predecessor, or a lock on `x` another
+//! transaction holds", and "some milestone missing". Where one other
+//! transaction locks `x` its holding is written inline, two clauses: its
+//! lock of `x` ran and its unlock did not. Where two or more do, a holder
+//! variable per section implies both. A pair has `5n` variables over `n`
+//! shared entities, however long the transactions are.
 //!
-//! Three or more transactions take this encoding. The lock and unlock
-//! steps of every entity that at least two transactions lock are
-//! *milestones*; a section no other transaction touches gets none. A milestone pair that one transaction's precedence
-//! DAG already orders (its full closure, `precedes`) is a constant, and
-//! every other pair gets one boolean saying which comes first.
-//! Transitivity clauses over all milestone triples, with the constants
-//! folded in, force the pairs to describe a total order. On top of that
-//! shared core:
-//!
-//! * **Safety** ([`check_safety`] on three or more transactions) asks for
-//!   a *complete* schedule whose serialization graph is cyclic.
-//!   Same-entity lock sections of distinct transactions must not overlap
-//!   (one disjointness clause per pair), a section order
-//!   `unlock_i(e) ≺ lock_j(e)` realizes the conflict edge `i → j`, and
-//!   selector variables must pick a set of realized edges in
-//!   which every tail also has an incoming selected edge — in a finite
-//!   graph such a set necessarily contains a directed cycle, and every
-//!   actual cycle is such a set.
-//! * **Deadlock** ([`check_deadlock`] on three or more transactions) asks
-//!   for a reachable *prefix* in which no remaining step is enabled,
-//!   mirroring the oracle's stall rule. Per-step executed flags are closed
-//!   downward over the DAG and linked to the milestone order (an executed
-//!   lock whose section is ordered after another executed section forces
-//!   that section's unlock to be executed too), holder variables witness
-//!   who blocks each stalled lock, and one clause per step says "executed,
-//!   or missing a predecessor, or blocked".
-//!
-//! Leaving private sections out loses nothing: every clause between
-//! transactions relates same-entity sections of both, and a precedence
-//! path through a private section is still a constant between the shared
-//! milestones at its two ends. So a cycle in the precedence DAGs plus the
-//! decoded milestone chain contracts to a cycle in the total order, which
-//! has none.
-//!
-//! A satisfying model is *decoded* — on the pair paths the orientation
-//! picks the section arcs; here milestone counts give the total order —
-//! a topological sort interleaves the remaining steps (here a
-//! `kplock_graph::topo_sort` of the DAGs plus the milestone chain; on
-//! the pair paths the merge above, which gives the same order), and the
-//! resulting schedule is re-verified against the model-level definitions
-//! ([`Schedule::validate_complete`], [`kplock_model::is_serializable`],
-//! oracle-style enabledness), so a witness is never taken on the
-//! encoding's word alone. `crates/sim` replays these witnesses through
-//! the lock-table machinery for the dynamic half of the story.
+//! A model's witness is Kahn's sort, smallest step first, of the DAGs plus
+//! the section arcs between consecutive sections of each entity in the
+//! order the orientations give them, run as a merge of the transactions:
+//! in-degree counts over their DAG rows and at most one section arc per
+//! unlock step, with no graph built. A prefix keeps the steps no milestone
+//! at or before which is missing. The schedule is re-verified against the
+//! model-level definitions ([`Schedule::validate_complete`],
+//! [`kplock_model::is_serializable`], oracle-style enabledness), so a
+//! witness is never taken on the encoding's word alone. `crates/sim`
+//! replays these witnesses through the lock-table machinery for the
+//! dynamic half of the story. [`crate::multisite::decide_multisite`] ends
+//! in the safety check of a pair.
 //!
 //! The checker mirrors the oracle's mode-blind contention rule (any
 //! holder blocks a lock request), which coincides with write-aware
-//! serializability only when every access is exclusive, so both paths
+//! serializability only when every access is exclusive, so both checks
 //! refuse systems using shared modes up front with a typed error — as
 //! well as systems whose updates stray outside their entity's lock
 //! section, where section-level ordering stops determining access-level
 //! conflicts. Admission reads each transaction's steps twice, into a
-//! flat table of its lock and unlock steps per entity, and a pair's
-//! sections come off the two tables.
+//! flat table of its lock and unlock steps per entity, and the nodes come
+//! off the tables.
 //!
 //! # Optimal certificates
 //!
@@ -140,9 +111,10 @@
 //! upward from the greedy count finds a *maximum* certifiable set and
 //! quantifies exactly how conservative declaration-order greediness is.
 
+use std::borrow::Borrow;
 use std::fmt;
 
-use kplock_graph::{topo_sort, CycleTest, DiGraph};
+use kplock_graph::CycleTest;
 use kplock_model::{
     is_serializable, ActionKind, EntityId, LockMode, ModelError, Schedule, ScheduledStep, StepId,
     Transaction, TxnId, TxnSystem,
@@ -151,15 +123,6 @@ use kplock_sat::{at_least_k, Cnf, Lit, SatResult, Solver, Var};
 
 use crate::avoid::{hold_request_edges, AvoidPlan};
 use crate::conflict_graph::Sections;
-
-/// Systems of three or more transactions with more lock and unlock steps
-/// than this are refused: the k-transaction encoding grows with the cube
-/// of its milestones, and the cap keeps it in the range our DPLL handles.
-/// Its transitivity core grows with the steps of entities two
-/// transactions lock only, but every step counts. The pair paths have no
-/// cap: their formulas grow with the square of the shared entities at
-/// worst.
-const MAX_MILESTONES: usize = 160;
 
 /// Why a system was refused (or a model failed to decode).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -173,9 +136,6 @@ pub enum SatCheckError {
     /// An update step lies outside its entity's lock/unlock section, so
     /// section disjointness would not govern its conflicts.
     UnprotectedUpdate { txn: TxnId, step: StepId },
-    /// A system of three or more transactions has more lock and unlock
-    /// steps than the k-transaction encoding's cap of 160.
-    TooLarge { milestones: usize, cap: usize },
     /// Internal: a satisfying model did not decode into a witness passing
     /// independent re-verification. Indicates an encoder bug.
     WitnessDecode(String),
@@ -196,12 +156,6 @@ impl fmt::Display for SatCheckError {
                     "update step {step} of {txn} lies outside its lock section"
                 )
             }
-            SatCheckError::TooLarge { milestones, cap } => {
-                write!(
-                    f,
-                    "system has {milestones} milestones, above the cap of {cap}"
-                )
-            }
             SatCheckError::WitnessDecode(why) => {
                 write!(f, "internal error: model failed witness decoding: {why}")
             }
@@ -214,16 +168,17 @@ impl std::error::Error for SatCheckError {}
 /// Formula size and solver effort for one decision.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EncodingStats {
-    /// Total variables (ordering + auxiliaries).
+    /// Total variables: the orientations, then the selectors, or the
+    /// missing flags and holders, the check adds.
     pub vars: usize,
-    /// Total clauses, with the pair paths' cuts.
+    /// Total clauses, with the cuts.
     pub clauses: usize,
     /// DPLL branching decisions, summed over every solve.
     pub decisions: u64,
     /// Unit propagations, summed over every solve.
     pub propagations: u64,
-    /// Solver runs: one on the k-transaction encoding, one more per cut
-    /// on the pair paths, none where nothing needs solving.
+    /// Solver runs: one, and one more per cut, or none where nothing needs
+    /// solving.
     pub solves: u64,
 }
 
@@ -277,39 +232,10 @@ pub struct OptimalCertificate {
     pub sat_calls: usize,
 }
 
-/// One lock/unlock section of a shared entity in one transaction.
-#[derive(Clone, Copy, Debug)]
-struct Section {
-    txn: usize,
-    entity: EntityId,
-    lock_m: usize,
-    unlock_m: usize,
-}
-
-/// How one milestone stands against another in the order.
-#[derive(Clone, Copy, Debug)]
-enum Order {
-    /// Fixed by the transaction's own precedence DAG: `true` if the first
-    /// milestone precedes the second.
-    Fixed(bool),
-    /// Left to the solver: the literal meaning "the first precedes the
-    /// second".
-    Free(Lit),
-}
-
-impl Order {
-    fn negated(self) -> Order {
-        match self {
-            Order::Fixed(first) => Order::Fixed(!first),
-            Order::Free(lit) => Order::Free(lit.negated()),
-        }
-    }
-}
-
 /// [`admit`]'s entry for a lock or unlock step a transaction does not have.
 const NO_STEP: u32 = u32::MAX;
 
-/// Refuses a transaction neither encoding models faithfully: one that is
+/// Refuses a transaction neither check models faithfully: one that is
 /// not well-formed at [`kplock_model::Level::Locking`], locks in a shared
 /// mode, or updates outside its entity's lock section. The error is the
 /// first [`kplock_model::validate`] gives, else the first a scan of the
@@ -399,357 +325,503 @@ fn admit(
     }
 }
 
-/// `Encoder::section_of` entry of an entity the transaction does not
-/// share.
-const NO_SECTION: usize = usize::MAX;
-
-/// The shared encoding core: milestones and their order.
-struct Encoder<'a> {
-    sys: &'a TxnSystem,
-    /// Milestone index → (transaction index, step): the lock and unlock
-    /// steps of the entities at least two transactions lock.
-    milestones: Vec<(usize, StepId)>,
-    /// The order of each milestone pair `a < b`, at its triangular index.
-    pairs: Vec<Order>,
-    sections: Vec<Section>,
-    /// `transaction index · entity count + entity` → index into
-    /// `sections`, or [`NO_SECTION`].
-    section_of: Vec<usize>,
-    /// Step numbering: transaction `t`'s step `s` is node
-    /// `offsets[t] + s`, and `offsets[k]` counts every step.
-    offsets: Vec<usize>,
+/// A node of the section graph: the sections of two transactions on an
+/// entity both lock, side `a` (`sides[0]`) the lower-numbered
+/// transaction's. Sections are numbered by entity, then by transaction,
+/// and section `s` has the deadlock check's milestones `2s`, its lock, and
+/// `2s + 1`, its unlock.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Node {
+    entity: EntityId,
+    pub(crate) sides: [Side; 2],
 }
 
-impl<'a> Encoder<'a> {
-    /// The encoder and the core formula (ordering variables and
-    /// transitivity clauses), which each check extends in place.
-    fn new(sys: &'a TxnSystem) -> Result<(Self, Cnf), SatCheckError> {
-        let (mut ends, mut chains) = (vec![[NO_STEP; 2]; sys.db().entity_count()], Vec::new());
-        for i in 0..sys.len() {
-            admit(sys, TxnId::from_idx(i), &mut ends, &mut chains)?;
-        }
+/// One side of a node: a transaction's section on the node's entity.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Side {
+    pub(crate) section: usize,
+    pub(crate) txn: usize,
+    pub(crate) lock: StepId,
+    pub(crate) unlock: StepId,
+}
 
-        // Each transaction's locked entities, in ascending order, one
-        // transaction after the other. The cap counts every lock/unlock
-        // step, shared or not.
-        let locked: Vec<(usize, EntityId)> = (sys.txns().iter().enumerate())
-            .flat_map(|(i, t)| t.locked_entities().into_iter().map(move |e| (i, e)))
-            .collect();
-        let steps = 2 * locked.len();
-        if steps > MAX_MILESTONES {
-            return Err(SatCheckError::TooLarge {
-                milestones: steps,
-                cap: MAX_MILESTONES,
-            });
-        }
+impl Node {
+    /// Its two transactions, `a`'s first.
+    fn txns(&self) -> [usize; 2] {
+        self.sides.map(|s| s.txn)
+    }
 
-        // Only entities two transactions lock get milestones: every clause
-        // between transactions relates same-entity sections, and a
-        // precedence path through a private section still orders the
-        // shared milestones at its ends (`precedes` is the full closure).
-        let n_e = sys.db().entity_count();
-        let mut lockers = vec![0usize; n_e];
-        for &(_, e) in &locked {
-            lockers[e.idx()] += 1;
-        }
-        let mut milestones = Vec::new();
-        let mut sections = Vec::new();
-        let mut section_of = vec![NO_SECTION; sys.len() * n_e];
-        for &(i, e) in locked.iter().filter(|(_, e)| lockers[e.idx()] >= 2) {
-            let t = sys.txn(TxnId::from_idx(i));
-            let lock_m = milestones.len();
-            milestones.push((i, t.lock_step(e).expect("validated pair")));
-            let unlock_m = milestones.len();
-            milestones.push((i, t.unlock_step(e).expect("validated pair")));
-            section_of[i * n_e + e.idx()] = sections.len();
-            sections.push(Section {
-                txn: i,
-                entity: e,
-                lock_m,
-                unlock_m,
-            });
-        }
+    /// The side whose section runs second when `a_first` says whether
+    /// `a`'s runs first.
+    fn second(&self, a_first: bool) -> Side {
+        self.sides[usize::from(a_first)]
+    }
+}
 
-        // A pair one transaction's DAG orders is a constant; every other
-        // pair gets a variable.
-        let m = milestones.len();
-        let mut pairs = Vec::with_capacity(m * m.saturating_sub(1) / 2);
-        let mut vars = 0usize;
-        for a in 0..m {
-            for b in (a + 1)..m {
-                let (ta, sa) = milestones[a];
-                let (tb, sb) = milestones[b];
-                let t = sys.txn(TxnId::from_idx(ta));
-                pairs.push(if ta == tb && t.precedes(sa, sb) {
-                    Order::Fixed(true)
-                } else if ta == tb && t.precedes(sb, sa) {
-                    Order::Fixed(false)
-                } else {
-                    let var = Var(vars as u32);
-                    vars += 1;
-                    Order::Free(Lit::pos(var))
+/// The nodes of one entity: the pairs of its `sections` sections in order,
+/// `(0, 1), (0, 2), …, (c − 2, c − 1)`, the first of them node `base`.
+#[derive(Clone, Copy)]
+struct Run<'n> {
+    base: usize,
+    sections: usize,
+    nodes: &'n [Node],
+}
+
+impl Run<'_> {
+    /// The run's section `i`.
+    fn side(&self, i: usize) -> Side {
+        match i {
+            0 => self.nodes[0].sides[0],
+            _ => self.nodes[i - 1].sides[1],
+        }
+    }
+
+    /// Whether the run's section `i` runs before its section `j` when
+    /// node `p`'s orientation is `orient(p)`.
+    fn before(&self, i: usize, j: usize, orient: &impl Fn(usize) -> bool) -> bool {
+        let (lo, hi, c) = (i.min(j), i.max(j), self.sections);
+        orient(self.base + lo * (2 * c - lo - 1) / 2 + (hi - lo - 1)) == (i < j)
+    }
+}
+
+/// The runs of `nodes`, entity by entity.
+fn runs(nodes: &[Node]) -> impl Iterator<Item = Run<'_>> {
+    nodes
+        .chunk_by(|p, q| p.entity == q.entity)
+        .scan(0, |base, nodes| {
+            let first = nodes[0].sides[0].section;
+            let run = Run {
+                base: *base,
+                sections: nodes[nodes.len() - 1].sides[1].section - first + 1,
+                nodes,
+            };
+            *base += nodes.len();
+            Some(run)
+        })
+}
+
+/// Every section of `nodes` once, in order.
+pub(crate) fn sides(nodes: &[Node]) -> impl Iterator<Item = Side> + '_ {
+    runs(nodes).flat_map(|run| (0..run.sections).map(move |i| run.side(i)))
+}
+
+/// The deadlock check's milestones: two per section.
+fn milestone_count(nodes: &[Node]) -> usize {
+    nodes.last().map_or(0, |p| 2 * (p.sides[1].section + 1))
+}
+
+/// Admits every transaction of `sys` ([`admit`]) and returns the section
+/// graph's nodes, read off the transactions' lock and unlock steps per
+/// entity.
+pub(crate) fn nodes_of(sys: &TxnSystem) -> Result<Vec<Node>, SatCheckError> {
+    let (k, n_e) = (sys.len(), sys.db().entity_count());
+    let (mut ends, mut chains) = (vec![[NO_STEP; 2]; k * n_e], Vec::new());
+    for t in 0..k {
+        admit(
+            sys,
+            TxnId::from_idx(t),
+            &mut ends[t * n_e..][..n_e],
+            &mut chains,
+        )?;
+    }
+    let ends = &ends;
+    let lockers = |e: usize| (0..k).filter(move |&t| ends[t * n_e + e][0] != NO_STEP);
+    let pairs = |c: usize| c * c.saturating_sub(1) / 2;
+    let mut nodes = Vec::with_capacity((0..n_e).map(|e| pairs(lockers(e).count())).sum());
+    let step = |v: u32| StepId::from_idx(v as usize);
+    // The number of entity `e`'s first section.
+    let mut first = 0;
+    for e in 0..n_e {
+        for (i, a) in lockers(e).enumerate() {
+            for (j, b) in lockers(e).enumerate().skip(i + 1) {
+                let side = |t: usize, section: usize| {
+                    let [lock, unlock] = ends[t * n_e + e];
+                    Side {
+                        section,
+                        txn: t,
+                        lock: step(lock),
+                        unlock: step(unlock),
+                    }
+                };
+                nodes.push(Node {
+                    entity: EntityId::from_idx(e),
+                    sides: [side(a, first + i), side(b, first + j)],
                 });
             }
         }
+        let c = lockers(e).count();
+        if c >= 2 {
+            first += c;
+        }
+    }
+    Ok(nodes)
+}
 
-        let enc = Encoder {
-            sys,
-            milestones,
-            pairs,
-            sections,
-            section_of,
-            offsets: step_offsets(sys),
+/// Transaction `t`'s step `s` as a step of `txns`, numbered after every
+/// step of the transactions before `t`.
+fn step_number<T: Borrow<Transaction>>(txns: &[T], t: usize, s: StepId) -> usize {
+    txns[..t].iter().map(|x| x.borrow().len()).sum::<usize>() + s.idx()
+}
+
+/// The transaction and step of step `v` of `txns` ([`step_number`]).
+fn locate<T: Borrow<Transaction>>(txns: &[T], v: usize) -> (usize, usize) {
+    let mut base = 0;
+    for (t, x) in txns.iter().enumerate() {
+        let len = x.borrow().len();
+        if v < base + len {
+            return (t, v - base);
+        }
+        base += len;
+    }
+    panic!("step {v} lies past the last transaction's")
+}
+
+/// One arc the section graph may have: `x → y`, there when `o_x == ox` and
+/// `o_y == oy`. `two_cycle` marks an arc with `ox` true whose reverse
+/// `y → x` exists under the same orientations: a 2-cycle, `D`'s arc
+/// `y → x`.
+#[derive(Clone, Copy)]
+struct SectionArc {
+    x: u32,
+    y: u32,
+    ox: bool,
+    oy: bool,
+    two_cycle: bool,
+}
+
+/// The arcs some orientation gives the section graph over `nodes`: per
+/// node `x`, per other node `y`, the arc through the transaction that
+/// locks second on `x` when `o_x` is true (`x`'s side `b`) and unlocks
+/// first on `y`, then the one through `x`'s side `a`. Counted first, so
+/// that the list is allocated once at its size and a formula can make
+/// room for [`solve_sections`]' 2-cycle clauses before it is written.
+struct SectionArcs {
+    arcs: Vec<SectionArc>,
+    /// How many of the arcs close a 2-cycle.
+    two_cycles: usize,
+    /// The section graph's nodes.
+    nodes: usize,
+}
+
+impl SectionArcs {
+    fn of<T: Borrow<Transaction>>(txns: &[T], nodes: &[Node]) -> Self {
+        let between = |x: usize, y: usize| {
+            let (p, q) = (&nodes[x], &nodes[y]);
+            [true, false].into_iter().filter_map(move |ox| {
+                let into = p.second(ox);
+                // The same transaction's side of `y`, which runs first when
+                // `o_y` is true exactly if it is side `a`.
+                let side = (0..2).find(|&s| q.sides[s].txn == into.txn)?;
+                let out = q.sides[side];
+                let txn = txns[into.txn].borrow();
+                txn.precedes(into.lock, out.unlock).then(|| {
+                    let ta = txns[p.sides[0].txn].borrow();
+                    SectionArc {
+                        x: x as u32,
+                        y: y as u32,
+                        ox,
+                        oy: side == 0,
+                        two_cycle: ox
+                            && q.txns() == p.txns()
+                            && ta.precedes(q.sides[0].lock, p.sides[0].unlock),
+                    }
+                })
+            })
         };
-        // Room for the core: two three-literal clauses per triple at most.
-        let triples = m * m.saturating_sub(1) * m.saturating_sub(2) / 6;
-        let mut cnf = Cnf::with_capacity(vars, 2 * triples, 6 * triples);
-
-        // Transitivity: forbid both cyclic orientations of every triple,
-        // making any model's pair relation a strict total order.
-        for a in 0..m {
-            for b in (a + 1)..m {
-                let ab = enc.order(a, b);
-                for c in (b + 1)..m {
-                    let (bc, ac) = (enc.order(b, c), enc.order(a, c));
-                    add_folded(&mut cnf, [ab.negated(), bc.negated(), ac]);
-                    add_folded(&mut cnf, [ab, bc, ac.negated()]);
-                }
-            }
-        }
-        Ok((enc, cnf))
-    }
-
-    /// How milestone `a` stands against milestone `b`.
-    fn order(&self, a: usize, b: usize) -> Order {
-        debug_assert_ne!(a, b);
-        let m = self.milestones.len();
-        let (lo, hi) = (a.min(b), a.max(b));
-        let pair = self.pairs[lo * (2 * m - lo - 1) / 2 + (hi - lo - 1)];
-        if a < b {
-            pair
-        } else {
-            pair.negated()
-        }
-    }
-
-    /// Literal meaning "milestone `a` precedes milestone `b`", for
-    /// milestones of distinct transactions: no constant orders those.
-    fn before(&self, a: usize, b: usize) -> Lit {
-        match self.order(a, b) {
-            Order::Free(lit) => lit,
-            Order::Fixed(_) => unreachable!("only one transaction's DAG fixes an order"),
-        }
-    }
-
-    /// Whether the model puts milestone `a` before milestone `b`.
-    fn precedes_in(&self, model: &[bool], a: usize, b: usize) -> bool {
-        match self.order(a, b) {
-            Order::Fixed(first) => first,
-            Order::Free(lit) => model[lit.var().idx()] == lit.is_positive(),
-        }
-    }
-
-    /// The section transaction `txn` holds on shared entity `e`.
-    fn section(&self, txn: usize, e: EntityId) -> Section {
-        self.sections[self.section_of[txn * self.sys.db().entity_count() + e.idx()]]
-    }
-
-    /// Decodes the model's milestone order restricted to the milestones
-    /// `kept` keeps (over step nodes, numbered through `offsets`) and
-    /// sorts the kept steps under the precedence DAGs plus that order
-    /// ([`witness_schedule`]).
-    fn decode(
-        &self,
-        model: &[bool],
-        kept: impl Fn(usize) -> bool,
-    ) -> Result<Schedule, SatCheckError> {
-        let node = |a: usize| {
-            let (t, s) = self.milestones[a];
-            self.offsets[t] + s.idx()
+        let n = nodes.len();
+        let arcs = || {
+            (0..n)
+                .flat_map(move |x| (0..n).filter(move |&y| y != x).map(move |y| (x, y)))
+                .flat_map(move |(x, y)| between(x, y))
         };
-        // Total order over the kept milestones: sort by how many other
-        // kept milestones come first.
-        let mut chain: Vec<usize> = (0..self.milestones.len())
-            .filter(|&a| kept(node(a)))
-            .collect();
-        let mut keys = vec![0usize; self.milestones.len()];
-        for &a in &chain {
-            keys[a] = chain
-                .iter()
-                .filter(|&&b| b != a && self.precedes_in(model, b, a))
-                .count();
+        let (mut len, mut two_cycles) = (0, 0);
+        for arc in arcs() {
+            len += 1;
+            two_cycles += usize::from(arc.two_cycle);
         }
-        chain.sort_by_key(|&a| keys[a]);
-        let txns: Vec<&Transaction> = self.sys.txns().iter().collect();
-        let arcs = chain.windows(2).map(|w| (node(w[0]), node(w[1])));
-        witness_schedule(&txns, &self.offsets, arcs, kept)
+        let mut list = Vec::with_capacity(len);
+        list.extend(arcs());
+        SectionArcs {
+            arcs: list,
+            two_cycles,
+            nodes: n,
+        }
     }
 }
 
-/// The k-transaction encoder's witness: Kahn's sort
-/// ([`kplock_graph::topo_sort`], smallest node first) of the steps of
-/// `txns`, transaction `t`'s step `s` numbered `offsets[t] + s`, under
-/// their precedence DAGs plus `arcs`, keeping the steps `kept` keeps and
-/// the arcs between them, as a schedule with `txns[t]` as `TxnId(t)`.
-/// A step that is not kept has no arc, so it moves no other step. The pair
-/// paths run the same order directly ([`pair_schedule`]).
-fn witness_schedule(
-    txns: &[&Transaction],
-    offsets: &[usize],
-    arcs: impl Iterator<Item = (usize, usize)>,
-    kept: impl Fn(usize) -> bool,
-) -> Result<Schedule, SatCheckError> {
-    let dags = txns.iter().zip(offsets).flat_map(|(t, &base)| {
-        t.edge_graph()
-            .edges()
-            .map(move |(u, v)| (base + u, base + v))
-    });
-    let arcs = dags.chain(arcs).filter(|&(u, v)| kept(u) && kept(v));
-    let order =
-        topo_sort(&DiGraph::from_edges(offsets[txns.len()], arcs)).ok_or_else(cycle_error)?;
-    let steps = order
-        .into_iter()
-        .filter(|&v| kept(v))
-        .map(|v| {
-            let t = offsets.partition_point(|&o| o <= v) - 1;
-            ScheduledStep {
-                txn: TxnId::from_idx(t),
-                step: StepId::from_idx(v - offsets[t]),
+/// The search both checks share. `cnf` holds the orientation `o_p` of
+/// node `p` (its side `a` runs first) at variable `base + p`, and what the
+/// check needs besides; this adds the section graph, whose possible arcs
+/// are `arcs`. On a prefix an arc into `y` also needs the literal
+/// `second(y, o_y)` true, the lock of `y`'s second section (a complete
+/// schedule passes `None`). Each 2-cycle gets a clause; then solve, lay the
+/// model's arcs out in a [`CycleTest`], and while they have a cycle add the
+/// clause forbidding its orientations and second locks and solve again.
+/// Returns a model whose section graph is acyclic, if there is one, and
+/// the effort summed over every solve.
+fn solve_sections(
+    cnf: &mut Cnf,
+    arcs: &SectionArcs,
+    base: usize,
+    second: impl Fn(usize, bool) -> Option<Lit>,
+) -> (Option<Vec<bool>>, EncodingStats) {
+    let orient = |x: usize| Var((base + x) as u32);
+    let unless = |lit: Option<Lit>| lit.map(Lit::negated);
+    // A 2-cycle with `o_x` true is `D`'s arc `y → x`.
+    for arc in arcs.arcs.iter().filter(|arc| arc.two_cycle) {
+        let (x, y) = (arc.x as usize, arc.y as usize);
+        let guards = unless(second(y, arc.oy))
+            .into_iter()
+            .chain(unless(second(x, arc.ox)));
+        cnf.add_clause(
+            [Lit::new(orient(x), !arc.ox), Lit::new(orient(y), !arc.oy)]
+                .into_iter()
+                .chain(guards),
+        );
+    }
+    let mut stats = EncodingStats::default();
+    let mut graph = CycleTest::default();
+    let model = loop {
+        let mut solver = Solver::new(cnf);
+        let result = solver.solve();
+        stats.solves += 1;
+        stats.decisions += solver.decisions;
+        stats.propagations += solver.propagations;
+        let SatResult::Sat(model) = result else {
+            break None;
+        };
+        let o = |x: usize| model[base + x];
+        let holds = |lit: Option<Lit>| lit.is_none_or(|l| model[l.var().idx()] == l.is_positive());
+        graph.clear();
+        for arc in &arcs.arcs {
+            let (x, y) = (arc.x as usize, arc.y as usize);
+            if o(x) == arc.ox && o(y) == arc.oy && holds(second(y, o(y))) {
+                graph.arc(arc.x, arc.y, 0);
             }
-        })
-        .collect();
+        }
+        if !graph.has_cycle(arcs.nodes) {
+            break Some(model);
+        }
+        let cut = graph.find_cycle(|_| 0).iter().flat_map(|&v| {
+            let v = v as usize;
+            [Lit::new(orient(v), !o(v))]
+                .into_iter()
+                .chain(unless(second(v, o(v))))
+        });
+        cnf.add_clause(cut);
+    };
+    stats.vars = cnf.num_vars;
+    stats.clauses = cnf.num_clauses();
+    (model, stats)
+}
+
+/// The witness: Kahn's sort, smallest node first, of the steps of `txns`
+/// that `executed` keeps ([`step_number`]), under the DAGs plus, per
+/// entity, an arc from the unlock of each section whose lock is kept to
+/// the lock of the next such section in the order `orient` gives them, as
+/// a schedule with `txns[t]` as `TxnId(t)`. An arc is kept when both its
+/// ends are. On a model the orientations of an entity's kept sections are
+/// an order, since a cyclic choice is a cycle of the section graph, so the
+/// arcs between consecutive sections order every two of them.
+///
+/// A node's arcs are its DAG row and at most one section arc, which only
+/// an unlock step has, so the sort counts in-degrees over those and takes
+/// the smallest ready node off a bit set, with no graph built.
+fn merge_schedule<T: Borrow<Transaction>>(
+    txns: &[T],
+    nodes: &[Node],
+    orient: impl Fn(usize) -> bool,
+    executed: impl Fn(usize) -> bool,
+) -> Result<Schedule, SatCheckError> {
+    let n = step_number(txns, txns.len(), StepId(0));
+    let number = |s: Side, step: StepId| step_number(txns, s.txn, step);
+    // Per node: its kept in-degree, then the head of its section arc.
+    let mut node = vec![[0u32, NO_NODE]; n];
+    for run in runs(nodes) {
+        let c = run.sections;
+        let locked = |i: usize| executed(number(run.side(i), run.side(i).lock));
+        let before = |i: usize, j: usize| run.before(i, j, &orient);
+        // The locked sections' places in the order, and each one's successor.
+        let place = |i: usize| {
+            (0..c)
+                .filter(|&j| j != i && locked(j) && before(j, i))
+                .count()
+        };
+        for i in (0..c).filter(|&i| locked(i)) {
+            let after = place(i) + 1;
+            let next = (0..c).find(|&j| j != i && locked(j) && before(i, j) && place(j) == after);
+            let Some(j) = next else {
+                continue;
+            };
+            let (u, v) = (
+                number(run.side(i), run.side(i).unlock),
+                number(run.side(j), run.side(j).lock),
+            );
+            if executed(u) && executed(v) {
+                node[u][1] = v as u32;
+                node[v][0] += 1;
+            }
+        }
+    }
+    // Step `u`'s DAG successors, numbered as steps of `txns`.
+    let dag = |u: usize| {
+        let (t, s) = locate(txns, u);
+        let base = u - s;
+        txns[t]
+            .borrow()
+            .edge_graph()
+            .successors(s)
+            .iter()
+            .map(move |&v| base + v)
+    };
+    let mut kept = 0;
+    for u in (0..n).filter(|&u| executed(u)) {
+        kept += 1;
+        for v in dag(u).filter(|&v| executed(v)) {
+            node[v][0] += 1;
+        }
+    }
+    let mut ready = vec![0u64; n.div_ceil(64)];
+    for u in (0..n).filter(|&u| executed(u) && node[u][0] == 0) {
+        ready[u / 64] |= 1 << (u % 64);
+    }
+    let mut steps = Vec::with_capacity(kept);
+    while let Some(w) = ready.iter().position(|&bits| bits != 0) {
+        let u = 64 * w + ready[w].trailing_zeros() as usize;
+        ready[w] &= ready[w] - 1;
+        let (txn, step) = locate(txns, u);
+        steps.push(ScheduledStep {
+            txn: TxnId::from_idx(txn),
+            step: StepId::from_idx(step),
+        });
+        let section = (node[u][1] != NO_NODE).then_some(node[u][1] as usize);
+        for v in dag(u).filter(|&v| executed(v)).chain(section) {
+            node[v][0] -= 1;
+            if node[v][0] == 0 {
+                ready[v / 64] |= 1 << (v % 64);
+            }
+        }
+    }
+    if steps.len() < kept {
+        return Err(cycle_error());
+    }
     Ok(Schedule::new(steps))
 }
 
-/// Step numbering: transaction `t`'s step `s` is node `offsets[t] + s`,
-/// and `offsets[k]` counts every step.
-fn step_offsets(sys: &TxnSystem) -> Vec<usize> {
-    std::iter::once(0)
-        .chain(sys.txns().iter().scan(0, |end, t| {
-            *end += t.len();
-            Some(*end)
-        }))
-        .collect()
-}
-
 /// A witness whose arcs and precedence DAGs form a cycle.
-fn cycle_error() -> SatCheckError {
+pub(crate) fn cycle_error() -> SatCheckError {
     SatCheckError::WitnessDecode("the witness's arcs and the precedence DAGs form a cycle".into())
 }
 
-/// Adds `terms` as one clause with the constants folded in: a true one
-/// satisfies the clause, a false one drops out of it.
-fn add_folded(cnf: &mut Cnf, terms: [Order; 3]) {
-    if terms.iter().any(|t| matches!(t, Order::Fixed(true))) {
-        return;
+/// [`merge_schedule`]'s entry for a step no section arc leaves.
+const NO_NODE: u32 = u32::MAX;
+
+/// [`cycle_formula`]'s entry for two transactions no node joins.
+const NO_SELECTOR: u32 = u32::MAX;
+
+/// The safety check's formula before the section graph: the orientation
+/// `o_p` of node `p` at variable `p`, and a cycle in the serialization
+/// graph. The selector of each ordered pair `i → j` of transactions a node
+/// joins asserts that conflict edge: some node of theirs runs `i`'s section
+/// first. Every selected edge's tail has a selected incoming edge, and
+/// some edge is selected. With two transactions every cycle is theirs, so
+/// both selectors are forced and the clauses fold to two: some node runs
+/// each transaction's section first. Counted first and allocated once,
+/// with room for `two_cycles` clauses of two literals, [`solve_sections`]'.
+fn cycle_formula(k: usize, nodes: &[Node], two_cycles: usize) -> Cnf {
+    let n = nodes.len();
+    // Node `p`'s literal "transaction `i`'s section runs first".
+    let first = |p: usize, i: usize| Lit::new(Var(p as u32), nodes[p].sides[0].txn == i);
+    if k == 2 {
+        let mut cnf = Cnf::with_capacity(n, 2 + two_cycles, 2 * n + 2 * two_cycles);
+        for i in 0..2 {
+            cnf.add_clause((0..n).map(|p| first(p, i)));
+        }
+        return cnf;
     }
-    cnf.add_clause(terms.into_iter().filter_map(|t| match t {
-        Order::Free(lit) => Some(lit),
-        Order::Fixed(_) => None,
-    }));
+    // The selector of `i → j` at `selector[i * k + j]`, numbered after the
+    // orientations in row order.
+    let mut selector = vec![NO_SELECTOR; k * k];
+    for p in nodes {
+        let [a, b] = p.txns();
+        (selector[a * k + b], selector[b * k + a]) = (0, 0);
+    }
+    let mut edges = 0;
+    for s in selector.iter_mut().filter(|s| **s != NO_SELECTOR) {
+        *s = (n + edges) as u32;
+        edges += 1;
+    }
+    let edge =
+        |i: usize, j: usize| (selector[i * k + j] != NO_SELECTOR).then(|| Var(selector[i * k + j]));
+    let selected =
+        || (0..k).flat_map(move |i| (0..k).filter_map(move |j| edge(i, j).map(|s| (i, j, s))));
+    let realized = |i: usize, j: usize| {
+        let pair = [i.min(j), i.max(j)];
+        (0..n)
+            .filter(move |&p| nodes[p].txns() == pair)
+            .map(move |p| first(p, i))
+    };
+    let into = |i: usize| (0..k).filter_map(move |l| edge(l, i)).map(Lit::pos);
+    let clauses = 2 * edges + 1 + two_cycles;
+    let mut lits = 3 * edges + 2 * two_cycles;
+    for (i, j, _) in selected() {
+        lits += realized(i, j).count() + into(i).count();
+    }
+    let mut cnf = Cnf::with_capacity(n + edges, clauses, lits);
+    for (i, j, s) in selected() {
+        cnf.add_clause(std::iter::once(Lit::neg(s)).chain(realized(i, j)));
+        cnf.add_clause(std::iter::once(Lit::neg(s)).chain(into(i)));
+    }
+    cnf.add_clause(selected().map(|(_, _, s)| Lit::pos(s)));
+    debug_assert_eq!(cnf.num_clauses() + two_cycles, clauses);
+    cnf
 }
 
-fn stats_of(cnf: &Cnf, solver: &Solver<'_>) -> EncodingStats {
-    EncodingStats {
-        vars: cnf.num_vars,
-        clauses: cnf.num_clauses(),
-        decisions: solver.decisions,
-        propagations: solver.propagations,
-        solves: 1,
+/// Whether the transactions `txns`, admitted, have a complete legal
+/// schedule that is not serializable, decided over their section graph's
+/// `nodes` ([`nodes_of`], or `D`'s vertices for a pair), and an unverified
+/// witness if so, with `txns[t]` as `TxnId(t)`, beside the model's
+/// orientations: per node, whether its side `a` runs first, that is
+/// whether the witness unlocks its entity in `a` before `b` locks it.
+///
+/// [`cycle_formula`] forces a serialization cycle, and [`solve_sections`]
+/// keeps the section graph acyclic, so a model's orientations leave the
+/// DAGs plus the section arcs acyclic and the schedule non-serializable.
+fn unsafe_witness<T: Borrow<Transaction>>(
+    txns: &[T],
+    nodes: &[Node],
+) -> Result<(Option<PairWitness>, EncodingStats), SatCheckError> {
+    let n = nodes.len();
+    // One node is one conflict edge, which makes no cycle.
+    if n < 2 {
+        return Ok((None, EncodingStats::default()));
     }
+    let arcs = SectionArcs::of(txns, nodes);
+    let mut cnf = cycle_formula(txns.len(), nodes, arcs.two_cycles);
+    let (model, stats) = solve_sections(&mut cnf, &arcs, 0, |_, _| None);
+    let Some(mut orient) = model else {
+        return Ok((None, stats));
+    };
+    // The orientations come first; the selectors go.
+    orient.truncate(n);
+    let witness = merge_schedule(txns, nodes, |p| orient[p], |_| true)?;
+    Ok((Some((witness, orient)), stats))
 }
 
 /// Decides whether some complete legal schedule of `sys` is
-/// non-serializable, returning a verified witness schedule if so. A
-/// system of two transactions takes the pair path, any other the
-/// k-transaction encoding (see the module doc).
+/// non-serializable, returning a verified witness schedule if so, over the
+/// section graph (see the module doc).
 ///
 /// Agrees with [`crate::oracle::decide_exhaustive`] on every system both
 /// can decide (the triad proptests pin this).
 pub fn check_safety(sys: &TxnSystem) -> Result<SafetyCheck, SatCheckError> {
-    if sys.len() == 2 {
-        let sections = pair_sections(sys, TxnId(0), TxnId(1))?;
-        let (witness, stats) = pair_witness((sys.txn(TxnId(0)), sys.txn(TxnId(1))), &sections)?;
-        let verdict = match witness {
-            Some((schedule, _)) => SatSafety::Unsafe(verified_unsafe(sys, schedule)?),
-            None => SatSafety::Safe,
-        };
-        return Ok(SafetyCheck { verdict, stats });
-    }
-    let (enc, mut cnf) = Encoder::new(sys)?;
-
-    // Same-entity sections of distinct transactions never overlap in a
-    // complete legal schedule: one must fully precede the other.
-    by_entity_pairs(&enc, |a, b| {
-        cnf.add_clause([
-            enc.before(a.unlock_m, b.lock_m),
-            enc.before(b.unlock_m, a.lock_m),
-        ]);
-    });
-
-    // Conflict-edge candidates: ordered transaction pairs sharing a locked
-    // entity. sel(i→j) asserts the serialization graph has edge i → j.
-    let mut candidates: Vec<(usize, usize, Vec<EntityId>)> = Vec::new();
-    for i in 0..sys.len() {
-        for j in 0..sys.len() {
-            if i == j {
-                continue;
-            }
-            let shared = sys.shared_locked_entities(TxnId::from_idx(i), TxnId::from_idx(j));
-            if !shared.is_empty() {
-                candidates.push((i, j, shared));
-            }
-        }
-    }
-    if candidates.is_empty() {
-        // No two transactions conflict: the serialization graph is edgeless
-        // and every complete schedule serializable.
-        return Ok(SafetyCheck {
-            verdict: SatSafety::Safe,
-            stats: EncodingStats {
-                vars: cnf.num_vars,
-                clauses: cnf.num_clauses(),
-                ..Default::default()
-            },
-        });
-    }
-    let sel_base = cnf.num_vars;
-    cnf.num_vars += candidates.len();
-    let sel = |idx: usize| Var((sel_base + idx) as u32);
-
-    for (idx, (i, j, shared)) in candidates.iter().enumerate() {
-        // A selected edge must be realized by some shared entity whose
-        // section order runs i before j.
-        let realized = shared.iter().map(|&e| {
-            let (si, sj) = (enc.section(*i, e), enc.section(*j, e));
-            enc.before(si.unlock_m, sj.lock_m)
-        });
-        cnf.add_clause(std::iter::once(Lit::neg(sel(idx))).chain(realized));
-        // Every selected edge's tail has an incoming selected edge; any
-        // nonempty such set contains a directed cycle, and conversely an
-        // actual cycle selects itself.
-        let incoming = candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, kj, _))| kj == i)
-            .map(|(kidx, _)| Lit::pos(sel(kidx)));
-        cnf.add_clause(std::iter::once(Lit::neg(sel(idx))).chain(incoming));
-    }
-    cnf.add_clause((0..candidates.len()).map(|idx| Lit::pos(sel(idx))));
-
-    let mut solver = Solver::new(&cnf);
-    let result = solver.solve();
-    let stats = stats_of(&cnf, &solver);
-    match result {
-        SatResult::Unsat => Ok(SafetyCheck {
-            verdict: SatSafety::Safe,
-            stats,
-        }),
-        SatResult::Sat(model) => Ok(SafetyCheck {
-            verdict: SatSafety::Unsafe(verified_unsafe(sys, enc.decode(&model, |_| true)?)?),
-            stats,
-        }),
-    }
+    let nodes = nodes_of(sys)?;
+    let (witness, stats) = unsafe_witness(sys.txns(), &nodes)?;
+    let verdict = match witness {
+        Some((schedule, _)) => SatSafety::Unsafe(verified_unsafe(sys, schedule)?),
+        None => SatSafety::Safe,
+    };
+    Ok(SafetyCheck { verdict, stats })
 }
 
 /// Re-verifies a decoded safety witness against the model-level
@@ -782,390 +854,55 @@ pub(crate) fn admit_pair(
     Ok(ends)
 }
 
-/// The sections of the pair `a`, `b` on the entities both lock, the
-/// vertices of `D(a, b)` in ascending entity order, once [`admit_pair`] has
-/// admitted both; they are read off its lock and unlock steps.
-pub(crate) fn pair_sections(
-    sys: &TxnSystem,
-    a: TxnId,
-    b: TxnId,
-) -> Result<Vec<Sections>, SatCheckError> {
-    let n_e = sys.db().entity_count();
-    let ends = admit_pair(sys, a, b)?;
-    let (ends_a, ends_b) = ends.split_at(n_e);
-    let step = |v: u32| StepId::from_idx(v as usize);
-    let shared = || (0..n_e).filter(|&e| ends_a[e][0] != NO_STEP && ends_b[e][0] != NO_STEP);
-    let mut sections = Vec::with_capacity(shared().count());
-    sections.extend(shared().map(|e| Sections {
-        lock_a: step(ends_a[e][0]),
-        unlock_a: step(ends_a[e][1]),
-        lock_b: step(ends_b[e][0]),
-        unlock_b: step(ends_b[e][1]),
-    }));
-    Ok(sections)
-}
-
-/// One arc the section graph of a pair may have: `x → y`, there when
-/// `o_x == first` and `o_y != first`. `two_cycle` marks an arc with `x` in
-/// S whose reverse `y → x` (with `y` not in S) exists too: a 2-cycle, which
-/// is `D`'s arc `y → x`.
-#[derive(Clone, Copy)]
-struct SectionArc {
-    x: u32,
-    y: u32,
-    first: bool,
-    two_cycle: bool,
-}
-
-/// The arcs some orientation gives the section graph of a pair over its
-/// shared entities: per entity `x`, per other entity `y`, the arc `x → y`
-/// with `x` in S (`Lx ≺_b Uy`), then the one with `x` not in S
-/// (`Lx ≺_a Uy`). Counted first, so that the list is allocated once at its
-/// size and a formula can make room for [`solve_pair`]'s 2-cycle clauses
-/// before it is written.
-struct SectionArcs {
-    arcs: Vec<SectionArc>,
-    /// How many of the arcs close a 2-cycle.
-    two_cycles: usize,
-    /// The shared entities, the section graph's nodes.
-    nodes: usize,
-}
-
-impl SectionArcs {
-    fn of((ta, tb): (&Transaction, &Transaction), sections: &[Sections]) -> Self {
-        // Per ordered pair: the arc with `x` in S, whether it closes a
-        // 2-cycle, the arc with `x` not in S.
-        let kinds = |x: usize, y: usize| {
-            let (sx, sy) = (&sections[x], &sections[y]);
-            let in_s = tb.precedes(sx.lock_b, sy.unlock_b);
-            [
-                in_s,
-                in_s && ta.precedes(sy.lock_a, sx.unlock_a),
-                ta.precedes(sx.lock_a, sy.unlock_a),
-            ]
-        };
-        let nodes = sections.len();
-        let pairs = || {
-            (0..nodes).flat_map(move |x| (0..nodes).filter(move |&y| y != x).map(move |y| (x, y)))
-        };
-        let (mut len, mut two_cycles) = (0, 0);
-        for (x, y) in pairs() {
-            let [in_s, two_cycle, out_s] = kinds(x, y);
-            len += usize::from(in_s) + usize::from(out_s);
-            two_cycles += usize::from(two_cycle);
-        }
-        let mut arcs = Vec::with_capacity(len);
-        for (x, y) in pairs() {
-            let [in_s, two_cycle, out_s] = kinds(x, y);
-            let (x, y) = (x as u32, y as u32);
-            if in_s {
-                arcs.push(SectionArc {
-                    x,
-                    y,
-                    first: true,
-                    two_cycle,
-                });
-            }
-            if out_s {
-                arcs.push(SectionArc {
-                    x,
-                    y,
-                    first: false,
-                    two_cycle: false,
-                });
-            }
-        }
-        SectionArcs {
-            arcs,
-            two_cycles,
-            nodes,
-        }
-    }
-}
-
-/// The search both pair paths share. `cnf` holds the orientation `o_x`
-/// of shared entity `x` (`a`'s section on `x` runs first) at variable
-/// `base + x`, and what the path needs besides; this adds the section
-/// graph, whose possible arcs are `arcs`. Its arc `x → y` is there when
-/// `o_x ∧ ¬o_y` and `Lx ≺_b Uy`, or `¬o_x ∧ o_y` and `Lx ≺_a Uy`; on a
-/// prefix it also needs the literal `second(y, o_y)` true, the lock of `y`
-/// by the transaction whose section on `y` runs second (a complete
-/// schedule passes `None`). Each 2-cycle gets a clause; then solve, lay the
-/// model's arcs out in a [`CycleTest`], and while they have a cycle add
-/// the clause forbidding its orientations and second locks and solve
-/// again. Returns a model whose section graph is acyclic, if there is one,
-/// and the effort summed over every solve.
-fn solve_pair(
-    cnf: &mut Cnf,
-    arcs: &SectionArcs,
-    base: usize,
-    second: impl Fn(usize, bool) -> Option<Lit>,
-) -> (Option<Vec<bool>>, EncodingStats) {
-    let orient = |x: usize| Var((base + x) as u32);
-    let unless = |lit: Option<Lit>| lit.map(Lit::negated);
-    // A 2-cycle with `x` in S is `D`'s arc `y → x`.
-    for arc in arcs.arcs.iter().filter(|arc| arc.two_cycle) {
-        let (x, y) = (arc.x as usize, arc.y as usize);
-        let guards = unless(second(y, false))
-            .into_iter()
-            .chain(unless(second(x, true)));
-        cnf.add_clause(
-            [Lit::neg(orient(x)), Lit::pos(orient(y))]
-                .into_iter()
-                .chain(guards),
-        );
-    }
-    let mut stats = EncodingStats::default();
-    let mut graph = CycleTest::default();
-    let model = loop {
-        let mut solver = Solver::new(cnf);
-        let result = solver.solve();
-        stats.solves += 1;
-        stats.decisions += solver.decisions;
-        stats.propagations += solver.propagations;
-        let SatResult::Sat(model) = result else {
-            break None;
-        };
-        let o = |x: usize| model[base + x];
-        let holds = |lit: Option<Lit>| lit.is_none_or(|l| model[l.var().idx()] == l.is_positive());
-        graph.clear();
-        for arc in &arcs.arcs {
-            let (x, y) = (arc.x as usize, arc.y as usize);
-            if o(x) == arc.first && o(y) != arc.first && holds(second(y, o(y))) {
-                graph.arc(arc.x, arc.y, 0);
-            }
-        }
-        if !graph.has_cycle(arcs.nodes) {
-            break Some(model);
-        }
-        let cut = graph.find_cycle(|_| 0).iter().flat_map(|&v| {
-            let v = v as usize;
-            [Lit::new(orient(v), !o(v))]
-                .into_iter()
-                .chain(unless(second(v, o(v))))
-        });
-        cnf.add_clause(cut);
-    };
-    stats.vars = cnf.num_vars;
-    stats.clauses = cnf.num_clauses();
-    (model, stats)
-}
-
-/// The pair paths' witness: Kahn's sort, smallest node first, of the
-/// steps `executed` keeps, `b`'s numbered after `a`'s, under both DAGs plus
-/// the section arcs `orient` picks, as a schedule of `TxnId(0)` and
-/// `TxnId(1)` — [`witness_schedule`]'s order, run on the pair directly. An
-/// arc is kept when both its ends are, so a section arc joins two sections
-/// that are both locked.
-///
-/// A node's arcs are its DAG row and at most one section arc, which only
-/// an unlock step has, so the sort counts in-degrees over those and takes
-/// the smallest ready node off a bit set, with no graph built.
-fn pair_schedule(
-    ta: &Transaction,
-    tb: &Transaction,
-    sections: &[Sections],
-    orient: impl Fn(usize) -> bool,
-    executed: impl Fn(usize) -> bool,
-) -> Result<Schedule, SatCheckError> {
-    let off = ta.len();
-    let n = off + tb.len();
-    // Per node: its kept in-degree, then the head of its section arc.
-    let mut node = vec![[0u32, NO_NODE]; n];
-    for (x, s) in sections.iter().enumerate() {
-        let (u, v) = if orient(x) {
-            (s.unlock_a.idx(), off + s.lock_b.idx())
-        } else {
-            (off + s.unlock_b.idx(), s.lock_a.idx())
-        };
-        if executed(u) && executed(v) {
-            node[u][1] = v as u32;
-            node[v][0] += 1;
-        }
-    }
-    // Node `u`'s DAG successors, numbered as nodes.
-    let dag = |u: usize| {
-        let (t, base) = if u < off { (ta, 0) } else { (tb, off) };
-        t.edge_graph()
-            .successors(u - base)
-            .iter()
-            .map(move |&v| base + v)
-    };
-    let mut kept = 0;
-    for u in (0..n).filter(|&u| executed(u)) {
-        kept += 1;
-        for v in dag(u).filter(|&v| executed(v)) {
-            node[v][0] += 1;
-        }
-    }
-    let mut ready = vec![0u64; n.div_ceil(64)];
-    for u in (0..n).filter(|&u| executed(u) && node[u][0] == 0) {
-        ready[u / 64] |= 1 << (u % 64);
-    }
-    let mut steps = Vec::with_capacity(kept);
-    while let Some(w) = ready.iter().position(|&bits| bits != 0) {
-        let u = 64 * w + ready[w].trailing_zeros() as usize;
-        ready[w] &= ready[w] - 1;
-        let (txn, step) = if u < off { (0, u) } else { (1, u - off) };
-        steps.push(ScheduledStep {
-            txn: TxnId(txn),
-            step: StepId::from_idx(step),
-        });
-        let section = (node[u][1] != NO_NODE).then_some(node[u][1] as usize);
-        for v in dag(u).filter(|&v| executed(v)).chain(section) {
-            node[v][0] -= 1;
-            if node[v][0] == 0 {
-                ready[v / 64] |= 1 << (v % 64);
-            }
-        }
-    }
-    if steps.len() < kept {
-        return Err(cycle_error());
-    }
-    Ok(Schedule::new(steps))
-}
-
 /// [`pair_witness`]'s witness schedule and the model's orientation.
 pub(crate) type PairWitness = (Schedule, Vec<bool>);
 
-/// The pair path: whether the transactions `ta` and `tb`, admitted by
-/// [`admit_pair`], have a complete legal schedule that is not
-/// serializable, decided over `sections`, theirs on the entities both lock
-/// in ascending entity order (the vertices of `D(ta, tb)`, as
-/// [`pair_sections`] or `D` read them), and an unverified witness if so,
-/// with `ta` as `TxnId(0)` and `tb` as `TxnId(1)`, beside the model's
-/// orientation: per shared entity, whether `ta`'s section runs first, that
-/// is whether the witness unlocks it in `ta` before `tb` locks it.
-///
-/// Two clauses force the orientation set S to be mixed, and
-/// [`solve_pair`] keeps the section graph acyclic, so a model's
-/// orientation leaves both DAGs plus the section arcs acyclic and the
-/// schedule non-serializable.
+/// The safety check of the pair `ta`, `tb`, admitted by [`admit_pair`],
+/// over `D(ta, tb)`'s vertices: `entities` in ascending order and their
+/// `sections`. Returns an unverified witness with `ta` as `TxnId(0)` and
+/// `tb` as `TxnId(1)` if one exists, beside the model's orientation: per
+/// vertex, whether the witness unlocks it in `ta` before `tb` locks it.
 pub(crate) fn pair_witness(
     (ta, tb): (&Transaction, &Transaction),
+    entities: &[EntityId],
     sections: &[Sections],
 ) -> Result<(Option<PairWitness>, EncodingStats), SatCheckError> {
-    let n = sections.len();
-    // One section per transaction cannot make a conflict cycle.
-    if n < 2 {
-        return Ok((None, EncodingStats::default()));
-    }
-    let arcs = SectionArcs::of((ta, tb), sections);
-    let two_cycles = arcs.two_cycles;
-    let mut cnf = Cnf::with_capacity(n, 2 + two_cycles, 2 * n + 2 * two_cycles);
-    cnf.add_clause((0..n).map(|x| Lit::pos(Var(x as u32))));
-    cnf.add_clause((0..n).map(|x| Lit::neg(Var(x as u32))));
-    let (model, stats) = solve_pair(&mut cnf, &arcs, 0, |_, _| None);
-    let Some(model) = model else {
-        return Ok((None, stats));
-    };
-    // The formula has no variable but the orientations.
-    let orient = model;
-    let witness = pair_schedule(ta, tb, sections, |x| orient[x], |_| true)?;
-    Ok((Some((witness, orient)), stats))
+    let nodes: Vec<Node> = (entities.iter().zip(sections).enumerate())
+        .map(|(x, (&entity, s))| {
+            let side = |txn: usize, lock, unlock| Side {
+                section: 2 * x + txn,
+                txn,
+                lock,
+                unlock,
+            };
+            Node {
+                entity,
+                sides: [side(0, s.lock_a, s.unlock_a), side(1, s.lock_b, s.unlock_b)],
+            }
+        })
+        .collect();
+    unsafe_witness(&[ta, tb], &nodes)
 }
 
-/// [`pair_schedule`]'s entry for a node no section arc leaves.
-const NO_NODE: u32 = u32::MAX;
-
-/// The deadlock pair path: whether some legal prefix of the pair `sys`
-/// stalls every remaining step, decided over its *milestones*, the lock
-/// and unlock steps of the `n` entities both transactions lock: the
-/// formula [`pair_prefix_formula`] writes, searched by [`solve_pair`] with
-/// an arc into `y` guarded by the second lock of `y` having run
-/// ([`second_lock`]). A cycle through the executed steps and the section
-/// arcs alternates as on a complete schedule, since a DAG path that ends at
-/// an executed step runs through executed steps only. Fewer than two shared
-/// entities cannot deadlock and need no formula.
-fn pair_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
-    let sections = pair_sections(sys, TxnId(0), TxnId(1))?;
-    let n = sections.len();
-    // Each transaction of a stalled pair waits for an entity the other
-    // holds, and no entity is held twice: that takes two shared entities.
-    if n < 2 {
-        return Ok(DeadlockCheck {
-            deadlock: None,
-            stats: EncodingStats::default(),
-        });
-    }
-    let txns = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
-    let arcs = SectionArcs::of(txns, &sections);
-    let mut cnf = pair_prefix_formula(txns, &sections, arcs.two_cycles);
-    let (model, stats) = solve_pair(&mut cnf, &arcs, 4 * n, second_lock);
-    let Some(model) = model else {
-        return Ok(DeadlockCheck {
-            deadlock: None,
-            stats,
-        });
-    };
-    // A step ran iff no milestone of its transaction at or before it is
-    // missing: the steps that did not are the union of the missing
-    // milestones' closure rows, `a`'s words first.
-    let (ta, tb) = txns;
-    let words_a = ta.len().div_ceil(64);
-    let mut missed = vec![0u64; words_a + tb.len().div_ceil(64)];
-    for m in (0..4 * n).filter(|&m| model[m]) {
-        let (t, base, s) = milestone_at(txns, &sections, m);
-        let words = if base == 0 {
-            &mut missed[..words_a]
-        } else {
-            &mut missed[words_a..]
-        };
-        for (w, row) in words.iter_mut().zip(t.closure().row(s.idx())) {
-            *w |= row;
-        }
-    }
-    let ran = |v: usize| {
-        let (word, bit) = match v.checked_sub(ta.len()) {
-            None => (v / 64, v % 64),
-            Some(u) => (words_a + u / 64, u % 64),
-        };
-        missed[word] >> bit & 1 == 0
-    };
-    let orient = |i: usize| model[4 * n + i];
-    let prefix = pair_schedule(ta, tb, &sections, orient, ran)?;
-    Ok(DeadlockCheck {
-        deadlock: Some(verified_deadlock(sys, prefix)?),
-        stats,
-    })
-}
-
-/// The literal "milestone `m` ran" of [`pair_prefix_formula`], whose
-/// variable `m` is the milestone's missing flag.
+/// The literal "milestone `m` ran" of [`prefix_formula`], whose variable
+/// `m` is the milestone's missing flag.
 pub(crate) fn ran(m: usize) -> Lit {
     Lit::neg(Var(m as u32))
 }
 
-/// [`solve_pair`]'s guard on the deadlock pair path: the literal "the
-/// second lock of shared entity `y` ran", `b`'s (milestone `4y + 2`) when
-/// `a`'s section runs first, else `a`'s (milestone `4y`).
-pub(crate) fn second_lock(y: usize, a_first: bool) -> Option<Lit> {
-    Some(ran(4 * y + 2 * usize::from(a_first)))
+/// [`solve_sections`]' guard on the deadlock check: the literal "the
+/// second lock of node `y` ran", side `b`'s when `a_first` says `a`'s
+/// section runs first, else side `a`'s.
+pub(crate) fn second_lock(nodes: &[Node], y: usize, a_first: bool) -> Option<Lit> {
+    Some(ran(2 * nodes[y].second(a_first).section))
 }
 
-/// Milestone `m` of a pair whose shared entity `i` gives milestones `4i`
-/// to `4i + 3`, `a`'s lock and unlock, then `b`'s: its transaction, the
-/// number of that transaction's first step (`b`'s steps come after
-/// `a`'s) and its step.
-pub(crate) fn milestone_at<'t>(
-    (ta, tb): (&'t Transaction, &'t Transaction),
-    sections: &[Sections],
-    m: usize,
-) -> (&'t Transaction, usize, StepId) {
-    let s = sections[m / 4];
-    let step = [s.lock_a, s.unlock_a, s.lock_b, s.unlock_b][m % 4];
-    if m % 4 < 2 {
-        (ta, 0, step)
-    } else {
-        (tb, ta.len(), step)
-    }
-}
-
-/// The deadlock pair path's formula without the section graph, over
-/// `5n` variables for `n` shared entities: the *missing* flag `M(m)` of
-/// milestone `m` ([`milestone_at`]) is variable `m`, true when the
-/// milestone has not run ([`ran`] is its negation), and the orientation of
-/// entity `x` is variable `4n + x`. The flags say "missing" rather than
+/// The deadlock check's formula without the section graph. The *missing*
+/// flag `M(m)` of milestone `m` is variable `m`, true when the milestone
+/// has not run ([`ran`] is its negation); the orientation of node `p`
+/// follows the milestones, at the milestone count plus `p`; then each
+/// section of an entity three or more transactions lock has a holder
+/// variable, in section order. The flags say "missing" rather than
 /// "executed" because the solver starts every variable at phase `true`:
 /// its first descent then starts from the empty prefix and runs
 /// milestones as the clauses force them, where executed flags would run
@@ -1173,107 +910,133 @@ pub(crate) fn milestone_at<'t>(
 /// formulas differ only in the sign of those variables, so their models
 /// map one to one.
 ///
-/// In a pair only a lock on a shared entity can be blocked, so in a
-/// stalled prefix a step that is no milestone has run exactly when every
-/// milestone before it has. A missing milestone makes the milestones it
-/// is a nearest milestone predecessor of missing. Each transaction's
-/// milestone order is read off its cached closure into one bit matrix, row
-/// `j` holding the milestones before its milestone `j`; a predecessor is
-/// nearest when no row of another predecessor holds it, that is when none
-/// of its successors is a predecessor too. Legality,
-/// `¬o_x ∨ M(Lb x) ∨ ¬M(Ua x)` and `o_x ∨ M(La x) ∨ ¬M(Ub x)`, lets the
-/// second section on `x` lock only once the first has unlocked. A
+/// Only a lock on an entity another transaction locks can be blocked, so
+/// in a stalled prefix a step that is no milestone has run exactly when
+/// every milestone before it has. A missing milestone makes the milestones
+/// it is a nearest milestone predecessor of missing. The milestone order
+/// is read off each transaction's cached closure into one bit matrix, row
+/// `m` holding the milestones of `m`'s transaction before `m`; a
+/// predecessor is nearest when no row of another predecessor holds it,
+/// that is when none of its successors is a predecessor too. Legality,
+/// `¬o_p ∨ M(L_b p) ∨ ¬M(U_a p)` and `o_p ∨ M(L_a p) ∨ ¬M(U_b p)`, lets a
+/// node's second section lock only once its first has unlocked. A
 /// milestone whose nearest milestone predecessors ran has run or is a lock
-/// on `x` the other transaction holds, written as two clauses: its lock of
-/// `x` ran, and its unlock did not. Some milestone is missing.
+/// on `x` another transaction holds: where one other locks `x`, its lock of
+/// `x` ran and its unlock did not, two clauses; where more do, one of
+/// their holder variables, each of which implies both. Some milestone is
+/// missing.
 ///
 /// The formula is counted before it is written and allocated once, with
-/// room for `two_cycles` more clauses of four literals, [`solve_pair`]'s
+/// room for `two_cycles` more clauses of four literals, [`solve_sections`]'
 /// 2-cycle clauses.
-pub(crate) fn pair_prefix_formula(
-    txns: (&Transaction, &Transaction),
-    sections: &[Sections],
+pub(crate) fn prefix_formula<T: Borrow<Transaction>>(
+    txns: &[T],
+    nodes: &[Node],
     two_cycles: usize,
 ) -> Cnf {
-    let n = sections.len();
-    let orient = |i: usize| Var((4 * n + i) as u32);
-    // Each transaction's milestone `j` is its lock (`j` even) or unlock of
-    // shared entity `j / 2`, the pair's milestone `4 (j / 2) + 2t + j % 2`
-    // for transaction `t`. The two matrices, then milestone `m`'s nearest
-    // milestone predecessors at row `m`, each row `stride` words over the
-    // milestones of `m`'s own transaction.
-    let stride = (2 * n).div_ceil(64);
-    let matrix = 2 * n * stride;
-    let mut words = vec![0u64; 2 * matrix + 4 * n * stride];
-    let (before_a, rest) = words.split_at_mut(matrix);
-    let (before_b, nearest) = rest.split_at_mut(matrix);
-    for (t, (txn, before)) in [(txns.0, before_a), (txns.1, before_b)]
-        .into_iter()
-        .enumerate()
-    {
-        let step = |j: usize| {
-            let s = &sections[j / 2];
-            [[s.lock_a, s.unlock_a], [s.lock_b, s.unlock_b]][t][j % 2].idx()
-        };
-        let closure = txn.closure();
-        for j in 0..2 * n {
-            for q in (0..2 * n).filter(|&q| q != j && closure.reaches(step(q), step(j))) {
-                before[j * stride + q / 64] |= 1 << (q % 64);
-            }
-        }
-        for j in 0..2 * n {
-            let preds = &before[j * stride..][..stride];
-            let m = 4 * (j / 2) + 2 * t + j % 2;
-            for (k, &word) in preds.iter().enumerate() {
-                let followed = ones(preds).fold(0, |acc, q| acc | before[q * stride + k]);
-                nearest[m * stride + k] = word & !followed;
+    let (n, milestones) = (nodes.len(), milestone_count(nodes));
+    let orient = |p: usize| Var((milestones + p) as u32);
+    // Section `s`'s milestones with their steps.
+    let ends = |s: Side| [(2 * s.section, s.lock), (2 * s.section + 1, s.unlock)];
+    // The milestones before each one, then its nearest milestone
+    // predecessors, `stride` words a row.
+    let stride = milestones.div_ceil(64);
+    let mut words = vec![0u64; 2 * milestones * stride];
+    let (before, nearest) = words.split_at_mut(milestones * stride);
+    for s in sides(nodes) {
+        let closure = txns[s.txn].borrow().closure();
+        for r in sides(nodes).filter(|r| r.txn == s.txn) {
+            for (m, to) in ends(s) {
+                for (q, from) in ends(r).into_iter().filter(|&(q, _)| q != m) {
+                    if closure.reaches(from.idx(), to.idx()) {
+                        before[m * stride + q / 64] |= 1 << (q % 64);
+                    }
+                }
             }
         }
     }
-    let preds_of = |m: usize| {
-        let t = m % 4 / 2;
-        ones(&nearest[m * stride..][..stride]).map(move |q| 4 * (q / 2) + 2 * t + q % 2)
-    };
+    for m in 0..milestones {
+        let preds = &before[m * stride..][..stride];
+        for (k, &word) in preds.iter().enumerate() {
+            let followed = ones(preds).fold(0, |acc, q| acc | before[q * stride + k]);
+            nearest[m * stride + k] = word & !followed;
+        }
+    }
+    let preds_of = |m: usize| ones(&nearest[m * stride..][..stride]);
+    // Holders: one per section of a run of three or more.
+    let holders = runs(nodes)
+        .map(|run| run.sections)
+        .filter(|&c| c >= 3)
+        .sum::<usize>();
 
     // Counts first: the downward closure's two-literal clauses, legality,
-    // the stall clauses and the last clause, plus the 2-cycle clauses.
-    let (mut clauses, mut lits) = (8 * n + 1 + two_cycles, 10 * n + 4 * two_cycles);
-    for m in 0..4 * n {
-        let p = preds_of(m).count();
-        let stall = if m % 2 == 0 { 2 * (p + 2) } else { p + 1 };
-        clauses += p;
-        lits += 2 * p + stall;
+    // the stall clauses, the holders and the last clause, plus the 2-cycle
+    // clauses.
+    let mut clauses = 2 * n + 2 * holders + 1 + two_cycles;
+    let mut lits = 6 * n + 4 * holders + milestones + 4 * two_cycles;
+    for run in runs(nodes) {
+        for i in 0..run.sections {
+            let [(lock, _), (unlock, _)] = ends(run.side(i));
+            let (p, q) = (preds_of(lock).count(), preds_of(unlock).count());
+            clauses += p + q;
+            lits += 2 * (p + q);
+            let (stall, stall_lits) = match run.sections {
+                2 => (2, 2 * (p + 2)),
+                c => (1, p + c),
+            };
+            clauses += stall + 1;
+            lits += stall_lits + q + 1;
+        }
     }
-    let mut cnf = Cnf::with_capacity(5 * n, clauses, lits);
+    let mut cnf = Cnf::with_capacity(milestones + n + holders, clauses, lits);
     // Downward closure: a milestone that ran has its nearest milestone
     // predecessors run.
-    for m in 0..4 * n {
+    for m in 0..milestones {
         for q in preds_of(m) {
             cnf.add_clause([ran(m).negated(), ran(q)]);
         }
     }
-    // Legality: the second section on an entity locks only once the first
-    // has unlocked.
-    for i in 0..n {
-        let (o, m) = (orient(i), 4 * i);
-        cnf.add_clause([Lit::neg(o), ran(m + 2).negated(), ran(m + 1)]);
-        cnf.add_clause([Lit::pos(o), ran(m).negated(), ran(m + 3)]);
+    // Legality: a node's second section locks only once its first has
+    // unlocked.
+    for (p, node) in nodes.iter().enumerate() {
+        let [(la, _), (ua, _)] = ends(node.sides[0]);
+        let [(lb, _), (ub, _)] = ends(node.sides[1]);
+        cnf.add_clause([Lit::neg(orient(p)), ran(lb).negated(), ran(ua)]);
+        cnf.add_clause([Lit::pos(orient(p)), ran(la).negated(), ran(ub)]);
     }
     // The stall: a milestone whose nearest milestone predecessors ran has
-    // run, or is a lock whose entity the other transaction holds...
-    for m in 0..4 * n {
-        let missing = || preds_of(m).map(|q| ran(q).negated());
-        let stalled = || std::iter::once(ran(m)).chain(missing());
-        if m % 2 == 0 {
-            let other = m ^ 2;
-            cnf.add_clause(stalled().chain([ran(other)]));
-            cnf.add_clause(stalled().chain([ran(other + 1).negated()]));
-        } else {
-            cnf.add_clause(stalled());
+    // run, or is a lock whose entity another transaction holds...
+    let mut holder = milestones + n;
+    for run in runs(nodes) {
+        let c = run.sections;
+        let held = |j: usize| Lit::pos(Var((holder + j) as u32));
+        for i in 0..c {
+            for (m, _) in ends(run.side(i)) {
+                let missing = || preds_of(m).map(|q| ran(q).negated());
+                let stalled = || std::iter::once(ran(m)).chain(missing());
+                if m % 2 == 1 {
+                    cnf.add_clause(stalled());
+                } else if c == 2 {
+                    let [(lock, _), (unlock, _)] = ends(run.side(1 - i));
+                    cnf.add_clause(stalled().chain([ran(lock)]));
+                    cnf.add_clause(stalled().chain([ran(unlock).negated()]));
+                } else {
+                    cnf.add_clause(stalled().chain((0..c).filter(|&j| j != i).map(held)));
+                }
+            }
+        }
+        if c >= 3 {
+            // ... a holder has locked and not unlocked ...
+            for j in 0..c {
+                let [(lock, _), (unlock, _)] = ends(run.side(j));
+                cnf.add_clause([held(j).negated(), ran(lock)]);
+                cnf.add_clause([held(j).negated(), ran(unlock).negated()]);
+            }
+            holder += c;
         }
     }
     // ... and some milestone is missing, else every step has run.
-    cnf.add_clause((0..4 * n).map(|m| ran(m).negated()));
+    cnf.add_clause((0..milestones).map(|m| ran(m).negated()));
     debug_assert_eq!(cnf.num_clauses() + two_cycles, clauses);
     cnf
 }
@@ -1288,126 +1051,76 @@ fn ones(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// Decides whether some legal prefix of `sys` stalls every remaining step
-/// (the oracle's `deadlock_reachable`), returning a verified prefix if so.
-/// A system of two transactions takes the pair path, any other the
-/// k-transaction encoding (see the module doc).
+/// (the oracle's `deadlock_reachable`), returning a verified prefix if so:
+/// the formula `prefix_formula` writes, searched by `solve_sections`
+/// with an arc into `y` guarded by the second lock of `y` having run
+/// (`second_lock`). A cycle through the executed steps and the section
+/// arcs alternates as on a complete schedule, since a DAG path that ends
+/// at an executed step runs through executed steps only.
 pub fn check_deadlock(sys: &TxnSystem) -> Result<DeadlockCheck, SatCheckError> {
-    if sys.len() == 2 {
-        return pair_deadlock(sys);
+    let nodes = nodes_of(sys)?;
+    // A stalled transaction waits for an entity another one holds, and no
+    // entity is held twice, so the waits close a cycle over two entities at
+    // least: that takes two nodes.
+    if nodes.len() < 2 {
+        return Ok(DeadlockCheck {
+            deadlock: None,
+            stats: EncodingStats::default(),
+        });
     }
-    let (enc, mut cnf) = Encoder::new(sys)?;
-
-    // Executed flag per step.
-    let total = enc.offsets[sys.len()];
-    let x_base = cnf.num_vars;
-    cnf.num_vars += total;
-    let x = |t: usize, s: StepId| Var((x_base + enc.offsets[t] + s.idx()) as u32);
-    // Holder flag per section: h asserts the section's transaction holds
-    // the entity in the final state (locked, not yet unlocked).
-    let h_base = cnf.num_vars;
-    cnf.num_vars += enc.sections.len();
-    let h = |sec: usize| Var((h_base + sec) as u32);
-
-    for (t, txn) in sys.txns().iter().enumerate() {
-        for v in 0..txn.len() {
-            let s = StepId::from_idx(v);
-            // Downward closure: an executed step's DAG predecessors are
-            // executed.
-            for &p in txn.edge_graph().predecessors(v) {
-                cnf.add_clause([Lit::neg(x(t, s)), Lit::pos(x(t, StepId::from_idx(p)))]);
-            }
-        }
-    }
-
-    by_entity_pairs(&enc, |a, b| {
-        let (la, ua) = (enc.milestones[a.lock_m], enc.milestones[a.unlock_m]);
-        let (lb, ub) = (enc.milestones[b.lock_m], enc.milestones[b.unlock_m]);
-        // If both locks executed, the sections are disjoint and ordered.
-        cnf.add_clause([
-            Lit::neg(x(la.0, la.1)),
-            Lit::neg(x(lb.0, lb.1)),
-            enc.before(a.unlock_m, b.lock_m),
-            enc.before(b.unlock_m, a.lock_m),
-        ]);
-        // Cross-transaction closure: a section ordered before an executed
-        // lock has released (its unlock executed), in both directions.
-        cnf.add_clause([
-            enc.before(a.unlock_m, b.lock_m).negated(),
-            Lit::neg(x(lb.0, lb.1)),
-            Lit::pos(x(ua.0, ua.1)),
-        ]);
-        cnf.add_clause([
-            enc.before(b.unlock_m, a.lock_m).negated(),
-            Lit::neg(x(la.0, la.1)),
-            Lit::pos(x(ub.0, ub.1)),
-        ]);
-    });
-
-    for (idx, sec) in enc.sections.iter().enumerate() {
-        let l = enc.milestones[sec.lock_m];
-        let u = enc.milestones[sec.unlock_m];
-        cnf.add_clause([Lit::neg(h(idx)), Lit::pos(x(l.0, l.1))]);
-        cnf.add_clause([Lit::neg(h(idx)), Lit::neg(x(u.0, u.1))]);
-    }
-
-    // The stall condition: every step is executed, or missing a
-    // predecessor, or a lock blocked by some holder.
-    for (t, txn) in sys.txns().iter().enumerate() {
-        for v in 0..txn.len() {
-            let s = StepId::from_idx(v);
-            let missing = txn
-                .edge_graph()
-                .predecessors(v)
-                .iter()
-                .map(|&p| Lit::neg(x(t, StepId::from_idx(p))));
-            let step = txn.step(s);
-            let blockers = enc
-                .sections
-                .iter()
-                .enumerate()
-                .filter(|(_, sec)| {
-                    step.kind == ActionKind::Lock && sec.txn != t && sec.entity == step.entity
-                })
-                .map(|(idx, _)| Lit::pos(h(idx)));
-            cnf.add_clause(
-                std::iter::once(Lit::pos(x(t, s)))
-                    .chain(missing)
-                    .chain(blockers),
-            );
-        }
-    }
-
-    // ... and at least one step is missing, else the state is complete.
-    cnf.add_clause((x_base..x_base + total).map(|v| Lit::neg(Var(v as u32))));
-
-    let mut solver = Solver::new(&cnf);
-    let result = solver.solve();
-    let stats = stats_of(&cnf, &solver);
-    match result {
-        SatResult::Unsat => Ok(DeadlockCheck {
+    let txns = sys.txns();
+    let arcs = SectionArcs::of(txns, &nodes);
+    let mut cnf = prefix_formula(txns, &nodes, arcs.two_cycles);
+    let milestones = milestone_count(&nodes);
+    let second = |y: usize, a_first: bool| second_lock(&nodes, y, a_first);
+    let (model, stats) = solve_sections(&mut cnf, &arcs, milestones, second);
+    let Some(model) = model else {
+        return Ok(DeadlockCheck {
             deadlock: None,
             stats,
-        }),
-        SatResult::Sat(model) => {
-            let prefix = enc.decode(&model, |v| model[x_base + v])?;
-            Ok(DeadlockCheck {
-                deadlock: Some(verified_deadlock(sys, prefix)?),
-                stats,
-            })
-        }
-    }
-}
-
-/// Invokes `f` on every unordered pair of same-entity sections of
-/// distinct transactions.
-fn by_entity_pairs(enc: &Encoder<'_>, mut f: impl FnMut(Section, Section)) {
-    for (ai, a) in enc.sections.iter().enumerate() {
-        for b in enc.sections.iter().skip(ai + 1) {
-            if a.entity == b.entity && a.txn != b.txn {
-                f(*a, *b);
+        });
+    };
+    // A step ran iff no milestone of its transaction at or before it is
+    // missing: the steps that did not are the union of the missing
+    // milestones' closure rows, each transaction's words after those of
+    // the transactions before it.
+    let words = |t: usize| {
+        txns[..t]
+            .iter()
+            .map(|x| x.len().div_ceil(64))
+            .sum::<usize>()
+    };
+    let mut missed = vec![0u64; words(txns.len())];
+    for s in sides(&nodes) {
+        let (base, closure) = (words(s.txn), txns[s.txn].closure());
+        for (m, step) in [(2 * s.section, s.lock), (2 * s.section + 1, s.unlock)] {
+            if model[m] {
+                for (w, row) in missed[base..].iter_mut().zip(closure.row(step.idx())) {
+                    *w |= row;
+                }
             }
         }
     }
+    let executed = |v: usize| {
+        let (t, s) = locate(txns, v);
+        missed[words(t) + s / 64] >> (s % 64) & 1 == 0
+    };
+    let prefix = merge_schedule(txns, &nodes, |p| model[milestones + p], executed)?;
+    Ok(DeadlockCheck {
+        deadlock: Some(verified_deadlock(sys, prefix)?),
+        stats,
+    })
+}
+
+/// Step numbering: transaction `t`'s step `s` is node `offsets[t] + s`,
+/// and `offsets[k]` counts every step.
+fn step_offsets(sys: &TxnSystem) -> Vec<usize> {
+    std::iter::once(0)
+        .chain(sys.txns().iter().scan(0, |end, t| {
+            *end += t.len();
+            Some(*end)
+        }))
+        .collect()
 }
 
 /// Re-verifies a decoded deadlock witness: a legal prefix after which, as
@@ -1639,10 +1352,8 @@ mod tests {
     #[test]
     fn disjoint_transactions_are_trivially_safe() {
         let sys = sys_of(&["Lx x Ux", "Ly y Uy"]);
-        // No entity is shared, so nothing is ordered.
-        let (enc, core) = Encoder::new(&sys).unwrap();
-        assert!(enc.milestones.is_empty());
-        assert_eq!((core.num_vars, core.num_clauses()), (0, 0));
+        // No entity is shared, so the section graph has no node.
+        assert!(nodes_of(&sys).unwrap().is_empty());
         let safety = check_safety(&sys).unwrap();
         assert!(safety.verdict.is_safe());
         assert_eq!(safety.stats.decisions, 0);
@@ -1654,15 +1365,21 @@ mod tests {
 
     #[test]
     fn only_cross_transaction_pairs_get_ordering_variables() {
-        // Four milestones make six pairs; each transaction fixes its own
-        // lock before its unlock, which leaves the four cross pairs. A
+        // Two sections of `x` make one node, one orientation variable. A
         // section no other transaction shares (`y`) adds nothing.
         for scripts in [["Lx x Ux", "Lx x Ux"], ["Lx x Ux Ly y Uy", "Lx x Ux"]] {
             let sys = sys_of(&scripts);
-            let (enc, core) = Encoder::new(&sys).unwrap();
-            assert_eq!(enc.milestones.len(), 4, "{scripts:?}");
-            assert_eq!(core.num_vars, 4, "{scripts:?}");
+            assert_eq!(nodes_of(&sys).unwrap().len(), 1, "{scripts:?}");
         }
+        // Three transactions locking `x` and `y` make three nodes per
+        // entity. The safety check adds a selector per ordered pair of
+        // transactions, six; the deadlock check two missing flags per
+        // section, twelve, and, as three transactions lock each entity, a
+        // holder per section, six.
+        let sys = sys_of(&["Lx x Ux Ly y Uy"; 3]);
+        assert_eq!(nodes_of(&sys).unwrap().len(), 6);
+        assert_eq!(check_safety(&sys).unwrap().stats.vars, 6 + 6);
+        assert_eq!(check_deadlock(&sys).unwrap().stats.vars, 12 + 6 + 6);
     }
 
     #[test]
@@ -1719,15 +1436,14 @@ mod tests {
     }
 
     #[test]
-    fn milestone_cap_is_enforced() {
+    fn a_lone_transaction_past_the_old_cap_is_decided() {
+        // 162 lock and unlock steps, above the 160 the k-transaction
+        // encoding once admitted, but no node: nothing to solve.
         let sys = two_phase(81, &[(0..81).collect()]);
-        assert!(matches!(
-            check_safety(&sys),
-            Err(SatCheckError::TooLarge {
-                milestones: 162,
-                cap: 160
-            })
-        ));
+        let safety = check_safety(&sys).expect("no cap");
+        assert!(safety.verdict.is_safe());
+        assert_eq!(safety.stats, EncodingStats::default());
+        assert!(check_deadlock(&sys).unwrap().deadlock.is_none());
     }
 
     #[test]
@@ -1802,7 +1518,7 @@ mod tests {
             .iter()
             .map(|t| 2 * t.locked_entities().len())
             .sum();
-        assert_eq!(lock_steps, MAX_MILESTONES);
+        assert_eq!(lock_steps, 160);
         let dl = check_deadlock(&sys).expect("admitted under the cap");
         assert!(dl.deadlock.is_some());
         assert!(check_safety(&sys).unwrap().verdict.is_safe());
@@ -1888,7 +1604,7 @@ mod tests {
     }
 
     /// Holds [`admit`] to [`admit_by_validate`] on each transaction of a
-    /// random pair, and [`pair_sections`] to the sections looked up over
+    /// random pair, and [`nodes_of`] to the sections looked up over
     /// `shared_locked_entities`. Returns each transaction's verdict, for the
     /// sweep that checks every kind occurs.
     fn admission_agrees_with_validate(seed: u64) -> Vec<Result<(), SatCheckError>> {
@@ -1903,7 +1619,10 @@ mod tests {
                 verdict
             })
             .collect();
-        let flat = pair_sections(&sys, TxnId(0), TxnId(1));
+        let flat = nodes_of(&sys).map(|nodes| {
+            let quad = |[a, b]: [Side; 2]| [a.lock, a.unlock, b.lock, b.unlock];
+            nodes.iter().map(|p| quad(p.sides)).collect()
+        });
         let by_lookup = verdicts
             .iter()
             .cloned()
@@ -1917,7 +1636,7 @@ mod tests {
                 .map(|s| [s.lock_a, s.unlock_a, s.lock_b, s.unlock_b])
                 .collect()
         };
-        assert_eq!(flat.map(quads), by_lookup.map(quads), "seed {seed}");
+        assert_eq!(flat, by_lookup.map(quads), "seed {seed}");
         verdicts
     }
 
@@ -1964,28 +1683,8 @@ mod tests {
         )));
     }
 
-    /// The pair witness as it was sorted before the merge: both DAGs and
-    /// the section arcs as a `DiGraph`, through [`witness_schedule`].
-    fn pair_schedule_by_sort(
-        ta: &Transaction,
-        tb: &Transaction,
-        sections: &[Sections],
-        orient: impl Fn(usize) -> bool,
-        executed: impl Fn(usize) -> bool,
-    ) -> Result<Schedule, SatCheckError> {
-        let off = ta.len();
-        let section_arcs = sections.iter().enumerate().map(|(x, s)| {
-            if orient(x) {
-                (s.unlock_a.idx(), off + s.lock_b.idx())
-            } else {
-                (off + s.unlock_b.idx(), s.lock_a.idx())
-            }
-        });
-        let offsets = [0, off, off + tb.len()];
-        witness_schedule(&[ta, tb], &offsets, section_arcs, executed)
-    }
-
-    /// Holds [`pair_schedule`] to [`pair_schedule_by_sort`] on a random pair
+    /// Holds [`merge_schedule`] to the sort it replaced
+    /// ([`crate::reference::schedule_by_sort`]) on a random pair
     /// shaped as `analysis_sat` draws them, under a random orientation
     /// (cyclic ones included) and over every step, then over a random
     /// downward-closed set of steps. Returns how many of the two sorts
@@ -2012,24 +1711,25 @@ mod tests {
             })
             .collect();
         let sys = TxnSystem::new(db, txns);
-        let sections = pair_sections(&sys, TxnId(0), TxnId(1)).expect("admitted");
+        let nodes = nodes_of(&sys).expect("admitted");
         let (ta, tb) = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
-        let orient: Vec<bool> = sections.iter().map(|_| rng.gen_bool(0.5)).collect();
+        let orient: Vec<bool> = nodes.iter().map(|_| rng.gen_bool(0.5)).collect();
         // Each transaction's steps in a topological order, each kept when
         // its predecessors are, at random.
         let mut executed = Vec::with_capacity(ta.len() + tb.len());
         for t in [ta, tb] {
             let base = executed.len();
             executed.resize(base + t.len(), false);
-            for v in topo_sort(t.edge_graph()).expect("a DAG") {
+            for v in crate::reference::topological_order(t) {
                 let preds = t.edge_graph().predecessors(v);
                 executed[base + v] = preds.iter().all(|&p| executed[base + p]) && rng.gen_bool(0.8);
             }
         }
         let mut cycles = 0;
         for kept in [vec![true; executed.len()], executed] {
-            let merged = pair_schedule(ta, tb, &sections, |x| orient[x], |v| kept[v]);
-            let sorted = pair_schedule_by_sort(ta, tb, &sections, |x| orient[x], |v| kept[v]);
+            let merged = merge_schedule(&[ta, tb], &nodes, |x| orient[x], |v| kept[v]);
+            let sorted =
+                crate::reference::schedule_by_sort(&[ta, tb], &nodes, |x| orient[x], |v| kept[v]);
             assert_eq!(merged, sorted, "seed {seed}");
             cycles += usize::from(merged.is_err());
         }
@@ -2097,7 +1797,7 @@ mod tests {
         TxnSystem::new(db, txns)
     }
 
-    /// Holds [`pair_prefix_formula`] to the DAG walk it replaced
+    /// Holds [`prefix_formula`] to the DAG walk it replaced
     /// ([`crate::reference::pair_prefix_formula_by_walk`]) as clause
     /// multisets, and its variable count, on a pair drawn from `seed`: one
     /// shaped as `analysis_sat` draws them over two to six sites and 6 to 24
@@ -2143,15 +1843,15 @@ mod tests {
                 sys
             }
         };
-        let sections = pair_sections(&sys, TxnId(0), TxnId(1)).expect("admitted");
+        let nodes = nodes_of(&sys).expect("admitted");
         let txns = (sys.txn(TxnId(0)), sys.txn(TxnId(1)));
-        let got = pair_prefix_formula(txns, &sections, 0);
-        let want = pair_prefix_formula_by_walk(txns, &sections);
+        let got = prefix_formula(sys.txns(), &nodes, 0);
+        let want = pair_prefix_formula_by_walk(txns, &nodes);
         assert_eq!(got.num_vars, want.num_vars, "seed {seed}");
         assert_eq!(
             clause_multiset(&got),
             clause_multiset(&want),
-            "seed {seed}: {sections:?}"
+            "seed {seed}: {nodes:?}"
         );
     }
 
@@ -2267,6 +1967,168 @@ mod tests {
         }
         assert_eq!(safe, 5, "{reductions:?}");
         assert!(reductions[2] > 0, "{reductions:?}");
+    }
+
+    /// `kplock_workload::random_system` under `strategy`, locked by this
+    /// crate's [`insert_locks`] (the workload crate names another build of
+    /// [`LockStrategy`]): the same seed draws the same system.
+    fn random_system(p: &kplock_workload::WorkloadParams, strategy: LockStrategy) -> TxnSystem {
+        use kplock_workload::{make_database, random_unlocked_txn};
+        let db = make_database(p);
+        let mut rng = StdRng::seed_from_u64(p.seed);
+        let txns = (0..p.transactions)
+            .map(|t| {
+                let t =
+                    random_unlocked_txn(&db, p, &format!("T{}", t + 1), &mut rng).expect("a DAG");
+                insert_locks(&db, &t, strategy).expect("lockable")
+            })
+            .collect();
+        TxnSystem::new(db, txns)
+    }
+
+    /// Holds both checks on `sys` to the k-transaction order encoding the
+    /// section graph replaced ([`crate::reference`]) and to the exhaustive
+    /// oracle wherever it finishes in `max_states`: equal verdicts. Every
+    /// witness has passed [`verified_unsafe`] or [`verified_deadlock`], or
+    /// the check would have answered an error. Returns `[unsafe, deadlocks,
+    /// cuts, oracle decisions]`, the cuts summed over both checks.
+    fn sections_against_encoder(sys: &TxnSystem, context: &str, max_states: usize) -> [usize; 4] {
+        use crate::reference::{deadlocks_by_encoder, unsafe_by_encoder};
+        let safety = check_safety(sys).unwrap_or_else(|e| panic!("{context}: {e}"));
+        let deadlock = check_deadlock(sys).unwrap_or_else(|e| panic!("{context}: {e}"));
+        let is_unsafe = !safety.verdict.is_safe();
+        let deadlocks = deadlock.deadlock.is_some();
+        assert_eq!(
+            is_unsafe,
+            unsafe_by_encoder(sys).unwrap(),
+            "{context}: safety"
+        );
+        assert_eq!(
+            deadlocks,
+            deadlocks_by_encoder(sys).unwrap(),
+            "{context}: deadlock"
+        );
+        let report = decide_exhaustive(sys, &OracleOptions { max_states });
+        let decided = match report.outcome {
+            OracleOutcome::Safe => {
+                assert!(!is_unsafe, "{context}: the oracle finds it safe");
+                assert_eq!(deadlocks, report.deadlock_reachable, "{context}: oracle");
+                true
+            }
+            OracleOutcome::Unsafe(_) => {
+                assert!(is_unsafe, "{context}: the oracle finds it unsafe");
+                assert!(deadlocks || !report.deadlock_reachable, "{context}: oracle");
+                true
+            }
+            OracleOutcome::Aborted => false,
+        };
+        let cuts = |stats: EncodingStats| stats.solves.saturating_sub(1) as usize;
+        [
+            usize::from(is_unsafe),
+            usize::from(deadlocks),
+            cuts(safety.stats) + cuts(deadlock.stats),
+            usize::from(decided),
+        ]
+    }
+
+    /// Both checks decide systems of three to five transactions as the
+    /// k-transaction order encoding, and as the oracle where it finishes:
+    /// 1 000 random systems over one to four sites and 4 to 12 steps (every
+    /// third of 3 000 drawn so), every ring of three to six transactions,
+    /// and the systems of three or four transactions of `tests/sat_check.rs`'
+    /// `PIN_SAT_VERDICTS`. Both verdicts occur often, and so do cuts.
+    #[test]
+    fn the_section_graph_decides_as_the_order_encoding() {
+        use kplock_workload::{ring_system, WorkloadParams};
+        let strategies = [
+            LockStrategy::Minimal,
+            LockStrategy::TwoPhaseLoose,
+            LockStrategy::TwoPhaseSync,
+        ];
+        let mut random = [0; 4];
+        for i in (0..3_000usize).step_by(3) {
+            let p = WorkloadParams {
+                seed: 700_000 + i as u64,
+                sites: 1 + i % 4,
+                entities_per_site: 2 + (i / 4) % 2,
+                transactions: 3 + (i / 8) % 3,
+                steps_per_txn: 4 + (i / 24) % 9,
+                cross_edge_percent: [0, 20, 50][(i / 216) % 3],
+                ..Default::default()
+            };
+            let sys = random_system(&p, strategies[(i / 648) % 3]);
+            let seen = sections_against_encoder(&sys, &format!("random system {i}"), 2_000);
+            for (total, n) in random.iter_mut().zip(seen) {
+                *total += n;
+            }
+        }
+        assert!((200..800).contains(&random[0]), "{random:?}");
+        assert!((200..800).contains(&random[1]), "{random:?}");
+        assert!(random[2] > 0 && random[3] >= 150, "{random:?}");
+
+        let mut rings = [0; 4];
+        for k in 3..=6 {
+            for early in std::iter::once(None).chain((0..k).map(Some)) {
+                let context = format!("ring of {k}, early {early:?}");
+                let seen = sections_against_encoder(&ring_system(k, early), &context, 2_000);
+                assert_eq!(seen[0] == 1, early.is_some(), "{context}");
+                for (total, n) in rings.iter_mut().zip(seen) {
+                    *total += n;
+                }
+            }
+        }
+        assert_eq!(rings[0], 3 + 4 + 5 + 6, "{rings:?}");
+
+        let mut pinned = 0;
+        for i in (0..1_000usize).filter(|i| i % 3 != 0) {
+            let p = WorkloadParams {
+                seed: 31_000 + i as u64,
+                sites: if i % 8 == 7 { 2 } else { 3 + i % 2 },
+                entities_per_site: 2,
+                transactions: 2 + i % 3,
+                steps_per_txn: 6 + i % 7,
+                ..Default::default()
+            };
+            let sys = random_system(&p, strategies[i % 3]);
+            sections_against_encoder(&sys, &format!("pinned system {i}"), 0);
+            pinned += 1;
+        }
+        assert_eq!(pinned, 666);
+    }
+
+    /// Systems of six and eight transactions with more lock and unlock
+    /// steps than the 160 the k-transaction encoding admitted are decided,
+    /// and every witness passes its verification.
+    #[test]
+    fn systems_past_the_old_cap_are_decided() {
+        use kplock_workload::WorkloadParams;
+        let lock_steps = |sys: &TxnSystem| -> usize {
+            sys.txns()
+                .iter()
+                .map(|t| 2 * t.locked_entities().len())
+                .sum()
+        };
+        for (seed, transactions, steps_per_txn, strategy, safe) in [
+            (95_000, 6, 32, LockStrategy::TwoPhaseSync, true),
+            (95_001, 6, 32, LockStrategy::TwoPhaseSync, true),
+            (95_000, 8, 24, LockStrategy::TwoPhaseLoose, false),
+            (95_001, 8, 24, LockStrategy::TwoPhaseLoose, false),
+        ] {
+            let p = WorkloadParams {
+                seed,
+                sites: 4,
+                entities_per_site: 4,
+                transactions,
+                steps_per_txn,
+                ..Default::default()
+            };
+            let sys = random_system(&p, strategy);
+            let context = format!("seed {seed}, {transactions} transactions");
+            assert!(lock_steps(&sys) > 160, "{context}: {}", lock_steps(&sys));
+            let safety = check_safety(&sys).unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_eq!(safety.verdict.is_safe(), safe, "{context}");
+            check_deadlock(&sys).unwrap_or_else(|e| panic!("{context}: {e}"));
+        }
     }
 
     #[test]

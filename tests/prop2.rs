@@ -1,6 +1,6 @@
 //! Integration: Proposition 2 (k transactions) against the exact oracle on
 //! randomized centralized and two-site systems, and against the SAT
-//! checker's k-transaction encoding at three and four sites.
+//! checker's section graph at three and four sites.
 
 use kplock::core::policy::LockStrategy;
 use kplock::core::{
@@ -92,7 +92,8 @@ fn sync_two_phase_systems_pass_prop2() {
 
 /// Proposition 2 decides its pairs through `decide_multisite`, which ends
 /// in the SAT pair path, so it is exact at any number of sites; the SAT
-/// checker decides the same systems through its k-transaction encoding.
+/// checker decides the same systems whole, over the section graph of all
+/// their transactions.
 /// The two are held to each other where the oracle cannot follow: three
 /// and four sites, three and four transactions, on shapes that are mostly
 /// safe (synchronized 2PL and `certified_mix`), with loosely two-phase
@@ -140,7 +141,7 @@ fn prop2_agrees_with_the_sat_checker_at_three_and_four_sites() {
 /// Ring systems (`ring_system`) at k = 3–6, with no early release and with
 /// each transaction in turn releasing early: every pair shares at most one
 /// entity and is safe, so Proposition 2 decides each ring by its cycle
-/// half. It is held to the SAT checker's k-transaction encoding, and to
+/// half. It is held to the SAT checker's section graph, and to
 /// the prediction that a ring is safe exactly when nobody releases early,
 /// so both `Safe` and `UnsafeCycle` occur.
 #[test]

@@ -152,8 +152,9 @@ fn exact_decision_gate_holds_on_the_full_corpus() {
 }
 
 /// `sys` with a third transaction that has no step: it shares no entity,
-/// so the padded system deadlocks exactly when `sys` does, and it takes
-/// the k-transaction encoder where `sys`, a pair, takes the pair path.
+/// so the padded system is safe and deadlocks exactly when `sys` is and
+/// does. Its safety formula keeps the selectors that a pair's folds into
+/// two clauses.
 fn padded(sys: &TxnSystem) -> TxnSystem {
     let empty = TxnBuilder::new(sys.db(), "pad")
         .build()
@@ -163,34 +164,37 @@ fn padded(sys: &TxnSystem) -> TxnSystem {
     TxnSystem::new(sys.db().clone(), txns)
 }
 
-/// Holds `check_deadlock`'s pair path on `sys` to the k-transaction
-/// encoder on `padded(sys)`: equal verdicts, and every prefix replays to a
-/// waits-for cycle. Returns whether the pair deadlocks.
-fn pair_path_agrees_with_the_encoder(sys: &TxnSystem, name: &str) -> bool {
+/// Holds both checks on the pair `sys` to the same checks on
+/// `padded(sys)`: equal verdicts, and every witness replays to a
+/// violation and every prefix to a waits-for cycle. Returns whether the
+/// pair deadlocks.
+fn pair_and_padded_decide_alike(sys: &TxnSystem, name: &str) -> bool {
     assert_eq!(sys.len(), 2, "{name}");
     let pad = padded(sys);
-    let pair = check_deadlock(sys).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let encoder = check_deadlock(&pad).unwrap_or_else(|e| panic!("{name} padded: {e}"));
-    assert_eq!(
-        pair.deadlock.is_some(),
-        encoder.deadlock.is_some(),
-        "{name}: deadlock verdicts disagree"
-    );
-    for (s, prefix) in [(sys, &pair.deadlock), (&pad, &encoder.deadlock)] {
-        if let Some(prefix) = prefix {
+    let [pair, padded] = [sys, &pad].map(|s| {
+        let safety = check_safety(s).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let deadlock = check_deadlock(s).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if let SatSafety::Unsafe(witness) = &safety.verdict {
+            let audit = replay_violation(s, witness)
+                .unwrap_or_else(|e| panic!("{name}: witness must replay: {e}"));
+            assert!(audit.legal.is_ok() && !audit.serializable, "{name}");
+        }
+        if let Some(prefix) = &deadlock.deadlock {
             let evidence = replay_deadlock(s, prefix)
                 .unwrap_or_else(|e| panic!("{name}: prefix must replay: {e}"));
             assert!(evidence.cycle.len() >= 2, "{name}");
         }
-    }
-    pair.deadlock.is_some()
+        [safety.verdict.is_safe(), deadlock.deadlock.is_some()]
+    });
+    assert_eq!(pair, padded, "{name}: [safe, deadlocks] disagree");
+    pair[1]
 }
 
-/// The deadlock pair path decides as the k-transaction encoder on 1 000
+/// A pair and the pair plus an empty transaction decide alike on 1 000
 /// random pairs over two to six sites and on every pair of the gate's
 /// corpus.
 #[test]
-fn the_deadlock_pair_path_decides_as_the_encoder() {
+fn a_pair_and_the_pair_plus_an_empty_transaction_decide_alike() {
     let strategies = [
         LockStrategy::Minimal,
         LockStrategy::TwoPhaseLoose,
@@ -206,7 +210,7 @@ fn the_deadlock_pair_path_decides_as_the_encoder() {
             strategy: strategies[i % 3],
             ..Default::default()
         });
-        deadlocks += usize::from(pair_path_agrees_with_the_encoder(
+        deadlocks += usize::from(pair_and_padded_decide_alike(
             &sys,
             &format!("random pair {i}"),
         ));
@@ -216,7 +220,7 @@ fn the_deadlock_pair_path_decides_as_the_encoder() {
     let mut pairs = 0;
     for (name, sys, _, _) in gate_corpus() {
         if sys.len() == 2 {
-            pair_path_agrees_with_the_encoder(&sys, &name);
+            pair_and_padded_decide_alike(&sys, &name);
             pairs += 1;
         }
     }
@@ -256,7 +260,7 @@ fn opposed_core(pad: usize) -> TxnSystem {
     TxnSystem::new(db, txns)
 }
 
-/// The deadlock pair path's formula is over the milestones of the two
+/// The deadlock check's formula on a pair is over the milestones of the two
 /// shared entities: padding each transaction with 8 or 64 private lock
 /// sections leaves its variables (`5n`) and clauses as they are, and the
 /// verdict too. The prefix runs every private section,
@@ -320,10 +324,9 @@ fn with_private_tails(sys: &TxnSystem, rng: &mut StdRng) -> TxnSystem {
     TxnSystem::new(db, txns)
 }
 
-/// The deadlock pair path on 1 000 random pairs over two to five sites
-/// with long private tails: it decides as the k-transaction encoder on the
-/// padded pair, its prefixes replay, and wherever the oracle finishes it
-/// decides as the oracle too.
+/// The deadlock check on 1 000 random pairs over two to five sites with
+/// long private tails: it decides as on the padded pair, its prefixes
+/// replay, and wherever the oracle finishes it decides as the oracle too.
 #[test]
 fn the_deadlock_pair_path_decides_pairs_with_private_tails() {
     let strategies = [
@@ -345,7 +348,7 @@ fn the_deadlock_pair_path_decides_pairs_with_private_tails() {
         let sys = with_private_tails(&base, &mut StdRng::seed_from_u64(i as u64));
         assert!(sys.txns().iter().all(|t| t.len() <= 24));
         let name = format!("tailed pair {i}");
-        let deadlock = pair_path_agrees_with_the_encoder(&sys, &name);
+        let deadlock = pair_and_padded_decide_alike(&sys, &name);
         deadlocks += usize::from(deadlock);
         let report = decide_exhaustive(&sys, &oracle);
         match report.outcome {
@@ -400,8 +403,8 @@ fn a_path_through_a_private_section_orders_the_shared_ones() {
     assert!(matches!(report.outcome, OracleOutcome::Safe));
     assert!(report.deadlock_reachable);
     cross_examine(&sys, Some(true), false).unwrap();
-    // The pair takes the pair paths; padded, it takes the k-transaction
-    // encoder, whose milestone order must fold in the same path.
+    // Padded, the safety check runs its selectors; on both, the section
+    // graph reads the path through `p` off `precedes`.
     cross_examine(&padded(&sys), Some(true), false).unwrap();
 }
 
@@ -526,13 +529,15 @@ fn checker_verdicts_on_benchmark_shaped_systems_are_pinned() {
     assert_eq!(got, PIN_SAT_VERDICTS);
 }
 
-/// `[witnesses, witness digest]` for `check_safety`, then for
+/// `[witnesses, witness digest, solves]` for `check_safety`, then for
 /// `check_deadlock`, over the systems of `PIN_SAT_VERDICTS`'s 1 000 that
-/// have three or four transactions, folded as `PIN_SAT_EFFORT`'s are:
-/// the witnesses of the k-transaction encoder, which no other pin sees.
-const PIN_K_WITNESSES: [[u64; 2]; 2] = [
-    [331, 10_793_812_342_341_588_866],
-    [528, 15_984_520_238_794_679_150],
+/// have three or four transactions, folded as `PIN_SAT_EFFORT`'s are: the
+/// witnesses of three or more transactions, which no other pin sees, and
+/// the solver runs, one per system that needs solving and one more per
+/// cut.
+const PIN_K_WITNESSES: [[u64; 3]; 2] = [
+    [331, 11_161_975_981_223_436_034, 3_487],
+    [528, 17_904_793_145_831_910_184, 666],
 ];
 
 #[test]
@@ -542,7 +547,7 @@ fn k_transaction_witnesses_are_pinned() {
         LockStrategy::TwoPhaseLoose,
         LockStrategy::TwoPhaseSync,
     ];
-    let mut got = [[0u64; 2]; 2];
+    let mut got = [[0u64; 3]; 2];
     for i in (0..1_000usize).filter(|i| i % 3 != 0) {
         let sys = random_system(&WorkloadParams {
             seed: 31_000 + i as u64,
@@ -560,7 +565,10 @@ fn k_transaction_witnesses_are_pinned() {
             SatSafety::Unsafe(w) => Some(w),
             SatSafety::Safe => None,
         };
-        for (row, witness) in [(0, unsafe_witness), (1, deadlock.deadlock.as_ref())] {
+        for (row, stats, witness) in [
+            (0, safety.stats, unsafe_witness),
+            (1, deadlock.stats, deadlock.deadlock.as_ref()),
+        ] {
             if let Some(w) = witness {
                 got[row][0] += 1;
                 got[row][1] = fold(
@@ -568,6 +576,7 @@ fn k_transaction_witnesses_are_pinned() {
                     w.steps().iter().flat_map(|s| [s.txn.idx(), s.step.idx()]),
                 );
             }
+            got[row][2] += stats.solves;
         }
     }
     assert_eq!(got, PIN_K_WITNESSES);
