@@ -16,10 +16,13 @@ pub struct PairAnalysis {
     pub d: ConflictDigraph,
     /// Whether `D` is strongly connected (Theorem 1's condition).
     pub strongly_connected: bool,
-    /// The safety verdict: Theorem 2 at two sites or fewer, exact; the
-    /// multisite procedure (Theorem 1, then the SAT pair path, whose
-    /// clauses are Corollary 2's dominators) at more, exact for every
-    /// exclusive, well-formed pair. `Unknown` when `D` is not defined.
+    /// The safety verdict: Theorem 2 at two sites or fewer; the multisite
+    /// procedure (Theorem 1, then the SAT pair path, whose clauses are
+    /// Corollary 2's dominators) at more. Exact for every exclusive,
+    /// well-formed pair. `Unknown` when `D` is not defined, and on a pair
+    /// with a shared mode, an ill-formed transaction or an unprotected
+    /// update that the decision cannot certify (see
+    /// [`SafetyVerdict::Unknown`]).
     pub verdict: SafetyVerdict,
 }
 

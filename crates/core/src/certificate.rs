@@ -6,7 +6,10 @@
 //! re-checks everything against the *original* system, so callers never have
 //! to trust the search that produced it.
 
-use kplock_model::{is_serializable, EntityId, ModelError, Schedule, StepId, TxnId, TxnSystem};
+use crate::conflict_graph::ConflictDigraph;
+use kplock_model::{
+    is_serializable, EntityId, ModelError, Schedule, ScheduledStep, StepId, TxnId, TxnSystem,
+};
 
 /// How a system was proven safe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,9 +37,11 @@ pub enum SafetyVerdict {
     Unsafe(Box<UnsafetyCertificate>),
     /// Undecided. At any number of sites: a transaction lacks the lock or
     /// unlock step of an entity both lock, so `D(T1, T2)` is not defined.
-    /// At three or more: the pair uses a shared mode, is not well-formed,
-    /// or updates outside a lock section, which the SAT safety check
-    /// refuses. An exclusive, well-formed pair is always decided.
+    /// At two sites or fewer: Theorem 2's witness does not verify, which
+    /// happens only on a pair that uses a shared mode, is not well-formed
+    /// or updates outside a lock section. At three or more: the pair is
+    /// such a pair, which the SAT safety check refuses. An exclusive,
+    /// well-formed pair is always decided.
     Unknown,
 }
 
@@ -131,6 +136,41 @@ impl UnsafetyCertificate {
     }
 }
 
+/// Packages a witness schedule over the pair subsystem (ids 0/1) as a
+/// certificate for `D`'s pair of the original system, if it verifies. The
+/// dominator is the vertices `orient` sets, whose `Ta` section the witness
+/// completes before `Tb`'s begins. Both the SAT pair path's witnesses and
+/// Theorem 2's merge come through here.
+pub(crate) fn certificate_from_witness(
+    sys: &TxnSystem,
+    d: &ConflictDigraph,
+    witness: &Schedule,
+    orient: &[bool],
+) -> Option<UnsafetyCertificate> {
+    let (a, b) = (d.txn_a, d.txn_b);
+    let steps = witness.steps();
+    // Projections of the witness are linear extensions.
+    let order = |t: TxnId| -> Vec<StepId> {
+        let of_t = steps.iter().filter(|ss| ss.txn == t);
+        of_t.map(|ss| ss.step).collect()
+    };
+    let vertices = d.entities.iter().zip(orient);
+    let named = |ss: &ScheduledStep| ScheduledStep {
+        txn: [a, b][ss.txn.idx()],
+        step: ss.step,
+    };
+    let cert = UnsafetyCertificate {
+        txn_a: a,
+        txn_b: b,
+        t1_order: order(TxnId(0)),
+        t2_order: order(TxnId(1)),
+        dominator: vertices.filter(|(_, &o)| o).map(|(&e, _)| e).collect(),
+        schedule: Schedule::new(steps.iter().map(named).collect()),
+    };
+    cert.verify(sys).ok()?;
+    Some(cert)
+}
+
 /// A two-transaction `pair` and a schedule of it naming ids 0 and 1: is
 /// the schedule legal, complete and not serializable?
 fn check_unsafe(pair: &TxnSystem, schedule: &Schedule) -> Result<(), CertificateError> {
@@ -156,7 +196,7 @@ pub fn remap_schedule(s: &Schedule, a: TxnId, b: TxnId) -> Schedule {
     Schedule::new(
         s.steps()
             .iter()
-            .map(|ss| kplock_model::ScheduledStep {
+            .map(|ss| ScheduledStep {
                 txn: if ss.txn == a {
                     TxnId(0)
                 } else if ss.txn == b {

@@ -10,8 +10,8 @@
 //! |---|---|
 //! | Definition 1 — conflict digraph `D(T1,T2)` | [`conflict_graph`] |
 //! | Theorem 1 — strong connectivity ⇒ safe | [`conflict_graph::ConflictDigraph::is_strongly_connected`], used by all deciders |
-//! | Lemmas 2–3, Definition 3 — dominator closure | [`closure`] |
-//! | Theorem 2, Corollary 1 — two sites: safe ⟺ strongly connected, O(n²) | [`two_site`] |
+//! | Lemmas 2–3, Definition 3 — dominator closure | [`closure`] (the construction; no decision runs it) |
+//! | Theorem 2, Corollary 1 — two sites: safe ⟺ strongly connected, O(n²) | [`two_site`]: a dominator orients the section graph, and the merge is the witness |
 //! | Corollary 2 — closed w.r.t. dominator ⇒ unsafe | [`closure::try_unsafety_via_dominator`] |
 //! | Theorem 3 — many sites: coNP-complete (SAT reduction) | [`reduction`] |
 //! | Theorem 3, converse direction — system → CNF, exact decision | [`sat_check`] |

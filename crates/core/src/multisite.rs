@@ -21,10 +21,10 @@
 //! pair path refuses (shared modes, ill-formed transactions, updates
 //! outside their lock sections).
 
-use crate::certificate::{SafeProof, SafetyVerdict, UnsafetyCertificate};
+use crate::certificate::{certificate_from_witness, SafeProof, SafetyVerdict};
 use crate::conflict_graph::{ConflictDigraph, Sections};
 use crate::sat_check::{admit_pair, pair_witness};
-use kplock_model::{Schedule, ScheduledStep, StepId, TxnId, TxnSystem};
+use kplock_model::{TxnId, TxnSystem};
 
 /// Options for the multisite procedure: there are none left. The
 /// procedure is Theorem 1, then the pair path, with nothing to set; the
@@ -79,55 +79,6 @@ pub(crate) fn decide_with(
         }
         Err(_) => SafetyVerdict::Unknown,
     }
-}
-
-/// Packages the pair path's witness schedule over the pair subsystem (ids
-/// 0/1) as a certificate for `D`'s pair of the original system. The
-/// dominator is the vertices `orient` sets, whose `Ta` section the witness
-/// completes before `Tb`'s begins.
-fn certificate_from_witness(
-    sys: &TxnSystem,
-    d: &ConflictDigraph,
-    witness: &Schedule,
-    orient: &[bool],
-) -> Option<UnsafetyCertificate> {
-    let (a, b) = (d.txn_a, d.txn_b);
-    // Projections of the witness are linear extensions.
-    let t1_order: Vec<StepId> = witness
-        .steps()
-        .iter()
-        .filter(|ss| ss.txn == TxnId(0))
-        .map(|ss| ss.step)
-        .collect();
-    let t2_order: Vec<StepId> = witness
-        .steps()
-        .iter()
-        .filter(|ss| ss.txn == TxnId(1))
-        .map(|ss| ss.step)
-        .collect();
-
-    let vertices = d.entities.iter().zip(orient);
-    let dominator = vertices.filter(|(_, &o)| o).map(|(&e, _)| e).collect();
-    let schedule = Schedule::new(
-        witness
-            .steps()
-            .iter()
-            .map(|ss| ScheduledStep {
-                txn: if ss.txn == TxnId(0) { a } else { b },
-                step: ss.step,
-            })
-            .collect(),
-    );
-    let cert = UnsafetyCertificate {
-        txn_a: a,
-        txn_b: b,
-        t1_order,
-        t2_order,
-        dominator,
-        schedule,
-    };
-    cert.verify(sys).ok()?;
-    Some(cert)
 }
 
 #[cfg(test)]

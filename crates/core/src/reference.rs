@@ -1,9 +1,6 @@
 //! Implementations the library replaced, kept as references for its
 //! tests:
 //!
-//! * the round-by-round dominator closure that [`crate::closure`]'s
-//!   incremental fixpoint replaced: `closure`'s tests hold the fixpoint to
-//!   it on every dominator of random pairs;
 //! * the strict order over a pair's shared entities, which
 //!   [`crate::sat_check`]'s lazy cycle cuts replaced: `sat_check`'s tests
 //!   hold both checks' verdicts on pairs to it;
@@ -18,8 +15,7 @@
 //! * the witness as a `DiGraph` sorted by `kplock_graph::topo_sort`, which
 //!   the merge replaced: `sat_check`'s tests hold the merge to it.
 
-use crate::closure::ClosureError;
-use crate::conflict_graph::{arcs, Sections};
+use crate::conflict_graph::Sections;
 use crate::sat_check::{
     cycle_error, nodes_of, prefix_formula, ran, second_lock, Node, SatCheckError,
 };
@@ -28,91 +24,6 @@ use kplock_model::{
     ActionKind, EntityId, Schedule, ScheduledStep, StepId, Transaction, TxnId, TxnSystem,
 };
 use kplock_sat::{Cnf, Lit, Var};
-
-/// `R1` and `R2` of a closed pair, and the precedences added to each in
-/// order.
-pub(crate) struct Closed {
-    pub(crate) r1: Transaction,
-    pub(crate) r2: Transaction,
-    pub(crate) added_a: Vec<(StepId, StepId)>,
-    pub(crate) added_b: Vec<(StepId, StepId)>,
-}
-
-/// The closure of `{ta, tb}` with respect to the vertices `in_x` marks.
-/// Each round that adds a precedence builds a new transaction through
-/// `with_precedence` (whose closure the next `precedes` rebuilds), rebuilds
-/// `D` over the strengthened pair, checks every arc of it, and rescans
-/// every triple with `precedes`.
-pub(crate) fn close_pair(
-    ta: &Transaction,
-    tb: &Transaction,
-    sections: &[Sections],
-    in_x: &[bool],
-) -> Result<Closed, ClosureError> {
-    let mut pair = Closed {
-        r1: ta.clone(),
-        r2: tb.clone(),
-        added_a: Vec::new(),
-        added_b: Vec::new(),
-    };
-    loop {
-        // X must still dominate: no arc from V−X into X.
-        let graph = arcs(&pair.r1, &pair.r2, sections);
-        if graph.edges().any(|(u, v)| !in_x[u] && in_x[v]) {
-            return Err(ClosureError::DominatorBroken);
-        }
-        let Some((x, y)) = unmet_triple(&pair.r1, &pair.r2, sections, in_x) else {
-            return Ok(pair);
-        };
-        // Require Uy ≺₁ Ux and Ly ≺₂ Lx.
-        let (ux_a, uy_a) = (sections[x].unlock_a, sections[y].unlock_a);
-        let (lx_b, ly_b) = (sections[x].lock_b, sections[y].lock_b);
-        // Neither closes a cycle: `D` has no arc into X (checked above),
-        // and `Ux ≺₁ Uy` or `Lx ≺₂ Ly` would give one from `z`.
-        const ACYCLIC: &str = "a dominator's triple requires no precedence that closes a cycle";
-        if !pair.r1.precedes(uy_a, ux_a) {
-            pair.r1 = pair.r1.with_precedence(uy_a, ux_a).expect(ACYCLIC);
-            pair.added_a.push((uy_a, ux_a));
-        }
-        if !pair.r2.precedes(ly_b, lx_b) {
-            pair.r2 = pair.r2.with_precedence(ly_b, lx_b).expect(ACYCLIC);
-            pair.added_b.push((ly_b, lx_b));
-        }
-    }
-}
-
-/// The first triple `z ∈ V−X`, `x, y ∈ X` (`x ≠ y`) with `Lz ≺₁ Ux` and
-/// `Ly ≺₂ Uz` whose required precedences `Uy ≺₁ Ux`, `Ly ≺₂ Lx` are not
-/// both in place yet, as `(x, y)`; scanned by `z`, then `x`, then `y`.
-fn unmet_triple(
-    r1: &Transaction,
-    r2: &Transaction,
-    sections: &[Sections],
-    in_x: &[bool],
-) -> Option<(usize, usize)> {
-    let x_vertices = || (0..sections.len()).filter(|&i| in_x[i]);
-    for (z, sz) in sections.iter().enumerate() {
-        if in_x[z] {
-            continue;
-        }
-        for x in x_vertices() {
-            let sx = &sections[x];
-            if !r1.precedes(sz.lock_a, sx.unlock_a) {
-                continue;
-            }
-            for y in x_vertices() {
-                let sy = &sections[y];
-                if x == y || !r2.precedes(sy.lock_b, sz.unlock_b) {
-                    continue;
-                }
-                if !r1.precedes(sy.unlock_a, sx.unlock_a) || !r2.precedes(sy.lock_b, sx.lock_b) {
-                    return Some((x, y));
-                }
-            }
-        }
-    }
-    None
-}
 
 /// The pair core's variables over `n` shared entities, from `base` on:
 /// the orientation `o_x` (`a`'s section on `x` runs first) at `base + x`,

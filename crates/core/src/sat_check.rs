@@ -627,7 +627,7 @@ fn solve_sections(
 /// A node's arcs are its DAG row and at most one section arc, which only
 /// an unlock step has, so the sort counts in-degrees over those and takes
 /// the smallest ready node off a bit set, with no graph built.
-fn merge_schedule<T: Borrow<Transaction>>(
+pub(crate) fn merge_schedule<T: Borrow<Transaction>>(
     txns: &[T],
     nodes: &[Node],
     orient: impl Fn(usize) -> bool,
@@ -867,7 +867,15 @@ pub(crate) fn pair_witness(
     entities: &[EntityId],
     sections: &[Sections],
 ) -> Result<(Option<PairWitness>, EncodingStats), SatCheckError> {
-    let nodes: Vec<Node> = (entities.iter().zip(sections).enumerate())
+    unsafe_witness(&[ta, tb], &pair_nodes(entities, sections))
+}
+
+/// The section graph of a pair over its `D`'s vertices, `entities` in
+/// ascending order and their `sections`: node `x` is vertex `x`, its side
+/// `a` the first transaction's section (`TxnId(0)`), side `b` the
+/// second's (`TxnId(1)`).
+pub(crate) fn pair_nodes(entities: &[EntityId], sections: &[Sections]) -> Vec<Node> {
+    (entities.iter().zip(sections).enumerate())
         .map(|(x, (&entity, s))| {
             let side = |txn: usize, lock, unlock| Side {
                 section: 2 * x + txn,
@@ -880,8 +888,7 @@ pub(crate) fn pair_witness(
                 sides: [side(0, s.lock_a, s.unlock_a), side(1, s.lock_b, s.unlock_b)],
             }
         })
-        .collect();
-    unsafe_witness(&[ta, tb], &nodes)
+        .collect()
 }
 
 /// The literal "milestone `m` ran" of [`prefix_formula`], whose variable

@@ -4,22 +4,23 @@
 //! safe iff `D(T1, T2)` is strongly connected. The decision itself is a
 //! single SCC computation over a digraph built from O(k²) precedence
 //! queries (k = shared entities, each query O(1) on precomputed closures) —
-//! the paper's O(n²) bound. When unsafe, the dominator-closure pipeline
-//! produces an explicit non-serializable schedule, and the certificate is
-//! verified before being returned.
+//! the paper's O(n²) bound. When unsafe, the witness runs `Ta`'s lock
+//! section first on a dominator `X` of `D` and `Tb`'s first elsewhere: the
+//! merge [`crate::sat_check`] builds its witnesses with, over the pair's
+//! section graph oriented by `X`, which Theorem 2 makes acyclic. No
+//! dominator closure ([`crate::closure`]) runs.
 //!
-//! One decision builds `D` once: its arcs are laid out directly as
-//! compressed rows, after one lookup of each shared entity's four lock and
-//! unlock steps. The same `D` answers the SCC question, yields the
-//! dominator and serves the closure's first round; [`crate::analyze_pair`]
-//! lends the `D` and the SCC answer it reports. The closure copies a
-//! transaction only when it adds a precedence to it, and the certificate
-//! is verified against the system as it stands when the system is the
-//! pair itself.
+//! One decision builds `D` once, its arcs laid out directly as compressed
+//! rows. The same `D` answers the SCC question and yields the dominator,
+//! and its vertices' sections are the section graph's nodes;
+//! [`crate::analyze_pair`] lends the `D` and the SCC answer it reports.
+//! `D` and the merge read no lock mode, and the certificate's check does:
+//! a pair whose witness does not verify, as one with shared modes may, is
+//! [`SafetyVerdict::Unknown`].
 
-use crate::certificate::{SafeProof, SafetyVerdict};
-use crate::closure::{unsafety_via_dominator, Pair};
+use crate::certificate::{certificate_from_witness, SafeProof, SafetyVerdict, UnsafetyCertificate};
 use crate::conflict_graph::{ConflictDigraph, Sections};
+use crate::sat_check::{admit_pair, merge_schedule, pair_nodes};
 use kplock_graph::find_dominator;
 use kplock_model::{TxnId, TxnSystem};
 
@@ -49,7 +50,9 @@ impl std::fmt::Display for TwoSiteError {
 
 impl std::error::Error for TwoSiteError {}
 
-/// Decides safety of the pair `{Ta, Tb}` for a (≤2)-site database.
+/// Decides safety of the pair `{Ta, Tb}` for a (≤2)-site database:
+/// `Safe` or a verified `Unsafe` for every exclusive, well-formed pair, and
+/// [`SafetyVerdict::Unknown`] where Theorem 2's witness does not verify.
 pub fn decide_two_site(sys: &TxnSystem, a: TxnId, b: TxnId) -> Result<SafetyVerdict, TwoSiteError> {
     let m = sys.db().site_count();
     if m > 2 {
@@ -76,20 +79,46 @@ pub(crate) fn decide_with(
         return SafetyVerdict::Safe(SafeProof::StronglyConnected);
     }
     let dom_bits = find_dominator(&d.graph).expect("not strongly connected");
-    let (dominator, in_x) = d.resolve_dominator(&dom_bits);
-    let pair = Pair::new(sys, d, sections);
-    let cert = unsafety_via_dominator(&pair, &dominator, &in_x).expect(
-        "internal error: Theorem 2 guarantees the closure certificate for two sites \
-         (Lemmas 2 and 3)",
-    );
-    SafetyVerdict::Unsafe(Box::new(cert))
+    let (_, in_x) = d.resolve_dominator(&dom_bits);
+    match dominator_witness(sys, d, sections, &in_x) {
+        Some(cert) => SafetyVerdict::Unsafe(Box::new(cert)),
+        None => {
+            assert!(
+                admit_pair(sys, d.txn_a, d.txn_b).is_err(),
+                "internal error: Theorem 2 guarantees the witness of an exclusive, \
+                 well-formed pair at two sites"
+            );
+            SafetyVerdict::Unknown
+        }
+    }
+}
+
+/// The witness that runs `Ta`'s section first on the vertices `in_x`
+/// marks and `Tb`'s first on the rest: the merge of the pair's DAGs and
+/// the section arcs of that orientation, as a verified certificate. `None`
+/// if the merge meets a cycle or the certificate does not verify.
+fn dominator_witness(
+    sys: &TxnSystem,
+    d: &ConflictDigraph,
+    sections: &[Sections],
+    in_x: &[bool],
+) -> Option<UnsafetyCertificate> {
+    let nodes = pair_nodes(&d.entities, sections);
+    let txns = [sys.txn(d.txn_a), sys.txn(d.txn_b)];
+    let witness = merge_schedule(&txns, &nodes, |p| in_x[p], |_| true).ok()?;
+    certificate_from_witness(sys, d, &witness, in_x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::{decide_exhaustive, OracleOptions, OracleOutcome};
+    use crate::policy::{insert_locks, LockStrategy};
+    use kplock_graph::dominators;
     use kplock_model::{Database, TxnBuilder};
+    use kplock_workload::{make_database, random_unlocked_txn, WorkloadParams};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn centralized_pair(s1: &str, s2: &str) -> TxnSystem {
         let db = Database::centralized(&["x", "y", "z"]);
@@ -156,5 +185,52 @@ mod tests {
         // Cross-check with the exact oracle.
         let oracle = decide_exhaustive(&sys, &OracleOptions::default());
         assert!(matches!(oracle.outcome, OracleOutcome::Unsafe(_)));
+    }
+
+    /// Theorem 2's premise, dominator by dominator: each of the first 64
+    /// dominators of `D` orients a section graph that the merge completes,
+    /// and the certificate verifies. On the two-site pairs of
+    /// `tests/pair_safety.rs`' `PIN_TWO_SITE` (8 to 64 steps) and on
+    /// one-site pairs at 8 and 16 steps, drawn as
+    /// `kplock_workload::random_pair` draws them: 486 dominators.
+    #[test]
+    fn every_dominator_orients_a_section_graph_the_merge_completes() {
+        let strategies = [
+            LockStrategy::Minimal,
+            LockStrategy::TwoPhaseLoose,
+            LockStrategy::TwoPhaseSync,
+        ];
+        let shapes = [(2, 8), (2, 16), (2, 32), (2, 64), (1, 8), (1, 16)];
+        let mut tried = [0; 2];
+        for (sites, steps) in shapes {
+            for seed in 0..64u64 {
+                let p = WorkloadParams {
+                    seed,
+                    sites,
+                    entities_per_site: (steps / 4).max(2),
+                    steps_per_txn: steps,
+                    ..Default::default()
+                };
+                let db = make_database(&p);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let txns = ["T1", "T2"].map(|name| {
+                    let unlocked = random_unlocked_txn(&db, &p, name, &mut rng).expect("a dag");
+                    insert_locks(&db, &unlocked, strategies[seed as usize % 3]).expect("lockable")
+                });
+                let sys = TxnSystem::new(db, txns.to_vec());
+                let (d, sections) = ConflictDigraph::build_with_sections(&sys, TxnId(0), TxnId(1))
+                    .expect("locked and unlocked");
+                for bits in dominators(&d.graph).take(64) {
+                    let (_, in_x) = d.resolve_dominator(&bits);
+                    assert!(
+                        dominator_witness(&sys, &d, &sections, &in_x).is_some(),
+                        "seed {seed}, {sites} sites, {steps} steps, dominator {bits:?}"
+                    );
+                    tried[sites - 1] += 1;
+                }
+            }
+        }
+        // Most one-site pairs are strongly connected or share one entity.
+        assert_eq!(tried, [6, 480], "dominators tried at one and two sites");
     }
 }

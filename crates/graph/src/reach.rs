@@ -1,4 +1,4 @@
-//! Transitive closure of an acyclic graph, and its upkeep as arcs arrive.
+//! Transitive closure of an acyclic graph.
 
 use crate::digraph::DiGraph;
 
@@ -28,31 +28,6 @@ impl Closure {
         assert!(a < self.n, "row {a} of a closure over {} nodes", self.n);
         let stride = self.n.div_ceil(64);
         &self.words[a * stride..][..stride]
-    }
-
-    /// Adds the arc `a -> b` to the graph this is the closure of, unless
-    /// `b` already reaches `a` (the arc would close a cycle, `a == b`
-    /// included): then it answers `false` and changes nothing.
-    ///
-    /// Every row that reaches `a` and not yet `b` takes in row `b`; a row
-    /// that reaches `b` holds row `b` already. That is `O(n)` bit tests and
-    /// `⌈n/64⌉` words per row that grows (Italiano, "Amortized efficiency
-    /// of a path retrieval data structure", TCS 48, 1986).
-    pub fn add_arc(&mut self, a: usize, b: usize) -> bool {
-        if self.reaches(b, a) {
-            return false;
-        }
-        let stride = self.n.div_ceil(64);
-        let (a_word, a_bit) = (a / 64, 1u64 << (a % 64));
-        let (b_word, b_bit) = (b / 64, 1u64 << (b % 64));
-        for r in 0..self.n {
-            let row = &self.words[r * stride..][..stride];
-            if row[a_word] & a_bit != 0 && row[b_word] & b_bit == 0 {
-                // `r` reaches `a`, which `b` does not: `r != b`.
-                or_row(&mut self.words, stride, r, b);
-            }
-        }
-        true
     }
 }
 
@@ -193,43 +168,5 @@ mod tests {
                 }
             }
         }
-
-        /// Arcs inserted one at a time give the closure of the graph with
-        /// those arcs, and an insertion is refused exactly when the arc
-        /// would close a cycle, leaving the matrix as it was.
-        #[test]
-        fn arcs_added_one_at_a_time_give_the_closure(seed in any::<u64>()) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.gen_range(1..=150usize);
-            let mut g = DiGraph::new(n);
-            let mut tc = transitive_closure(&g).expect("no arcs");
-            for _ in 0..rng.gen_range(0..=3 * n) {
-                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                let mut with_arc = g.clone();
-                with_arc.add_edge(a, b);
-                let before = tc.clone();
-                match transitive_closure(&with_arc) {
-                    Some(expected) => {
-                        prop_assert!(tc.add_arc(a, b), "arc {a} -> {b} refused");
-                        prop_assert_eq!(&tc, &expected);
-                        g = with_arc;
-                    }
-                    None => {
-                        prop_assert!(!tc.add_arc(a, b), "arc {a} -> {b} closes a cycle");
-                        prop_assert_eq!(&tc, &before);
-                    }
-                }
-            }
-            assert_matches_dfs(&g);
-        }
-    }
-
-    #[test]
-    fn an_arc_that_closes_a_cycle_is_refused() {
-        let mut tc = transitive_closure(&DiGraph::from_edges(3, [(0, 1), (1, 2)])).unwrap();
-        assert!(!tc.add_arc(2, 0));
-        assert!(!tc.add_arc(1, 1), "a self-loop is a cycle");
-        assert!(tc.add_arc(0, 2), "an arc the closure holds already");
-        assert!(!tc.reaches(2, 0));
     }
 }

@@ -140,8 +140,7 @@ impl Transaction {
     }
 
     /// The reflexive-transitive closure of the precedence relation, built
-    /// here if no question has built it yet. The dominator closure starts
-    /// its fixpoint from it and adds its precedences to a copy.
+    /// here if no question has built it yet.
     #[inline]
     pub fn closure(&self) -> &Closure {
         self.closure.get_or_init(|| {
